@@ -567,7 +567,10 @@ class Task:
             self.pending_checkpoint = None
             self._snapshot_and_ack(checkpoint_id)
             self._broadcast(CheckpointBarrier(checkpoint_id))
-            return True
+            # The cut is taken; the step's record budget is still spent
+            # below.  Returning here would starve the source for good
+            # once a checkpoint is triggered every scheduler round
+            # (``checkpoint_interval_ms <= tick_ms``).
         operator = self.chain[0].operator
         # Sources may scale the per-step record budget: a hybrid source
         # drains its bounded history prefix at an elevated burst so the

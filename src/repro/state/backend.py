@@ -60,7 +60,14 @@ class KeyedStateBackend:
         return copy.deepcopy(self._tables)
 
     def restore(self, snapshot: Dict[str, Dict[Any, Any]]) -> None:
-        self._tables = copy.deepcopy(snapshot)
+        """Replace every table's rows with a deep copy of ``snapshot``.
+
+        In place: state handles hold on to their table, so the dict
+        objects must survive a restore."""
+        self.clear_all()
+        for name, rows in copy.deepcopy(snapshot).items():
+            self.table(name).update(rows)
 
     def clear_all(self) -> None:
-        self._tables.clear()
+        for table in self._tables.values():
+            table.clear()

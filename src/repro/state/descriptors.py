@@ -71,9 +71,10 @@ class _KeyScoped:
     def __init__(self, backend: Any, descriptor: StateDescriptor) -> None:
         self._backend = backend
         self._descriptor = descriptor
-
-    def _table(self) -> Dict[Any, Any]:
-        return self._backend.table(self._descriptor.name)
+        #: The backend's ``{key: value}`` table of this state.  Held for
+        #: the handle's lifetime: the backend restores and clears its
+        #: tables in place.
+        self._rows: Dict[Any, Any] = backend.table(descriptor.name)
 
     def _key(self) -> Any:
         key = self._backend.current_key
@@ -91,71 +92,90 @@ class ValueState(_KeyScoped):
     """A single value per key."""
 
     def value(self) -> Any:
-        return self._table().get(self._key(), self._descriptor.default)
+        return self._rows.get(self._key(), self._descriptor.default)
 
     def update(self, value: Any) -> None:
-        self._table()[self._key()] = value
+        self._rows[self._key()] = value
 
     def clear(self) -> None:
-        self._table().pop(self._key(), None)
+        self._rows.pop(self._key(), None)
 
 
 class ListState(_KeyScoped):
     """An appendable list per key."""
 
     def get(self) -> List[Any]:
-        return self._table().get(self._key(), [])
+        return self._rows.get(self._key(), [])
 
     def add(self, value: Any) -> None:
-        self._table().setdefault(self._key(), []).append(value)
+        self._rows.setdefault(self._key(), []).append(value)
 
     def update(self, values: List[Any]) -> None:
-        self._table()[self._key()] = list(values)
+        self._rows[self._key()] = list(values)
 
     def clear(self) -> None:
-        self._table().pop(self._key(), None)
+        self._rows.pop(self._key(), None)
 
 
 class MapState(_KeyScoped):
-    """A hash map per key."""
+    """A hash map per key.
 
-    def _map(self, create: bool = False) -> Dict[Any, Any]:
-        table = self._table()
+    A key owns a slot in the backend only while its map has entries: the
+    slot is created by the first ``put`` and dropped by the ``remove``
+    that empties the map, so keys that come and go leave nothing behind.
+    """
+
+    def mapping(self, create: bool = False) -> Optional[Dict[Any, Any]]:
+        """The current key's live dict, or ``None`` when the key has no
+        entries and ``create`` is false.
+
+        For callers that touch several entries of one key per record:
+        reads and stores on the returned dict are the state.  It is only
+        valid until the next record or restore; delete through
+        :meth:`remove`, which gives an emptied map's slot back.
+        """
         key = self._key()
-        if create:
-            return table.setdefault(key, {})
-        return table.get(key, {})
+        entries = self._rows.get(key)
+        if entries is None and create:
+            entries = self._rows[key] = {}
+        return entries
 
     def get(self, map_key: Any, default: Any = None) -> Any:
-        return self._map().get(map_key, default)
+        entries = self.mapping()
+        return default if entries is None else entries.get(map_key, default)
 
     def put(self, map_key: Any, value: Any) -> None:
-        self._map(create=True)[map_key] = value
+        self.mapping(create=True)[map_key] = value
 
     def remove(self, map_key: Any) -> None:
-        self._map(create=True).pop(map_key, None)
+        entries = self.mapping()
+        if entries is not None:
+            entries.pop(map_key, None)
+            if not entries:
+                del self._rows[self._key()]
 
     def contains(self, map_key: Any) -> bool:
-        return map_key in self._map()
+        entries = self.mapping()
+        return entries is not None and map_key in entries
 
     def keys(self) -> Iterator[Any]:
-        return iter(list(self._map().keys()))
+        return iter(list(self.mapping() or ()))
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
-        return iter(list(self._map().items()))
+        return iter(list((self.mapping() or {}).items()))
 
     def is_empty(self) -> bool:
-        return not self._map()
+        return not self.mapping()
 
     def clear(self) -> None:
-        self._table().pop(self._key(), None)
+        self._rows.pop(self._key(), None)
 
 
 class ReducingState(_KeyScoped):
     """Folds added values through the descriptor's reduce function."""
 
     def add(self, value: Any) -> None:
-        table = self._table()
+        table = self._rows
         key = self._key()
         if key in table:
             table[key] = self._descriptor.reduce_fn(table[key], value)
@@ -163,17 +183,17 @@ class ReducingState(_KeyScoped):
             table[key] = value
 
     def get(self) -> Any:
-        return self._table().get(self._key())
+        return self._rows.get(self._key())
 
     def clear(self) -> None:
-        self._table().pop(self._key(), None)
+        self._rows.pop(self._key(), None)
 
 
 class AggregatingState(_KeyScoped):
     """Maintains an accumulator; ``get`` lowers it to a result."""
 
     def add(self, value: Any) -> None:
-        table = self._table()
+        table = self._rows
         key = self._key()
         agg = self._descriptor.aggregate_function
         if key not in table:
@@ -181,14 +201,14 @@ class AggregatingState(_KeyScoped):
         table[key] = agg.add(value, table[key])
 
     def get(self) -> Any:
-        table = self._table()
+        table = self._rows
         key = self._key()
         if key not in table:
             return None
         return self._descriptor.aggregate_function.get_result(table[key])
 
     def clear(self) -> None:
-        self._table().pop(self._key(), None)
+        self._rows.pop(self._key(), None)
 
 
 _HANDLE_TYPES = {

@@ -47,8 +47,58 @@ class WindowResult(NamedTuple):
 ProcessWindowFunction = Callable[[Any, Any, List[Any]], Iterable[Any]]
 
 
+class _PairContext(TriggerContext):
+    """The :class:`TriggerContext` of one ``(key, window)`` pair.
+
+    Timers are the operator's, under the window's namespace.  The
+    pair's scratch dict is created in keyed state the first time a
+    trigger touches ``state``, so a trigger that keeps none (the two
+    time triggers) leaves the ``trigger-scratch`` table empty.
+    """
+
+    __slots__ = ("_operator", "_window", "_state")
+
+    def __init__(self, operator: "WindowOperator", window: Any) -> None:
+        self._operator = operator
+        self._window = window
+        self._state: Optional[dict] = None
+
+    def register_event_time_timer(self, timestamp: int) -> None:
+        self._operator.ctx.register_event_time_timer(
+            timestamp, namespace=self._window)
+
+    def delete_event_time_timer(self, timestamp: int) -> None:
+        self._operator.ctx.delete_event_time_timer(
+            timestamp, namespace=self._window)
+
+    def register_processing_time_timer(self, timestamp: int) -> None:
+        self._operator.ctx.register_processing_time_timer(
+            timestamp, namespace=self._window)
+
+    @property
+    def state(self) -> dict:
+        state = self._state
+        if state is None:
+            scratch = self._operator._trigger_scratch
+            state = scratch.get(self._window)
+            if state is None:
+                state = {}
+                scratch.put(self._window, state)
+            self._state = state
+        return state
+
+
 class WindowOperator(Operator):
-    """Keyed windowing with per-(key, window) state."""
+    """Keyed windowing with per-(key, window) state.
+
+    A ``(key, window)`` pair is created by the first record that lands
+    in it: that record arms the trigger and, on event time, one clean-up
+    timer at ``max_timestamp + allowed_lateness``.  The pair then lives
+    until :meth:`_clear_window` -- reached from that clean-up timer, a
+    purging trigger result or a session merge -- removes its contents
+    and timers together.  So a pair that has contents has its clean-up
+    timer pending, and nothing on the record path re-registers it.
+    """
 
     def __init__(self, assigner: WindowAssigner,
                  aggregate: Optional[AggregateFunction] = None,
@@ -77,13 +127,30 @@ class WindowOperator(Operator):
         #: When set, late records are emitted as ``(late_data_tag, value)``
         #: side-output records instead of being silently dropped.
         self.late_data_tag = late_data_tag
+        self._event_time = assigner.is_event_time
+        self._merging = assigner.is_merging
         if trigger is not None:
             self.trigger = trigger
-        elif assigner.is_event_time:
+        elif self._event_time:
             self.trigger = EventTimeTrigger()
         else:
             self.trigger = ProcessingTimeTrigger()
+        #: The two time triggers never touch ``ctx.state``, so their
+        #: pairs have no scratch entry to look up when they are cleared.
+        self._trigger_keeps_state = type(self.trigger) not in (
+            EventTimeTrigger, ProcessingTimeTrigger)
+        #: With exactly :class:`EventTimeTrigger` (``on_element`` only
+        #: re-registers the fire timer and continues) in aggregate mode,
+        #: a record joining a live pair whose fire timer is still
+        #: pending has nothing to do but fold itself in.
+        self._folds_in_place = (aggregate is not None and self._event_time
+                                and type(self.trigger) is EventTimeTrigger)
         self._current_watermark = -(2**62)
+        #: Every event timer up to here has been popped.  Equal to the
+        #: watermark except after a rescale, which restores the lowest
+        #: watermark of the old subtasks but must assume the highest for
+        #: "has this pair's fire timer gone off already".
+        self._fired_through = self._current_watermark
 
     # -- state plumbing ---------------------------------------------------
 
@@ -95,86 +162,83 @@ class WindowOperator(Operator):
         self._late_dropped = ctx.metrics.counter("late_records_dropped")
         self._windows_fired = ctx.metrics.counter("windows_fired")
 
-    def _trigger_ctx(self, window: Any) -> TriggerContext:
-        scratch = self._trigger_scratch.get(window)
-        if scratch is None:
-            scratch = {}
-            self._trigger_scratch.put(window, scratch)
-        return TriggerContext(
-            register_event_timer=lambda t: self.ctx.register_event_time_timer(
-                t, namespace=window),
-            delete_event_timer=lambda t: self.ctx.delete_event_time_timer(
-                t, namespace=window),
-            register_processing_timer=(
-                lambda t: self.ctx.register_processing_time_timer(
-                    t, namespace=window)),
-            trigger_state=scratch,
-        )
-
     # -- element path -------------------------------------------------------
 
     def process(self, record: Record) -> None:
-        if self.assigner.is_event_time:
-            if record.timestamp is None:
+        if self._event_time:
+            timestamp = record.timestamp
+            if timestamp is None:
                 raise ValueError(
                     "event-time windowing requires timestamped records; "
                     "use assign_timestamps_and_watermarks() upstream")
-            timestamp = record.timestamp
         else:
             timestamp = self.ctx.processing_time()
+        value = record.value
 
-        windows = self.assigner.assign(record.value, timestamp)
-        if self.assigner.is_merging:
+        windows = self.assigner.assign(value, timestamp)
+        if self._merging:
             windows = [self._merge_in(window) for window in windows]
 
+        # The key's ``{window: contents}`` dict: resolved once per record,
+        # at the first window the record is not too late for (and after
+        # merging, which may have replaced it).
+        panes = None
+        aggregate = self.aggregate
+        fired_through = self._fired_through
         landed_somewhere = False
         for window in windows:
-            if self._is_expired(window):
+            # Past ``_fired_through`` no timer of this window has gone
+            # off yet: it cannot have expired, and a pair living in it
+            # still has both of its timers pending.
+            pending = window.max_timestamp > fired_through
+            if not pending and self._event_time and \
+                    self._cleanup_time(window) <= self._current_watermark:
                 self._late_dropped.inc()
                 continue
             landed_somewhere = True
-            self._add_to_window(window, record.value, timestamp)
-            trigger_ctx = self._trigger_ctx(window)
-            result = self.trigger.on_element(record.value, timestamp, window,
-                                             trigger_ctx)
-            self._handle_trigger_result(window, result)
-            self._register_cleanup(window)
+            if panes is None:
+                panes = self._contents.mapping(create=True)
+            current = panes.get(window)
+            if pending and current is not None and self._folds_in_place:
+                # Joining a live pair: fold in, nothing else.  (Once the
+                # fire timer is gone the trigger below must re-arm it,
+                # so that a straggler admitted by the allowed lateness
+                # re-fires the window.)
+                panes[window] = aggregate.add(value, current)
+                continue
+            if aggregate is not None:
+                state = panes[window] = aggregate.add(
+                    value, aggregate.create_accumulator()
+                    if current is None else current)
+            else:
+                state = current
+                if state is None:
+                    state = panes[window] = []
+                state.append((value, timestamp))
+            result = self.trigger.on_element(value, timestamp, window,
+                                             _PairContext(self, window))
+            # The trigger's timers first: at equal timestamps the fire
+            # timer must go off before the clean-up timer.
+            if current is None and self._event_time:
+                self.ctx.register_event_time_timer(
+                    self._cleanup_time(window), namespace=("cleanup", window))
+            if result is not TriggerResult.CONTINUE:
+                self._handle_trigger_result(window, result, state)
+                if result.purges:
+                    # Clearing may have dropped the key's emptied dict.
+                    panes = None
         if not landed_somewhere and self.late_data_tag is not None:
-            self.ctx.emit((self.late_data_tag, record.value),
-                          timestamp=timestamp)
-
-    def _is_expired(self, window: Any) -> bool:
-        if not self.assigner.is_event_time:
-            return False
-        return self._cleanup_time(window) <= self._current_watermark
+            self.ctx.emit((self.late_data_tag, value), timestamp=timestamp)
 
     def _cleanup_time(self, window: Any) -> int:
         return window.max_timestamp + self.allowed_lateness
-
-    def _register_cleanup(self, window: Any) -> None:
-        if self.assigner.is_event_time:
-            self.ctx.register_event_time_timer(self._cleanup_time(window),
-                                               namespace=("cleanup", window))
-
-    def _add_to_window(self, window: Any, value: Any, timestamp: int) -> None:
-        current = self._contents.get(window)
-        if self.aggregate is not None:
-            if current is None:
-                current = self.aggregate.create_accumulator()
-            self._contents.put(window, self.aggregate.add(value, current))
-        else:
-            if current is None:
-                current = []
-                self._contents.put(window, current)
-            current.append((value, timestamp))
 
     # -- session merging -----------------------------------------------------
 
     def _merge_in(self, new_window: Any) -> Any:
         """Coalesce ``new_window`` with overlapping in-flight windows of the
         current key; returns the window the element should join."""
-        existing = [w for w in self._contents.keys()]
-        candidates = existing + [new_window]
+        candidates = list(self._contents.keys()) + [new_window]
         for group in merge_windows(candidates):
             if new_window not in group:
                 continue
@@ -199,11 +263,13 @@ class WindowOperator(Operator):
                 self._contents.put(covering, merged_acc)
             elif merged_buffer:
                 self._contents.put(covering, merged_buffer)
-            # Re-arm the trigger for the covering window.
-            trigger_ctx = self._trigger_ctx(covering)
-            if self.assigner.is_event_time:
-                trigger_ctx.register_event_time_timer(covering.max_timestamp)
-            self._register_cleanup(covering)
+            # Arm the covering window the way a first record would.
+            if self._event_time:
+                self.ctx.register_event_time_timer(covering.max_timestamp,
+                                                   namespace=covering)
+                self.ctx.register_event_time_timer(
+                    self._cleanup_time(covering),
+                    namespace=("cleanup", covering))
             return covering
         return new_window
 
@@ -211,67 +277,70 @@ class WindowOperator(Operator):
 
     def on_watermark(self, timestamp: int) -> None:
         self._current_watermark = timestamp
+        if timestamp > self._fired_through:
+            self._fired_through = timestamp
 
     def snapshot_state(self) -> Any:
         # The operator's watermark view is part of its state: restoring
         # without it would misclassify replayed records as late.
-        return {"watermark": self._current_watermark}
+        return {"watermark": self._current_watermark,
+                "fired_through": self._fired_through}
 
     def restore_state(self, state: Any) -> None:
         self._current_watermark = state["watermark"]
+        self._fired_through = state["fired_through"]
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:
-        # Conservative: the lowest watermark any old subtask had seen.
-        watermarks = [state["watermark"] for state in states if state]
-        if not watermarks:
+        states = [state for state in states if state]
+        if not states:
             return None
-        return {"watermark": min(watermarks)}
+        # Conservative both ways: nothing is late that the slowest old
+        # subtask would have admitted, and any window the fastest one
+        # may have fired is treated as fired.
+        return {"watermark": min(state["watermark"] for state in states),
+                "fired_through": max(state["fired_through"]
+                                     for state in states)}
 
     def on_event_timer(self, timestamp: int, key: Any,
                        namespace: Hashable) -> None:
-        if isinstance(namespace, tuple) and namespace[0] == "cleanup":
-            window = namespace[1]
-            # Event-time cleanup: the final fire already happened at
+        if type(namespace) is tuple:
+            # ``("cleanup", window)``: the final fire already happened at
             # max_timestamp (<= cleanup time), so just drop state.
-            self._clear_window(window)
+            self._clear_window(namespace[1])
             return
-        window = namespace
-        if self._contents.get(window) is None:
+        state = self._contents.get(namespace)
+        if state is None:
             return
-        result = self.trigger.on_event_time(timestamp, window,
-                                            self._trigger_ctx(window))
-        self._handle_trigger_result(window, result)
+        result = self.trigger.on_event_time(
+            timestamp, namespace, _PairContext(self, namespace))
+        self._handle_trigger_result(namespace, result, state)
 
     def on_processing_timer(self, timestamp: int, key: Any,
                             namespace: Hashable) -> None:
-        window = namespace
-        if self._contents.get(window) is None:
+        state = self._contents.get(namespace)
+        if state is None:
             return
-        result = self.trigger.on_processing_time(timestamp, window,
-                                                 self._trigger_ctx(window))
-        self._handle_trigger_result(window, result)
+        result = self.trigger.on_processing_time(
+            timestamp, namespace, _PairContext(self, namespace))
+        self._handle_trigger_result(namespace, result, state)
 
     # -- firing -------------------------------------------------------------------
 
-    def _handle_trigger_result(self, window: Any,
-                               result: TriggerResult) -> None:
+    def _handle_trigger_result(self, window: Any, result: TriggerResult,
+                               state: Any) -> None:
+        """Act on a trigger's answer for a pair whose contents are
+        ``state`` (not ``None``)."""
         if result.fires:
-            self._fire(window)
+            tracer = self.ctx.tracer
+            if tracer is not None:
+                with tracer.span("window_fire", operator=self.name,
+                                 window=repr(window)):
+                    self._fire_window(window, state)
+            else:
+                self._fire_window(window, state)
         if result.purges:
             self._clear_window(window)
-
-    def _fire(self, window: Any) -> None:
-        state = self._contents.get(window)
-        if state is None:
-            return
-        tracer = self.ctx.tracer
-        if tracer is not None:
-            with tracer.span("window_fire", operator=self.name,
-                             window=repr(window)):
-                self._fire_window(window, state)
-            return
-        self._fire_window(window, state)
 
     def _fire_window(self, window: Any, state: Any) -> None:
         self._windows_fired.inc()
@@ -291,9 +360,12 @@ class WindowOperator(Operator):
             self.ctx.emit(output, timestamp=emit_ts)
 
     def _clear_window(self, window: Any) -> None:
+        """End a pair's life: contents, trigger timers and scratch, and
+        the clean-up timer."""
         self._contents.remove(window)
-        self.trigger.clear(window, self._trigger_ctx(window))
-        self._trigger_scratch.remove(window)
-        if self.assigner.is_event_time:
-            self.ctx.delete_event_time_timer(self._cleanup_time(window),
-                                             namespace=("cleanup", window))
+        self.trigger.clear(window, _PairContext(self, window))
+        if self._trigger_keeps_state:
+            self._trigger_scratch.remove(window)
+        if self._event_time:
+            self.ctx.delete_event_time_timer(
+                self._cleanup_time(window), namespace=("cleanup", window))

@@ -13,9 +13,14 @@ from typing import Iterable, List
 
 
 class TimeWindow:
-    """Half-open event-time interval ``[start, end)``."""
+    """Half-open event-time interval ``[start, end)``.
 
-    __slots__ = ("start", "end")
+    Immutable: nothing is assigned after construction, so the hash and
+    ``max_timestamp`` every state and timer probe asks for are computed
+    once here instead of on every call.
+    """
+
+    __slots__ = ("start", "end", "max_timestamp", "_hash")
 
     def __init__(self, start: int, end: int) -> None:
         if end <= start:
@@ -23,10 +28,8 @@ class TimeWindow:
                              % (start, end))
         self.start = start
         self.end = end
-
-    @property
-    def max_timestamp(self) -> int:
-        return self.end - 1
+        self.max_timestamp = end - 1
+        self._hash = hash((start, end))
 
     @property
     def size(self) -> int:
@@ -50,7 +53,12 @@ class TimeWindow:
                 and self.start == other.start and self.end == other.end)
 
     def __hash__(self) -> int:
-        return hash((self.start, self.end))
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle (and deep-copy) as the two bounds; the derived slots
+        # are rebuilt by the constructor.
+        return (TimeWindow, (self.start, self.end))
 
     def __lt__(self, other: "TimeWindow") -> bool:
         return (self.start, self.end) < (other.start, other.end)

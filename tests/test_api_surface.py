@@ -28,6 +28,7 @@ SURFACE = [
     "repro.observability",
     "repro.runtime.engine:EngineConfig",
     "repro.runtime.engine:Engine",
+    "repro.state.descriptors:MapState",
 ]
 
 

@@ -84,6 +84,43 @@ class TestMapState:
         state.put("a", 1)
         assert not state.is_empty()
 
+    def test_emptied_map_gives_its_slot_back(self, backend):
+        state = backend.get_state(MapStateDescriptor("m"))
+        backend.set_current_key("k")
+        state.put("a", 1)
+        state.put("b", 2)
+        state.remove("a")
+        assert backend.num_entries() == 1
+        state.remove("b")
+        assert backend.num_entries() == 0
+        assert backend.snapshot() == {"m": {}}
+
+    def test_reads_and_remove_create_no_slot(self, backend):
+        state = backend.get_state(MapStateDescriptor("m"))
+        backend.set_current_key("k")
+        state.remove("x")
+        assert state.get("x") is None
+        assert not state.contains("x")
+        assert list(state.keys()) == [] and list(state.items()) == []
+        assert state.is_empty()
+        assert state.mapping() is None
+        assert backend.num_entries() == 0
+
+    def test_mapping_is_the_live_dict(self, backend):
+        state = backend.get_state(MapStateDescriptor("m"))
+        backend.set_current_key("k")
+        entries = state.mapping(create=True)
+        assert entries == {} and state.mapping() is entries
+        entries["a"] = 1
+        assert state.get("a") == 1
+        state.put("b", 2)
+        assert entries == {"a": 1, "b": 2}
+        backend.set_current_key("other")
+        assert state.mapping() is None
+        backend.clear_current_key()
+        with pytest.raises(RuntimeError):
+            state.mapping()
+
 
 class TestReducingState:
     def test_folds_values(self, backend):
@@ -135,6 +172,29 @@ class TestBackend:
         fresh.restore(snapshot)
         fresh.set_current_key("k")
         assert fresh_state.value() == 42
+
+    def test_restore_and_clear_keep_existing_handles_valid(self, backend):
+        # Handles hold on to their table, so both must work in place --
+        # including for a state the snapshot has never heard of.
+        values = backend.get_state(ValueStateDescriptor("v"))
+        maps = backend.get_state(MapStateDescriptor("m"))
+        backend.set_current_key("k")
+        values.update(1)
+        snapshot = backend.snapshot()
+        values.update(2)
+        maps.put("a", 1)
+        backend.restore(snapshot)
+        assert values.value() == 1
+        assert maps.mapping() is None
+        maps.put("b", 2)
+        assert backend.snapshot() == {"v": {"k": 1}, "m": {"k": {"b": 2}}}
+        backend.restore({})
+        assert values.value() is None and backend.num_entries() == 0
+        values.update(3)
+        backend.clear_all()
+        assert values.value() is None
+        values.update(4)
+        assert backend.snapshot()["v"] == {"k": 4}
 
     def test_num_entries(self, backend):
         state = backend.get_state(ValueStateDescriptor("v"))
