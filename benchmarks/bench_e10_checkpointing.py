@@ -18,7 +18,7 @@ Expected shape (asserted):
 import pytest
 
 from harness import format_table, record
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.runtime.engine import EngineConfig
 
 KEYS = 5
@@ -28,7 +28,7 @@ INTERVALS = [2, 10, 50]
 
 
 def run_job(checkpoint_interval=None, failure_hook=None):
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=checkpoint_interval,
                             elements_per_step=4,

@@ -18,7 +18,7 @@ Expected shapes (asserted):
 import pytest
 
 from harness import dense_stream, format_table, record, run_aggregator
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.cutty import CuttyAggregator, PeriodicWindows
 from repro.cutty.baselines import PanesAggregator
 from repro.metrics import AggregationCostCounter
@@ -28,7 +28,7 @@ from repro.windowing.aggregates import SumAggregate
 # -- (a) chaining -------------------------------------------------------------
 
 def run_pipeline(chaining):
-    env = StreamExecutionEnvironment(chaining=chaining)
+    env = Environment(chaining=chaining)
     result = (env.from_collection(range(20_000))
               .map(lambda x: x + 1)
               .filter(lambda x: x % 3 != 0)
@@ -109,7 +109,6 @@ def reorder_ablation():
     """What the FIFO-restoring stage costs on already-ordered input, and
     the buffer it needs on out-of-order input."""
     from conftest import bench_rng
-    from repro.api import StreamExecutionEnvironment
     from repro.cutty import PeriodicWindows
     from repro.time.watermarks import WatermarkStrategy
     from repro.windowing import CountAggregate
@@ -126,7 +125,7 @@ def reorder_ablation():
                                  ("ordered, reorder=on", ordered, True),
                                  ("shuffled, reorder=on", shuffled, True)):
         import time
-        env = StreamExecutionEnvironment()
+        env = Environment()
         results = (env.from_collection(data)
                    .assign_timestamps_and_watermarks(strategy())
                    .key_by(lambda v: v[0])

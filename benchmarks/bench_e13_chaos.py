@@ -18,7 +18,7 @@ Expected shape (asserted):
 import pytest
 
 from harness import format_table, record
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
 from repro.runtime.restart import (
@@ -43,7 +43,7 @@ STRATEGIES = {
 
 
 def run_job(chaos=None, restart_strategy=None):
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
                             chaos=chaos, restart_strategy=restart_strategy))
@@ -103,7 +103,6 @@ def _mp_throttle(value):
 
 
 def _run_mp_chaos_job(config, target):
-    from repro.api import Environment
     from repro.connectors import TransactionalTextFileSink
 
     env = Environment(parallelism=2, config=config)

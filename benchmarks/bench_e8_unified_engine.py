@@ -23,7 +23,7 @@ import time
 import pytest
 
 from harness import format_table, record
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 
 DURATION_MS = 60_000
 EVENTS = [("k%d" % (ts % 5), ts) for ts in range(0, DURATION_MS, 10)]
@@ -31,7 +31,7 @@ INTERVALS = [500, 2_000, 10_000]
 
 
 def run_pipelined():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     updates = (env.from_collection(EVENTS, timestamped=True)
                .key_by(lambda v: v[0])
                .count()
@@ -57,7 +57,7 @@ def run_micro_batched(interval_ms):
                  if batch_start <= event[1] < batch_end]
         if not batch:
             continue
-        env = StreamExecutionEnvironment()
+        env = Environment()
         counts = (env.from_bounded(batch)
                   .group_by(lambda v: v[0])
                   .count()

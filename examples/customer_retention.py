@@ -12,7 +12,7 @@ lambda architecture needs two systems for:
 Run:  python examples/customer_retention.py
 """
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.datagen import ClickstreamGenerator
 from repro.ml import OnlineLogisticRegression, PrequentialEvaluator, auc
 
@@ -24,7 +24,7 @@ def build_feature_examples():
                                      churn_fraction=0.35, seed=2024)
     events = generator.events()
 
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     per_user = (env.from_bounded(events)
                 .filter(lambda e: e.timestamp < 14 * 24 * 3600 * 1000)
                 .group_by(lambda e: e.user)

@@ -11,7 +11,7 @@ Run:  python examples/multilingual_web.py
 
 from collections import Counter, defaultdict
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.datagen import DocumentStreamGenerator
 from repro.ml import LanguageIdentifier, remove_stopwords, tokenize
 from repro.windowing import CountAggregate, TumblingEventTimeWindows
@@ -34,7 +34,7 @@ def main():
         term_profiles[language].update(tokens)
         return (language, document)
 
-    env = StreamExecutionEnvironment()
+    env = Environment()
     per_language = (
         env.from_collection([(d, d.timestamp) for d in documents],
                             timestamped=True)

@@ -9,7 +9,7 @@ baseline.
 Run:  python examples/recommendations.py
 """
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.datagen import RatingStreamGenerator
 from repro.ml import StreamingMatrixFactorization, rmse
 
@@ -35,7 +35,7 @@ def main():
         return []
 
     # Run the stream through the engine: the model lives in a sink.
-    env = StreamExecutionEnvironment()
+    env = Environment()
     (env.from_collection(ratings)
         .add_sink(lambda rating: score_and_learn(rating)))
     env.execute()

@@ -13,7 +13,7 @@ Run:  python examples/table_analytics.py
 import random
 
 from repro.api import Environment
-from repro.table import Table, Tumble
+from repro.table import Tumble
 
 
 def generate_orders(n=2000, seed=7):
@@ -31,7 +31,7 @@ def generate_orders(n=2000, seed=7):
 def batch_report(orders):
     print("== data at rest: revenue per country (batch) ==")
     env = Environment(parallelism=2)
-    report = (Table.from_rows(env, orders)
+    report = (env.table(orders)
               .where(lambda r: r["amount"] >= 10, reads=("amount",),
                      description="amount>=10")
               .select("country", "amount")
@@ -50,7 +50,7 @@ def batch_report(orders):
 def streaming_report(orders):
     print("\n== data in motion: revenue per country per minute (stream) ==")
     env = Environment()
-    table = (Table.from_rows(env, orders, bounded=False, time_column="ts")
+    table = (env.table(orders, bounded=False, time_column="ts")
              .where(lambda r: r["amount"] >= 10, reads=("amount",),
                     description="amount>=10")
              .select("country", "amount", "ts")

@@ -12,7 +12,7 @@ The third STREAMLINE application, combining three data-in-motion pieces:
 Run:  python examples/target_advertisement.py
 """
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.cutty import CuttyWindowOperator, SessionWindows
 from repro.datagen import AdStreamGenerator
 from repro.ml import FTRLProximal, PrequentialEvaluator, SpaceSaving, auc
@@ -30,7 +30,7 @@ def train_ctr_model(impressions):
 
 def session_analytics(impressions):
     """Per-user session impression counts via the shared Cutty operator."""
-    env = StreamExecutionEnvironment()
+    env = Environment()
     events = [((imp.user, 1), imp.timestamp) for imp in impressions]
     keyed = (env.from_collection(events, timestamped=True)
              .key_by(lambda kv: kv[0]))

@@ -21,8 +21,8 @@ A pure-Python reproduction of the STREAMLINE platform (EDBT 2017):
   generators and sources/sinks.
 """
 
-from repro.api import Environment, StreamExecutionEnvironment
+from repro.api import Environment
 
 __version__ = "1.0.0"
 
-__all__ = ["Environment", "StreamExecutionEnvironment", "__version__"]
+__all__ = ["Environment", "__version__"]

@@ -2,11 +2,7 @@
 vocabulary, for data at rest and data in motion."""
 
 from repro.api.dataset import DataSet, GroupedDataSet
-from repro.api.environment import (
-    CollectResult,
-    Environment,
-    StreamExecutionEnvironment,
-)
+from repro.api.environment import CollectResult, Environment
 from repro.api.stream import (
     ConnectedKeyedStreams,
     ConnectedStreams,
@@ -20,7 +16,6 @@ __all__ = [
     "GroupedDataSet",
     "CollectResult",
     "Environment",
-    "StreamExecutionEnvironment",
     "ConnectedKeyedStreams",
     "ConnectedStreams",
     "DataStream",

@@ -12,13 +12,11 @@ execute on the *same* pipelined engine -- the STREAMLINE claim that one
 system serves both workloads, with batch being the special case of a
 stream that ends.  There is one :meth:`execute`, one place to hand in an
 :class:`~repro.runtime.engine.EngineConfig`, and one switch for the
-observability layer; :class:`StreamExecutionEnvironment` remains as a
-deprecated alias.
+observability layer.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.plan.chaining import build_job_graph
@@ -299,9 +297,7 @@ class Environment:
                 "this environment already executed; create a new "
                 "Environment per job")
         job_graph = self.build_job_graph()
-        if (self.config is not None
-                and getattr(self.config, "backend", "cooperative")
-                == "multiprocess"):
+        if self.config.backend == "multiprocess":
             from repro.runtime.multiprocess import MultiprocessEngine
             engine = MultiprocessEngine(job_graph, self.config)
         else:
@@ -373,18 +369,3 @@ def _resolve_hybrid_side(env: Environment, side: Any, timestamped: bool,
     materialised = list(side)
     return SourceSpec(lambda: materialised, timestamped), None, None
 
-
-class StreamExecutionEnvironment(Environment):
-    """Deprecated pre-facade name of :class:`Environment`.
-
-    Kept as a working shim: constructing one emits a
-    :class:`DeprecationWarning` and behaves exactly like
-    :class:`Environment`.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        warnings.warn(
-            "StreamExecutionEnvironment is deprecated; use "
-            "repro.api.Environment (same constructor and methods)",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)

@@ -191,6 +191,11 @@ class TransactionalSink:
             self._committed = lines[len(self._header_lines()):]
         sides: Dict[int, List[str]] = {}
         for side in glob.glob(glob.escape(self.path) + ".pending-*"):
+            if side.endswith(".tmp"):
+                # A pre-commit torn by the kill: never replace-committed,
+                # so the restored checkpoint cannot name it as pending.
+                os.remove(side)
+                continue
             txn_id = int(side.rsplit("-", 1)[1])
             with open(side, "r", encoding="utf-8") as handle:
                 sides[txn_id] = [line.rstrip("\n") for line in handle]

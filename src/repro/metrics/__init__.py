@@ -10,6 +10,7 @@ from repro.metrics.metrics import (
     ThroughputTracker,
     merge_counter_maps,
     merge_gauge_maps,
+    sum_nested,
 )
 
 __all__ = [
@@ -22,4 +23,5 @@ __all__ = [
     "ThroughputTracker",
     "merge_counter_maps",
     "merge_gauge_maps",
+    "sum_nested",
 ]

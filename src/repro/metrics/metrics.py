@@ -13,7 +13,7 @@ algorithms and not their bookkeeping.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 
 class Counter:
@@ -352,13 +352,21 @@ class ThroughputTracker:
         return self._records / (self._end - self._start)
 
 
-def merge_counter_maps(maps: Iterable[Dict[str, int]]) -> Dict[str, int]:
-    """Sum per-task counter dictionaries into one job-level view."""
-    merged: Dict[str, int] = {}
-    for counter_map in maps:
-        for name, value in counter_map.items():
-            merged[name] = merged.get(name, 0) + value
+def sum_nested(trees: Iterable[Dict[Any, Any]]) -> Dict[Any, Any]:
+    """Sum dict trees leaf by leaf: nested dicts merge recursively,
+    numbers under the same path add.  The inputs are not aliased."""
+    merged: Dict[Any, Any] = {}
+    for tree in trees:
+        for key, value in tree.items():
+            if isinstance(value, dict):
+                merged[key] = sum_nested((merged.get(key, {}), value))
+            else:
+                merged[key] = merged.get(key, 0) + value
     return merged
+
+
+#: Sum per-task counter dictionaries into one job-level view.
+merge_counter_maps = sum_nested
 
 
 def merge_gauge_maps(maps: Iterable[Dict[str, int]]) -> Dict[str, int]:

@@ -25,6 +25,7 @@ from repro.metrics import (
     MetricGroup,
     merge_counter_maps,
     merge_gauge_maps,
+    sum_nested,
 )
 
 GroupProvider = Callable[[], Iterable[MetricGroup]]
@@ -89,14 +90,9 @@ class MetricsRegistry:
     def scoped_counters(self) -> Dict[str, Dict[str, int]]:
         """Counters keyed by group scope, unmerged -- the per-subtask
         view (``{"map.0": {"records_in": 10, ...}, ...}``)."""
-        scoped: Dict[str, Dict[str, int]] = {}
-        for group in self._live_groups():
-            if not group._counters:
-                continue
-            bucket = scoped.setdefault(group.scope, {})
-            for name, counter in group._counters.items():
-                bucket[name] = bucket.get(name, 0) + counter.value
-        return scoped
+        return sum_nested({group.scope: group.counters()}
+                          for group in self._live_groups()
+                          if group._counters)
 
     def probe_results(self) -> Dict[str, Any]:
         return {name: probe() for name, probe in self._probes}
@@ -120,21 +116,14 @@ class MetricsRegistry:
         semantics); scoped counters and probe results union by scope,
         summing on the rare collision."""
         snapshots = list(snapshots)
-        merged: Dict[str, Any] = {
-            "counters": merge_counter_maps(
-                snap.get("counters", {}) for snap in snapshots),
-            "gauges": merge_gauge_maps(
-                snap.get("gauges", {}) for snap in snapshots),
-            "scoped": {},
-            "probes": {},
-        }
-        for snap in snapshots:
-            for scope, counters in snap.get("scoped", {}).items():
-                bucket = merged["scoped"].setdefault(scope, {})
-                for name, value in counters.items():
-                    bucket[name] = bucket.get(name, 0) + value
-            merged["probes"].update(snap.get("probes", {}))
-        return merged
+
+        def parts(name: str) -> List[Dict[str, Any]]:
+            return [snap.get(name, {}) for snap in snapshots]
+
+        return {"counters": merge_counter_maps(parts("counters")),
+                "gauges": merge_gauge_maps(parts("gauges")),
+                "scoped": sum_nested(parts("scoped")),
+                "probes": merge_gauge_maps(parts("probes"))}
 
     def __repr__(self) -> str:
         return ("MetricsRegistry(groups=%d, providers=%d, probes=%d)"

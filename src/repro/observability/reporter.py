@@ -17,9 +17,52 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
+
+from repro.metrics import sum_nested
+from repro.observability.registry import MetricsRegistry
 
 FORMATS = ("text", "json", "prometheus")
+
+
+def _rows_by(*sort_keys: str) -> Callable[[List[Any]], List[Any]]:
+    """Rule: concatenate the parts' rows, ordered by ``sort_keys``."""
+    def merge(parts: List[List[Dict[str, Any]]]) -> List[Dict[str, Any]]:
+        return sorted((row for part in parts for row in part),
+                      key=lambda row: [row[key] for key in sort_keys])
+    return merge
+
+
+def _max_per_field(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
+    return {name: max(part.get(name, 0) for part in parts)
+            for name in sorted(set().union(*parts))}
+
+
+#: How each section of ``job_report()`` combines across the workers of a
+#: multiprocess job.  Sections without a rule (``job``, ``checkpoints``,
+#: ``fleet``, ``exchange``, ``workers``) are the parent's own.
+MERGE_RULES: Dict[str, Callable[[List[Any]], Any]] = {
+    "operators": _rows_by("operator", "subtask"),
+    "cutover": _rows_by("operator", "subtask"),
+    "arrangements": _rows_by("operator", "subtask"),
+    "channels": _rows_by("channel"),
+    "cutty": sum_nested,
+    "spans": sum_nested,
+    "watermarks": _max_per_field,
+    "metrics": MetricsRegistry.federate,
+}
+
+
+def merge_report_sections(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Combine per-process section dicts under :data:`MERGE_RULES`; a
+    section appears in the result when at least one part carries it."""
+    parts = list(parts)
+    merged: Dict[str, Any] = {}
+    for name, rule in MERGE_RULES.items():
+        present = [part[name] for part in parts if name in part]
+        if present:
+            merged[name] = rule(present)
+    return merged
 
 
 class JobReport:
@@ -99,11 +142,13 @@ class MetricsReporter:
         sections = self.report.as_dict()
         blocks: List[str] = []
 
-        job = sections.get("job", {})
-        if job:
-            blocks.append("== job ==\n" + "\n".join(
-                "  %-28s %s" % (key, value)
-                for key, value in sorted(job.items())))
+        def key_values(name: str) -> None:
+            if sections.get(name):
+                blocks.append("== %s ==\n" % name + "\n".join(
+                    "  %-28s %s" % item
+                    for item in sorted(sections[name].items())))
+
+        key_values("job")
 
         operators = sections.get("operators", [])
         if operators:
@@ -118,17 +163,8 @@ class MetricsReporter:
                 ["operator", "subtask", "in", "out", "rec/s(sim)",
                  "wm lag ms", "bp stall ms", "dead"], rows))
 
-        checkpoints = sections.get("checkpoints")
-        if checkpoints:
-            blocks.append("== checkpoints ==\n" + "\n".join(
-                "  %-28s %s" % (key, value)
-                for key, value in sorted(checkpoints.items())))
-
-        watermarks = sections.get("watermarks")
-        if watermarks:
-            blocks.append("== watermarks ==\n" + "\n".join(
-                "  %-28s %s" % (key, value)
-                for key, value in sorted(watermarks.items())))
+        key_values("checkpoints")
+        key_values("watermarks")
 
         cutty = sections.get("cutty")
         if cutty:
@@ -190,6 +226,10 @@ class MetricsReporter:
         def emit(name: str, value: Any, labels: Optional[Dict[str, Any]] = None,
                  metric_type: str = "gauge") -> None:
             if value is None or isinstance(value, str):
+                return
+            if isinstance(value, dict):  # e.g. checkpoints.durable
+                for key, nested in sorted(value.items()):
+                    emit("%s_%s" % (name, key), nested, labels, metric_type)
                 return
             if isinstance(value, bool):
                 value = int(value)

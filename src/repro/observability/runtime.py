@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from repro.metrics import sum_nested
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracing import Span, TraceContext
 
@@ -218,26 +219,7 @@ def collect_cutty_stats(engine: "Engine") -> Dict[str, Any]:
     their sharing stats (per-query results/combines, slices alive,
     elements) across parallel subtasks, keyed by operator name."""
     from repro.cutty.operator import CuttyWindowOperator
-    merged: Dict[str, Dict[str, Any]] = {}
-    for task in engine.tasks:
-        for chained in task.chain:
-            operator = chained.operator
-            if not isinstance(operator, CuttyWindowOperator):
-                continue
-            stats = operator.sharing_stats()
-            existing = merged.get(operator.name)
-            if existing is None:
-                merged[operator.name] = stats
-                continue
-            existing["keys"] += stats["keys"]
-            existing["elements"] += stats["elements"]
-            existing["live_slices"] += stats["live_slices"]
-            for query_id, per_query in stats["queries"].items():
-                bucket = existing["queries"].setdefault(
-                    query_id, {"results": 0, "combines": 0})
-                bucket["results"] += per_query["results"]
-                bucket["combines"] += per_query["combines"]
-            for name, value in stats["aggregate_ops"].items():
-                existing["aggregate_ops"][name] = (
-                    existing["aggregate_ops"].get(name, 0) + value)
-    return merged
+    return sum_nested(
+        {chained.operator.name: chained.operator.sharing_stats()}
+        for task in engine.tasks for chained in task.chain
+        if isinstance(chained.operator, CuttyWindowOperator))

@@ -172,6 +172,11 @@ class TraceContext:
             counts[span.name] = counts.get(span.name, 0) + 1
         return counts
 
+    def digest(self) -> Dict[str, Any]:
+        """The ``spans`` section of ``job_report()``."""
+        return {"started": self.started, "dropped": self.dropped,
+                "by_name": self.spans_by_name()}
+
     def export_json(self, indent: Optional[int] = None) -> str:
         return json.dumps({
             "spans": [span.as_dict() for span in self.finished_spans()],

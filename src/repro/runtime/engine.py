@@ -24,7 +24,7 @@ unaffected by physical parallelism.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics import (
     MetricGroup,
@@ -40,11 +40,7 @@ from repro.runtime.channels import Channel
 from repro.runtime.elements import MAX_TIMESTAMP, MIN_TIMESTAMP
 from repro.runtime.partition import ForwardPartitioner
 from repro.runtime.task import OutputEdge, Task
-from repro.state.checkpoint import (
-    CheckpointStore,
-    PendingCheckpoint,
-    TaskSnapshot,
-)
+from repro.state.checkpoint import CheckpointCoordinator, TaskSnapshot
 from repro.time.clock import ManualClock
 
 if TYPE_CHECKING:  # imported lazily to avoid a plan <-> runtime cycle
@@ -96,8 +92,6 @@ class EngineConfig:
                  backend: str = "cooperative",
                  num_workers: Optional[int] = None,
                  exchange: str = "shm",
-                 exchange_ring_slots: int = 32,
-                 exchange_slot_bytes: int = 64 * 1024,
                  channel_capacity: int = 128,
                  elements_per_step: int = 32,
                  batch_size: Optional[int] = None,
@@ -105,7 +99,6 @@ class EngineConfig:
                  tick_ms: int = 1,
                  checkpoint_interval_ms: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
-                 max_retained_checkpoints: int = 3,
                  heartbeat_interval_ms: Optional[int] = 25,
                  watchdog_suspect_ms: Optional[int] = None,
                  watchdog_fail_ms: Optional[int] = None,
@@ -128,8 +121,6 @@ class EngineConfig:
             raise ValueError(
                 "backend must be 'cooperative' or 'multiprocess'; got %r"
                 % (backend,))
-        if num_workers is not None and num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if backend == "multiprocess":
             unsupported = [name for name, value in
                            (("failure_hook", failure_hook),
@@ -152,44 +143,31 @@ class EngineConfig:
             raise ValueError(
                 "exchange must be 'shm' (columnar shared-memory rings) or "
                 "'pipe' (pickle frames over pipes); got %r" % (exchange,))
-        if exchange_ring_slots < 2:
-            raise ValueError("exchange_ring_slots must be >= 2")
-        if exchange_slot_bytes < 4096:
-            raise ValueError("exchange_slot_bytes must be >= 4096")
-        if channel_capacity < 1:
-            raise ValueError("channel_capacity must be >= 1")
-        if elements_per_step < 1:
-            raise ValueError("elements_per_step must be >= 1")
         if batch_size is None:
             batch_size = int(os.environ.get("REPRO_BATCH_SIZE", "1"))
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if tick_ms < 0:
-            raise ValueError("tick_ms must be >= 0")
-        if checkpoint_interval_ms is not None and checkpoint_interval_ms <= 0:
-            raise ValueError("checkpoint_interval_ms must be positive")
-        if checkpoint_timeout_ms is not None and checkpoint_timeout_ms <= 0:
-            raise ValueError("checkpoint_timeout_ms must be positive")
-        if heartbeat_interval_ms is not None and heartbeat_interval_ms <= 0:
-            raise ValueError(
-                "heartbeat_interval_ms must be positive (None disables "
-                "heartbeats and the watchdog)")
-        if watchdog_suspect_ms is not None and watchdog_suspect_ms <= 0:
-            raise ValueError("watchdog_suspect_ms must be positive")
-        if watchdog_fail_ms is not None and watchdog_fail_ms <= 0:
-            raise ValueError("watchdog_fail_ms must be positive")
+        # (option, value, smallest legal value); ``None`` always passes.
+        for name, value, floor in (
+                ("num_workers", num_workers, 1),
+                ("channel_capacity", channel_capacity, 1),
+                ("elements_per_step", elements_per_step, 1),
+                ("batch_size", batch_size, 1),
+                ("tick_ms", tick_ms, 0),
+                ("checkpoint_interval_ms", checkpoint_interval_ms, 1),
+                ("checkpoint_timeout_ms", checkpoint_timeout_ms, 1),
+                ("heartbeat_interval_ms", heartbeat_interval_ms, 1),
+                ("watchdog_suspect_ms", watchdog_suspect_ms, 1),
+                ("watchdog_fail_ms", watchdog_fail_ms, 1),
+                ("tolerable_consecutive_checkpoint_failures",
+                 tolerable_consecutive_checkpoint_failures, 0),
+                ("quarantine_threshold", quarantine_threshold, 0),
+                ("arrangement_compaction_interval",
+                 arrangement_compaction_interval, 1)):
+            if value is not None and value < floor:
+                raise ValueError("%s must be >= %d" % (name, floor))
         if (watchdog_suspect_ms is not None and watchdog_fail_ms is not None
                 and watchdog_fail_ms < watchdog_suspect_ms):
             raise ValueError(
                 "watchdog_fail_ms must be >= watchdog_suspect_ms")
-        if (tolerable_consecutive_checkpoint_failures is not None
-                and tolerable_consecutive_checkpoint_failures < 0):
-            raise ValueError(
-                "tolerable_consecutive_checkpoint_failures must be >= 0")
-        if quarantine_threshold is not None and quarantine_threshold < 0:
-            raise ValueError("quarantine_threshold must be >= 0")
-        if arrangement_compaction_interval < 1:
-            raise ValueError("arrangement_compaction_interval must be >= 1")
         #: Which execution backend runs the job: ``"cooperative"`` (the
         #: deterministic single-process reference scheduler) or
         #: ``"multiprocess"`` (shared-nothing OS-process workers with
@@ -202,20 +180,12 @@ class EngineConfig:
         #: Cross-worker data transport of the multiprocess backend:
         #: ``"shm"`` (the default) ships record batches as columnar
         #: frames through shared-memory ring buffers, with the pipe kept
-        #: for control elements and pickle fallbacks; ``"pipe"`` is the
-        #: legacy everything-as-pickle-frames transport.  Ignored by the
-        #: cooperative backend (no process boundary to cross).  When
-        #: ring provisioning fails at launch (e.g. no memory for the
+        #: for control elements and pickle fallbacks; ``"pipe"`` ships
+        #: everything as pickle frames.  Ignored by the cooperative
+        #: backend (no process boundary to cross).  When ring
+        #: provisioning fails at launch (e.g. no memory for the
         #: mappings), the attempt degrades to ``"pipe"`` silently.
         self.exchange = exchange
-        #: Slots per shared-memory ring (one ring per ordered worker
-        #: pair).  More slots absorb burstier producers before the
-        #: record-denominated ring backpressure stalls them.
-        self.exchange_ring_slots = exchange_ring_slots
-        #: Payload bytes per ring slot; a columnar frame larger than one
-        #: slot falls back to a pickled pipe frame (counted per edge in
-        #: ``job_report()``).
-        self.exchange_slot_bytes = exchange_slot_bytes
         self.channel_capacity = channel_capacity
         self.elements_per_step = elements_per_step
         self.batch_size = batch_size
@@ -226,14 +196,16 @@ class EngineConfig:
         self.operator_profiling = operator_profiling
         self.tick_ms = tick_ms
         self.checkpoint_interval_ms = checkpoint_interval_ms
-        #: When set, the multiprocess coordinator persists every sealed
-        #: checkpoint under this directory as CRC-checksummed snapshot
-        #: files plus a manifest, and recovery restores from *disk* with
-        #: verification -- a corrupted or torn checkpoint falls back to
-        #: the next-oldest retained one (see :mod:`repro.state.durable`).
+        #: When set, the checkpoint coordinator of either backend
+        #: persists every sealed checkpoint under this directory as
+        #: CRC-checksummed snapshot files plus a manifest (see
+        #: :mod:`repro.state.durable`).  A respawned multiprocess fleet
+        #: restores from *disk* with verification -- a corrupted or torn
+        #: checkpoint falls back to the next-oldest retained one; the
+        #: cooperative engine recovers from coordinator memory and the
+        #: files serve savepoints (:mod:`repro.state.timetravel`).
         #: ``None`` keeps checkpoints in coordinator memory only.
         self.checkpoint_dir = checkpoint_dir
-        self.max_retained_checkpoints = max_retained_checkpoints
         #: Wall-clock cadence of worker liveness heartbeats on the
         #: multiprocess backend (sent over the control pipe with seeded
         #: jitter).  ``None`` disables heartbeats and the watchdog.
@@ -324,6 +296,12 @@ class InjectedFailure(Exception):
     """The failure hook asked for a crash (used by the E10 experiment)."""
 
 
+def records_emitted(counters: Dict[str, int]) -> int:
+    """Records out of every task, from merged job (or worker) counters."""
+    return sum(value for name, value in counters.items()
+               if name.endswith("records_out"))
+
+
 class JobResult:
     """Post-execution statistics."""
 
@@ -354,8 +332,7 @@ class JobResult:
 
     @property
     def records_emitted(self) -> int:
-        return sum(value for name, value in self.counters.items()
-                   if name.endswith("records_out"))
+        return records_emitted(self.counters)
 
     def dead_letters_for(self, operator_name: str) -> List["DeadLetter"]:
         """The quarantined records attributed to one operator."""
@@ -370,6 +347,20 @@ class JobResult:
                    self.restarts, len(self.dead_letters)))
 
 
+def job_section(result: JobResult, observability: bool) -> Dict[str, Any]:
+    """The ``job`` block of ``job_report()``, the same on every backend."""
+    return {
+        "rounds": result.rounds,
+        "simulated_time_ms": result.simulated_time_ms,
+        "records_emitted": result.records_emitted,
+        "recoveries": result.recoveries,
+        "restarts": result.restarts,
+        "dead_letters": len(result.dead_letters),
+        "cancelled": result.cancelled,
+        "observability": observability,
+    }
+
+
 class Engine:
     """Executes one JobGraph to completion."""
 
@@ -380,26 +371,6 @@ class Engine:
         self.clock = ManualClock()
         self.tasks: List[Task] = []
         self._tasks_by_vertex: Dict[int, List[Task]] = {}
-        if self.config.checkpoint_dir is not None:
-            from repro.state.durable import DurableCheckpointStore
-            self.checkpoint_store: CheckpointStore = DurableCheckpointStore(
-                self.config.checkpoint_dir,
-                self.config.max_retained_checkpoints)
-        else:
-            self.checkpoint_store = CheckpointStore(
-                self.config.max_retained_checkpoints)
-        self._pending_checkpoint: Optional[PendingCheckpoint] = None
-        self._next_checkpoint_id = 1
-        self._next_checkpoint_time: Optional[int] = (
-            self.config.checkpoint_interval_ms)
-        self._checkpoint_durations: List[int] = []
-        self._checkpoints_completed = 0
-        self._checkpoints_aborted = 0
-        self._consecutive_checkpoint_failures = 0
-        #: Checkpoint ids sealed this round, whose completion
-        #: notifications still have to be delivered to the tasks (2PC
-        #: sinks commit on this signal).
-        self._completion_notifications: List[int] = []
         self.recoveries = 0
         self.restarts = 0
         self.dead_letters: List["DeadLetter"] = []
@@ -409,7 +380,6 @@ class Engine:
         self.metrics = MetricGroup("coordinator")
         self._restarts_metric = self.metrics.counter("restarts")
         self._failures_metric = self.metrics.counter("failures")
-        self._aborted_metric = self.metrics.counter("checkpoints_aborted")
         #: The live observability layer, or ``None``; the scheduler pays
         #: one ``is not None`` test per round when disabled, and the
         #: per-record path is untouched either way.
@@ -418,6 +388,7 @@ class Engine:
             if self.config.observability is not None else None)
         self._last_result: Optional[JobResult] = None
         self._build()
+        self._attach_coordinator()
 
     # -- construction -----------------------------------------------------
 
@@ -438,7 +409,7 @@ class Engine:
                             tracer=tracer)
                 task.checkpoint_ack = self._acknowledge_checkpoint
                 task.quarantine_threshold = cfg.quarantine_threshold
-                task.dead_letter_collector = self._collect_dead_letter
+                task.dead_letter_collector = self.dead_letters.append
                 subtasks.append(task)
             self._tasks_by_vertex[vertex_id] = subtasks
             self.tasks.extend(subtasks)
@@ -483,109 +454,39 @@ class Engine:
 
     # -- checkpoint coordination -------------------------------------------
 
-    def _maybe_trigger_checkpoint(self) -> None:
-        interval = self.config.checkpoint_interval_ms
-        if interval is None or self._pending_checkpoint is not None:
-            return
-        if self._next_checkpoint_time is None:
-            self._next_checkpoint_time = self.clock.now() + interval
-        if self.clock.now() < self._next_checkpoint_time:
-            return
-        running = [t for t in self.tasks if not t.finished]
-        if not running or any(t.finished for t in self.tasks if t.is_source):
-            # A draining job cannot complete a full barrier cut.
-            return
-        checkpoint_id = self._next_checkpoint_id
-        self._next_checkpoint_id += 1
-        expected = {t.subtask_id for t in self.tasks if not t.finished}
-        self._pending_checkpoint = PendingCheckpoint(
-            checkpoint_id, expected, trigger_time=self.clock.now())
-        for task in self.tasks:
-            if task.is_source and not task.finished:
-                task.pending_checkpoint = checkpoint_id
-        self._next_checkpoint_time = self.clock.now() + interval
-        if self.observability is not None:
-            self.observability.on_checkpoint_triggered(checkpoint_id,
-                                                       len(expected))
+    def _attach_coordinator(self) -> None:
+        """Give the engine its checkpoint coordinator and, through it,
+        the checkpoint store.  The multiprocess backend's shard engine
+        overrides this: there the parent process coordinates."""
+        self.coordinator: Optional[CheckpointCoordinator] = (
+            CheckpointCoordinator(
+                self.config, self.clock.now, self._dispatch_checkpoint,
+                subtasks=[task.subtask_id for task in self.tasks],
+                sources=[task.subtask_id for task in self.tasks
+                         if task.is_source],
+                listener=self.observability))
+        self.checkpoint_store = self.coordinator.store
 
-    def _acknowledge_checkpoint(self, checkpoint_id: int,
-                                snapshot: TaskSnapshot) -> None:
-        pending = self._pending_checkpoint
-        if pending is None or pending.checkpoint_id != checkpoint_id:
-            return  # ack of an aborted checkpoint
-        pending.acknowledge(snapshot)
-        if pending.is_complete:
-            completed = pending.seal(self.clock.now())
-            self.checkpoint_store.add(completed)
-            self._checkpoint_durations.append(completed.duration_ms)
-            self._checkpoints_completed += 1
-            self._consecutive_checkpoint_failures = 0
-            self._pending_checkpoint = None
-            # Deferred until after the current task step so notifications
-            # observe a consistent post-checkpoint world.
-            self._completion_notifications.append(checkpoint_id)
-            if self.observability is not None:
-                self.observability.on_checkpoint_completed(completed)
-
-    def _maybe_abort_pending_checkpoint(self) -> None:
-        """Coordinator self-defence: give up on a checkpoint that can no
-        longer complete (a participant finished before acking) or that
-        overstayed ``checkpoint_timeout_ms``, instead of wedging the
-        trigger loop forever."""
-        pending = self._pending_checkpoint
-        if pending is None:
-            return
-        reason = None
-        by_id = {task.subtask_id: task for task in self.tasks}
-        for subtask in sorted(pending.pending_subtasks):
-            task = by_id.get(subtask)
-            if task is None or task.finished:
-                reason = ("participant %s#%d finished before acknowledging"
-                          % subtask)
-                break
-        if reason is None and pending.is_expired(
-                self.clock.now(), self.config.checkpoint_timeout_ms):
-            reason = ("timed out after %d ms waiting on %r"
-                      % (self.config.checkpoint_timeout_ms,
-                         sorted(pending.pending_subtasks)))
-        if reason is not None:
-            self._abort_pending_checkpoint(reason)
-
-    def _abort_pending_checkpoint(self, reason: str) -> None:
-        pending = self._pending_checkpoint
-        assert pending is not None
-        pending.abort(reason)
-        self._pending_checkpoint = None
-        if self.observability is not None:
-            self.observability.on_checkpoint_aborted(pending.checkpoint_id,
-                                                     reason)
-        for task in self.tasks:
-            task.abort_checkpoint(pending.checkpoint_id)
-        self._checkpoints_aborted += 1
-        self._aborted_metric.inc()
-        self._consecutive_checkpoint_failures += 1
-        tolerable = self.config.tolerable_consecutive_checkpoint_failures
-        if (tolerable is not None
-                and self._consecutive_checkpoint_failures > tolerable):
-            self._consecutive_checkpoint_failures = 0
-            self._handle_failure(JobFailedError(
-                "more than %d consecutive checkpoint failures "
-                "(latest: checkpoint %d aborted: %s)"
-                % (tolerable, pending.checkpoint_id, reason)))
-
-    def _deliver_checkpoint_notifications(self) -> None:
-        """Tell every live task about checkpoints sealed last round; this
-        is the commit signal of the two-phase-commit sink protocol."""
-        while self._completion_notifications:
-            checkpoint_id = self._completion_notifications.pop(0)
+    def _dispatch_checkpoint(self, kind: str, checkpoint_id: int) -> None:
+        """Carry out one coordinator message on the local tasks."""
+        if kind == "trigger":
+            for task in self.tasks:
+                if task.is_source and not task.finished:
+                    task.pending_checkpoint = checkpoint_id
+        elif kind == "notify":
+            # The commit signal of the two-phase-commit sink protocol.
             for task in self.tasks:
                 if not task.finished:
                     task.notify_checkpoint_complete(checkpoint_id)
+        elif kind == "abort":
+            for task in self.tasks:
+                task.abort_checkpoint(checkpoint_id)
+
+    def _acknowledge_checkpoint(self, checkpoint_id: int,
+                                snapshot: TaskSnapshot) -> None:
+        self.coordinator.acknowledge(checkpoint_id, snapshot)
 
     # -- supervision --------------------------------------------------------
-
-    def _collect_dead_letter(self, letter: "DeadLetter") -> None:
-        self.dead_letters.append(letter)
 
     def _handle_failure(self, exc: BaseException) -> None:
         """The supervisor: consult the restart strategy and either restart
@@ -620,13 +521,10 @@ class Engine:
         """Redeploy the whole job from the job graph -- fresh operators,
         empty channels, sources at offset zero.  Used when a supervised
         failure strikes before any checkpoint completed."""
-        self._pending_checkpoint = None
         self.tasks = []
         self._tasks_by_vertex = {}
         self._build()
-        if self.config.checkpoint_interval_ms is not None:
-            self._next_checkpoint_time = (
-                self.clock.now() + self.config.checkpoint_interval_ms)
+        self.coordinator.begin_attempt()
         self.recoveries += 1
 
     # -- recovery -----------------------------------------------------------
@@ -637,7 +535,7 @@ class Engine:
         latest = self.checkpoint_store.latest
         if latest is None:
             raise JobFailedError("failure without any completed checkpoint")
-        self._pending_checkpoint = None
+        self.coordinator.drop_pending()
         for task in self.tasks:
             for channel, _ in task.inputs:
                 channel.clear()
@@ -654,17 +552,11 @@ class Engine:
         parallel subtasks (requires ``operator_profiling=True``), in
         first-seen (roughly topological) operator order."""
         merged: Dict[str, OperatorStats] = {}
-        order: List[str] = []
         for task in self.tasks:
             for stats in task.operator_stats:
-                existing = merged.get(stats.name)
-                if existing is None:
-                    merged[stats.name] = combined = OperatorStats(stats.name)
-                    combined.merge(stats)
-                    order.append(stats.name)
-                else:
-                    existing.merge(stats)
-        return [merged[name] for name in order]
+                merged.setdefault(stats.name,
+                                  OperatorStats(stats.name)).merge(stats)
+        return list(merged.values())
 
     # -- queryable state -----------------------------------------------------
 
@@ -815,9 +707,41 @@ class Engine:
              for chained in task.chain),
             default=MAX_TIMESTAMP)
 
+    def _run_round(self, rounds: int,
+                   coordinator: Optional[CheckpointCoordinator] = None,
+                   moved: bool = False) -> bool:
+        """Scheduler round number ``rounds``: step the tasks, advance the
+        clock, fire due processing-time timers, let ``coordinator``
+        (``None``: checkpoints off, or a worker whose parent
+        coordinates) take its turn; a round without record progress
+        (``moved``: the caller already brought input in) jumps the
+        clock to the next processing-time timer.  Returns whether the
+        round got anywhere."""
+        progressed = self._step_tasks(rounds) or moved
+        self.clock.advance(self.config.tick_ms)
+        now = self.clock.now()
+        for task in self.tasks:
+            task.on_processing_time(now)
+        if coordinator is not None:
+            failure = coordinator.tick(
+                {task.subtask_id for task in self.tasks if task.finished})
+            if failure is not None:
+                self._handle_failure(JobFailedError(failure))
+        if self.observability is not None:
+            self.observability.on_round(rounds + 1)
+        if progressed:
+            return True
+        next_timer = self._next_processing_timer()
+        if now < next_timer < MAX_TIMESTAMP:
+            self.clock.set(next_timer)
+            for task in self.tasks:
+                task.on_processing_time(next_timer)
+            return True
+        return False
+
     def execute(self) -> JobResult:
         cfg = self.config
-        obs = self.observability
+        coordinator = self.coordinator if self.coordinator.enabled else None
         rounds = 0
         stall_rounds = 0
         cancelled = False
@@ -838,32 +762,11 @@ class Engine:
                 except Exception as exc:
                     self._handle_failure(exc)
 
-            progressed = self._step_tasks(rounds)
-
-            self._deliver_checkpoint_notifications()
-            self.clock.advance(cfg.tick_ms)
-            now = self.clock.now()
-            for task in self.tasks:
-                task.on_processing_time(now)
-            self._maybe_abort_pending_checkpoint()
-            self._maybe_trigger_checkpoint()
+            if self._run_round(rounds, coordinator):
+                stall_rounds = 0
+            else:
+                stall_rounds += 1
             rounds += 1
-            if obs is not None:
-                obs.on_round(rounds)
-
-            if progressed:
-                stall_rounds = 0
-                continue
-            # No record progress: jump the clock to the next processing
-            # timer if one exists, otherwise count towards a stall.
-            next_timer = self._next_processing_timer()
-            if next_timer < MAX_TIMESTAMP and next_timer > now:
-                self.clock.set(next_timer)
-                for task in self.tasks:
-                    task.on_processing_time(next_timer)
-                stall_rounds = 0
-                continue
-            stall_rounds += 1
             if stall_rounds > 1000:
                 raise JobStalledError(
                     "no progress for %d rounds; unfinished: %r"
@@ -872,12 +775,9 @@ class Engine:
 
         return self._assemble_result(rounds, cancelled)
 
-    def _assemble_result(self, rounds: int, cancelled: bool = False
-                         ) -> JobResult:
-        """Merge task/coordinator metrics into the JobResult and cache it
-        for ``job_report()``.  Split out of ``execute()`` because the
-        multiprocess backend's shard loop assembles per-worker results
-        through the same path."""
+    def _merged_metrics(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Job-level (counters, gauges) over every task and the engine's
+        own group; the shard loop ships the same pair to the parent."""
         if self.observability is not None:
             self.observability.sample()  # final frontier/occupancy snapshot
         counters = merge_counter_maps(
@@ -885,14 +785,23 @@ class Engine:
             + [self.metrics.counters()])
         gauges = merge_gauge_maps(
             task.metrics.gauges() for task in self.tasks)
+        return counters, gauges
+
+    def _assemble_result(self, rounds: int, cancelled: bool = False
+                         ) -> JobResult:
+        """Merge task/coordinator metrics into the JobResult and cache it
+        for ``job_report()``."""
+        coordinator = self.coordinator
+        counters, gauges = self._merged_metrics()
+        counters["checkpoints_aborted"] = coordinator.aborted
         result = JobResult(rounds, self.clock.now(), counters,
-                           checkpoints_completed=self._checkpoints_completed,
+                           checkpoints_completed=coordinator.completed,
                            checkpoint_durations_ms=list(
-                               self._checkpoint_durations),
+                               coordinator.durations_ms),
                            recoveries=self.recoveries,
                            cancelled=cancelled,
                            restarts=self.restarts,
-                           checkpoints_aborted=self._checkpoints_aborted,
+                           checkpoints_aborted=coordinator.aborted,
                            dead_letters=list(self.dead_letters),
                            gauges=gauges)
         self._last_result = result
@@ -913,14 +822,32 @@ class Engine:
         and skew gauges, channel occupancy, spans) need
         ``EngineConfig(observability=True)``.
         """
-        from repro.observability import JobReport, collect_cutty_stats
+        from repro.observability import JobReport
         result = self._last_result
         if result is None:
             raise JobFailedError(
                 "job_report() requires a completed execute()")
         obs = self.observability
+        checkpoints = self.coordinator.stats()
+        if obs is not None:
+            checkpoints["last_state_entries"] = obs.registry.gauge(
+                "checkpoint_state_entries").value
+        sections: Dict[str, Any] = {
+            "job": job_section(result, obs is not None),
+            "checkpoints": checkpoints,
+        }
+        sections.update(self._task_sections())
+        return JobReport(sections)
+
+    def _task_sections(self) -> Dict[str, Any]:
+        """The report sections read off the live tasks and the
+        observability layer.  These are the ones a multiprocess parent
+        merges across its workers
+        (:func:`repro.observability.reporter.merge_report_sections`)."""
+        from repro.observability import collect_cutty_stats
+        obs = self.observability
         now = self.clock.now()
-        sim_seconds = result.simulated_time_ms / 1000.0
+        sim_seconds = now / 1000.0
 
         operators = []
         for task in self.tasks:
@@ -943,46 +870,16 @@ class Engine:
                 row["backpressure_stall_ms"] = obs.stall_ms.get(key, 0)
             operators.append(row)
 
-        checkpoints: Dict[str, Any] = {
-            "completed": result.checkpoints_completed,
-            "aborted": result.checkpoints_aborted,
-        }
-        durations = result.checkpoint_durations_ms
-        if durations:
-            checkpoints["duration_ms_min"] = min(durations)
-            checkpoints["duration_ms_max"] = max(durations)
-            checkpoints["duration_ms_mean"] = (
-                sum(durations) / len(durations))
-        if obs is not None:
-            checkpoints["last_state_entries"] = obs.registry.gauge(
-                "checkpoint_state_entries").value
-
         sections: Dict[str, Any] = {
-            "job": {
-                "rounds": result.rounds,
-                "simulated_time_ms": result.simulated_time_ms,
-                "records_emitted": result.records_emitted,
-                "recoveries": result.recoveries,
-                "restarts": result.restarts,
-                "dead_letters": len(result.dead_letters),
-                "cancelled": result.cancelled,
-                "observability": obs is not None,
-            },
             "operators": operators,
-            "checkpoints": checkpoints,
             "cutty": collect_cutty_stats(self),
         }
-
-        cutover = [row for task in self.tasks
-                   for row in task.operator_reports("cutover_report")]
-        if cutover:
-            sections["cutover"] = cutover
-
-        arrangements = [
-            row for task in self.tasks
-            for row in task.operator_reports("arrangement_report")]
-        if arrangements:
-            sections["arrangements"] = arrangements
+        for name, hook in (("cutover", "cutover_report"),
+                           ("arrangements", "arrangement_report")):
+            rows = [row for task in self.tasks
+                    for row in task.operator_reports(hook)]
+            if rows:
+                sections[name] = rows
 
         if obs is not None:
             skew = obs.registry.gauge("watermark_skew_ms")
@@ -993,23 +890,14 @@ class Engine:
                 "lag_ms": lag.value,
                 "lag_ms_max": lag.max_value,
             }
-            channels = []
-            for task in self.tasks:
-                for channel, _ in task.inputs:
-                    channels.append({
-                        "channel": channel.name,
-                        "pushed": channel.pushed,
-                        "polled": channel.polled,
-                        "cleared": channel.cleared,
-                        "occupancy_hwm": obs.registry.gauge(
-                            "channel_occupancy.%s"
-                            % channel.name).max_value,
-                    })
-            sections["channels"] = channels
+            sections["channels"] = [
+                {"channel": channel.name,
+                 "pushed": channel.pushed,
+                 "polled": channel.polled,
+                 "cleared": channel.cleared,
+                 "occupancy_hwm": obs.registry.gauge(
+                     "channel_occupancy.%s" % channel.name).max_value}
+                for task in self.tasks for channel, _ in task.inputs]
             if obs.tracer is not None:
-                sections["spans"] = {
-                    "started": obs.tracer.started,
-                    "dropped": obs.tracer.dropped,
-                    "by_name": obs.tracer.spans_by_name(),
-                }
-        return JobReport(sections)
+                sections["spans"] = obs.tracer.digest()
+        return sections

@@ -18,9 +18,10 @@ Design notes:
   serialised.
 * **One pipe per ordered worker pair.**  A pipe has a single writer, so
   per-channel FIFO order is preserved end to end; elements are framed as
-  ``(channel ordinal, element)`` where ordinals are assigned by graph
-  construction order -- identical in every worker by determinism of
-  ``_build``.
+  ``(seq, channel ordinal, element)`` where ordinals are assigned by
+  graph construction order -- identical in every worker by determinism
+  of ``_build`` -- and ``seq`` numbers the pair's frames across the
+  pipe and the shared-memory ring.
 * **Flush-before-control is preserved**: barriers, watermarks and
   ``EndOfStream`` flow *in-band* through the same pipes as data (the
   task runtime already flushes its record buffer before broadcasting
@@ -31,14 +32,15 @@ Design notes:
   through the ordinary ``has_output_capacity`` scan.  Writes are
   non-blocking so two workers saturating each other's pipes cannot
   deadlock.
-* **The parent process is the checkpoint coordinator**: it triggers
-  barriers on a wall-clock interval, collects acks (each carrying the
-  subtask snapshot) over the control pipes, seals completed checkpoints
-  into its :class:`~repro.state.checkpoint.CheckpointStore`, and
-  broadcasts completion notifications (the 2PC commit signal).  On a
-  worker failure it tears down the whole fleet and respawns it from the
-  latest completed checkpoint -- shared-nothing recovery with fresh
-  pipes, so no epoch filtering is needed.
+* **The parent process holds the checkpoint coordinator** (the same
+  :class:`~repro.state.checkpoint.CheckpointCoordinator` the cooperative
+  engine ticks, here on the wall clock): its trigger / abort / notify
+  messages are broadcast over the control pipes, and the workers -- who
+  hold no coordinator and no store -- forward every ack (carrying the
+  subtask snapshot) back.  On a worker failure the parent tears down
+  the whole fleet and respawns it from the latest completed checkpoint
+  -- shared-nothing recovery with fresh pipes, so no epoch filtering is
+  needed.
 * **Collect sinks stream** their buckets to the parent incrementally;
   the parent replays them into the caller-visible result buckets on
   success.  Delivery is at-least-once across a checkpoint restore
@@ -61,7 +63,8 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.metrics import merge_counter_maps, merge_gauge_maps
+from repro.metrics import merge_counter_maps, merge_gauge_maps, sum_nested
+from repro.observability.reporter import merge_report_sections
 from repro.runtime.channels import Channel, element_weight
 from repro.runtime.columnar import (
     ColumnarCodecError,
@@ -69,25 +72,25 @@ from repro.runtime.columnar import (
     decode_columnar,
     encode_columnar,
 )
-from repro.runtime.elements import MAX_TIMESTAMP, RecordBatch, StreamElement
+from repro.runtime.elements import RecordBatch, StreamElement
 from repro.runtime.engine import (
     Engine,
     EngineConfig,
     JobFailedError,
     JobResult,
     JobStalledError,
+    job_section,
+    records_emitted,
 )
 from repro.runtime.operators import CollectSink
 from repro.runtime.shm import RingError, ShmRing, ShmRingReader, ShmRingWriter
 from repro.runtime.task import Task
 from repro.runtime.watchdog import FAILED, WorkerWatchdog
 from repro.state.checkpoint import (
-    CheckpointStore,
-    PendingCheckpoint,
+    CheckpointCoordinator,
     SubtaskId,
     TaskSnapshot,
 )
-from repro.state.durable import DurableCheckpointStore
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _LEN = struct.Struct("<I")
@@ -111,6 +114,13 @@ _ERROR_FLUSH_S = 0.25
 #: Default watchdog deadlines, as multiples of the heartbeat interval.
 _SUSPECT_INTERVALS = 8
 _FAIL_INTERVALS = 24
+#: Slots per shared-memory ring (one ring per ordered worker pair); more
+#: slots absorb burstier producers before ring backpressure stalls them.
+EXCHANGE_RING_SLOTS = 32
+#: Payload bytes per ring slot; a columnar frame larger than one slot
+#: falls back to a pickled pipe frame (counted per edge in
+#: ``job_report()``).
+EXCHANGE_SLOT_BYTES = 64 * 1024
 
 
 class _Stop(Exception):
@@ -177,17 +187,9 @@ class _FrameWriter:
     def drain(self) -> None:
         """Blocking flush -- used at orderly shutdown, when losing the
         tail of the stream would lose data (EOS, the done payload)."""
-        if self.broken:
-            self._buffer.clear()
-            return
         os.set_blocking(self.fd, True)
         try:
-            while self._buffer:
-                written = os.write(self.fd, self._buffer)
-                del self._buffer[:written]
-        except (BrokenPipeError, OSError):
-            self.broken = True
-            self._buffer.clear()
+            self.flush()
         finally:
             try:
                 os.set_blocking(self.fd, False)
@@ -309,11 +311,8 @@ class ExchangeWriter:
     ring -- travels as a ``(seq, ordinal, element)`` pickle frame over
     the pipe.  The per-pair sequence number stamped on *every* frame is
     what lets the receiver stitch the two transports back into the exact
-    per-channel FIFO order.
-
-    In ``"pipe"`` mode (``ring is None``) frames keep the legacy
-    ``(ordinal, element)`` shape byte-for-byte, so the old transport is
-    still exactly itself -- only the accounting is new.
+    per-channel FIFO order.  In ``"pipe"`` mode (``ring is None``)
+    every frame takes the pipe, in the same shape.
     """
 
     __slots__ = ("pipe", "ring", "stats", "_seq", "_schemas")
@@ -330,20 +329,9 @@ class ExchangeWriter:
     def send(self, ordinal: int, element: StreamElement) -> None:
         stats = self.stats
         ring = self.ring
-        if ring is None:
-            size = self.pipe.send((ordinal, element))
-            stats["pipe_frames"] += 1
-            stats["pipe_bytes"] += size
-            if element.is_batch:
-                stats["pipe_records"] += len(element)
-            elif element.is_record:
-                stats["pipe_records"] += 1
-            else:
-                stats["control_frames"] += 1
-            return
         seq = self._seq
         self._seq += 1
-        if element.is_batch and len(element):
+        if ring is not None and element.is_batch and len(element):
             batch = (element if element.is_columnar
                      else batch_to_columnar(element.records,
                                             self._schemas.get(ordinal)))
@@ -362,13 +350,14 @@ class ExchangeWriter:
                 else:
                     stats["fallback_ring_full"] += 1
             stats["pickle_fallbacks"] += 1
-            stats["pipe_records"] += len(element)
             if element.is_columnar:
                 # memoryview columns defeat pickle; ship the row twin.
                 element = RecordBatch(list(element.records))
+        if element.is_batch:
+            stats["pipe_records"] += len(element)
         elif element.is_record:
             stats["pipe_records"] += 1
-        elif not element.is_batch:
+        else:
             stats["control_frames"] += 1
         size = self.pipe.send((seq, ordinal, element))
         stats["pipe_frames"] += 1
@@ -376,19 +365,6 @@ class ExchangeWriter:
 
     def occupancy_records(self) -> int:
         return self.ring.occupancy_records() if self.ring is not None else 0
-
-    @property
-    def pending_bytes(self) -> int:
-        return self.pipe.pending_bytes
-
-    def flush(self) -> bool:
-        return self.pipe.flush()
-
-    def drain(self) -> None:
-        self.pipe.drain()
-
-    def close(self) -> None:
-        self.pipe.close()
 
 
 # -- the exchange channel ---------------------------------------------------
@@ -423,7 +399,7 @@ class EgressChannel(Channel):
 
     def update_pressure(self) -> None:
         size = self.exchange.occupancy_records()
-        if self.exchange.pending_bytes > _EGRESS_SOFT_LIMIT:
+        if self.exchange.pipe.pending_bytes > _EGRESS_SOFT_LIMIT:
             size = max(size, self.capacity)
         self.size = size
 
@@ -438,8 +414,9 @@ class ShardEngine(Engine):
     fan-out are identical everywhere, then foreign subtasks are
     discarded before opening (side-effecting operators only ever open on
     their owning worker).  Checkpoint coordination is inverted: this
-    engine never triggers checkpoints, it acknowledges them to the
-    parent coordinator over the control pipe.
+    engine has no coordinator and no checkpoint store; it carries out
+    the parent coordinator's messages and forwards every ack to it over
+    the control pipe.
     """
 
     def __init__(self, job_graph: Any, config: EngineConfig, worker_id: int,
@@ -450,9 +427,9 @@ class ShardEngine(Engine):
         self._data_writers = data_writers
         self._control = control
         self._restoring = restoring
-        #: Per-source seq-merge state ("shm" mode only): the next sequence
-        #: number expected from that worker, and frames that arrived ahead
-        #: of it on the other transport, keyed by seq.
+        #: Per-source seq-merge state: the next sequence number expected
+        #: from that worker, and frames that arrived ahead of it on the
+        #: other transport, keyed by seq.
         self._merge_next: Dict[int, int] = {}
         self._merge_pending: Dict[int, Dict[int, Tuple[int, Any]]] = {}
         self.egress: List[EgressChannel] = []
@@ -524,8 +501,11 @@ class ShardEngine(Engine):
 
     # -- checkpoint inversion ----------------------------------------------
 
-    def _maybe_trigger_checkpoint(self) -> None:
-        pass  # the parent coordinator owns triggering
+    def _attach_coordinator(self) -> None:
+        # The parent coordinates and owns the store.  A worker opening
+        # the durable store would wipe the very checkpoints a respawned
+        # fleet is restoring from.
+        self.coordinator = None
 
     def _acknowledge_checkpoint(self, checkpoint_id: int,
                                 snapshot: TaskSnapshot) -> None:
@@ -541,21 +521,16 @@ class ShardEngine(Engine):
     # -- the shard loop -----------------------------------------------------
 
     def handle_control(self, message: Tuple[Any, ...]) -> None:
-        kind = message[0]
-        if kind == "trigger":
-            checkpoint_id = message[1]
-            for task in self.tasks:
-                if task.is_source and not task.finished:
-                    task.pending_checkpoint = checkpoint_id
-        elif kind == "notify":
-            for task in self.tasks:
-                if not task.finished:
-                    task.notify_checkpoint_complete(message[1])
-        elif kind == "abort":
-            for task in self.tasks:
-                task.abort_checkpoint(message[1])
-        elif kind == "stop":
+        if message[0] == "stop":
             raise _Stop()
+        self._dispatch_checkpoint(*message)  # trigger / notify / abort
+
+    def _over_budget(self, source: int) -> bool:
+        """Receiver-side flow control: whether the channels ``source``
+        feeds already hold several capacities' worth of records."""
+        channels = self.ingress_by_source.get(source, ())
+        return (sum(ch.size for ch in channels)
+                > 4 * sum(ch.capacity for ch in channels))
 
     def pump_ingress(self, readers: Dict[int, _FrameReader],
                      ring_readers: Optional[Dict[int, ShmRingReader]] = None
@@ -568,41 +543,36 @@ class ShardEngine(Engine):
         own soft limit then backpressures it).  The margin is generous
         because barrier alignment legitimately buffers past capacity.
 
-        In ``"shm"`` mode each source's frames arrive over two transports
-        (ring for columnar data, pipe for everything else), every frame
-        carrying the sender's per-pair sequence number; frames are merged
-        back into sequence order before delivery so each channel sees the
-        exact FIFO order the sender emitted.
+        Every frame carries the sender's per-pair sequence number.  In
+        ``"shm"`` mode a source's frames arrive over two transports
+        (ring for columnar data, pipe for everything else) and are
+        merged back into sequence order before delivery so each channel
+        sees the exact FIFO order the sender emitted; without a ring
+        there is nothing to add to the pipe's frames and the merge
+        passes them through.
         """
         moved = False
         for source, reader in readers.items():
-            channels = self.ingress_by_source.get(source)
-            if channels:
-                budget = 4 * sum(ch.capacity for ch in channels)
-                if sum(ch.size for ch in channels) > budget:
-                    continue
-            ring = ring_readers.get(source) if ring_readers else None
-            if ring is None:
-                # Legacy single-transport frames: (ordinal, element).
-                for ordinal, element in reader.read_available():
-                    self.ingress[ordinal].push(element)
-                    moved = True
+            if self._over_budget(source):
                 continue
             pending = self._merge_pending.setdefault(source, {})
             for seq, ordinal, element in reader.read_available():
                 pending[seq] = (ordinal, element)
-            try:
-                ring_frames = ring.read_available()
-            except RingError as exc:
-                raise FrameError(str(exc)) from exc
-            for seq, ordinal, records, payload in ring_frames:
+            ring = ring_readers.get(source) if ring_readers else None
+            if ring is not None:
                 try:
-                    element = decode_columnar(payload)
-                except ColumnarCodecError as exc:
-                    raise FrameError(
-                        "%s: garbled columnar frame (seq %d, ordinal %d): %s"
-                        % (ring.peer, seq, ordinal, exc)) from exc
-                pending[seq] = (ordinal, element)
+                    ring_frames = ring.read_available()
+                except RingError as exc:
+                    raise FrameError(str(exc)) from exc
+                for seq, ordinal, records, payload in ring_frames:
+                    try:
+                        element = decode_columnar(payload)
+                    except ColumnarCodecError as exc:
+                        raise FrameError(
+                            "%s: garbled columnar frame (seq %d, ordinal "
+                            "%d): %s" % (ring.peer, seq, ordinal, exc)
+                        ) from exc
+                    pending[seq] = (ordinal, element)
             next_seq = self._merge_next.get(source, 0)
             while next_seq in pending:
                 ordinal, element = pending.pop(next_seq)
@@ -614,7 +584,7 @@ class ShardEngine(Engine):
 
     def flush_egress(self) -> None:
         for exchange in self._data_writers.values():
-            exchange.flush()
+            exchange.pipe.flush()
         for channel in self.egress:
             channel.update_pressure()
 
@@ -668,14 +638,8 @@ class ShardEngine(Engine):
             if control_in.exhausted:
                 raise _Stop()  # the parent died; do not run on orphaned
             moved = self.pump_ingress(readers, ring_readers)
-            progressed = self._step_tasks(rounds)
-            self.clock.advance(config.tick_ms)
-            now = self.clock.now()
-            for task in self.tasks:
-                task.on_processing_time(now)
+            progressed = self._run_round(rounds, moved=moved)
             rounds += 1
-            if self.observability is not None:
-                self.observability.on_round(rounds)
             self.flush_egress()
             self.drain_collect()
             for task in self.tasks:
@@ -683,14 +647,7 @@ class ShardEngine(Engine):
                     reported_finished.add(task.subtask_id)
                     control.send(("task_finished", task.subtask_id))
             control.flush()
-            if progressed or moved:
-                last_progress = time.monotonic()
-                continue
-            next_timer = self._next_processing_timer()
-            if MAX_TIMESTAMP > next_timer > now:
-                self.clock.set(next_timer)
-                for task in self.tasks:
-                    task.on_processing_time(next_timer)
+            if progressed:
                 last_progress = time.monotonic()
                 continue
             if time.monotonic() - last_progress > _STALL_TIMEOUT_S:
@@ -703,19 +660,20 @@ class ShardEngine(Engine):
         # Orderly completion: every EOS and trailing record must reach
         # its peer before the fds close.
         for exchange in self._data_writers.values():
-            exchange.drain()
+            exchange.pipe.drain()
         self.drain_collect()
-        result = self._assemble_result(rounds)
+        counters, gauges = self._merged_metrics()
+        sections = self._task_sections()
+        if self.observability is not None:
+            sections["metrics"] = self.observability.registry.snapshot()
         return {
             "worker": self.worker_id,
             "rounds": rounds,
-            "simulated_time_ms": result.simulated_time_ms,
-            "counters": result.counters,
-            "gauges": result.gauges,
+            "simulated_time_ms": self.clock.now(),
+            "counters": counters,
+            "gauges": gauges,
             "dead_letters": _sanitize_dead_letters(self.dead_letters),
-            "report_sections": self.job_report().as_dict(),
-            "registry": (self.observability.registry.snapshot()
-                         if self.observability is not None else None),
+            "report_sections": sections,
             "exchange": {dst: dict(exchange.stats)
                          for dst, exchange in self._data_writers.items()},
         }
@@ -730,14 +688,10 @@ class ShardEngine(Engine):
         accept is treated as an immediate wakeup."""
         if ring_readers:
             for source, ring in ring_readers.items():
-                if not ring.has_data:
-                    continue
-                channels = self.ingress_by_source.get(source)
-                if channels:
-                    budget = 4 * sum(ch.capacity for ch in channels)
-                    if sum(ch.size for ch in channels) > budget:
-                        continue  # over budget: blocking here is correct
-                return
+                # Data this worker is over budget for can wait: blocking
+                # below is then the correct thing to do.
+                if ring.has_data and not self._over_budget(source):
+                    return
         selector = selectors.DefaultSelector()
         try:
             selector.register(control_in.fd, selectors.EVENT_READ)
@@ -745,9 +699,9 @@ class ShardEngine(Engine):
                 if not reader.eof:
                     selector.register(reader.fd, selectors.EVENT_READ)
             for exchange in self._data_writers.values():
-                if exchange.pending_bytes and not exchange.pipe.broken:
-                    selector.register(exchange.pipe.fd,
-                                      selectors.EVENT_WRITE)
+                pipe = exchange.pipe
+                if pipe.pending_bytes and not pipe.broken:
+                    selector.register(pipe.fd, selectors.EVENT_WRITE)
             selector.select(_IDLE_WAIT_S)
         finally:
             selector.close()
@@ -872,24 +826,22 @@ class _FleetView:
     experiences them exactly as it would a real crash, hang or torn
     write."""
 
-    def __init__(self, engine: "MultiprocessEngine", processes: List[Any],
-                 writers: Dict[int, "_FrameWriter"]) -> None:
+    def __init__(self, engine: "MultiprocessEngine") -> None:
         self._engine = engine
-        self._processes = processes
-        self._writers = writers
 
     @property
     def now_ms(self) -> int:
         return self._engine._now_ms()
 
     def alive_workers(self) -> List[int]:
-        return [wid for wid, process in enumerate(self._processes)
+        return [wid for wid, process
+                in enumerate(self._engine._last_processes)
                 if process.is_alive()]
 
     def signal_worker(self, worker_id: int, sig: int) -> bool:
         """Deliver an OS signal (SIGKILL, SIGSTOP, ...) to one worker;
         returns False when the worker is already gone."""
-        process = self._processes[worker_id]
+        process = self._engine._last_processes[worker_id]
         if not process.is_alive() or process.pid is None:
             return False
         try:
@@ -903,7 +855,7 @@ class _FleetView:
         worker control pipe, bypassing the frame writer -- the worker's
         next read sees an impossible frame length and must raise
         :class:`FrameError` instead of waiting forever."""
-        writer = self._writers.get(worker_id)
+        writer = self._engine._writers.get(worker_id)
         if writer is None or writer.broken:
             return False
         try:
@@ -916,8 +868,8 @@ class _FleetView:
         """Flip one byte in the newest persisted snapshot file; returns
         the path, or ``None`` when nothing durable exists yet."""
         store = self._engine.checkpoint_store
-        if not isinstance(store, DurableCheckpointStore):
-            return None
+        if store.durability_stats() is None:
+            return None  # a memory-only store
         ids = store.persisted_ids()
         if not ids:
             return None
@@ -962,13 +914,6 @@ class MultiprocessEngine:
         self.config = config or EngineConfig(backend="multiprocess")
         self.num_workers = (self.config.num_workers
                             or max(1, min(os.cpu_count() or 1, 8)))
-        if self.config.checkpoint_dir is not None:
-            self.checkpoint_store: CheckpointStore = DurableCheckpointStore(
-                self.config.checkpoint_dir,
-                self.config.max_retained_checkpoints)
-        else:
-            self.checkpoint_store = CheckpointStore(
-                self.config.max_retained_checkpoints)
         #: Health supervision: heartbeats drive a per-worker state
         #: machine (RUNNING -> SUSPECTED -> FAILED -> RESTARTING) so
         #: hung -- not just dead -- workers are detected and handed to
@@ -998,26 +943,28 @@ class MultiprocessEngine:
         self.recoveries = 0
         self.restarts = 0
         self._failures = 0
-        self._checkpoints_completed = 0
-        self._checkpoints_aborted = 0
-        self._checkpoint_durations: List[int] = []
-        self._consecutive_checkpoint_failures = 0
-        self._next_checkpoint_id = 1
         self._started = time.monotonic()
         self._last_result: Optional[JobResult] = None
-        self._worker_sections: List[Dict[str, Any]] = []
+        #: The done payloads of the successful attempt, by worker id.
+        self._payloads: List[Dict[str, Any]] = []
         #: Transport the last attempt actually used ("shm" or "pipe" --
         #: the former degrades to the latter if ring provisioning fails).
         self._exchange_transport: Optional[str] = None
-        #: Per-edge exchange accounting rows from the last attempt.
-        self._exchange_edges: List[Dict[str, Any]] = []
-        self._registry_snapshots: List[Dict[str, Any]] = []
+        # The current attempt: the parent's control writers, subtasks
+        # reported finished, done payloads by worker, the first error.
+        self._writers: Dict[int, _FrameWriter] = {}
+        self._finished: set = set()
+        self._done: Dict[int, Dict[str, Any]] = {}
+        self._error: Optional[BaseException] = None
         #: Collect-sink output received from workers, keyed by
         #: ``(vertex_id, chain_position)``; merged into the real buckets
         #: only on success so a restart-from-scratch can discard it.
         self._received: Dict[Tuple[int, int], List[Any]] = {}
         self._parent_buckets = self._discover_collect_buckets()
-        self._all_subtasks, self._source_subtasks = self._subtask_grid()
+        self.coordinator = CheckpointCoordinator(
+            self.config, self._now_ms, self._broadcast,
+            *self._subtask_grid())
+        self.checkpoint_store = self.coordinator.store
 
     # -- static views of the graph ------------------------------------------
 
@@ -1035,20 +982,16 @@ class MultiprocessEngine:
         return buckets
 
     def _subtask_grid(self) -> Tuple[set, set]:
-        all_subtasks = set()
-        source_subtasks = set()
-        source_ids = {vertex_id for vertex_id, vertex
-                      in self.job_graph.vertices.items()
-                      if not any(edge.target_vertex == vertex_id
-                                 for edge in self.job_graph.edges)}
+        """Every subtask id of the job, and the source ones among them."""
+        subtasks: set = set()
+        sources: set = set()
         for vertex_id, vertex in self.job_graph.vertices.items():
-            operator_id = "%d-%s" % (vertex_id, vertex.name)
-            for index in range(vertex.parallelism):
-                subtask = (operator_id, index)
-                all_subtasks.add(subtask)
-                if vertex_id in source_ids:
-                    source_subtasks.add(subtask)
-        return all_subtasks, source_subtasks
+            ids = {("%d-%s" % (vertex_id, vertex.name), index)
+                   for index in range(vertex.parallelism)}
+            subtasks |= ids
+            if vertex.is_source:
+                sources |= ids
+        return subtasks, sources
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started) * 1000)
@@ -1060,10 +1003,9 @@ class MultiprocessEngine:
             raise JobFailedError("this engine already executed")
         restore: Optional[Dict[SubtaskId, TaskSnapshot]] = None
         while True:
-            outcome = self._run_attempt(restore)
-            if outcome.get("ok"):
-                return self._finalize(outcome["payloads"])
-            error: BaseException = outcome["error"]
+            error = self._run_attempt(restore)
+            if error is None:
+                return self._finalize()
             self._failures += 1
             strategy = self.config.restart_strategy
             if strategy is None:
@@ -1092,28 +1034,25 @@ class MultiprocessEngine:
         detected here and recovery falls back to the next-oldest intact
         one (or to a from-scratch restart when none survives)."""
         store = self.checkpoint_store
-        if isinstance(store, DurableCheckpointStore):
-            before = store.restore_fallbacks
-            if self._tracer is not None:
-                with self._tracer.span("fleet.restore") as span:
-                    checkpoint = store.load_latest_verified()
-                    span.attrs["fallbacks"] = (store.restore_fallbacks
-                                               - before)
-                    span.attrs["checkpoint"] = (
-                        checkpoint.checkpoint_id
-                        if checkpoint is not None else None)
-            else:
+        before = store.durability_stats()
+        if self._tracer is None or before is None:
+            checkpoint = store.load_latest_verified()
+        else:
+            with self._tracer.span("fleet.restore") as span:
                 checkpoint = store.load_latest_verified()
-            if checkpoint is None:
-                return None
-            return dict(checkpoint.snapshots)
-        latest = store.latest
-        if latest is None:
-            return None
-        return dict(latest.snapshots)
+                span.attrs["fallbacks"] = (
+                    store.durability_stats()["restore_fallbacks"]
+                    - before["restore_fallbacks"])
+                span.attrs["checkpoint"] = (
+                    checkpoint.checkpoint_id
+                    if checkpoint is not None else None)
+        return None if checkpoint is None else dict(checkpoint.snapshots)
 
     def _run_attempt(self, restore: Optional[Dict[SubtaskId, TaskSnapshot]]
-                     ) -> Dict[str, Any]:
+                     ) -> Optional[BaseException]:
+        """Fork a fleet, supervise it to the end, tear it down; returns
+        what failed the attempt, or ``None`` (the done payloads are in
+        ``self._done``)."""
         num = self.num_workers
         data_fds = {(src, dst): os.pipe()
                     for src in range(num) for dst in range(num) if src != dst}
@@ -1130,8 +1069,8 @@ class MultiprocessEngine:
         rings: Optional[Dict[Tuple[int, int], ShmRing]] = None
         if self.config.exchange == "shm" and num > 1:
             try:
-                rings = {(src, dst): ShmRing(self.config.exchange_ring_slots,
-                                             self.config.exchange_slot_bytes)
+                rings = {(src, dst): ShmRing(EXCHANGE_RING_SLOTS,
+                                             EXCHANGE_SLOT_BYTES)
                          for src in range(num) for dst in range(num)
                          if src != dst}
             except (OSError, ValueError, MemoryError):
@@ -1163,13 +1102,18 @@ class MultiprocessEngine:
             readers[wid] = _FrameReader(
                 from_r, peer="control pipe worker %d -> parent" % wid)
         self._last_processes = processes
+        self._writers = writers
+        self._finished = set()
+        self._done = {}
+        self._error = None
         if self.watchdog is not None:
             self.watchdog.begin_attempt(range(num), self._now_ms())
+        self.coordinator.begin_attempt()
         graceful = False
         try:
-            outcome = self._supervise(writers, readers, processes)
-            graceful = bool(outcome.get("ok"))
-            return outcome
+            self._supervise(readers)
+            graceful = self._error is None
+            return self._error
         finally:
             for writer in writers.values():
                 writer.close()
@@ -1204,244 +1148,191 @@ class MultiprocessEngine:
         for process in processes:
             process.join()  # SIGKILL cannot be ignored; this reaps
 
-    def _supervise(self, writers: Dict[int, _FrameWriter],
-                   readers: Dict[int, _FrameReader],
-                   processes: List[Any]) -> Dict[str, Any]:
-        interval = self.config.checkpoint_interval_ms
-        next_trigger = (self._now_ms() + interval
-                        if interval is not None else None)
-        pending: Optional[PendingCheckpoint] = None
-        finished_subtasks: set = set()
-        done: Dict[int, Dict[str, Any]] = {}
-        error: Optional[BaseException] = None
-        watchdog = self.watchdog
-        chaos = self.config.process_chaos
-        fleet = (_FleetView(self, processes, writers)
-                 if chaos is not None else None)
+    # -- supervision --------------------------------------------------------
 
-        def broadcast(message: Tuple[Any, ...]) -> None:
-            for writer in writers.values():
-                if not writer.broken:
-                    writer.send(message)
-
-        def abort_pending(reason: str) -> Optional[BaseException]:
-            nonlocal pending
-            assert pending is not None
-            pending.abort(reason)
-            broadcast(("abort", pending.checkpoint_id))
-            self._checkpoints_aborted += 1
-            self._consecutive_checkpoint_failures += 1
-            pending = None
-            tolerable = (
-                self.config.tolerable_consecutive_checkpoint_failures)
-            if (tolerable is not None
-                    and self._consecutive_checkpoint_failures > tolerable):
-                self._consecutive_checkpoint_failures = 0
-                return JobFailedError(
-                    "more than %d consecutive checkpoint failures "
-                    "(latest: %s)" % (tolerable, reason))
-            return None
-
+    def _supervise(self, readers: Dict[int, _FrameReader]) -> None:
+        """Run the current attempt until every worker is done or
+        something fails: read what the workers report, then give the
+        watchdog, the chaos injector and the checkpoint coordinator
+        their turn."""
+        fleet = (_FleetView(self)
+                 if self.config.process_chaos is not None else None)
         selector = selectors.DefaultSelector()
         for wid, reader in readers.items():
             selector.register(reader.fd, selectors.EVENT_READ, wid)
         try:
-            while len(done) < self.num_workers and error is None:
+            while len(self._done) < self.num_workers and self._error is None:
                 timeout = 0.05
-                if next_trigger is not None:
+                due = self.coordinator.next_trigger_time
+                if due is not None:
                     timeout = min(
-                        timeout, max(0.0,
-                                     (next_trigger - self._now_ms()) / 1000.0))
-                events = selector.select(timeout)
-                for key, _ in events:
-                    wid = key.data
-                    reader = readers[wid]
-                    try:
-                        messages = reader.read_available()
-                    except FrameError as exc:
-                        if error is None:
-                            error = JobFailedError(
-                                "corrupt control frame from worker %d: %s"
-                                % (wid, exc))
-                        if watchdog is not None:
-                            watchdog.mark_failed(
-                                wid, "corrupt control frame: %s" % exc)
-                        selector.unregister(reader.fd)
-                        continue
-                    for message in messages:
-                        kind = message[0]
-                        if kind == "heartbeat":
-                            if watchdog is not None:
-                                watchdog.heartbeat(message[1], self._now_ms())
-                        elif kind == "ack":
-                            _, checkpoint_id, snapshot = message
-                            if (pending is not None
-                                    and pending.checkpoint_id
-                                    == checkpoint_id):
-                                pending.acknowledge(snapshot)
-                                if pending.is_complete:
-                                    completed = pending.seal(self._now_ms())
-                                    self.checkpoint_store.add(completed)
-                                    self._checkpoint_durations.append(
-                                        completed.duration_ms)
-                                    self._checkpoints_completed += 1
-                                    self._consecutive_checkpoint_failures = 0
-                                    pending = None
-                                    broadcast(("notify",
-                                               completed.checkpoint_id))
-                        elif kind == "collect":
-                            _, bucket_key, items = message
-                            self._received.setdefault(
-                                tuple(bucket_key), []).extend(items)
-                        elif kind == "task_finished":
-                            finished_subtasks.add(tuple(message[1]))
-                        elif kind == "done":
-                            done[wid] = message[1]
-                            if watchdog is not None:
-                                watchdog.mark_done(wid)
-                        elif kind == "failed":
-                            _, error_type, error_line, trace = message
-                            error = JobFailedError(
-                                "worker %d failed: %s\n%s"
-                                % (wid, error_line, trace))
-                            if watchdog is not None:
-                                watchdog.mark_failed(wid, error_line)
-                    if reader.eof and wid not in done and error is None:
-                        error = JobFailedError(
-                            "worker %d exited without reporting a result"
-                            % wid)
-                        if watchdog is not None:
-                            watchdog.mark_failed(
-                                wid, "control pipe EOF without a result")
-                for writer in writers.values():
+                        timeout, max(0.0, (due - self._now_ms()) / 1000.0))
+                for key, _ in selector.select(timeout):
+                    self._read_worker(key.data, readers[key.data], selector)
+                for writer in self._writers.values():
                     writer.flush()
-                if error is not None:
-                    break
-                now = self._now_ms()
-                if watchdog is not None:
-                    for event in watchdog.evaluate(now):
-                        if event.state == FAILED and error is None:
-                            error = JobFailedError(
-                                "worker %d declared failed by watchdog: %s"
-                                % (event.worker_id, event.reason))
-                    if error is not None:
-                        break
-                if chaos is not None:
-                    chaos.on_tick(fleet)
-                if pending is not None:
-                    stragglers = pending.pending_subtasks & finished_subtasks
-                    if stragglers:
-                        error = abort_pending(
-                            "participant %s#%d finished before acknowledging"
-                            % sorted(stragglers)[0])
-                    elif done:
-                        error = abort_pending("a worker drained mid-flight")
-                    elif pending.is_expired(
-                            now, self.config.checkpoint_timeout_ms):
-                        # A barrier deadline against a worker the
-                        # watchdog already suspects is not a checkpoint
-                        # problem -- it is a hung worker.  Escalate to
-                        # worker failure so the restart strategy runs
-                        # instead of aborting checkpoint after
-                        # checkpoint against a process that will never
-                        # ack.
-                        laggards = sorted(
-                            {index % self.num_workers
-                             for _, index in pending.pending_subtasks})
-                        suspected = ([wid for wid in laggards
-                                      if watchdog.is_suspected(wid)]
-                                     if watchdog is not None else [])
-                        if suspected:
-                            reason = (
-                                "checkpoint %d barrier expired and laggard "
-                                "worker(s) %r are heartbeat-suspected"
-                                % (pending.checkpoint_id, suspected))
-                            abort_pending(reason)
-                            for wid in suspected:
-                                watchdog.mark_failed(wid, reason)
-                            error = JobFailedError(reason)
-                        else:
-                            error = abort_pending(
-                                "timed out after %d ms waiting on %r"
-                                % (self.config.checkpoint_timeout_ms,
-                                   sorted(pending.pending_subtasks)))
-                    if error is not None:
-                        break
-                if (next_trigger is not None and pending is None
-                        and not done and now >= next_trigger
-                        and not (self._source_subtasks & finished_subtasks)):
-                    expected = self._all_subtasks - finished_subtasks
-                    if expected:
-                        checkpoint_id = self._next_checkpoint_id
-                        self._next_checkpoint_id += 1
-                        pending = PendingCheckpoint(checkpoint_id, expected,
-                                                    trigger_time=now)
-                        broadcast(("trigger", checkpoint_id))
-                    next_trigger = now + interval
+                if self._error is None:
+                    self._tick(fleet)
         finally:
             selector.close()
-        if error is not None:
-            broadcast(("stop",))
-            # Best-effort flush with a deadline: a SIGSTOP'd worker
-            # never reads, so a blocking drain() here would wedge the
-            # coordinator on the very failure it is reporting.  Workers
-            # that miss the stop are reaped by _teardown_fleet anyway.
-            flush_deadline = time.monotonic() + _ERROR_FLUSH_S
-            while (any(writer.pending_bytes and not writer.broken
-                       for writer in writers.values())
-                   and time.monotonic() < flush_deadline):
-                for writer in writers.values():
-                    writer.flush()
-                time.sleep(0.005)
-            return {"ok": False, "error": error}
-        return {"ok": True, "payloads": done}
+        if self._error is None:
+            return
+        self._broadcast("stop")
+        # Best-effort flush with a deadline: a SIGSTOP'd worker never
+        # reads, so a blocking drain() here would wedge the coordinator
+        # on the very failure it is reporting.  Workers that miss the
+        # stop are reaped by _teardown_fleet anyway.
+        flush_deadline = time.monotonic() + _ERROR_FLUSH_S
+        while (any(writer.pending_bytes and not writer.broken
+                   for writer in self._writers.values())
+               and time.monotonic() < flush_deadline):
+            for writer in self._writers.values():
+                writer.flush()
+            time.sleep(0.005)
+
+    def _broadcast(self, *message: Any) -> None:
+        """Send one control message to every worker still reachable;
+        with ``(kind, checkpoint_id)`` this is the coordinator's
+        ``send``."""
+        for writer in self._writers.values():
+            if not writer.broken:
+                writer.send(message)
+
+    def _fail(self, message: str, worker: Optional[int] = None,
+              reason: Optional[str] = None) -> None:
+        """End the attempt (the first error is the one reported) and,
+        when one worker is to blame, tell the watchdog why."""
+        if self._error is None:
+            self._error = JobFailedError(message)
+        if worker is not None and self.watchdog is not None:
+            self.watchdog.mark_failed(worker, reason or message)
+
+    def _read_worker(self, wid: int, reader: _FrameReader,
+                     selector: Any) -> None:
+        try:
+            messages = reader.read_available()
+        except FrameError as exc:
+            self._fail("corrupt control frame from worker %d: %s"
+                       % (wid, exc), wid, "corrupt control frame: %s" % exc)
+            selector.unregister(reader.fd)
+            return
+        for message in messages:
+            getattr(self, "_on_" + message[0])(wid, *message[1:])
+        if reader.eof and wid not in self._done and self._error is None:
+            self._fail("worker %d exited without reporting a result" % wid,
+                       wid, "control pipe EOF without a result")
+
+    def _on_heartbeat(self, wid: int, worker_id: int) -> None:
+        if self.watchdog is not None:
+            self.watchdog.heartbeat(worker_id, self._now_ms())
+
+    def _on_ack(self, wid: int, checkpoint_id: int,
+                snapshot: TaskSnapshot) -> None:
+        self.coordinator.acknowledge(checkpoint_id, snapshot)
+
+    def _on_collect(self, wid: int, bucket_key: Any, items: List[Any]
+                    ) -> None:
+        self._received.setdefault(tuple(bucket_key), []).extend(items)
+
+    def _on_task_finished(self, wid: int, subtask: Any) -> None:
+        self._finished.add(tuple(subtask))
+
+    def _on_done(self, wid: int, payload: Dict[str, Any]) -> None:
+        self._done[wid] = payload
+        if self.watchdog is not None:
+            self.watchdog.mark_done(wid)
+
+    def _on_failed(self, wid: int, error_type: str, error_line: str,
+                   trace: str) -> None:
+        self._fail("worker %d failed: %s\n%s" % (wid, error_line, trace),
+                   wid, error_line)
+
+    def _tick(self, fleet: Optional[_FleetView]) -> None:
+        """Everything the supervisor does on the clock rather than on a
+        message."""
+        if self.watchdog is not None:
+            for event in self.watchdog.evaluate(self._now_ms()):
+                if event.state == FAILED:
+                    self._fail("worker %d declared failed by watchdog: %s"
+                               % (event.worker_id, event.reason))
+            if self._error is not None:
+                return
+        if fleet is not None:
+            self.config.process_chaos.on_tick(fleet)
+        coordinator = self.coordinator
+        failure = None
+        if coordinator.pending is not None and self._done:
+            failure = coordinator.abort("a worker drained mid-flight")
+        elif coordinator.pending_expired and self._fail_suspected_laggards():
+            return
+        # No trigger once a worker is done: its subtasks are gone.
+        failure = failure or coordinator.tick(self._finished,
+                                              draining=bool(self._done))
+        if failure is not None:
+            self._fail(failure)
+
+    def _fail_suspected_laggards(self) -> bool:
+        """A barrier deadline against a worker the watchdog already
+        suspects is not a checkpoint problem -- it is a hung worker.
+        Escalate to worker failure so the restart strategy runs instead
+        of aborting checkpoint after checkpoint against a process that
+        will never ack.  Must run before the coordinator's own timeout
+        abort; returns whether it ended the attempt."""
+        if self.watchdog is None:
+            return False
+        pending = self.coordinator.pending
+        suspected = sorted(
+            wid for wid in {index % self.num_workers
+                            for _, index in pending.pending_subtasks}
+            if self.watchdog.is_suspected(wid))
+        if not suspected:
+            return False
+        reason = ("checkpoint %d barrier expired and laggard worker(s) %r "
+                  "are heartbeat-suspected"
+                  % (pending.checkpoint_id, suspected))
+        self.coordinator.abort(reason)
+        self._fail(reason)
+        for wid in suspected:
+            self.watchdog.mark_failed(wid, reason)
+        return True
 
     # -- result federation ---------------------------------------------------
 
-    def _finalize(self, payloads: Dict[int, Dict[str, Any]]) -> JobResult:
-        ordered = [payloads[wid] for wid in sorted(payloads)]
+    def _finalize(self) -> JobResult:
+        ordered = self._payloads = [self._done[wid]
+                                    for wid in sorted(self._done)]
+        coordinator = self.coordinator
         parent_counters = {"restarts": self.restarts,
                            "failures": self._failures,
-                           "checkpoints_aborted": self._checkpoints_aborted}
+                           "checkpoints_aborted": coordinator.aborted}
         if self.watchdog is not None:
             parent_counters["heartbeats_received"] = (
                 self.watchdog.heartbeats_received)
             parent_counters["watchdog_suspicions"] = self.watchdog.suspicions
             parent_counters["watchdog_failures"] = (
                 self.watchdog.failures_declared)
-        if isinstance(self.checkpoint_store, DurableCheckpointStore):
-            stats = self.checkpoint_store.durability_stats()
-            parent_counters["checkpoints_persisted"] = stats["persisted"]
+        durable = self.checkpoint_store.durability_stats()
+        if durable is not None:
+            parent_counters["checkpoints_persisted"] = durable["persisted"]
             parent_counters["checkpoint_corruptions_detected"] = (
-                stats["corruptions_detected"])
+                durable["corruptions_detected"])
             parent_counters["checkpoint_restore_fallbacks"] = (
-                stats["restore_fallbacks"])
+                durable["restore_fallbacks"])
         counters = merge_counter_maps(
             [payload["counters"] for payload in ordered] + [parent_counters])
         gauges = merge_gauge_maps(payload["gauges"] for payload in ordered)
         for payload in ordered:
             self.dead_letters.extend(payload["dead_letters"])
-        self._worker_sections = [payload["report_sections"]
-                                 for payload in ordered]
-        self._exchange_edges = [
-            {"src": payload["worker"], "dst": dst, **stats}
-            for payload in ordered
-            for dst, stats in sorted(payload.get("exchange", {}).items())]
-        self._registry_snapshots = [payload["registry"]
-                                    for payload in ordered
-                                    if payload["registry"] is not None]
-        if self._registry_snapshots:
-            self._registry_snapshots.append(self._parent_registry_snapshot())
         result = JobResult(
             rounds=max(payload["rounds"] for payload in ordered),
             simulated_time_ms=max(payload["simulated_time_ms"]
                                   for payload in ordered),
             counters=counters,
-            checkpoints_completed=self._checkpoints_completed,
-            checkpoint_durations_ms=list(self._checkpoint_durations),
+            checkpoints_completed=coordinator.completed,
+            checkpoint_durations_ms=list(coordinator.durations_ms),
             recoveries=self.recoveries,
             restarts=self.restarts,
-            checkpoints_aborted=self._checkpoints_aborted,
+            checkpoints_aborted=coordinator.aborted,
             dead_letters=list(self.dead_letters),
             gauges=gauges)
         self._last_result = result
@@ -1451,152 +1342,74 @@ class MultiprocessEngine:
                 bucket.extend(items)
         return result
 
-    def _parent_registry_snapshot(self) -> Dict[str, Any]:
-        """The coordinator's own contribution to registry federation:
-        fleet health and checkpoint durability gauges (workers cannot
-        see either -- the watchdog and the durable store live in the
-        parent)."""
-        from repro.observability.registry import MetricsRegistry
-        registry = MetricsRegistry()
-        fleet = registry.runtime
+    def _parent_gauges(self) -> Dict[str, int]:
+        """The parent's own contribution to registry federation: fleet
+        health and checkpoint durability (workers cannot see either --
+        the watchdog and the durable store live in the parent)."""
+        gauges = {"fleet_workers_terminated": self._workers_terminated,
+                  "fleet_workers_killed": self._workers_killed}
         if self.watchdog is not None:
             snap = self.watchdog.snapshot()
-            fleet.gauge("fleet_heartbeats_received").set(
-                snap["heartbeats_received"])
-            fleet.gauge("fleet_suspicions").set(snap["suspicions"])
-            fleet.gauge("fleet_heartbeat_recoveries").set(
-                snap["heartbeat_recoveries"])
-            fleet.gauge("fleet_failures_declared").set(
-                snap["failures_declared"])
-        fleet.gauge("fleet_workers_terminated").set(self._workers_terminated)
-        fleet.gauge("fleet_workers_killed").set(self._workers_killed)
-        if isinstance(self.checkpoint_store, DurableCheckpointStore):
-            stats = self.checkpoint_store.durability_stats()
-            fleet.gauge("checkpoints_persisted").set(stats["persisted"])
-            fleet.gauge("checkpoints_retained_on_disk").set(
-                stats["retained_on_disk"])
-            fleet.gauge("checkpoint_corruptions_detected").set(
-                stats["corruptions_detected"])
-            fleet.gauge("checkpoint_restore_fallbacks").set(
-                stats["restore_fallbacks"])
-        return registry.snapshot()
+            for name in ("heartbeats_received", "suspicions",
+                         "heartbeat_recoveries", "failures_declared"):
+                gauges["fleet_" + name] = snap[name]
+        durable = self.checkpoint_store.durability_stats()
+        if durable is not None:
+            gauges["checkpoints_persisted"] = durable["persisted"]
+            gauges["checkpoints_retained_on_disk"] = (
+                durable["retained_on_disk"])
+            for name in ("corruptions_detected", "restore_fallbacks"):
+                gauges["checkpoint_" + name] = durable[name]
+        return gauges
 
     def job_report(self) -> Any:
-        """One federated report over the whole fleet: worker operator
-        rows are concatenated, checkpoint statistics come from the
-        parent coordinator (it owns the store), watermark/span gauges
-        merge across workers, and per-worker registry snapshots federate
-        through :meth:`MetricsRegistry.federate`."""
+        """One federated report over the whole fleet: the sections the
+        workers report merge under the rules declared in
+        :mod:`repro.observability.reporter` (the parent's own spans and
+        registry snapshot merge in as one more part); ``job``,
+        ``checkpoints``, ``workers``, ``fleet`` and ``exchange`` are the
+        parent's."""
         from repro.observability import JobReport
-        from repro.observability.registry import MetricsRegistry
         result = self._last_result
         if result is None:
             raise JobFailedError("job_report() requires a completed execute()")
-        operators: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            operators.extend(worker_sections.get("operators", []))
-        operators.sort(key=lambda row: (row["operator"], row["subtask"]))
-        checkpoints: Dict[str, Any] = {
-            "completed": result.checkpoints_completed,
-            "aborted": result.checkpoints_aborted,
-        }
-        durations = result.checkpoint_durations_ms
-        if durations:
-            checkpoints["duration_ms_min"] = min(durations)
-            checkpoints["duration_ms_max"] = max(durations)
-            checkpoints["duration_ms_mean"] = sum(durations) / len(durations)
-        if isinstance(self.checkpoint_store, DurableCheckpointStore):
-            checkpoints["durable"] = self.checkpoint_store.durability_stats()
-        sections: Dict[str, Any] = {
-            "job": {
-                "rounds": result.rounds,
-                "simulated_time_ms": result.simulated_time_ms,
-                "records_emitted": result.records_emitted,
-                "recoveries": result.recoveries,
-                "restarts": result.restarts,
-                "dead_letters": len(result.dead_letters),
-                "cancelled": result.cancelled,
-                "observability": bool(self._registry_snapshots),
-                "backend": "multiprocess",
-                "workers": self.num_workers,
-            },
-            "operators": operators,
-            "checkpoints": checkpoints,
-            "cutty": _merge_cutty_sections(
-                [ws.get("cutty", {}) for ws in self._worker_sections]),
-            "workers": [
-                {"worker": index,
-                 "rounds": ws.get("job", {}).get("rounds", 0),
-                 "simulated_time_ms": ws.get("job", {}).get(
-                     "simulated_time_ms", 0),
-                 "records_emitted": ws.get("job", {}).get(
-                     "records_emitted", 0)}
-                for index, ws in enumerate(self._worker_sections)],
-        }
-        cutover: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            cutover.extend(worker_sections.get("cutover", []))
-        if cutover:
-            cutover.sort(key=lambda row: (row["operator"], row["subtask"]))
-            sections["cutover"] = cutover
-        arrangements: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            arrangements.extend(worker_sections.get("arrangements", []))
-        if arrangements:
-            arrangements.sort(
-                key=lambda row: (row["operator"], row["subtask"]))
-            sections["arrangements"] = arrangements
+        parts = [payload["report_sections"] for payload in self._payloads]
+        parent: Dict[str, Any] = {}
+        if self._tracer is not None and self._tracer.started:
+            parent["spans"] = self._tracer.digest()
+        if any("metrics" in part for part in parts):
+            parent["metrics"] = {"gauges": self._parent_gauges()}
+        merged = merge_report_sections(parts + [parent])
         fleet: Dict[str, Any] = {
             "shutdown": {"terminated": self._workers_terminated,
                          "killed": self._workers_killed},
         }
         if self.watchdog is not None:
             fleet["watchdog"] = self.watchdog.snapshot()
-        sections["fleet"] = fleet
-        if self._exchange_edges:
-            totals = _exchange_stats()
-            for row in self._exchange_edges:
-                for name in totals:
-                    totals[name] += row.get(name, 0)
+        sections: Dict[str, Any] = {
+            "job": dict(job_section(result, "metrics" in merged),
+                        backend="multiprocess", workers=self.num_workers),
+            "checkpoints": self.coordinator.stats(),
+            "workers": [
+                {"worker": payload["worker"],
+                 "rounds": payload["rounds"],
+                 "simulated_time_ms": payload["simulated_time_ms"],
+                 "records_emitted": records_emitted(payload["counters"])}
+                for payload in self._payloads],
+            "fleet": fleet,
+        }
+        edges = [{"src": payload["worker"], "dst": dst, **stats}
+                 for payload in self._payloads
+                 for dst, stats in sorted(payload["exchange"].items())]
+        if edges:
             sections["exchange"] = {
                 "transport": self._exchange_transport,
-                "edges": self._exchange_edges,
-                "totals": totals,
+                "edges": edges,
+                "totals": sum_nested(
+                    stats for payload in self._payloads
+                    for stats in payload["exchange"].values()),
             }
-        watermark_sections = [ws["watermarks"]
-                              for ws in self._worker_sections
-                              if "watermarks" in ws]
-        if watermark_sections:
-            sections["watermarks"] = {
-                name: max(section.get(name, 0)
-                          for section in watermark_sections)
-                for name in ("skew_ms", "skew_ms_max", "lag_ms", "lag_ms_max")}
-        channels: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            channels.extend(worker_sections.get("channels", []))
-        if channels:
-            sections["channels"] = channels
-        span_sections = [ws["spans"] for ws in self._worker_sections
-                         if "spans" in ws]
-        if self._tracer is not None and self._tracer.started:
-            span_sections.append({
-                "started": self._tracer.started,
-                "dropped": self._tracer.dropped,
-                "by_name": self._tracer.spans_by_name(),
-            })
-        if span_sections:
-            by_name: Dict[str, int] = {}
-            for section in span_sections:
-                for name, count in section.get("by_name", {}).items():
-                    by_name[name] = by_name.get(name, 0) + count
-            sections["spans"] = {
-                "started": sum(s.get("started", 0) for s in span_sections),
-                "dropped": sum(s.get("dropped", 0) for s in span_sections),
-                "by_name": by_name,
-            }
-        if self._registry_snapshots:
-            sections["metrics"] = MetricsRegistry.federate(
-                self._registry_snapshots)
+        sections.update(merged)
         return JobReport(sections)
 
     # -- cooperative-only surfaces ------------------------------------------
@@ -1617,35 +1430,3 @@ class MultiprocessEngine:
         raise JobFailedError(
             "savepoint restore requires the cooperative backend; run "
             "with EngineConfig(backend='cooperative')")
-
-
-def _merge_cutty_sections(sections: List[Dict[str, Any]]
-                          ) -> Dict[str, Any]:
-    """Sum per-worker Cutty sharing stats (same shape as the merge
-    across subtasks in :func:`collect_cutty_stats`)."""
-    merged: Dict[str, Dict[str, Any]] = {}
-    for section in sections:
-        for name, stats in section.items():
-            existing = merged.get(name)
-            if existing is None:
-                merged[name] = {
-                    "keys": stats["keys"],
-                    "elements": stats["elements"],
-                    "live_slices": stats["live_slices"],
-                    "queries": {query: dict(per_query) for query, per_query
-                                in stats["queries"].items()},
-                    "aggregate_ops": dict(stats["aggregate_ops"]),
-                }
-                continue
-            existing["keys"] += stats["keys"]
-            existing["elements"] += stats["elements"]
-            existing["live_slices"] += stats["live_slices"]
-            for query, per_query in stats["queries"].items():
-                bucket = existing["queries"].setdefault(
-                    query, {"results": 0, "combines": 0})
-                bucket["results"] += per_query["results"]
-                bucket["combines"] += per_query["combines"]
-            for name_, value in stats["aggregate_ops"].items():
-                existing["aggregate_ops"][name_] = (
-                    existing["aggregate_ops"].get(name_, 0) + value)
-    return merged

@@ -9,6 +9,7 @@ from repro.state.arrangement import (
 )
 from repro.state.backend import KeyedStateBackend
 from repro.state.checkpoint import (
+    CheckpointCoordinator,
     CheckpointStore,
     CompletedCheckpoint,
     PendingCheckpoint,
@@ -43,6 +44,7 @@ __all__ = [
     "OperatorSnapshot",
     "Savepoint",
     "CheckpointCorruptionError",
+    "CheckpointCoordinator",
     "CheckpointStore",
     "CompletedCheckpoint",
     "DurableCheckpointStore",

@@ -37,6 +37,7 @@ import zlib
 from typing import Any, Dict, List, Optional
 
 from repro.state.checkpoint import (
+    MAX_RETAINED_CHECKPOINTS,
     CheckpointStore,
     CompletedCheckpoint,
     TaskSnapshot,
@@ -124,7 +125,8 @@ class DurableCheckpointStore(CheckpointStore):
     checkpoints a dead process left behind.
     """
 
-    def __init__(self, directory: str, max_retained: int = 3,
+    def __init__(self, directory: str,
+                 max_retained: int = MAX_RETAINED_CHECKPOINTS,
                  fresh: bool = True) -> None:
         super().__init__(max_retained)
         self.directory = directory

@@ -6,7 +6,7 @@ relations (data at rest) and streaming relations (data in motion), and
 compiles down to the existing DataStream/DataSet operators after the
 rule-based optimizer has rewritten the logical plan.
 
-    table = Table.from_rows(env, rows, time_column="ts")
+    table = env.table(rows, time_column="ts")
     result = (table
               .where(lambda r: r["amount"] > 0, reads=("amount",))
               .select("user", "amount", "ts")
@@ -20,7 +20,6 @@ rule-based optimizer has rewritten the logical plan.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.table.optimizer import optimize
@@ -178,29 +177,6 @@ class Table:
         self._ops = ops
         self._time_column = time_column
         self._watermark_delay = watermark_delay
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def from_rows(env, rows: List[Row],
-                  columns: Optional[Tuple[str, ...]] = None,
-                  bounded: bool = True,
-                  time_column: Optional[str] = None,
-                  watermark_delay: int = 0,
-                  name: str = "rows") -> "Table":
-        """Deprecated: use :meth:`repro.api.Environment.table` instead.
-
-        Tables created through the Environment facade are registrable in
-        its catalog (``env.register_table``), which is what makes their
-        arrangements discoverable across queries.
-        """
-        warnings.warn(
-            "Table.from_rows(env, ...) is deprecated; use "
-            "env.table(rows, ...) instead",
-            DeprecationWarning, stacklevel=2)
-        return make_table(env, rows, columns=columns, bounded=bounded,
-                          time_column=time_column,
-                          watermark_delay=watermark_delay, name=name)
 
     # -- plan building --------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Integration tests: DataSet (data at rest) programs on the same engine."""
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.windowing import TumblingEventTimeWindows, CountAggregate
 
 
 def test_map_filter_on_dataset():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     result = (env.from_bounded(range(20))
               .map(lambda x: x * x)
               .filter(lambda x: x % 2 == 0)
@@ -15,7 +15,7 @@ def test_map_filter_on_dataset():
 
 
 def test_group_by_reduce_group_wordcount():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     lines = ["to be or not to be", "that is the question"]
     result = (env.from_bounded(lines)
               .flat_map(str.split)
@@ -31,7 +31,7 @@ def test_group_by_reduce_group_wordcount():
 
 
 def test_grouped_pairwise_reduce():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     data = [("a", 1), ("a", 2), ("b", 5)]
     result = (env.from_bounded(data)
               .group_by(lambda kv: kv[0])
@@ -42,7 +42,7 @@ def test_grouped_pairwise_reduce():
 
 
 def test_grouped_sum():
-    env = StreamExecutionEnvironment(parallelism=3)
+    env = Environment(parallelism=3)
     data = [("x", 1.5), ("y", 2.0), ("x", 0.5)]
     result = (env.from_bounded(data)
               .group_by(lambda kv: kv[0])
@@ -53,14 +53,14 @@ def test_grouped_sum():
 
 
 def test_distinct():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     result = env.from_bounded([3, 1, 3, 2, 1, 1]).distinct().collect()
     env.execute()
     assert sorted(result.get()) == [1, 2, 3]
 
 
 def test_distinct_with_key_function():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     result = (env.from_bounded(["apple", "avocado", "banana"])
               .distinct(key_fn=lambda w: w[0])
               .collect())
@@ -69,14 +69,14 @@ def test_distinct_with_key_function():
 
 
 def test_count():
-    env = StreamExecutionEnvironment(parallelism=4)
+    env = Environment(parallelism=4)
     result = env.from_bounded(range(123)).count().collect()
     env.execute()
     assert result.get() == [123]
 
 
 def test_global_fold():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     result = (env.from_bounded(range(10))
               .fold(0, lambda acc, v: acc + v)
               .collect())
@@ -85,14 +85,14 @@ def test_global_fold():
 
 
 def test_sort_total_order():
-    env = StreamExecutionEnvironment(parallelism=3)
+    env = Environment(parallelism=3)
     result = env.from_bounded([5, 3, 9, 1, 7]).sort().collect()
     env.execute()
     assert result.get() == [1, 3, 5, 7, 9]
 
 
 def test_sort_descending_with_key():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     data = [("a", 2), ("b", 9), ("c", 4)]
     result = (env.from_bounded(data)
               .sort(key_fn=lambda kv: kv[1], descending=True)
@@ -102,7 +102,7 @@ def test_sort_descending_with_key():
 
 
 def test_hash_join():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     users = env.from_bounded([(1, "alice"), (2, "bob"), (3, "carol")])
     orders = env.from_bounded([(1, 9.99), (1, 5.00), (3, 2.50), (4, 7.00)])
     result = users.join(
@@ -116,7 +116,7 @@ def test_hash_join():
 
 
 def test_dataset_union():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     left = env.from_bounded([1, 2])
     right = env.from_bounded([3])
     result = left.union(right).collect()
@@ -126,7 +126,7 @@ def test_dataset_union():
 
 def test_batch_and_stream_share_one_environment():
     """The unified-model smoke test: one env, one engine run, both kinds."""
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     batch_result = (env.from_bounded(range(10))
                     .group_by(lambda v: v % 2)
                     .count()
@@ -143,7 +143,7 @@ def test_batch_and_stream_share_one_environment():
 
 
 def test_dataset_as_stream_reinterpretation():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     result = (env.from_bounded([("k", 1), ("k", 2)])
               .as_stream()
               .key_by(lambda v: v[0])

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.api.environment import StreamExecutionEnvironment
+from repro.api.environment import Environment
 from repro.runtime.engine import EngineConfig, ExecutionConfig
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
@@ -30,7 +30,7 @@ BATCH_SIZES = [2, 7, 64]
 
 
 def keyed_pipeline(config, data):
-    env = StreamExecutionEnvironment(config=config)
+    env = Environment(config=config)
     result = (env.from_collection(data)
               .map(lambda x: x * 3)
               .filter(lambda x: x % 4 != 0)
@@ -57,7 +57,7 @@ class TestBatchedScalarEquivalence:
         # fused stateless stage, then a global edge into the sink --
         # exercising the round-robin and global batch routers.
         def run(config):
-            env = StreamExecutionEnvironment(parallelism=2, config=config)
+            env = Environment(parallelism=2, config=config)
             result = (env.from_collection(list(range(300)))
                       .rebalance()
                       .map(lambda x: x + 1)
@@ -161,7 +161,7 @@ class TestReplayDeterminismAcrossModes:
 class TestQuarantineUnderBatching:
     @staticmethod
     def _run(config, data, poison):
-        env = StreamExecutionEnvironment(config=config)
+        env = Environment(config=config)
 
         def toxic(x):
             if x in poison:
@@ -194,7 +194,7 @@ class TestQuarantineUnderBatching:
 
 class TestOperatorProfiling:
     def test_counters_and_inclusive_time(self):
-        env = StreamExecutionEnvironment(config=EngineConfig(
+        env = Environment(config=EngineConfig(
             batch_size=8, operator_profiling=True))
         result = (env.from_collection(list(range(60)))
                   .map(lambda x: x + 1)
@@ -211,7 +211,7 @@ class TestOperatorProfiling:
         assert stats["map"].time_ns > 0
 
     def test_batches_counted_across_a_channel(self):
-        env = StreamExecutionEnvironment(parallelism=1, config=EngineConfig(
+        env = Environment(parallelism=1, config=EngineConfig(
             batch_size=8, operator_profiling=True))
         result = (env.from_collection(list(range(64)))
                   .rebalance()          # real channel: batches on the wire

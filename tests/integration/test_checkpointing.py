@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.runtime.engine import EngineConfig, JobFailedError
 
 
@@ -15,7 +15,7 @@ def keyed_count_job(env):
 
 
 def test_checkpoints_complete_during_execution():
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4))
     keyed_count_job(env)
@@ -34,7 +34,7 @@ def test_recovery_restores_exactly_once_keyed_state():
             return True
         return False
 
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
                             failure_hook=fail_once))
@@ -55,7 +55,7 @@ def test_recovery_without_checkpoint_fails():
     def fail_immediately(engine, rounds):
         return rounds == 1
 
-    env = StreamExecutionEnvironment(
+    env = Environment(
         config=EngineConfig(failure_hook=fail_immediately))
     env.from_collection(range(100)).collect()
     with pytest.raises(JobFailedError):
@@ -72,7 +72,7 @@ def test_multiple_recoveries():
             return True
         return False
 
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=3, elements_per_step=2,
                             failure_hook=fail_twice))
@@ -86,7 +86,7 @@ def test_multiple_recoveries():
 
 
 def test_checkpointing_disabled_by_default():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     env.from_collection(range(10)).collect()
     job = env.execute()
     assert job.checkpoints_completed == 0

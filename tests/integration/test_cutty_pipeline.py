@@ -1,7 +1,7 @@
 """Integration: CuttyWindowOperator inside a full dataflow, compared
 against the standard WindowOperator on the same stream."""
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.cutty import CuttyWindowOperator, PeriodicWindows, SessionWindows
 from repro.metrics import AggregationCostCounter
 from repro.windowing import (
@@ -16,7 +16,7 @@ def test_cutty_operator_sliding_sums_match_standard():
     # Stream of (key, value) with ts; compare per-window sums.
     data = [(("u%d" % (i % 3)), i % 5, i * 7) for i in range(200)]
 
-    env1 = StreamExecutionEnvironment(parallelism=2)
+    env1 = Environment(parallelism=2)
     standard = (env1.from_collection([((k, v), ts) for k, v, ts in data],
                                      timestamped=True)
                 .key_by(lambda kv: kv[0])
@@ -29,7 +29,7 @@ def test_cutty_operator_sliding_sums_match_standard():
 
     # Cutty assumes per-key FIFO event order; a single source subtask
     # guarantees it (multiple sources interleave timestamps arbitrarily).
-    env2 = StreamExecutionEnvironment(parallelism=1)
+    env2 = Environment(parallelism=1)
     keyed = (env2.from_collection([((k, v), ts) for k, v, ts in data],
                                   timestamped=True)
              .key_by(lambda kv: kv[0]))
@@ -50,7 +50,7 @@ def test_cutty_operator_sessions_match_standard():
     data = [(("u%d" % (i % 2)), 1, ts) for i, ts in enumerate(
         [0, 5, 10, 200, 210, 500, 505, 900])]
 
-    env1 = StreamExecutionEnvironment()
+    env1 = Environment()
     standard = (env1.from_collection([((k, v), ts) for k, v, ts in data],
                                      timestamped=True)
                 .key_by(lambda kv: kv[0])
@@ -61,7 +61,7 @@ def test_cutty_operator_sessions_match_standard():
     standard_results = {(r.key, r.window.start, r.window.end): r.value
                         for r in standard.get()}
 
-    env2 = StreamExecutionEnvironment()
+    env2 = Environment()
     keyed = (env2.from_collection([((k, v), ts) for k, v, ts in data],
                                   timestamped=True)
              .key_by(lambda kv: kv[0]))
@@ -80,7 +80,7 @@ def test_cutty_operator_sessions_match_standard():
 
 def test_cutty_operator_serves_multiple_queries_from_one_node():
     data = [(("k", 1), ts) for ts in range(0, 400, 4)]
-    env = StreamExecutionEnvironment()
+    env = Environment()
     counter = AggregationCostCounter()
     keyed = (env.from_collection(data, timestamped=True)
              .key_by(lambda kv: kv[0]))

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.plan.graph import GraphValidationError
 from repro.runtime.engine import EngineConfig
 
 
 class TestPartitioningModes:
     def test_broadcast_duplicates_to_every_subtask(self):
-        env = StreamExecutionEnvironment(parallelism=1)
+        env = Environment(parallelism=1)
         seen = []
         (env.from_collection([1, 2, 3])
             .broadcast()
@@ -21,7 +21,7 @@ class TestPartitioningModes:
         assert sorted(seen) == [1, 2, 3]
 
     def test_broadcast_to_wider_stage(self):
-        env = StreamExecutionEnvironment(parallelism=1)
+        env = Environment(parallelism=1)
         stream = env.from_collection([1, 2])
         # A 3-parallel stage fed by broadcast sees every record 3 times.
         node = env.graph.new_node(
@@ -37,7 +37,7 @@ class TestPartitioningModes:
         assert sorted(result.get()) == [1, 1, 1, 2, 2, 2]
 
     def test_global_routes_everything_to_subtask_zero(self):
-        env = StreamExecutionEnvironment(parallelism=4)
+        env = Environment(parallelism=4)
         observed_subtasks = set()
 
         def tag(value):
@@ -59,7 +59,7 @@ class TestPartitioningModes:
         assert sorted(result.get()) == list(range(40))
 
     def test_union_of_three_streams(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         a = env.from_collection([1])
         b = env.from_collection([2])
         c = env.from_collection([3])
@@ -70,7 +70,7 @@ class TestPartitioningModes:
 
 class TestErrorHandling:
     def test_operator_exception_propagates(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         def boom(value):
             raise RuntimeError("operator failure on %r" % value)
         env.from_collection([1]).map(boom).collect()
@@ -78,14 +78,14 @@ class TestErrorHandling:
             env.execute()
 
     def test_environment_executes_once(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         env.from_collection([1]).collect()
         env.execute()
         with pytest.raises(RuntimeError, match="already executed"):
             env.execute()
 
     def test_empty_environment_rejected(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         with pytest.raises(GraphValidationError):
             env.execute()
 
@@ -116,7 +116,7 @@ class TestErrorHandling:
 
 class TestScale:
     def test_deep_pipeline(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         stream = env.from_collection(range(50))
         for _ in range(20):
             stream = stream.map(lambda x: x + 1)
@@ -125,7 +125,7 @@ class TestScale:
         assert sorted(result.get()) == [x + 20 for x in range(50)]
 
     def test_wide_fanout(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         source = env.from_collection(range(10))
         results = [source.map(lambda x, k=k: x * k, name="m%d" % k).collect()
                    for k in range(1, 6)]
@@ -134,7 +134,7 @@ class TestScale:
             assert sorted(result.get()) == [x * k for x in range(10)]
 
     def test_many_keys(self):
-        env = StreamExecutionEnvironment(parallelism=4)
+        env = Environment(parallelism=4)
         n = 5000
         result = (env.from_collection(range(n))
                   .key_by(lambda v: "key-%d" % v)
@@ -145,7 +145,7 @@ class TestScale:
         assert all(count == 1 for _, count in result.get())
 
     def test_tiny_channels_large_volume(self):
-        env = StreamExecutionEnvironment(
+        env = Environment(
             parallelism=3,
             config=EngineConfig(channel_capacity=1, elements_per_step=1))
         result = (env.from_collection(range(500))
@@ -161,7 +161,7 @@ class TestScale:
 class TestDeterminism:
     def test_same_program_same_results_and_rounds(self):
         def run():
-            env = StreamExecutionEnvironment(parallelism=3)
+            env = Environment(parallelism=3)
             result = (env.from_collection(range(1000))
                       .key_by(lambda v: v % 17)
                       .sum(lambda v: v)

@@ -10,7 +10,7 @@ strategy converges to exactly the window results of a failure-free run.
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.runtime.engine import EngineConfig, JobFailedError
 from repro.runtime.faults import (
     SOURCE_STALL,
@@ -43,7 +43,7 @@ def windowed_job(env):
 
 
 def run_windowed_job(config):
-    env = StreamExecutionEnvironment(parallelism=2, config=config)
+    env = Environment(parallelism=2, config=config)
     results = windowed_job(env)
     job = env.execute()
     # The collect sink is at-least-once (and survives from-scratch
@@ -108,7 +108,7 @@ class TestChaosSweep:
 class TestRestartSupervision:
     def test_no_restart_strategy_fails_job(self):
         chaos = ChaosInjector([FaultEvent(5, SUBTASK_FAILURE)])
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(restart_strategy=NoRestart(), chaos=chaos))
         env.from_collection(range(500)).collect()
         with pytest.raises(JobFailedError):
@@ -119,7 +119,7 @@ class TestRestartSupervision:
         chaos = ChaosInjector([FaultEvent(5, SUBTASK_FAILURE),
                                FaultEvent(10, SUBTASK_FAILURE),
                                FaultEvent(15, SUBTASK_FAILURE)])
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(restart_strategy=FixedDelayRestart(
                 max_restarts=2, delay_ms=1), chaos=chaos))
         env.from_collection(range(5000)).collect()
@@ -158,7 +158,7 @@ class TestPoisonQuarantine:
                 .collect())
 
     def test_poison_records_are_quarantined_not_fatal(self):
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(quarantine_threshold=10))
         result = self._fragile_job(env)
         job = env.execute()
@@ -173,7 +173,7 @@ class TestPoisonQuarantine:
         assert job.dead_letters_for(letter.operator)
 
     def test_without_quarantine_poison_is_fatal(self):
-        env = StreamExecutionEnvironment(config=EngineConfig())
+        env = Environment(config=EngineConfig())
         self._fragile_job(env)
         with pytest.raises(ValueError):
             env.execute()
@@ -182,7 +182,7 @@ class TestPoisonQuarantine:
         # 5 poison records against a threshold of 2: every attempt
         # escalates, so the strategy's restart budget drains and the job
         # fails -- with the restarts on record.
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(quarantine_threshold=2,
                                 restart_strategy=FixedDelayRestart(
                                     max_restarts=2, delay_ms=1)))
@@ -194,7 +194,7 @@ class TestPoisonQuarantine:
     def test_chaos_poison_lands_in_dead_letter_queue(self):
         from repro.runtime.faults import POISON_RECORD
         chaos = ChaosInjector([FaultEvent(5, POISON_RECORD, param=2)])
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(quarantine_threshold=5, elements_per_step=4,
                                 chaos=chaos))
         result = (env.from_collection(range(100))
@@ -218,13 +218,13 @@ class TestCoordinatorHardening:
         sabotaged = {"done": False}
 
         def sabotage(engine, rounds):
-            if not sabotaged["done"] and engine._pending_checkpoint is not None:
+            if not sabotaged["done"] and engine.coordinator.pending is not None:
                 victim = next(t for t in engine.tasks if not t.is_source)
                 victim.finished = True
                 sabotaged["done"] = True
             return False
 
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
                                 channel_capacity=4096,
@@ -242,7 +242,7 @@ class TestCoordinatorHardening:
         # pending checkpoint times out and aborts; once the stall lifts,
         # checkpointing resumes and the job finishes correctly.
         chaos = ChaosInjector([FaultEvent(10, SOURCE_STALL, param=120)])
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
                                 checkpoint_timeout_ms=20,
@@ -262,7 +262,7 @@ class TestCoordinatorHardening:
 
     def test_tolerable_consecutive_checkpoint_failures(self):
         chaos = ChaosInjector([FaultEvent(10, SOURCE_STALL, param=300)])
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
                                 checkpoint_timeout_ms=20,
@@ -276,7 +276,7 @@ class TestCoordinatorHardening:
 
 class TestDiagnostics:
     def test_task_repr_shows_runtime_state(self):
-        env = StreamExecutionEnvironment(config=EngineConfig())
+        env = Environment(config=EngineConfig())
         env.from_collection(range(10)).key_by(lambda v: v % 2).count().collect()
         env.execute()
         reprs = [repr(task) for task in env.last_engine.tasks]

@@ -248,7 +248,7 @@ def test_job_report_exchange_accounting():
 
 
 def test_pipe_transport_remains_selectable():
-    """exchange='pipe' forces the legacy transport end to end."""
+    """exchange='pipe' runs without rings end to end."""
     env = Environment(parallelism=2,
                       config=_mp_config(exchange="pipe", batch_size=16))
     collected = (env.from_collection(range(100))
@@ -261,6 +261,63 @@ def test_pipe_transport_remains_selectable():
     assert exchange["transport"] == "pipe"
     assert exchange["totals"]["shm_frames"] == 0
     assert exchange["totals"]["pipe_records"] > 0
+
+
+def test_job_report_parity_across_backends(tmp_path):
+    """One seeded keyed-window + Cutty job, both backends: the report
+    sections that describe the *job* (not the backend) agree -- equal
+    per-subtask record counts, an equal Cutty section, and a checkpoint
+    block with the same keys (the coordinator's ``stats()`` on both,
+    including ``durable`` now that ``checkpoint_dir`` is set)."""
+    import time
+
+    from repro.cutty import PeriodicWindows, SessionWindows
+    from repro.windowing import CountAggregate, TumblingEventTimeWindows
+
+    rng = rng_for(15, "report-parity")
+    events = [((rng.randrange(7), index), index * 3)
+              for index in range(4000)]
+
+    def pace(value):
+        if value[1] % 25 == 0:
+            time.sleep(0.002)  # long enough for wall-clock checkpoints
+        return value
+
+    def run(name, **backend):
+        config = EngineConfig(checkpoint_interval_ms=20,
+                              checkpoint_dir=str(tmp_path / name), **backend)
+        env = Environment(parallelism=2, config=config)
+        # One source subtask: per-key arrival order is then the same on
+        # both backends, which Cutty's slice accounting depends on.
+        keyed = (env.from_source(lambda: events, timestamped=True,
+                                 parallelism=1)
+                 .map(pace, name="pace")
+                 .key_by(lambda value: value[0]))
+        windows = (keyed.window(TumblingEventTimeWindows.of(300))
+                   .aggregate(CountAggregate()).collect())
+        shared = keyed.shared_windows(
+            CountAggregate, {"periodic": lambda: PeriodicWindows(600, 300),
+                             "session": lambda: SessionWindows(40)}).collect()
+        env.execute()
+        assert windows.get() and shared.get()
+        return env.job_report()
+
+    cooperative = run("cooperative")
+    multiproc = run("multiprocess", backend="multiprocess", num_workers=2)
+
+    def record_counts(report):
+        return {(row["operator"], row["subtask"]):
+                (row["records_in"], row["records_out"])
+                for row in report["operators"]}
+
+    assert record_counts(multiproc) == record_counts(cooperative)
+    assert multiproc["cutty"] == cooperative["cutty"]
+    assert set(cooperative["cutty"]["cutty-window"]["queries"]) == {
+        "periodic", "session"}
+    for report in (cooperative, multiproc):
+        assert report["checkpoints"]["completed"] >= 1
+    assert set(multiproc["checkpoints"]) == set(cooperative["checkpoints"])
+    assert "durable" in cooperative["checkpoints"]
 
 
 def test_interactive_state_apis_rejected():

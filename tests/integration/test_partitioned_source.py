@@ -3,7 +3,7 @@ rescaling (sources included)."""
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.connectors.partitioned import (
     PartitionedSource,
     partition_round_robin,
@@ -33,14 +33,14 @@ def pipeline(env, config_name="partitioned"):
 
 class TestBasics:
     def test_emits_every_partition_element(self):
-        env = StreamExecutionEnvironment(parallelism=2)
+        env = Environment(parallelism=2)
         result = env.from_partitioned_source(
             partition_round_robin(list(range(100)), 5)).collect()
         env.execute()
         assert sorted(result.get()) == list(range(100))
 
     def test_more_subtasks_than_partitions(self):
-        env = StreamExecutionEnvironment(parallelism=8)
+        env = Environment(parallelism=8)
         result = env.from_partitioned_source(
             partition_round_robin(list(range(40)), 3)).collect()
         env.execute()
@@ -48,7 +48,7 @@ class TestBasics:
 
     def test_timestamped_partitions(self):
         parts = [lambda: [("a", 10), ("b", 30)], lambda: [("c", 20)]]
-        env = StreamExecutionEnvironment()
+        env = Environment()
         result = env.from_partitioned_source(
             parts, timestamped=True).collect(with_timestamps=True)
         env.execute()
@@ -72,7 +72,7 @@ class TestRecovery:
                 return True
             return False
 
-        env = StreamExecutionEnvironment(
+        env = Environment(
             parallelism=2,
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
@@ -92,7 +92,7 @@ class TestFullJobRescaling:
     def _first_half(self, parallelism):
         def cancel(engine, rounds):
             return rounds >= 60 and len(engine.checkpoint_store) >= 1
-        env = StreamExecutionEnvironment(
+        env = Environment(
             parallelism=parallelism,
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4, cancel_hook=cancel))
@@ -101,7 +101,7 @@ class TestFullJobRescaling:
         return env.last_engine.create_savepoint()
 
     def _second_half(self, parallelism, savepoint):
-        env = StreamExecutionEnvironment(
+        env = Environment(
             parallelism=parallelism,
             config=EngineConfig(elements_per_step=4))
         result = pipeline(env)

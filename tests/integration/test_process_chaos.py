@@ -20,6 +20,7 @@ import pytest
 
 from repro.api.environment import Environment
 from repro.connectors.sinks import TransactionalTextFileSink
+from repro.runtime import multiprocess
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import (
     CORRUPT_CHECKPOINT,
@@ -250,18 +251,20 @@ def test_seeded_battery(tmp_path, seed):
     _assert_no_zombies()
 
 
-def test_sigkill_with_batched_shm_exchange(tmp_path):
+def test_sigkill_with_batched_shm_exchange(tmp_path, monkeypatch):
     """A mid-run SIGKILL while columnar frames are in flight on the
     rings: the respawned fleet gets *fresh* rings (nothing of the dead
     attempt's slots survives), restores from the durable checkpoint and
     converges to the exact unfaulted output.  Deliberately tiny rings so
     the run also exercises the ring-full pipe fallback under chaos."""
+    # The ring geometry is a module constant; the parent maps the rings
+    # before it forks, so patching here reaches the whole fleet.
+    monkeypatch.setattr(multiprocess, "EXCHANGE_RING_SLOTS", 2)
+    monkeypatch.setattr(multiprocess, "EXCHANGE_SLOT_BYTES", 4096)
     expected = _expected_lines(tmp_path)
     schedule = [ProcessFaultEvent(300, KILL_WORKER, target=0)]
     config = _chaos_config(tmp_path, schedule, seed=13,
-                           batch_size=16, exchange="shm",
-                           exchange_ring_slots=2,
-                           exchange_slot_bytes=4096)
+                           batch_size=16, exchange="shm")
     lines, job, env = _run_job(config, str(tmp_path / "out.txt"))
 
     assert config.process_chaos.applied, "the kill never fired"
@@ -272,6 +275,98 @@ def test_sigkill_with_batched_shm_exchange(tmp_path):
     assert exchange["transport"] == "shm"
     assert exchange["totals"]["shm_frames"] > 0, (
         "batched shm chaos run never used the rings")
+
+
+# -- workers hold no checkpoint store ----------------------------------------
+
+
+class _KillTwiceAroundRespawn:
+    """A ``process_chaos`` that picks its moments from what it observes
+    instead of from a clock: SIGKILL once a durable checkpoint is
+    sealed, wait until *both* workers of the respawned fleet are
+    processing records (so both have built their engines), note which
+    ``chk-*`` directories survived that, and SIGKILL again at once --
+    before the new attempt can seal a checkpoint of its own."""
+
+    def __init__(self, checkpoint_dir, log):
+        self.checkpoint_dir = checkpoint_dir
+        self.log = log
+        self.kills = 0
+        self.first_attempt_pids = None
+        self.sealed_before_respawn = None
+        self.sealed_after_respawn = None
+
+    def sealed(self):
+        return {name for name in os.listdir(self.checkpoint_dir)
+                if os.path.exists(os.path.join(
+                    self.checkpoint_dir, name, "manifest.json"))}
+
+    def pids(self):
+        with open(self.log) as handle:
+            return {line.split()[0] for line in handle}
+
+    def on_tick(self, fleet):
+        if self.kills == 0 and self.sealed():
+            self.first_attempt_pids = self.pids()
+            self.sealed_before_respawn = self.sealed()
+            self.kills += fleet.signal_worker(0, signal.SIGKILL)
+        elif (self.kills == 1
+              and len(self.pids() - self.first_attempt_pids) == 2):
+            self.sealed_after_respawn = self.sealed()
+            self.kills += fleet.signal_worker(1, signal.SIGKILL)
+
+
+def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
+    """Regression: every worker used to build its own
+    ``DurableCheckpointStore(checkpoint_dir)`` -- which wipes the
+    directory -- so a respawned fleet deleted the checkpoints it was
+    restoring from, and a second failure before the next seal restarted
+    the job from scratch.  Workers hold no store now."""
+    log = str(tmp_path / "processed.log")
+    open(log, "w").close()
+
+    def logged_throttle(value):
+        # One O_APPEND write per record: which pid processed which value.
+        with open(log, "a") as handle:
+            handle.write("%d %d\n" % (os.getpid(), value))
+        return _throttle(value)
+
+    checkpoint_dir = str(tmp_path / "chk")
+    os.makedirs(checkpoint_dir)
+    chaos = _KillTwiceAroundRespawn(checkpoint_dir, log)
+    config = EngineConfig(
+        backend="multiprocess", num_workers=2, process_chaos=chaos,
+        checkpoint_interval_ms=150, checkpoint_dir=checkpoint_dir,
+        heartbeat_interval_ms=20,
+        restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0))
+    target = str(tmp_path / "out.txt")
+    env = Environment(parallelism=2, config=config)
+    (env.from_collection(range(N))
+        .map(logged_throttle, name="throttle")
+        .key_by(lambda v: v % KEYS)
+        .fold(0, lambda acc, value: acc + value)
+        .add_sink(TransactionalTextFileSink(
+            target, formatter=lambda pair: "%d:%d" % pair)))
+    job = env.execute()
+
+    assert chaos.kills == 2, "the two kills never fired"
+    assert chaos.sealed_before_respawn
+    assert chaos.sealed_after_respawn == chaos.sealed_before_respawn, (
+        "the respawned fleet changed the retained checkpoints (deleted "
+        "them, or sealed a new one before the second kill)")
+    assert job.restarts == 2
+    with open(log) as handle:
+        replays_of_first_record = sum(
+            1 for line in handle if line.split()[1] == "0")
+    assert replays_of_first_record == 1, (
+        "a restart went back to offset zero instead of the checkpoint")
+    durable = env.job_report()["checkpoints"]["durable"]
+    assert durable["corruptions_detected"] == 0
+    assert durable["restore_fallbacks"] == 0
+    with open(target) as handle:
+        lines = sorted(line.rstrip("\n") for line in handle)
+    assert lines == _expected_lines(tmp_path)
+    _assert_no_zombies()
 
 
 # -- shutdown hygiene --------------------------------------------------------

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.runtime.engine import EngineConfig
 
 
 def test_query_final_keyed_state():
-    env = StreamExecutionEnvironment(parallelism=3)
+    env = Environment(parallelism=3)
     data = [("k%d" % (i % 4), 1) for i in range(400)]
     (env.from_collection(data)
         .key_by(lambda v: v[0])
@@ -31,7 +31,7 @@ def test_query_mid_job_view_is_fresh():
             return True  # cancel after probing
         return False
 
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(elements_per_step=4, cancel_hook=probe))
     data = [("k0", 1) for _ in range(10_000)]
@@ -46,7 +46,7 @@ def test_query_mid_job_view_is_fresh():
 
 
 def test_query_unknown_operator_raises():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     env.from_collection([1]).collect()
     env.execute()
     with pytest.raises(KeyError, match="no operator named"):
@@ -54,7 +54,7 @@ def test_query_unknown_operator_raises():
 
 
 def test_query_missing_key_returns_default():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     (env.from_collection([("a", 1)])
         .key_by(lambda v: v[0])
         .count(name="live-count")

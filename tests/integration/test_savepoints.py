@@ -3,7 +3,7 @@ different parallelism, verify exactly-once state."""
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.cutty import PeriodicWindows
 from repro.runtime.engine import EngineConfig, JobFailedError
 from repro.windowing import CountAggregate
@@ -31,7 +31,7 @@ def keyed_count_pipeline(env):
 
 
 def run_first_half(parallelism):
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=parallelism,
         config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
                             cancel_hook=cancel_after(60)))
@@ -42,7 +42,7 @@ def run_first_half(parallelism):
 
 
 def run_second_half(parallelism, savepoint):
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=parallelism,
         config=EngineConfig(elements_per_step=4))
     result = keyed_count_pipeline(env)
@@ -77,7 +77,7 @@ class TestSavepointResume:
         assert finals == true_counts()
 
     def test_savepoint_without_checkpoint_rejected(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         env.from_collection([1]).collect()
         env.execute()
         with pytest.raises(JobFailedError, match="no completed checkpoint"):
@@ -85,7 +85,7 @@ class TestSavepointResume:
 
     def test_source_rescale_rejected(self):
         savepoint = run_first_half(parallelism=2)
-        env = StreamExecutionEnvironment(
+        env = Environment(
             parallelism=2, config=EngineConfig(elements_per_step=4))
         # Force a different *source* parallelism while keeping the rest.
         (env.from_source(lambda: DATA, parallelism=3,
@@ -98,7 +98,7 @@ class TestSavepointResume:
 
     def test_missing_vertex_rejected(self):
         savepoint = run_first_half(parallelism=2)
-        env = StreamExecutionEnvironment(
+        env = Environment(
             parallelism=2, config=EngineConfig(elements_per_step=4))
         env.from_collection(DATA, name="other-name").collect()
         with pytest.raises(JobFailedError, match="no state for operator"):
@@ -124,7 +124,7 @@ class TestRescaleStatefulOperators:
         return truth
 
     def test_cutty_state_rescales(self):
-        envA = StreamExecutionEnvironment(
+        envA = Environment(
             parallelism=1,
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
@@ -135,7 +135,7 @@ class TestRescaleStatefulOperators:
         savepoint = envA.last_engine.create_savepoint()
         pre = {(r.key, r.start): r.value for r in resultA.get()}
 
-        envB = StreamExecutionEnvironment(
+        envB = Environment(
             parallelism=1, config=EngineConfig(elements_per_step=4))
         resultB = self._cutty_pipeline(envB)
         envB.execute(from_savepoint=savepoint)
@@ -156,7 +156,7 @@ class TestRescaleStatefulOperators:
                     .aggregate(CountAggregate())
                     .collect())
 
-        envA = StreamExecutionEnvironment(
+        envA = Environment(
             parallelism=2,
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
@@ -166,7 +166,7 @@ class TestRescaleStatefulOperators:
         savepoint = envA.last_engine.create_savepoint()
         pre = {(r.key, r.window.start): r.value for r in resultA.get()}
 
-        envB = StreamExecutionEnvironment(
+        envB = Environment(
             parallelism=4, config=EngineConfig(elements_per_step=4))
         resultB = pipeline(envB)
         envB.execute(from_savepoint=savepoint)

@@ -7,7 +7,7 @@ pending-window registries, and registered timers all surviving a crash.
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.cutty import PeriodicWindows
 from repro.runtime.engine import EngineConfig
 from repro.windowing import CountAggregate, TumblingEventTimeWindows
@@ -42,7 +42,7 @@ DATA = [(("k%d" % (i % 4), 1), i * 3) for i in range(3000)]
 
 
 def run_window_job(failure_hook=None):
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=4, elements_per_step=4,
                             failure_hook=failure_hook))
@@ -56,7 +56,7 @@ def run_window_job(failure_hook=None):
 
 
 def run_cutty_job(failure_hook=None):
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=1,
         config=EngineConfig(checkpoint_interval_ms=4, elements_per_step=4,
                             failure_hook=failure_hook))

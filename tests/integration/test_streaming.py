@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.runtime.engine import EngineConfig
 from repro.runtime.operators import ProcessFunction
 from repro.state.descriptors import ValueStateDescriptor
@@ -19,7 +19,7 @@ from repro.windowing import (
 
 
 def test_map_filter_flatmap_pipeline():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     result = (env.from_collection(range(10))
               .map(lambda x: x * 2)
               .filter(lambda x: x % 4 == 0)
@@ -31,14 +31,14 @@ def test_map_filter_flatmap_pipeline():
 
 
 def test_parallel_execution_preserves_multiset():
-    env = StreamExecutionEnvironment(parallelism=4)
+    env = Environment(parallelism=4)
     result = env.from_collection(range(100)).map(lambda x: x + 1).collect()
     env.execute()
     assert sorted(result.get()) == list(range(1, 101))
 
 
 def test_keyed_rolling_reduce_emits_running_aggregates():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     data = [("a", 1), ("a", 2), ("b", 10), ("a", 3), ("b", 20)]
     result = (env.from_collection(data)
               .key_by(lambda v: v[0])
@@ -53,7 +53,7 @@ def test_keyed_rolling_reduce_emits_running_aggregates():
 
 
 def test_keyed_sum_and_count():
-    env = StreamExecutionEnvironment(parallelism=3)
+    env = Environment(parallelism=3)
     data = [("a", 2)] * 5 + [("b", 7)] * 3
     sums = (env.from_collection(data)
             .key_by(lambda v: v[0])
@@ -67,7 +67,7 @@ def test_keyed_sum_and_count():
 
 
 def test_union_merges_streams():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     left = env.from_collection([1, 2, 3])
     right = env.from_collection([10, 20])
     result = left.union(right).map(lambda x: x).collect()
@@ -85,7 +85,7 @@ def test_keyed_process_function_with_state():
                 self.seen.update(True)
                 ctx.emit(value)
 
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     data = ["x", "y", "x", "z", "y", "x"]
     result = (env.from_collection(data)
               .key_by(lambda v: v)
@@ -96,7 +96,7 @@ def test_keyed_process_function_with_state():
 
 
 def test_tumbling_event_time_window_counts():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     data = [(("k", i), i * 10) for i in range(10)]  # ts 0..90
     result = (env.from_collection(data, timestamped=True)
               .key_by(lambda v: v[0])
@@ -109,7 +109,7 @@ def test_tumbling_event_time_window_counts():
 
 
 def test_sliding_window_sums():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     data = [(1, t) for t in range(0, 100, 10)]  # one event each 10ms
     result = (env.from_collection(data, timestamped=True)
               .key_by(lambda v: 0)
@@ -126,7 +126,7 @@ def test_sliding_window_sums():
 
 
 def test_session_windows_split_on_gap():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     timestamps = [0, 10, 20, 100, 110, 300]
     data = [("u", ts) for ts in timestamps]
     result = (env.from_collection(data, timestamped=True)
@@ -141,7 +141,7 @@ def test_session_windows_split_on_gap():
 
 
 def test_out_of_order_events_with_bounded_watermarks():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     # Events up to 20ms out of order.
     data = [("k", 5), ("k", 25), ("k", 15), ("k", 55), ("k", 35), ("k", 95)]
     strategy = WatermarkStrategy.for_bounded_out_of_orderness(
@@ -158,7 +158,7 @@ def test_out_of_order_events_with_bounded_watermarks():
 
 
 def test_late_events_beyond_lateness_are_dropped():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     # Monotonic watermarks: the event at ts=5 arriving after ts=100 is late.
     data = [("k", 10), ("k", 100), ("k", 5), ("k", 200)]
     strategy = WatermarkStrategy.for_monotonic_timestamps(lambda v: v[1])
@@ -180,7 +180,7 @@ def test_late_events_beyond_lateness_are_dropped():
 
 
 def test_count_trigger_on_global_windows():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     result = (env.from_collection(range(10))
               .key_by(lambda v: 0)
               .window(GlobalWindows.create())
@@ -194,7 +194,7 @@ def test_count_trigger_on_global_windows():
 
 
 def test_window_apply_sees_raw_elements():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     data = [(("k", i), i * 10) for i in range(6)]
     result = (env.from_collection(data, timestamped=True)
               .key_by(lambda v: v[0])
@@ -209,7 +209,7 @@ def test_window_apply_sees_raw_elements():
 
 
 def test_connected_keyed_streams_share_state_by_key():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
 
     def on_control(value, ctx):
         state = ctx.get_state(ValueStateDescriptor("blocked"))
@@ -235,7 +235,7 @@ def test_connected_keyed_streams_share_state_by_key():
 
 
 def test_rebalance_spreads_skewed_input():
-    env = StreamExecutionEnvironment(parallelism=1)
+    env = Environment(parallelism=1)
     counts = []
     stream = env.from_collection(range(100)).rebalance().map(lambda x: x)
     # route to a 4-way map stage then collect
@@ -245,7 +245,7 @@ def test_rebalance_spreads_skewed_input():
 
 
 def test_explain_contains_chain_information():
-    env = StreamExecutionEnvironment(parallelism=2)
+    env = Environment(parallelism=2)
     env.from_collection(range(5)).map(lambda x: x).filter(bool).collect()
     plan = env.explain()
     assert "Logical plan" in plan
@@ -255,14 +255,14 @@ def test_explain_contains_chain_information():
 
 
 def test_collect_before_execute_raises():
-    env = StreamExecutionEnvironment()
+    env = Environment()
     result = env.from_collection([1]).collect()
     with pytest.raises(RuntimeError):
         result.get()
 
 
 def test_backpressure_small_channels_still_complete():
-    env = StreamExecutionEnvironment(
+    env = Environment(
         parallelism=2,
         config=EngineConfig(channel_capacity=2, elements_per_step=1))
     result = (env.from_collection(range(200))
@@ -275,7 +275,7 @@ def test_backpressure_small_channels_still_complete():
 
 def test_processing_time_windows_fire_via_simulated_clock():
     from repro.windowing import TumblingProcessingTimeWindows
-    env = StreamExecutionEnvironment(
+    env = Environment(
         config=EngineConfig(elements_per_step=1, tick_ms=1))
     result = (env.from_collection(range(50))
               .key_by(lambda v: 0)

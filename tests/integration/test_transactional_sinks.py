@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.connectors import (
     TransactionalCsvFileSink,
     TransactionalJsonlFileSink,
@@ -105,7 +105,7 @@ class TestExactlyOnceThroughEngine:
     def test_matches_plain_run_without_failures(self, tmp_path):
         path = str(tmp_path / "out.txt")
         sink = TransactionalTextFileSink(path)
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4))
         self._pipeline(env, sink)
         env.execute()
@@ -118,9 +118,9 @@ class TestExactlyOnceThroughEngine:
         sink = TransactionalTextFileSink(path)
 
         def cancel(engine, rounds):
-            return engine._checkpoints_completed >= 2
+            return engine.coordinator.completed >= 2
 
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
                                 cancel_hook=cancel))
         self._pipeline(env, sink, values=5000)
@@ -136,7 +136,7 @@ class TestExactlyOnceThroughEngine:
 
         # Rerunning the job against the same path republishes in full.
         retry = TransactionalTextFileSink(path)
-        env2 = StreamExecutionEnvironment(
+        env2 = Environment(
             config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4))
         self._pipeline(env2, retry, values=5000)
         env2.execute()
@@ -145,7 +145,7 @@ class TestExactlyOnceThroughEngine:
     def test_exactly_once_across_crash_recovery(self, tmp_path):
         def run(path, chaos=None, strategy=None):
             sink = TransactionalTextFileSink(path)
-            env = StreamExecutionEnvironment(
+            env = Environment(
                 config=EngineConfig(checkpoint_interval_ms=5,
                                     elements_per_step=4,
                                     restart_strategy=strategy, chaos=chaos))
@@ -172,7 +172,7 @@ class TestExactlyOnceThroughEngine:
         path = str(tmp_path / "out.txt")
         sink = TransactionalTextFileSink(path)
         chaos = ChaosInjector([FaultEvent(3, SUBTASK_FAILURE)])
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=1000,
                                 elements_per_step=4,
                                 restart_strategy=FixedDelayRestart(
@@ -188,7 +188,7 @@ class TestExactlyOnceThroughEngine:
 
     def test_parallel_transactional_sink_is_rejected(self, tmp_path):
         sink = TransactionalTextFileSink(str(tmp_path / "out.txt"))
-        env = StreamExecutionEnvironment(parallelism=2)
+        env = Environment(parallelism=2)
         stream = env.from_collection(range(10))
         with pytest.raises(ValueError, match="parallelism 1"):
             stream.add_sink(sink, parallelism=2)
@@ -290,6 +290,19 @@ class TestResumeReconciliation:
         assert read_lines(path) == ["a", "b"]
         assert_no_leftovers(path)
 
+    def test_resume_discards_a_torn_pre_commit(self, tmp_path):
+        # A worker killed inside pre_commit leaves the side file's
+        # ".tmp" behind; it matches the side-file glob and used to make
+        # every respawn die parsing "3.tmp" as a transaction id.
+        path = self._seeded_sink(tmp_path)
+        torn = path + ".pending-3.tmp"
+        with open(torn, "w") as handle:
+            handle.write("half a li")
+        sink = TransactionalTextFileSink(path)
+        sink.resume()
+        assert sink.pending_transactions() == [2]
+        assert not os.path.exists(torn)
+
     def test_open_wipes_meta_with_the_other_artifacts(self, tmp_path):
         path = self._seeded_sink(tmp_path)
         assert os.path.exists(path + ".txn-meta.json")
@@ -304,7 +317,7 @@ class TestFormats:
         import json
         path = str(tmp_path / "out.jsonl")
         sink = TransactionalJsonlFileSink(path)
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5))
         (env.from_collection(range(5))
             .map(lambda v: {"value": v}, name="wrap")
@@ -316,7 +329,7 @@ class TestFormats:
     def test_csv_writes_header_and_validates_width(self, tmp_path):
         path = str(tmp_path / "out.csv")
         sink = TransactionalCsvFileSink(path, header=["key", "value"])
-        env = StreamExecutionEnvironment(
+        env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5))
         (env.from_collection([("a", 1), ("b", 2)])
             .add_sink(sink, name="csv-sink"))

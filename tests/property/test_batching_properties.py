@@ -13,7 +13,7 @@ barriers interleaving the data.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.environment import StreamExecutionEnvironment
+from repro.api.environment import Environment
 from repro.runtime.engine import EngineConfig
 from repro.testing.oracles import run_streaming_windows
 
@@ -32,7 +32,7 @@ def keyed_streams(draw):
 
 
 def run_keyed_count(elements, config):
-    env = StreamExecutionEnvironment(config=config)
+    env = Environment(config=config)
     result = (env.from_collection(elements)
               .map(lambda e: (e[0], e[1] * 2))
               .filter(lambda e: e[1] % 3 != 1)
@@ -91,7 +91,7 @@ def test_quarantine_semantics_identical_under_batching(elements, batch_size,
     """Poison records quarantined from a fused batch must match the
     scalar path exactly: same dead letters, same surviving output."""
     def run(config):
-        env = StreamExecutionEnvironment(config=config)
+        env = Environment(config=config)
 
         def toxic(e):
             if e[1] == 7:  # poison value

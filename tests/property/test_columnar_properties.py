@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.plan.chaining import compile_column_chain
+from repro.runtime import multiprocess
 from repro.runtime.columnar import (
     batch_to_columnar,
     decode_columnar,
@@ -158,7 +159,7 @@ _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 @pytest.mark.skipif(not _HAS_FORK, reason="multiprocess requires fork")
 @pytest.mark.parametrize("case_index", range(2))
-def test_windowed_parity_scalar_batched_pipe_shm(case_index):
+def test_windowed_parity_scalar_batched_pipe_shm(case_index, monkeypatch):
     """The full matrix on one oracle-generated job: cooperative scalar ==
     cooperative batched == multiprocess pipe == multiprocess shm."""
     oracle = WindowedEquivalenceOracle()
@@ -176,9 +177,11 @@ def test_windowed_parity_scalar_batched_pipe_shm(case_index):
     batched = run(EngineConfig(batch_size=16))
     pipe = run(EngineConfig(backend="multiprocess", num_workers=2,
                             batch_size=16, exchange="pipe"))
+    # Small slots (patched before the fleet forks) so oversize frames
+    # take the pipe fallback too.
+    monkeypatch.setattr(multiprocess, "EXCHANGE_SLOT_BYTES", 8192)
     shm = run(EngineConfig(backend="multiprocess", num_workers=2,
-                           batch_size=16, exchange="shm",
-                           exchange_slot_bytes=8192))
+                           batch_size=16, exchange="shm"))
     assert batched == scalar, case.seed_line
     assert pipe == scalar, case.seed_line
     assert shm == scalar, case.seed_line

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.ml import ExponentialHistogram, SpaceSaving
 from repro.windowing import (
     CountAggregate,
@@ -34,8 +34,7 @@ def test_random_pipelines_match_python_semantics(values, ops, parallelism,
                                                  chaining):
     """Any composition of map/filter/flatMap over any parallelism and
     chaining setting produces exactly the multiset Python computes."""
-    env = StreamExecutionEnvironment(parallelism=parallelism,
-                                     chaining=chaining)
+    env = Environment(parallelism=parallelism, chaining=chaining)
     stream = env.from_collection(values)
     expected = list(values)
     for op in ops:
@@ -57,7 +56,7 @@ def test_tumbling_window_counts_partition_the_stream(values, size,
                                                      parallelism):
     """Every timestamped record lands in exactly one tumbling window:
     the window counts sum to the stream size, per key."""
-    env = StreamExecutionEnvironment(parallelism=parallelism)
+    env = Environment(parallelism=parallelism)
     result = (env.from_collection(values, timestamped=True)
               .key_by(lambda v: v)
               .window(TumblingEventTimeWindows.of(size))
@@ -75,7 +74,7 @@ def test_session_windows_cover_all_events_without_overlap(timestamps, gap):
     """Sessions partition each key's events; they never overlap and the
     per-session counts sum to the number of events."""
     values = [("k", ts) for ts in sorted(timestamps)]
-    env = StreamExecutionEnvironment()
+    env = Environment()
     result = (env.from_collection(values, timestamped=True)
               .key_by(lambda v: v[0])
               .window(EventTimeSessionWindows.with_gap(gap))
@@ -99,7 +98,7 @@ def test_sliding_windows_each_record_in_size_over_slide_windows(timestamps,
     multiplier, slide = shape
     size = slide * multiplier
     values = [("k", ts) for ts in timestamps]
-    env = StreamExecutionEnvironment()
+    env = Environment()
     result = (env.from_collection(values, timestamped=True)
               .key_by(lambda v: v[0])
               .window(SlidingEventTimeWindows.of(size, slide))

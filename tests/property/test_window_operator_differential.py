@@ -17,7 +17,7 @@ the reference recomputes from the input alone.
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.testing.generators import StreamProfile, generate_elements
 from repro.testing.seeds import rng_for, root_seed
 from repro.time import WatermarkStrategy
@@ -204,7 +204,7 @@ def expected_output(elements, size, slide, lateness, trigger):
 
 
 def run_job(elements, assigner, lateness, trigger, mode):
-    env = StreamExecutionEnvironment(parallelism=1)
+    env = Environment(parallelism=1)
     strategy = WatermarkStrategy.for_bounded_out_of_orderness(
         lambda element: element[2], WATERMARK_BOUND)
     windowed = (env.from_collection(elements)

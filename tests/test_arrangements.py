@@ -11,7 +11,7 @@ from repro.state import (
     ShardedArrangement,
     VersionCompactedError,
 )
-from repro.table import Table, make_table
+from repro.table import make_table
 from repro.table.optimizer import optimize, rewrite_shared_arrangements
 from repro.table.plan import ArrangementScan
 
@@ -419,12 +419,6 @@ class TestEnvironmentTableApi:
             other.register_table("orders", orders)
         with pytest.raises(TypeError):
             env.register_table("nope", [1, 2, 3])
-
-    def test_from_rows_is_deprecated_but_works(self):
-        env = Environment()
-        with pytest.warns(DeprecationWarning):
-            table = Table.from_rows(env, ORDERS)
-        assert table.columns == ("user", "amount", "country", "ts")
 
     def test_make_table_matches_env_table(self):
         env = Environment()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.cep import NFA, CEPOperator, Pattern
 
 
@@ -144,7 +144,7 @@ class TestCEPPipeline:
                    .followed_by("s1", lambda e: e[1] == "support")
                    .followed_by("s2", lambda e: e[1] == "support")
                    .within(60_000))
-        env = StreamExecutionEnvironment()
+        env = Environment()
         matches = (env.from_collection([(e, e[2]) for e in events],
                                        timestamped=True)
                    .key_by(lambda e: e[0])
@@ -157,7 +157,7 @@ class TestCEPPipeline:
         assert found[0].events["s2"][2] == 20_000
 
     def test_requires_timestamps(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         pattern = Pattern.begin("any", lambda e: True)
         (env.from_collection(["x"])
             .key_by(lambda e: e)
@@ -173,7 +173,7 @@ class TestCEPPipeline:
                    .followed_by("close", lambda e: e[1] == "close")
                    .within(1_000))
         from repro.time.watermarks import WatermarkStrategy
-        env = StreamExecutionEnvironment()
+        env = Environment()
         strategy = WatermarkStrategy.for_monotonic_timestamps(
             lambda e: e[2])
         (env.from_collection(events)

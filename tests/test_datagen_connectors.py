@@ -215,13 +215,13 @@ class TestConnectors:
         assert list(factory()) == [("a", 0), ("b", 1), ("c", 2)]
 
     def test_file_source_through_engine(self, tmp_path):
-        from repro.api import StreamExecutionEnvironment
+        from repro.api import Environment
         path = str(tmp_path / "words.txt")
         sink = TextFileSink(path)
         for line in ("to be or", "not to be"):
             sink(line)
         sink.close()
-        env = StreamExecutionEnvironment()
+        env = Environment()
         result = (env.from_source(text_file_lines(path))
                   .flat_map(str.split)
                   .key_by(lambda w: w)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.cutty import CuttyAggregator, PeriodicWindows, SessionWindows
 from repro.metrics import AggregationCostCounter
 from repro.runtime.elements import Record
@@ -24,7 +24,7 @@ from repro.windowing import (
 
 class TestWatermarkReorder:
     def test_reorders_within_watermark_bound(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         data = [("a", 30), ("b", 10), ("c", 20), ("d", 60), ("e", 40)]
         strategy = WatermarkStrategy.for_bounded_out_of_orderness(
             lambda v: v[1], 30)
@@ -39,7 +39,7 @@ class TestWatermarkReorder:
         assert len(timestamps) == len(data)
 
     def test_requires_timestamps(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         stream = env.from_collection([1, 2, 3])
         node = stream._connect("reorder", WatermarkReorderOperator)
         from repro.api.stream import DataStream
@@ -90,7 +90,7 @@ class TestSharedWindowsApi:
         strategy = WatermarkStrategy.for_bounded_out_of_orderness(
             lambda v: v[2], 30)
 
-        env1 = StreamExecutionEnvironment(parallelism=2)
+        env1 = Environment(parallelism=2)
         standard = (env1.from_collection(data)
                     .assign_timestamps_and_watermarks(strategy)
                     .key_by(lambda v: v[0])
@@ -101,7 +101,7 @@ class TestSharedWindowsApi:
         expected = {(r.key, r.window.start): r.value
                     for r in standard.get()}
 
-        env2 = StreamExecutionEnvironment(parallelism=2)
+        env2 = Environment(parallelism=2)
         shared = (env2.from_collection(data)
                   .assign_timestamps_and_watermarks(strategy)
                   .key_by(lambda v: v[0])
@@ -116,7 +116,7 @@ class TestSharedWindowsApi:
 
     def test_shared_windows_without_reorder_on_ordered_stream(self):
         data = [(("k", 1), ts) for ts in range(0, 1000, 10)]
-        env = StreamExecutionEnvironment()
+        env = Environment()
         results = (env.from_collection(data, timestamped=True)
                    .key_by(lambda v: v[0])
                    .shared_windows(
@@ -134,7 +134,7 @@ class TestSharedWindowsApi:
     def test_shared_windows_counter_is_exposed(self):
         counter = AggregationCostCounter()
         data = [(("k", 1), ts) for ts in range(0, 500, 5)]
-        env = StreamExecutionEnvironment()
+        env = Environment()
         (env.from_collection(data, timestamped=True)
          .key_by(lambda v: v[0])
          .shared_windows(CountAggregate,
@@ -202,7 +202,7 @@ class TestComposedAggregate:
 
 class TestLateDataSideOutput:
     def test_late_records_emitted_with_tag(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         data = [("k", 10), ("k", 100), ("k", 5), ("k", 200)]  # 5 is late
         strategy = WatermarkStrategy.for_monotonic_timestamps(lambda v: v[1])
         results = (env.from_collection(data)
@@ -221,7 +221,7 @@ class TestLateDataSideOutput:
         assert sum(w.value for w in windows) == 3  # on-time records only
 
     def test_no_tag_drops_silently(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         data = [("k", 10), ("k", 100), ("k", 5)]
         strategy = WatermarkStrategy.for_monotonic_timestamps(lambda v: v[1])
         results = (env.from_collection(data)
@@ -235,7 +235,7 @@ class TestLateDataSideOutput:
                    for v in results.get())
 
     def test_allowed_lateness_admits_stragglers(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         # Watermark reaches 100 after the second record; ts=5 is within
         # an allowed lateness of 200 -> window [0,50) refires updated.
         data = [("k", 10), ("k", 100), ("k", 5), ("k", 400)]
@@ -261,7 +261,7 @@ class TestContinuousEventTimeTrigger:
             CountAggregate,
             TumblingEventTimeWindows,
         )
-        env = StreamExecutionEnvironment()
+        env = Environment()
         data = [("k", ts) for ts in range(0, 200, 10)]
         strategy = WatermarkStrategy.for_monotonic_timestamps(lambda v: v[1])
         results = (env.from_collection(data)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.i2 import (
     InteractiveSession,
     StreamingM4Operator,
@@ -25,7 +25,7 @@ def series(n, t_max=1000, seed=4):
 
 class TestStreamingM4Operator:
     def _run(self, points, width=20, parallelism=1):
-        env = StreamExecutionEnvironment(parallelism=parallelism)
+        env = Environment(parallelism=parallelism)
         data = [(("sensor", value), int(ts)) for ts, value in points]
         keyed = (env.from_collection(data, timestamped=True)
                  .key_by(lambda kv: kv[0]))
@@ -60,7 +60,7 @@ class TestStreamingM4Operator:
         """With progressing watermarks, most columns are emitted before
         end-of-stream (live-chart behaviour)."""
         points = series(1000)
-        env = StreamExecutionEnvironment()
+        env = Environment()
         data = [("sensor", value, int(ts)) for ts, value in points]
         strategy = WatermarkStrategy.for_monotonic_timestamps(
             lambda v: v[2])
@@ -78,7 +78,7 @@ class TestStreamingM4Operator:
         assert min(emit_timestamps) < 500
 
     def test_requires_timestamps(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         keyed = env.from_collection([("s", 1.0)]).key_by(lambda v: v[0])
         node = keyed._connect_keyed(
             "m4", lambda: StreamingM4Operator(0, 1000, 20,

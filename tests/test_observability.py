@@ -248,12 +248,12 @@ class TestEngineIntegration:
                                  elements_per_step=4)
         env.execute()
         engine = env.last_engine
-        assert engine._checkpoints_completed > 0
+        assert engine.coordinator.completed > 0
         checkpoint_spans = [
             span for span in engine.observability.tracer.finished_spans()
             if span.name == "checkpoint"
             and span.attrs.get("outcome") == "completed"]
-        assert len(checkpoint_spans) == engine._checkpoints_completed
+        assert len(checkpoint_spans) == engine.coordinator.completed
         for span in checkpoint_spans:
             assert span.attrs["state_entries"] >= 0
             assert span.duration_ms >= 0
@@ -311,10 +311,10 @@ class TestEngineIntegration:
 # -- reporter --------------------------------------------------------------
 
 
-def _full_report():
+def _full_report(**engine_opts):
     """An e5-shaped job (windows + checkpoints) with observability on."""
     env, _ = _windowed_env(observability=True, checkpoint_interval_ms=5,
-                           elements_per_step=4)
+                           elements_per_step=4, **engine_opts)
     env.execute()
     return env.job_report()
 
@@ -341,8 +341,11 @@ class TestReporter:
         ops = {op["operator"]: op for op in payload["operators"]}
         assert any("throughput_rps" in op for op in ops.values())
 
-    def test_prometheus_exposition_shape(self):
-        lines = _full_report().to_prometheus().splitlines()
+    def test_prometheus_exposition_shape(self, tmp_path):
+        # checkpoint_dir adds the nested ``checkpoints.durable`` block,
+        # which must flatten into numeric samples too.
+        report = _full_report(checkpoint_dir=str(tmp_path))
+        lines = report.to_prometheus().splitlines()
         body = [line for line in lines if not line.startswith("#")]
         for line in body:
             name = line.split("{")[0].split(" ")[0]
@@ -353,6 +356,7 @@ class TestReporter:
         joined = "\n".join(lines)
         assert "repro_operator_records_in_total" in joined
         assert "repro_checkpoint_completed" in joined
+        assert "repro_checkpoint_durable_persisted" in joined
         assert "# TYPE repro_operator_records_in_total counter" in joined
 
     def test_unknown_format_rejected(self):

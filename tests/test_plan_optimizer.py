@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.plan import eliminate_dead_branches
 from repro.plan.graph import StreamGraph
 from repro.runtime.operators import MapOperator
@@ -47,7 +47,7 @@ class TestDeadBranchElimination:
         assert eliminate_dead_branches(graph) == []
 
     def test_dead_branch_does_no_work_end_to_end(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         calls = {"dead": 0}
 
         def spy(value):
@@ -62,7 +62,7 @@ class TestDeadBranchElimination:
         assert calls["dead"] == 0  # eliminated, not executed
 
     def test_explain_reflects_elimination(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         source = env.from_collection([1])
         source.map(lambda v: v, name="orphaned")
         source.collect()

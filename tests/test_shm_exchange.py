@@ -98,14 +98,14 @@ class TestExchangeWriter:
         writer.pipe.drain()
         return reader.read_available()
 
-    def test_pipe_mode_keeps_legacy_frames(self):
+    def test_pipe_mode_sends_sequenced_frames(self):
         reader, pipe = make_pipe()
         exchange = ExchangeWriter(pipe, ring=None)
         batch = RecordBatch([Record(1, 0), Record(2, 1)])
         exchange.send(3, batch)
         exchange.send(3, Watermark(5))
         frames = self.drain(reader, exchange)
-        assert frames == [(3, batch), (3, Watermark(5))]
+        assert frames == [(0, 3, batch), (1, 3, Watermark(5))]
         assert exchange.stats["pipe_frames"] == 2
         assert exchange.stats["pipe_records"] == 2
         assert exchange.stats["control_frames"] == 1

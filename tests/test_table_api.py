@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
-from repro.table import Table, Tumble, Slide, Session
+from repro.api import Environment
+from repro.table import Tumble, Slide, Session
 from repro.table.plan import Scan, Select, Where
 from repro.table.optimizer import optimize
 
@@ -24,8 +24,8 @@ def rows_of(result):
 
 class TestBoundedTables:
     def test_select_and_where(self):
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, ORDERS)
+        env = Environment()
+        result = (env.table(ORDERS)
                   .where(lambda r: r["amount"] >= 20, reads=("amount",))
                   .select("user", "amount")
                   .collect())
@@ -36,8 +36,8 @@ class TestBoundedTables:
             {"user": "carol", "amount": 50.0}], key=repr)
 
     def test_derived_columns(self):
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, ORDERS)
+        env = Environment()
+        result = (env.table(ORDERS)
                   .select("user",
                           gross=(lambda r: r["amount"] * 1.2, ("amount",)))
                   .collect())
@@ -47,8 +47,8 @@ class TestBoundedTables:
         assert gross["carol"] == pytest.approx(60.0)
 
     def test_group_by_aggregations(self):
-        env = StreamExecutionEnvironment(parallelism=2)
-        result = (Table.from_rows(env, ORDERS)
+        env = Environment(parallelism=2)
+        result = (env.table(ORDERS)
                   .group_by("user")
                   .agg(revenue=("sum", "amount"),
                        orders=("count", None),
@@ -61,8 +61,8 @@ class TestBoundedTables:
         assert by_user["bob"]["revenue"] == 20.0
 
     def test_multi_key_grouping(self):
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, ORDERS)
+        env = Environment()
+        result = (env.table(ORDERS)
                   .group_by("country", "user")
                   .agg(n=("count", None))
                   .collect())
@@ -71,8 +71,8 @@ class TestBoundedTables:
         assert ("de", "alice") in keys and ("fr", "bob") in keys
 
     def test_avg_and_min(self):
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, ORDERS)
+        env = Environment()
+        result = (env.table(ORDERS)
                   .group_by("country")
                   .agg(mean=("avg", "amount"), smallest=("min", "amount"))
                   .collect())
@@ -84,9 +84,8 @@ class TestBoundedTables:
 
 class TestStreamingTables:
     def test_tumbling_window_aggregation(self):
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, ORDERS, bounded=False,
-                                  time_column="ts")
+        env = Environment()
+        result = (env.table(ORDERS, bounded=False, time_column="ts")
                   .window(Tumble("ts", 1000))
                   .group_by("country")
                   .agg(revenue=("sum", "amount"))
@@ -99,9 +98,8 @@ class TestStreamingTables:
         assert rows[("fr", 2000)] == 15.0
 
     def test_sliding_window(self):
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, ORDERS, bounded=False,
-                                  time_column="ts")
+        env = Environment()
+        result = (env.table(ORDERS, bounded=False, time_column="ts")
                   .window(Slide("ts", 2000, 1000))
                   .agg(n=("count", None))
                   .collect())
@@ -110,9 +108,8 @@ class TestStreamingTables:
         assert total == len(ORDERS) * 2  # each row in 2 sliding windows
 
     def test_session_window(self):
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, ORDERS, bounded=False,
-                                  time_column="ts")
+        env = Environment()
+        result = (env.table(ORDERS, bounded=False, time_column="ts")
                   .window(Session("ts", 500))
                   .group_by("user")
                   .agg(n=("count", None))
@@ -122,18 +119,17 @@ class TestStreamingTables:
         assert len(alice) == 2  # two separate sessions
 
     def test_unbounded_group_by_without_window_rejected(self):
-        env = StreamExecutionEnvironment()
-        table = Table.from_rows(env, ORDERS, bounded=False,
-                                time_column="ts")
+        env = Environment()
+        table = env.table(ORDERS, bounded=False, time_column="ts")
         with pytest.raises(ValueError, match="needs a window"):
             table.group_by("user").agg(n=("count", None))
 
     def test_out_of_order_rows_with_watermark_delay(self):
         rows = [dict(row) for row in ORDERS]
         random.Random(3).shuffle(rows)
-        env = StreamExecutionEnvironment()
-        result = (Table.from_rows(env, rows, bounded=False,
-                                  time_column="ts", watermark_delay=5000)
+        env = Environment()
+        result = (env.table(rows, bounded=False,
+                            time_column="ts", watermark_delay=5000)
                   .window(Tumble("ts", 1000))
                   .group_by("country")
                   .agg(revenue=("sum", "amount"))
@@ -146,31 +142,31 @@ class TestStreamingTables:
 
 class TestValidation:
     def test_schema_mismatch_rejected(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         with pytest.raises(ValueError, match="does not match schema"):
-            Table.from_rows(env, [{"a": 1}, {"b": 2}])
+            env.table([{"a": 1}, {"b": 2}])
 
     def test_unknown_column_select(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         with pytest.raises(ValueError, match="unknown columns"):
-            Table.from_rows(env, ORDERS).select("nope")
+            env.table(ORDERS).select("nope")
 
     def test_unknown_column_in_where_reads(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         with pytest.raises(ValueError, match="unknown columns"):
-            Table.from_rows(env, ORDERS).where(lambda r: True,
-                                               reads=("ghost",))
+            env.table(ORDERS).where(lambda r: True,
+                                    reads=("ghost",))
 
     def test_unknown_aggregation(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         with pytest.raises(ValueError, match="unsupported aggregation"):
-            (Table.from_rows(env, ORDERS).group_by("user")
+            (env.table(ORDERS).group_by("user")
              .agg(x=("median", "amount")))
 
     def test_streaming_requires_time_column(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         with pytest.raises(ValueError, match="time_column"):
-            Table.from_rows(env, ORDERS, bounded=False)
+            env.table(ORDERS, bounded=False)
 
 
 class TestOptimizer:
@@ -218,8 +214,8 @@ class TestOptimizer:
         assert set(optimized[1].keep) <= {"a", "b"}
 
     def test_explain_shows_plan(self):
-        env = StreamExecutionEnvironment()
-        table = (Table.from_rows(env, ORDERS)
+        env = Environment()
+        table = (env.table(ORDERS)
                  .select("user", "amount")
                  .where(lambda r: r["amount"] > 10, reads=("amount",),
                         description="amount>10"))
@@ -241,17 +237,17 @@ class TestOptimizationEquivalence:
         rows = self._random_rows(rng)
 
         def build(env):
-            return (Table.from_rows(env, rows)
+            return (env.table(rows)
                     .where(lambda r: r["v"] > -5, reads=("v",))
                     .select("k", "v")
                     .where(lambda r: r["v"] < 8, reads=("v",))
                     .group_by("k")
                     .agg(total=("sum", "v"), n=("count", None)))
 
-        env1 = StreamExecutionEnvironment()
+        env1 = Environment()
         optimized = build(env1).collect(optimized=True)
         env1.execute()
-        env2 = StreamExecutionEnvironment()
+        env2 = Environment()
         unoptimized = build(env2).collect(optimized=False)
         env2.execute()
         assert rows_of(optimized) == rows_of(unoptimized)
@@ -262,26 +258,25 @@ class TestOptimizationEquivalence:
         rows = self._random_rows(rng)
 
         def build(env):
-            return (Table.from_rows(env, rows, bounded=False,
-                                    time_column="ts")
+            return (env.table(rows, bounded=False, time_column="ts")
                     .select("k", "v", "ts")
                     .where(lambda r: r["v"] != 0, reads=("v",))
                     .window(Tumble("ts", 100))
                     .group_by("k")
                     .agg(total=("sum", "v")))
 
-        env1 = StreamExecutionEnvironment()
+        env1 = Environment()
         optimized = build(env1).collect(optimized=True)
         env1.execute()
-        env2 = StreamExecutionEnvironment()
+        env2 = Environment()
         unoptimized = build(env2).collect(optimized=False)
         env2.execute()
         assert rows_of(optimized) == rows_of(unoptimized)
 
     def test_pushdown_reduces_records_into_select(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         rows = self._random_rows(random.Random(9), n=200)
-        table = (Table.from_rows(env, rows)
+        table = (env.table(rows)
                  .select("k", "v")
                  .where(lambda r: r["v"] > 0, reads=("v",),
                         description="v>0"))
@@ -306,9 +301,9 @@ class TestTableJoin:
     ]
 
     def test_join_enriches_rows(self):
-        env = StreamExecutionEnvironment(parallelism=2)
-        orders = Table.from_rows(env, ORDERS).select("user", "amount")
-        users = Table.from_rows(env, self.USERS)
+        env = Environment(parallelism=2)
+        orders = env.table(ORDERS).select("user", "amount")
+        users = env.table(self.USERS)
         joined = orders.join(users, on=("user",))
         assert set(joined.columns) == {"user", "amount", "country"}
         result = joined.collect()
@@ -319,9 +314,9 @@ class TestTableJoin:
         assert by_user == {"alice": "de", "bob": "fr", "carol": "de"}
 
     def test_join_then_group(self):
-        env = StreamExecutionEnvironment()
-        orders = Table.from_rows(env, ORDERS).select("user", "amount")
-        users = Table.from_rows(env, self.USERS)
+        env = Environment()
+        orders = env.table(ORDERS).select("user", "amount")
+        users = env.table(self.USERS)
         report = (orders.join(users, on=("user",))
                   .group_by("country")
                   .agg(revenue=("sum", "amount"))
@@ -332,29 +327,28 @@ class TestTableJoin:
         assert by_country == {"de": 100.0, "fr": 20.0}
 
     def test_unmatched_left_rows_dropped(self):
-        env = StreamExecutionEnvironment()
-        left = Table.from_rows(env, [{"user": "ghost", "amount": 1.0}])
-        users = Table.from_rows(env, self.USERS)
+        env = Environment()
+        left = env.table([{"user": "ghost", "amount": 1.0}])
+        users = env.table(self.USERS)
         result = left.join(users, on=("user",)).collect()
         env.execute()
         assert result.get() == []
 
     def test_validation(self):
-        env = StreamExecutionEnvironment()
-        orders = Table.from_rows(env, ORDERS)
-        users = Table.from_rows(env, self.USERS)
+        env = Environment()
+        orders = env.table(ORDERS)
+        users = env.table(self.USERS)
         with pytest.raises(ValueError, match="missing on the left"):
             users.join(orders, on=("nope",))
         with pytest.raises(ValueError, match="ambiguous"):
             # both carry 'country' as a non-key column
-            users.join(Table.from_rows(
-                env, [{"user": "x", "country": "es"}]), on=("user",))
+            users.join(env.table([{"user": "x", "country": "es"}]),
+                       on=("user",))
 
     def test_streaming_join_rejected(self):
-        env = StreamExecutionEnvironment()
-        stream = Table.from_rows(env, ORDERS, bounded=False,
-                                 time_column="ts")
-        users = Table.from_rows(env, self.USERS)
+        env = Environment()
+        stream = env.table(ORDERS, bounded=False, time_column="ts")
+        users = env.table(self.USERS)
         with pytest.raises(ValueError, match="bounded"):
             stream.join(users, on=("user",))
 
@@ -363,17 +357,15 @@ class TestBoundedWindowing:
     def test_windows_work_on_bounded_tables_too(self):
         """Batch = a stream that ends: windowed aggregation is legal on
         bounded relations and produces the same rows."""
-        env = StreamExecutionEnvironment()
-        bounded = (Table.from_rows(env, ORDERS, bounded=True,
-                                   time_column="ts")
+        env = Environment()
+        bounded = (env.table(ORDERS, bounded=True, time_column="ts")
                    .window(Tumble("ts", 1000))
                    .group_by("country")
                    .agg(revenue=("sum", "amount"))
                    .collect())
         env.execute()
-        env2 = StreamExecutionEnvironment()
-        streaming = (Table.from_rows(env2, ORDERS, bounded=False,
-                                     time_column="ts")
+        env2 = Environment()
+        streaming = (env2.table(ORDERS, bounded=False, time_column="ts")
                      .window(Tumble("ts", 1000))
                      .group_by("country")
                      .agg(revenue=("sum", "amount"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.api import StreamExecutionEnvironment
+from repro.api import Environment
 from repro.ml.hll import HyperLogLog
 from repro.windowing import TumblingEventTimeWindows
 from repro.windowing.join import WindowJoinOperator
@@ -16,7 +16,7 @@ from repro.windowing.assigners import (
 
 class TestWindowJoin:
     def test_joins_within_window_and_key(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         impressions = env.from_collection(
             [(("u1", "adA"), 10), (("u2", "adB"), 20), (("u1", "adC"), 120)],
             timestamped=True)
@@ -37,7 +37,7 @@ class TestWindowJoin:
                                         ("u1", "adC", "click2")]
 
     def test_cross_product_within_window(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         left = env.from_collection([(("k", "l%d" % i), i) for i in range(2)],
                                    timestamped=True)
         right = env.from_collection([(("k", "r%d" % i), i) for i in range(3)],
@@ -49,7 +49,7 @@ class TestWindowJoin:
         assert len(result.get()) == 2 * 3
 
     def test_state_cleared_after_firing(self):
-        env = StreamExecutionEnvironment()
+        env = Environment()
         left = env.from_collection([(("k", i), i * 10) for i in range(20)],
                                    timestamped=True)
         right = env.from_collection([(("k", -i), i * 10) for i in range(20)],
