@@ -273,6 +273,13 @@ class SourceContext:
     def collect_with_timestamp(self, value: Any, timestamp: int) -> None:
         self._ctx.emit_record(Record(value, timestamp))
 
+    def collect_batch_with_timestamps(
+            self, pairs: Iterable[Tuple[Any, int]]) -> None:
+        """Emit a run of ``(value, timestamp)`` pairs in one call: the
+        timestamped twin of :meth:`collect_batch`."""
+        self._ctx.emit_records([Record(value, timestamp)
+                                for value, timestamp in pairs])
+
     def processing_time(self) -> int:
         return self._ctx.processing_time()
 
@@ -343,8 +350,7 @@ class IteratorSource(SourceOperator):
             return False
         self._offset += len(chunk)
         if self._timestamped:
-            for value, timestamp in chunk:
-                source_ctx.collect_with_timestamp(value, timestamp)
+            source_ctx.collect_batch_with_timestamps(chunk)
         else:
             source_ctx.collect_batch(chunk)
         return len(chunk) == max_records
@@ -622,6 +628,44 @@ class TimestampsAndWatermarksOperator(Operator):
         if self._since_poll >= self._poll_every:
             self._since_poll = 0
             self._maybe_emit(self._generator.on_periodic())
+
+    def process_batch(self, records: List[Record]) -> None:
+        """:meth:`process` over a run of records.  The timestamped
+        records collect into one run, which is cut (emitted) exactly
+        where ``process`` would have emitted a watermark, so downstream
+        sees the same elements in the same order."""
+        assign = self._strategy.timestamp_assigner
+        on_event = self._generator.on_event
+        on_periodic = self._generator.on_periodic
+        poll_every = self._poll_every
+        emit_records = self.ctx.emit_records
+        make = Record
+        last = self._last_emitted
+        run: List[Record] = []
+        for record in records:
+            value = record.value
+            timestamp = assign(value)
+            run.append(make(value, timestamp, record.key))
+            watermark_ts = on_event(value, timestamp)
+            if watermark_ts is not None and (last is None
+                                             or watermark_ts > last):
+                emit_records(run)
+                run = []
+                self._maybe_emit(watermark_ts)
+                last = watermark_ts
+            self._since_poll += 1
+            if self._since_poll >= poll_every:
+                self._since_poll = 0
+                watermark_ts = on_periodic()
+                if watermark_ts is not None and (last is None
+                                                 or watermark_ts > last):
+                    if run:
+                        emit_records(run)
+                        run = []
+                    self._maybe_emit(watermark_ts)
+                    last = watermark_ts
+        if run:
+            emit_records(run)
 
     def finish(self) -> None:
         self._maybe_emit(self._generator.on_periodic())

@@ -15,7 +15,7 @@ repertoire matches the Flink model STREAMLINE sits on:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.runtime.elements import Record
 
@@ -42,6 +42,28 @@ def _fnv1a(data: bytes) -> int:
     return value
 
 
+#: FNV-1a digests of the exact-type ``str``/``bytes`` keys hashed so far:
+#: the byte loop above is paid once per distinct key, not once per
+#: record.  It memoises the digest of *text*, never a route: ``str`` and
+#: ``bytes`` never equal anything of another type, so no two keys that
+#: :func:`hash_key` tells apart can share an entry.  Cleared when full,
+#: so a key space larger than the bound costs misses, not memory.
+_TEXT_DIGESTS: Dict[Union[str, bytes], int] = {}
+_TEXT_DIGESTS_BOUND = 1 << 16
+#: Longer keys are hashed every time: the memo holds its keys alive, and
+#: the bound above counts entries, not bytes.
+_MEMOISED_TEXT_LEN = 256
+
+
+def _digest_new_text(text: Union[str, bytes]) -> int:
+    digest = _fnv1a(text.encode("utf-8") if type(text) is str else text)
+    if len(text) <= _MEMOISED_TEXT_LEN:
+        if len(_TEXT_DIGESTS) >= _TEXT_DIGESTS_BOUND:
+            _TEXT_DIGESTS.clear()
+        _TEXT_DIGESTS[text] = digest
+    return digest
+
+
 def hash_key(key: Any) -> int:
     """Deterministic key hash, stable *across interpreter runs*.
 
@@ -50,7 +72,7 @@ def hash_key(key: Any) -> int:
     function, so every supported key type is encoded explicitly:
 
     * ``str``/``bytes`` -- FNV-1a (builtin ``hash()`` is salted per run
-      via PYTHONHASHSEED);
+      via PYTHONHASHSEED), computed once per distinct key;
     * ``None`` -- a fixed digest (builtin ``hash(None)`` is
       address-based on CPython < 3.12 and changes across runs);
     * ``bool``/``int``/``float`` -- an integer encoding that respects
@@ -65,6 +87,12 @@ def hash_key(key: Any) -> int:
     implementations are trusted as a documented escape hatch (they must
     be run-stable, e.g. derived from the encodings above).
     """
+    kind = type(key)
+    if kind is str or kind is bytes:
+        # Subclasses may redefine equality; only the exact types are
+        # remembered (they take the unmemoised branches below).
+        digest = _TEXT_DIGESTS.get(key)
+        return digest if digest is not None else _digest_new_text(key)
     if key is None:
         return _NONE_DIGEST
     if isinstance(key, str):

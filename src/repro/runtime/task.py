@@ -23,7 +23,16 @@ step-driven by the scheduler:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.metrics import MetricGroup, OperatorStats
 from repro.runtime.channels import Channel
@@ -72,11 +81,30 @@ class OutputEdge:
         self.channels = channels
         self.subtask_index = subtask_index
 
+    def _bucket_by_key(self, records: Iterable[Record]
+                       ) -> Dict[int, List[Record]]:
+        """The one place a hash edge routes: stamp each record's key on
+        a copy (a record may be shared with other edges) and group the
+        copies by ``hash_key(key) % channels``, keeping arrival order
+        within a channel.  Every keyed emission goes through here, so an
+        unhashable or identity-hashed key is rejected whatever the batch
+        size and however many channels the edge has."""
+        select_key = self.partitioner.key_selector
+        total = len(self.channels)
+        buckets: Dict[int, List[Record]] = {}
+        for r in records:
+            key = select_key(r.value)
+            index = hash_key(key) % total
+            bucket = buckets.get(index)
+            if bucket is None:
+                buckets[index] = bucket = []
+            bucket.append(Record(r.value, r.timestamp, key))
+        return buckets
+
     def emit_record(self, record: Record) -> None:
         if isinstance(self.partitioner, HashPartitioner):
-            key = self.partitioner.key_selector(record.value)
-            stamped = Record(record.value, record.timestamp, key)
-            self.channels[hash_key(key) % len(self.channels)].push(stamped)
+            for index, bucket in self._bucket_by_key((record,)).items():
+                self.channels[index].push(bucket[0])
             return
         for index in self.partitioner.select(record, len(self.channels),
                                              self.subtask_index):
@@ -95,22 +123,7 @@ class OutputEdge:
         channels = self.channels
         partitioner = self.partitioner
         if isinstance(partitioner, HashPartitioner):
-            select_key = partitioner.key_selector
-            if len(channels) == 1:
-                channels[0].push(RecordBatch(
-                    [Record(r.value, r.timestamp, select_key(r.value))
-                     for r in records]))
-                return
-            total = len(channels)
-            buckets: Dict[int, List[Record]] = {}
-            for r in records:
-                key = select_key(r.value)
-                index = hash_key(key) % total
-                bucket = buckets.get(index)
-                if bucket is None:
-                    buckets[index] = bucket = []
-                bucket.append(Record(r.value, r.timestamp, key))
-            for index, bucket in buckets.items():
+            for index, bucket in self._bucket_by_key(records).items():
                 channels[index].push(RecordBatch(bucket))
             return
         if isinstance(partitioner, (ForwardPartitioner, GlobalPartitioner)):
@@ -221,10 +234,12 @@ class Task:
         #: Span collector of the observability layer; ``None`` (the
         #: default) keeps every tracing branch a dead ``is not None``.
         self._tracer = tracer
-        #: Records emitted by the chain tail since the last flush; they
-        #: leave as one RecordBatch at the next control element, buffer
-        #: fill, or end of step -- which is what guarantees a batch never
-        #: straddles a watermark/barrier/EOS boundary.
+        #: Records emitted by the chain tail since the last flush (in a
+        #: source task: by the operator in front of the fused suffix,
+        #: which the flush applies); they leave as one RecordBatch at
+        #: the next control element, buffer fill, or end of step --
+        #: which is what guarantees a batch never straddles a
+        #: watermark/barrier/EOS boundary.
         self._out_buffer: List[Record] = []
 
         self.inputs: List[Tuple[Channel, int]] = []   # (channel, input index)
@@ -267,37 +282,7 @@ class Task:
         # Fair input polling.
         self._next_input = 0
 
-        # Build the chain back to front so each collector targets the next.
-        self.chain: List[_ChainedOperator] = []
-        collector = (self._buffer_output if self._batching
-                     else self._route_to_outputs)
-        tail = True
-        for position in reversed(range(len(operators))):
-            operator = operators[position]
-            backend = KeyedStateBackend()
-            timers = TimerService()
-            ctx = OperatorContext(subtask_index, parallelism, backend, timers,
-                                  metrics, clock, collector)
-            if tail and self._batching:
-                # The chain tail may hand the output buffer whole record
-                # runs (SourceContext.collect_batch and friends).
-                ctx.batch_collector = self._buffer_output_batch
-            tail = False
-            ctx.tracer = tracer
-            chained = _ChainedOperator(operator, backend, timers, ctx)
-            self.chain.insert(0, chained)
-            # Watermark-emitting chain operators (timestamp assigners,
-            # hybrid sources emitting the cutover watermark) declare an
-            # ``emit_watermark_fn`` attribute; the task wires it to the
-            # chain position so emissions advance the suffix first.
-            if hasattr(operator, "emit_watermark_fn"):
-                operator.emit_watermark_fn = self._watermark_from_chain(position)
-            collector = self._make_dispatcher(chained)
-
-        self._is_source = isinstance(self.chain[0].operator, SourceOperator)
-        self._source_ctx = (SourceContext(self.chain[0].ctx)
-                            if self._is_source else None)
-        self._opened = False
+        self._is_source = isinstance(operators[0], SourceOperator)
 
         # Batched fast path: fuse the longest stateless prefix of the
         # chain into one records-in/records-out function.  Profiling
@@ -311,15 +296,69 @@ class Task:
         # row fusion (the fallback is counted per-operator instead).
         self._column_kernel = None
         self._kernel_prefix = 0
-        if self._batching and not self._is_source and not operator_profiling:
+        # A source task has no input batch to fuse over; its maximal
+        # stateless *suffix* is fused instead and applied to each run of
+        # records as the run leaves the task (``_flush_out_buffer``).
+        self._suffix_fn = None
+        suffix_start = len(operators)
+        if self._batching and not operator_profiling:
             from repro.plan.chaining import (
                 compile_batch_chain,
                 compile_column_chain,
             )
-            self._fused_fn, self._fused_prefix = compile_batch_chain(
-                [chained.operator for chained in self.chain])
-            self._column_kernel, self._kernel_prefix = compile_column_chain(
-                [chained.operator for chained in self.chain])
+            if self._is_source:
+                while suffix_start > 1 and (
+                        operators[suffix_start - 1].make_batch_transform()
+                        is not None):
+                    suffix_start -= 1
+                if suffix_start < len(operators):
+                    self._suffix_fn, _ = compile_batch_chain(
+                        operators[suffix_start:])
+            else:
+                self._fused_fn, self._fused_prefix = compile_batch_chain(
+                    operators)
+                self._column_kernel, self._kernel_prefix = (
+                    compile_column_chain(operators))
+
+        # Build the chain back to front so each collector targets the
+        # next.  The last operator in front of the fused suffix (the
+        # chain tail when there is none) collects into the out buffer.
+        self.chain: List[_ChainedOperator] = []
+        into_buffer = (self._buffer_output if self._batching
+                       else self._route_to_outputs)
+        collector = into_buffer
+        for position in reversed(range(len(operators))):
+            operator = operators[position]
+            backend = KeyedStateBackend()
+            timers = TimerService()
+            feeds_buffer = position == suffix_start - 1
+            if feeds_buffer:
+                collector = into_buffer
+            ctx = OperatorContext(subtask_index, parallelism, backend, timers,
+                                  metrics, clock, collector)
+            if feeds_buffer and self._batching:
+                # It may hand the output buffer whole record runs
+                # (SourceContext.collect_batch and friends).
+                ctx.batch_collector = self._buffer_output_batch
+            ctx.tracer = tracer
+            chained = _ChainedOperator(operator, backend, timers, ctx)
+            self.chain.insert(0, chained)
+            # Watermark-emitting chain operators (timestamp assigners,
+            # hybrid sources emitting the cutover watermark) declare an
+            # ``emit_watermark_fn`` attribute; the task wires it to the
+            # chain position so emissions advance the suffix first.
+            if hasattr(operator, "emit_watermark_fn"):
+                operator.emit_watermark_fn = self._watermark_from_chain(position)
+            collector = self._make_dispatcher(chained)
+
+        if self._is_source and self._batching and suffix_start > 1:
+            # The source's runs enter the next operator as runs too.
+            self.chain[0].ctx.batch_collector = (
+                self.chain[1].operator.process_batch)
+        self._source_ctx = (SourceContext(self.chain[0].ctx)
+                            if self._is_source else None)
+        self._opened = False
+
         self._fused_all = (self._fused_fn is not None
                            and self._fused_prefix == len(self.chain))
         self._kernel_all = (self._column_kernel is not None
@@ -499,6 +538,14 @@ class Task:
         if not buffer:
             return
         self._out_buffer = []
+        if self._suffix_fn is not None:
+            # Source task: the buffer holds what the operator in front of
+            # the fused suffix collected.  Every flush point precedes
+            # the control element that caused it, so the suffix sees
+            # exactly the records between two control elements.
+            buffer = self._run_fused(self._suffix_fn, buffer)
+            if not buffer:
+                return
         self._records_out.inc(len(buffer))
         if len(buffer) == 1:
             record = buffer[0]
@@ -710,15 +757,8 @@ class Task:
             return
         fused = self._fused_fn
         if fused is not None:
-            tracer = self._tracer
             try:
-                if tracer is None:
-                    out = fused(records)
-                else:
-                    with tracer.span("fused_batch", task=self.vertex_name,
-                                     subtask=self.subtask_index,
-                                     records=len(records)):
-                        out = fused(records)
+                out = self._run_fused(fused, records)
             except Exception:
                 if self.quarantine_threshold is None:
                     raise
@@ -736,6 +776,15 @@ class Task:
                 self.chain[self._fused_prefix].operator.process_batch(out)
             return
         self.chain[0].operator.process_batch(records)
+
+    def _run_fused(self, fused: Callable[[List[Record]], List[Record]],
+                   records: List[Record]) -> List[Record]:
+        tracer = self._tracer
+        if tracer is None:
+            return fused(records)
+        with tracer.span("fused_batch", task=self.vertex_name,
+                         subtask=self.subtask_index, records=len(records)):
+            return fused(records)
 
     def _process_columnar(self, batch: StreamElement,
                           channel_index: int) -> None:

@@ -84,22 +84,30 @@ def _after_cutover(ops):
             and sum(op._stream_emitted for op in ops) >= N // 2)
 
 
-def _build_job(env, target, history_burst=1):
-    (env.read(range(N))
-        .then_stream(lambda: range(N, 2 * N), history_burst=history_burst,
-                     name="hybrid")
+def _build_job(env, target, history_burst=1, suffix=False):
+    stream = env.read(range(N)).then_stream(
+        lambda: range(N, 2 * N), history_burst=history_burst, name="hybrid")
+    if suffix:
+        # Stateless operators chained behind the hybrid source: in
+        # batched execution they run fused over each run of records as
+        # it leaves the source task.
+        stream = (stream.map(lambda v: v * 3)
+                  .filter(lambda v: v % 5 != 0)
+                  .map(lambda v: v // 3))
+    (stream
         .key_by(lambda v: v % KEYS)
         .fold(0, lambda acc, value: acc + value)
         .add_sink(TransactionalTextFileSink(
             target, formatter=lambda pair: "%d:%d" % pair)))
 
 
-def _run_cooperative(tmp_path, label, failure_hook=None):
+def _run_cooperative(tmp_path, label, failure_hook=None, batch_size=1,
+                     suffix=False):
     target = str(tmp_path / ("%s.txt" % label))
     config = EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                          failure_hook=failure_hook)
+                          failure_hook=failure_hook, batch_size=batch_size)
     env = Environment(parallelism=2, config=config)
-    _build_job(env, target)
+    _build_job(env, target, suffix=suffix)
     job = env.execute()
     with open(target) as handle:
         lines = sorted(line.rstrip("\n") for line in handle)
@@ -126,6 +134,29 @@ def test_cooperative_crash_at_seam_phase(tmp_path, label, predicate):
         # the crash predated the seam; the restore rewound the history
         # side and the job still crossed exactly once
         assert all(r["phase"] == "stream" for r in rows)
+
+
+@pytest.mark.parametrize("label, predicate", [
+    ("history", _in_history),
+    ("barrier", _at_barrier),
+    ("after", _after_cutover),
+])
+def test_batched_crash_at_seam_phase_with_a_fused_source_suffix(
+        tmp_path, label, predicate):
+    """The same three crashes on the batched config, with a stateless
+    suffix fused into the source task: the output must be the scalar,
+    unfaulted run's, byte for byte."""
+    expected, _, _ = _run_cooperative(tmp_path, "oracle", suffix=True)
+    assert len(expected) == 2 * N - 2 * N // 5
+    hook = _phase_crash_hook(predicate)
+    lines, job, env = _run_cooperative(tmp_path, label, failure_hook=hook,
+                                       batch_size=16, suffix=True)
+    assert hook.state["fired"], "the %s-phase crash never fired" % label
+    assert job.recoveries >= 1
+    assert lines == expected, "2PC output diverged after %s crash" % label
+    source_tasks = [task for task in env.last_engine.tasks if task.is_source]
+    assert source_tasks and all(task._suffix_fn is not None
+                                for task in source_tasks)
 
 
 def test_cooperative_double_crash_both_sides_of_seam(tmp_path):

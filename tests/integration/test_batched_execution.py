@@ -10,12 +10,27 @@ re-run under ``REPRO_BATCH_SIZE`` so the whole oracle battery covers the
 batched engine too.
 """
 
+import importlib
+import os
 import random
 
 import pytest
 
 from repro.api.environment import Environment
+from repro.connectors.sources import HybridSource
+from repro.metrics import MetricGroup
+from repro.runtime.channels import Channel
 from repro.runtime.engine import EngineConfig, ExecutionConfig
+from repro.runtime.operators import (
+    FilterOperator,
+    FlatMapOperator,
+    IteratorSource,
+    MapOperator,
+    TimestampsAndWatermarksOperator,
+)
+from repro.runtime import partition
+from repro.runtime.partition import HashPartitioner
+from repro.runtime.task import OutputEdge, Task
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
     make_crash_once_hook,
@@ -23,10 +38,16 @@ from repro.testing.oracles import (
     run_streaming_windows,
 )
 from repro.testing.seeds import rng_for, root_seed
+from repro.time import WatermarkStrategy
+from repro.time.clock import ManualClock
 
 ROOT = root_seed(default=0)
 
 BATCH_SIZES = [2, 7, 64]
+
+
+class _IdentityKey:
+    """Hashes by address: different in every interpreter run."""
 
 
 def keyed_pipeline(config, data):
@@ -110,6 +131,22 @@ class TestBatchedScalarEquivalence:
 
     def test_execution_config_is_engine_config(self):
         assert ExecutionConfig is EngineConfig
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    @pytest.mark.parametrize("make_key", [lambda x: _IdentityKey(), lambda x: [x]],
+                             ids=["identity-hashed", "unhashable"])
+    def test_unroutable_keys_are_rejected_in_every_configuration(
+            self, make_key, batch_size, parallelism):
+        # A batched hash edge with one channel used to skip hash_key and
+        # build keyed state that could not be rescaled.
+        env = Environment(parallelism=parallelism,
+                          config=EngineConfig(batch_size=batch_size))
+        (env.from_collection(list(range(10)))
+         .key_by(make_key).reduce(lambda a, b: a).collect())
+        with pytest.raises(TypeError,
+                           match="cannot hash-partition key of type"):
+            env.execute()
 
 
 class TestReplayDeterminismAcrossModes:
@@ -241,6 +278,18 @@ class TestOraclesUnderBatching:
             mismatch = oracle.check(case)
             assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
 
+    def test_replay_oracle_with_every_source_step_one_run(self, monkeypatch):
+        """A batch size above the oracle's step budget: each source step
+        goes through the watermark operator as one run, and every
+        barrier -- the crash restores from one -- lands between two."""
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "64")
+        oracle = make_oracle("replay")
+        for index in range(4, 12):
+            rng = rng_for(ROOT, oracle.name, index)
+            case = oracle.generate(rng, ROOT, index)
+            mismatch = oracle.check(case)
+            assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
+
     def test_oracle_output_identical_scalar_vs_batched(self, monkeypatch):
         """Stronger than 'both pass': the windows oracle's streaming run
         must produce byte-identical result dicts in both modes."""
@@ -255,3 +304,231 @@ class TestOraclesUnderBatching:
                 list(case.stream), params["assigner"], params["aggregate"],
                 params["ooo_bound"], params.get("parallelism", 2))
         assert outputs["16"] == outputs["1"]
+
+
+# -- the source chain, element by element ---------------------------------------
+
+
+def channel_elements(channel):
+    """What a channel holds, batches unpacked: the sequence a consumer
+    observes, whatever the producer's batching was."""
+    out = []
+    for element in channel._queue:
+        if element.is_batch:
+            out.extend(("record", r.value, r.timestamp, r.key)
+                       for r in element.records)
+        elif element.is_record:
+            out.append(("record", element.value, element.timestamp,
+                        element.key))
+        elif element.is_watermark:
+            out.append(("watermark", element.timestamp))
+        elif element.is_barrier:
+            out.append(("barrier", element.checkpoint_id))
+        else:
+            assert element.is_end
+            out.append(("end",))
+    return out
+
+
+def drive_source_task(operators, batch_size, elements_per_step=8,
+                      barrier_steps=(), channels=2, restore=None,
+                      operator_profiling=False):
+    """Step one hand-built source task to its end with a hash edge of
+    ``channels`` channels behind it; a checkpoint is pending at the
+    start of every step in ``barrier_steps``.  Returns the per-channel
+    element sequences, the snapshots by checkpoint id, and the task."""
+    task = Task("source", 0, 0, 1, operators, ManualClock(),
+                MetricGroup("test"), elements_per_step=elements_per_step,
+                batch_size=batch_size,
+                operator_profiling=operator_profiling)
+    outputs = [Channel("out-%d" % index, capacity=1 << 30)
+               for index in range(channels)]
+    task.add_output_edge(OutputEdge(
+        HashPartitioner(lambda value: value[0]), outputs, 0))
+    snapshots = {}
+    task.checkpoint_ack = snapshots.__setitem__
+    task.open()
+    if restore is not None:
+        task.restore(restore)
+    step = 0
+    while not task.finished:
+        if step in barrier_steps:
+            task.pending_checkpoint = step + 1
+        task.step()
+        step += 1
+        assert step < 10_000
+    return [channel_elements(channel) for channel in outputs], snapshots, task
+
+
+GENERATORS = {
+    "bounded": lambda: WatermarkStrategy.for_bounded_out_of_orderness(
+        lambda value: value[2], 5),
+    "monotonic": lambda: WatermarkStrategy.for_monotonic_timestamps(
+        lambda value: value[2]),
+    "punctuated": lambda: WatermarkStrategy.for_punctuated(
+        lambda value: value[2], lambda value: value[1] % 5 == 0),
+}
+
+
+def source_chain(elements, generator="bounded", poll_every=1,
+                 suffix="map-filter"):
+    """``source -> timestamps/watermarks -> suffix`` over ``(key, value,
+    ts)`` elements, as fresh operator instances."""
+    operators = [
+        IteratorSource(lambda: elements),
+        TimestampsAndWatermarksOperator(GENERATORS[generator](),
+                                        poll_every=poll_every)]
+    if suffix in ("map-filter", "flat-map"):
+        operators.append(MapOperator(lambda v: (v[0], v[1] * 2, v[2])))
+        operators.append(FilterOperator(lambda v: v[1] % 3 != 1))
+    if suffix == "flat-map":
+        operators.append(FlatMapOperator(
+            lambda v: [v] * (abs(v[1]) % 3)))
+    if suffix == "drops-runs":
+        # Drops every record of whole stretches of the input.
+        operators.append(FilterOperator(lambda v: (v[2] // 40) % 2 == 0))
+    return operators
+
+
+def keyed_elements(rng, count):
+    return [("k%d" % rng.randrange(5), rng.randrange(-50, 50),
+             index * 2 - rng.randrange(0, 9)) for index in range(count)]
+
+
+class TestSourceChainElementSequence:
+    """A source task runs its stateless suffix fused and its watermark
+    operator over runs; every output channel must still carry exactly
+    the records, watermarks and barriers of the scalar run, in order."""
+
+    @pytest.mark.parametrize("suffix", ["none", "map-filter", "flat-map",
+                                        "drops-runs"])
+    @pytest.mark.parametrize("poll_every", [1, 7])
+    @pytest.mark.parametrize("generator", sorted(GENERATORS))
+    def test_sequence_parity(self, generator, poll_every, suffix):
+        elements = keyed_elements(rng_for(ROOT, "source-chain", generator,
+                                          poll_every, suffix), 300)
+        barriers = (0, 3, 4, 11, 30)
+        scalar, _, _ = drive_source_task(
+            source_chain(elements, generator, poll_every, suffix), 1,
+            barrier_steps=barriers)
+        assert any(kind == "watermark" for kind, *_ in scalar[0])
+        for batch_size in (2, 5, 64):
+            batched, _, task = drive_source_task(
+                source_chain(elements, generator, poll_every, suffix),
+                batch_size, barrier_steps=barriers)
+            assert batched == scalar
+            assert (task._suffix_fn is not None) == (suffix != "none")
+
+    def test_timestamped_collection_enters_the_run_path(self):
+        pairs = [((("k%d" % (index % 3)), index, index), index)
+                 for index in range(100)]
+
+        def operators():
+            return [IteratorSource(lambda: pairs, timestamped=True),
+                    MapOperator(lambda v: (v[0], v[1] + 1, v[2]))]
+
+        scalar, _, _ = drive_source_task(operators(), 1)
+        batched, _, _ = drive_source_task(operators(), 16)
+        assert batched == scalar
+        assert sorted(element[2] for channel in scalar for element in channel
+                      if element[0] == "record") == list(range(100))
+
+    def test_cutover_watermark_leaves_behind_the_history_records(self):
+        """The seam watermark comes from the source itself, with history
+        records still waiting in front of the fused suffix."""
+        cutover = 99
+        history = [("k%d" % (index % 4), index, index)
+                   for index in range(120)]          # 100..119 overlap
+        live = [("k%d" % (index % 4), index, index)
+                for index in range(90, 200)]          # 90..99 overlap
+
+        def operators():
+            return [HybridSource(lambda: history, lambda: live,
+                                 cutover=cutover,
+                                 timestamp_fn=lambda value: value[2],
+                                 history_burst=4),
+                    MapOperator(lambda v: (v[0], v[1] * 2, v[2])),
+                    FilterOperator(lambda v: v[1] % 3 != 1)]
+
+        scalar, _, _ = drive_source_task(operators(), 1,
+                                         barrier_steps=(1, 6))
+        batched, _, task = drive_source_task(operators(), 64,
+                                             barrier_steps=(1, 6))
+        assert task._suffix_fn is not None
+        assert batched == scalar
+        for channel in batched:
+            seam = channel.index(("watermark", cutover))
+            assert all(element[1][2] <= cutover
+                       for element in channel[:seam]
+                       if element[0] == "record")
+            assert all(element[1][2] > cutover
+                       for element in channel[seam:]
+                       if element[0] == "record")
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_restore_from_a_barrier_between_two_runs(self, batch_size):
+        """The cut a source takes lies between two runs: a task restored
+        from it emits exactly what the first task emitted behind the
+        barrier (watermarks at or below the restored high-water mark are
+        not repeated -- downstream has them)."""
+        elements = keyed_elements(rng_for(ROOT, "source-chain-restore"), 200)
+        whole, snapshots, _ = drive_source_task(
+            source_chain(elements), batch_size, barrier_steps=(9,))
+        resumed, _, _ = drive_source_task(
+            source_chain(elements), batch_size, restore=snapshots[10])
+        for before, after in zip(whole, resumed):
+            assert after == before[before.index(("barrier", 10)) + 1:]
+
+    def test_profiling_counts_equal_the_scalar_runs(self):
+        elements = keyed_elements(rng_for(ROOT, "source-chain-profile"), 200)
+
+        def counts(batch_size):
+            _, _, task = drive_source_task(
+                source_chain(elements, suffix="flat-map"), batch_size,
+                operator_profiling=True)
+            assert task._suffix_fn is None
+            return [(stats.name, stats.records_in, stats.records_out)
+                    for stats in task.operator_stats]
+
+        assert counts(64) == counts(1)
+        assert counts(1)[1][1:] == (200, 200)
+
+
+# -- what the flagship job's source chain costs ---------------------------------
+
+
+def test_quick_keyed_window_hashes_per_key_and_fuses_the_source_chain(
+        monkeypatch, tmp_path):
+    """Counts, not wall clock, on the benchmark's own ``keyed_window``
+    program at its ``--quick`` size: upstream of the hash edge nothing
+    is paid per record that can be paid per distinct key or per run."""
+    benchmarks = os.path.join(os.path.dirname(__file__), os.pardir,
+                              os.pardir, "benchmarks")
+    monkeypatch.syspath_prepend(benchmarks)
+    monkeypatch.syspath_prepend(os.path.join(benchmarks, "e14"))
+    workload = importlib.import_module("workloads").KeyedWindow()
+    events = workload.generate(0, 0.05)
+
+    calls = {"fnv1a": 0, "map": 0, "filter": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(partition, "_fnv1a",
+                        counting("fnv1a", partition._fnv1a))
+    monkeypatch.setattr(MapOperator, "process",
+                        counting("map", MapOperator.process))
+    monkeypatch.setattr(FilterOperator, "process",
+                        counting("filter", FilterOperator.process))
+    partition._TEXT_DIGESTS.clear()
+
+    job = workload.build(events, str(tmp_path))
+    assert job.env.config.batch_size > 1
+    job.env.execute()
+    score = workload.score(job, workload.expect(events), 0.0, 0.0)
+    assert score.attempted > 100 and score.failed == 0
+    assert 0 < calls["fnv1a"] <= len({event.user for event in events})
+    assert calls["map"] == calls["filter"] == 0

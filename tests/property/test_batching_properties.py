@@ -16,6 +16,11 @@ from hypothesis import strategies as st
 from repro.api.environment import Environment
 from repro.runtime.engine import EngineConfig
 from repro.testing.oracles import run_streaming_windows
+from tests.integration.test_batched_execution import (
+    GENERATORS,
+    drive_source_task,
+    source_chain,
+)
 
 
 @st.composite
@@ -79,6 +84,34 @@ def test_watermark_boundaries_preserved_in_windows(elements, batch_size):
         elements, assigner, "sum", ooo_bound=8, parallelism=1,
         config=EngineConfig(batch_size=batch_size,
                             checkpoint_interval_ms=5))
+    assert batched == scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements=keyed_streams(),
+       batch_size=st.integers(min_value=2, max_value=64),
+       elements_per_step=st.integers(min_value=1, max_value=40),
+       barrier_steps=st.sets(st.integers(min_value=0, max_value=40),
+                             max_size=6),
+       generator=st.sampled_from(sorted(GENERATORS)),
+       poll_every=st.sampled_from([1, 7]),
+       suffix=st.sampled_from(["none", "map-filter", "flat-map",
+                               "drops-runs"]))
+def test_source_chain_element_sequence_is_the_scalar_one(
+        elements, batch_size, elements_per_step, barrier_steps, generator,
+        poll_every, suffix):
+    """``source -> timestamps/watermarks -> map -> filter -> key_by``:
+    the watermark operator takes each source burst as a run and the
+    stateless suffix is applied once per run as it leaves the task, yet
+    each output channel carries the records, watermarks and barriers of
+    the record-at-a-time execution, in the same order."""
+    elements = [("k%d" % k, value, ts) for k, value, ts in elements]
+    scalar, _, _ = drive_source_task(
+        source_chain(elements, generator, poll_every, suffix), 1,
+        elements_per_step=elements_per_step, barrier_steps=barrier_steps)
+    batched, _, _ = drive_source_task(
+        source_chain(elements, generator, poll_every, suffix), batch_size,
+        elements_per_step=elements_per_step, barrier_steps=barrier_steps)
     assert batched == scalar
 
 

@@ -2,11 +2,15 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from repro.runtime import partition
 from repro.runtime.elements import Record
 from repro.runtime.partition import (
     BroadcastPartitioner,
@@ -121,6 +125,120 @@ class TestHashKeyCrossInterpreter:
         keys = eval(_KEY_BATTERY_SRC)  # same literal the children use
         local = [hash_key(k) for k in keys]
         assert local == _hash_battery_in_subprocess("99")
+
+
+def _loop_fnv1a(data):
+    """FNV-1a written out again: the reference the memo is held to."""
+    value = 0xCBF29CE484222325
+    for byte in data:
+        value = ((value ^ byte) * 0x100000001B3) % 2**64
+    return value
+
+
+def _unmemoised_hash_key(key):
+    """``hash_key`` as documented, with nothing remembered between
+    calls (NaN and None digests are read from the module: they are
+    constants, not computations)."""
+    if key is None:
+        return partition._NONE_DIGEST
+    if isinstance(key, str):
+        return _loop_fnv1a(key.encode("utf-8"))
+    if isinstance(key, bytes):
+        return _loop_fnv1a(key)
+    if isinstance(key, (bool, int)):
+        return int(key) % 2**64
+    if isinstance(key, float):
+        if key != key:
+            return partition._NAN_DIGEST
+        if key not in (float("inf"), float("-inf")) and key.is_integer():
+            return int(key) % 2**64
+        return _loop_fnv1a(struct.pack("<d", key))
+    if isinstance(key, tuple):
+        value = 0x345678
+        for part in key:
+            value = ((value * 1000003) ^ _unmemoised_hash_key(part)) % 2**64
+        return value
+    return hash(key)
+
+
+class Tag(str):
+    """A ``str`` subclass: hashed like its text, never remembered."""
+
+
+@pytest.fixture
+def empty_memo():
+    partition._TEXT_DIGESTS.clear()
+    yield partition._TEXT_DIGESTS
+    partition._TEXT_DIGESTS.clear()
+
+
+class TestTextDigestMemo:
+    """``str``/``bytes`` digests are computed once per distinct key; the
+    memo may change what a digest costs, never what it is."""
+
+    def test_memoised_digests_equal_the_unmemoised_ones(self, empty_memo):
+        keys = eval(_KEY_BATTERY_SRC) + [Tag("user-42"), ("user-42", Tag("x"))]
+        expected = [_unmemoised_hash_key(key) for key in keys]
+        assert [hash_key(key) for key in keys] == expected   # misses
+        assert [hash_key(key) for key in keys] == expected   # hits
+        assert empty_memo, "no text key was remembered"
+
+    def test_text_is_hashed_once_per_distinct_key(self, empty_memo,
+                                                  monkeypatch):
+        loops = []
+        fnv1a = partition._fnv1a
+        monkeypatch.setattr(partition, "_fnv1a",
+                            lambda data: loops.append(data) or fnv1a(data))
+        keys = ["user-%d" % (index % 7) for index in range(100)]
+        digests = [hash_key(key) for key in keys]
+        assert len(loops) == 7
+        assert digests == [_loop_fnv1a(key.encode()) for key in keys]
+        # Through the tuple recursion as well.
+        hash_key(("user-3", b"user-3"))
+        assert loops[7:] == [b"user-3"]      # the bytes key is new
+
+    def test_str_and_bytes_of_the_same_content_do_not_alias(self, empty_memo):
+        assert hash_key("abc") == hash_key(b"abc") == _loop_fnv1a(b"abc")
+        assert hash_key("h\u00e9") == _loop_fnv1a("h\u00e9".encode("utf-8"))
+        assert set(map(type, empty_memo)) == {str, bytes}
+        assert len(empty_memo) == 3
+
+    def test_only_exact_types_are_remembered(self, empty_memo):
+        assert hash_key(Tag("abc")) == _loop_fnv1a(b"abc")
+        assert not empty_memo
+        hash_key("abc")
+        assert [type(key) for key in empty_memo] == [str]
+
+    def test_more_keys_than_the_bound(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(partition, "_TEXT_DIGESTS_BOUND", 64)
+        keys = ["key-%d" % index for index in range(1000)]
+        for _ in range(2):
+            for key in keys:
+                assert hash_key(key) == _loop_fnv1a(key.encode())
+                assert len(empty_memo) <= 64
+
+    def test_long_keys_are_not_held(self, empty_memo):
+        long_key = "k" * (partition._MEMOISED_TEXT_LEN + 1)
+        assert hash_key(long_key) == _loop_fnv1a(long_key.encode())
+        assert not empty_memo
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+    def test_equal_numbers_of_other_types_keep_their_digests(self, empty_memo,
+                                                             order):
+        # One dict key, not one digest -- today and with the memo: a
+        # route remembered per dict key would hand all three the digest
+        # of whichever arrived first.
+        halves = [0.5, Fraction(1, 2), Decimal("0.5")]
+        assert len({0.5: None, Fraction(1, 2): None,
+                    Decimal("0.5"): None}) == 1
+        expected = [_loop_fnv1a(struct.pack("<d", 0.5)),
+                    hash(Fraction(1, 2)), hash(Decimal("0.5"))]
+        assert expected[0] != expected[1]
+        got = {}
+        for index in order:
+            got[index] = hash_key(halves[index])
+        assert [got[index] for index in range(3)] == expected
+        assert not empty_memo
 
 
 class TestForward:
