@@ -147,14 +147,7 @@ class Environment:
                      name: str = "bounded-source") -> "DataSet":
         """Data at rest: a DataSet over an in-memory collection."""
         from repro.api.dataset import DataSet
-        materialised = list(values)
-        node = self.graph.new_node(
-            name,
-            operator_factory=lambda: IteratorSource(
-                lambda: materialised, name=name),
-            parallelism=self.parallelism, is_source=True)
-        node.source_spec = SourceSpec(lambda: materialised, False)
-        return DataSet(self, node)
+        return DataSet(self, self.from_collection(values, name=name).node)
 
     def read(self, values: Iterable[Any],
              name: str = "bounded-source") -> "DataSet":

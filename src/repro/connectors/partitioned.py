@@ -9,15 +9,17 @@ exactly what this source implements, making **end-to-end job rescaling**
 
 Each subtask owns partitions ``p`` with ``p % parallelism ==
 subtask_index`` and round-robins its reads across them; snapshots store
-``{partition: offset}`` and redistribute by the same ownership rule.
+``{partition: offset}`` (redistributed by the same ownership rule) and
+the round-robin position, so a replay interleaves as the first run did.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List
 
 from repro.runtime.operators import (
     OperatorContext,
+    ReplayCursor,
     SourceContext,
     SourceOperator,
 )
@@ -39,87 +41,63 @@ class PartitionedSource(SourceOperator):
         self.name = name
         self._factories = list(partition_factories)
         self._timestamped = timestamped
-        self._iterators: Dict[int, Any] = {}
-        self._offsets: Dict[int, int] = {}
-        self._exhausted: Dict[int, bool] = {}
-        self._owned: List[int] = []
-        self._next_owned = 0
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self._factories)
 
     def open(self, ctx: OperatorContext) -> None:
         super().open(ctx)
-        self._owned = [p for p in range(len(self._factories))
-                       if p % ctx.parallelism == ctx.subtask_index]
-        for partition in self._owned:
-            self._rewind(partition, self._offsets.get(partition, 0))
-
-    def _rewind(self, partition: int, offset: int) -> None:
-        iterator = iter(self._factories[partition]())
-        skipped = 0
-        exhausted = False
-        while skipped < offset:
-            try:
-                next(iterator)
-            except StopIteration:
-                exhausted = True
-                break
-            skipped += 1
-        self._iterators[partition] = iterator
-        self._offsets[partition] = skipped
-        self._exhausted[partition] = exhausted
+        #: ``{owned partition: its replay cursor}``, in partition order.
+        self._cursors: Dict[int, ReplayCursor] = {
+            partition: ReplayCursor(factory)
+            for partition, factory in enumerate(self._factories)
+            if partition % ctx.parallelism == ctx.subtask_index}
+        #: Round-robin position over the partitions still live.
+        self._turn = 0
 
     def emit_batch(self, source_ctx: SourceContext, max_records: int) -> bool:
-        emitted = 0
-        live = [p for p in self._owned if not self._exhausted.get(p, False)]
-        if not live:
-            return False
-        while emitted < max_records:
-            live = [p for p in self._owned
-                    if not self._exhausted.get(p, False)]
-            if not live:
-                break
-            partition = live[self._next_owned % len(live)]
-            self._next_owned += 1
-            try:
-                item = next(self._iterators[partition])
-            except StopIteration:
-                self._exhausted[partition] = True
-                continue
-            self._offsets[partition] += 1
-            emitted += 1
-            if self._timestamped:
-                value, timestamp = item
-                source_ctx.collect_with_timestamp(value, timestamp)
-            else:
-                source_ctx.collect(item)
-        return any(not self._exhausted.get(p, False) for p in self._owned)
+        live = [cursor for cursor in self._cursors.values()
+                if not cursor.exhausted]
+        run: List[Any] = []
+        while live and len(run) < max_records:
+            cursor = live[self._turn % len(live)]
+            self._turn += 1
+            run.extend(cursor.take(1))
+            if cursor.exhausted:
+                live.remove(cursor)
+        self._emit_run(source_ctx, run, self._timestamped)
+        return bool(live)
 
     # -- state -------------------------------------------------------------
 
     def snapshot_state(self) -> Any:
-        return {"offsets": {partition: self._offsets.get(partition, 0)
-                            for partition in self._owned}}
+        """Offsets per partition, plus what decides the interleaving --
+        whose turn it is and which partitions were already found drained
+        -- so a replay deals the partitions exactly as the first run."""
+        return {"offsets": {partition: cursor.offset
+                            for partition, cursor in self._cursors.items()},
+                "turn": self._turn,
+                "drained": [partition
+                            for partition, cursor in self._cursors.items()
+                            if cursor.exhausted]}
 
     def restore_state(self, state: Any) -> None:
+        self._turn = state["turn"]
         for partition, offset in state["offsets"].items():
-            if partition in self._owned:
-                self._rewind(partition, offset)
+            if partition in state["drained"]:   # marked, not re-read
+                self._cursors[partition].set_position(offset, exhausted=True)
+            else:
+                self._cursors[partition].rewind(offset)
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:
         """Partition offsets redistribute by partition ownership — the
-        one source kind that CAN rescale."""
-        offsets: Dict[int, int] = {}
-        for state in states:
-            if not state:
-                continue
-            for partition, offset in state["offsets"].items():
-                if partition % parallelism == subtask_index:
-                    offsets[partition] = offset
-        return {"offsets": offsets}
+        one source kind that CAN rescale.  The new subtask owns a
+        different set of partitions, so its turn starts over."""
+        states = [state for state in states if state]
+        offsets = {partition: offset for state in states
+                   for partition, offset in state["offsets"].items()
+                   if partition % parallelism == subtask_index}
+        drained = [partition for state in states
+                   for partition in state["drained"] if partition in offsets]
+        return {"offsets": offsets, "turn": 0, "drained": drained}
 
 
 def partition_round_robin(values: List[Any],
@@ -129,8 +107,5 @@ def partition_round_robin(values: List[Any],
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     materialised = list(values)
-    return [
-        (lambda p=p: [value for index, value in enumerate(materialised)
-                      if index % num_partitions == p])
-        for p in range(num_partitions)
-    ]
+    return [(lambda p=p: materialised[p::num_partitions])
+            for p in range(num_partitions)]

@@ -14,7 +14,12 @@ import json
 import os
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.runtime.operators import OperatorContext, SourceContext, SourceOperator
+from repro.runtime.operators import (
+    OperatorContext,
+    ReplayCursor,
+    SourceContext,
+    SourceOperator,
+)
 
 
 def _require_file(path: str, connector: str) -> None:
@@ -112,68 +117,6 @@ def throttled(factory: Callable[[], Iterable[Any]],
 # Hybrid history + stream source
 # ---------------------------------------------------------------------------
 
-_EXHAUSTED = object()
-
-
-class _SliceCursor:
-    """Offset bookkeeping for one side of a :class:`HybridSource`.
-
-    A replayable iterator sliced by ``index % parallelism ==
-    subtask_index`` (the same deterministic ownership rule as
-    ``IteratorSource``), with its own rewind so each side of the cutover
-    replays independently after recovery."""
-
-    __slots__ = ("_factory", "_iterator", "_global_index", "offset")
-
-    def __init__(self, factory: Callable[[], Iterable[Any]]) -> None:
-        self._factory = factory
-        self._iterator: Optional[Iterator[Any]] = None
-        self._global_index = 0
-        #: Elements of *this subtask's slice* already consumed
-        #: (emitted or filtered at the cutover) -- the replay position.
-        self.offset = 0
-
-    def start(self) -> None:
-        self._iterator = iter(self._factory())
-        self._global_index = 0
-        self.offset = 0
-
-    def next_owned(self, parallelism: int, subtask_index: int) -> Any:
-        if self._iterator is None:
-            self.start()
-        while True:
-            try:
-                value = next(self._iterator)
-            except StopIteration:
-                return _EXHAUSTED
-            index = self._global_index
-            self._global_index += 1
-            if index % parallelism == subtask_index:
-                self.offset += 1
-                return value
-
-    def rewind(self, offset: int, parallelism: int,
-               subtask_index: int) -> None:
-        self.start()
-        for _ in range(offset):
-            if self.next_owned(parallelism, subtask_index) is _EXHAUSTED:
-                break
-
-    def mark_consumed(self, offset: int) -> None:
-        """Record a fully-drained side without re-opening its iterator
-        (restoring into the stream phase never re-reads history)."""
-        self._iterator = iter(())
-        self._global_index = 0
-        self.offset = offset
-
-    def reset(self) -> None:
-        """Back to cold: the next ``next_owned`` re-creates the iterator
-        (restoring into the history phase leaves the stream side unread)."""
-        self._iterator = None
-        self._global_index = 0
-        self.offset = 0
-
-
 class HybridSource(SourceOperator):
     """History then stream as *one* source: the operator behind
     ``DataSet.then_stream`` and ``DataStream.with_history``.
@@ -228,12 +171,12 @@ class HybridSource(SourceOperator):
                 "a watermark-precise cutover needs event time on both "
                 "sides: pass timestamp_fn=..., or use timestamped sources")
         self.name = name
-        self._history = _SliceCursor(history_factory)
-        self._stream = _SliceCursor(stream_factory)
+        self._factories = {"history": history_factory,
+                           "stream": stream_factory}
+        self._timestamped = {"history": history_timestamped,
+                             "stream": stream_timestamped}
         self._cutover = cutover
         self._timestamp_fn = timestamp_fn
-        self._history_timestamped = history_timestamped
-        self._stream_timestamped = stream_timestamped
         self._history_burst = history_burst
         self._phase = "history"
         self._history_emitted = 0
@@ -244,9 +187,8 @@ class HybridSource(SourceOperator):
         #: Re-emit the seam watermark lazily after a stream-phase restore
         #: (downstream watermark progress was reset with the channels).
         self._cutover_pending = False
-        #: Read by ``Task._step_source``: sources may scale the per-step
-        #: record budget.  Elevated while draining the bounded prefix,
-        #: reset to 1 at the seam so live records flow at stream cadence.
+        #: Elevated while draining the bounded prefix, reset to 1 at
+        #: the seam so live records flow at stream cadence.
         self.source_burst_factor = history_burst
         #: Wired by the task (watermark-emitting chain-operator protocol,
         #: shared with ``TimestampsAndWatermarksOperator``).
@@ -256,22 +198,38 @@ class HybridSource(SourceOperator):
 
     def open(self, ctx: OperatorContext) -> None:
         super().open(ctx)
+        #: One replay cursor per side, dealt by the same stride as
+        #: ``IteratorSource``; each rewinds independently after recovery.
+        self._cursors = {
+            side: ReplayCursor(factory, ctx.subtask_index, ctx.parallelism)
+            for side, factory in self._factories.items()}
         metrics = ctx.metrics
-        self._m_history = metrics.counter("hybrid_history_emitted")
-        self._m_stream = metrics.counter("hybrid_stream_emitted")
-        self._m_history_skipped = metrics.counter("hybrid_history_skipped")
-        self._m_stream_skipped = metrics.counter("hybrid_stream_skipped")
+        self._meters = {
+            name: metrics.counter("hybrid_" + name)
+            for name in ("history_emitted", "stream_emitted",
+                         "history_skipped", "stream_skipped")}
         self._m_replayed = metrics.counter("hybrid_replayed_records")
         self._m_cutover = metrics.gauge("hybrid_cutover_watermark")
 
     # -- emission -------------------------------------------------------
 
-    def _event_time(self, value: Any, record_ts: Optional[int]) -> Optional[int]:
-        if record_ts is not None:
-            return record_ts
-        if self._timestamp_fn is not None:
-            return self._timestamp_fn(value)
-        return None
+    def _survivors(self, chunk: List[Any], side: str) -> List[Any]:
+        """The cutover rule: history keeps event times ``<= T``, the
+        stream keeps ``> T``; an element without event time stays."""
+        cutover = self._cutover
+        if cutover is None:
+            return chunk
+        timestamp_fn = self._timestamp_fn
+        timestamped = self._timestamped[side]
+        history = side == "history"
+        kept = []
+        for item in chunk:
+            event_ts = item[1] if timestamped else None
+            if event_ts is None and timestamp_fn is not None:
+                event_ts = timestamp_fn(item[0] if timestamped else item)
+            if event_ts is None or (event_ts <= cutover) == history:
+                kept.append(item)
+        return kept
 
     def _emit_seam_watermark(self) -> None:
         self._cutover_pending = False
@@ -281,104 +239,75 @@ class HybridSource(SourceOperator):
         if self.emit_watermark_fn is not None:
             self.emit_watermark_fn(self._cutover)
 
-    def _cross_seam(self) -> None:
-        self._phase = "stream"
-        self.source_burst_factor = 1
-        self._emit_seam_watermark()
-
     def emit_batch(self, source_ctx: SourceContext, max_records: int) -> bool:
-        ctx = self.ctx
-        assert ctx is not None
-        parallelism = ctx.parallelism
-        subtask = ctx.subtask_index
-        cutover = self._cutover
         if self._cutover_pending:
             self._emit_seam_watermark()
-        emitted = 0
-        while emitted < max_records:
-            if self._phase == "history":
-                item = self._history.next_owned(parallelism, subtask)
-                if item is _EXHAUSTED:
-                    self._cross_seam()
-                    continue
-                if self._history_timestamped:
-                    value, record_ts = item
-                else:
-                    value, record_ts = item, None
-                if cutover is not None:
-                    event_ts = self._event_time(value, record_ts)
-                    if event_ts is not None and event_ts > cutover:
-                        self._history_skipped += 1
-                        self._m_history_skipped.inc()
-                        continue
-                if record_ts is not None:
-                    source_ctx.collect_with_timestamp(value, record_ts)
-                else:
-                    source_ctx.collect(value)
-                self._history_emitted += 1
-                self._m_history.inc()
-                emitted += 1
+        owed = max_records
+        while owed:
+            side = self._phase
+            cursor = self._cursors[side]
+            # Take only what the step still owes, so the step consumes
+            # exactly the prefix that ends at its last emitted record.
+            chunk = cursor.take(owed)
+            run = self._survivors(chunk, side)
+            skipped = len(chunk) - len(run)
+            if side == "history":
+                self._history_skipped += skipped
+                self._history_emitted += len(run)
             else:
-                item = self._stream.next_owned(parallelism, subtask)
-                if item is _EXHAUSTED:
+                self._stream_skipped += skipped
+                self._stream_emitted += len(run)
+            self._meters[side + "_skipped"].inc(skipped)
+            self._meters[side + "_emitted"].inc(len(run))
+            owed -= len(run)
+            self._emit_run(source_ctx, run, self._timestamped[side])
+            if cursor.exhausted:
+                if side == "stream":
                     return False
-                if self._stream_timestamped:
-                    value, record_ts = item
-                else:
-                    value, record_ts = item, None
-                if cutover is not None:
-                    event_ts = self._event_time(value, record_ts)
-                    if event_ts is not None and event_ts <= cutover:
-                        self._stream_skipped += 1
-                        self._m_stream_skipped.inc()
-                        continue
-                if record_ts is not None:
-                    source_ctx.collect_with_timestamp(value, record_ts)
-                else:
-                    source_ctx.collect(value)
-                self._stream_emitted += 1
-                self._m_stream.inc()
-                emitted += 1
+                # The seam: every history record has left; the stream
+                # side takes over inside the same step.
+                self._phase = "stream"
+                self.source_burst_factor = 1
+                self._emit_seam_watermark()
         return True
 
     # -- checkpoints ----------------------------------------------------
 
+    def _counts(self) -> Dict[str, int]:
+        return {"history_emitted": self._history_emitted,
+                "history_skipped": self._history_skipped,
+                "stream_emitted": self._stream_emitted,
+                "stream_skipped": self._stream_skipped}
+
     def snapshot_state(self) -> Any:
-        return {
-            "phase": self._phase,
-            "history_offset": self._history.offset,
-            "stream_offset": self._stream.offset,
-            "history_emitted": self._history_emitted,
-            "stream_emitted": self._stream_emitted,
-            "history_skipped": self._history_skipped,
-            "stream_skipped": self._stream_skipped,
-        }
+        return {"phase": self._phase,
+                "history_offset": self._cursors["history"].offset,
+                "stream_offset": self._cursors["stream"].offset,
+                **self._counts()}
 
     def restore_state(self, state: Any) -> None:
-        assert self.ctx is not None, "restore before open"
-        parallelism = self.ctx.parallelism
-        subtask = self.ctx.subtask_index
-        consumed_now = self._history.offset + self._stream.offset
-        consumed_then = state["history_offset"] + state["stream_offset"]
-        if consumed_now > consumed_then:
+        history, stream = self._cursors["history"], self._cursors["stream"]
+        replayed = (history.offset + stream.offset
+                    - state["history_offset"] - state["stream_offset"])
+        if replayed > 0:
             # In-process recovery: everything past the restored offsets
             # will be re-read and re-emitted.
-            self._replayed += consumed_now - consumed_then
-            self._m_replayed.inc(consumed_now - consumed_then)
+            self._replayed += replayed
+            self._m_replayed.inc(replayed)
         self._phase = state["phase"]
         self._history_emitted = state["history_emitted"]
         self._stream_emitted = state["stream_emitted"]
         self._history_skipped = state["history_skipped"]
         self._stream_skipped = state["stream_skipped"]
         if self._phase == "history":
-            self._history.rewind(state["history_offset"], parallelism,
-                                 subtask)
-            self._stream.reset()
+            history.rewind(state["history_offset"])
+            stream.set_position(0)      # left unread until the seam
             self.source_burst_factor = self._history_burst
             self._cutover_pending = False
         else:
-            self._history.mark_consumed(state["history_offset"])
-            self._stream.rewind(state["stream_offset"], parallelism, subtask)
+            # Restoring past the seam never re-reads history.
+            history.set_position(state["history_offset"], exhausted=True)
+            stream.rewind(state["stream_offset"])
             self.source_burst_factor = 1
             self._cutover_pending = self._cutover is not None
 
@@ -387,12 +316,5 @@ class HybridSource(SourceOperator):
     def cutover_report(self) -> Dict[str, Any]:
         """The gauges ``Engine.job_report()`` folds into its ``cutover``
         section."""
-        return {
-            "phase": self._phase,
-            "cutover": self._cutover,
-            "history_emitted": self._history_emitted,
-            "history_skipped": self._history_skipped,
-            "stream_emitted": self._stream_emitted,
-            "stream_skipped": self._stream_skipped,
-            "replayed_records": self._replayed,
-        }
+        return {"phase": self._phase, "cutover": self._cutover,
+                **self._counts(), "replayed_records": self._replayed}

@@ -122,22 +122,20 @@ class RuntimeObservability:
 
     # -- round hook --------------------------------------------------------
 
-    def on_round(self, rounds: int) -> None:
-        """Per-round accounting; called by the engine after stepping."""
-        engine = self.engine
-        tick = engine.config.tick_ms
-        if tick:
-            for task in engine.tasks:
-                if task.finished or task.failed is not None:
-                    continue
-                if task.has_output_capacity:
-                    continue
-                # Output at capacity while there is (or will be) input:
-                # the task is stalled by backpressure, not idle.
-                if task.is_source or any(not channel.is_empty
-                                         for channel, _ in task.inputs):
-                    key = "%s.%d" % (task.vertex_name, task.subtask_index)
-                    self.stall_ms[key] = self.stall_ms.get(key, 0) + tick
+    def on_round(self, rounds: int, tick_ms: int) -> None:
+        """Per-round accounting; called by the engine after stepping
+        round ``rounds``, which took ``tick_ms`` of simulated time."""
+        for task in self.engine.tasks:
+            if task.finished or task.failed is not None:
+                continue
+            if task.has_output_capacity:
+                continue
+            # Output at capacity while there is (or will be) input:
+            # the task is stalled by backpressure, not idle.
+            if task.is_source or any(not channel.is_empty
+                                     for channel, _ in task.inputs):
+                key = "%s.%d" % (task.vertex_name, task.subtask_index)
+                self.stall_ms[key] = self.stall_ms.get(key, 0) + tick_ms
         if rounds % self.config.sample_interval_rounds == 0:
             self.sample()
 

@@ -95,11 +95,6 @@ class Channel:
         self.size += weight
         self.polled -= weight
 
-    def peek(self) -> Optional[StreamElement]:
-        if self.blocked or not self._queue:
-            return None
-        return self._queue[0]
-
     @property
     def is_empty(self) -> bool:
         return not self._queue

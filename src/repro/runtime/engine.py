@@ -96,7 +96,6 @@ class EngineConfig:
                  elements_per_step: int = 32,
                  batch_size: Optional[int] = None,
                  operator_profiling: bool = False,
-                 tick_ms: int = 1,
                  checkpoint_interval_ms: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  heartbeat_interval_ms: Optional[int] = 25,
@@ -151,7 +150,6 @@ class EngineConfig:
                 ("channel_capacity", channel_capacity, 1),
                 ("elements_per_step", elements_per_step, 1),
                 ("batch_size", batch_size, 1),
-                ("tick_ms", tick_ms, 0),
                 ("checkpoint_interval_ms", checkpoint_interval_ms, 1),
                 ("checkpoint_timeout_ms", checkpoint_timeout_ms, 1),
                 ("heartbeat_interval_ms", heartbeat_interval_ms, 1),
@@ -194,7 +192,6 @@ class EngineConfig:
         #: from :meth:`Engine.operator_stats` after execution.  Disables
         #: chain fusion so the counters stay exact per operator.
         self.operator_profiling = operator_profiling
-        self.tick_ms = tick_ms
         self.checkpoint_interval_ms = checkpoint_interval_ms
         #: When set, the checkpoint coordinator of either backend
         #: persists every sealed checkpoint under this directory as
@@ -276,10 +273,6 @@ def _unknown_options_message(unknown: Dict[str, Any]) -> str:
         parts.append("%r%s" % (name, hint))
     return ("EngineConfig got unknown option(s): %s; known options: %s"
             % (", ".join(parts), ", ".join(known)))
-
-
-#: Public alias: the fluent API docs talk about "execution config".
-ExecutionConfig = EngineConfig
 
 
 class JobFailedError(Exception):
@@ -568,7 +561,7 @@ class Engine:
         experiment E9)."""
         from repro.runtime.partition import hash_key
         for vertex_id, subtasks in self._tasks_by_vertex.items():
-            names = self._operator_names(vertex_id)
+            names = self.job_graph.vertices[vertex_id].names
             if operator_name not in names:
                 continue
             position = names.index(operator_name)
@@ -583,44 +576,18 @@ class Engine:
 
     # -- savepoints --------------------------------------------------------
 
-    def _operator_names(self, vertex_id: int) -> List[str]:
-        return self.job_graph.vertices[vertex_id].names
-
     def create_savepoint(self) -> "Savepoint":
         """Package the latest completed checkpoint as a savepoint that a
         new execution of the same program (possibly at different
         parallelism) can restore. State is keyed by operator *name*, so
         the program must use unique operator names."""
-        from repro.state.savepoint import OperatorSnapshot, Savepoint
+        from repro.state.savepoint import savepoint_from_completed
         latest = self.checkpoint_store.latest
         if latest is None:
             raise JobFailedError(
                 "no completed checkpoint to derive a savepoint from")
-        all_names = [name for vertex in self.job_graph.vertices.values()
-                     for name in vertex.names]
-        duplicates = {name for name in all_names
-                      if all_names.count(name) > 1}
-        if duplicates:
-            raise JobFailedError(
-                "savepoints need unique operator names; duplicated: %r "
-                "(pass name=... to the fluent API)" % sorted(duplicates))
-        operators: Dict[str, List[OperatorSnapshot]] = {}
-        for vertex_id, subtasks in self._tasks_by_vertex.items():
-            names = self._operator_names(vertex_id)
-            for task in subtasks:
-                snapshot = latest.snapshot_for(task.subtask_id)
-                if snapshot is None:
-                    raise JobFailedError(
-                        "checkpoint %d lacks a snapshot for %r"
-                        % (latest.checkpoint_id, task.subtask_id))
-                for position, name in enumerate(names):
-                    key = str(position)
-                    operators.setdefault(name, []).append(OperatorSnapshot(
-                        task.subtask_index,
-                        snapshot.keyed_state.get(key, {}),
-                        snapshot.operator_state.get(key),
-                        snapshot.timers.get(key, {})))
-        return Savepoint(operators, latest.checkpoint_id)
+        return savepoint_from_completed(latest, self.job_graph,
+                                        JobFailedError)
 
     def restore_from_savepoint(self, savepoint: "Savepoint") -> None:
         """Initialise this (fresh) engine's state from a savepoint taken
@@ -635,7 +602,7 @@ class Engine:
         from repro.runtime.operators import SourceOperator
         from repro.state.savepoint import merge_keyed_state, merge_timers
         for vertex_id, subtasks in self._tasks_by_vertex.items():
-            names = self._operator_names(vertex_id)
+            names = self.job_graph.vertices[vertex_id].names
             parallelism = len(subtasks)
             for position, name in enumerate(names):
                 snapshots = savepoint.snapshots_for(name)
@@ -645,11 +612,8 @@ class Engine:
                         "(available: %r)" % (name,
                                              savepoint.operator_names()))
                 operator = subtasks[0].chain[position].operator
-                is_source = isinstance(operator, SourceOperator)
-                if is_source and getattr(operator, "rescalable_source",
-                                         False):
-                    is_source = False  # partition-owning sources rescale
-                if is_source:
+                if (isinstance(operator, SourceOperator)
+                        and not operator.rescalable_source):
                     if len(snapshots) != parallelism:
                         raise JobFailedError(
                             "source operator %r cannot rescale (%d -> %d)"
@@ -707,6 +671,10 @@ class Engine:
              for chained in task.chain),
             default=MAX_TIMESTAMP)
 
+    #: Simulated milliseconds per scheduler round -- the clock every
+    #: timer, timeout and observability duration runs on.
+    _TICK_MS = 1
+
     def _run_round(self, rounds: int,
                    coordinator: Optional[CheckpointCoordinator] = None,
                    moved: bool = False) -> bool:
@@ -718,7 +686,7 @@ class Engine:
         clock to the next processing-time timer.  Returns whether the
         round got anywhere."""
         progressed = self._step_tasks(rounds) or moved
-        self.clock.advance(self.config.tick_ms)
+        self.clock.advance(self._TICK_MS)
         now = self.clock.now()
         for task in self.tasks:
             task.on_processing_time(now)
@@ -728,7 +696,7 @@ class Engine:
             if failure is not None:
                 self._handle_failure(JobFailedError(failure))
         if self.observability is not None:
-            self.observability.on_round(rounds + 1)
+            self.observability.on_round(rounds + 1, self._TICK_MS)
         if progressed:
             return True
         next_timer = self._next_processing_timer()

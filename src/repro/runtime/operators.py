@@ -270,9 +270,6 @@ class SourceContext:
         emission chain."""
         self._ctx.emit_records([Record(value, None) for value in values])
 
-    def collect_with_timestamp(self, value: Any, timestamp: int) -> None:
-        self._ctx.emit_record(Record(value, timestamp))
-
     def collect_batch_with_timestamps(
             self, pairs: Iterable[Tuple[Any, int]]) -> None:
         """Emit a run of ``(value, timestamp)`` pairs in one call: the
@@ -296,6 +293,9 @@ class SourceOperator(Operator):
 
     name = "source"
     rescalable_source = False
+    #: Multiplies the task's per-step record budget (``HybridSource``
+    #: raises it while it drains its bounded prefix).
+    source_burst_factor = 1
 
     def emit_batch(self, source_ctx: SourceContext, max_records: int) -> bool:
         """Emit up to ``max_records``; return False when exhausted."""
@@ -303,6 +303,65 @@ class SourceOperator(Operator):
 
     def process(self, record: Record) -> None:
         raise RuntimeError("sources have no inputs")
+
+    @staticmethod
+    def _emit_run(source_ctx: SourceContext, run: List[Any],
+                  timestamped: bool) -> None:
+        """Hand one step's elements to the chain as a single run."""
+        if run and timestamped:
+            source_ctx.collect_batch_with_timestamps(run)
+        elif run:
+            source_ctx.collect_batch(run)
+
+
+class ReplayCursor:
+    """A replayable input: the one place a source iterable is
+    re-created, dealt out by stride and skipped to an offset.
+
+    ``factory`` returns a fresh iterable on every call; the cursor owns
+    the elements with ``index % step == start`` (an
+    :func:`itertools.islice` stride, so foreign elements are skipped at
+    C speed) and counts the owned elements taken in ``offset`` -- the
+    position a source checkpoints.  A cursor is cold until its first
+    :meth:`take` or :meth:`rewind`: building one never calls the factory.
+    """
+
+    def __init__(self, factory: Callable[[], Iterable[Any]],
+                 start: int = 0, step: int = 1) -> None:
+        self._factory = factory
+        self._start = start
+        self._step = step
+        self.set_position(0)
+
+    def set_position(self, offset: int, exhausted: bool = False) -> None:
+        """Stand at ``offset`` without reading anything: an ``exhausted``
+        cursor is never opened again (a drained input is not re-read on
+        restore), any other is opened and skipped forward by its next
+        :meth:`take`."""
+        self._iterator: Optional[Any] = None
+        self.offset = offset
+        self.exhausted = exhausted
+
+    def rewind(self, offset: int) -> None:
+        """Re-create the iterable and skip the first ``offset`` owned
+        elements.  A replay shorter than that (shrunk input) clamps the
+        offset to what was there and leaves the cursor exhausted."""
+        self._iterator = islice(iter(self._factory()),
+                                self._start, None, self._step)
+        self.offset = sum(1 for _ in islice(self._iterator, offset))
+        self.exhausted = self.offset < offset
+
+    def take(self, n: int) -> List[Any]:
+        """The next up-to-``n`` owned elements; a chunk shorter than
+        ``n`` means the input ended (``exhausted``)."""
+        if self.exhausted:
+            return []
+        if self._iterator is None:
+            self.rewind(self.offset)
+        chunk = list(islice(self._iterator, n))
+        self.offset += len(chunk)
+        self.exhausted = len(chunk) < n
+        return chunk
 
 
 class IteratorSource(SourceOperator):
@@ -321,45 +380,22 @@ class IteratorSource(SourceOperator):
         self.name = name
         self._factory = iterable_factory
         self._timestamped = timestamped
-        self._iterator: Optional[Any] = None
-        self._offset = 0          # elements of *this subtask* already emitted
 
     def open(self, ctx: OperatorContext) -> None:
         super().open(ctx)
-        self._rewind(self._offset)
-
-    def _rewind(self, offset: int) -> None:
-        """Recreate the iterator and skip this subtask's first ``offset``
-        elements (exactly-once replay after recovery).
-
-        Ownership dealing (``index % parallelism == subtask_index``) is
-        an :func:`itertools.islice` stride, so the three-out-of-four
-        elements a subtask does NOT own are skipped at C speed instead
-        of through a Python modulo loop."""
-        assert self.ctx is not None
-        self._iterator = islice(iter(self._factory()),
-                                self.ctx.subtask_index, None,
-                                self.ctx.parallelism)
-        # Discard the replayed prefix; count what was actually there so
-        # a too-short replay (shrunk collection) clamps the offset.
-        self._offset = sum(1 for _ in islice(self._iterator, offset))
+        self._cursor = ReplayCursor(self._factory, ctx.subtask_index,
+                                    ctx.parallelism)
 
     def emit_batch(self, source_ctx: SourceContext, max_records: int) -> bool:
-        chunk = list(islice(self._iterator, max_records))
-        if not chunk:
-            return False
-        self._offset += len(chunk)
-        if self._timestamped:
-            source_ctx.collect_batch_with_timestamps(chunk)
-        else:
-            source_ctx.collect_batch(chunk)
-        return len(chunk) == max_records
+        self._emit_run(source_ctx, self._cursor.take(max_records),
+                       self._timestamped)
+        return not self._cursor.exhausted
 
     def snapshot_state(self) -> Any:
-        return {"offset": self._offset}
+        return {"offset": self._cursor.offset}
 
     def restore_state(self, state: Any) -> None:
-        self._rewind(state["offset"])
+        self._cursor.rewind(state["offset"])
 
 
 # ---------------------------------------------------------------------------

@@ -617,15 +617,15 @@ class Task:
             # The cut is taken; the step's record budget is still spent
             # below.  Returning here would starve the source for good
             # once a checkpoint is triggered every scheduler round
-            # (``checkpoint_interval_ms <= tick_ms``).
+            # (``checkpoint_interval_ms=1``, the round's tick).
         operator = self.chain[0].operator
         # Sources may scale the per-step record budget: a hybrid source
         # drains its bounded history prefix at an elevated burst so the
         # data-at-rest phase runs through the batched path at batch
         # cadence, then drops back to 1 at the cutover.
-        burst = getattr(operator, "source_burst_factor", 1)
-        more = operator.emit_batch(self._source_ctx,
-                                   self.elements_per_step * max(1, burst))
+        more = operator.emit_batch(
+            self._source_ctx,
+            self.elements_per_step * operator.source_burst_factor)
         if not more:
             self._finish_task()
         return True

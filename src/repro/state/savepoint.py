@@ -65,6 +65,40 @@ class Savepoint:
             self.checkpoint_id, len(self.operators))
 
 
+def savepoint_from_completed(completed: Any, job_graph: Any,
+                             error: type) -> Savepoint:
+    """Repackage one completed checkpoint's per-vertex task snapshots
+    as per-operator savepoint state for ``job_graph`` (chain positions
+    map back to operator names through its vertices).  Raises
+    ``error`` -- the caller's exception type -- on duplicate operator
+    names or a subtask the checkpoint does not cover."""
+    all_names = [name for vertex in job_graph.vertices.values()
+                 for name in vertex.names]
+    duplicates = {name for name in all_names if all_names.count(name) > 1}
+    if duplicates:
+        raise error(
+            "savepoints need unique operator names; duplicated: %r "
+            "(pass name=... to the fluent API)" % sorted(duplicates))
+    operators: Dict[str, List[OperatorSnapshot]] = {}
+    for vertex_id, vertex in sorted(job_graph.vertices.items()):
+        for index in range(vertex.parallelism):
+            subtask_id = ("%d-%s" % (vertex_id, vertex.name), index)
+            snapshot = completed.snapshot_for(subtask_id)
+            if snapshot is None:
+                raise error(
+                    "checkpoint %d lacks a snapshot for %r -- was it "
+                    "written by a different program or parallelism?"
+                    % (completed.checkpoint_id, subtask_id))
+            for position, name in enumerate(vertex.names):
+                key = str(position)
+                operators.setdefault(name, []).append(OperatorSnapshot(
+                    index,
+                    snapshot.keyed_state.get(key, {}),
+                    snapshot.operator_state.get(key),
+                    snapshot.timers.get(key, {})))
+    return Savepoint(operators, completed.checkpoint_id)
+
+
 def merge_keyed_state(snapshots: List[OperatorSnapshot],
                       subtask_index: int,
                       parallelism: int) -> Dict[str, Dict[Any, Any]]:

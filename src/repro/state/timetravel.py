@@ -23,10 +23,10 @@ from its job graph to map chain positions back to operator names.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.state.durable import DurableCheckpointStore
-from repro.state.savepoint import OperatorSnapshot, Savepoint
+from repro.state.savepoint import Savepoint, savepoint_from_completed
 
 
 class TimeTravelError(Exception):
@@ -66,32 +66,4 @@ def savepoint_from_checkpoint(checkpoint_dir: str, program,
         if completed is None:
             raise TimeTravelError(
                 "no verified checkpoint in %r" % checkpoint_dir)
-
-    all_names = [name for vertex in job_graph.vertices.values()
-                 for name in vertex.names]
-    duplicates = {name for name in all_names if all_names.count(name) > 1}
-    if duplicates:
-        raise TimeTravelError(
-            "time-travel restore needs unique operator names; "
-            "duplicated: %r (pass name=... to the fluent API)"
-            % sorted(duplicates))
-
-    operators: Dict[str, List[OperatorSnapshot]] = {}
-    for vertex_id in sorted(job_graph.vertices):
-        vertex = job_graph.vertices[vertex_id]
-        for index in range(vertex.parallelism):
-            subtask_id = ("%d-%s" % (vertex_id, vertex.name), index)
-            snapshot = completed.snapshot_for(subtask_id)
-            if snapshot is None:
-                raise TimeTravelError(
-                    "checkpoint %d lacks a snapshot for %r -- was it "
-                    "written by a different program or parallelism?"
-                    % (completed.checkpoint_id, subtask_id))
-            for position, name in enumerate(vertex.names):
-                key = str(position)
-                operators.setdefault(name, []).append(OperatorSnapshot(
-                    index,
-                    snapshot.keyed_state.get(key, {}),
-                    snapshot.operator_state.get(key),
-                    snapshot.timers.get(key, {})))
-    return Savepoint(operators, completed.checkpoint_id)
+    return savepoint_from_completed(completed, job_graph, TimeTravelError)

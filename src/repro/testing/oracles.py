@@ -57,6 +57,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.environment import Environment
+from repro.connectors.partitioned import partition_round_robin
 from repro.cutty.baselines import applicable_strategies, build_strategy
 from repro.runtime.engine import EngineConfig
 from repro.testing import reference
@@ -318,10 +319,18 @@ class _ValueProjectingAggregate:
 
 
 def _watermarked(env, elements: List[tuple], bound: int,
-                 rebalance: bool = False):
+                 rebalance: bool = False, partitions: int = 0):
     strategy = WatermarkStrategy.for_bounded_out_of_orderness(
         lambda element: element[2], bound)
-    stream = env.from_collection(elements)
+    if partitions:
+        # Dealt and read round-robin, every subtask sees a subsequence
+        # of the stream in order -- if a replay resumes the interleaving
+        # where the cut left it.  Were the turn not restored, replayed
+        # records would swap places and some would arrive late.
+        stream = env.from_partitioned_source(
+            partition_round_robin(elements, partitions))
+    else:
+        stream = env.from_collection(elements)
     if rebalance:
         # Round-robin exchange ahead of the stateful watermark operator:
         # exercises the RebalancePartitioner cursor in the checkpoint
@@ -347,13 +356,13 @@ def run_streaming_windows(elements: List[tuple],
                           aggregate_name: str, ooo_bound: int,
                           parallelism: int = 2,
                           config: Optional[EngineConfig] = None,
-                          rebalance: bool = False,
+                          rebalance: bool = False, partitions: int = 0,
                           ) -> Tuple[Dict[Tuple[Any, int, int], Any], Any]:
     """One streaming window job; returns (results dict, JobResult)."""
     env = Environment(parallelism=parallelism,
                                      config=config or EngineConfig())
     collected = (_watermarked(env, elements, ooo_bound + 2,
-                              rebalance=rebalance)
+                              rebalance=rebalance, partitions=partitions)
                  .window(make_assigner(assigner_params))
                  .aggregate(_ValueProjectingAggregate(
                      make_aggregate(aggregate_name)))
@@ -514,19 +523,27 @@ class ReplayOracle(Oracle):
             # Half the cases route through a round-robin exchange so the
             # RebalancePartitioner cursor is part of the replayed cut.
             "rebalance": rng.choice([False, True]),
+            # Or the stream is read back from three partitions, so the
+            # source's interleaving is part of the replayed cut.
+            "partitions": rng.choice([0, 3]),
         }
+        if params["rebalance"]:
+            # Not both: subtasks that own two partitions and one drift
+            # apart, and the exchange would mix them past any bound.
+            params["partitions"] = 0
         return Case(self.name, root_seed, index, params,
                     generate_elements(rng, profile))
 
     def check(self, case: Case) -> Optional[str]:
         params = case.params
-        rebalance = params.get("rebalance", False)
+        source = dict(rebalance=params.get("rebalance", False),
+                      partitions=params.get("partitions", 0))
         clean_config = EngineConfig(checkpoint_interval_ms=5,
                                     elements_per_step=4)
         clean, clean_job = run_streaming_windows(
             list(case.stream), params["assigner"], params["aggregate"],
             params["ooo_bound"], params["parallelism"], clean_config,
-            rebalance=rebalance)
+            **source)
 
         at_round = max(5, int(clean_job.rounds * params["crash_fraction"]))
         hook = make_crash_once_hook(min_checkpoints=1, at_round=at_round)
@@ -536,7 +553,7 @@ class ReplayOracle(Oracle):
         replayed, _ = run_streaming_windows(
             list(case.stream), params["assigner"], params["aggregate"],
             params["ooo_bound"], params["parallelism"], crash_config,
-            rebalance=rebalance)
+            **source)
 
         clean_set = set(clean.items())
         replay_set = set(replayed.items())

@@ -118,10 +118,6 @@ class TimerService:
                                 namespace: Hashable = None) -> None:
         self.event_time.delete(timestamp, key, namespace)
 
-    def delete_processing_time_timer(self, timestamp: int, key: Any,
-                                     namespace: Hashable = None) -> None:
-        self.processing_time.delete(timestamp, key, namespace)
-
     def snapshot(self) -> dict:
         return {
             "event_time": self.event_time.snapshot(),

@@ -17,10 +17,11 @@ import random
 import pytest
 
 from repro.api.environment import Environment
+from repro.connectors.partitioned import PartitionedSource
 from repro.connectors.sources import HybridSource
 from repro.metrics import MetricGroup
 from repro.runtime.channels import Channel
-from repro.runtime.engine import EngineConfig, ExecutionConfig
+from repro.runtime.engine import EngineConfig
 from repro.runtime.operators import (
     FilterOperator,
     FlatMapOperator,
@@ -128,9 +129,6 @@ class TestBatchedScalarEquivalence:
             elements, assigner, "sum", ooo_bound=10,
             parallelism=1, config=EngineConfig(batch_size=32))
         assert batched == scalar
-
-    def test_execution_config_is_engine_config(self):
-        assert ExecutionConfig is EngineConfig
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("batch_size", [1, 64])
@@ -332,11 +330,14 @@ def channel_elements(channel):
 
 def drive_source_task(operators, batch_size, elements_per_step=8,
                       barrier_steps=(), channels=2, restore=None,
-                      operator_profiling=False):
+                      operator_profiling=False, recover_at=()):
     """Step one hand-built source task to its end with a hash edge of
     ``channels`` channels behind it; a checkpoint is pending at the
-    start of every step in ``barrier_steps``.  Returns the per-channel
-    element sequences, the snapshots by checkpoint id, and the task."""
+    start of every step in ``barrier_steps``, and at the start of every
+    step in ``recover_at`` the task is restored in place from its latest
+    snapshot (what ``Engine.recover`` does to it; the channels keep what
+    already left).  Returns the per-channel element sequences, the
+    snapshots by checkpoint id, and the task."""
     task = Task("source", 0, 0, 1, operators, ManualClock(),
                 MetricGroup("test"), elements_per_step=elements_per_step,
                 batch_size=batch_size,
@@ -352,6 +353,9 @@ def drive_source_task(operators, batch_size, elements_per_step=8,
         task.restore(restore)
     step = 0
     while not task.finished:
+        if step in recover_at:
+            task.reset_progress()
+            task.restore(snapshots[max(snapshots)])
         if step in barrier_steps:
             task.pending_checkpoint = step + 1
         task.step()
@@ -492,6 +496,162 @@ class TestSourceChainElementSequence:
 
         assert counts(64) == counts(1)
         assert counts(1)[1][1:] == (200, 200)
+
+
+# -- every replayable source emits runs --------------------------------------------
+
+
+def record_count(elements):
+    return sum(kind == "record" for kind, *_ in elements)
+
+
+def behind_barrier(channel, checkpoint_id):
+    """What followed the barrier on this channel, later barriers aside."""
+    return [element for element in
+            channel[channel.index(("barrier", checkpoint_id)) + 1:]
+            if element[0] != "barrier"]
+
+
+class TestPartitionedSourceRuns:
+    """``PartitionedSource`` deals one element per turn but hands the
+    step's records over as one run; the interleaving and the cut are
+    those of the scalar run."""
+
+    SIZES = (13, 90, 41)        # partitions drain at different steps
+
+    def operators(self, watermarks=True):
+        rng = rng_for(ROOT, "partitioned-runs")
+        partitions = [keyed_elements(rng, size) for size in self.SIZES]
+        chain = [PartitionedSource([(lambda part=part: part)
+                                    for part in partitions])]
+        if watermarks:
+            chain.append(TimestampsAndWatermarksOperator(
+                GENERATORS["bounded"](), poll_every=7))
+        return chain + [MapOperator(lambda v: (v[0], v[1] * 2, v[2]))]
+
+    def test_sequence_parity_with_a_recovery(self):
+        barriers = (0, 2, 5, 9)
+        scalar, _, _ = drive_source_task(
+            self.operators(), 1, barrier_steps=barriers, recover_at=(7, 12))
+        assert sum(map(record_count, scalar)) > sum(self.SIZES)  # replayed
+        for batch_size in (2, 5, 64):
+            batched, _, task = drive_source_task(
+                self.operators(), batch_size, barrier_steps=barriers,
+                recover_at=(7, 12))
+            assert task._suffix_fn is not None
+            assert batched == scalar
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_restore_deals_the_partitions_as_the_first_run_did(
+            self, batch_size):
+        """The later barriers are cut with the short partition drained
+        and the turn mid-cycle: a task restored from any of them emits
+        exactly what the first one emitted behind the barrier, in the
+        same order.  (No watermark operator: a restored generator
+        starts over, and the partitions' event times lie far apart.)"""
+        whole, snapshots, _ = drive_source_task(
+            self.operators(watermarks=False), batch_size,
+            barrier_steps=(1, 6, 9))
+        assert [state.operator_state["0"]["drained"]
+                for _, state in sorted(snapshots.items())] == [[], [0], [0]]
+        assert snapshots[10].operator_state["0"]["turn"] % 2 == 1
+        for checkpoint_id, state in snapshots.items():
+            resumed, _, _ = drive_source_task(
+                self.operators(watermarks=False), batch_size, restore=state)
+            for before, after in zip(whole, resumed):
+                assert after == behind_barrier(before, checkpoint_id)
+
+
+class TestHybridSourceRuns:
+    """Both sides of a ``HybridSource`` leave as runs: whole chunks
+    dropped at the cutover, the seam crossed mid-step at the history
+    burst, a restore into either phase -- element for element, counter
+    for counter what the scalar run does."""
+
+    CUTOVER = 99
+    BURST = 4                   # 32 records per history step
+
+    @staticmethod
+    def stamped(timestamps):
+        return [("k%d" % (ts % 4), ts, ts) for ts in timestamps]
+
+    def operators(self):
+        # History: 50 records, a stretch of 80 beyond the cutover (two
+        # and a half step budgets, skipped whole), 50 more -- the seam
+        # falls 4 records into the fourth step.  Stream: 30 records at
+        # or below the cutover (skipped whole), then 150 live ones.
+        history = self.stamped(list(range(50)) + list(range(100, 180))
+                               + list(range(50, 100)))
+        live = self.stamped(list(range(70, 100)) + list(range(100, 250)))
+        return [HybridSource(lambda: history, lambda: live,
+                             cutover=self.CUTOVER,
+                             timestamp_fn=lambda value: value[2],
+                             history_burst=self.BURST),
+                MapOperator(lambda v: (v[0], v[1] * 2, v[2]))]
+
+    BARRIERS = (0, 2, 3, 4, 9)
+
+    def test_sequence_and_counter_parity(self):
+        runs = {}
+        for batch_size in (1, 5, 64):
+            channels, _, task = drive_source_task(
+                self.operators(), batch_size, barrier_steps=self.BARRIERS,
+                recover_at=(3, 7))
+            runs[batch_size] = (channels,
+                                task.chain[0].operator.cutover_report())
+        assert runs[5] == runs[1] and runs[64] == runs[1]
+        # The crash at step 3 re-reads step 2 (32 history records); the
+        # one at step 7 re-reads steps 4..6 behind barrier 5: history's
+        # last 4, the 58 stream elements the seam step read, 8 and 8.
+        assert runs[1][1] == dict(
+            phase="stream", cutover=self.CUTOVER, history_emitted=100,
+            history_skipped=80, stream_emitted=150, stream_skipped=30,
+            replayed_records=32 + 4 + 58 + 8 + 8)
+
+    def test_a_step_emits_its_budget_and_crosses_the_seam_inside_it(self):
+        channels, snapshots, _ = drive_source_task(
+            self.operators(), 64, barrier_steps=self.BARRIERS)
+        for checkpoint_id, emitted in ((1, 0), (3, 64), (4, 96), (5, 128),
+                                       (10, 128 + 5 * 8)):
+            assert sum(record_count(channel[:channel.index(
+                ("barrier", checkpoint_id))]) for channel in channels
+                ) == emitted
+        # Step 3 took history's last 4 records, sent the seam watermark
+        # and filled the rest of its 32 from the stream side: it read
+        # through the 30 skipped stream records to do so.
+        at_seam = snapshots[5].operator_state["0"]
+        assert at_seam["phase"] == "stream"
+        assert (at_seam["history_offset"], at_seam["stream_offset"]) == (
+            180, 30 + 28)
+        for channel in channels:
+            seam = channel.index(("watermark", self.CUTOVER))
+            assert all(element[1][2] <= self.CUTOVER
+                       for element in channel[:seam]
+                       if element[0] == "record")
+            assert all(element[1][2] > self.CUTOVER
+                       for element in channel[seam:]
+                       if element[0] == "record")
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_restore_into_each_phase(self, batch_size):
+        whole, snapshots, _ = drive_source_task(
+            self.operators(), batch_size, barrier_steps=self.BARRIERS)
+        phases = set()
+        for checkpoint_id, state in snapshots.items():
+            phase = state.operator_state["0"]["phase"]
+            phases.add(phase)
+            resumed, _, task = drive_source_task(
+                self.operators(), batch_size, restore=state)
+            # Restored past the seam, the source re-sends the seam
+            # watermark before its first record.
+            lead = [("watermark", self.CUTOVER)] * (phase == "stream")
+            for before, after in zip(whole, resumed):
+                assert after == lead + behind_barrier(before, checkpoint_id)
+            assert task.chain[0].operator.cutover_report() == dict(
+                phase="stream", cutover=self.CUTOVER, history_emitted=100,
+                history_skipped=80, stream_emitted=150, stream_skipped=30,
+                replayed_records=0)
+        assert phases == {"history", "stream"}
 
 
 # -- what the flagship job's source chain costs ---------------------------------

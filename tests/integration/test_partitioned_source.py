@@ -8,7 +8,9 @@ from repro.connectors.partitioned import (
     PartitionedSource,
     partition_round_robin,
 )
+from repro.connectors.sinks import TransactionalJsonlFileSink
 from repro.runtime.engine import EngineConfig
+from repro.testing.oracles import make_crash_once_hook
 
 KEYS = 5
 DATA = [("k%d" % (index % KEYS), 1) for index in range(3000)]
@@ -84,6 +86,49 @@ class TestRecovery:
         for key, running in result.get():
             finals[key] = max(finals.get(key, 0), running)
         assert finals == true_counts()
+
+
+class TestReplayInterleaving:
+    """A replay must deal the partitions in the order of the first run:
+    the round-robin position and the partitions already found drained
+    are part of the cut, like the ``RebalancePartitioner`` cursor."""
+
+    SIZES = (50, 300, 250)      # uneven: partitions drain mid-run
+
+    def _committed(self, path, batch_size, elements_per_step,
+                   failure_hook=None):
+        partitions = [
+            (lambda p=p, size=size: [p * 1000 + i for i in range(size)])
+            for p, size in enumerate(self.SIZES)]
+        env = Environment(
+            parallelism=1,
+            config=EngineConfig(checkpoint_interval_ms=5,
+                                batch_size=batch_size,
+                                elements_per_step=elements_per_step,
+                                failure_hook=failure_hook))
+        (env.from_partitioned_source(partitions)
+         .map(lambda v: {"v": v})
+         .add_sink(TransactionalJsonlFileSink(str(path))))
+        job = env.execute()
+        return path.read_bytes(), job
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_crash_sweep_is_byte_identical_to_the_unfaulted_run(
+            self, tmp_path, batch_size):
+        for elements_per_step in (4, 5, 7, 8):
+            clean, _ = self._committed(tmp_path / "clean", batch_size,
+                                       elements_per_step)
+            assert len(clean.splitlines()) == sum(self.SIZES)
+            for at_round in (20, 23, 31, 38, 45):
+                hook = make_crash_once_hook(1, at_round)
+                replayed, job = self._committed(
+                    tmp_path / "replayed", batch_size, elements_per_step,
+                    failure_hook=hook)
+                assert hook.state["fired"] and job.recoveries == 1
+                assert replayed == clean, (
+                    "replay dealt the partitions differently "
+                    "(elements_per_step=%d, crash at round %d)"
+                    % (elements_per_step, at_round))
 
 
 class TestFullJobRescaling:

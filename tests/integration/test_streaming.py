@@ -276,7 +276,7 @@ def test_backpressure_small_channels_still_complete():
 def test_processing_time_windows_fire_via_simulated_clock():
     from repro.windowing import TumblingProcessingTimeWindows
     env = Environment(
-        config=EngineConfig(elements_per_step=1, tick_ms=1))
+        config=EngineConfig(elements_per_step=1))
     result = (env.from_collection(range(50))
               .key_by(lambda v: 0)
               .window(TumblingProcessingTimeWindows.of(5))

@@ -91,15 +91,14 @@ def test_churning_keys_leave_no_state_or_timers_behind():
 
 
 def test_source_is_not_starved_by_a_checkpoint_every_round():
-    """``checkpoint_interval_ms <= tick_ms``: each checkpoint completes
+    """``checkpoint_interval_ms`` of one round: each checkpoint completes
     in the round its barrier is sent, so the next one is triggered at
     once and the source starts every step with a barrier."""
     elements = [("k%d" % (i % 5), i, i) for i in range(600)]
     _, expected = keyed_tumbling_job(elements, 100)
     env, rows = keyed_tumbling_job(
         elements, 100,
-        config=EngineConfig(tick_ms=1, checkpoint_interval_ms=1,
-                            max_rounds=2000))
+        config=EngineConfig(checkpoint_interval_ms=1, max_rounds=2000))
     assert rows == expected
     assert env.last_engine.job_report()["checkpoints"]["completed"] >= 5
 
