@@ -30,7 +30,7 @@ class FlatFAT:
     """Aggregate tree over a sliding range of absolute leaf indices."""
 
     def __init__(self, aggregate: AggregateFunction,
-                 initial_capacity: int = 8) -> None:
+                 initial_capacity: int = 8, front: int = 0) -> None:
         if initial_capacity < 2:
             raise ValueError("capacity must be at least 2")
         capacity = 1
@@ -40,8 +40,10 @@ class FlatFAT:
         self._capacity = capacity
         # tree[1] is the root; leaves occupy tree[capacity : 2 * capacity].
         self._tree: List[Optional[Any]] = [None] * (2 * capacity)
-        self._front = 0  # absolute index of the oldest live leaf
-        self._back = 0   # absolute index one past the newest live leaf
+        # A tree rebuilt from a snapshot starts where the snapshotted one
+        # stood: absolute indices below ``front`` were evicted long ago.
+        self._front = front  # absolute index of the oldest live leaf
+        self._back = front   # absolute index one past the newest live leaf
 
     # -- introspection ------------------------------------------------------
 
@@ -77,10 +79,11 @@ class FlatFAT:
         return self._aggregate.merge(left, right)
 
     def _update_path(self, slot: int) -> None:
+        tree = self._tree
+        combine = self._combine
         node = slot // 2
         while node >= 1:
-            self._tree[node] = self._combine(self._tree[2 * node],
-                                             self._tree[2 * node + 1])
+            tree[node] = combine(tree[2 * node], tree[2 * node + 1])
             node //= 2
 
     def _grow(self) -> None:
@@ -124,6 +127,16 @@ class FlatFAT:
                              % (absolute_index, self._front, self._back))
         return self._tree[self._slot(absolute_index)]
 
+    def leaves(self) -> List[Any]:
+        """The live leaves, oldest first (the ring unrolled)."""
+        first = self._slot(self._front)
+        last = first + self.size
+        wrapped = last - 2 * self._capacity
+        if wrapped <= 0:
+            return self._tree[first:last]
+        return (self._tree[first:]
+                + self._tree[self._capacity:self._capacity + wrapped])
+
     def evict_front(self, new_front: int) -> None:
         """Drop all leaves with absolute index < ``new_front``."""
         if new_front <= self._front:
@@ -158,20 +171,22 @@ class FlatFAT:
     def _query_slots(self, lo: int, hi: int) -> Optional[Any]:
         """Standard iterative segment-tree range combine over physical
         leaf positions ``[lo, hi]``, left-to-right."""
+        tree = self._tree
+        combine = self._combine
         left_acc: Optional[Any] = None
         right_acc: Optional[Any] = None
         left = self._capacity + lo
         right = self._capacity + hi + 1
         while left < right:
             if left & 1:
-                left_acc = self._combine(left_acc, self._tree[left])
+                left_acc = combine(left_acc, tree[left])
                 left += 1
             if right & 1:
                 right -= 1
-                right_acc = self._combine(self._tree[right], right_acc)
+                right_acc = combine(tree[right], right_acc)
             left //= 2
             right //= 2
-        return self._combine(left_acc, right_acc)
+        return combine(left_acc, right_acc)
 
     def query_all(self) -> Optional[Any]:
         return self.query(self._front, self._back)

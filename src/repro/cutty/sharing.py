@@ -21,10 +21,17 @@ therefore ``combine(closed slices in range, open partial)``.
 Eviction is driven by the registered-start bookkeeping: a slice older
 than every query's oldest pending window start can never be queried
 again and is dropped from the tree.
+
+What an element costs does not grow with the number of queries unless
+it crosses one of their boundaries: a spec's ``on_time`` is asked only
+once the element's timestamp reaches the spec's ``_horizon``, the
+element hooks only of specs that define them, and the eviction horizon
+is recomputed only when a boundary moved it.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -67,6 +74,12 @@ class SharedCuttyAggregator:
         self._aggregate = InstrumentedAggregate(aggregate, self.counter)
         self._queries = {query_id: _QueryState(spec)
                          for query_id, spec in queries.items()}
+        # Which hooks each query defines, in query order (a hook left at
+        # the WindowSpec default reports nothing and is never called).
+        self._on_time, self._before, self._after = (
+            [(query_id, spec) for query_id, spec in queries.items()
+             if getattr(type(spec), hook) is not getattr(WindowSpec, hook)]
+            for hook in ("on_time", "before_element", "after_element"))
         self._tree = FlatFAT(self._aggregate, initial_tree_capacity)
         self._open_partial: Any = None
         self._open_count = 0
@@ -97,40 +110,55 @@ class SharedCuttyAggregator:
         self.counter.records.inc()
         results: List[CuttyResult] = []
         seq = self._seq
-        self._seq += 1
+        self._seq = seq + 1
         if self.max_timestamp_seen is None or ts > self.max_timestamp_seen:
             self.max_timestamp_seen = ts
+        # Slices and pending starts change only where a boundary is
+        # applied; between two boundaries the eviction horizon stands.
+        moved = False
 
-        # 1. Time-driven boundaries up to ts, globally ordered across
-        #    queries; begins sort before ends at equal points.
-        timed: List[Tuple[Any, int, Any, Tuple]] = []
-        for query_id, state in self._queries.items():
-            for event in state.spec.on_time(ts):
-                timed.append((event[1], 0 if event[0] == "begin" else 1,
-                              query_id, event))
-        timed.sort(key=lambda item: (item[0], item[1]))
-        for _, _, query_id, event in timed:
-            self._apply_event(query_id, event, results)
+        # 1. Time-driven boundaries up to ts of the queries that have
+        #    one due, globally ordered across queries; begins sort
+        #    before ends at equal points.
+        timed: List[Tuple[Any, int, int, Any, Tuple]] = []
+        for query_id, spec in self._on_time:
+            horizon = spec._horizon
+            if horizon is None or ts >= horizon:
+                for event in spec.on_time(ts):
+                    # (point, begin-before-end, arrival): a total order,
+                    # so the sort never compares ids or events.
+                    timed.append((event[1], 0 if event[0] == "begin" else 1,
+                                  len(timed), query_id, event))
+        if timed:
+            moved = True
+            if len(timed) > 1:
+                timed.sort()
+            for _, _, _, query_id, event in timed:
+                self._apply_event(query_id, event, results)
 
         # 2. Element-driven boundaries that exclude/include this element
         #    by construction of the spec (punctuation ends, count begins).
-        for query_id, state in self._queries.items():
-            for event in state.spec.before_element(value, ts, seq):
+        for query_id, spec in self._before:
+            for event in spec.before_element(value, ts, seq):
                 self._apply_event(query_id, event, results)
+                moved = True
 
         # 3. The element itself: exactly one lift, into the open slice.
         if self._open_count == 0:
             self._open_partial = self._aggregate.create_accumulator()
+            moved = True  # the open slice starts counting as live
         self._open_partial = self._aggregate.add(value, self._open_partial)
         self._open_count += 1
 
         # 4. Boundaries that include this element (count-window ends).
-        for query_id, state in self._queries.items():
-            for event in state.spec.after_element(value, ts, seq):
+        for query_id, spec in self._after:
+            for event in spec.after_element(value, ts, seq):
                 self._apply_event(query_id, event, results)
+                moved = True
 
-        self._evict()
-        self.counter.partials.set(self.live_slices)
+        if moved:
+            self._evict()
+            self.counter.partials.set(self.live_slices)
         return results
 
     def insert_many(self, items) -> List[CuttyResult]:
@@ -186,19 +214,20 @@ class SharedCuttyAggregator:
 
     def _on_end(self, query_id: Any, start_id: Any,
                 window: Tuple[Any, Any], results: List[CuttyResult]) -> None:
-        state = self._queries[query_id]
-        start_abs = state.pending.pop(start_id, None)
+        tree = self._tree
+        start_abs = self._queries[query_id].pending.pop(start_id, None)
         if start_abs is None:
             # A window whose begin predates this aggregator (e.g. resumed
             # state); serve it from everything retained.
-            start_abs = self._tree.front_index
-        combines_before = self.counter.combines.value
-        partial = self._tree.query(start_abs, self._tree.back_index)
+            start_abs = tree.front_index
+        combines = self.counter.combines
+        combines_before = combines.value
+        partial = tree.query(start_abs, tree.back_index)
         if self._open_count > 0:
             partial = (self._open_partial if partial is None
                        else self._aggregate.merge(partial, self._open_partial))
         per_query = self.query_stats[query_id]
-        per_query["combines"] += self.counter.combines.value - combines_before
+        per_query["combines"] += combines.value - combines_before
         if partial is None:
             return  # empty window: nothing to emit (matches the operator)
         value = self._aggregate.get_result(partial)
@@ -221,45 +250,45 @@ class SharedCuttyAggregator:
     # -- state (for the runtime operator's checkpoints) ---------------------------------
 
     def snapshot(self) -> dict:
-        import copy
-        return copy.deepcopy({
+        """What a checkpoint holds of this aggregator.  Closed slices
+        are shared with the live tree, not copied: a leaf is never
+        written again (FlatFAT's contract -- ``merge`` must not mutate
+        its arguments).  The open partial is copied because ``add`` may
+        mutate it in place; specs contribute their position only."""
+        tree = self._tree
+        return {
             "seq": self._seq,
             "max_ts": self.max_timestamp_seen,
-            "open_partial": self._open_partial,
+            "open_partial": copy.deepcopy(self._open_partial),
             "open_count": self._open_count,
             "pending": {qid: list(state.pending.items())
                         for qid, state in self._queries.items()},
-            "query_stats": self.query_stats,
-            "specs": {qid: state.spec.__dict__
+            "query_stats": {qid: dict(stats)
+                            for qid, stats in self.query_stats.items()},
+            "specs": {qid: state.spec._position()
                       for qid, state in self._queries.items()},
-            "slices": [(index, self._tree.get(index))
-                       for index in range(self._tree.front_index,
-                                          self._tree.back_index)],
-            "front": self._tree.front_index,
-            "back": self._tree.back_index,
-        })
+            "slices": tree.leaves(),
+            "front": tree.front_index,
+            "capacity": tree.capacity,
+        }
 
     def restore(self, snapshot: dict) -> None:
-        import copy
-        snapshot = copy.deepcopy(snapshot)
         self._seq = snapshot["seq"]
         self.max_timestamp_seen = snapshot["max_ts"]
-        self._open_partial = snapshot["open_partial"]
+        # The same snapshot may be restored again after the next failure.
+        self._open_partial = copy.deepcopy(snapshot["open_partial"])
         self._open_count = snapshot["open_count"]
         for query_id, state in self._queries.items():
             state.pending = OrderedDict(snapshot["pending"][query_id])
-            state.spec.__dict__.update(snapshot["specs"][query_id])
-        self.query_stats = snapshot.get(
-            "query_stats",
-            {query_id: {"results": 0, "combines": 0}
-             for query_id in self._queries})
-        self._tree = FlatFAT(self._aggregate)
-        # Rebuild the tree preserving absolute indices.
-        for _ in range(snapshot["front"]):
-            self._tree.append(None)
-        for _, partial in snapshot["slices"]:
+            state.spec._seek(snapshot["specs"][query_id])
+        self.query_stats = {qid: dict(stats) for qid, stats
+                            in snapshot["query_stats"].items()}
+        # Same capacity and absolute indices, hence the same leaf slots
+        # and the same combines per range query as the tree snapshotted.
+        self._tree = FlatFAT(self._aggregate, snapshot["capacity"],
+                             front=snapshot["front"])
+        for partial in snapshot["slices"]:
             self._tree.append(partial)
-        self._tree.evict_front(snapshot["front"])
 
 
 class CuttyAggregator(SharedCuttyAggregator):

@@ -27,6 +27,17 @@ makes slicing correct on in-order streams):
 
 ``flush`` emits whatever should fire at end-of-stream, mirroring the
 MAX-watermark flush of the standard window operator.
+
+Two protected attributes tell the aggregator what it may skip and what
+a checkpoint holds (``docs/cutty.md``, "The horizon contract"):
+
+* ``_horizon`` -- ``on_time(ts)`` returns nothing while ``ts <
+  _horizon``; ``None`` (the default) promises nothing, so the hook is
+  called for every element;
+* ``_cursor`` -- the names of the instance attributes that make up the
+  spec's *position* in the stream.  Constructor arguments (sizes, gaps,
+  callables) are not position: a restored spec is built by its factory
+  and then moved to the position.
 """
 
 from __future__ import annotations
@@ -51,6 +62,25 @@ class WindowSpec:
 
     #: True when Pairs/Panes-style periodic slicing could also express this.
     is_periodic = False
+
+    #: ``on_time(ts)`` has nothing to report while ``ts < _horizon``; a
+    #: spec that keeps it refreshes it wherever its position moves and
+    #: lists it in ``_cursor``.  ``None``: always ask.
+    _horizon: Optional[int] = None
+
+    #: Instance attributes a checkpoint holds of this spec.  ``None``
+    #: (a spec that declares nothing): every instance attribute.
+    _cursor: Optional[Tuple[str, ...]] = None
+
+    def _position(self) -> dict:
+        """The spec's position, for a checkpoint.  Values are shared,
+        not copied: a cursor field is replaced, never mutated."""
+        if self._cursor is None:
+            return dict(self.__dict__)
+        return {name: getattr(self, name) for name in self._cursor}
+
+    def _seek(self, position: dict) -> None:
+        self.__dict__.update(position)
 
     def on_time(self, ts: int) -> List[BoundaryEvent]:
         return []
@@ -81,6 +111,7 @@ class PeriodicWindows(WindowSpec):
     """
 
     is_periodic = True
+    _cursor = ("_next_begin", "_next_end_start", "_horizon")
 
     def __init__(self, size: int, slide: Optional[int] = None) -> None:
         if size <= 0:
@@ -93,33 +124,35 @@ class PeriodicWindows(WindowSpec):
         self._next_begin: Optional[int] = None
         self._next_end_start: Optional[int] = None
 
-    def _initialise(self, ts: int) -> List[BoundaryEvent]:
-        # Windows containing the first element: starts in (ts-size, ts].
-        earliest = ((ts - self.size) // self.slide + 1) * self.slide
-        current = ts - (ts % self.slide)
-        events = [begin(start, start)
-                  for start in range(earliest, current + 1, self.slide)]
-        self._next_begin = current + self.slide
-        self._next_end_start = earliest
-        return events
-
     def on_time(self, ts: int) -> List[BoundaryEvent]:
-        if self._next_begin is None:
-            events = self._initialise(ts)
-        else:
-            events = []
-            while self._next_begin <= ts:
-                events.append(begin(self._next_begin, self._next_begin))
-                self._next_begin += self.slide
-        while self._next_end_start + self.size <= ts:
-            start = self._next_end_start
-            events.append(end(start + self.size, start,
-                              (start, start + self.size)))
-            self._next_end_start += self.slide
-        events.sort(key=lambda event: (event[1], event[0] != "begin"))
+        size, slide = self.size, self.slide
+        next_begin = self._next_begin
+        if next_begin is None:
+            # Windows containing the first element: starts in (ts-size, ts].
+            next_begin = ((ts - size) // slide + 1) * slide
+            self._next_end_start = next_begin
+        next_end = self._next_end_start + size
+        # Begins and ends are each ascending; merge them in (point,
+        # begin-before-end) order.
+        events = []
+        while True:
+            if next_begin <= ts and next_begin <= next_end:
+                events.append(begin(next_begin, next_begin))
+                next_begin += slide
+            elif next_end <= ts:
+                events.append(end(next_end, next_end - size,
+                                  (next_end - size, next_end)))
+                next_end += slide
+            else:
+                break
+        self._next_begin = next_begin
+        self._next_end_start = next_end - size
+        self._horizon = min(next_begin, next_end)
         return events
 
     def flush(self, max_ts: int) -> List[BoundaryEvent]:
+        # Moves only the end cursor forward: the horizon stays a lower
+        # bound (too early costs one empty on_time call, never an event).
         if self._next_end_start is None:
             return []
         events = []
@@ -149,6 +182,8 @@ class SessionWindows(WindowSpec):
     the class of windows Pairs/Panes cannot slice and Cutty can.
     """
 
+    _cursor = ("_session_start", "_last_ts", "_horizon")
+
     def __init__(self, gap: int) -> None:
         if gap <= 0:
             raise ValueError("session gap must be positive")
@@ -171,6 +206,8 @@ class SessionWindows(WindowSpec):
 
     def after_element(self, value: Any, ts: int, seq: int) -> List[BoundaryEvent]:
         self._last_ts = ts
+        # The session closes at the first element *past* this point.
+        self._horizon = ts + self.gap
         return []
 
     def flush(self, max_ts: int) -> List[BoundaryEvent]:
@@ -180,6 +217,7 @@ class SessionWindows(WindowSpec):
         events = [end(close, self._session_start,
                       (self._session_start, close))]
         self._session_start = None
+        self._horizon = None  # the next element opens a session
         return events
 
     def __repr__(self) -> str:
@@ -191,6 +229,8 @@ class CountWindows(WindowSpec):
     tuples.  Boundaries are driven by element sequence numbers, with
     window identities reported in the count domain ``(start_seq,
     end_seq_exclusive)``."""
+
+    _cursor = ()  # boundaries are a function of seq alone
 
     def __init__(self, size: int, slide: Optional[int] = None) -> None:
         if size <= 0:
@@ -233,6 +273,8 @@ class DeltaWindows(WindowSpec):
 
     ``value_fn`` extracts the numeric measure from the record.
     """
+
+    _cursor = ("_window_start", "_opening_value", "_last_ts")
 
     def __init__(self, delta: float,
                  value_fn: Callable[[Any], float] = float) -> None:
@@ -279,6 +321,8 @@ class PunctuationWindows(WindowSpec):
     """Windows delimited by data-driven punctuation marks: a new window
     begins at every element matching ``predicate`` (and at the first
     element); the previous window ends just before it."""
+
+    _cursor = ("_current_start", "_last_ts")
 
     def __init__(self, predicate: Callable[[Any], bool]) -> None:
         self.predicate = predicate

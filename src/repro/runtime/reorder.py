@@ -43,22 +43,29 @@ class WatermarkReorderOperator(Operator):
         heapq.heappush(self._heap, (record.timestamp, self._sequence,
                                     record.value, record.key))
         self._sequence += 1
-        self._buffered_gauge.set(len(self._heap))
 
     def on_watermark(self, timestamp: int) -> None:
-        while self._heap and self._heap[0][0] <= timestamp:
-            ts, _, value, key = heapq.heappop(self._heap)
-            self.ctx.emit_record(Record(value, ts, key))
-        self._buffered_gauge.set(len(self._heap))
+        # The heap only grows between two releases, so its size is read
+        # where it can peak (here, before the release) and where it falls.
+        heap = self._heap
+        self._buffered_gauge.set(len(heap))
+        emit_record = self.ctx.emit_record
+        while heap and heap[0][0] <= timestamp:
+            ts, _, value, key = heapq.heappop(heap)
+            emit_record(Record(value, ts, key))
+        self._buffered_gauge.set(len(heap))
 
     def finish(self) -> None:
         # The task advances the watermark to MAX before finish(), so the
         # heap is normally empty here; drain defensively anyway.
+        self._buffered_gauge.set(len(self._heap))
         while self._heap:
             ts, _, value, key = heapq.heappop(self._heap)
             self.ctx.emit_record(Record(value, ts, key))
+        self._buffered_gauge.set(0)
 
     def snapshot_state(self) -> Any:
+        self._buffered_gauge.set(len(self._heap))
         return {"heap": sorted(self._heap), "sequence": self._sequence}
 
     def restore_state(self, state: Any) -> None:

@@ -1,9 +1,25 @@
 """Integration: CuttyWindowOperator inside a full dataflow, compared
 against the standard WindowOperator on the same stream."""
 
+import copy
+import importlib
+import multiprocessing
+import os
+
+import pytest
+
 from repro.api import Environment
-from repro.cutty import CuttyWindowOperator, PeriodicWindows, SessionWindows
+from repro.cutty import (
+    CuttyWindowOperator,
+    DeltaWindows,
+    PeriodicWindows,
+    PunctuationWindows,
+    SessionWindows,
+)
+from repro.cutty.sharing import SharedCuttyAggregator
 from repro.metrics import AggregationCostCounter
+from repro.runtime.engine import EngineConfig
+from repro.time import WatermarkStrategy
 from repro.windowing import (
     CountAggregate,
     EventTimeSessionWindows,
@@ -131,3 +147,137 @@ class SumOfSecond:
 
     def retract(self, value, acc):
         return acc - value[1]
+
+
+# -- specs that hold a callable, on a durable checkpoint store ----------------
+
+
+def _run_callable_specs(**config):
+    """A DeltaWindows and a PunctuationWindows query, both built around
+    a lambda, next to a periodic one.  One source subtask keeps per-key
+    FIFO order; the Cutty operator runs at parallelism 2."""
+    data = [((i % 7, (i * 37) % 23), i) for i in range(6000)]
+    env = Environment(parallelism=2, config=EngineConfig(**config))
+    results = (
+        env.from_source(lambda: data, parallelism=1)
+        .assign_timestamps_and_watermarks(
+            WatermarkStrategy.for_monotonic_timestamps(lambda pair: pair[1]))
+        .map(lambda pair: pair[0])
+        .key_by(lambda event: event[0])
+        .shared_windows(SumOfSecond, {
+            "delta": lambda: DeltaWindows(5.0, value_fn=lambda e: e[1]),
+            "punctuation": lambda: PunctuationWindows(lambda e: e[1] == 0),
+            "periodic": lambda: PeriodicWindows(100)})
+        .collect())
+    job = env.execute()
+    return sorted(results.get()), job
+
+
+@pytest.mark.parametrize("backend", [
+    {},
+    pytest.param(
+        {"backend": "multiprocess", "num_workers": 2},
+        marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="multiprocess backend requires fork")),
+], ids=["cooperative", "two-workers"])
+def test_spec_holding_a_callable_takes_durable_checkpoints(tmp_path, backend):
+    """Constructor arguments are not state: a checkpoint holds a spec's
+    position, so a lambda in the spec never reaches pickle."""
+    expected, _ = _run_callable_specs()
+    assert {row.query_id for row in expected} == {
+        "delta", "punctuation", "periodic"}
+    rows, job = _run_callable_specs(checkpoint_interval_ms=5,
+                                    checkpoint_dir=str(tmp_path), **backend)
+    assert job.checkpoints_completed >= 2
+    assert rows == expected
+
+
+# -- what the benchmark's shared_windows program costs ------------------------
+
+
+def test_quick_shared_windows_pays_per_boundary_not_per_query(
+        monkeypatch, tmp_path):
+    """Counts, not wall clock, on the benchmark's own ``shared_windows``
+    program at its ``--quick`` size: spec hooks and eviction are paid
+    per boundary, a snapshot per key -- not per record x query."""
+    benchmarks = os.path.join(os.path.dirname(__file__), os.pardir,
+                              os.pardir, "benchmarks")
+    monkeypatch.syspath_prepend(benchmarks)
+    monkeypatch.syspath_prepend(os.path.join(benchmarks, "e14"))
+    workload = importlib.import_module("workloads").SharedWindows()
+    events = workload.generate(0, 0.05)
+    keys = len({event.user for event in events})
+    queries = len(workload.periodic) + len(workload.sessions)
+
+    calls = {"on_time": 0, "reporting": 0, "events": 0, "evict": 0,
+             "snapshots": 0}
+    copied = []
+    snapshotting = []
+
+    def counting_on_time(on_time):
+        def wrapper(self, ts):
+            found = on_time(self, ts)
+            calls["on_time"] += 1
+            calls["reporting"] += bool(found)
+            calls["events"] += len(found)
+            return found
+        return wrapper
+
+    for spec in (PeriodicWindows, SessionWindows):
+        monkeypatch.setattr(spec, "on_time", counting_on_time(spec.on_time))
+
+    evict = SharedCuttyAggregator._evict
+    snapshot_state = CuttyWindowOperator.snapshot_state
+    finish = CuttyWindowOperator.finish
+    deepcopy = copy.deepcopy
+
+    def counting_evict(self):
+        calls["evict"] += 1
+        return evict(self)
+
+    def counting_snapshot_state(self):
+        calls["snapshots"] += len(self._per_key)
+        snapshotting.append(True)
+        try:
+            return snapshot_state(self)
+        finally:
+            snapshotting.pop()
+
+    def recording_deepcopy(value, *args):
+        if snapshotting:
+            copied.append(value)
+        return deepcopy(value, *args)
+
+    def finish_after_snapshot(self):
+        # The --quick input ends before its first checkpoint is due:
+        # take one per subtask where the most state is live.
+        self.snapshot_state()
+        return finish(self)
+
+    monkeypatch.setattr(SharedCuttyAggregator, "_evict", counting_evict)
+    monkeypatch.setattr(CuttyWindowOperator, "snapshot_state",
+                        counting_snapshot_state)
+    monkeypatch.setattr(CuttyWindowOperator, "finish", finish_after_snapshot)
+    monkeypatch.setattr(copy, "deepcopy", recording_deepcopy)
+
+    job = workload.build(events, str(tmp_path))
+    job.env.execute()
+    score = workload.score(job, workload.expect(events), 0.0, 0.0)
+    assert score.attempted > 100 and score.failed == 0
+    assert calls["reporting"] > keys * queries
+    # An on_time call reports a boundary, or is one of the few that find
+    # the horizon early (a key's first element; an element landing
+    # exactly on a session's horizon).  Calls that report are at most
+    # the boundary events, so this implies the looser per-event bound.
+    assert calls["reporting"] <= calls["events"]
+    assert calls["on_time"] <= calls["reporting"] + queries * keys
+    # Eviction runs with the elements that applied a boundary.
+    assert calls["evict"] <= calls["reporting"] + keys
+    # A snapshot copies one thing per key, the open partial (a number
+    # here, None for an empty slice) -- never a container of slices or
+    # a spec's attributes.
+    assert calls["snapshots"] == keys
+    assert 0 < len(copied) <= calls["snapshots"]
+    assert all(value is None or isinstance(value, (int, float))
+               for value in copied)

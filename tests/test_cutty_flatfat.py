@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cutty.flatfat import FlatFAT
-from repro.windowing.aggregates import MaxAggregate, SumAggregate
+from repro.metrics import AggregationCostCounter
+from repro.windowing.aggregates import (
+    InstrumentedAggregate,
+    MaxAggregate,
+    SumAggregate,
+)
 
 
 class TestAppendQuery:
@@ -117,3 +122,54 @@ class TestBoundsAndErrors:
         tree.append("e")         # slot 0
         tree.append("f")         # slot 1 -> range [2, 6) wraps
         assert tree.query(2, 6) == "cdef"
+
+
+class TestStartingFront:
+    """A tree rebuilt from a snapshot starts at the snapshot's absolute
+    front instead of re-appending every leaf ever evicted."""
+
+    def test_front_offsets_absolute_indices(self):
+        tree = FlatFAT(SumAggregate(), 4, front=39_998)
+        assert (tree.front_index, tree.back_index, tree.size) == (
+            39_998, 39_998, 0)
+        assert [tree.append(v) for v in (7, 8)] == [39_998, 39_999]
+        assert tree.capacity == 4
+        assert tree.query(0, 10**6) == 15
+        assert tree.query(39_999, 40_000) == 8
+        with pytest.raises(IndexError):
+            tree.get(39_997)
+
+    def test_same_capacity_and_front_lay_out_the_same_tree(self):
+        # Leaf slots are index % capacity: a tree restarted at the
+        # original's front and capacity spends the same combines.
+        counter = AggregationCostCounter()
+        original = FlatFAT(InstrumentedAggregate(SumAggregate(), counter), 4)
+        for value in range(11):
+            original.append(value)
+        original.evict_front(6)
+        leaves = original.leaves()
+        assert leaves == [6, 7, 8, 9, 10]
+
+        rebuilt_counter = AggregationCostCounter()
+        rebuilt = FlatFAT(
+            InstrumentedAggregate(SumAggregate(), rebuilt_counter),
+            original.capacity, front=original.front_index)
+        for leaf in leaves:
+            rebuilt.append(leaf)
+        assert rebuilt.leaves() == leaves
+        for tree, cost in ((original, counter), (rebuilt, rebuilt_counter)):
+            cost.reset()
+            assert tree.query(7, 11) == 7 + 8 + 9 + 10
+        assert counter.combines.value == rebuilt_counter.combines.value
+
+    def test_leaves_unrolls_the_ring(self):
+        tree = FlatFAT(SumAggregate(), 4)
+        assert tree.leaves() == []
+        for value in "abcd":
+            tree.append(value)
+        assert tree.leaves() == list("abcd")
+        tree.evict_front(3)
+        tree.append("e")
+        tree.append("f")            # live d, e, f at slots 3, 0, 1
+        assert tree.leaves() == list("def")
+        assert tree.leaves() is not tree.leaves()

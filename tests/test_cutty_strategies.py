@@ -329,3 +329,46 @@ def test_snapshot_restore_roundtrip_mid_stream():
     for result in resumed.flush():
         results_before[(result.start, result.end)] = result.value
     assert results_before == reference_periodic(stream, 50, 10)
+
+
+def test_restore_appends_live_slices_not_every_slice_ever_cut(monkeypatch):
+    """Restore cost follows the state, not the age of the stream; and the
+    restored aggregator carries on exactly like the uninterrupted one."""
+    from repro.cutty.flatfat import FlatFAT
+
+    def specs():
+        return {"sliding": PeriodicWindows(50, 10),
+                "idle": SessionWindows(15)}
+
+    # Dense, with a pause every 97 elements so that sessions close (an
+    # open session pins every slice since its start).
+    stream = [(1, ts + 30 * (ts // 97)) for ts in range(20_000)]
+    head, tail = stream[:19_000], stream[19_000:]
+    original = SharedCuttyAggregator(SumAggregate(), specs())
+    for value, ts in head:
+        original.insert(value, ts)
+    snapshot = original.snapshot()
+    assert snapshot["front"] > 1_000       # an old stream ...
+    live = original.live_slices
+    assert live < 10                       # ... with little state
+
+    appends = []
+    append = FlatFAT.append
+    monkeypatch.setattr(
+        FlatFAT, "append",
+        lambda tree, partial: appends.append(partial) or append(tree, partial))
+    restored = SharedCuttyAggregator(SumAggregate(), specs())
+    restored.restore(snapshot)
+    assert len(appends) <= live
+    monkeypatch.undo()
+
+    assert restored.live_slices == live
+    emitted = []
+    for aggregator in (original, restored):
+        aggregator.counter.reset()
+        emitted.append([result for value, ts in tail
+                        for result in aggregator.insert(value, ts)]
+                       + aggregator.flush())
+    assert emitted[0] == emitted[1] != []
+    assert restored.counter.snapshot() == original.counter.snapshot()
+    assert restored.query_stats == original.query_stats

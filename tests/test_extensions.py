@@ -72,6 +72,33 @@ class TestWatermarkReorder:
         restored.on_watermark(10)
         assert [record.timestamp for record in emitted] == [5, 9]
 
+    def test_buffered_gauge_reads_peak_and_current_size(self):
+        """The gauge is set where the heap can peak or fall, not per
+        record: its high-water mark is still the true peak."""
+        from repro.metrics import Gauge
+        gauge = Gauge("reorder_buffered")
+
+        class _Ctx:
+            class metrics:
+                gauge = staticmethod(lambda name: gauge)
+            emit_record = staticmethod(lambda record: None)
+
+        operator = WatermarkReorderOperator()
+        operator.open(_Ctx())
+        for ts in (40, 10, 30, 20, 50):
+            operator.process(Record("v", ts))
+        operator.on_watermark(5)                 # releases nothing
+        assert (gauge.value, gauge.max_value) == (5, 5)
+        operator.on_watermark(30)
+        assert (gauge.value, gauge.max_value) == (2, 5)
+        for ts in (60, 70, 80, 90):
+            operator.process(Record("v", ts))
+        operator.snapshot_state()                # a checkpoint between releases
+        assert (gauge.value, gauge.max_value) == (6, 6)
+        operator.process(Record("v", 100))
+        operator.finish()
+        assert (gauge.value, gauge.max_value) == (0, 7)
+
 
 class TestSharedWindowsApi:
     def _events(self, n=300, seed=3, disorder=25):
