@@ -10,9 +10,9 @@ One :class:`Environment` hosts *both* kinds of programs:
 Both build nodes in the *same* :class:`~repro.plan.graph.StreamGraph` and
 execute on the *same* pipelined engine -- the STREAMLINE claim that one
 system serves both workloads, with batch being the special case of a
-stream that ends.  There is one :meth:`execute`, one place to hand in an
-:class:`~repro.runtime.engine.EngineConfig`, and one switch for the
-observability layer.
+stream that ends.  There is one :meth:`execute` and one place to hand in
+an :class:`~repro.runtime.engine.EngineConfig`, which also carries the
+switch for the observability layer.
 """
 
 from __future__ import annotations
@@ -47,30 +47,14 @@ class CollectResult:
 
 
 class Environment:
-    """Builds and runs dataflow programs, batch and streaming alike.
-
-    ``observability`` is a convenience pass-through to
-    ``EngineConfig(observability=...)`` -- handy when the default config
-    is otherwise fine.  It must not disagree with an explicit ``config``
-    that also sets observability.
-    """
+    """Builds and runs dataflow programs, batch and streaming alike."""
 
     def __init__(self, parallelism: int = 1,
                  config: Optional[EngineConfig] = None,
-                 chaining: bool = True, *,
-                 observability: Any = None) -> None:
+                 chaining: bool = True) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.parallelism = parallelism
-        if observability is not None:
-            if config is not None and config.observability is not None:
-                raise ValueError(
-                    "observability was set on both the Environment and "
-                    "its EngineConfig; pick one place")
-            from repro.observability import ObservabilityConfig
-            config = config or EngineConfig()
-            config.observability = ObservabilityConfig.normalize(
-                observability)
         self.config = config or EngineConfig()
         self.chaining = chaining
         self.graph = StreamGraph()

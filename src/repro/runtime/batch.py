@@ -5,14 +5,24 @@ program lowers to the same task/channel runtime as a DataStream program,
 the only difference being that these operators *materialise* their input
 (``process`` buffers) and produce output when the bounded input ends
 (``finish``).  No second execution engine exists.
+
+The shared-arrangement writer and readers at the end of the module are
+the same kind of operator over a shared index: they read at ``finish``
+in the emission order of :class:`GroupReduceOperator` /
+:class:`HashJoinOperator`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.runtime.elements import Record
-from repro.runtime.operators import Operator, OperatorContext
+from repro.runtime.elements import MAX_TIMESTAMP, MIN_TIMESTAMP, Record
+from repro.runtime.operators import (
+    Operator,
+    OperatorContext,
+    rescale_keyed_dict_state,
+)
+from repro.runtime.partition import owner_of_key
 
 
 class GroupReduceOperator(Operator):
@@ -45,7 +55,6 @@ class GroupReduceOperator(Operator):
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:
-        from repro.runtime.operators import rescale_keyed_dict_state
         return rescale_keyed_dict_state(states, subtask_index, parallelism)
 
 
@@ -149,15 +158,13 @@ class HashJoinOperator(Operator):
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:
-        from repro.runtime.operators import rescale_keyed_dict_state
-        from repro.runtime.partition import hash_key
         left = rescale_keyed_dict_state(
             [state["left"] for state in states if state],
             subtask_index, parallelism)
         right = [value
                  for state in states if state
                  for value in state["right"]
-                 if hash_key(self._right_key(value)) % parallelism
+                 if owner_of_key(self._right_key(value), parallelism)
                  == subtask_index]
         return {"left": left, "right": right}
 
@@ -211,3 +218,172 @@ class FoldAllOperator(Operator):
     def restore_state(self, state: Any) -> None:
         self._acc = state["acc"]
         self._saw_any = state["saw_any"]
+
+
+# ---------------------------------------------------------------------------
+# Shared-arrangement operators
+#
+# One ArrangeOperator maintains a ShardedArrangement shard; any number of
+# reader operators (scan / join) attach snapshot handles to it.  The
+# correctness hinge is pure dataflow ordering: the arrange task seals the
+# final version in ``finish()`` *before* broadcasting END_OF_STREAM, and
+# every reader's control input comes from the arrange node, so a reader's
+# ``finish()`` can only run after the arrangement is complete.
+
+
+class ArrangeOperator(Operator):
+    """Maintains one shard of a shared multiversioned index.
+
+    Emits no records -- its task forwards watermarks and end-of-stream
+    to the reader nodes as the control signal for snapshot advancement.
+    Each watermark advance seals a version; every
+    ``compaction_interval`` sealed versions, deltas below the readers'
+    low watermark fold into the base (bounded memory under a steady
+    watermark).
+    """
+
+    def __init__(self, sharded: "Any", key_fn: Callable[[Any], Any],
+                 name: str = "arrange") -> None:
+        super().__init__()
+        self.name = name
+        self._sharded = sharded
+        self._key_fn = key_fn
+        self._shard = None
+        self._seals_since_compaction = 0
+
+    def open(self, ctx: OperatorContext) -> None:
+        super().open(ctx)
+        # Restart-from-scratch rebuilds the dataflow with fresh operator
+        # instances over the same closed-over ShardedArrangement: reset
+        # the shard so replayed input is not double-counted and reader
+        # handles of discarded operator instances are dropped.
+        self._shard = self._sharded.shard(ctx.subtask_index)
+        self._shard.reset()
+        self._seals_since_compaction = 0
+
+    def process(self, record: Record) -> None:
+        row = record.value
+        self._shard.insert(self._key_fn(row), row)
+
+    def on_watermark(self, timestamp: int) -> None:
+        if timestamp <= MIN_TIMESTAMP:
+            return
+        sealed_before = self._shard.sealed
+        self._shard.seal(min(timestamp, MAX_TIMESTAMP))
+        if self._shard.sealed > sealed_before:
+            self._seals_since_compaction += 1
+        if self._seals_since_compaction >= self._shard.compaction_interval:
+            self._shard.compact()
+            self._seals_since_compaction = 0
+
+    def finish(self) -> None:
+        self._shard.seal_final()
+
+    def snapshot_state(self) -> Any:
+        return self._shard.snapshot()
+
+    def restore_state(self, state: Any) -> None:
+        self._shard.restore(state)
+
+    def arrangement_report(self) -> Dict[str, Any]:
+        return self._shard.stats()
+
+
+class _ArrangementReader(Operator):
+    """Shared handle plumbing for arrangement reader operators.
+
+    Handles attach *lazily* (first watermark / finish), never in
+    ``open``: build order is unspecified, so the arrange operator's
+    ``open`` may reset the shard after this operator opened."""
+
+    def __init__(self, sharded: "Any", name: str) -> None:
+        super().__init__()
+        self.name = name
+        self._sharded = sharded
+        self._handle = None
+
+    def _ensure_handle(self):
+        if self._handle is None or not self._handle.attached:
+            shard = self._sharded.shard(self.ctx.subtask_index)
+            self._handle = shard.attach()
+        return self._handle
+
+    def on_watermark(self, timestamp: int) -> None:
+        if timestamp <= MIN_TIMESTAMP:
+            return
+        self._ensure_handle().advance_to(timestamp)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.detach()
+            self._handle = None
+
+
+class ArrangementScanOperator(_ArrangementReader):
+    """Serves one group-by query from a shared arrangement: folds each
+    key's arranged rows with the query's own ``reduce_fn`` at end of
+    input.  Key iteration is sorted by ``repr`` to match
+    :class:`GroupReduceOperator`, so a shared plan
+    is byte-identical to the independently planned one."""
+
+    def __init__(self, sharded: "Any",
+                 reduce_fn: Callable[[Any, List[Any]], Any],
+                 name: str = "arrangement-scan") -> None:
+        super().__init__(sharded, name)
+        self._reduce_fn = reduce_fn
+
+    def process(self, record: Record) -> None:
+        raise RuntimeError(
+            "arrangement scan has no data input; it reads via its handle")
+
+    def finish(self) -> None:
+        grouped = self._ensure_handle().read_frontier()
+        for key in sorted(grouped, key=repr):
+            self.ctx.emit(self._reduce_fn(key, grouped[key]))
+
+
+class ArrangementJoinOperator(_ArrangementReader):
+    """Probes an arranged right side with this query's left input.
+
+    Input 0 buffers left rows per key; input 1 is the control edge from
+    the arrange node (watermarks and end-of-stream only).  ``finish``
+    replays arranged rows in arrival order, matching
+    :class:`HashJoinOperator`'s right-side
+    iteration exactly."""
+
+    def __init__(self, sharded: "Any", left_key: Callable[[Any], Any],
+                 join_fn: Callable[[Any, Any], Any],
+                 name: str = "arrangement-join") -> None:
+        super().__init__(sharded, name)
+        self._left_key = left_key
+        self._join_fn = join_fn
+        self._left: Dict[Any, List[Any]] = {}
+
+    def process(self, record: Record) -> None:
+        value = record.value
+        self._left.setdefault(self._left_key(value), []).append(value)
+
+    def process2(self, record: Record) -> None:
+        raise RuntimeError(
+            "the arrangement control input carries no records")
+
+    def finish(self) -> None:
+        handle = self._ensure_handle()
+        for key, right_row in handle.read_frontier_rows():
+            for left_value in self._left.get(key, ()):
+                self.ctx.emit(self._join_fn(left_value, right_row))
+        self._left.clear()
+
+    def snapshot_state(self) -> Any:
+        return {"left": {key: list(values)
+                         for key, values in self._left.items()}}
+
+    def restore_state(self, state: Any) -> None:
+        self._left = {key: list(values)
+                      for key, values in state["left"].items()}
+
+    def rescale_operator_state(self, states, subtask_index: int,
+                               parallelism: int) -> Any:
+        return {"left": rescale_keyed_dict_state(
+            [state["left"] for state in states if state],
+            subtask_index, parallelism)}

@@ -17,9 +17,9 @@ Occupancy accounting is *record-denominated*: a
 :class:`~repro.runtime.elements.RecordBatch` of *n* records weighs *n*
 against capacity, so backpressure thresholds mean the same thing in
 batched and scalar execution.  The occupancy is maintained as a plain
-integer on push/poll -- the scheduler's runnable scan reads ``size`` and
-``has_capacity`` once per task per round, and must not pay a recount per
-element.
+integer on push/poll -- the scheduler's runnable scan
+(``Task.has_output_capacity``) compares ``size`` with ``capacity`` once
+per channel per round, and must not pay a recount per element.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ class Channel:
     @property
     def is_empty(self) -> bool:
         return not self._queue
-
-    @property
-    def has_capacity(self) -> bool:
-        return self.size < self.capacity
 
     @property
     def readable(self) -> bool:

@@ -38,7 +38,7 @@ from repro.observability.runtime import (
 )
 from repro.runtime.channels import Channel
 from repro.runtime.elements import MAX_TIMESTAMP, MIN_TIMESTAMP
-from repro.runtime.partition import ForwardPartitioner
+from repro.runtime.partition import ForwardPartitioner, owner_of_key
 from repro.runtime.task import OutputEdge, Task
 from repro.state.checkpoint import CheckpointCoordinator, TaskSnapshot
 from repro.time.clock import ManualClock
@@ -162,6 +162,18 @@ class EngineConfig:
                  arrangement_compaction_interval, 1)):
             if value is not None and value < floor:
                 raise ValueError("%s must be >= %d" % (name, floor))
+        if heartbeat_interval_ms is None:
+            deadlines = [name for name, value in
+                         (("watchdog_suspect_ms", watchdog_suspect_ms),
+                          ("watchdog_fail_ms", watchdog_fail_ms))
+                         if value is not None]
+            if deadlines:
+                raise ValueError(
+                    "%s cannot take effect with heartbeat_interval_ms=None: "
+                    "the watchdog measures quiet time between heartbeats "
+                    "and is not built without them; set a heartbeat "
+                    "interval or drop the deadline"
+                    % " and ".join(deadlines))
         if (watchdog_suspect_ms is not None and watchdog_fail_ms is not None
                 and watchdog_fail_ms < watchdog_suspect_ms):
             raise ValueError(
@@ -559,13 +571,12 @@ class Engine:
         queryable-state facility that lets a serving layer probe the live
         view instead of waiting for sink output (the freshness story of
         experiment E9)."""
-        from repro.runtime.partition import hash_key
         for vertex_id, subtasks in self._tasks_by_vertex.items():
             names = self.job_graph.vertices[vertex_id].names
             if operator_name not in names:
                 continue
             position = names.index(operator_name)
-            subtask = subtasks[hash_key(key) % len(subtasks)]
+            subtask = subtasks[owner_of_key(key, len(subtasks))]
             table = subtask.chain[position].backend.table(state_name)
             return table.get(key, default)
         raise KeyError("no operator named %r (available: %r)"

@@ -90,6 +90,7 @@ from repro.state.checkpoint import (
     CheckpointCoordinator,
     SubtaskId,
     TaskSnapshot,
+    make_subtask_id,
 )
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -986,7 +987,7 @@ class MultiprocessEngine:
         subtasks: set = set()
         sources: set = set()
         for vertex_id, vertex in self.job_graph.vertices.items():
-            ids = {("%d-%s" % (vertex_id, vertex.name), index)
+            ids = {make_subtask_id(vertex_id, vertex.name, index)
                    for index in range(vertex.parallelism)}
             subtasks |= ids
             if vertex.is_source:

@@ -239,14 +239,14 @@ def rescale_keyed_dict_state(states: "List[Any]", subtask_index: int,
     """Shared override body for operators whose non-keyed state is a
     ``{record_key: state}`` dict: union the dicts, keep this subtask's
     keys (engine hash routing)."""
-    from repro.runtime.partition import hash_key
+    from repro.runtime.partition import owner_of_key
     import copy
     merged = {}
     for state in states:
         if not state:
             continue
         for key, value in state.items():
-            if hash_key(key) % parallelism == subtask_index:
+            if owner_of_key(key, parallelism) == subtask_index:
                 merged[key] = copy.deepcopy(value)
     return merged
 

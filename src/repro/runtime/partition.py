@@ -132,6 +132,13 @@ def _float_pack(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+def owner_of_key(key: Any, parallelism: int) -> int:
+    """Which of ``parallelism`` subtasks owns ``key``: the channel a hash
+    edge routes it to, hence where its keyed state and timers live, what
+    queryable state probes and what a savepoint rescale filters by."""
+    return hash_key(key) % parallelism
+
+
 class Partitioner:
     """Chooses target channel indices for each record."""
 
@@ -195,7 +202,7 @@ class HashPartitioner(Partitioner):
 
     def select(self, record: Record, num_channels: int,
                subtask_index: int) -> Sequence[int]:
-        return (hash_key(self.key_selector(record.value)) % num_channels,)
+        return (owner_of_key(self.key_selector(record.value), num_channels),)
 
 
 class RebalancePartitioner(Partitioner):

@@ -27,10 +27,10 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Hashable,
     Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -59,14 +59,12 @@ from repro.runtime.partition import (
     HashPartitioner,
     Partitioner,
     RebalancePartitioner,
-    hash_key,
+    owner_of_key,
 )
 from repro.state.backend import KeyedStateBackend
-from repro.state.checkpoint import TaskSnapshot
+from repro.state.checkpoint import SubtaskId, TaskSnapshot, make_subtask_id
 from repro.time.clock import Clock
 from repro.time.timers import TimerService
-
-SubtaskId = Tuple[str, int]
 
 
 class OutputEdge:
@@ -80,12 +78,31 @@ class OutputEdge:
         self.partitioner = partitioner
         self.channels = channels
         self.subtask_index = subtask_index
+        #: The one routing decision, resolved at wiring time: the
+        #: channels a batch travels to *whole* (pointwise, global,
+        #: broadcast and single-channel round-robin routes), or ``None``
+        #: when the route has to look at each record (keyed, multi-
+        #: channel round-robin, unknown partitioners).
+        self._whole: Optional[List[Channel]] = None
+        #: Round-robin routes reserve one cursor slot per record, whole
+        #: batches included: the cursor is part of the checkpoint.
+        self._advance: Optional[Callable[[int], int]] = None
+        if isinstance(partitioner, ForwardPartitioner):
+            self._whole = [channels[subtask_index % len(channels)]]
+        elif isinstance(partitioner, GlobalPartitioner):
+            self._whole = channels[:1]
+        elif isinstance(partitioner, BroadcastPartitioner):
+            self._whole = list(channels)
+        elif isinstance(partitioner, RebalancePartitioner):
+            self._advance = partitioner.advance
+            if len(channels) == 1:
+                self._whole = channels[:1]
 
     def _bucket_by_key(self, records: Iterable[Record]
                        ) -> Dict[int, List[Record]]:
         """The one place a hash edge routes: stamp each record's key on
         a copy (a record may be shared with other edges) and group the
-        copies by ``hash_key(key) % channels``, keeping arrival order
+        copies by the channel that owns the key, keeping arrival order
         within a channel.  Every keyed emission goes through here, so an
         unhashable or identity-hashed key is rejected whatever the batch
         size and however many channels the edge has."""
@@ -94,7 +111,7 @@ class OutputEdge:
         buckets: Dict[int, List[Record]] = {}
         for r in records:
             key = select_key(r.value)
-            index = hash_key(key) % total
+            index = owner_of_key(key, total)
             bucket = buckets.get(index)
             if bucket is None:
                 buckets[index] = bucket = []
@@ -114,35 +131,25 @@ class OutputEdge:
         """Route a run of records in one call, preserving per-channel
         FIFO order.
 
-        Pointwise and global routes forward one batch object; keyed and
-        round-robin routes group records into per-channel sub-batches in
-        a single pass -- the partitioning work that the scalar path pays
-        per record is paid once per batch here.  Unknown partitioners
-        fall back to per-record routing.
+        Whole-batch routes forward one batch object per channel; keyed
+        and round-robin routes group records into per-channel
+        sub-batches in a single pass -- the partitioning work that the
+        scalar path pays per record is paid once per batch here.
+        Unknown partitioners fall back to per-record routing.
         """
         channels = self.channels
-        partitioner = self.partitioner
-        if isinstance(partitioner, HashPartitioner):
+        cursor = (self._advance(len(records))
+                  if self._advance is not None else None)
+        if self._whole is not None:
+            for channel in self._whole:
+                # Copy: the caller's buffer is shared across edges, and
+                # chaos may carve records out of a pushed batch in place.
+                channel.push(RecordBatch(list(records)))
+        elif isinstance(self.partitioner, HashPartitioner):
             for index, bucket in self._bucket_by_key(records).items():
                 channels[index].push(RecordBatch(bucket))
-            return
-        if isinstance(partitioner, (ForwardPartitioner, GlobalPartitioner)):
-            index = (self.subtask_index % len(channels)
-                     if isinstance(partitioner, ForwardPartitioner) else 0)
-            # Copy: the caller's buffer is shared across edges, and chaos
-            # may carve records out of a pushed batch in place.
-            channels[index].push(RecordBatch(list(records)))
-            return
-        if isinstance(partitioner, BroadcastPartitioner):
-            for channel in channels:
-                channel.push(RecordBatch(list(records)))
-            return
-        if isinstance(partitioner, RebalancePartitioner):
+        elif cursor is not None:
             total = len(channels)
-            cursor = partitioner.advance(len(records))
-            if total == 1:
-                channels[0].push(RecordBatch(list(records)))
-                return
             round_robin: List[List[Record]] = [[] for _ in range(total)]
             for r in records:
                 round_robin[cursor % total].append(r)
@@ -150,23 +157,17 @@ class OutputEdge:
             for index, bucket in enumerate(round_robin):
                 if bucket:
                     channels[index].push(RecordBatch(bucket))
-            return
-        for record in records:
-            self.emit_record(record)
+        else:
+            for record in records:
+                self.emit_record(record)
 
     @property
     def passes_columnar(self) -> bool:
         """Whether a columnar batch can be routed through this edge
-        without touching individual rows: single-destination routes
-        (and broadcast) forward the batch object as-is; keyed and
-        multi-channel round-robin routes need per-record work and keep
-        the row path."""
-        partitioner = self.partitioner
-        if isinstance(partitioner, (ForwardPartitioner, GlobalPartitioner,
-                                    BroadcastPartitioner)):
-            return True
-        return (isinstance(partitioner, RebalancePartitioner)
-                and len(self.channels) == 1)
+        without touching individual rows: whole-batch routes forward the
+        batch object as-is; keyed and multi-channel round-robin routes
+        need per-record work and keep the row path."""
+        return self._whole is not None
 
     def emit_columnar(self, batch: "ColumnarBatch") -> None:
         """Route one columnar batch whole (callers check
@@ -174,26 +175,14 @@ class OutputEdge:
         mutation hooks demote a queued columnar batch to a private row
         twin instead of editing it in place, so sharing one batch object
         across channels is safe."""
-        channels = self.channels
-        partitioner = self.partitioner
-        if isinstance(partitioner, ForwardPartitioner):
-            channels[self.subtask_index % len(channels)].push(batch)
-        elif isinstance(partitioner, BroadcastPartitioner):
-            for channel in channels:
-                channel.push(batch)
-        elif isinstance(partitioner, RebalancePartitioner):
-            partitioner.advance(len(batch))
-            channels[0].push(batch)
-        else:  # GlobalPartitioner
-            channels[0].push(batch)
+        if self._advance is not None:
+            self._advance(len(batch))
+        for channel in self._whole:
+            channel.push(batch)
 
     def broadcast(self, element: StreamElement) -> None:
         for channel in self.channels:
             channel.push(element)
-
-    @property
-    def has_capacity(self) -> bool:
-        return all(channel.has_capacity for channel in self.channels)
 
 
 class _ChainedOperator:
@@ -359,14 +348,9 @@ class Task:
                             if self._is_source else None)
         self._opened = False
 
-        self._fused_all = (self._fused_fn is not None
-                           and self._fused_prefix == len(self.chain))
-        self._kernel_all = (self._column_kernel is not None
-                            and self._kernel_prefix == len(self.chain))
-        # Whether kernel output may leave the task AS COLUMNS (every
-        # output edge routes whole batches).  Edges are wired after
-        # construction, so this is resolved lazily on first kernel hit.
-        self._columnar_egress: Optional[bool] = None
+        # Whether kernel output may leave the task AS COLUMNS: every
+        # output edge wired so far routes whole batches.
+        self._columnar_egress = True
         self._columnar_batches = metrics.counter("columnar_batches_in")
         self._columnar_fallbacks = metrics.counter("columnar_fallbacks")
 
@@ -380,7 +364,8 @@ class Task:
 
     @property
     def subtask_id(self) -> SubtaskId:
-        return ("%d-%s" % (self.vertex_id, self.vertex_name), self.subtask_index)
+        return make_subtask_id(self.vertex_id, self.vertex_name,
+                               self.subtask_index)
 
     @property
     def is_source(self) -> bool:
@@ -425,6 +410,7 @@ class Task:
         # Flattened once so the scheduler's runnable scan reads cached
         # channel occupancies without re-walking the edge structure.
         self._output_channels.extend(edge.channels)
+        self._columnar_egress = self._columnar_egress and edge.passes_columnar
 
     def operator_reports(self, attr: str) -> List[Dict[str, Any]]:
         """Rows from every chained operator exposing an ``attr()`` report
@@ -506,8 +492,8 @@ class Task:
 
     # -- record routing through the chain ----------------------------------
 
-    def _make_dispatcher(self, chained: _ChainedOperator,
-                         input_index: int = 0) -> Callable[[Record], None]:
+    def _make_dispatcher(self, chained: _ChainedOperator
+                         ) -> Callable[[Record], None]:
         def dispatch(record: Record) -> None:
             chained.backend.set_current_key(record.key)
             chained.ctx.current_timestamp = record.timestamp
@@ -543,7 +529,7 @@ class Task:
             # the fused suffix collected.  Every flush point precedes
             # the control element that caused it, so the suffix sees
             # exactly the records between two control elements.
-            buffer = self._run_fused(self._suffix_fn, buffer)
+            buffer = self._run_fused("fused_batch", self._suffix_fn, buffer)
             if not buffer:
                 return
         self._records_out.inc(len(buffer))
@@ -685,21 +671,17 @@ class Task:
     def _dispatch_input(self, element: StreamElement, channel_index: int) -> None:
         if element.is_record:
             self._records_in.inc()
-            try:
-                self._process_record(element, channel_index)
-            except Exception as exc:
-                if self.quarantine_threshold is None:
-                    raise
-                self._quarantine(element, exc)
+            # each=True, positionally: this line runs once per record.
+            self._ingest((element,), self.inputs[channel_index][1], True)
         elif element.is_columnar:
             if len(element):
                 self._records_in.inc(len(element))
-                self._process_columnar(element, channel_index)
+                self._process_columnar(element, self.inputs[channel_index][1])
         elif element.is_batch:
             records = element.records
             if records:  # chaos drop may have emptied the batch in place
                 self._records_in.inc(len(records))
-                self._process_batch(records, channel_index)
+                self._ingest(records, self.inputs[channel_index][1])
         elif element.is_watermark:
             self._on_channel_watermark(element.timestamp, channel_index)
         elif element.is_barrier:
@@ -707,175 +689,147 @@ class Task:
         elif element.is_end:
             self._on_channel_end(channel_index)
 
-    def _process_record(self, element: Record, channel_index: int) -> None:
-        _, input_index = self.inputs[channel_index]
-        self._process_record_on(element, input_index)
-
-    def _process_record_on(self, element: Record, input_index: int) -> None:
-        if self.poison_next_records > 0:
-            # Chaos-injected poison: consume the flag *before* raising so
-            # a supervised restart replays the record cleanly.
-            self.poison_next_records -= 1
-            from repro.runtime.faults import PoisonPill
-            raise PoisonPill("chaos-injected poison in %s#%d"
-                             % (self.vertex_name, self.subtask_index))
-        head = self.chain[0]
-        head.backend.set_current_key(element.key)
-        head.ctx.current_timestamp = element.timestamp
-        if input_index == 0:
-            head.operator.process(element)
-        else:
-            head.operator.process2(element)
-
-    def _process_batch(self, records: List[Record],
-                       channel_index: int) -> None:
-        """Run a whole record batch through the chain.
-
-        Fast paths, in order of preference:
-
-        * the fused stateless prefix compiled by
-          :func:`~repro.plan.chaining.compile_batch_chain` transforms the
-          batch in one call per operator, then either goes straight to
-          the output buffer (fully fused chain) or into the first
-          unfused operator's ``process_batch``;
-        * otherwise the head operator's ``process_batch`` (vectorised or
-          the per-record default) takes the batch.
-
-        Anything that needs per-record bookkeeping -- a second input,
-        pending chaos poison, or quarantine without a fully fused chain
-        -- falls back to per-record dispatch, which is semantically
-        identical by construction.  Quarantine *with* a fully fused
-        chain is safe on the fast path because the fused transforms are
-        pure: an exception means nothing was emitted, so replaying the
-        batch per-record duplicates no output.
-        """
-        _, input_index = self.inputs[channel_index]
-        if (input_index != 0 or self.poison_next_records > 0
+    def _needs_record_loop(self, input_index: int, prefix: int) -> bool:
+        """Whether input must enter the chain one record at a time: a
+        second input, pending chaos poison, or quarantine when the fused
+        ``prefix`` stops short of the chain's end.  Quarantine *with* a
+        fully fused chain may take a run whole because the fused
+        transforms are pure: an exception means nothing was emitted, so
+        replaying the run record by record duplicates no output."""
+        return (input_index != 0 or self.poison_next_records > 0
                 or (self.quarantine_threshold is not None
-                    and not self._fused_all)):
-            self._process_records_individually(records, input_index)
-            return
-        fused = self._fused_fn
-        if fused is not None:
+                    and prefix < len(self.chain)))
+
+    def _ingest(self, records: Sequence[Record], input_index: int,
+                each: bool = False) -> None:
+        """The one way input data enters the chain (``records_in`` is
+        already counted); a scalar ``Record`` arrives as a run of one.
+
+        A run of input-0 records goes through the fused stateless prefix
+        compiled by :func:`~repro.plan.chaining.compile_batch_chain` --
+        one call per operator per run -- and leaves it through
+        :meth:`_exit_prefix`; without one, the head operator's
+        ``process_batch`` (vectorised or the per-record default) takes
+        the run.  Anything that needs per-record bookkeeping
+        (:meth:`_needs_record_loop`) cannot be taken whole and enters
+        through the record-by-record loop below, which is semantically
+        identical by construction and has the scalar-mode poison and
+        quarantine semantics.  ``each`` sends a run straight there: a
+        scalar ``Record``, which has nothing to amortise, or a batch
+        whose column kernel raised under quarantine.
+        """
+        if not each and not self._needs_record_loop(input_index,
+                                                    self._fused_prefix):
+            fused = self._fused_fn
+            if fused is None:
+                self.chain[0].operator.process_batch(records)
+                return
             try:
-                out = self._run_fused(fused, records)
+                out = self._run_fused("fused_batch", fused, records)
             except Exception:
                 if self.quarantine_threshold is None:
                     raise
                 # Pure transforms emitted nothing before raising: replay
-                # the batch record-at-a-time so only the poison record
-                # is quarantined.
-                self._process_records_individually(records, input_index)
-                return
-            if self._fused_all:
-                if out:
-                    self._out_buffer.extend(out)
-                    if len(self._out_buffer) >= self.batch_size:
-                        self._flush_out_buffer()
-            elif out:
-                self.chain[self._fused_prefix].operator.process_batch(out)
-            return
-        self.chain[0].operator.process_batch(records)
-
-    def _run_fused(self, fused: Callable[[List[Record]], List[Record]],
-                   records: List[Record]) -> List[Record]:
-        tracer = self._tracer
-        if tracer is None:
-            return fused(records)
-        with tracer.span("fused_batch", task=self.vertex_name,
-                         subtask=self.subtask_index, records=len(records)):
-            return fused(records)
-
-    def _process_columnar(self, batch: StreamElement,
-                          channel_index: int) -> None:
-        """Run a columnar batch through the chain.
-
-        Fast path: the fused column kernel compiled by
-        :func:`~repro.plan.chaining.compile_column_chain` transforms the
-        parallel column lists directly -- no ``Record`` exists until the
-        kernel's survivors are materialised for the output buffer (or
-        for the first unfused operator).  Anything the kernel cannot
-        cover -- no kernel at the chain head, a second input, pending
-        chaos poison, or quarantine without a fully covered chain --
-        falls back to the row path via the batch's materialised
-        ``records``, identical by construction and counted as a
-        columnar fallback.
-        """
-        _, input_index = self.inputs[channel_index]
-        kernel = self._column_kernel
-        if (kernel is None or input_index != 0
-                or self.poison_next_records > 0
-                or (self.quarantine_threshold is not None
-                    and not self._kernel_all)):
-            self._columnar_fallbacks.inc()
-            if self.operator_stats:
-                self.operator_stats[0].columnar_fallbacks += 1
-            # _process_batch applies the same per-record guards itself.
-            self._process_batch(batch.records, channel_index)
-            return
-        self._columnar_batches.inc()
-        if self.operator_stats:
-            self.operator_stats[0].columnar_batches += 1
-        tracer = self._tracer
-        try:
-            if tracer is None:
-                values, timestamps, keys = kernel(
-                    batch.value_list(), batch.timestamp_list(),
-                    batch.key_list())
+                # the run record by record so only the poison record is
+                # quarantined.
             else:
-                with tracer.span("column_kernel", task=self.vertex_name,
-                                 subtask=self.subtask_index,
-                                 records=len(batch)):
-                    values, timestamps, keys = kernel(
-                        batch.value_list(), batch.timestamp_list(),
-                        batch.key_list())
-        except Exception:
-            if self.quarantine_threshold is None:
-                raise
-            # Kernels are pure: nothing was emitted before the raise, so
-            # a per-record replay quarantines only the poison record.
-            self._process_records_individually(batch.records, input_index)
-            return
-        if not values:
-            return
-        if self._kernel_all:
-            if self._columnar_egress is None:
-                self._columnar_egress = all(
-                    edge.passes_columnar for edge in self.output_edges)
-            if self._columnar_egress:
-                from repro.runtime.columnar import columnar_from_lists
-                out_batch = columnar_from_lists(values, timestamps, keys)
-                if out_batch is not None:
-                    # Channel order: anything still buffered as rows
-                    # (earlier fallback batches, scalar records) must
-                    # leave before this batch does.
-                    if self._out_buffer:
-                        self._flush_out_buffer()
-                    self._records_out.inc(len(out_batch))
-                    for edge in self.output_edges:
-                        edge.emit_columnar(out_batch)
-                    return
-        make = Record
-        out = [make(v, ts, k)
-               for v, ts, k in zip(values, timestamps, keys)]
-        if self._kernel_all:
-            self._out_buffer.extend(out)
-            if len(self._out_buffer) >= self.batch_size:
-                self._flush_out_buffer()
-        else:
-            self.chain[self._kernel_prefix].operator.process_batch(out)
-
-    def _process_records_individually(self, records: List[Record],
-                                      input_index: int) -> None:
-        """Per-record fallback with the exact scalar-mode quarantine and
-        poison semantics (``records_in`` was already counted)."""
+                self._exit_prefix(out, self._fused_prefix)
+                return
+        head = self.chain[0]
         for record in records:
             try:
-                self._process_record_on(record, input_index)
+                if self.poison_next_records > 0:
+                    # Chaos-injected poison: consume the flag *before*
+                    # raising so a supervised restart replays the record
+                    # cleanly.
+                    self.poison_next_records -= 1
+                    from repro.runtime.faults import PoisonPill
+                    raise PoisonPill("chaos-injected poison in %s#%d"
+                                     % (self.vertex_name, self.subtask_index))
+                head.backend.set_current_key(record.key)
+                head.ctx.current_timestamp = record.timestamp
+                if input_index == 0:
+                    head.operator.process(record)
+                else:
+                    head.operator.process2(record)
             except Exception as exc:
                 if self.quarantine_threshold is None:
                     raise
                 self._quarantine(record, exc)
+
+    def _exit_prefix(self, survivors: List[Record], prefix: int) -> None:
+        """The one way out of a fused prefix, row function or column
+        kernel alike: into the output buffer when the prefix covered the
+        whole chain, else into the first unfused operator."""
+        if not survivors:
+            return
+        if prefix == len(self.chain):
+            self._buffer_output_batch(survivors)
+        else:
+            self.chain[prefix].operator.process_batch(survivors)
+
+    def _run_fused(self, span: str, fused: Callable[..., Any],
+                   *columns: List[Any]) -> Any:
+        """Call a fused function (row prefix, source suffix or column
+        kernel) on its input lists, under a tracer span when tracing."""
+        tracer = self._tracer
+        if tracer is None:
+            return fused(*columns)
+        with tracer.span(span, task=self.vertex_name,
+                         subtask=self.subtask_index,
+                         records=len(columns[0])):
+            return fused(*columns)
+
+    def _process_columnar(self, batch: StreamElement,
+                          input_index: int) -> None:
+        """Run a columnar batch through the chain: try the fused column
+        kernel compiled by :func:`~repro.plan.chaining.compile_column_chain`,
+        else give the batch's materialised ``records`` to :meth:`_ingest`.
+
+        The kernel transforms the parallel column lists directly -- no
+        ``Record`` exists until its survivors are materialised for
+        :meth:`_exit_prefix`, and none at all when every output edge
+        routes whole batches.  No kernel at the chain head, or input
+        that must enter record by record, is counted as a columnar
+        fallback.  Kernels are pure: one that raises under quarantine
+        emitted nothing, so a record-by-record replay quarantines only
+        the poison record.
+        """
+        kernel = self._column_kernel
+        prefix = self._kernel_prefix
+        if kernel is None or self._needs_record_loop(input_index, prefix):
+            self._columnar_fallbacks.inc()
+            if self.operator_stats:
+                self.operator_stats[0].columnar_fallbacks += 1
+            self._ingest(batch.records, input_index)
+            return
+        self._columnar_batches.inc()
+        try:
+            values, timestamps, keys = self._run_fused(
+                "column_kernel", kernel, batch.value_list(),
+                batch.timestamp_list(), batch.key_list())
+        except Exception:
+            if self.quarantine_threshold is None:
+                raise
+            self._ingest(batch.records, input_index, each=True)
+            return
+        if not values:
+            return
+        if prefix == len(self.chain) and self._columnar_egress:
+            from repro.runtime.columnar import columnar_from_lists
+            out_batch = columnar_from_lists(values, timestamps, keys)
+            if out_batch is not None:
+                # Channel order: anything still buffered as rows
+                # (earlier fallback batches, scalar records) must
+                # leave before this batch does.
+                if self._out_buffer:
+                    self._flush_out_buffer()
+                self._records_out.inc(len(out_batch))
+                for edge in self.output_edges:
+                    edge.emit_columnar(out_batch)
+                return
+        self._exit_prefix([Record(v, ts, k) for v, ts, k
+                           in zip(values, timestamps, keys)], prefix)
 
     def _quarantine(self, element: Record, exc: Exception) -> None:
         """Route a poison record to the dead-letter output; escalate once
@@ -918,20 +872,26 @@ class Task:
         """Fire due event-time timers and notify ``on_watermark`` for the
         chain suffix beginning at ``start``."""
         for chained in self.chain[start:]:
-            self._fire_event_timers(chained, timestamp)
+            self._fire_due_timers(chained, timestamp, event_time=True)
             chained.operator.on_watermark(timestamp)
 
-    def _fire_event_timers(self, chained: _ChainedOperator,
-                           up_to: int) -> None:
+    def _fire_due_timers(self, chained: _ChainedOperator, up_to: int,
+                         event_time: bool) -> None:
+        """The one timer drain: event time on a watermark, processing
+        time on a clock advance, both at end of input."""
+        queue = (chained.timers.event_time if event_time
+                 else chained.timers.processing_time)
         # Loop: timer callbacks may register new timers that are also due.
         while True:
-            due = chained.timers.event_time.pop_due(up_to)
+            due = queue.pop_due(up_to)
             if not due:
                 return
+            callback = (chained.operator.on_event_timer if event_time
+                        else chained.operator.on_processing_timer)
             for timestamp, key, namespace in due:
                 chained.backend.set_current_key(key)
                 chained.ctx.current_timestamp = timestamp
-                chained.operator.on_event_timer(timestamp, key, namespace)
+                callback(timestamp, key, namespace)
 
     def _forward_watermark(self, timestamp: int) -> None:
         if timestamp <= self._emitted_watermark:
@@ -944,15 +904,7 @@ class Task:
         if self.finished or self.failed is not None:
             return
         for chained in self.chain:
-            while True:
-                due = chained.timers.processing_time.pop_due(now)
-                if not due:
-                    break
-                for timestamp, key, namespace in due:
-                    chained.backend.set_current_key(key)
-                    chained.ctx.current_timestamp = timestamp
-                    chained.operator.on_processing_timer(timestamp, key,
-                                                         namespace)
+            self._fire_due_timers(chained, now, event_time=False)
 
     # -- checkpoints -----------------------------------------------------------
 
@@ -1100,15 +1052,7 @@ class Task:
         # Bounded input also flushes pending processing-time timers, so
         # processing-time windows do not silently drop their tail.
         for chained in self.chain:
-            while True:
-                due = chained.timers.processing_time.pop_due(MAX_TIMESTAMP)
-                if not due:
-                    break
-                for timestamp, key, namespace in due:
-                    chained.backend.set_current_key(key)
-                    chained.ctx.current_timestamp = timestamp
-                    chained.operator.on_processing_timer(timestamp, key,
-                                                         namespace)
+            self._fire_due_timers(chained, MAX_TIMESTAMP, event_time=False)
         for chained in self.chain:
             chained.ctx.current_timestamp = MAX_TIMESTAMP
             chained.operator.finish()
@@ -1125,173 +1069,3 @@ class Task:
             self._flush_out_buffer()
         for edge in self.output_edges:
             edge.broadcast(element)
-
-
-# ---------------------------------------------------------------------------
-# Shared-arrangement operators
-#
-# One ArrangeOperator maintains a ShardedArrangement shard; any number of
-# reader operators (scan / join) attach snapshot handles to it.  The
-# correctness hinge is pure dataflow ordering: the arrange task seals the
-# final version in ``finish()`` *before* broadcasting END_OF_STREAM, and
-# every reader's control input comes from the arrange node, so a reader's
-# ``finish()`` can only run after the arrangement is complete.
-
-
-class ArrangeOperator(Operator):
-    """Maintains one shard of a shared multiversioned index.
-
-    Emits no records -- its task forwards watermarks and end-of-stream
-    to the reader nodes as the control signal for snapshot advancement.
-    Each watermark advance seals a version; every
-    ``compaction_interval`` sealed versions, deltas below the readers'
-    low watermark fold into the base (bounded memory under a steady
-    watermark).
-    """
-
-    def __init__(self, sharded: "Any", key_fn: Callable[[Any], Any],
-                 name: str = "arrange") -> None:
-        super().__init__()
-        self.name = name
-        self._sharded = sharded
-        self._key_fn = key_fn
-        self._shard = None
-        self._seals_since_compaction = 0
-
-    def open(self, ctx: OperatorContext) -> None:
-        super().open(ctx)
-        # Restart-from-scratch rebuilds the dataflow with fresh operator
-        # instances over the same closed-over ShardedArrangement: reset
-        # the shard so replayed input is not double-counted and reader
-        # handles of discarded operator instances are dropped.
-        self._shard = self._sharded.shard(ctx.subtask_index)
-        self._shard.reset()
-        self._seals_since_compaction = 0
-
-    def process(self, record: Record) -> None:
-        row = record.value
-        self._shard.insert(self._key_fn(row), row)
-
-    def on_watermark(self, timestamp: int) -> None:
-        if timestamp <= MIN_TIMESTAMP:
-            return
-        sealed_before = self._shard.sealed
-        self._shard.seal(min(timestamp, MAX_TIMESTAMP))
-        if self._shard.sealed > sealed_before:
-            self._seals_since_compaction += 1
-        if self._seals_since_compaction >= self._shard.compaction_interval:
-            self._shard.compact()
-            self._seals_since_compaction = 0
-
-    def finish(self) -> None:
-        self._shard.seal_final()
-
-    def snapshot_state(self) -> Any:
-        return self._shard.snapshot()
-
-    def restore_state(self, state: Any) -> None:
-        self._shard.restore(state)
-
-    def arrangement_report(self) -> Dict[str, Any]:
-        return self._shard.stats()
-
-
-class _ArrangementReader(Operator):
-    """Shared handle plumbing for arrangement reader operators.
-
-    Handles attach *lazily* (first watermark / finish), never in
-    ``open``: build order is unspecified, so the arrange operator's
-    ``open`` may reset the shard after this operator opened."""
-
-    def __init__(self, sharded: "Any", name: str) -> None:
-        super().__init__()
-        self.name = name
-        self._sharded = sharded
-        self._handle = None
-
-    def _ensure_handle(self):
-        if self._handle is None or not self._handle.attached:
-            shard = self._sharded.shard(self.ctx.subtask_index)
-            self._handle = shard.attach()
-        return self._handle
-
-    def on_watermark(self, timestamp: int) -> None:
-        if timestamp <= MIN_TIMESTAMP:
-            return
-        self._ensure_handle().advance_to(timestamp)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.detach()
-            self._handle = None
-
-
-class ArrangementScanOperator(_ArrangementReader):
-    """Serves one group-by query from a shared arrangement: folds each
-    key's arranged rows with the query's own ``reduce_fn`` at end of
-    input.  Key iteration is sorted by ``repr`` to match
-    :class:`~repro.runtime.batch.GroupReduceOperator`, so a shared plan
-    is byte-identical to the independently planned one."""
-
-    def __init__(self, sharded: "Any",
-                 reduce_fn: Callable[[Any, List[Any]], Any],
-                 name: str = "arrangement-scan") -> None:
-        super().__init__(sharded, name)
-        self._reduce_fn = reduce_fn
-
-    def process(self, record: Record) -> None:
-        raise RuntimeError(
-            "arrangement scan has no data input; it reads via its handle")
-
-    def finish(self) -> None:
-        grouped = self._ensure_handle().read_frontier()
-        for key in sorted(grouped, key=repr):
-            self.ctx.emit(self._reduce_fn(key, grouped[key]))
-
-
-class ArrangementJoinOperator(_ArrangementReader):
-    """Probes an arranged right side with this query's left input.
-
-    Input 0 buffers left rows per key; input 1 is the control edge from
-    the arrange node (watermarks and end-of-stream only).  ``finish``
-    replays arranged rows in arrival order, matching
-    :class:`~repro.runtime.batch.HashJoinOperator`'s right-side
-    iteration exactly."""
-
-    def __init__(self, sharded: "Any", left_key: Callable[[Any], Any],
-                 join_fn: Callable[[Any, Any], Any],
-                 name: str = "arrangement-join") -> None:
-        super().__init__(sharded, name)
-        self._left_key = left_key
-        self._join_fn = join_fn
-        self._left: Dict[Any, List[Any]] = {}
-
-    def process(self, record: Record) -> None:
-        value = record.value
-        self._left.setdefault(self._left_key(value), []).append(value)
-
-    def process2(self, record: Record) -> None:
-        raise RuntimeError(
-            "the arrangement control input carries no records")
-
-    def finish(self) -> None:
-        handle = self._ensure_handle()
-        for key, right_row in handle.read_frontier_rows():
-            for left_value in self._left.get(key, ()):
-                self.ctx.emit(self._join_fn(left_value, right_row))
-        self._left.clear()
-
-    def snapshot_state(self) -> Any:
-        return {"left": {key: list(values)
-                         for key, values in self._left.items()}}
-
-    def restore_state(self, state: Any) -> None:
-        self._left = {key: list(values)
-                      for key, values in state["left"].items()}
-
-    def rescale_operator_state(self, states, subtask_index: int,
-                               parallelism: int) -> Any:
-        from repro.runtime.operators import rescale_keyed_dict_state
-        return {"left": rescale_keyed_dict_state(
-            [state["left"] for state in states if state],
-            subtask_index, parallelism)}

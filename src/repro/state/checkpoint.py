@@ -36,6 +36,13 @@ from typing import (
 
 SubtaskId = Tuple[str, int]  # (operator id, subtask index)
 
+
+def make_subtask_id(vertex_id: int, vertex_name: str,
+                    subtask_index: int) -> SubtaskId:
+    """The identity a subtask's snapshot is filed under, in memory and
+    in durable checkpoints -- the one place its format is written."""
+    return ("%d-%s" % (vertex_id, vertex_name), subtask_index)
+
 #: Completed checkpoints a store keeps for recovery fallback.
 MAX_RETAINED_CHECKPOINTS = 3
 

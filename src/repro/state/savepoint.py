@@ -9,7 +9,7 @@ rules:
 
 * **keyed state** — tables are merged across the old subtasks and each
   new subtask keeps the keys the engine's hash partitioner would send it
-  (`hash_key(key) % parallelism == subtask_index`);
+  (`owner_of_key(key, parallelism) == subtask_index`);
 * **timers** — merged in timestamp order (stable per old subtask; keys
   are disjoint across old subtasks, so cross-subtask ties are
   independent) and filtered by the same key hash;
@@ -31,7 +31,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from repro.runtime.partition import hash_key
+from repro.runtime.partition import owner_of_key
+from repro.state.checkpoint import make_subtask_id
 
 
 class OperatorSnapshot(NamedTuple):
@@ -82,7 +83,7 @@ def savepoint_from_completed(completed: Any, job_graph: Any,
     operators: Dict[str, List[OperatorSnapshot]] = {}
     for vertex_id, vertex in sorted(job_graph.vertices.items()):
         for index in range(vertex.parallelism):
-            subtask_id = ("%d-%s" % (vertex_id, vertex.name), index)
+            subtask_id = make_subtask_id(vertex_id, vertex.name, index)
             snapshot = completed.snapshot_for(subtask_id)
             if snapshot is None:
                 raise error(
@@ -108,7 +109,7 @@ def merge_keyed_state(snapshots: List[OperatorSnapshot],
         for state_name, table in snapshot.keyed_state.items():
             target = merged.setdefault(state_name, {})
             for key, value in table.items():
-                if hash_key(key) % parallelism == subtask_index:
+                if owner_of_key(key, parallelism) == subtask_index:
                     target[key] = value
     return merged
 
@@ -123,5 +124,5 @@ def merge_timers(snapshots: List[OperatorSnapshot], subtask_index: int,
         combined = list(heapq.merge(*streams, key=lambda entry: entry[0]))
         merged[queue_name] = [
             entry for entry in combined
-            if hash_key(entry[1]) % parallelism == subtask_index]
+            if owner_of_key(entry[1], parallelism) == subtask_index]
     return merged

@@ -81,7 +81,7 @@ class ArrangementCatalog:
         for prefix_op in op.prefix[1:]:  # [0] is the Scan itself
             stream = arranged_table._compile_op(stream, prefix_op)
 
-        from repro.runtime.task import ArrangeOperator
+        from repro.runtime.batch import ArrangeOperator
         key_fn = sharded.key_fn()
         arrange_node = env.graph.new_node(
             "arrange[%s]" % name,
@@ -101,7 +101,7 @@ class ArrangementCatalog:
         query's own aggregations (the aggregation is per-query; only the
         keyed index is shared)."""
         from repro.api.stream import DataStream
-        from repro.runtime.task import ArrangementScanOperator
+        from repro.runtime.batch import ArrangementScanOperator
         from repro.table.table import _RowAggregates
 
         entry = self._entry_for(table, op)
@@ -130,7 +130,7 @@ class ArrangementCatalog:
         """A reader node probing the arranged *right* side with this
         query's left stream."""
         from repro.api.stream import DataStream
-        from repro.runtime.task import ArrangementJoinOperator
+        from repro.runtime.batch import ArrangementJoinOperator
 
         entry = self._entry_for(op.right_table, op)
         entry.attached_queries += 1

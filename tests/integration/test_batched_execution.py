@@ -21,16 +21,20 @@ from repro.connectors.partitioned import PartitionedSource
 from repro.connectors.sources import HybridSource
 from repro.metrics import MetricGroup
 from repro.runtime.channels import Channel
+from repro.runtime.columnar import batch_to_columnar
+from repro.runtime.elements import END_OF_STREAM, Record, RecordBatch
 from repro.runtime.engine import EngineConfig
 from repro.runtime.operators import (
+    CoProcessOperator,
     FilterOperator,
     FlatMapOperator,
     IteratorSource,
     MapOperator,
+    Operator,
     TimestampsAndWatermarksOperator,
 )
 from repro.runtime import partition
-from repro.runtime.partition import HashPartitioner
+from repro.runtime.partition import ForwardPartitioner, HashPartitioner
 from repro.runtime.task import OutputEdge, Task
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
@@ -652,6 +656,151 @@ class TestHybridSourceRuns:
                 history_skipped=80, stream_emitted=150, stream_skipped=30,
                 replayed_records=0)
         assert phases == {"history", "stream"}
+
+
+# -- one ingress, whatever the representation ------------------------------------
+
+
+class _RunningCount(Operator):
+    """Stateful, so the fused prefix stops in front of it: emits what it
+    has let through so far and raises on a marked value."""
+
+    name = "running-count"
+
+    def __init__(self, toxic):
+        super().__init__()
+        self._toxic = toxic
+        self._seen = 0
+
+    def process(self, record):
+        if record.value[1] == self._toxic:
+            raise ValueError("toxic %r" % (record.value,))
+        self._seen += 1
+        self.ctx.emit((record.value, self._seen))
+
+
+def _double(toxic=None):
+    def fn(value):
+        if value[1] == toxic:
+            raise ValueError("toxic %r" % (value,))
+        return value[0], value[1] * 2
+    return MapOperator(fn, name="double")
+
+
+def _keep():
+    return FilterOperator(lambda value: value[1] % 3 != 1, name="keep")
+
+
+def _tag_sides():
+    return CoProcessOperator(
+        lambda value, ctx: ctx.emit(("left", value)),
+        lambda value, ctx: ctx.emit(("right", value)))
+
+
+#: case -> (chain factory, input index, quarantine threshold, poison
+#: flag, and what a batched task counts when the two halves of the input
+#: arrive as ColumnarBatches: (columnar_batches_in, columnar_fallbacks)).
+INGRESS_CASES = {
+    "plain": (lambda: [_double(), _keep()], 0, None, 0, (2, 0)),
+    "second-input": (lambda: [_tag_sides()], 1, None, 0, (0, 2)),
+    # The poison is used up inside the first half; the second takes the
+    # kernel again.
+    "poison": (lambda: [_double(), _keep()], 0, 5, 2, (1, 1)),
+    "quarantine-fused": (lambda: [_double(), _keep()], 0, 5, 0, (2, 0)),
+    "quarantine-partly-fused": (
+        lambda: [_double(), _RunningCount(toxic=8)], 0, 5, 0, (0, 2)),
+    # The kernel was tried on both halves and raised in the first.
+    "kernel-raises": (lambda: [_double(toxic=4), _keep()], 0, 5, 0, (2, 0)),
+}
+INGRESS_RECORDS = [Record(("k%d" % (i % 3), i), i * 10, key="k%d" % (i % 3))
+                   for i in range(12)]
+INGRESS_SHAPES = {
+    "records": lambda half: list(half),
+    "row-batch": lambda half: [RecordBatch(list(half))],
+    "columnar": lambda half: [batch_to_columnar(half)],
+}
+
+
+def drive_ingress(case, shape, batch_size):
+    """Feed ``INGRESS_RECORDS`` in two halves, as ``shape``, to one
+    hand-built two-input task; returns what it emitted, its dead
+    letters and its counters."""
+    make_chain, input_index, threshold, poison, _ = INGRESS_CASES[case]
+    task = Task("chain", 0, 0, 1, make_chain(), ManualClock(),
+                MetricGroup("test"), elements_per_step=64,
+                batch_size=batch_size)
+    inputs = [Channel("in-%d" % index, capacity=1 << 30)
+              for index in range(2)]
+    for index, channel in enumerate(inputs):
+        task.add_input(channel, index)
+    output = Channel("out", capacity=1 << 30)
+    task.add_output_edge(OutputEdge(ForwardPartitioner(), [output], 0))
+    dead = []
+    task.quarantine_threshold = threshold
+    task.dead_letter_collector = dead.append
+    task.poison_next_records = poison
+    task.open()
+    for half in (INGRESS_RECORDS[:6], INGRESS_RECORDS[6:]):
+        for element in INGRESS_SHAPES[shape](half):
+            inputs[input_index].push(element)
+    for channel in inputs:
+        channel.push(END_OF_STREAM)
+    steps = 0
+    while not task.finished:
+        task.step()
+        steps += 1
+        assert steps < 100
+    counters = {name: task.metrics.counter(name).value
+                for name in ("records_in", "records_out", "dead_letters",
+                             "columnar_batches_in", "columnar_fallbacks")}
+    letters = [(letter.value, letter.timestamp, letter.key,
+                letter.error_type) for letter in dead]
+    return channel_elements(output), letters, counters
+
+
+class TestOneIngress:
+    """Every data element enters a task's chain the same way: the same
+    records as ``Record``s, as a ``RecordBatch`` or as a
+    ``ColumnarBatch``, scalar or batched, leave the same emissions, dead
+    letters and record counts behind -- only the columnar counters tell
+    the representations apart."""
+
+    @pytest.mark.parametrize("case", sorted(INGRESS_CASES))
+    def test_representations_agree(self, case):
+        expected_columnar = INGRESS_CASES[case][4]
+        emitted, letters, counters = drive_ingress(case, "records", 1)
+        assert record_count(emitted) == counters["records_out"] > 0
+        assert counters["records_in"] == len(INGRESS_RECORDS)
+        assert len(letters) == counters["dead_letters"]
+        for batch_size in (1, 64):
+            for shape in sorted(INGRESS_SHAPES):
+                got_emitted, got_letters, got = drive_ingress(
+                    case, shape, batch_size)
+                assert got_emitted == emitted, (shape, batch_size)
+                assert got_letters == letters, (shape, batch_size)
+                columnar = (got.pop("columnar_batches_in"),
+                            got.pop("columnar_fallbacks"))
+                assert got == {name: counters[name] for name in got}
+                if shape != "columnar":
+                    assert columnar == (0, 0)
+                elif batch_size == 1:
+                    assert columnar == (0, 2)   # no kernel in scalar mode
+                else:
+                    assert columnar == expected_columnar
+
+    def test_the_cases_exercise_what_they_name(self):
+        dead = {case: drive_ingress(case, "columnar", 64)[1]
+                for case in INGRESS_CASES}
+        assert dead["plain"] == dead["second-input"] == []
+        assert dead["quarantine-fused"] == []
+        assert [letter[3] for letter in dead["poison"]] == ["PoisonPill"] * 2
+        assert [letter[0] for letter in dead["quarantine-partly-fused"]] == [
+            ("k1", 4)]
+        assert [letter[0] for letter in dead["kernel-raises"]] == [("k1", 4)]
+        task_chain = Task("chain", 0, 0, 1, INGRESS_CASES[
+            "quarantine-partly-fused"][0](), ManualClock(),
+            MetricGroup("test"), batch_size=64)
+        assert 0 < task_chain._fused_prefix < len(task_chain.chain)
 
 
 # -- what the flagship job's source chain costs ---------------------------------

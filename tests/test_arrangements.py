@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import Environment
 from repro.runtime.engine import EngineConfig
-from repro.runtime.task import ArrangeOperator
+from repro.runtime.batch import ArrangeOperator
 from repro.state import (
     Arrangement,
     ShardedArrangement,

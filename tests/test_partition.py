@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from repro.runtime import partition
+from repro.runtime.channels import Channel
+from repro.runtime.columnar import batch_to_columnar
 from repro.runtime.elements import Record
 from repro.runtime.partition import (
     BroadcastPartitioner,
@@ -19,7 +21,9 @@ from repro.runtime.partition import (
     HashPartitioner,
     RebalancePartitioner,
     hash_key,
+    owner_of_key,
 )
+from repro.runtime.task import OutputEdge
 
 
 class TestHashKey:
@@ -125,6 +129,17 @@ class TestHashKeyCrossInterpreter:
         keys = eval(_KEY_BATTERY_SRC)  # same literal the children use
         local = [hash_key(k) for k in keys]
         assert local == _hash_battery_in_subprocess("99")
+
+    def test_a_key_has_one_owner_everywhere(self):
+        # Routing, state placement and savepoint rescale all ask
+        # ``owner_of_key``; it is the digest modulo the subtask count.
+        keys = eval(_KEY_BATTERY_SRC)
+        for parallelism in (1, 2, 3, 8):
+            owners = [owner_of_key(key, parallelism) for key in keys]
+            assert owners == [hash_key(key) % parallelism for key in keys]
+            select = HashPartitioner(lambda value: value).select
+            assert owners == [select(Record(key), parallelism, 0)[0]
+                              for key in keys]
 
 
 def _loop_fnv1a(data):
@@ -312,3 +327,71 @@ class TestGlobal:
     def test_always_channel_zero(self):
         partitioner = GlobalPartitioner()
         assert partitioner.select(Record(1), 5, 4) == (0,)
+
+
+#: Every route an output edge can take: (partitioner, channels, upstream
+#: subtask index, whether a batch travels whole).
+EDGE_ROUTES = {
+    "forward": (ForwardPartitioner, 3, 2, True),
+    "global": (GlobalPartitioner, 3, 1, True),
+    "broadcast": (BroadcastPartitioner, 3, 0, True),
+    "rebalance-1": (RebalancePartitioner, 1, 0, True),
+    "rebalance-3": (RebalancePartitioner, 3, 0, False),
+    "hash": (lambda: HashPartitioner(lambda value: value[0]), 3, 0, False),
+}
+
+
+class TestOutputEdgeRoutes:
+    """One routing decision per edge: a run of records reaches the same
+    channels in the same order, and leaves the same round-robin cursor
+    behind, whether it is emitted record by record, as a row batch or
+    (on whole-batch routes) as a columnar batch."""
+
+    RUNS = [[Record(("k%d" % (i % 4), i), i, key="k%d" % (i % 4))
+             for i in range(start, stop)]
+            for start, stop in ((0, 5), (5, 6), (6, 13))]
+
+    @staticmethod
+    def route(name, emit):
+        make_partitioner, count, subtask_index, _ = EDGE_ROUTES[name]
+        channels = [Channel("out-%d" % index, capacity=1 << 30)
+                    for index in range(count)]
+        edge = OutputEdge(make_partitioner(), channels, subtask_index)
+        for run in TestOutputEdgeRoutes.RUNS:
+            emit(edge, run)
+        delivered = []
+        for channel in channels:
+            rows = []
+            for element in channel._queue:
+                rows.extend(element.records if element.is_batch
+                            else [element])
+            delivered.append([(r.value, r.timestamp, r.key) for r in rows])
+        return edge, delivered, edge.partitioner.snapshot_state()
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ROUTES))
+    def test_record_batch_and_columnar_emission_agree(self, name):
+        whole = EDGE_ROUTES[name][3]
+        _, scalar, scalar_cursor = self.route(
+            name, lambda edge, run: [edge.emit_record(r) for r in run])
+        edge, batched, batched_cursor = self.route(
+            name, lambda edge, run: edge.emit_batch(run))
+        assert batched == scalar and any(scalar)
+        assert batched_cursor == scalar_cursor
+        assert edge.passes_columnar is whole
+        if name.startswith("rebalance"):
+            assert scalar_cursor == {"next": 13}
+        if whole:
+            _, columnar, columnar_cursor = self.route(
+                name, lambda edge, run: edge.emit_columnar(
+                    batch_to_columnar(run)))
+            assert columnar == scalar
+            assert columnar_cursor == scalar_cursor
+
+    def test_a_whole_batch_is_copied_per_channel(self):
+        # The caller's buffer is shared across edges, and chaos carves
+        # records out of a queued row batch in place.
+        edge, _, _ = self.route("broadcast",
+                                lambda edge, run: edge.emit_batch(run))
+        first = [channel._queue[0].records for channel in edge.channels]
+        assert first[0] == first[1] == self.RUNS[0]
+        assert first[0] is not first[1] and first[0] is not self.RUNS[0]
