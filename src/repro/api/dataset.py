@@ -8,9 +8,11 @@ engine; that absence is the point of the unified model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+import functools
+from typing import Any, Callable, List, Optional
 
-from repro.plan.graph import StreamNode
+from repro.api.handle import _Handle, _wire
+from repro.api.stream import DataStream
 from repro.runtime.batch import (
     CountOperator,
     DistinctOperator,
@@ -19,69 +21,16 @@ from repro.runtime.batch import (
     HashJoinOperator,
     SortOperator,
 )
-from repro.runtime.operators import (
-    CollectSink,
-    FilterOperator,
-    FlatMapOperator,
-    ForEachSink,
-    MapOperator,
-)
-from repro.runtime.partition import (
-    ForwardPartitioner,
-    GlobalPartitioner,
-    HashPartitioner,
-    Partitioner,
-    RebalancePartitioner,
-)
+from repro.runtime.partition import GlobalPartitioner, HashPartitioner
 
 
-class DataSet:
-    """A handle on a bounded dataflow node."""
+class DataSet(_Handle):
+    """A handle on a bounded dataflow node.  ``map`` / ``flat_map`` /
+    ``filter`` / ``union`` / ``collect`` / ``add_sink`` are the shared
+    :class:`~repro.api.handle._Handle` verbs; a sink runs as one subtask
+    unless told otherwise."""
 
-    def __init__(self, env, node: StreamNode,
-                 partitioner: Optional[Partitioner] = None) -> None:
-        self.env = env
-        self.node = node
-        self._partitioner = partitioner
-
-    # -- wiring ------------------------------------------------------------
-
-    def _edge_partitioner(self, target_parallelism: int) -> Partitioner:
-        if self._partitioner is not None:
-            return self._partitioner
-        if self.node.parallelism == target_parallelism:
-            return ForwardPartitioner()
-        return RebalancePartitioner()
-
-    def _connect(self, name: str, operator_factory: Callable[[], Any],
-                 parallelism: Optional[int] = None,
-                 partitioner: Optional[Partitioner] = None,
-                 is_sink: bool = False) -> StreamNode:
-        p = parallelism if parallelism is not None else self.node.parallelism
-        target = self.env.graph.new_node(name, operator_factory, p,
-                                         is_sink=is_sink)
-        self.env.graph.add_edge(
-            self.node.node_id, target.node_id,
-            partitioner if partitioner is not None
-            else self._edge_partitioner(p))
-        return target
-
-    # -- element-wise ---------------------------------------------------------
-
-    def map(self, fn: Callable[[Any], Any], name: str = "map") -> "DataSet":
-        return DataSet(self.env, self._connect(name,
-                                               lambda: MapOperator(fn, name)))
-
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]],
-                 name: str = "flat-map") -> "DataSet":
-        return DataSet(self.env,
-                       self._connect(name, lambda: FlatMapOperator(fn, name)))
-
-    def filter(self, predicate: Callable[[Any], bool],
-               name: str = "filter") -> "DataSet":
-        return DataSet(self.env,
-                       self._connect(name,
-                                     lambda: FilterOperator(predicate, name)))
+    _sink_parallelism = 1
 
     # -- grouping / global aggregates ---------------------------------------------
 
@@ -93,34 +42,32 @@ class DataSet:
         pipeline body works on a DataSet and a DataStream."""
         return self.group_by(key_selector)
 
+    def _global(self, name: str, operator_factory: Callable[[], Any]
+                ) -> "DataSet":
+        """A blocking stage that must see the whole input: one subtask."""
+        return self._then(name, operator_factory, parallelism=1,
+                          partitioner=GlobalPartitioner())
+
     def distinct(self, key_fn: Optional[Callable[[Any], Any]] = None,
                  name: str = "distinct") -> "DataSet":
         """Distinct values (by ``key_fn`` if given); exact, via a global
         single-parallelism stage."""
-        node = self._connect(name, lambda: DistinctOperator(key_fn, name),
-                             parallelism=1, partitioner=GlobalPartitioner())
-        return DataSet(self.env, node)
+        return self._global(name, lambda: DistinctOperator(key_fn, name))
 
     def count(self, name: str = "count") -> "DataSet":
-        node = self._connect(name, lambda: CountOperator(name),
-                             parallelism=1, partitioner=GlobalPartitioner())
-        return DataSet(self.env, node)
+        return self._global(name, lambda: CountOperator(name))
 
     def fold(self, initial: Any, fold_fn: Callable[[Any, Any], Any],
              name: str = "fold") -> "DataSet":
         """Global fold over the whole DataSet into one value."""
-        node = self._connect(name,
-                             lambda: FoldAllOperator(initial, fold_fn, name),
-                             parallelism=1, partitioner=GlobalPartitioner())
-        return DataSet(self.env, node)
+        return self._global(name,
+                            lambda: FoldAllOperator(initial, fold_fn, name))
 
     def sort(self, key_fn: Optional[Callable[[Any], Any]] = None,
              descending: bool = False, name: str = "sort") -> "DataSet":
         """Total order; necessarily single-parallelism."""
-        node = self._connect(name,
-                             lambda: SortOperator(key_fn, descending, name),
-                             parallelism=1, partitioner=GlobalPartitioner())
-        return DataSet(self.env, node)
+        return self._global(name,
+                            lambda: SortOperator(key_fn, descending, name))
 
     # -- joins --------------------------------------------------------------------
 
@@ -131,57 +78,20 @@ class DataSet:
              name: str = "join") -> "DataSet":
         """Repartitioned hash equi-join: both sides hashed on their key to
         the same join tasks."""
-        p = parallelism or self.env.parallelism
-        target = self.env.graph.new_node(
-            name,
+        return DataSet(self.env, _wire(
+            self.env, name,
             lambda: HashJoinOperator(left_key, right_key, join_fn, name),
-            p, allow_chaining=False)
-        self.env.graph.add_edge(self.node.node_id, target.node_id,
-                                HashPartitioner(left_key), target_input=0)
-        self.env.graph.add_edge(other.node.node_id, target.node_id,
-                                HashPartitioner(right_key), target_input=1)
-        return DataSet(self.env, target)
-
-    def union(self, *others: "DataSet", name: str = "union") -> "DataSet":
-        """Bag union via a pass-through stage reading every input
-        (varargs, mirroring :meth:`DataStream.union`)."""
-        if not others:
-            return self
-        p = max([self.node.parallelism]
-                + [other.node.parallelism for other in others])
-        target = self.env.graph.new_node(
-            name, lambda: MapOperator(lambda v: v, name), p)
-        self.env.graph.add_edge(self.node.node_id, target.node_id,
-                                self._edge_partitioner(p)
-                                if self.node.parallelism == p
-                                else RebalancePartitioner())
-        for other in others:
-            self.env.graph.add_edge(other.node.node_id, target.node_id,
-                                    RebalancePartitioner())
-        return DataSet(self.env, target)
-
-    # -- sinks --------------------------------------------------------------------
-
-    def collect(self, name: str = "collect"):
-        result = self.env._new_collect_result()
-        self._connect(name,
-                      lambda: CollectSink(result._bucket, name=name),
-                      parallelism=1, partitioner=GlobalPartitioner(),
-                      is_sink=True)
-        return result
-
-    def add_sink(self, fn: Callable[[Any], None], name: str = "sink") -> None:
-        self._connect(name, lambda: ForEachSink(fn, name),
-                      parallelism=1, partitioner=GlobalPartitioner(),
-                      is_sink=True)
+            [(self, HashPartitioner(left_key), 0),
+             (other, HashPartitioner(right_key), 1)],
+            parallelism or self.env.parallelism, allow_chaining=False))
 
     # -- conversion -----------------------------------------------------------------
 
     def as_stream(self) -> "DataStream":
         """View this bounded data as a DataStream -- the unified model
         makes this a no-op re-interpretation, not a copy."""
-        from repro.api.stream import DataStream
-        return DataStream(self.env, self.node, self._partitioner)
+        return DataStream(self.env, self.node, self._partitioner,
+                          self._extra_upstream)
 
     def then_stream(self, stream: Any, cutover: Optional[int] = None, *,
                     timestamp_fn: Optional[Callable[[Any], int]] = None,
@@ -218,21 +128,17 @@ class GroupedDataSet:
                      parallelism: Optional[int] = None,
                      name: str = "group-reduce") -> DataSet:
         """``reduce_fn(key, values) -> value`` once per key."""
-        env = self.dataset.env
-        p = parallelism or env.parallelism
         key_selector = self.key_selector
-        target = env.graph.new_node(
+        return self.dataset._then(
             name, lambda: GroupReduceOperator(key_selector, reduce_fn, name),
-            p, allow_chaining=False)
-        env.graph.add_edge(self.dataset.node.node_id, target.node_id,
-                           HashPartitioner(key_selector))
-        return DataSet(env, target)
+            parallelism=parallelism or self.dataset.env.parallelism,
+            partitioner=HashPartitioner(key_selector), allow_chaining=False)
 
     def reduce(self, reduce_fn: Callable[[Any, Any], Any],
                name: str = "grouped-reduce") -> DataSet:
         """Pairwise reduce within each group; emits one value per key."""
         return self.reduce_group(
-            lambda key, values: _pairwise_reduce(values, reduce_fn),
+            lambda key, values: functools.reduce(reduce_fn, values),
             name=name)
 
     def fold(self, initial: Any, fold_fn: Callable[[Any, Any], Any],
@@ -241,12 +147,10 @@ class GroupedDataSet:
         pair per group (parity with :meth:`KeyedStream.fold`, which emits
         the *running* value -- on bounded data the final emission is the
         same)."""
-        def fold_group(key: Any, values: List[Any]) -> Any:
-            accumulator = initial
-            for value in values:
-                accumulator = fold_fn(accumulator, value)
-            return (key, accumulator)
-        return self.reduce_group(fold_group, name=name)
+        return self.reduce_group(
+            lambda key, values: (key, functools.reduce(fold_fn, values,
+                                                       initial)),
+            name=name)
 
     def count(self, name: str = "group-count") -> DataSet:
         """``(key, count)`` per group."""
@@ -259,12 +163,3 @@ class GroupedDataSet:
         return self.reduce_group(
             lambda key, values: (key, sum(value_fn(v) for v in values)),
             name=name)
-
-
-def _pairwise_reduce(values: List[Any],
-                     reduce_fn: Callable[[Any, Any], Any]) -> Any:
-    iterator = iter(values)
-    accumulator = next(iterator)
-    for value in iterator:
-        accumulator = reduce_fn(accumulator, value)
-    return accumulator

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.plan.chaining import build_job_graph
+from repro.api.dataset import DataSet
+from repro.api.stream import DataStream
 from repro.plan.explain import explain_job_graph, explain_stream_graph
-from repro.plan.graph import SourceSpec, StreamGraph, StreamNode
+from repro.plan.graph import SourceSpec, StreamGraph
 from repro.runtime.engine import Engine, EngineConfig, JobResult
 from repro.runtime.operators import IteratorSource
 
@@ -87,15 +88,12 @@ class Environment:
         exactly-once recovery possible: after a failure the source is
         re-created and skipped forward to its checkpointed offset.
         """
-        from repro.api.stream import DataStream
-        p = parallelism or self.parallelism
-        node = self.graph.new_node(
-            name,
-            operator_factory=lambda: IteratorSource(
-                iterable_factory, timestamped=timestamped, name=name),
-            parallelism=p, is_source=True)
-        node.source_spec = SourceSpec(iterable_factory, timestamped)
-        return DataStream(self, node)
+        stream = self._source(
+            name, lambda: IteratorSource(iterable_factory,
+                                         timestamped=timestamped, name=name),
+            parallelism)
+        stream.node.source_spec = SourceSpec(iterable_factory, timestamped)
+        return stream
 
     def generate_sequence(self, start: int, end: int,
                           name: str = "sequence") -> "DataStream":
@@ -116,21 +114,17 @@ class Environment:
         at different parallelism reassigns partitions instead of
         breaking positional replay.
         """
-        from repro.api.stream import DataStream
         from repro.connectors.partitioned import PartitionedSource
-        p = parallelism or self.parallelism
         factories = list(partition_factories)
-        node = self.graph.new_node(
-            name,
-            operator_factory=lambda: PartitionedSource(
-                factories, timestamped=timestamped, name=name),
-            parallelism=p, is_source=True)
-        return DataStream(self, node)
+        return self._source(
+            name, lambda: PartitionedSource(factories,
+                                            timestamped=timestamped,
+                                            name=name),
+            parallelism)
 
     def from_bounded(self, values: Iterable[Any],
                      name: str = "bounded-source") -> "DataSet":
         """Data at rest: a DataSet over an in-memory collection."""
-        from repro.api.dataset import DataSet
         return DataSet(self, self.from_collection(values, name=name).node)
 
     def read(self, values: Iterable[Any],
@@ -207,7 +201,6 @@ class Environment:
         come from the :class:`~repro.plan.graph.SourceSpec` the
         environment stashed at creation time.
         """
-        from repro.api.stream import DataStream
         from repro.connectors.sources import HybridSource
         history_spec, history_p, history_node = _resolve_hybrid_side(
             self, history, timestamped, "history")
@@ -244,6 +237,13 @@ class Environment:
         return DataStream(self, node)
 
     # -- plumbing used by the fluent API ------------------------------------
+
+    def _source(self, name: str, operator_factory: Callable[[], Any],
+                parallelism: Optional[int]) -> "DataStream":
+        """A source vertex (``parallelism`` None: the environment's)."""
+        return DataStream(self, self.graph.new_node(
+            name, operator_factory, parallelism or self.parallelism,
+            is_source=True))
 
     def _new_collect_result(self) -> CollectResult:
         result = CollectResult()
@@ -323,8 +323,6 @@ def _resolve_hybrid_side(env: Environment, side: Any, timestamped: bool,
     environment with nobody else consuming them (the cutover node takes
     their place in the graph).
     """
-    from repro.api.dataset import DataSet
-    from repro.api.stream import DataStream
     if isinstance(side, (DataSet, DataStream)):
         if side.env is not env:
             raise ValueError(

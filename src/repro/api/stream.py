@@ -9,28 +9,23 @@ programming model.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from repro.api.handle import _Handle, _wire
 from repro.plan.graph import StreamNode
 from repro.runtime.operators import (
-    CollectSink,
     CoProcessOperator,
-    FilterOperator,
-    FlatMapOperator,
-    ForEachSink,
     KeyedFoldOperator,
     KeyedProcessOperator,
     KeyedReduceOperator,
-    MapOperator,
     ProcessFunction,
     TimestampsAndWatermarksOperator,
 )
 from repro.runtime.partition import (
     BroadcastPartitioner,
-    ForwardPartitioner,
     GlobalPartitioner,
     HashPartitioner,
-    Partitioner,
     RebalancePartitioner,
 )
 from repro.time.watermarks import WatermarkStrategy
@@ -41,68 +36,18 @@ from repro.windowing.operator import WindowOperator
 from repro.windowing.triggers import Trigger
 
 
-class DataStream:
-    """A handle on one node of the dataflow graph."""
-
-    def __init__(self, env, node: StreamNode,
-                 partitioner: Optional[Partitioner] = None,
-                 extra_upstream: Optional[List["DataStream"]] = None) -> None:
-        self.env = env
-        self.node = node
-        # Partitioner override for the *next* hop (set by rebalance() etc.).
-        self._partitioner = partitioner
-        # Additional upstream nodes feeding the next operator (union()).
-        self._extra_upstream = extra_upstream or []
-
-    # -- wiring helpers ------------------------------------------------------
-
-    def _edge_partitioner(self, target_parallelism: int) -> Partitioner:
-        if self._partitioner is not None:
-            return self._partitioner
-        if self.node.parallelism == target_parallelism:
-            return ForwardPartitioner()
-        return RebalancePartitioner()
-
-    def _connect(self, name: str, operator_factory: Callable[[], Any],
-                 parallelism: Optional[int] = None,
-                 is_sink: bool = False,
-                 allow_chaining: bool = True) -> StreamNode:
-        p = parallelism if parallelism is not None else self.node.parallelism
-        target = self.env.graph.new_node(name, operator_factory, p,
-                                         is_sink=is_sink,
-                                         allow_chaining=allow_chaining)
-        self.env.graph.add_edge(self.node.node_id, target.node_id,
-                                self._edge_partitioner(p))
-        for upstream in self._extra_upstream:
-            self.env.graph.add_edge(
-                upstream.node.node_id, target.node_id,
-                upstream._edge_partitioner(p))
-        return target
-
-    # -- stateless transformations ---------------------------------------------
-
-    def map(self, fn: Callable[[Any], Any], name: str = "map") -> "DataStream":
-        node = self._connect(name, lambda: MapOperator(fn, name))
-        return DataStream(self.env, node)
-
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]],
-                 name: str = "flat-map") -> "DataStream":
-        node = self._connect(name, lambda: FlatMapOperator(fn, name))
-        return DataStream(self.env, node)
-
-    def filter(self, predicate: Callable[[Any], bool],
-               name: str = "filter") -> "DataStream":
-        node = self._connect(name, lambda: FilterOperator(predicate, name))
-        return DataStream(self.env, node)
+class DataStream(_Handle):
+    """A handle on one node of the dataflow graph.  ``map`` /
+    ``flat_map`` / ``filter`` / ``union`` / ``collect`` / ``add_sink``
+    are the shared :class:`~repro.api.handle._Handle` verbs."""
 
     # -- time ------------------------------------------------------------------
 
     def assign_timestamps_and_watermarks(
             self, strategy: WatermarkStrategy,
             name: str = "timestamps/watermarks") -> "DataStream":
-        node = self._connect(
+        return self._then(
             name, lambda: TimestampsAndWatermarksOperator(strategy, name=name))
-        return DataStream(self.env, node)
 
     # -- partitioning ---------------------------------------------------------
 
@@ -129,11 +74,6 @@ class DataStream:
 
     # -- multi-stream ------------------------------------------------------------
 
-    def union(self, *others: "DataStream") -> "DataStream":
-        """Merge streams of the same type; the next operator reads all."""
-        return DataStream(self.env, self.node, self._partitioner,
-                          self._extra_upstream + list(others))
-
     def connect(self, other: "DataStream") -> "ConnectedStreams":
         return ConnectedStreams(self.env, self, other)
 
@@ -147,17 +87,12 @@ class DataStream:
         """Join this stream with ``other`` per key and event-time window;
         pairs are emitted when the watermark closes each window."""
         from repro.windowing.join import WindowJoinOperator
-        p = parallelism or self.env.parallelism
-        target = self.env.graph.new_node(
-            name, lambda: WindowJoinOperator(assigner, join_fn, name), p,
-            allow_chaining=False)
-        self.env.graph.add_edge(self.node.node_id, target.node_id,
-                                HashPartitioner(left_key), target_input=0)
-        self.env.graph.add_edge(other.node.node_id, target.node_id,
-                                HashPartitioner(right_key), target_input=1)
-        return DataStream(self.env, target)
-
-    # -- sinks ----------------------------------------------------------------------
+        return DataStream(self.env, _wire(
+            self.env, name,
+            lambda: WindowJoinOperator(assigner, join_fn, name),
+            [(self, HashPartitioner(left_key), 0),
+             (other, HashPartitioner(right_key), 1)],
+            parallelism or self.env.parallelism, allow_chaining=False))
 
     def with_history(self, history: Any,
                      cutover: Optional[int] = None, *,
@@ -178,37 +113,6 @@ class DataStream:
                                 timestamped=timestamped,
                                 history_burst=history_burst, name=name)
 
-    def collect(self, with_timestamps: bool = False,
-                name: str = "collect") -> "CollectResult":
-        """Gather results into a list readable after ``env.execute()``."""
-        result = self.env._new_collect_result()
-        self._connect(
-            name,
-            lambda: CollectSink(result._bucket,
-                                with_timestamps=with_timestamps, name=name),
-            parallelism=1, is_sink=True)
-        return result
-
-    def add_sink(self, fn: Callable[[Any], None],
-                 parallelism: Optional[int] = None,
-                 name: str = "sink") -> None:
-        from repro.connectors.sinks import (
-            TransactionalSink,
-            TransactionalSinkOperator,
-        )
-        if isinstance(fn, TransactionalSink):
-            # An exactly-once sink owns one target file, so its writes
-            # cannot be spread over parallel subtasks.
-            if parallelism not in (None, 1):
-                raise ValueError(
-                    "transactional sinks require parallelism 1; got %r"
-                    % parallelism)
-            self._connect(name, lambda: TransactionalSinkOperator(fn, name),
-                          parallelism=1, is_sink=True)
-            return
-        self._connect(name, lambda: ForEachSink(fn, name),
-                      parallelism=parallelism, is_sink=True)
-
 
 class KeyedStream:
     """A stream partitioned by key; the gateway to state and windows."""
@@ -225,30 +129,29 @@ class KeyedStream:
                        parallelism: Optional[int] = None,
                        allow_chaining: bool = True) -> StreamNode:
         p = parallelism if parallelism is not None else self.env.parallelism
-        target = self.env.graph.new_node(name, operator_factory, p,
-                                         allow_chaining=allow_chaining)
-        self.env.graph.add_edge(self.node.node_id, target.node_id,
-                                HashPartitioner(self.key_selector))
-        for upstream in self._extra_upstream:
-            self.env.graph.add_edge(upstream.node.node_id, target.node_id,
-                                    HashPartitioner(self.key_selector))
-        return target
+        # With an explicit partitioner ``_wire`` reads only ``node`` and
+        # ``_extra_upstream`` of an input, so the keyed view is its own.
+        return _wire(self.env, name, operator_factory,
+                     [(self, HashPartitioner(self.key_selector), 0)], p,
+                     allow_chaining=allow_chaining)
+
+    def _then(self, name: str,
+              operator_factory: Callable[[], Any]) -> DataStream:
+        """A keyed verb: the stream coming out of the new vertex."""
+        return DataStream(self.env,
+                          self._connect_keyed(name, operator_factory))
 
     def reduce(self, reduce_fn: Callable[[Any, Any], Any],
                name: str = "reduce") -> DataStream:
         """Rolling per-key reduce; emits the running aggregate per record."""
-        node = self._connect_keyed(name,
-                                   lambda: KeyedReduceOperator(reduce_fn, name))
-        return DataStream(self.env, node)
+        return self._then(name, lambda: KeyedReduceOperator(reduce_fn, name))
 
     def fold(self, initial: Any, fold_fn: Callable[[Any, Any], Any],
              name: str = "fold") -> DataStream:
         """Rolling per-key fold from ``initial``; emits the running value
         as ``(key, accumulator)`` pairs."""
-        node = self._connect_keyed(name,
-                                   lambda: KeyedFoldOperator(initial, fold_fn,
-                                                             name))
-        return DataStream(self.env, node)
+        return self._then(name,
+                          lambda: KeyedFoldOperator(initial, fold_fn, name))
 
     def sum(self, value_fn: Callable[[Any], float] = lambda v: v,
             name: str = "sum") -> DataStream:
@@ -261,9 +164,7 @@ class KeyedStream:
         return self.fold(0, lambda acc, _v: acc + 1, name=name)
 
     def process(self, fn: ProcessFunction, name: str = "process") -> DataStream:
-        node = self._connect_keyed(name,
-                                   lambda: KeyedProcessOperator(fn, name))
-        return DataStream(self.env, node)
+        return self._then(name, lambda: KeyedProcessOperator(fn, name))
 
     def window(self, assigner: WindowAssigner) -> "WindowedStream":
         return WindowedStream(self, assigner)
@@ -272,9 +173,7 @@ class KeyedStream:
         """Match a CEP pattern per key; emits
         :class:`~repro.cep.operator.KeyedMatch` records."""
         from repro.cep.operator import CEPOperator
-        node = self._connect_keyed(name,
-                                   lambda: CEPOperator(pattern, name))
-        return DataStream(self.env, node)
+        return self._then(name, lambda: CEPOperator(pattern, name))
 
     def shared_windows(self, aggregate_factory: Callable[[], Any],
                        queries: "Dict[Any, Callable[[], Any]]",
@@ -299,15 +198,9 @@ class KeyedStream:
             aggregate_factory=aggregate_factory,
             spec_factories=queries, counter=counter, name=name)
         if not reorder:
-            node = self._connect_keyed(name, cutty_factory)
-            return DataStream(self.env, node)
-        reorder_node = self._connect_keyed(
-            "%s-reorder" % name, WatermarkReorderOperator)
-        cutty_node = self.env.graph.new_node(
-            name, cutty_factory, reorder_node.parallelism)
-        self.env.graph.add_edge(reorder_node.node_id, cutty_node.node_id,
-                                ForwardPartitioner())
-        return DataStream(self.env, cutty_node)
+            return self._then(name, cutty_factory)
+        reordered = self._then("%s-reorder" % name, WatermarkReorderOperator)
+        return reordered._then(name, cutty_factory)
 
 
 class WindowedStream:
@@ -339,20 +232,19 @@ class WindowedStream:
         self._late_data_tag = tag
         return self
 
+    def _window_operator(self, name: str, **mode: Any) -> DataStream:
+        """``mode`` is ``aggregate=`` (incremental) or ``process_fn=``
+        (buffering); the builder's settings are bound now, not at open."""
+        return self.keyed._then(name, functools.partial(
+            WindowOperator, self.assigner, trigger=self._trigger,
+            evictor=self._evictor, allowed_lateness=self._allowed_lateness,
+            late_data_tag=self._late_data_tag, name=name, **mode))
+
     def aggregate(self, aggregate: AggregateFunction,
                   name: str = "window-aggregate") -> DataStream:
         """Incremental aggregation; emits
         :class:`~repro.windowing.operator.WindowResult` records."""
-        assigner, trig, evict, late = (self.assigner, self._trigger,
-                                       self._evictor, self._allowed_lateness)
-        tag = self._late_data_tag
-        node = self.keyed._connect_keyed(
-            name,
-            lambda: WindowOperator(assigner, aggregate=aggregate,
-                                   trigger=trig, evictor=evict,
-                                   allowed_lateness=late,
-                                   late_data_tag=tag, name=name))
-        return DataStream(self.keyed.env, node)
+        return self._window_operator(name, aggregate=aggregate)
 
     def reduce(self, reduce_fn: Callable[[Any, Any], Any],
                name: str = "window-reduce") -> DataStream:
@@ -361,16 +253,7 @@ class WindowedStream:
     def apply(self, process_fn: Callable[[Any, Any, List[Any]], Iterable[Any]],
               name: str = "window-apply") -> DataStream:
         """Buffering window computation with access to all elements."""
-        assigner, trig, evict, late = (self.assigner, self._trigger,
-                                       self._evictor, self._allowed_lateness)
-        tag = self._late_data_tag
-        node = self.keyed._connect_keyed(
-            name,
-            lambda: WindowOperator(assigner, process_fn=process_fn,
-                                   trigger=trig, evictor=evict,
-                                   allowed_lateness=late,
-                                   late_data_tag=tag, name=name))
-        return DataStream(self.keyed.env, node)
+        return self._window_operator(name, process_fn=process_fn)
 
 
 class ConnectedStreams:
@@ -390,19 +273,13 @@ class ConnectedStreams:
                 fn2: Callable[[Any, Any], None],
                 parallelism: int = 1,
                 name: str = "co-process") -> DataStream:
-        """Co-process with rebalanced (non-keyed) inputs."""
-        target = self.env.graph.new_node(
-            name, lambda: CoProcessOperator(fn1, fn2, name), parallelism,
-            allow_chaining=False)
-        self.env.graph.add_edge(self.first.node.node_id, target.node_id,
-                                self.first._edge_partitioner(parallelism),
-                                target_input=0)
-        self.env.graph.add_edge(self.second.node.node_id, target.node_id,
-                                RebalancePartitioner()
-                                if parallelism != self.second.node.parallelism
-                                else ForwardPartitioner(),
-                                target_input=1)
-        return DataStream(self.env, target)
+        """Co-process with non-keyed inputs: each side forwards or
+        rebalances by parallelism unless it carries its own override
+        (``data.connect(control.broadcast())``)."""
+        return DataStream(self.env, _wire(
+            self.env, name, lambda: CoProcessOperator(fn1, fn2, name),
+            [(self.first, None, 0), (self.second, None, 1)], parallelism,
+            allow_chaining=False))
 
 
 class ConnectedKeyedStreams:
@@ -421,16 +298,9 @@ class ConnectedKeyedStreams:
                 parallelism: Optional[int] = None,
                 on_finish: Optional[Callable[[Any], None]] = None,
                 name: str = "keyed-co-process") -> DataStream:
-        p = parallelism or self.env.parallelism
-        target = self.env.graph.new_node(
-            name, lambda: CoProcessOperator(fn1, fn2, name, on_finish=on_finish),
-            p, allow_chaining=False)
-        self.env.graph.add_edge(self.first.node.node_id, target.node_id,
-                                HashPartitioner(self.key1), target_input=0)
-        self.env.graph.add_edge(self.second.node.node_id, target.node_id,
-                                HashPartitioner(self.key2), target_input=1)
-        return DataStream(self.env, target)
-
-
-# Imported for type reference in collect(); placed late to avoid a cycle.
-from repro.api.environment import CollectResult  # noqa: E402
+        return DataStream(self.env, _wire(
+            self.env, name,
+            lambda: CoProcessOperator(fn1, fn2, name, on_finish=on_finish),
+            [(self.first, HashPartitioner(self.key1), 0),
+             (self.second, HashPartitioner(self.key2), 1)],
+            parallelism or self.env.parallelism, allow_chaining=False))

@@ -281,7 +281,7 @@ class OperatorStats:
     """
 
     __slots__ = ("name", "records_in", "records_out", "batches", "time_ns",
-                 "columnar_batches", "columnar_fallbacks")
+                 "columnar_fallbacks")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -289,8 +289,6 @@ class OperatorStats:
         self.records_out = 0
         self.batches = 0
         self.time_ns = 0
-        #: Columnar batches consumed through a fused column kernel.
-        self.columnar_batches = 0
         #: Columnar batches that arrived but fell back to the row path
         #: (unsupported UDF in the chain head, second input, quarantine
         #: or chaos bookkeeping) -- the observable cost of a missing
@@ -304,7 +302,6 @@ class OperatorStats:
         self.records_out += other.records_out
         self.batches += other.batches
         self.time_ns += other.time_ns
-        self.columnar_batches += other.columnar_batches
         self.columnar_fallbacks += other.columnar_fallbacks
 
     def as_dict(self) -> Dict[str, float]:
@@ -314,7 +311,6 @@ class OperatorStats:
             "records_out": self.records_out,
             "batches": self.batches,
             "time_ns": self.time_ns,
-            "columnar_batches": self.columnar_batches,
             "columnar_fallbacks": self.columnar_fallbacks,
         }
 

@@ -8,8 +8,8 @@ the only difference being that these operators *materialise* their input
 
 The shared-arrangement writer and readers at the end of the module are
 the same kind of operator over a shared index: they read at ``finish``
-in the emission order of :class:`GroupReduceOperator` /
-:class:`HashJoinOperator`.
+and emit through the helpers :class:`GroupReduceOperator` /
+:class:`HashJoinOperator` emit through, so the order is the same.
 """
 
 from __future__ import annotations
@@ -23,6 +23,25 @@ from repro.runtime.operators import (
     rescale_keyed_dict_state,
 )
 from repro.runtime.partition import owner_of_key
+
+
+def _emit_groups(ctx: OperatorContext, groups: Dict[Any, List[Any]],
+                 reduce_fn: Callable[[Any, List[Any]], Any]) -> None:
+    """The emission order of a group-by, materialised or arranged:
+    ``reduce_fn(key, values)`` per key, keys sorted by ``repr``."""
+    for key in sorted(groups, key=repr):
+        ctx.emit(reduce_fn(key, groups[key]))
+
+
+def _emit_matches(ctx: OperatorContext, left: Dict[Any, List[Any]],
+                  keyed_right: Iterable[Tuple[Any, Any]],
+                  join_fn: Callable[[Any, Any], Any]) -> None:
+    """The emission order of an equi-join, materialised or arranged:
+    ``(key, right)`` pairs in right-side arrival order, each against its
+    key's left values in theirs."""
+    for key, right_value in keyed_right:
+        for left_value in left.get(key, ()):
+            ctx.emit(join_fn(left_value, right_value))
 
 
 class GroupReduceOperator(Operator):
@@ -43,8 +62,7 @@ class GroupReduceOperator(Operator):
                                 []).append(record.value)
 
     def finish(self) -> None:
-        for key in sorted(self._groups, key=repr):
-            self.ctx.emit(self._reduce_fn(key, self._groups[key]))
+        _emit_groups(self.ctx, self._groups, self._reduce_fn)
         self._groups.clear()
 
     def snapshot_state(self) -> Any:
@@ -141,10 +159,10 @@ class HashJoinOperator(Operator):
         self._right.append(record.value)
 
     def finish(self) -> None:
-        for right_value in self._right:
-            key = self._right_key(right_value)
-            for left_value in self._left.get(key, ()):
-                self.ctx.emit(self._join_fn(left_value, right_value))
+        right_key = self._right_key
+        _emit_matches(self.ctx, self._left,
+                      ((right_key(value), value) for value in self._right),
+                      self._join_fn)
         self._left.clear()
         self._right.clear()
 
@@ -322,9 +340,9 @@ class _ArrangementReader(Operator):
 class ArrangementScanOperator(_ArrangementReader):
     """Serves one group-by query from a shared arrangement: folds each
     key's arranged rows with the query's own ``reduce_fn`` at end of
-    input.  Key iteration is sorted by ``repr`` to match
-    :class:`GroupReduceOperator`, so a shared plan
-    is byte-identical to the independently planned one."""
+    input.  It emits through :func:`_emit_groups` like
+    :class:`GroupReduceOperator`, so a shared plan is byte-identical to
+    the independently planned one."""
 
     def __init__(self, sharded: "Any",
                  reduce_fn: Callable[[Any, List[Any]], Any],
@@ -337,9 +355,8 @@ class ArrangementScanOperator(_ArrangementReader):
             "arrangement scan has no data input; it reads via its handle")
 
     def finish(self) -> None:
-        grouped = self._ensure_handle().read_frontier()
-        for key in sorted(grouped, key=repr):
-            self.ctx.emit(self._reduce_fn(key, grouped[key]))
+        _emit_groups(self.ctx, self._ensure_handle().read_frontier(),
+                     self._reduce_fn)
 
 
 class ArrangementJoinOperator(_ArrangementReader):
@@ -347,9 +364,9 @@ class ArrangementJoinOperator(_ArrangementReader):
 
     Input 0 buffers left rows per key; input 1 is the control edge from
     the arrange node (watermarks and end-of-stream only).  ``finish``
-    replays arranged rows in arrival order, matching
-    :class:`HashJoinOperator`'s right-side
-    iteration exactly."""
+    replays arranged rows in arrival order through
+    :func:`_emit_matches`, as :class:`HashJoinOperator` does its right
+    side."""
 
     def __init__(self, sharded: "Any", left_key: Callable[[Any], Any],
                  join_fn: Callable[[Any, Any], Any],
@@ -368,10 +385,9 @@ class ArrangementJoinOperator(_ArrangementReader):
             "the arrangement control input carries no records")
 
     def finish(self) -> None:
-        handle = self._ensure_handle()
-        for key, right_row in handle.read_frontier_rows():
-            for left_value in self._left.get(key, ()):
-                self.ctx.emit(self._join_fn(left_value, right_row))
+        _emit_matches(self.ctx, self._left,
+                      self._ensure_handle().read_frontier_rows(),
+                      self._join_fn)
         self._left.clear()
 
     def snapshot_state(self) -> Any:

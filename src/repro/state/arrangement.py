@@ -33,7 +33,7 @@ independently planned ones.
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.runtime.elements import MAX_TIMESTAMP
 
@@ -358,10 +358,6 @@ class ShardedArrangement:
 
     def shard(self, index: int) -> Arrangement:
         return self.shards[index]
-
-    def key_fn(self) -> Callable[[Row], Key]:
-        columns = self.key_columns
-        return lambda row: tuple(row[column] for column in columns)
 
     def stats(self) -> Dict[str, Any]:
         """Aggregate stats across shards (per-shard rows come from the

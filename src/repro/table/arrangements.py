@@ -19,20 +19,29 @@ slices.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.runtime.partition import ForwardPartitioner, HashPartitioner
+from repro.api.handle import _wire
+from repro.api.stream import DataStream
+from repro.runtime.batch import (
+    ArrangementJoinOperator,
+    ArrangementScanOperator,
+    ArrangeOperator,
+)
+from repro.runtime.partition import HashPartitioner
 from repro.state.arrangement import ShardedArrangement
-from repro.table.plan import ArrangementScan, LogicalOp, Row
+from repro.table.plan import ArrangementScan
+from repro.table.table import _group_reducer, _key_selector, _merge_on
 
 
 class _Entry:
     def __init__(self, index: int, sharded: ShardedArrangement,
-                 arrange_node) -> None:
+                 arranged: DataStream) -> None:
         self.index = index
         self.sharded = sharded
-        self.arrange_node = arrange_node
-        self.attached_queries = 0
+        #: The arrange stage; emits no records, only the control signal
+        #: (watermarks, end-of-stream) its readers advance on.
+        self.arranged = arranged
 
 
 class ArrangementCatalog:
@@ -62,97 +71,58 @@ class ArrangementCatalog:
         index = len(self._entries)
         name = "a%d[%s by=%s]" % (index, source_node.name,
                                   ",".join(op.keys))
-        parallelism = env.parallelism
-        interval = getattr(env.config, "arrangement_compaction_interval", 8)
-        sharded = ShardedArrangement(name, op.keys, parallelism,
-                                     compaction_interval=interval)
+        sharded = ShardedArrangement(
+            name, op.keys, env.parallelism,
+            compaction_interval=env.config.arrangement_compaction_interval)
 
         stream = arranged_table._source_stream
         if arranged_table._time_column is not None:
             # Event-time input: watermarks advance during the run, so
             # the arrangement seals real intermediate versions (and
             # compaction has work to do before the final frontier).
-            from repro.time.watermarks import WatermarkStrategy
-            time_column = arranged_table._time_column
-            strategy = WatermarkStrategy.for_bounded_out_of_orderness(
-                lambda row, _tc=time_column: row[_tc],
-                arranged_table._watermark_delay)
-            stream = stream.assign_timestamps_and_watermarks(strategy)
+            stream = arranged_table._with_event_time(stream)
         for prefix_op in op.prefix[1:]:  # [0] is the Scan itself
             stream = arranged_table._compile_op(stream, prefix_op)
 
-        from repro.runtime.batch import ArrangeOperator
-        key_fn = sharded.key_fn()
-        arrange_node = env.graph.new_node(
+        key_fn = _key_selector(op.keys)
+        arrange_node = stream.key_by(key_fn)._connect_keyed(
             "arrange[%s]" % name,
             lambda: ArrangeOperator(sharded, key_fn, name=name),
-            parallelism, allow_chaining=False)
-        env.graph.add_edge(stream.node.node_id, arrange_node.node_id,
-                           HashPartitioner(key_fn))
-
-        entry = _Entry(index, sharded, arrange_node)
+            allow_chaining=False)
+        entry = _Entry(index, sharded, DataStream(env, arrange_node))
         self._entries[key] = entry
         return entry
 
     # ------------------------------------------------------------------
 
+    def _reader(self, kind: str, entry: _Entry, operator_factory,
+                data_inputs=()) -> DataStream:
+        """One query's reader vertex: co-located with the arrange stage,
+        whose control edge is its last input."""
+        self._readers += 1
+        control = (entry.arranged, None, len(data_inputs))
+        return DataStream(self.env, _wire(
+            self.env, "arrangement-%s[a%d.q%d]" % (kind, entry.index,
+                                                   self._readers),
+            operator_factory, list(data_inputs) + [control],
+            entry.arranged.node.parallelism, allow_chaining=False))
+
     def compile_group_scan(self, table, op: ArrangementScan):
         """A reader node folding each key's arranged rows with this
         query's own aggregations (the aggregation is per-query; only the
         keyed index is shared)."""
-        from repro.api.stream import DataStream
-        from repro.runtime.batch import ArrangementScanOperator
-        from repro.table.table import _RowAggregates
-
         entry = self._entry_for(table, op)
-        entry.attached_queries += 1
-        self._readers += 1
-        keys = op.keys
-        aggregate = _RowAggregates(op.aggregations)
-
-        def reduce_group(key, rows, _agg=aggregate, _keys=keys):
-            acc = _agg.create_accumulator()
-            for row in rows:
-                acc = _agg.add(row, acc)
-            out = dict(zip(_keys, key))
-            out.update(_agg.get_result(acc))
-            return out
-
-        node = self.env.graph.new_node(
-            "arrangement-scan[a%d.q%d]" % (entry.index, self._readers),
-            lambda: ArrangementScanOperator(entry.sharded, reduce_group),
-            entry.arrange_node.parallelism, allow_chaining=False)
-        self.env.graph.add_edge(entry.arrange_node.node_id, node.node_id,
-                                ForwardPartitioner())
-        return DataStream(self.env, node)
+        reduce_group = _group_reducer(op.keys, op.aggregations)
+        return self._reader(
+            "scan", entry,
+            lambda: ArrangementScanOperator(entry.sharded, reduce_group))
 
     def compile_join(self, table, left_stream, op: ArrangementScan):
         """A reader node probing the arranged *right* side with this
         query's left stream."""
-        from repro.api.stream import DataStream
-        from repro.runtime.batch import ArrangementJoinOperator
-
         entry = self._entry_for(op.right_table, op)
-        entry.attached_queries += 1
-        self._readers += 1
-        on = op.keys
-
-        def merge(left_row: Row, right_row: Row, _on=on) -> Row:
-            merged = dict(left_row)
-            for column, value in right_row.items():
-                if column not in _on:
-                    merged[column] = value
-            return merged
-
-        def left_key(row: Row, _on=on) -> Tuple[Any, ...]:
-            return tuple(row[k] for k in _on)
-
-        node = self.env.graph.new_node(
-            "arrangement-join[a%d.q%d]" % (entry.index, self._readers),
+        left_key, merge = _key_selector(op.keys), _merge_on(op.keys)
+        return self._reader(
+            "join", entry,
             lambda: ArrangementJoinOperator(entry.sharded, left_key, merge),
-            entry.arrange_node.parallelism, allow_chaining=False)
-        self.env.graph.add_edge(left_stream.node.node_id, node.node_id,
-                                HashPartitioner(left_key), target_input=0)
-        self.env.graph.add_edge(entry.arrange_node.node_id, node.node_id,
-                                ForwardPartitioner(), target_input=1)
-        return DataStream(self.env, node)
+            [(left_stream, HashPartitioner(left_key), 0)])

@@ -149,14 +149,10 @@ def prune_projection(ops: List[LogicalOp]) -> List[LogicalOp]:
     for op in ops[1:]:
         if isinstance(op, Where):
             needed |= op.reads
-        elif isinstance(op, Select):
+        elif isinstance(op, (Select, GroupAgg, WindowAgg)):
             needed |= op.reads
             terminal_needs_all = False
-            break  # later ops see only the projection's output
-        elif isinstance(op, (GroupAgg, WindowAgg)):
-            needed |= op.reads
-            terminal_needs_all = False
-            break
+            break  # later ops see only this op's output
         elif isinstance(op, (Join, ArrangementScan)):
             # Every left column flows through the join: no pruning, but
             # record the threaded reads (the join keys) so the scan is

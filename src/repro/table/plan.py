@@ -108,6 +108,12 @@ def validate_agg_spec(aggregations: AggSpec) -> None:
                              % fn_name)
 
 
+def _agg_inputs(aggregations: AggSpec) -> FrozenSet[str]:
+    """The input columns an aggregation spec reads."""
+    return frozenset(column for _, column in aggregations.values()
+                     if column is not None)
+
+
 class GroupAgg(LogicalOp):
     """Grouped aggregation over a bounded relation."""
 
@@ -124,11 +130,7 @@ class GroupAgg(LogicalOp):
 
     @property
     def reads(self) -> FrozenSet[str]:
-        required = set(self.keys)
-        for _, column in self.aggregations.values():
-            if column is not None:
-                required.add(column)
-        return frozenset(required)
+        return _agg_inputs(self.aggregations) | set(self.keys)
 
     def __repr__(self) -> str:
         return "GroupAgg(by=%s)" % ",".join(self.keys)
@@ -150,11 +152,8 @@ class WindowAgg(LogicalOp):
 
     @property
     def reads(self) -> FrozenSet[str]:
-        required = set(self.keys) | {self.window.time_column}
-        for _, column in self.aggregations.values():
-            if column is not None:
-                required.add(column)
-        return frozenset(required)
+        return (_agg_inputs(self.aggregations) | set(self.keys)
+                | {self.window.time_column})
 
     def __repr__(self) -> str:
         return "WindowAgg(by=%s, %r)" % (",".join(self.keys), self.window)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.api.dataset import DataSet
 from repro.table.optimizer import optimize
 from repro.table.plan import (
     AggSpec,
@@ -49,7 +50,6 @@ from repro.windowing.assigners import (
     SlidingEventTimeWindows,
     TumblingEventTimeWindows,
 )
-from repro.windowing.operator import WindowOperator
 
 
 class _ColumnAggregate(AggregateFunction):
@@ -124,6 +124,42 @@ class _RowAggregates(AggregateFunction):
     def get_result(self, acc):
         return {name: m.get_result(a)
                 for name, m, a in zip(self._names, self._members, acc)}
+
+
+# The row closures of a group-by and a join.  The Table compiler and the
+# arrangement catalog both build theirs here, which is what makes a
+# shared plan byte-identical to the independently planned one.
+
+def _key_selector(columns: Tuple[str, ...]) -> Callable[[Row], Tuple]:
+    """The tuple of ``columns`` a row is grouped or joined on."""
+    return lambda row: tuple(row[column] for column in columns)
+
+
+def _group_reducer(keys: Tuple[str, ...], aggregations: AggSpec):
+    """``reduce_fn(key, rows) -> row``: the key columns plus every
+    aggregation of the spec folded over the group."""
+    aggregate = _RowAggregates(aggregations)
+
+    def reduce_group(key: Tuple, rows: List[Row]) -> Row:
+        acc = aggregate.create_accumulator()
+        for row in rows:
+            acc = aggregate.add(row, acc)
+        out = dict(zip(keys, key))
+        out.update(aggregate.get_result(acc))
+        return out
+    return reduce_group
+
+
+def _merge_on(on: Tuple[str, ...]) -> Callable[[Row, Row], Row]:
+    """``join_fn(left, right) -> row``: the left row plus the right's
+    columns other than the join keys."""
+    def merge(left_row: Row, right_row: Row) -> Row:
+        merged = dict(left_row)
+        for column, value in right_row.items():
+            if column not in on:
+                merged[column] = value
+        return merged
+    return merge
 
 
 def make_table(env, rows: List[Row],
@@ -245,16 +281,13 @@ class Table:
             raise ValueError(
                 "ambiguous non-key columns %r; select/rename first"
                 % sorted(overlap))
-        from repro.table.plan import Join
         # Thread the read columns (the join keys) through the plan the
         # same way Where does -- the arrangement rewrite and projection
         # pruning both consume this metadata.
-        return self._derive(Join(on, other.columns, other, reads=on))
+        return self._derive(_JoinOp(on, other.columns, other, reads=on))
 
     def window(self, window: WindowDef) -> "WindowedTable":
-        if self.is_bounded:
-            # Bounded relations may window too (batch = finite stream).
-            pass
+        # Bounded relations may window too (batch = finite stream).
         if window.time_column not in self.columns:
             raise ValueError("window time column %r not in schema"
                              % window.time_column)
@@ -276,20 +309,13 @@ class Table:
 
     def to_stream(self, optimized: bool = True):
         """Compile the (optimized) plan onto dataflow operators."""
-        share = bool(optimized
-                     and getattr(self.env.config, "share_arrangements",
-                                 False))
+        share = optimized and self.env.config.share_arrangements
         ops = self.optimized_plan(optimized, share_arrangements=share)
         stream = self._source_stream
-        needs_time = any(isinstance(op, WindowAgg) for op in ops)
-        if needs_time:
-            delay = self._watermark_delay
-            time_column = self._time_column
-            if time_column is None:
+        if any(isinstance(op, WindowAgg) for op in ops):
+            if self._time_column is None:
                 raise ValueError("windowed plans need a time_column")
-            strategy = WatermarkStrategy.for_bounded_out_of_orderness(
-                lambda row, _tc=time_column: row[_tc], delay)
-            stream = stream.assign_timestamps_and_watermarks(strategy)
+            stream = self._with_event_time(stream)
         head = ops[0]
         if isinstance(head, ArrangementScan):
             # Rewritten group-by head: the whole prefix is served by the
@@ -304,6 +330,14 @@ class Table:
         return self.to_stream(optimized).collect()
 
     # -- compilation ---------------------------------------------------------------
+
+    def _with_event_time(self, stream):
+        """Stamp rows with their ``time_column`` and emit watermarks
+        ``watermark_delay`` behind the largest one seen."""
+        time_column = self._time_column
+        return stream.assign_timestamps_and_watermarks(
+            WatermarkStrategy.for_bounded_out_of_orderness(
+                lambda row: row[time_column], self._watermark_delay))
 
     def _compile_op(self, stream, op: LogicalOp):
         if isinstance(op, Where):
@@ -330,56 +364,26 @@ class Table:
         raise ValueError("cannot compile %r" % op)
 
     def _compile_join(self, stream, op):
-        from repro.api.dataset import DataSet
         right_stream = op.right_table.to_stream()
-        on = op.on
-
-        def merge(left_row, right_row, _on=on):
-            merged = dict(left_row)
-            for column, value in right_row.items():
-                if column not in _on:
-                    merged[column] = value
-            return merged
-
-        left_dataset = DataSet(self.env, stream.node)
-        right_dataset = DataSet(self.env, right_stream.node)
-        joined = left_dataset.join(
-            right_dataset,
-            left_key=lambda row, _on=on: tuple(row[k] for k in _on),
-            right_key=lambda row, _on=on: tuple(row[k] for k in _on),
-            join_fn=merge, name="table-join")
+        joined = DataSet(self.env, stream.node).join(
+            DataSet(self.env, right_stream.node),
+            left_key=_key_selector(op.on), right_key=_key_selector(op.on),
+            join_fn=_merge_on(op.on), name="table-join")
         return joined.as_stream()
 
     def _compile_group_agg(self, stream, op: GroupAgg):
-        from repro.api.dataset import DataSet
-        keys = op.keys
-        aggregate = _RowAggregates(op.aggregations)
-
-        def reduce_group(key, rows, _agg=aggregate, _keys=keys):
-            acc = _agg.create_accumulator()
-            for row in rows:
-                acc = _agg.add(row, acc)
-            out = dict(zip(_keys, key if isinstance(key, tuple) else (key,)))
-            out.update(_agg.get_result(acc))
-            return out
-
-        dataset = DataSet(self.env, stream.node)
-        grouped = dataset.group_by(
-            lambda row, _keys=keys: tuple(row[k] for k in _keys))
-        return grouped.reduce_group(reduce_group,
-                                    name="group-agg").as_stream()
+        grouped = DataSet(self.env, stream.node).group_by(
+            _key_selector(op.keys))
+        return grouped.reduce_group(
+            _group_reducer(op.keys, op.aggregations),
+            name="group-agg").as_stream()
 
     def _compile_window_agg(self, stream, op: WindowAgg):
         keys = op.keys
         aggregate = _RowAggregates(op.aggregations)
         assigner = _assigner_for(op.window)
-        if keys:
-            keyed = stream.key_by(
-                lambda row, _keys=keys: tuple(row[k] for k in _keys))
-        else:
-            keyed = stream.key_by(lambda row: ())
-        windowed = keyed.window(assigner).aggregate(aggregate,
-                                                    name="window-agg")
+        windowed = stream.key_by(_key_selector(keys)).window(
+            assigner).aggregate(aggregate, name="window-agg")
 
         def to_row(result, _keys=keys):
             out = dict(zip(_keys, result.key))

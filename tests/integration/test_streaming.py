@@ -234,6 +234,33 @@ def test_connected_keyed_streams_share_state_by_key():
     assert values == [("good", 2), ("good", 3)]
 
 
+@pytest.mark.parametrize("override,reached,label", [
+    ("broadcast", [0, 1], "broadcast"),
+    ("rebalance", [0], "rebalance"),
+    ("global_", [0], "global"),
+], ids=["broadcast", "rebalance", "global"])
+def test_connect_honours_an_override_on_either_input(override, reached,
+                                                     label):
+    # The second input used to be rewired by parallelism alone, so a
+    # broadcast control record reached one subtask of two.
+    def control_on(side):
+        env = Environment(parallelism=2)
+        data = env.from_collection(list(range(4)))
+        control = getattr(env.from_source(lambda: ["m"], parallelism=1,
+                                          name="ctrl"), override)()
+        ignore = lambda value, ctx: None
+        seen = lambda value, ctx: ctx.emit(ctx.subtask_index)
+        connected, fns = ((data.connect(control), (ignore, seen))
+                          if side == 1 else
+                          (control.connect(data), (seen, ignore)))
+        result = connected.process(*fns, parallelism=2).collect()
+        assert "co-process via %s" % label in env.explain()
+        env.execute()
+        return sorted(result.get())
+
+    assert control_on(1) == control_on(0) == reached
+
+
 def test_rebalance_spreads_skewed_input():
     env = Environment(parallelism=1)
     counts = []

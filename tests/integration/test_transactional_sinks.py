@@ -194,6 +194,55 @@ class TestExactlyOnceThroughEngine:
             stream.add_sink(sink, parallelism=2)
 
 
+class TestExactlyOnceOnABoundedPipeline:
+    """``DataSet.add_sink`` is ``DataStream.add_sink``: data at rest
+    commits through the same two-phase protocol (it used to wrap the
+    sink object in a ``ForEachSink`` and die calling it)."""
+
+    def _run(self, path, **config):
+        sink = TransactionalJsonlFileSink(path)
+        env = Environment(config=EngineConfig(
+            checkpoint_interval_ms=5, elements_per_step=4, **config))
+        (env.read(range(600))
+            .map(lambda v: {"v": v * 2}, name="double")
+            .add_sink(sink, name="txn-sink"))
+        return env.execute(), sink
+
+    def test_commits_each_record_exactly_once(self, tmp_path):
+        path = str(tmp_path / "out.jsonl")
+        _, sink = self._run(path)
+        assert read_lines(path) == ['{"v": %d}' % (v * 2)
+                                    for v in range(600)]
+        assert sink.transactions_committed >= 1
+        assert_no_leftovers(path)
+
+    def test_crash_after_the_first_checkpoint_changes_nothing(self, tmp_path):
+        clean, crashed = (str(tmp_path / name)
+                          for name in ("clean.jsonl", "crashed.jsonl"))
+        self._run(clean)
+        fired = []
+
+        def crash_once(engine, rounds):
+            if not fired and engine.coordinator.completed >= 1:
+                fired.append(rounds)
+                return True
+            return False
+
+        job, _ = self._run(crashed, failure_hook=crash_once)
+        assert fired and job.recoveries == 1
+        with open(clean, "rb") as a, open(crashed, "rb") as b:
+            assert a.read() == b.read()
+        assert_no_leftovers(crashed)
+
+    @pytest.mark.parametrize("parallelism", [2, 0])
+    def test_parallel_transactional_sink_is_rejected(self, tmp_path,
+                                                     parallelism):
+        sink = TransactionalJsonlFileSink(str(tmp_path / "out.jsonl"))
+        with pytest.raises(ValueError, match="parallelism 1"):
+            Environment(parallelism=2).read(range(10)).add_sink(
+                sink, parallelism=parallelism)
+
+
 class TestResumeReconciliation:
     """The multiprocess failure domain: the sink *object* dies with its
     worker and a fresh fork reattaches to the on-disk artifacts via
