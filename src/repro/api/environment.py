@@ -262,8 +262,9 @@ class Environment:
 
         ``from_savepoint`` restores the job's state from a
         :class:`~repro.state.savepoint.Savepoint` taken by a previous run
-        of the same program -- possibly at a different parallelism for
-        the stateful processing vertices (sources must keep theirs).
+        of the same program on either backend -- possibly at a different
+        parallelism for the stateful processing vertices (sources must
+        keep theirs); exactly-once sinks reattach to what it committed.
 
         An environment executes once: sinks and sources are bound to this
         graph instance, so re-running would double-collect results.
@@ -274,14 +275,14 @@ class Environment:
                 "this environment already executed; create a new "
                 "Environment per job")
         job_graph = self.build_job_graph()
+        restore = (from_savepoint.task_snapshots(job_graph)
+                   if from_savepoint is not None else None)
         if self.config.backend == "multiprocess":
             from repro.runtime.multiprocess import MultiprocessEngine
-            engine = MultiprocessEngine(job_graph, self.config)
+            engine = MultiprocessEngine(job_graph, self.config, restore)
         else:
-            engine = Engine(job_graph, self.config)
+            engine = Engine(job_graph, self.config, restore)
         self._last_engine = engine
-        if from_savepoint is not None:
-            engine.restore_from_savepoint(from_savepoint)
         result = engine.execute()
         for collect_result in self._collect_results:
             collect_result._mark_executed()

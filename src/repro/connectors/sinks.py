@@ -218,6 +218,13 @@ class TransactionalSink:
     def pre_commit(self, txn_id: int) -> None:
         """Phase one, at the barrier cut: seal the open buffer into
         pending transaction ``txn_id`` and persist it sideways."""
+        if txn_id <= self._committed_through:
+            # Ids start over when a new job resumes from a savepoint.
+            # ``recover`` has settled every transaction of the old
+            # numbering by then, so the mark that tells ``resume`` which
+            # side files are already published starts over with them.
+            self._committed_through = 0
+            self._write_meta()
         lines = self._buffer
         self._buffer = []
         self._pending[txn_id] = lines
@@ -377,11 +384,12 @@ class TransactionalSinkOperator(SinkOperator):
         super().__init__()
         self.name = name
         self._sink = sink
-        #: Set by the multiprocess backend on a recovery attempt, where
-        #: the sink is a fresh fork and ``open()``'s wipe would destroy
-        #: the previous attempt's durable artifacts; ``resume()``
-        #: reloads them from disk instead, and ``restore_state`` then
-        #: reconciles via ``recover()``.
+        #: Set by the engine when the job is deployed with state (a
+        #: savepoint, or the checkpoint a respawned worker restores),
+        #: where ``open()``'s wipe would destroy the committed output
+        #: that state continues; ``resume()`` reloads it from disk
+        #: instead, and ``restore_state`` then reconciles via
+        #: ``recover()``.
         self.resume_on_open = False
 
     def open(self, ctx: OperatorContext) -> None:

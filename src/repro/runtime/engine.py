@@ -40,7 +40,12 @@ from repro.runtime.channels import Channel
 from repro.runtime.elements import MAX_TIMESTAMP, MIN_TIMESTAMP
 from repro.runtime.partition import ForwardPartitioner, owner_of_key
 from repro.runtime.task import OutputEdge, Task
-from repro.state.checkpoint import CheckpointCoordinator, TaskSnapshot
+from repro.state.checkpoint import (
+    CheckpointCoordinator,
+    SubtaskId,
+    TaskSnapshot,
+    subtask_grid,
+)
 from repro.time.clock import ManualClock
 
 if TYPE_CHECKING:  # imported lazily to avoid a plan <-> runtime cycle
@@ -331,7 +336,7 @@ class JobResult:
         #: ``failure_hook`` recoveries count in ``recoveries`` only).
         self.restarts = restarts
         self.checkpoints_aborted = checkpoints_aborted
-        #: Quarantined poison records, in arrival order.
+        #: Quarantined poison records, task by task in arrival order.
         self.dead_letters = dead_letters if dead_letters is not None else []
         self.gauges = gauges if gauges is not None else {}
 
@@ -367,15 +372,18 @@ def job_section(result: JobResult, observability: bool) -> Dict[str, Any]:
 
 
 class Engine:
-    """Executes one JobGraph to completion."""
+    """Executes one JobGraph to completion, from the state in ``restore``
+    (e.g. a savepoint's ``task_snapshots(job_graph)``; default: none)."""
 
     def __init__(self, job_graph: "JobGraph",
-                 config: Optional[EngineConfig] = None) -> None:
+                 config: Optional[EngineConfig] = None,
+                 restore: Optional[Dict[SubtaskId, TaskSnapshot]] = None
+                 ) -> None:
         self.job_graph = job_graph
         self.config = config or EngineConfig()
+        #: What the first and every "from scratch" deployment starts from.
+        self._restore = restore or {}
         self.clock = ManualClock()
-        self.tasks: List[Task] = []
-        self._tasks_by_vertex: Dict[int, List[Task]] = {}
         self.recoveries = 0
         self.restarts = 0
         self.dead_letters: List["DeadLetter"] = []
@@ -401,6 +409,8 @@ class Engine:
         cfg = self.config
         tracer = (self.observability.tracer
                   if self.observability is not None else None)
+        self.tasks: List[Task] = []
+        by_vertex: Dict[int, List[Task]] = {}
         for vertex_id, vertex in sorted(self.job_graph.vertices.items()):
             subtasks = []
             for index in range(vertex.parallelism):
@@ -414,14 +424,13 @@ class Engine:
                             tracer=tracer)
                 task.checkpoint_ack = self._acknowledge_checkpoint
                 task.quarantine_threshold = cfg.quarantine_threshold
-                task.dead_letter_collector = self.dead_letters.append
                 subtasks.append(task)
-            self._tasks_by_vertex[vertex_id] = subtasks
+            by_vertex[vertex_id] = subtasks
             self.tasks.extend(subtasks)
 
         for edge in self.job_graph.edges:
-            upstream = self._tasks_by_vertex[edge.source_vertex]
-            downstream = self._tasks_by_vertex[edge.target_vertex]
+            upstream = by_vertex[edge.source_vertex]
+            downstream = by_vertex[edge.target_vertex]
             if (isinstance(edge.partitioner, ForwardPartitioner)
                     and len(upstream) != len(downstream)):
                 raise ValueError(
@@ -451,11 +460,23 @@ class Engine:
         return channel
 
     def _finalize_build(self) -> None:
-        """Open every deployed task.  The shard engine discards foreign
-        subtasks before opening, so operators with side effects (file
-        sinks) only ever open on their owning worker."""
+        """Open every deployed task and hand it its snapshot from the
+        restore map.  The shard engine discards foreign subtasks before
+        opening, so operators with side effects (file sinks) only ever
+        open on their owning worker."""
+        if self._restore:
+            # Exactly-once sinks reattach to, not wipe, their files.
+            from repro.connectors.sinks import TransactionalSinkOperator
+            for task in self.tasks:
+                for chained in task.chain:
+                    if isinstance(chained.operator,
+                                  TransactionalSinkOperator):
+                        chained.operator.resume_on_open = True
         for task in self.tasks:
             task.open()
+            snapshot = self._restore.get(task.subtask_id)
+            if snapshot is not None:
+                task.restore(snapshot)
 
     # -- checkpoint coordination -------------------------------------------
 
@@ -466,10 +487,7 @@ class Engine:
         self.coordinator: Optional[CheckpointCoordinator] = (
             CheckpointCoordinator(
                 self.config, self.clock.now, self._dispatch_checkpoint,
-                subtasks=[task.subtask_id for task in self.tasks],
-                sources=[task.subtask_id for task in self.tasks
-                         if task.is_source],
-                listener=self.observability))
+                *subtask_grid(self.job_graph), listener=self.observability))
         self.checkpoint_store = self.coordinator.store
 
     def _dispatch_checkpoint(self, kind: str, checkpoint_id: int) -> None:
@@ -495,8 +513,8 @@ class Engine:
 
     def _handle_failure(self, exc: BaseException) -> None:
         """The supervisor: consult the restart strategy and either restart
-        the job (from the latest checkpoint, or from scratch when none
-        completed yet) or let the failure escape."""
+        the job (from the latest checkpoint, or as it was deployed when
+        none completed yet) or let the failure escape."""
         self._failures_metric.inc()
         strategy = self.config.restart_strategy
         if strategy is None:
@@ -520,17 +538,11 @@ class Engine:
         if self.checkpoint_store.latest is not None:
             self.recover()
         else:
-            self._restart_from_scratch()
-
-    def _restart_from_scratch(self) -> None:
-        """Redeploy the whole job from the job graph -- fresh operators,
-        empty channels, sources at offset zero.  Used when a supervised
-        failure strikes before any checkpoint completed."""
-        self.tasks = []
-        self._tasks_by_vertex = {}
-        self._build()
-        self.coordinator.begin_attempt()
-        self.recoveries += 1
+            # Redeploy: fresh operators, empty channels, sources at
+            # offset zero or where the savepoint left them.
+            self._build()
+            self.coordinator.begin_attempt()
+            self.recoveries += 1
 
     # -- recovery -----------------------------------------------------------
 
@@ -571,11 +583,12 @@ class Engine:
         queryable-state facility that lets a serving layer probe the live
         view instead of waiting for sink output (the freshness story of
         experiment E9)."""
-        for vertex_id, subtasks in self._tasks_by_vertex.items():
-            names = self.job_graph.vertices[vertex_id].names
-            if operator_name not in names:
+        for vertex_id, vertex in self.job_graph.vertices.items():
+            if operator_name not in vertex.names:
                 continue
-            position = names.index(operator_name)
+            position = vertex.names.index(operator_name)
+            subtasks = [task for task in self.tasks
+                        if task.vertex_id == vertex_id]
             subtask = subtasks[owner_of_key(key, len(subtasks))]
             table = subtask.chain[position].backend.table(state_name)
             return table.get(key, default)
@@ -590,8 +603,8 @@ class Engine:
     def create_savepoint(self) -> "Savepoint":
         """Package the latest completed checkpoint as a savepoint that a
         new execution of the same program (possibly at different
-        parallelism) can restore. State is keyed by operator *name*, so
-        the program must use unique operator names."""
+        parallelism or on the other backend) can restore.  State is keyed
+        by operator *name*, so the program must use unique operator names."""
         from repro.state.savepoint import savepoint_from_completed
         latest = self.checkpoint_store.latest
         if latest is None:
@@ -599,55 +612,6 @@ class Engine:
                 "no completed checkpoint to derive a savepoint from")
         return savepoint_from_completed(latest, self.job_graph,
                                         JobFailedError)
-
-    def restore_from_savepoint(self, savepoint: "Savepoint") -> None:
-        """Initialise this (fresh) engine's state from a savepoint taken
-        by a previous run of the same program.
-
-        Operators are matched by name, so chaining changes caused by a
-        different parallelism are harmless. Source operators must keep
-        their parallelism (replay ownership is positional); stateful
-        processing operators may rescale -- keyed state, timers and
-        keyed operator state are redistributed by the engine's key hash.
-        """
-        from repro.runtime.operators import SourceOperator
-        from repro.state.savepoint import merge_keyed_state, merge_timers
-        for vertex_id, subtasks in self._tasks_by_vertex.items():
-            names = self.job_graph.vertices[vertex_id].names
-            parallelism = len(subtasks)
-            for position, name in enumerate(names):
-                snapshots = savepoint.snapshots_for(name)
-                if snapshots is None:
-                    raise JobFailedError(
-                        "savepoint has no state for operator %r "
-                        "(available: %r)" % (name,
-                                             savepoint.operator_names()))
-                operator = subtasks[0].chain[position].operator
-                if (isinstance(operator, SourceOperator)
-                        and not operator.rescalable_source):
-                    if len(snapshots) != parallelism:
-                        raise JobFailedError(
-                            "source operator %r cannot rescale (%d -> %d)"
-                            % (name, len(snapshots), parallelism))
-                    for task, snapshot in zip(subtasks, snapshots):
-                        chained = task.chain[position]
-                        chained.backend.restore(snapshot.keyed_state)
-                        chained.timers.restore(snapshot.timers)
-                        if snapshot.operator_state is not None:
-                            chained.operator.restore_state(
-                                snapshot.operator_state)
-                    continue
-                for task in subtasks:
-                    chained = task.chain[position]
-                    chained.backend.restore(merge_keyed_state(
-                        snapshots, task.subtask_index, parallelism))
-                    chained.timers.restore(merge_timers(
-                        snapshots, task.subtask_index, parallelism))
-                    rescaled = chained.operator.rescale_operator_state(
-                        [snap.operator_state for snap in snapshots],
-                        task.subtask_index, parallelism)
-                    if rescaled is not None:
-                        chained.operator.restore_state(rescaled)
 
     # -- the loop -----------------------------------------------------------
 
@@ -773,6 +737,8 @@ class Engine:
         coordinator = self.coordinator
         counters, gauges = self._merged_metrics()
         counters["checkpoints_aborted"] = coordinator.aborted
+        self.dead_letters = [letter for task in self.tasks
+                             for letter in task.dead_letters]
         result = JobResult(rounds, self.clock.now(), counters,
                            checkpoints_completed=coordinator.completed,
                            checkpoint_durations_ms=list(

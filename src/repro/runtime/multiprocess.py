@@ -47,7 +47,7 @@ Design notes:
   (matching non-transactional sinks on the cooperative backend);
   restart-from-scratch discards the partial output.
 
-Not supported (cooperative-backend-only): queryable state, savepoints,
+Not supported (cooperative-backend-only): queryable state,
 ``failure_hook``/``cancel_hook``/chaos injection, and cross-backend
 determinism of *processing-time* semantics (each worker advances its own
 simulated clock; event-time pipelines are bit-equal as multisets).
@@ -90,7 +90,7 @@ from repro.state.checkpoint import (
     CheckpointCoordinator,
     SubtaskId,
     TaskSnapshot,
-    make_subtask_id,
+    subtask_grid,
 )
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -422,12 +422,12 @@ class ShardEngine(Engine):
 
     def __init__(self, job_graph: Any, config: EngineConfig, worker_id: int,
                  num_workers: int, data_writers: Dict[int, ExchangeWriter],
-                 control: _FrameWriter, restoring: bool = False) -> None:
+                 control: _FrameWriter,
+                 restore: Dict[SubtaskId, TaskSnapshot]) -> None:
         self.worker_id = worker_id
         self.num_workers = num_workers
         self._data_writers = data_writers
         self._control = control
-        self._restoring = restoring
         #: Per-source seq-merge state: the next sequence number expected
         #: from that worker, and frames that arrived ahead of it on the
         #: other transport, keyed by seq.
@@ -443,7 +443,7 @@ class ShardEngine(Engine):
         #: collect sink; drained to the parent each round.
         self.collect_outboxes: List[Tuple[Tuple[int, int], List[Any]]] = []
         self._heartbeat_rng: Optional[Any] = None
-        super().__init__(job_graph, config)
+        super().__init__(job_graph, config, restore)
 
     def _owns(self, task: Task) -> bool:
         return task.subtask_index % self.num_workers == self.worker_id
@@ -476,19 +476,9 @@ class ShardEngine(Engine):
 
     def _finalize_build(self) -> None:
         self.tasks = [task for task in self.tasks if self._owns(task)]
-        for vertex_id in list(self._tasks_by_vertex):
-            self._tasks_by_vertex[vertex_id] = [
-                task for task in self._tasks_by_vertex[vertex_id]
-                if self._owns(task)]
-        from repro.connectors.sinks import TransactionalSinkOperator
         for task in self.tasks:
             for position, chained in enumerate(task.chain):
                 operator = chained.operator
-                if (self._restoring
-                        and isinstance(operator, TransactionalSinkOperator)):
-                    # A respawned worker must reattach to -- not wipe --
-                    # the durable 2PC artifacts of the prior attempt.
-                    operator.resume_on_open = True
                 if isinstance(operator, CollectSink):
                     # Redirect the sink into a worker-local outbox; the
                     # closure-shared bucket lives in the parent process
@@ -497,8 +487,7 @@ class ShardEngine(Engine):
                     operator._bucket = outbox
                     self.collect_outboxes.append(
                         ((task.vertex_id, position), outbox))
-        for task in self.tasks:
-            task.open()
+        super()._finalize_build()
 
     # -- checkpoint inversion ----------------------------------------------
 
@@ -510,6 +499,7 @@ class ShardEngine(Engine):
 
     def _acknowledge_checkpoint(self, checkpoint_id: int,
                                 snapshot: TaskSnapshot) -> None:
+        snapshot.dead_letters = _sanitize_dead_letters(snapshot.dead_letters)
         self._control.send(("ack", checkpoint_id, snapshot))
 
     def _handle_failure(self, exc: BaseException) -> None:
@@ -673,7 +663,9 @@ class ShardEngine(Engine):
             "simulated_time_ms": self.clock.now(),
             "counters": counters,
             "gauges": gauges,
-            "dead_letters": _sanitize_dead_letters(self.dead_letters),
+            "dead_letters": _sanitize_dead_letters(
+                [letter for task in self.tasks
+                 for letter in task.dead_letters]),
             "report_sections": sections,
             "exchange": {dst: dict(exchange.stats)
                          for dst, exchange in self._data_writers.items()},
@@ -684,7 +676,7 @@ class ShardEngine(Engine):
                    ring_readers: Optional[Dict[int, ShmRingReader]] = None
                    ) -> None:
         """Block on the pipes instead of spinning: wake on inbound data,
-        a control message, or a congested writer draining.  Rings have no
+        a control message, or a congested writer emptying.  Rings have no
         pollable fd; a ring holding data the flow-control budget would
         accept is treated as an immediate wakeup."""
         if ring_readers:
@@ -732,7 +724,7 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
                  config: EngineConfig,
                  data_fds: Dict[Tuple[int, int], Tuple[int, int]],
                  control_fds: Dict[int, Tuple[int, int, int, int]],
-                 restore: Optional[Dict[SubtaskId, TaskSnapshot]],
+                 restore: Dict[SubtaskId, TaskSnapshot],
                  rings: Optional[Dict[Tuple[int, int], ShmRing]] = None
                  ) -> None:
     # Keep only this worker's pipe ends; closing the rest is what gives
@@ -784,13 +776,7 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
     assert control_in is not None and control_out is not None
     try:
         engine = ShardEngine(job_graph, config, worker_id, num_workers,
-                             exchanges, control_out,
-                             restoring=restore is not None)
-        if restore is not None:
-            for task in engine.tasks:
-                snapshot = restore.get(task.subtask_id)
-                if snapshot is not None:
-                    task.restore(snapshot)
+                             exchanges, control_out, restore)
         payload = engine.run(readers, control_in, ring_readers or None)
         control_out.send(("done", payload))
         control_out.drain()
@@ -897,12 +883,14 @@ class MultiprocessEngine:
     surface the :class:`~repro.api.Environment` facade uses --
     ``execute()``, ``job_report()``, ``checkpoint_store``,
     ``dead_letters``, ``recoveries``/``restarts`` -- so callers switch
-    backends with one config knob.  Cooperative-only facilities
-    (queryable state, savepoints) raise instead of silently degrading.
+    backends with one config knob.  Queryable state is cooperative-only
+    and raises instead of silently degrading.
     """
 
     def __init__(self, job_graph: Any,
-                 config: Optional[EngineConfig] = None) -> None:
+                 config: Optional[EngineConfig] = None,
+                 restore: Optional[Dict[SubtaskId, TaskSnapshot]] = None
+                 ) -> None:
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
             raise JobFailedError(
@@ -913,6 +901,8 @@ class MultiprocessEngine:
         self._mp = multiprocessing.get_context("fork")
         self.job_graph = job_graph
         self.config = config or EngineConfig(backend="multiprocess")
+        #: What an attempt deploys with until a checkpoint completes.
+        self._restore = restore or {}
         self.num_workers = (self.config.num_workers
                             or max(1, min(os.cpu_count() or 1, 8)))
         #: Health supervision: heartbeats drive a per-worker state
@@ -964,7 +954,7 @@ class MultiprocessEngine:
         self._parent_buckets = self._discover_collect_buckets()
         self.coordinator = CheckpointCoordinator(
             self.config, self._now_ms, self._broadcast,
-            *self._subtask_grid())
+            *subtask_grid(self.job_graph))
         self.checkpoint_store = self.coordinator.store
 
     # -- static views of the graph ------------------------------------------
@@ -982,18 +972,6 @@ class MultiprocessEngine:
                     buckets[(vertex_id, position)] = operator._bucket
         return buckets
 
-    def _subtask_grid(self) -> Tuple[set, set]:
-        """Every subtask id of the job, and the source ones among them."""
-        subtasks: set = set()
-        sources: set = set()
-        for vertex_id, vertex in self.job_graph.vertices.items():
-            ids = {make_subtask_id(vertex_id, vertex.name, index)
-                   for index in range(vertex.parallelism)}
-            subtasks |= ids
-            if vertex.is_source:
-                sources |= ids
-        return subtasks, sources
-
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started) * 1000)
 
@@ -1002,7 +980,7 @@ class MultiprocessEngine:
     def execute(self) -> JobResult:
         if self._last_result is not None:
             raise JobFailedError("this engine already executed")
-        restore: Optional[Dict[SubtaskId, TaskSnapshot]] = None
+        restore = self._restore
         while True:
             error = self._run_attempt(restore)
             if error is None:
@@ -1023,17 +1001,16 @@ class MultiprocessEngine:
             self.restarts += 1
             self.recoveries += 1
             restore = self._restore_snapshots()
-            if restore is None:
-                self._received.clear()  # partial output of a dead attempt
 
-    def _restore_snapshots(self) -> Optional[Dict[SubtaskId, TaskSnapshot]]:
-        """Pick the checkpoint the next attempt restores from.
+    def _restore_snapshots(self) -> Dict[SubtaskId, TaskSnapshot]:
+        """Pick what the next attempt restores from.
 
         With a durable store this *re-reads* the snapshots from disk and
         verifies every checksum -- the in-memory copy is deliberately
         not trusted, so a corrupted or torn persisted checkpoint is
         detected here and recovery falls back to the next-oldest intact
-        one (or to a from-scratch restart when none survives)."""
+        one (or, when none survives, to what the job was deployed with
+        and without the dead attempts' partial collect output)."""
         store = self.checkpoint_store
         before = store.durability_stats()
         if self._tracer is None or before is None:
@@ -1047,9 +1024,12 @@ class MultiprocessEngine:
                 span.attrs["checkpoint"] = (
                     checkpoint.checkpoint_id
                     if checkpoint is not None else None)
-        return None if checkpoint is None else dict(checkpoint.snapshots)
+        if checkpoint is None:
+            self._received.clear()
+            return self._restore
+        return dict(checkpoint.snapshots)
 
-    def _run_attempt(self, restore: Optional[Dict[SubtaskId, TaskSnapshot]]
+    def _run_attempt(self, restore: Dict[SubtaskId, TaskSnapshot]
                      ) -> Optional[BaseException]:
         """Fork a fleet, supervise it to the end, tear it down; returns
         what failed the attempt, or ``None`` (the done payloads are in
@@ -1261,14 +1241,9 @@ class MultiprocessEngine:
         if fleet is not None:
             self.config.process_chaos.on_tick(fleet)
         coordinator = self.coordinator
-        failure = None
-        if coordinator.pending is not None and self._done:
-            failure = coordinator.abort("a worker drained mid-flight")
-        elif coordinator.pending_expired and self._fail_suspected_laggards():
+        if coordinator.pending_expired and self._fail_suspected_laggards():
             return
-        # No trigger once a worker is done: its subtasks are gone.
-        failure = failure or coordinator.tick(self._finished,
-                                              draining=bool(self._done))
+        failure = coordinator.tick(self._finished)
         if failure is not None:
             self._fail(failure)
 
@@ -1413,6 +1388,8 @@ class MultiprocessEngine:
         sections.update(merged)
         return JobReport(sections)
 
+    create_savepoint = Engine.create_savepoint
+
     # -- cooperative-only surfaces ------------------------------------------
 
     def query_state(self, operator_name: str, state_name: str, key: Any,
@@ -1421,13 +1398,3 @@ class MultiprocessEngine:
             "queryable state requires the cooperative backend (worker "
             "state lives in other processes); run with "
             "EngineConfig(backend='cooperative')")
-
-    def create_savepoint(self) -> Any:
-        raise JobFailedError(
-            "savepoints require the cooperative backend; run with "
-            "EngineConfig(backend='cooperative')")
-
-    def restore_from_savepoint(self, savepoint: Any) -> None:
-        raise JobFailedError(
-            "savepoint restore requires the cooperative backend; run "
-            "with EngineConfig(backend='cooperative')")

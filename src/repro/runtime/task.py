@@ -244,12 +244,12 @@ class Task:
 
         # Poison-record quarantine (configured by the engine): when
         # ``quarantine_threshold`` is set, a record whose processing
-        # raises is routed to ``dead_letter_collector`` instead of
-        # failing the task; exceeding the threshold within one attempt
-        # escalates.  ``poison_next_records`` is the chaos hook: that
-        # many upcoming input records raise ``PoisonPill``.
+        # raises joins ``dead_letters`` (part of the task's snapshot)
+        # instead of failing the task; exceeding the threshold within
+        # one attempt escalates.  ``poison_next_records`` is the chaos
+        # hook: that many upcoming input records raise ``PoisonPill``.
         self.quarantine_threshold: Optional[int] = None
-        self.dead_letter_collector: Optional[Callable[..., None]] = None
+        self.dead_letters: List[Any] = []
         self.poison_next_records = 0
         self._dead_letters_metric = metrics.counter("dead_letters")
         self._attempt_dead_letters = 0
@@ -346,7 +346,6 @@ class Task:
                 self.chain[1].operator.process_batch)
         self._source_ctx = (SourceContext(self.chain[0].ctx)
                             if self._is_source else None)
-        self._opened = False
 
         # Whether kernel output may leave the task AS COLUMNS: every
         # output edge wired so far routes whole batches.
@@ -484,11 +483,8 @@ class Task:
             chained.ctx.batch_collector = None
 
     def open(self) -> None:
-        if self._opened:
-            return
         for chained in self.chain:
             chained.operator.open(chained.ctx)
-        self._opened = True
 
     # -- record routing through the chain ----------------------------------
 
@@ -843,10 +839,9 @@ class Task:
         from repro.runtime.faults import DeadLetter, PoisonEscalation
         self._attempt_dead_letters += 1
         self._dead_letters_metric.inc()
-        if self.dead_letter_collector is not None:
-            self.dead_letter_collector(DeadLetter(
-                element.value, element.timestamp, element.key,
-                self.vertex_name, self.subtask_index, exc))
+        self.dead_letters.append(DeadLetter(
+            element.value, element.timestamp, element.key,
+            self.vertex_name, self.subtask_index, exc))
         if self._attempt_dead_letters > self.quarantine_threshold:
             raise PoisonEscalation(repr(self), self._attempt_dead_letters,
                                    self.quarantine_threshold) from exc
@@ -990,6 +985,7 @@ class Task:
             timers={str(i): chained.timers.snapshot()
                     for i, chained in enumerate(self.chain)},
             partitioners=partitioners,
+            dead_letters=list(self.dead_letters),
         )
         if self.checkpoint_ack is not None:
             self.checkpoint_ack(checkpoint_id, snapshot)
@@ -1006,6 +1002,7 @@ class Task:
             state = snapshot.partitioners.get(str(i))
             if state is not None:
                 edge.partitioner.restore_state(state)
+        self.dead_letters = list(snapshot.dead_letters)
 
     def reset_progress(self) -> None:
         """Clear watermark/barrier progress on recovery (channels are

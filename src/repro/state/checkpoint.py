@@ -43,6 +43,20 @@ def make_subtask_id(vertex_id: int, vertex_name: str,
     in durable checkpoints -- the one place its format is written."""
     return ("%d-%s" % (vertex_id, vertex_name), subtask_index)
 
+
+def subtask_grid(job_graph: Any) -> Tuple[Set[SubtaskId], Set[SubtaskId]]:
+    """Every subtask id of the job, and the source ones among them."""
+    subtasks: Set[SubtaskId] = set()
+    sources: Set[SubtaskId] = set()
+    for vertex_id, vertex in job_graph.vertices.items():
+        ids = {make_subtask_id(vertex_id, vertex.name, index)
+               for index in range(vertex.parallelism)}
+        subtasks |= ids
+        if vertex.is_source:
+            sources |= ids
+    return subtasks, sources
+
+
 #: Completed checkpoints a store keeps for recovery fallback.
 MAX_RETAINED_CHECKPOINTS = 3
 
@@ -51,11 +65,12 @@ class TaskSnapshot:
     """Everything one subtask contributes to a checkpoint."""
 
     __slots__ = ("subtask", "keyed_state", "operator_state", "timers",
-                 "partitioners")
+                 "partitioners", "dead_letters")
 
     def __init__(self, subtask: SubtaskId, keyed_state: Dict[str, Dict[Any, Any]],
                  operator_state: Any = None, timers: Optional[dict] = None,
-                 partitioners: Optional[Dict[str, Any]] = None) -> None:
+                 partitioners: Optional[Dict[str, Any]] = None,
+                 dead_letters: Optional[List[Any]] = None) -> None:
         self.subtask = subtask
         self.keyed_state = keyed_state
         self.operator_state = operator_state
@@ -65,6 +80,8 @@ class TaskSnapshot:
         #: consistent cut so post-restore round-robin placement replays
         #: the original run.
         self.partitioners = partitioners or {}
+        #: Records this subtask quarantined up to the cut.
+        self.dead_letters = dead_letters or []
 
     def __repr__(self) -> str:
         return "TaskSnapshot(%s#%d)" % self.subtask
@@ -302,13 +319,11 @@ class CheckpointCoordinator:
                 "checkpoint %d aborted: %s)"
                 % (tolerable, pending.checkpoint_id, reason))
 
-    def tick(self, finished: AbstractSet[SubtaskId],
-             draining: bool = False) -> Optional[str]:
+    def tick(self, finished: AbstractSet[SubtaskId]) -> Optional[str]:
         """One coordination step: deliver owed notifications, abort a
         pending checkpoint that can no longer complete, trigger the
         next one when it is due.  ``finished`` is the subtasks that
-        have ended so far; ``draining`` lets the caller add its own
-        reason a full barrier cut cannot complete any more."""
+        have ended so far."""
         while self._sealed:
             self._send("notify", self._sealed.pop(0))
         now = self._clock()
@@ -330,8 +345,8 @@ class CheckpointCoordinator:
         if self.next_trigger_time is None or now < self.next_trigger_time:
             return None
         expected = self._subtasks - finished
-        if draining or not expected or self._sources & finished:
-            return None  # a draining job cannot complete a barrier cut
+        if not expected or self._sources & finished:
+            return None  # a job running out cannot complete a barrier cut
         checkpoint_id = self._next_id
         self._next_id += 1
         self.pending = PendingCheckpoint(checkpoint_id, expected,

@@ -19,7 +19,12 @@ rules:
   CEP, group-reduce) merge-and-filter, others accept equal states only
   or define their own combination (the window operator takes the
   minimum watermark). Sources cannot rescale (replay ownership is
-  positional), so source operators must keep their parallelism.
+  positional), so source operators must keep their parallelism --
+  unless they declare ``rescalable_source`` (partitioned sources do).
+
+An operator whose parallelism did not change gets its old subtasks'
+state back position by position.  :meth:`Savepoint.task_snapshots` is
+the only reader of these rules.
 
 Savepoint compatibility therefore requires unique operator names within
 a program (pass ``name=`` to the fluent API); duplicates are rejected
@@ -32,7 +37,7 @@ import heapq
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.runtime.partition import owner_of_key
-from repro.state.checkpoint import make_subtask_id
+from repro.state.checkpoint import SubtaskId, TaskSnapshot, make_subtask_id
 
 
 class OperatorSnapshot(NamedTuple):
@@ -52,14 +57,54 @@ class Savepoint:
         self.operators = operators
         self.checkpoint_id = checkpoint_id
 
-    def operator_names(self) -> List[str]:
-        return sorted(self.operators)
-
     def snapshots_for(self, name: str) -> Optional[List[OperatorSnapshot]]:
         snapshots = self.operators.get(name)
         if snapshots is None:
             return None
         return sorted(snapshots, key=lambda snap: snap.subtask_index)
+
+    def task_snapshots(self, job_graph: Any) -> Dict[SubtaskId, TaskSnapshot]:
+        """This savepoint resolved against ``job_graph``: the restore
+        map of a deployment, one :class:`TaskSnapshot` per subtask.
+        Operators are matched by name, so chaining changes caused by a
+        different parallelism are harmless."""
+        # Imported here: both modules build on repro.state.
+        from repro.runtime.engine import JobFailedError
+        from repro.runtime.operators import SourceOperator
+        restore: Dict[SubtaskId, TaskSnapshot] = {}
+        for vertex_id, vertex in sorted(job_graph.vertices.items()):
+            parallelism = vertex.parallelism
+            tasks = [TaskSnapshot(make_subtask_id(vertex_id, vertex.name,
+                                                  index), {}, {}, {})
+                     for index in range(parallelism)]
+            for position, name in enumerate(vertex.names):
+                snapshots = self.snapshots_for(name)
+                if snapshots is None:
+                    raise JobFailedError(
+                        "savepoint has no state for operator %r "
+                        "(available: %r)" % (name, sorted(self.operators)))
+                if len(snapshots) != parallelism:
+                    operator = vertex.operator_factories[position]()
+                    if (isinstance(operator, SourceOperator)
+                            and not operator.rescalable_source):
+                        raise JobFailedError(
+                            "source operator %r cannot rescale (%d -> %d)"
+                            % (name, len(snapshots), parallelism))
+                    states = [snap.operator_state for snap in snapshots]
+                    snapshots = [OperatorSnapshot(
+                        index,
+                        merge_keyed_state(snapshots, index, parallelism),
+                        operator.rescale_operator_state(states, index,
+                                                        parallelism),
+                        merge_timers(snapshots, index, parallelism))
+                        for index in range(parallelism)]
+                key = str(position)
+                for task, snapshot in zip(tasks, snapshots):
+                    task.keyed_state[key] = snapshot.keyed_state
+                    task.operator_state[key] = snapshot.operator_state
+                    task.timers[key] = snapshot.timers
+            restore.update((task.subtask, task) for task in tasks)
+        return restore
 
     def __repr__(self) -> str:
         return "Savepoint(checkpoint=%d, operators=%d)" % (

@@ -12,9 +12,10 @@ same program can resume from any retained point in time::
     new_env.execute(from_savepoint=savepoint)
 
 This is what makes hybrid history+stream jobs restartable across
-process death: the :class:`~repro.connectors.sources.HybridSource`
-offsets (which side of the cutover to replay, and from where) live in
-the checkpointed operator state like any other source offsets.
+process death, on either backend: the
+:class:`~repro.connectors.sources.HybridSource` offsets (which side of
+the cutover to replay, and from where) live in the checkpointed operator
+state like any other source offsets.
 
 The program handed in must be the *same* program (same operator names
 and chaining) that wrote the checkpoint; vertex layout is recomputed
@@ -25,7 +26,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.state.durable import DurableCheckpointStore
+from repro.state.durable import (
+    CheckpointCorruptionError,
+    DurableCheckpointStore,
+)
 from repro.state.savepoint import Savepoint, savepoint_from_completed
 
 
@@ -33,37 +37,30 @@ class TimeTravelError(Exception):
     """The requested checkpoint cannot be repackaged as a savepoint."""
 
 
-def _resolve_job_graph(program):
-    """Accept an Environment (preferred) or an already-built JobGraph."""
-    build = getattr(program, "build_job_graph", None)
-    if callable(build):
-        return build()
-    if hasattr(program, "vertices"):
-        return program
-    raise TimeTravelError(
-        "program must be an Environment or a JobGraph; got %r"
-        % type(program).__name__)
-
-
 def savepoint_from_checkpoint(checkpoint_dir: str, program,
                               checkpoint_id: Optional[int] = None,
                               ) -> Savepoint:
     """Load a durable checkpoint from ``checkpoint_dir`` and repackage
-    it as a :class:`Savepoint` for ``program``.
+    it as a :class:`Savepoint` for ``program`` (an ``Environment``).
 
     ``checkpoint_id`` selects a specific retained checkpoint (see
     :meth:`DurableCheckpointStore.persisted_ids`); by default the latest
-    verified one is used.  Raises :class:`TimeTravelError` when no
-    verified checkpoint exists or the checkpoint does not cover the
-    program's subtasks.
+    verified one is used.  Raises :class:`TimeTravelError` when that
+    checkpoint is missing or corrupt, or does not cover the program's
+    subtasks.
     """
-    job_graph = _resolve_job_graph(program)
     store = DurableCheckpointStore(checkpoint_dir, fresh=False)
     if checkpoint_id is not None:
-        completed = store.load_verified(checkpoint_id)
+        try:
+            completed = store.load_verified(checkpoint_id)
+        except CheckpointCorruptionError as exc:
+            raise TimeTravelError(
+                "checkpoint %d in %r is missing or corrupt: %s"
+                % (checkpoint_id, checkpoint_dir, exc)) from exc
     else:
         completed = store.load_latest_verified()
         if completed is None:
             raise TimeTravelError(
                 "no verified checkpoint in %r" % checkpoint_dir)
-    return savepoint_from_completed(completed, job_graph, TimeTravelError)
+    return savepoint_from_completed(completed, program.build_job_graph(),
+                                    TimeTravelError)

@@ -319,7 +319,12 @@ class _ValueProjectingAggregate:
 
 
 def _watermarked(env, elements: List[tuple], bound: int,
-                 rebalance: bool = False, partitions: int = 0):
+                 rebalance: bool = False, partitions: int = 0,
+                 source_parallelism: Optional[int] = None):
+    """The keyed, watermarked stream over ``elements``.  The source and
+    the watermark operator run at ``source_parallelism`` (default: the
+    environment's), whatever follows the ``key_by`` at the
+    environment's."""
     strategy = WatermarkStrategy.for_bounded_out_of_orderness(
         lambda element: element[2], bound)
     if partitions:
@@ -328,9 +333,12 @@ def _watermarked(env, elements: List[tuple], bound: int,
         # where the cut left it.  Were the turn not restored, replayed
         # records would swap places and some would arrive late.
         stream = env.from_partitioned_source(
-            partition_round_robin(elements, partitions))
+            partition_round_robin(elements, partitions),
+            parallelism=source_parallelism)
     else:
-        stream = env.from_collection(elements)
+        stream = env.from_source(lambda: elements,
+                                 parallelism=source_parallelism,
+                                 name="collection-source")
     if rebalance:
         # Round-robin exchange ahead of the stateful watermark operator:
         # exercises the RebalancePartitioner cursor in the checkpoint
@@ -357,17 +365,20 @@ def run_streaming_windows(elements: List[tuple],
                           parallelism: int = 2,
                           config: Optional[EngineConfig] = None,
                           rebalance: bool = False, partitions: int = 0,
+                          source_parallelism: Optional[int] = None,
+                          from_savepoint: Any = None,
                           ) -> Tuple[Dict[Tuple[Any, int, int], Any], Any]:
     """One streaming window job; returns (results dict, JobResult)."""
     env = Environment(parallelism=parallelism,
                                      config=config or EngineConfig())
     collected = (_watermarked(env, elements, ooo_bound + 2,
-                              rebalance=rebalance, partitions=partitions)
+                              rebalance=rebalance, partitions=partitions,
+                              source_parallelism=source_parallelism)
                  .window(make_assigner(assigner_params))
                  .aggregate(_ValueProjectingAggregate(
                      make_aggregate(aggregate_name)))
                  .collect())
-    job = env.execute()
+    job = env.execute(from_savepoint=from_savepoint)
     return _window_results_to_dict(collected.get()), job
 
 
@@ -487,14 +498,17 @@ class SessionMergeOracle(Oracle):
 
 def make_crash_once_hook(min_checkpoints: int, at_round: int):
     """A failure hook that crashes the job exactly once, after at least
-    ``min_checkpoints`` completed checkpoints and ``at_round`` rounds."""
-    state = {"fired": False}
+    ``min_checkpoints`` completed checkpoints and ``at_round`` rounds
+    (as a cancel hook: stops it there).  ``hook.state`` keeps whether it
+    fired and the engine it fired on."""
+    state = {"fired": False, "engine": None}
 
     def hook(engine, rounds):
         if (not state["fired"]
                 and len(engine.checkpoint_store) >= min_checkpoints
                 and rounds >= at_round):
             state["fired"] = True
+            state["engine"] = engine
             return True
         return False
 
@@ -503,8 +517,16 @@ def make_crash_once_hook(min_checkpoints: int, at_round: int):
 
 
 class ReplayOracle(Oracle):
-    """Crash-restore mid-stream == uninterrupted run (output-set
-    equality; the collect sink is at-least-once, so sets, not bags)."""
+    """Crash-restore mid-stream == uninterrupted run, and so is stop ->
+    savepoint -> resume in a fresh environment with the window vertex at
+    the case's other parallelism (output-set equality; the collect sink
+    is at-least-once, so sets, not bags).
+
+    ``params["backend"]`` (default cooperative) is where the stopped job
+    resumes.  The hooks that crash and stop a job reach into the
+    cooperative scheduler, so those runs stay there -- on
+    ``"multiprocess"`` the second leg is a cross-backend restore.
+    """
 
     name = "replay"
 
@@ -557,13 +579,43 @@ class ReplayOracle(Oracle):
 
         clean_set = set(clean.items())
         replay_set = set(replayed.items())
-        if clean_set == replay_set:
-            return None
-        lost = sorted(clean_set - replay_set, key=repr)[:4]
-        extra = sorted(replay_set - clean_set, key=repr)[:4]
-        return ("replay diverged after crash at round %d (fired=%s):\n"
+        if clean_set != replay_set:
+            return self._diverged("replay", "crash", at_round, hook,
+                                  clean_set, replay_set, params)
+
+        stop = make_crash_once_hook(min_checkpoints=1, at_round=at_round)
+        stop_config = EngineConfig(checkpoint_interval_ms=5,
+                                   elements_per_step=4, cancel_hook=stop)
+        before, _ = run_streaming_windows(
+            list(case.stream), params["assigner"], params["aggregate"],
+            params["ooo_bound"], params["parallelism"], stop_config,
+            **source)
+        if not stop.state["fired"]:
+            return None  # the job ended first: nothing to resume
+        resume_config = EngineConfig(
+            backend=params.get("backend", "cooperative"),
+            elements_per_step=4)
+        after, _ = run_streaming_windows(
+            list(case.stream), params["assigner"], params["aggregate"],
+            params["ooo_bound"], 3 - params["parallelism"], resume_config,
+            source_parallelism=params["parallelism"],
+            from_savepoint=stop.state["engine"].create_savepoint(),
+            **source)
+        resumed_set = set(before.items()) | set(after.items())
+        if clean_set != resumed_set:
+            return self._diverged("savepoint resume", "stop", at_round,
+                                  stop, clean_set, resumed_set, params)
+        return None
+
+    @staticmethod
+    def _diverged(what: str, event: str, at_round: int, hook: Any,
+                  clean_set: set, got_set: set,
+                  params: Dict[str, Any]) -> str:
+        lost = sorted(clean_set - got_set, key=repr)[:4]
+        extra = sorted(got_set - clean_set, key=repr)[:4]
+        return ("%s diverged after %s at round %d (fired=%s):\n"
                 "  lost: %r\n  extra: %r\n  assigner=%r ooo_bound=%d"
-                % (at_round, hook.state["fired"], lost, extra,
+                % (what, event, at_round, hook.state["fired"], lost, extra,
                    params["assigner"], params["ooo_bound"]))
 
 

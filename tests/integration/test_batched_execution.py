@@ -735,9 +735,7 @@ def drive_ingress(case, shape, batch_size):
         task.add_input(channel, index)
     output = Channel("out", capacity=1 << 30)
     task.add_output_edge(OutputEdge(ForwardPartitioner(), [output], 0))
-    dead = []
     task.quarantine_threshold = threshold
-    task.dead_letter_collector = dead.append
     task.poison_next_records = poison
     task.open()
     for half in (INGRESS_RECORDS[:6], INGRESS_RECORDS[6:]):
@@ -754,7 +752,7 @@ def drive_ingress(case, shape, batch_size):
                 for name in ("records_in", "records_out", "dead_letters",
                              "columnar_batches_in", "columnar_fallbacks")}
     letters = [(letter.value, letter.timestamp, letter.key,
-                letter.error_type) for letter in dead]
+                letter.error_type) for letter in task.dead_letters]
     return channel_elements(output), letters, counters
 
 

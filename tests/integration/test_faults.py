@@ -207,6 +207,29 @@ class TestPoisonQuarantine:
                    for letter in job.dead_letters)
         assert len(result.get()) == 98
 
+    def test_each_dead_letter_of_the_surviving_timeline_is_reported_once(self):
+        # 10 is quarantined before the checkpoint the crash restores,
+        # 850 after it and again on the replay: the letters ride in the
+        # task snapshots, so the restore keeps the first and the replay
+        # reports the second -- once.
+        def fragile(v):
+            if v in (10, 850):
+                raise ValueError("cannot handle %d" % v)
+            return v
+        env = Environment(config=EngineConfig(
+            quarantine_threshold=10, checkpoint_interval_ms=8,
+            chaos=ChaosInjector([FaultEvent(28, SUBTASK_FAILURE)]),
+            restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=1)))
+        result = (env.from_collection(range(1000))
+                  .rebalance()
+                  .map(fragile, name="fragile-map")
+                  .collect())
+        job = env.execute()
+        assert job.recoveries == 1 and job.checkpoints_completed >= 1
+        assert [letter.value for letter in env.dead_letters] == [10, 850]
+        assert [letter.value for letter in job.dead_letters] == [10, 850]
+        assert set(result.get()) == set(range(1000)) - {10, 850}
+
 
 class TestCoordinatorHardening:
     def test_wedged_coordinator_regression(self):

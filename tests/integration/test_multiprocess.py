@@ -11,6 +11,7 @@ exactly-once transactional sink protocol.
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -269,7 +270,6 @@ def test_job_report_parity_across_backends(tmp_path):
     per-subtask record counts, an equal Cutty section, and a checkpoint
     block with the same keys (the coordinator's ``stats()`` on both,
     including ``durable`` now that ``checkpoint_dir`` is set)."""
-    import time
 
     from repro.cutty import PeriodicWindows, SessionWindows
     from repro.windowing import CountAggregate, TumblingEventTimeWindows
@@ -321,11 +321,32 @@ def test_job_report_parity_across_backends(tmp_path):
 
 
 def test_interactive_state_apis_rejected():
-    env = Environment(parallelism=2, config=_mp_config())
-    env.from_collection(range(10)).key_by(lambda v: v).sum().collect()
-    env.execute()
+    """Queryable state is cooperative-only; savepoints are not: the
+    parent owns the checkpoint store, so it packages one like the
+    cooperative engine does and a fresh fleet deploys from it."""
+    def build(env, throttle):
+        return (env.from_collection(range(600))
+                .map(throttle, name="throttle")
+                .key_by(lambda v: v % 5)
+                .fold(0, lambda acc, _value: acc + 1)
+                .collect())
+
+    def throttle(value):
+        if value % 10 == 0:
+            time.sleep(0.002)
+        return value
+
+    env = Environment(parallelism=2, config=_mp_config(
+        checkpoint_interval_ms=10, elements_per_step=4))
+    build(env, throttle)
+    job = env.execute()
+    assert job.checkpoints_completed >= 1
     engine = env.last_engine
     with pytest.raises(JobFailedError, match="cooperative"):
-        engine.query_state("sum", "value", 1)
-    with pytest.raises(JobFailedError, match="cooperative"):
-        engine.create_savepoint()
+        engine.query_state("fold", "value", 1)
+    savepoint = engine.create_savepoint()
+
+    resumed = Environment(parallelism=2, config=_mp_config())
+    collected = build(resumed, lambda value: value)
+    resumed.execute(from_savepoint=savepoint)
+    assert _final_by_key(collected.get()) == {key: 120 for key in range(5)}

@@ -1,6 +1,8 @@
 """Tests for the partitioned source: semantics, recovery, full-job
 rescaling (sources included)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.api import Environment
@@ -145,10 +147,12 @@ class TestFullJobRescaling:
         assert env.execute().cancelled
         return env.last_engine.create_savepoint()
 
-    def _second_half(self, parallelism, savepoint):
+    def _second_half(self, parallelism, savepoint, backend="cooperative"):
         env = Environment(
             parallelism=parallelism,
-            config=EngineConfig(elements_per_step=4))
+            config=EngineConfig(backend=backend, num_workers=2,
+                                heartbeat_interval_ms=None,
+                                elements_per_step=4))
         result = pipeline(env)
         env.execute(from_savepoint=savepoint)
         finals = {}
@@ -163,6 +167,16 @@ class TestFullJobRescaling:
     def test_scale_source_down(self):
         savepoint = self._first_half(parallelism=3)
         assert self._second_half(1, savepoint) == true_counts()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="multiprocess backend requires the fork start method")
+    @pytest.mark.parametrize("before, after", [(2, 3), (3, 1)])
+    def test_rescaled_source_resumes_on_worker_processes(self, before,
+                                                         after):
+        savepoint = self._first_half(parallelism=before)
+        assert self._second_half(after, savepoint,
+                                 "multiprocess") == true_counts()
 
     def test_scale_beyond_partition_count(self):
         savepoint = self._first_half(parallelism=2)

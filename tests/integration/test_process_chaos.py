@@ -280,6 +280,13 @@ def test_sigkill_with_batched_shm_exchange(tmp_path, monkeypatch):
 # -- workers hold no checkpoint store ----------------------------------------
 
 
+def _sealed(checkpoint_dir):
+    """The ``chk-*`` directories holding a complete durable checkpoint."""
+    return {name for name in os.listdir(checkpoint_dir)
+            if os.path.exists(os.path.join(checkpoint_dir, name,
+                                           "manifest.json"))}
+
+
 class _KillTwiceAroundRespawn:
     """A ``process_chaos`` that picks its moments from what it observes
     instead of from a clock: SIGKILL once a durable checkpoint is
@@ -297,9 +304,7 @@ class _KillTwiceAroundRespawn:
         self.sealed_after_respawn = None
 
     def sealed(self):
-        return {name for name in os.listdir(self.checkpoint_dir)
-                if os.path.exists(os.path.join(
-                    self.checkpoint_dir, name, "manifest.json"))}
+        return _sealed(self.checkpoint_dir)
 
     def pids(self):
         with open(self.log) as handle:
@@ -366,6 +371,129 @@ def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
     with open(target) as handle:
         lines = sorted(line.rstrip("\n") for line in handle)
     assert lines == _expected_lines(tmp_path)
+    _assert_no_zombies()
+
+
+# -- what a respawn must not forget, and a fleet wider than the job ---------
+
+
+class _KillOnceSealed:
+    """A ``process_chaos`` that SIGKILLs worker 0 as soon as ``count``
+    durable checkpoints are sealed."""
+
+    def __init__(self, checkpoint_dir, count):
+        self.checkpoint_dir = checkpoint_dir
+        self.count = count
+        self.killed = False
+
+    def on_tick(self, fleet):
+        if (not self.killed
+                and len(_sealed(self.checkpoint_dir)) >= self.count):
+            self.killed = fleet.signal_worker(0, signal.SIGKILL)
+
+
+def test_dead_letter_quarantined_before_the_checkpoint_survives_respawn(
+        tmp_path):
+    """Dead letters ride in the task snapshots: the record quarantined
+    before the restored checkpoint is still reported after the fleet was
+    killed and respawned, next to the one the new fleet quarantines."""
+    def fragile(value):
+        if value in (10, N - 50):
+            raise ValueError("cannot handle %d" % value)
+        return value
+
+    checkpoint_dir = str(tmp_path / "chk")
+    os.makedirs(checkpoint_dir)
+    # Two: the first trigger can be due before the workers have read a
+    # record, and a cut at offset zero would replay the early letter.
+    chaos = _KillOnceSealed(checkpoint_dir, count=2)
+    config = EngineConfig(
+        backend="multiprocess", num_workers=2, process_chaos=chaos,
+        checkpoint_interval_ms=40, checkpoint_dir=checkpoint_dir,
+        elements_per_step=4, heartbeat_interval_ms=20,
+        quarantine_threshold=10,
+        restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0))
+    env = Environment(parallelism=2, config=config)
+    collected = (env.from_collection(range(N))
+                 .map(_throttle, name="throttle")  # keeps the sources live
+                 .rebalance()
+                 .map(fragile, name="fragile-map")
+                 .collect())
+    job = env.execute()
+
+    assert chaos.killed, "the kill never fired"
+    assert job.restarts >= 1
+    assert sorted(letter.value for letter in env.dead_letters) == [10, N - 50]
+    assert sorted(letter.value for letter in job.dead_letters) == [10, N - 50]
+    assert set(collected.get()) == set(range(N)) - {10, N - 50}
+    _assert_no_zombies()
+
+
+def test_resumed_job_stays_exactly_once_across_a_respawn(tmp_path):
+    """Stop -> savepoint -> resume on worker processes -> SIGKILL after
+    the resumed job sealed checkpoints of its own: the 2PC file is the
+    uninterrupted run's, although the resumed job's transaction ids
+    started over below what the first job had committed through."""
+    def program(env, path, pace):
+        def numbers():
+            for value in range(3000):
+                if pace and value % 10 == 0:
+                    time.sleep(0.002)
+                yield value
+        (env.from_source(numbers, name="numbers")
+            .map(lambda v: "%d" % v, name="shape")
+            .add_sink(TransactionalTextFileSink(path), name="txn-sink"))
+
+    clean = str(tmp_path / "clean.txt")
+    env = Environment(config=EngineConfig(checkpoint_interval_ms=5))
+    program(env, clean, pace=False)
+    env.execute()
+
+    target = str(tmp_path / "out.txt")
+    env = Environment(config=EngineConfig(
+        checkpoint_interval_ms=5, elements_per_step=8,
+        cancel_hook=lambda engine, rounds: rounds >= 120))
+    program(env, target, pace=False)
+    assert env.execute().cancelled
+    savepoint = env.last_engine.create_savepoint()
+    assert savepoint.checkpoint_id > 2
+
+    checkpoint_dir = str(tmp_path / "chk")
+    os.makedirs(checkpoint_dir)
+    chaos = _KillOnceSealed(checkpoint_dir, count=2)
+    env = Environment(config=EngineConfig(
+        backend="multiprocess", num_workers=1, process_chaos=chaos,
+        checkpoint_interval_ms=30, checkpoint_dir=checkpoint_dir,
+        elements_per_step=8,
+        restart_strategy=FixedDelayRestart(max_restarts=5, delay_ms=0)))
+    program(env, target, pace=True)
+    job = env.execute(from_savepoint=savepoint)
+
+    assert chaos.killed and job.restarts >= 1
+    with open(clean) as expected, open(target) as got:
+        assert got.read() == expected.read()
+    _assert_no_zombies()
+
+
+def test_idle_worker_does_not_switch_checkpointing_off():
+    """More workers than the widest vertex: the spare worker owns no
+    subtask and reports done at once.  That must not veto the barrier
+    cuts of the subtasks that do exist."""
+    def slow_source():
+        for value in range(300):
+            time.sleep(0.001)
+            yield value
+
+    env = Environment(parallelism=1, config=EngineConfig(
+        backend="multiprocess", num_workers=2, checkpoint_interval_ms=20))
+    collected = env.from_source(slow_source).map(lambda v: v + 1).collect()
+    job = env.execute()
+
+    assert collected.get() == list(range(1, 301))
+    assert job.checkpoints_completed >= 3
+    # At most the cut that raced the end of input (a trigger sent while
+    # the source was reading its last element) -- not one per trigger.
+    assert job.checkpoints_aborted <= 1
     _assert_no_zombies()
 
 

@@ -1,12 +1,23 @@
 """Savepoints and rescaling: stop a job, resume the same program at a
-different parallelism, verify exactly-once state."""
+different parallelism -- on either backend, or across them -- and verify
+exactly-once state."""
+
+import multiprocessing
+import signal
+import time
 
 import pytest
 
 from repro.api import Environment
 from repro.cutty import PeriodicWindows
 from repro.runtime.engine import EngineConfig, JobFailedError
+from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
+from repro.runtime.restart import FixedDelayRestart
 from repro.windowing import CountAggregate
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="multiprocess backend requires the fork start method")
 
 KEYS = 7
 DATA = [("k%d" % (index % KEYS), 1) for index in range(4000)]
@@ -20,37 +31,71 @@ def cancel_after(rounds_target, min_checkpoints=1):
     return hook
 
 
-def keyed_count_pipeline(env):
+#: Two workers and no watchdog: liveness is not the subject here, and a
+#: loaded CI box must not turn a slow fork into a failed job.
+QUIET_FLEET = {"num_workers": 2, "heartbeat_interval_ms": None}
+
+
+def paced(values, every=40, seconds=0.001):
+    """``values``, slowly enough for wall-clock checkpoints to land."""
+    for index, value in enumerate(values):
+        if index % every == 0:
+            time.sleep(seconds)
+        yield value
+
+
+def keyed_count_pipeline(env, source=lambda: DATA):
     # The source keeps parallelism 2 across runs (sources cannot
     # rescale); only the keyed stage follows env.parallelism.
-    return (env.from_source(lambda: DATA, parallelism=2,
-                            name="pinned-source")
+    return (env.from_source(source, parallelism=2, name="pinned-source")
             .key_by(lambda v: v[0])
             .count()
             .collect())
 
 
-def run_first_half(parallelism):
-    env = Environment(
-        parallelism=parallelism,
-        config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                            cancel_hook=cancel_after(60)))
-    keyed_count_pipeline(env)
+def run_first_half(parallelism, backend="cooperative"):
+    if backend == "cooperative":
+        config = EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
+                              cancel_hook=cancel_after(60))
+        source = lambda: DATA
+    else:
+        # No hook reaches into worker processes: the job runs out, and
+        # its last completed checkpoint is a cut mid-stream all the same.
+        config = EngineConfig(backend=backend, checkpoint_interval_ms=10,
+                              elements_per_step=4, **QUIET_FLEET)
+        source = lambda: paced(DATA)
+    env = Environment(parallelism=parallelism, config=config)
+    keyed_count_pipeline(env, source)
     job = env.execute()
-    assert job.cancelled
+    assert job.cancelled == (backend == "cooperative")
     return env.last_engine.create_savepoint()
 
 
-def run_second_half(parallelism, savepoint):
-    env = Environment(
-        parallelism=parallelism,
-        config=EngineConfig(elements_per_step=4))
-    result = keyed_count_pipeline(env)
-    env.execute(from_savepoint=savepoint)
+def final_counts(result):
     finals = {}
     for key, running in result.get():
         finals[key] = max(finals.get(key, 0), running)
     return finals
+
+
+def run_second_half(parallelism, savepoint, backend="cooperative"):
+    env = Environment(
+        parallelism=parallelism,
+        config=EngineConfig(backend=backend, elements_per_step=4,
+                            **QUIET_FLEET))
+    result = keyed_count_pipeline(env)
+    env.execute(from_savepoint=savepoint)
+    return final_counts(result)
+
+
+def source_offsets(savepoint):
+    return sum(snapshot.operator_state["offset"]
+               for snapshot in savepoint.snapshots_for("pinned-source"))
+
+
+def source_records_out(env):
+    return sum(row["records_out"] for row in env.job_report()["operators"]
+               if row["operator"].startswith("pinned-source"))
 
 
 def true_counts():
@@ -103,6 +148,70 @@ class TestSavepointResume:
         env.from_collection(DATA, name="other-name").collect()
         with pytest.raises(JobFailedError, match="no state for operator"):
             env.execute(from_savepoint=savepoint)
+
+
+@needs_fork
+class TestSavepointsAcrossBackends:
+    """The restore map is backend-neutral: a savepoint taken on one
+    backend resumes on the other, also at another parallelism of the
+    stateful vertex."""
+
+    @pytest.mark.parametrize("before, after", [(2, 3), (3, 1)])
+    @pytest.mark.parametrize("first, second", [
+        ("multiprocess", "multiprocess"),
+        ("multiprocess", "cooperative"),
+        ("cooperative", "multiprocess"),
+    ])
+    def test_rescaled_resume(self, first, second, before, after):
+        savepoint = run_first_half(before, backend=first)
+        assert 0 < source_offsets(savepoint) < len(DATA)
+        assert run_second_half(after, savepoint, second) == true_counts()
+
+
+class TestFailureBeforeTheFirstCheckpointOfAResumedJob:
+    """"From scratch" means from what the job was deployed with: a
+    resumed job that fails before its own first checkpoint goes back to
+    the savepoint, not to offset zero."""
+
+    def test_cooperative_restart_keeps_the_savepoint(self):
+        savepoint = run_first_half(parallelism=2)
+        env = Environment(parallelism=2, config=EngineConfig(
+            elements_per_step=4, checkpoint_interval_ms=1000,
+            restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=1),
+            chaos=ChaosInjector([FaultEvent(5, SUBTASK_FAILURE)])))
+        result = keyed_count_pipeline(env)
+        job = env.execute(from_savepoint=savepoint)
+        assert job.restarts == 1 and job.checkpoints_completed == 0
+        assert final_counts(result) == true_counts()
+        # The redeployed sources read what the savepoint still owed.
+        assert source_records_out(env) == len(DATA) - source_offsets(savepoint)
+
+    @needs_fork
+    def test_multiprocess_respawn_keeps_the_savepoint(self):
+        class KillEarly:
+            """SIGKILL worker 0 once, a little into the first attempt."""
+            killed = False
+
+            def on_tick(self, fleet):
+                if not self.killed and fleet.now_ms >= 60:
+                    self.killed = fleet.signal_worker(0, signal.SIGKILL)
+
+        savepoint = run_first_half(parallelism=2)
+        owed = len(DATA) - source_offsets(savepoint)
+        chaos = KillEarly()
+        env = Environment(parallelism=2, config=EngineConfig(
+            backend="multiprocess", num_workers=2, elements_per_step=4,
+            checkpoint_interval_ms=60_000, process_chaos=chaos,
+            restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=0)))
+        result = keyed_count_pipeline(env, lambda: paced(DATA, every=10))
+        job = env.execute(from_savepoint=savepoint)
+        assert chaos.killed and job.restarts >= 1
+        assert job.checkpoints_completed == 0
+        assert final_counts(result) == true_counts()
+        assert source_records_out(env) == owed
+        # One running count per record read: the killed attempt's
+        # partial collect output was discarded with it.
+        assert len(result.get()) == owed
 
 
 class TestRescaleStatefulOperators:

@@ -285,6 +285,25 @@ class TestResumeReconciliation:
         assert second.pending_transactions() == []
         assert_no_leftovers(path)
 
+    def test_transaction_ids_may_start_over_after_a_savepoint(self, tmp_path):
+        """A job resumed from a savepoint numbers its checkpoints from 1
+        again.  Its first pre-committed transaction must not read as
+        "already published" to a respawn because the previous job's
+        committed-through mark was higher."""
+        path = self._seeded_sink(tmp_path)
+        resumed = TransactionalTextFileSink(path)
+        resumed.resume()
+        resumed.recover([2])  # the savepoint's cut: txn 2 commits
+        resumed.write("d")
+        resumed.pre_commit(1)  # the new job's checkpoint 1 -- then a kill
+
+        respawned = TransactionalTextFileSink(path)
+        respawned.resume()
+        assert respawned.pending_transactions() == [1]
+        respawned.recover([1])
+        assert read_lines(path) == ["a", "b", "c", "d"]
+        assert_no_leftovers(path)
+
     def test_resume_after_crash_between_meta_and_publish(self, tmp_path):
         """Window A: meta recorded the commit but the process died
         before the target was rewritten.  The side files at or below
