@@ -79,8 +79,8 @@ def compile_column_chain(operators: List[Any]
     The columnar twin of :func:`compile_batch_chain`: returns
     ``(kernel, prefix_len)`` where ``kernel`` runs the first
     ``prefix_len`` operators over the parallel ``(values, timestamps,
-    keys)`` column lists of a
-    :class:`~repro.runtime.elements.ColumnarBatch` in one call per
+    keys)`` column lists of a ``ColumnarBatch`` (or of a source task's
+    run, whose stateless suffix is compiled here too) in one call per
     operator.  No :class:`Record` is materialised inside the prefix --
     maps rewrite the value list, filters compress all three lists by a
     keep-index pass -- so rows dropped by the prefix never pay object

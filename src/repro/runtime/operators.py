@@ -45,11 +45,6 @@ class OperatorContext:
         self.metrics = metrics
         self.clock = clock
         self._collector = collector
-        #: Batch-aware collector installed by the owning task when the
-        #: chain tail buffers output (batched mode): takes a whole list
-        #: of records in one call.  ``None`` -> fall back to a
-        #: per-record loop over ``_collector``.
-        self.batch_collector: Optional[Callable[[List[Record]], None]] = None
         self.current_timestamp: Optional[int] = None
         #: Span collector when the engine runs with observability on;
         #: ``None`` otherwise, so operators guard with ``is not None``.
@@ -65,15 +60,15 @@ class OperatorContext:
     def emit_record(self, record: Record) -> None:
         self._collector(record)
 
-    def emit_records(self, records: "List[Record]") -> None:
-        """Emit a run of records; one call into the task's output buffer
-        when it supports that, a plain loop otherwise."""
-        batch_collector = self.batch_collector
-        if batch_collector is not None:
-            batch_collector(records)
-            return
+    def emit_columns(self, values: List[Any], timestamps: List[Any],
+                     keys: List[Any]) -> None:
+        """Emit a run given as parallel columns.  Rows begin here, one
+        ``Record`` per row -- unless the owning task is a batched source
+        task, which rebinds this name on the instance to what takes the
+        run whole: the next operator's ``process_columns`` or its own
+        output buffer."""
         collector = self._collector
-        for record in records:
+        for record in map(Record, values, timestamps, keys):
             collector(record)
 
     # -- state ----------------------------------------------------------
@@ -143,6 +138,13 @@ class Operator:
             set_key(record.key)
             ctx.current_timestamp = record.timestamp
             process(record)
+
+    def process_columns(self, values: List[Any], timestamps: List[Any],
+                        keys: List[Any]) -> None:
+        """Handle a run that a batched source task hands on as parallel
+        columns.  Rows begin at an operator that does not override
+        this: they are built once, here, for :meth:`process_batch`."""
+        self.process_batch(list(map(Record, values, timestamps, keys)))
 
     def make_batch_transform(self) -> "Optional[Callable[[List[Record]], List[Record]]]":
         """A pure records-in/records-out function, or ``None``.
@@ -268,14 +270,18 @@ class SourceContext:
         """Emit a run of untimestamped values in one call -- the bulk
         path high-throughput sources use to skip the per-record
         emission chain."""
-        self._ctx.emit_records([Record(value, None) for value in values])
+        values = list(values)
+        self._ctx.emit_columns(values, [None] * len(values),
+                               [None] * len(values))
 
     def collect_batch_with_timestamps(
             self, pairs: Iterable[Tuple[Any, int]]) -> None:
         """Emit a run of ``(value, timestamp)`` pairs in one call: the
         timestamped twin of :meth:`collect_batch`."""
-        self._ctx.emit_records([Record(value, timestamp)
-                                for value, timestamp in pairs])
+        pairs = list(pairs)
+        self._ctx.emit_columns([value for value, _ in pairs],
+                               [timestamp for _, timestamp in pairs],
+                               [None] * len(pairs))
 
     def processing_time(self) -> int:
         return self._ctx.processing_time()
@@ -666,42 +672,46 @@ class TimestampsAndWatermarksOperator(Operator):
             self._maybe_emit(self._generator.on_periodic())
 
     def process_batch(self, records: List[Record]) -> None:
-        """:meth:`process` over a run of records.  The timestamped
-        records collect into one run, which is cut (emitted) exactly
+        """:meth:`process` over a run of rows (this operator at the head
+        of a processing task): the column run over their fields."""
+        self.process_columns([record.value for record in records], None,
+                             [record.key for record in records])
+
+    def process_columns(self, values: List[Any], timestamps: Any,
+                        keys: List[Any]) -> None:
+        """:meth:`process` over a run of columns.  The timestamp column
+        is stamped in one pass and the run is cut (emitted) exactly
         where ``process`` would have emitted a watermark, so downstream
         sees the same elements in the same order."""
-        assign = self._strategy.timestamp_assigner
-        on_event = self._generator.on_event
+        timestamps = list(map(self._strategy.timestamp_assigner, values))
         on_periodic = self._generator.on_periodic
         poll_every = self._poll_every
-        emit_records = self.ctx.emit_records
-        make = Record
+        emit_columns = self.ctx.emit_columns
         last = self._last_emitted
-        run: List[Record] = []
-        for record in records:
-            value = record.value
-            timestamp = assign(value)
-            run.append(make(value, timestamp, record.key))
-            watermark_ts = on_event(value, timestamp)
+        start = 0
+
+        def cut(stop: int, watermark_ts: int) -> None:
+            nonlocal start, last
+            if stop > start:
+                emit_columns(values[start:stop], timestamps[start:stop],
+                             keys[start:stop])
+            self._maybe_emit(watermark_ts)
+            start, last = stop, watermark_ts
+
+        for stop, watermark_ts in enumerate(
+                map(self._generator.on_event, values, timestamps), 1):
             if watermark_ts is not None and (last is None
                                              or watermark_ts > last):
-                emit_records(run)
-                run = []
-                self._maybe_emit(watermark_ts)
-                last = watermark_ts
+                cut(stop, watermark_ts)
             self._since_poll += 1
             if self._since_poll >= poll_every:
                 self._since_poll = 0
                 watermark_ts = on_periodic()
                 if watermark_ts is not None and (last is None
                                                  or watermark_ts > last):
-                    if run:
-                        emit_records(run)
-                        run = []
-                    self._maybe_emit(watermark_ts)
-                    last = watermark_ts
-        if run:
-            emit_records(run)
+                    cut(stop, watermark_ts)
+        if start < len(values):
+            emit_columns(values[start:], timestamps[start:], keys[start:])
 
     def finish(self) -> None:
         self._maybe_emit(self._generator.on_periodic())

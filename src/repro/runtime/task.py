@@ -67,6 +67,29 @@ from repro.time.clock import Clock
 from repro.time.timers import TimerService
 
 
+class ColumnRun:
+    """A run of records as parallel value / timestamp / key lists: what
+    a batched source task buffers and a column kernel's survivors leave
+    as (:meth:`OutputEdge.emit_columnar`).  Never enters a channel."""
+
+    __slots__ = ("values", "timestamps", "keys")
+
+    def __init__(self, *columns: List[Any]) -> None:
+        self.values, self.timestamps, self.keys = columns or ([], [], [])
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def append(self, record: Record) -> None:
+        self.extend((record.value,), (record.timestamp,), (record.key,))
+
+    def extend(self, values: Iterable[Any], timestamps: Iterable[Any],
+               keys: Iterable[Any]) -> None:
+        self.values.extend(values)
+        self.timestamps.extend(timestamps)
+        self.keys.extend(keys)
+
+
 class OutputEdge:
     """One outgoing job edge of a subtask: a partitioner plus the row of
     channels leading to every downstream subtask."""
@@ -98,30 +121,31 @@ class OutputEdge:
             if len(channels) == 1:
                 self._whole = channels[:1]
 
-    def _bucket_by_key(self, records: Iterable[Record]
-                       ) -> Dict[int, List[Record]]:
-        """The one place a hash edge routes: stamp each record's key on
-        a copy (a record may be shared with other edges) and group the
-        copies by the channel that owns the key, keeping arrival order
-        within a channel.  Every keyed emission goes through here, so an
-        unhashable or identity-hashed key is rejected whatever the batch
-        size and however many channels the edge has."""
+    def _emit_by_key(self, values: Iterable[Any],
+                     timestamps: Iterable[Any]) -> None:
+        """The one place a hash edge routes: build the one keyed
+        ``Record`` per row (a row that came as a record may be shared
+        with other edges) and group them by the channel that owns the
+        key, keeping arrival order within a channel.  Every keyed
+        emission goes through here, so an unhashable or identity-hashed
+        key is rejected whatever the batch size or the channel count."""
         select_key = self.partitioner.key_selector
         total = len(self.channels)
         buckets: Dict[int, List[Record]] = {}
-        for r in records:
-            key = select_key(r.value)
+        for value, timestamp in zip(values, timestamps):
+            key = select_key(value)
             index = owner_of_key(key, total)
             bucket = buckets.get(index)
             if bucket is None:
                 buckets[index] = bucket = []
-            bucket.append(Record(r.value, r.timestamp, key))
-        return buckets
+            bucket.append(Record(value, timestamp, key))
+        for index, bucket in buckets.items():
+            self.channels[index].push(
+                RecordBatch(bucket) if len(bucket) > 1 else bucket[0])
 
     def emit_record(self, record: Record) -> None:
         if isinstance(self.partitioner, HashPartitioner):
-            for index, bucket in self._bucket_by_key((record,)).items():
-                self.channels[index].push(bucket[0])
+            self._emit_by_key((record.value,), (record.timestamp,))
             return
         for index in self.partitioner.select(record, len(self.channels),
                                              self.subtask_index):
@@ -137,6 +161,14 @@ class OutputEdge:
         scalar path pays per record is paid once per batch here.
         Unknown partitioners fall back to per-record routing.
         """
+        if isinstance(self.partitioner, HashPartitioner):
+            self._emit_by_key([r.value for r in records],
+                              [r.timestamp for r in records])
+        else:
+            self._emit_rows(records)
+
+    def _emit_rows(self, records: List[Record]) -> None:
+        """Every route of :meth:`emit_batch` but the keyed one."""
         channels = self.channels
         cursor = (self._advance(len(records))
                   if self._advance is not None else None)
@@ -145,40 +177,37 @@ class OutputEdge:
                 # Copy: the caller's buffer is shared across edges, and
                 # chaos may carve records out of a pushed batch in place.
                 channel.push(RecordBatch(list(records)))
-        elif isinstance(self.partitioner, HashPartitioner):
-            for index, bucket in self._bucket_by_key(records).items():
-                channels[index].push(RecordBatch(bucket))
         elif cursor is not None:
             total = len(channels)
-            round_robin: List[List[Record]] = [[] for _ in range(total)]
-            for r in records:
-                round_robin[cursor % total].append(r)
-                cursor += 1
-            for index, bucket in enumerate(round_robin):
+            for index, channel in enumerate(channels):
+                bucket = records[(index - cursor) % total::total]
                 if bucket:
-                    channels[index].push(RecordBatch(bucket))
+                    channel.push(RecordBatch(bucket))
         else:
             for record in records:
                 self.emit_record(record)
 
-    @property
-    def passes_columnar(self) -> bool:
-        """Whether a columnar batch can be routed through this edge
-        without touching individual rows: whole-batch routes forward the
-        batch object as-is; keyed and multi-channel round-robin routes
-        need per-record work and keep the row path."""
-        return self._whole is not None
-
-    def emit_columnar(self, batch: "ColumnarBatch") -> None:
-        """Route one columnar batch whole (callers check
-        :attr:`passes_columnar` first).  No copy is needed: chaos
-        mutation hooks demote a queued columnar batch to a private row
-        twin instead of editing it in place, so sharing one batch object
-        across channels is safe."""
-        if self._advance is not None:
-            self._advance(len(batch))
-        for channel in self._whole:
-            channel.push(batch)
+    def emit_columnar(self, batch: Any) -> None:
+        """Route a run that arrives as columns: a :class:`ColumnRun`, or
+        a ``ColumnarBatch``, which travels a whole-batch route as it is
+        (no copy: chaos mutation hooks demote a queued columnar batch to
+        a private row twin instead of editing it in place).  Everywhere
+        else rows begin here, each built once: with its key on a hash
+        edge, for the ``RecordBatch`` it fills on the other routes."""
+        if not isinstance(batch, ColumnRun):
+            if self._whole is not None:
+                if self._advance is not None:
+                    self._advance(len(batch))
+                for channel in self._whole:
+                    channel.push(batch)
+                return
+            batch = ColumnRun(batch.value_list(), batch.timestamp_list(),
+                              batch.key_list())
+        if isinstance(self.partitioner, HashPartitioner):
+            self._emit_by_key(batch.values, batch.timestamps)
+        else:
+            self._emit_rows(list(map(Record, batch.values, batch.timestamps,
+                                     batch.keys)))
 
     def broadcast(self, element: StreamElement) -> None:
         for channel in self.channels:
@@ -228,8 +257,9 @@ class Task:
         #: which the flush applies); they leave as one RecordBatch at
         #: the next control element, buffer fill, or end of step --
         #: which is what guarantees a batch never straddles a
-        #: watermark/barrier/EOS boundary.
-        self._out_buffer: List[Record] = []
+        #: watermark/barrier/EOS boundary.  A list of rows, or in a
+        #: batched source task a :class:`ColumnRun`.
+        self._out_buffer: Any = []
 
         self.inputs: List[Tuple[Channel, int]] = []   # (channel, input index)
         self.output_edges: List[OutputEdge] = []
@@ -285,9 +315,10 @@ class Task:
         # row fusion (the fallback is counted per-operator instead).
         self._column_kernel = None
         self._kernel_prefix = 0
-        # A source task has no input batch to fuse over; its maximal
-        # stateless *suffix* is fused instead and applied to each run of
-        # records as the run leaves the task (``_flush_out_buffer``).
+        # A source task has no input batch to fuse over: its runs travel
+        # as columns (no Record upstream of the output edges) and its
+        # maximal stateless *suffix*, fused into a column kernel, is
+        # applied to each run as it leaves the task (``_flush_out_buffer``).
         self._suffix_fn = None
         suffix_start = len(operators)
         if self._batching and not operator_profiling:
@@ -296,13 +327,13 @@ class Task:
                 compile_column_chain,
             )
             if self._is_source:
+                self._out_buffer = ColumnRun()
                 while suffix_start > 1 and (
-                        operators[suffix_start - 1].make_batch_transform()
+                        operators[suffix_start - 1].make_column_kernel()
                         is not None):
                     suffix_start -= 1
-                if suffix_start < len(operators):
-                    self._suffix_fn, _ = compile_batch_chain(
-                        operators[suffix_start:])
+                self._suffix_fn, _ = compile_column_chain(
+                    operators[suffix_start:])
             else:
                 self._fused_fn, self._fused_prefix = compile_batch_chain(
                     operators)
@@ -316,6 +347,7 @@ class Task:
         into_buffer = (self._buffer_output if self._batching
                        else self._route_to_outputs)
         collector = into_buffer
+        columns = isinstance(self._out_buffer, ColumnRun)
         for position in reversed(range(len(operators))):
             operator = operators[position]
             backend = KeyedStateBackend()
@@ -325,10 +357,12 @@ class Task:
                 collector = into_buffer
             ctx = OperatorContext(subtask_index, parallelism, backend, timers,
                                   metrics, clock, collector)
-            if feeds_buffer and self._batching:
-                # It may hand the output buffer whole record runs
-                # (SourceContext.collect_batch and friends).
-                ctx.batch_collector = self._buffer_output_batch
+            if columns and position < suffix_start:
+                # A run stays a run: into the next operator, and from
+                # the one in front of the suffix into the output buffer.
+                ctx.emit_columns = (
+                    self._buffer_output_batch if feeds_buffer
+                    else operators[position + 1].process_columns)
             ctx.tracer = tracer
             chained = _ChainedOperator(operator, backend, timers, ctx)
             self.chain.insert(0, chained)
@@ -340,16 +374,9 @@ class Task:
                 operator.emit_watermark_fn = self._watermark_from_chain(position)
             collector = self._make_dispatcher(chained)
 
-        if self._is_source and self._batching and suffix_start > 1:
-            # The source's runs enter the next operator as runs too.
-            self.chain[0].ctx.batch_collector = (
-                self.chain[1].operator.process_batch)
         self._source_ctx = (SourceContext(self.chain[0].ctx)
                             if self._is_source else None)
 
-        # Whether kernel output may leave the task AS COLUMNS: every
-        # output edge wired so far routes whole batches.
-        self._columnar_egress = True
         self._columnar_batches = metrics.counter("columnar_batches_in")
         self._columnar_fallbacks = metrics.counter("columnar_fallbacks")
 
@@ -409,7 +436,6 @@ class Task:
         # Flattened once so the scheduler's runnable scan reads cached
         # channel occupancies without re-walking the edge structure.
         self._output_channels.extend(edge.channels)
-        self._columnar_egress = self._columnar_egress and edge.passes_columnar
 
     def operator_reports(self, attr: str) -> List[Dict[str, Any]]:
         """Rows from every chained operator exposing an ``attr()`` report
@@ -478,9 +504,6 @@ class Task:
                 _inner(record)
 
             chained.ctx._collector = counting_collector
-            # The bulk tail path would bypass the counting shim; route
-            # everything through it while profiling.
-            chained.ctx.batch_collector = None
 
     def open(self) -> None:
         for chained in self.chain:
@@ -508,10 +531,10 @@ class Task:
         if len(self._out_buffer) >= self.batch_size:
             self._flush_out_buffer()
 
-    def _buffer_output_batch(self, records: List[Record]) -> None:
-        """Bulk variant of :meth:`_buffer_output`: one extend per record
-        run instead of one call per record."""
-        self._out_buffer.extend(records)
+    def _buffer_output_batch(self, *run: List[Any]) -> None:
+        """Bulk variant of :meth:`_buffer_output`: one extend per run (a
+        list of records; in a source task, its three columns)."""
+        self._out_buffer.extend(*run)
         if len(self._out_buffer) >= self.batch_size:
             self._flush_out_buffer()
 
@@ -519,23 +542,32 @@ class Task:
         buffer = self._out_buffer
         if not buffer:
             return
-        self._out_buffer = []
+        self._out_buffer = type(buffer)()
         if self._suffix_fn is not None:
             # Source task: the buffer holds what the operator in front of
             # the fused suffix collected.  Every flush point precedes
             # the control element that caused it, so the suffix sees
             # exactly the records between two control elements.
-            buffer = self._run_fused("fused_batch", self._suffix_fn, buffer)
-            if not buffer:
-                return
-        self._records_out.inc(len(buffer))
-        if len(buffer) == 1:
-            record = buffer[0]
-            for edge in self.output_edges:
-                edge.emit_record(record)
+            buffer = ColumnRun(*self._run_fused(
+                "column_kernel", self._suffix_fn, buffer.values,
+                buffer.timestamps, buffer.keys))
+        self._emit_run(buffer)
+
+    def _emit_run(self, run: Any) -> None:
+        """The one way a run leaves the task, flushed rows and columns
+        (which become rows at the edges, each building its own) alike."""
+        if not run:
             return
-        for edge in self.output_edges:
-            edge.emit_batch(buffer)
+        self._records_out.inc(len(run))
+        if not isinstance(run, list):
+            for edge in self.output_edges:
+                edge.emit_columnar(run)
+        elif len(run) == 1:
+            for edge in self.output_edges:
+                edge.emit_record(run[0])
+        else:
+            for edge in self.output_edges:
+                edge.emit_batch(run)
 
     def _watermark_from_chain(self, position: int) -> Callable[[int], None]:
         """Watermarks generated *inside* the chain (timestamp assigners)
@@ -784,8 +816,8 @@ class Task:
 
         The kernel transforms the parallel column lists directly -- no
         ``Record`` exists until its survivors are materialised for
-        :meth:`_exit_prefix`, and none at all when every output edge
-        routes whole batches.  No kernel at the chain head, or input
+        :meth:`_exit_prefix` or at an output edge, and none at all when
+        every edge routes whole batches.  No kernel at the head, or input
         that must enter record by record, is counted as a columnar
         fallback.  Kernels are pure: one that raises under quarantine
         emitted nothing, so a record-by-record replay quarantines only
@@ -811,21 +843,21 @@ class Task:
             return
         if not values:
             return
-        if prefix == len(self.chain) and self._columnar_egress:
+        if prefix < len(self.chain):
+            self._exit_prefix(list(map(Record, values, timestamps, keys)),
+                              prefix)
+            return
+        # Channel order: anything still buffered as rows (earlier
+        # fallback batches, scalar records) must leave before this run.
+        if self._out_buffer:
+            self._flush_out_buffer()
+        run = ColumnRun(values, timestamps, keys)
+        # A ColumnarBatch (if the values admit a schema) only where
+        # every edge forwards it whole.
+        if all(edge._whole is not None for edge in self.output_edges):
             from repro.runtime.columnar import columnar_from_lists
-            out_batch = columnar_from_lists(values, timestamps, keys)
-            if out_batch is not None:
-                # Channel order: anything still buffered as rows
-                # (earlier fallback batches, scalar records) must
-                # leave before this batch does.
-                if self._out_buffer:
-                    self._flush_out_buffer()
-                self._records_out.inc(len(out_batch))
-                for edge in self.output_edges:
-                    edge.emit_columnar(out_batch)
-                return
-        self._exit_prefix([Record(v, ts, k) for v, ts, k
-                           in zip(values, timestamps, keys)], prefix)
+            run = columnar_from_lists(values, timestamps, keys) or run
+        self._emit_run(run)
 
     def _quarantine(self, element: Record, exc: Exception) -> None:
         """Route a poison record to the dead-letter output; escalate once
@@ -1023,7 +1055,7 @@ class Task:
         self.poison_next_records = 0
         # Un-flushed emissions belong to the failed attempt; the replayed
         # inputs will regenerate them.
-        self._out_buffer = []
+        self._out_buffer = type(self._out_buffer)()
 
     # -- end of input -------------------------------------------------------
 

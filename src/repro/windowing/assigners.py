@@ -9,13 +9,14 @@ redundancy Cutty's slicing removes.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.windowing.windows import GlobalWindow, TimeWindow
 
 
 class WindowAssigner:
-    """Maps ``(value, timestamp)`` to the windows containing it."""
+    """Maps ``(value, timestamp)`` to the windows containing it: a list
+    to read, not to change (periodic assigners share it between calls)."""
 
     is_event_time = True
 
@@ -25,6 +26,17 @@ class WindowAssigner:
     @property
     def is_merging(self) -> bool:
         return False
+
+
+def _intern(cache: Dict[Any, List[TimeWindow]], start: Any,
+            windows: List[TimeWindow]) -> List[TimeWindow]:
+    """Remember ``windows`` for ``start``, forgetting the oldest of 8:
+    out-of-order events inside the watermark bound alternate between
+    two windows at every boundary, where one entry would thrash."""
+    if len(cache) >= 8:
+        del cache[next(iter(cache))]
+    cache[start] = windows
+    return windows
 
 
 class TumblingEventTimeWindows(WindowAssigner):
@@ -37,6 +49,9 @@ class TumblingEventTimeWindows(WindowAssigner):
             raise ValueError("offset must satisfy 0 <= offset < size")
         self.size = size
         self.offset = offset
+        #: One TimeWindow per window, not per record: state and timer
+        #: probes hit identity before ``__eq__``, snapshots memoise it.
+        self._interned: Dict[int, List[TimeWindow]] = {}
 
     @classmethod
     def of(cls, size: int, offset: int = 0) -> "TumblingEventTimeWindows":
@@ -44,7 +59,8 @@ class TumblingEventTimeWindows(WindowAssigner):
 
     def assign(self, value: Any, timestamp: int) -> List[TimeWindow]:
         start = timestamp - ((timestamp - self.offset) % self.size)
-        return [TimeWindow(start, start + self.size)]
+        return self._interned.get(start) or _intern(
+            self._interned, start, [TimeWindow(start, start + self.size)])
 
     def __repr__(self) -> str:
         return "TumblingEventTimeWindows(size=%d)" % self.size
@@ -68,6 +84,7 @@ class SlidingEventTimeWindows(WindowAssigner):
         self.size = size
         self.slide = slide
         self.offset = offset
+        self._interned: Dict[Any, List[TimeWindow]] = {}
 
     @classmethod
     def of(cls, size: int, slide: int,
@@ -75,13 +92,14 @@ class SlidingEventTimeWindows(WindowAssigner):
         return cls(size, slide, offset)
 
     def assign(self, value: Any, timestamp: int) -> List[TimeWindow]:
-        windows: List[TimeWindow] = []
         last_start = timestamp - ((timestamp - self.offset) % self.slide)
-        start = last_start
-        while start > timestamp - self.size:
-            windows.append(TimeWindow(start, start + self.size))
-            start -= self.slide
-        return windows
+        # Those starting in (timestamp - size, last_start]: one fewer
+        # late in a slide when size is no multiple of it.
+        count = (last_start - timestamp + self.size - 1) // self.slide + 1
+        return self._interned.get((last_start, count)) or _intern(
+            self._interned, (last_start, count),
+            [TimeWindow(start, start + self.size) for start in range(
+                last_start, last_start - count * self.slide, -self.slide)])
 
     def __repr__(self) -> str:
         return "SlidingEventTimeWindows(size=%d, slide=%d)" % (self.size,

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.api.environment import Environment
+from repro.connectors import TransactionalJsonlFileSink
 from repro.connectors.partitioned import PartitionedSource
 from repro.connectors.sources import HybridSource
 from repro.metrics import MetricGroup
@@ -24,6 +25,7 @@ from repro.runtime.channels import Channel
 from repro.runtime.columnar import batch_to_columnar
 from repro.runtime.elements import END_OF_STREAM, Record, RecordBatch
 from repro.runtime.engine import EngineConfig
+from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
 from repro.runtime.operators import (
     CoProcessOperator,
     FilterOperator,
@@ -31,11 +33,14 @@ from repro.runtime.operators import (
     IteratorSource,
     MapOperator,
     Operator,
+    ReplayCursor,
+    SourceOperator,
     TimestampsAndWatermarksOperator,
 )
 from repro.runtime import partition
 from repro.runtime.partition import ForwardPartitioner, HashPartitioner
-from repro.runtime.task import OutputEdge, Task
+from repro.runtime.restart import FixedDelayRestart
+from repro.runtime.task import ColumnRun, OutputEdge, Task
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
     make_crash_once_hook,
@@ -45,6 +50,8 @@ from repro.testing.oracles import (
 from repro.testing.seeds import rng_for, root_seed
 from repro.time import WatermarkStrategy
 from repro.time.clock import ManualClock
+from repro.windowing import CountAggregate, TumblingEventTimeWindows
+from repro.windowing.windows import TimeWindow
 
 ROOT = root_seed(default=0)
 
@@ -378,15 +385,86 @@ GENERATORS = {
 }
 
 
+class MixedSource(SourceOperator):
+    """Hands each step over as a single, a run of two, of three, of
+    four, a single, ...: ``collect`` and ``collect_batch`` in one step."""
+
+    def __init__(self, factory):
+        super().__init__()
+        self._factory = factory
+
+    def open(self, ctx):
+        super().open(ctx)
+        self._cursor = ReplayCursor(self._factory)
+
+    def emit_batch(self, source_ctx, max_records):
+        chunk = self._cursor.take(max_records)
+        position, width = 0, 1
+        while position < len(chunk):
+            if width == 1:
+                source_ctx.collect(chunk[position])
+            else:
+                source_ctx.collect_batch(chunk[position:position + width])
+            position += width
+            width = width % 4 + 1
+        return not self._cursor.exhausted
+
+    def snapshot_state(self):
+        return {"offset": self._cursor.offset}
+
+    def restore_state(self, state):
+        self._cursor.rewind(state["offset"])
+
+
+class RowsOnly(Operator):
+    """Stateless, but without a batch transform or a column kernel:
+    columns end in front of it."""
+
+    def process(self, record):
+        self.ctx.emit_record(record)
+
+
+def _hybrid_halves(elements):
+    """History and stream overlap around the cutover, which lies in the
+    middle of the event times: both sides drop records at the seam."""
+    half = len(elements) // 2
+    return (elements[:half + half // 3], elements[half - half // 3:],
+            sorted(e[2] for e in elements)[half] if elements else 0)
+
+
+#: ``elements -> [source]`` for every replayable source kind; all emit
+#: their steps through ``SourceOperator._emit_run`` but ``mixed``.
+SOURCES = {
+    "iterator": lambda elements: IteratorSource(lambda: elements),
+    "timestamped": lambda elements: IteratorSource(
+        lambda: [(e, e[2]) for e in elements], timestamped=True),
+    "hybrid": lambda elements: HybridSource(
+        lambda: _hybrid_halves(elements)[0],
+        lambda: _hybrid_halves(elements)[1],
+        cutover=_hybrid_halves(elements)[2],
+        timestamp_fn=lambda value: value[2], history_burst=4),
+    "partitioned": lambda elements: PartitionedSource(
+        [(lambda part=elements[start::3]: part) for start in range(3)]),
+    "mixed": lambda elements: MixedSource(lambda: elements),
+}
+
+SUFFIXES = ["none", "map-filter", "flat-map", "drops-runs", "rows"]
+
+
 def source_chain(elements, generator="bounded", poll_every=1,
-                 suffix="map-filter"):
+                 suffix="map-filter", source="iterator"):
     """``source -> timestamps/watermarks -> suffix`` over ``(key, value,
-    ts)`` elements, as fresh operator instances."""
-    operators = [
-        IteratorSource(lambda: elements),
-        TimestampsAndWatermarksOperator(GENERATORS[generator](),
-                                        poll_every=poll_every)]
-    if suffix in ("map-filter", "flat-map"):
+    ts)`` elements, as fresh operator instances (a ``timestamped``
+    source has no watermark operator behind it)."""
+    operators = [SOURCES[source](elements)]
+    if source != "timestamped":
+        operators.append(TimestampsAndWatermarksOperator(
+            GENERATORS[generator](), poll_every=poll_every))
+    if suffix == "rows":
+        # Rows from here on; the map and the filter behind it are still
+        # the fused suffix.
+        operators.append(RowsOnly())
+    if suffix in ("map-filter", "flat-map", "rows"):
         operators.append(MapOperator(lambda v: (v[0], v[1] * 2, v[2])))
         operators.append(FilterOperator(lambda v: v[1] % 3 != 1))
     if suffix == "flat-map":
@@ -404,9 +482,11 @@ def keyed_elements(rng, count):
 
 
 class TestSourceChainElementSequence:
-    """A source task runs its stateless suffix fused and its watermark
-    operator over runs; every output channel must still carry exactly
-    the records, watermarks and barriers of the scalar run, in order."""
+    """A batched source task carries its runs as columns -- through the
+    watermark operator, through its stateless suffix fused into a
+    column kernel -- and builds the records at the output edge; every
+    output channel must still carry exactly the records, watermarks and
+    barriers of the scalar run, in order."""
 
     @pytest.mark.parametrize("suffix", ["none", "map-filter", "flat-map",
                                         "drops-runs"])
@@ -426,6 +506,46 @@ class TestSourceChainElementSequence:
                 batch_size, barrier_steps=barriers)
             assert batched == scalar
             assert (task._suffix_fn is not None) == (suffix != "none")
+
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_column_path_parity(self, source, suffix):
+        """Every source kind x every suffix shape: the runs travel as
+        columns up to the hash edge (or up to the first operator that
+        needs rows), and each channel still carries the scalar run's
+        ``(value, timestamp, key)`` records, watermarks and barriers --
+        with barriers between two runs, and with profiling on (which
+        keeps the row chain)."""
+        elements = keyed_elements(rng_for(ROOT, "column-path", source,
+                                          suffix), 300)
+        barriers = (0, 3, 4, 11, 30)
+
+        def drive(batch_size, **kwargs):
+            return drive_source_task(
+                source_chain(elements, "bounded", 7, suffix, source),
+                batch_size, barrier_steps=barriers, **kwargs)
+
+        scalar, _, scalar_task = drive(1)
+        assert sum(map(record_count, scalar)) > 50
+        assert all(("barrier", 12) in channel for channel in scalar)
+        assert isinstance(scalar_task._out_buffer, list)
+        for batch_size in (2, 5, 64, 1024):
+            batched, _, task = drive(batch_size)
+            assert batched == scalar
+            assert isinstance(task._out_buffer, ColumnRun)
+            assert (task._suffix_fn is not None) == (suffix != "none")
+            # A run is handed on as columns up to the fused suffix; an
+            # operator without ``process_columns`` of its own builds the
+            # rows it needs.
+            fused = {"none": 0, "map-filter": 2, "flat-map": 3,
+                     "drops-runs": 1, "rows": 2}[suffix]
+            assert ["emit_columns" in vars(chained.ctx)
+                    for chained in task.chain] == (
+                [True] * (len(task.chain) - fused) + [False] * fused)
+        profiled, _, task = drive(64, operator_profiling=True)
+        assert profiled == scalar
+        assert task._suffix_fn is None
+        assert isinstance(task._out_buffer, list)
 
     def test_timestamped_collection_enters_the_run_path(self):
         pairs = [((("k%d" % (index % 3)), index, index), index)
@@ -500,6 +620,104 @@ class TestSourceChainElementSequence:
 
         assert counts(64) == counts(1)
         assert counts(1)[1][1:] == (200, 200)
+
+
+# -- recovery and the quarantine rule on a source chain that runs on columns ------
+
+
+class TestSourceChainRecovery:
+    def test_reset_progress_drops_an_unflushed_column_run(self):
+        elements = keyed_elements(rng_for(ROOT, "column-reset"), 120)
+        clean, _, _ = drive_source_task(source_chain(elements), 64)
+        task = Task("source", 0, 0, 1, source_chain(elements), ManualClock(),
+                    MetricGroup("test"), elements_per_step=8, batch_size=64)
+        outputs = [Channel("out-%d" % index, capacity=1 << 30)
+                   for index in range(2)]
+        task.add_output_edge(OutputEdge(
+            HashPartitioner(lambda value: value[0]), outputs, 0))
+        task.open()
+        # A run and a single that the failed attempt never flushed.
+        task.chain[1].ctx.emit_columns(
+            [("ghost", 1, 1)] * 3, [1, 1, 1], [None] * 3)
+        task.chain[1].ctx.emit_record(Record(("ghost", 2, 2), 2))
+        assert len(task._out_buffer) == 4
+        task.reset_progress()
+        assert isinstance(task._out_buffer, ColumnRun)
+        assert len(task._out_buffer) == 0
+        while not task.finished:
+            task.step()
+        assert [channel_elements(channel) for channel in outputs] == clean
+
+    @staticmethod
+    def windowed_counts(tmp_path, batch_size, faulty):
+        """``source -> watermarks -> map -> filter -> key_by -> window ->
+        2PC sink``; the faulty run's map raises once in the middle of a
+        source run and chaos fails a subtask between two source steps."""
+        path = str(tmp_path / ("%s-%d.jsonl" % (faulty, batch_size)))
+        raised = [not faulty]
+
+        def flaky(value):
+            if value[1] == 333 and not raised[0]:
+                raised[0] = True
+                raise RuntimeError("transient")
+            return value
+
+        env = Environment(parallelism=2, config=EngineConfig(
+            checkpoint_interval_ms=5, elements_per_step=16,
+            batch_size=batch_size,
+            restart_strategy=FixedDelayRestart(max_restarts=5, delay_ms=1),
+            chaos=(ChaosInjector([FaultEvent(40, SUBTASK_FAILURE)])
+                   if faulty else None)))
+        (env.from_collection([("k%d" % (i % 7), i) for i in range(1400)])
+         .assign_timestamps_and_watermarks(
+             WatermarkStrategy.for_bounded_out_of_orderness(
+                 lambda value: value[1], 5))
+         .map(flaky)
+         .filter(lambda value: value[1] % 5 != 0)
+         .key_by(lambda value: value[0])
+         .window(TumblingEventTimeWindows.of(100))
+         .aggregate(CountAggregate())
+         .add_sink(TransactionalJsonlFileSink(path)))
+        job = env.execute()
+        with open(path, "r", encoding="utf-8") as handle:
+            return sorted(handle), job
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_a_raising_suffix_and_a_subtask_failure_recover_exactly_once(
+            self, tmp_path, batch_size):
+        clean, clean_job = self.windowed_counts(tmp_path, batch_size, False)
+        assert len(clean) == 98 and clean_job.restarts == 0
+        recovered, job = self.windowed_counts(tmp_path, batch_size, True)
+        assert job.restarts == 2 and job.checkpoints_completed >= 1
+        assert recovered == clean
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_quarantine_guards_the_task_input_boundary(self, batch_size):
+        """docs/fault_tolerance.md: a UDF chained into the source fails
+        the task with its own exception -- the column path neither
+        swallows the poison nor blames another record -- while the same
+        UDF behind an exchange is quarantined."""
+        def run(rebalance):
+            env = Environment(config=EngineConfig(
+                quarantine_threshold=5, batch_size=batch_size))
+
+            def toxic(value):
+                if value == 7:
+                    raise ValueError("poison %d" % value)
+                return value
+
+            stream = env.from_collection(range(20))
+            if rebalance:
+                stream = stream.rebalance()
+            result = stream.map(toxic).collect()
+            return result, env.execute
+
+        _, execute = run(rebalance=False)
+        with pytest.raises(ValueError, match="^poison 7$"):
+            execute()
+        result, execute = run(rebalance=True)
+        assert [letter.value for letter in execute().dead_letters] == [7]
+        assert sorted(result.get()) == sorted(set(range(20)) - {7})
 
 
 # -- every replayable source emits runs --------------------------------------------
@@ -808,7 +1026,9 @@ def test_quick_keyed_window_hashes_per_key_and_fuses_the_source_chain(
         monkeypatch, tmp_path):
     """Counts, not wall clock, on the benchmark's own ``keyed_window``
     program at its ``--quick`` size: upstream of the hash edge nothing
-    is paid per record that can be paid per distinct key or per run."""
+    is paid per record that can be paid per distinct key or per run --
+    one ``Record`` per record the edge delivers, none before it -- and
+    the window assigner builds a window per window, not per record."""
     benchmarks = os.path.join(os.path.dirname(__file__), os.pardir,
                               os.pardir, "benchmarks")
     monkeypatch.syspath_prepend(benchmarks)
@@ -816,12 +1036,24 @@ def test_quick_keyed_window_hashes_per_key_and_fuses_the_source_chain(
     workload = importlib.import_module("workloads").KeyedWindow()
     events = workload.generate(0, 0.05)
 
-    calls = {"fnv1a": 0, "map": 0, "filter": 0}
+    calls = {"fnv1a": 0, "map": 0, "filter": 0,
+             "source_records": 0, "assigned_windows": 0}
+    inside = {"source": False, "assign": False}
 
-    def counting(name, fn):
+    def counting(name, fn, when=None):
         def wrapper(*args):
-            calls[name] += 1
+            if when is None or inside[when]:
+                calls[name] += 1
             return fn(*args)
+        return wrapper
+
+    def marking(where, fn, applies=lambda *args: True):
+        def wrapper(*args):
+            inside[where] = applies(*args)
+            try:
+                return fn(*args)
+            finally:
+                inside[where] = False
         return wrapper
 
     monkeypatch.setattr(partition, "_fnv1a",
@@ -830,6 +1062,14 @@ def test_quick_keyed_window_hashes_per_key_and_fuses_the_source_chain(
                         counting("map", MapOperator.process))
     monkeypatch.setattr(FilterOperator, "process",
                         counting("filter", FilterOperator.process))
+    monkeypatch.setattr(Task, "step", marking(
+        "source", Task.step, lambda task: task.is_source))
+    monkeypatch.setattr(Record, "__init__", counting(
+        "source_records", Record.__init__, "source"))
+    monkeypatch.setattr(TumblingEventTimeWindows, "assign", marking(
+        "assign", TumblingEventTimeWindows.assign))
+    monkeypatch.setattr(TimeWindow, "__init__", counting(
+        "assigned_windows", TimeWindow.__init__, "assign"))
     partition._TEXT_DIGESTS.clear()
 
     job = workload.build(events, str(tmp_path))
@@ -839,3 +1079,9 @@ def test_quick_keyed_window_hashes_per_key_and_fuses_the_source_chain(
     assert score.attempted > 100 and score.failed == 0
     assert 0 < calls["fnv1a"] <= len({event.user for event in events})
     assert calls["map"] == calls["filter"] == 0
+    source, = [task for task in job.env.last_engine.tasks if task.is_source]
+    delivered = source.metrics.counter("records_out").value
+    assert 0 < delivered < len(events)          # the filter dropped some
+    assert calls["source_records"] == delivered
+    windows = {event.timestamp // workload.window_ms for event in events}
+    assert 0 < calls["assigned_windows"] <= 8 * len(windows)

@@ -9,6 +9,8 @@ taken mid-life behaves like one that never went away.
 """
 
 import multiprocessing
+import pickle
+import pickletools
 import time
 
 import pytest
@@ -191,6 +193,103 @@ def test_record_joining_a_restored_pair_registers_nothing_and_fires_once():
         ("k", 0, 11)]
     assert len(event_timers) == 0
     assert task.chain[0].backend.num_entries() == 0
+
+
+def test_crash_restore_folds_into_equal_but_not_identical_windows(
+        monkeypatch):
+    """The assigner hands out one interned window per start; state and
+    timers put back by a restore hold their own copies of it.  Later
+    records must find those by equality: same pair, no second pane, no
+    timer registered again, and the rows of the uninterrupted run."""
+    registered = []
+    register = TimerQueue.register
+    monkeypatch.setattr(
+        TimerQueue, "register",
+        lambda self, timestamp, key, namespace: (
+            registered.append((timestamp, key)),
+            register(self, timestamp, key, namespace))[1])
+
+    def drive(crash):
+        snapshots, emitted = [], []
+        task, channel = build_window_task(emitted)
+        task.checkpoint_ack = lambda checkpoint_id, snapshot: (
+            snapshots.append(snapshot))
+        for key in ("a", "b", "c"):
+            channel.push(Record(1, 10, key))
+        channel.push(CheckpointBarrier(1))      # three live pairs
+        channel.push(Record(2, 20, "a"))
+        task.step()
+        if crash:
+            # What Engine.recover does to the task: the same operator,
+            # the same assigner and its interned windows, restored state.
+            task.reset_progress()
+            task.restore(snapshots[0])
+            del registered[:]
+            channel.push(Record(2, 20, "a"))    # replayed
+        panes = task.chain[0].backend.table("window-contents")
+        interned, = task.chain[0].operator.assigner.assign(None, 30)
+        assert all(list(windows) == [interned] for windows in panes.values())
+        assert all((window is interned) != crash
+                   for windows in panes.values() for window in windows)
+        for key in ("a", "b", "c", "d"):
+            channel.push(Record(4, 30, key))
+        task.step()
+        assert {key: list(windows.values())
+                for key, windows in panes.items()} == {
+            "a": [7], "b": [5], "c": [5], "d": [4]}
+        channel.push(Watermark(150))
+        task.step()
+        assert task.chain[0].backend.num_entries() == 0
+        return sorted((row.key, row.window.start, row.value)
+                      for row in emitted)
+
+    uninterrupted = drive(crash=False)
+    assert len(registered) == 2 * 4             # fire + clean-up per pair
+    assert drive(crash=True) == uninterrupted
+    assert registered == [(99, "d"), (99, "d")]  # after the restore
+
+
+def _window_pickles(payload):
+    """``(windows built, memo references to them)`` in a pickle whose
+    only reduced objects are ``TimeWindow``\\ s."""
+    built, references, memo_index, previous = [], 0, 0, None
+    for opcode, argument, _ in pickletools.genops(payload):
+        if opcode.name == "MEMOIZE":
+            if previous == "REDUCE":
+                built.append(memo_index)
+            memo_index += 1
+        elif opcode.name in ("BINGET", "LONG_BINGET"):
+            references += argument in built
+        previous = opcode.name
+    return len(built), references
+
+
+def test_a_checkpoint_pickles_a_shared_window_once():
+    """N pairs living in one window: the snapshot's keyed state holds
+    one window object (``deepcopy`` memoises the interned one), so the
+    durable payload builds it once and refers to it N - 1 times."""
+    snapshots = []
+    task, channel = build_window_task([])
+    task.checkpoint_ack = lambda checkpoint_id, snapshot: (
+        snapshots.append(snapshot))
+    pairs = 40
+    for index in range(pairs):
+        channel.push(Record(1, 10 + index, "k%d" % index))
+    channel.push(CheckpointBarrier(1))
+    while channel.size:
+        task.step()
+    keyed_state = snapshots[0].keyed_state["0"]
+    assert len(keyed_state["window-contents"]) == pairs
+    payload = pickle.dumps(keyed_state, pickle.HIGHEST_PROTOCOL)
+    assert _window_pickles(payload) == (1, pairs - 1)
+    restored = pickle.loads(payload)["window-contents"]
+    assert len({id(window) for windows in restored.values()
+                for window in windows}) == 1
+    # The timers refer to the operator's own window: one more object,
+    # not one per timer.
+    whole = pickle.dumps(snapshots[0], pickle.HIGHEST_PROTOCOL)
+    assert whole.count(b"TimeWindow") == 1
+    assert len(whole) < 60 * pairs
 
 
 N = 1200

@@ -18,6 +18,8 @@ from repro.runtime.engine import EngineConfig
 from repro.testing.oracles import run_streaming_windows
 from tests.integration.test_batched_execution import (
     GENERATORS,
+    SOURCES,
+    SUFFIXES,
     drive_source_task,
     source_chain,
 )
@@ -87,31 +89,37 @@ def test_watermark_boundaries_preserved_in_windows(elements, batch_size):
     assert batched == scalar
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(elements=keyed_streams(),
-       batch_size=st.integers(min_value=2, max_value=64),
+       batch_size=st.one_of(st.integers(min_value=2, max_value=64),
+                            st.just(1024)),
        elements_per_step=st.integers(min_value=1, max_value=40),
        barrier_steps=st.sets(st.integers(min_value=0, max_value=40),
                              max_size=6),
        generator=st.sampled_from(sorted(GENERATORS)),
        poll_every=st.sampled_from([1, 7]),
-       suffix=st.sampled_from(["none", "map-filter", "flat-map",
-                               "drops-runs"]))
+       suffix=st.sampled_from(SUFFIXES),
+       source=st.sampled_from(sorted(SOURCES)),
+       operator_profiling=st.booleans())
 def test_source_chain_element_sequence_is_the_scalar_one(
         elements, batch_size, elements_per_step, barrier_steps, generator,
-        poll_every, suffix):
+        poll_every, suffix, source, operator_profiling):
     """``source -> timestamps/watermarks -> map -> filter -> key_by``:
-    the watermark operator takes each source burst as a run and the
-    stateless suffix is applied once per run as it leaves the task, yet
-    each output channel carries the records, watermarks and barriers of
-    the record-at-a-time execution, in the same order."""
+    each source burst travels as a run of columns -- the watermark
+    operator stamps and cuts it, the stateless suffix is applied once
+    per run as it leaves the task, the hash edge builds the records --
+    yet each output channel carries the records, watermarks and
+    barriers of the record-at-a-time execution, in the same order.
+    Whatever the source kind (one that mixes ``collect`` singles into
+    its runs included), wherever rows begin, profiled or not."""
     elements = [("k%d" % k, value, ts) for k, value, ts in elements]
     scalar, _, _ = drive_source_task(
-        source_chain(elements, generator, poll_every, suffix), 1,
+        source_chain(elements, generator, poll_every, suffix, source), 1,
         elements_per_step=elements_per_step, barrier_steps=barrier_steps)
     batched, _, _ = drive_source_task(
-        source_chain(elements, generator, poll_every, suffix), batch_size,
-        elements_per_step=elements_per_step, barrier_steps=barrier_steps)
+        source_chain(elements, generator, poll_every, suffix, source),
+        batch_size, elements_per_step=elements_per_step,
+        barrier_steps=barrier_steps, operator_profiling=operator_profiling)
     assert batched == scalar
 
 

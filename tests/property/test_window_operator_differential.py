@@ -13,9 +13,15 @@ The reference below shares no code with ``repro.windowing``: windows are
 scanned in full on every watermark.  The job runs at parallelism 1 with
 a watermark after every record (``max timestamp seen - bound``), which
 the reference recomputes from the input alone.
+
+Last in the file: the periodic assigners intern their windows, and a
+hypothesis property checks that a long-lived assigner still assigns
+what a fresh one does.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Environment
 from repro.testing.generators import StreamProfile, generate_elements
@@ -282,3 +288,53 @@ def test_a_straggler_refires_its_window_once():
                              (40, 80, 18), (200, 240, 64)]}
     assert emitted == expected_output(elements, 40, 40, 50, "default")[0]
     assert late == []
+
+
+# -- interned windows -----------------------------------------------------------
+
+
+@st.composite
+def periodic_assigner_walks(draw):
+    """``(size, slide, offset, timestamps)``: a walk with small steps
+    inside a window, leaps over more starts than an assigner keeps
+    interned (forwards and backwards), negative timestamps, and sizes
+    that are no multiple of the slide."""
+    slide = draw(st.integers(min_value=1, max_value=40))
+    size = slide + draw(st.integers(min_value=0, max_value=3 * slide))
+    offset = draw(st.integers(min_value=0, max_value=slide - 1))
+    step = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-12 * size, max_value=12 * size))
+    position = draw(st.integers(min_value=-1000, max_value=1000))
+    timestamps = []
+    for delta in draw(st.lists(step, min_size=1, max_size=80)):
+        position += delta
+        timestamps.append(position)
+    return size, slide, offset, timestamps
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk=periodic_assigner_walks())
+def test_a_long_lived_assigner_assigns_what_a_fresh_one_does(walk):
+    """Interning is invisible: whatever a long-lived tumbling or sliding
+    assigner was asked before, it returns the windows a fresh assigner
+    returns (which are the windows containing the timestamp), and the
+    same objects for the same start while it still holds them."""
+    size, slide, offset, timestamps = walk
+    sliding = SlidingEventTimeWindows(size, slide, offset)
+    tumbling = TumblingEventTimeWindows(slide, offset)
+    for timestamp in timestamps:
+        windows = sliding.assign(None, timestamp)
+        assert windows == SlidingEventTimeWindows(
+            size, slide, offset).assign(None, timestamp)
+        assert [(w.start, w.end) for w in windows] == [
+            (start, start + size)
+            for start in range(timestamp, timestamp - size, -1)
+            if (start - offset) % slide == 0]
+        assert sliding.assign(None, timestamp) is windows
+        window, = tumbling.assign(None, timestamp)
+        assert [window] == TumblingEventTimeWindows(
+            slide, offset).assign(None, timestamp)
+        assert window.contains(timestamp) and window.size == slide
+        assert tumbling.assign(None, window.start)[0] is window
+        assert max(len(sliding._interned), len(tumbling._interned)) <= 8

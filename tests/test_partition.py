@@ -23,7 +23,7 @@ from repro.runtime.partition import (
     hash_key,
     owner_of_key,
 )
-from repro.runtime.task import OutputEdge
+from repro.runtime.task import ColumnRun, OutputEdge
 
 
 class TestHashKey:
@@ -345,7 +345,9 @@ class TestOutputEdgeRoutes:
     """One routing decision per edge: a run of records reaches the same
     channels in the same order, and leaves the same round-robin cursor
     behind, whether it is emitted record by record, as a row batch or
-    (on whole-batch routes) as a columnar batch."""
+    as columns (a columnar batch travels a whole-batch route as it is;
+    every other route, and a ``ColumnRun``, builds its rows at the
+    edge)."""
 
     RUNS = [[Record(("k%d" % (i % 4), i), i, key="k%d" % (i % 4))
              for i in range(start, stop)]
@@ -377,15 +379,18 @@ class TestOutputEdgeRoutes:
             name, lambda edge, run: edge.emit_batch(run))
         assert batched == scalar and any(scalar)
         assert batched_cursor == scalar_cursor
-        assert edge.passes_columnar is whole
         if name.startswith("rebalance"):
             assert scalar_cursor == {"next": 13}
-        if whole:
-            _, columnar, columnar_cursor = self.route(
-                name, lambda edge, run: edge.emit_columnar(
-                    batch_to_columnar(run)))
+        for as_columns in (batch_to_columnar, lambda run: ColumnRun(
+                [r.value for r in run], [r.timestamp for r in run],
+                [r.key for r in run])):
+            edge, columnar, columnar_cursor = self.route(
+                name, lambda edge, run: edge.emit_columnar(as_columns(run)))
             assert columnar == scalar
             assert columnar_cursor == scalar_cursor
+            assert any(element.is_columnar for channel in edge.channels
+                       for element in channel._queue) is (
+                whole and as_columns is batch_to_columnar)
 
     def test_a_whole_batch_is_copied_per_channel(self):
         # The caller's buffer is shared across edges, and chaos carves
