@@ -9,17 +9,15 @@ over the simulated clock, and a
 :class:`~repro.observability.reporter.MetricsReporter` rendering
 text/JSON/Prometheus snapshots.
 
-Enable per engine with ``EngineConfig(observability=True)`` (or an
-:class:`ObservabilityConfig` for tuning), or process-wide with
-``REPRO_OBSERVABILITY=1``.  Disabled engines pay nothing on the record
-hot path.
+Enable per engine with ``EngineConfig(observability=True)``, or
+process-wide with ``REPRO_OBSERVABILITY=1``.  Disabled engines pay
+nothing on the record hot path.
 """
 
 from repro.observability.registry import MetricsRegistry
 from repro.observability.reporter import FORMATS, JobReport, MetricsReporter
 from repro.observability.runtime import (
     OBSERVABILITY_ENV_VAR,
-    ObservabilityConfig,
     RuntimeObservability,
     checkpoint_state_entries,
     collect_cutty_stats,
@@ -32,7 +30,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsReporter",
     "OBSERVABILITY_ENV_VAR",
-    "ObservabilityConfig",
     "RuntimeObservability",
     "Span",
     "TraceContext",

@@ -39,8 +39,8 @@ def _max_per_field(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 #: How each section of ``job_report()`` combines across the workers of a
-#: multiprocess job.  Sections without a rule (``job``, ``checkpoints``,
-#: ``fleet``, ``exchange``, ``workers``) are the parent's own.
+#: multiprocess job.  Sections without a rule (``fleet``, ``exchange``,
+#: ``workers``) are the parent's own: one part carries each.
 MERGE_RULES: Dict[str, Callable[[List[Any]], Any]] = {
     "operators": _rows_by("operator", "subtask"),
     "cutover": _rows_by("operator", "subtask"),
@@ -55,9 +55,12 @@ MERGE_RULES: Dict[str, Callable[[List[Any]], Any]] = {
 
 def merge_report_sections(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Combine per-process section dicts under :data:`MERGE_RULES`; a
-    section appears in the result when at least one part carries it."""
+    section appears in the result when at least one part carries it; one
+    without a rule is copied from the one part that carries it."""
     parts = list(parts)
-    merged: Dict[str, Any] = {}
+    merged: Dict[str, Any] = {name: section for part in parts
+                              for name, section in part.items()
+                              if name not in MERGE_RULES}
     for name, rule in MERGE_RULES.items():
         present = [part[name] for part in parts if name in part]
         if present:

@@ -1,7 +1,7 @@
 """Engine-side runtime observability.
 
 :class:`RuntimeObservability` only exists when
-``EngineConfig(observability=...)`` enables it; a disabled engine holds
+``EngineConfig(observability=True)`` enables it; a disabled engine holds
 ``None`` and its hot path is byte-for-byte the uninstrumented one (the
 scheduler pays a single ``is not None`` test per *round*, never per
 record).  When enabled, the object owns the job's
@@ -13,7 +13,7 @@ at round granularity:
   run because an output channel is at capacity accrues the round's tick
   into ``backpressure_stall_ms``;
 * **queue occupancy** -- input-channel depths are sampled every
-  ``sample_interval_rounds`` rounds into high-water-marking gauges;
+  :data:`SAMPLE_INTERVAL_ROUNDS` rounds into high-water-marking gauges;
 * **watermark lag / event-time skew** -- per-task watermark gauges are
   compared against the job-wide frontier each sample; skew is the spread
   between the fastest and slowest live watermark;
@@ -29,7 +29,6 @@ are deterministic for a given program and seed.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.metrics import sum_nested
@@ -45,67 +44,19 @@ if TYPE_CHECKING:
 #: for engines that did not say otherwise -- how the differential
 #: harness re-runs its whole oracle battery instrumented.
 OBSERVABILITY_ENV_VAR = "REPRO_OBSERVABILITY"
-
-
-class ObservabilityConfig:
-    """Tunables of the observability layer."""
-
-    def __init__(self, *, tracing: bool = True,
-                 trace_buffer: int = 4096,
-                 sample_interval_rounds: int = 16) -> None:
-        if trace_buffer < 1:
-            raise ValueError("trace_buffer must be >= 1")
-        if sample_interval_rounds < 1:
-            raise ValueError("sample_interval_rounds must be >= 1")
-        #: Collect spans (checkpoints, window fires, restarts, fused
-        #: batches) into the ring buffer.  Metrics stay on either way.
-        self.tracing = tracing
-        #: Ring-buffer capacity; the newest spans win.
-        self.trace_buffer = trace_buffer
-        #: Channel-occupancy / watermark sampling period, in scheduler
-        #: rounds.  1 samples every round (most detail, most overhead).
-        self.sample_interval_rounds = sample_interval_rounds
-
-    @staticmethod
-    def normalize(value: Any) -> Optional["ObservabilityConfig"]:
-        """Coerce the ``EngineConfig(observability=...)`` argument.
-
-        ``None`` defers to the ``REPRO_OBSERVABILITY`` environment
-        variable (unset/0 = off); ``False`` forces off; ``True`` means
-        defaults; an :class:`ObservabilityConfig` is used as given.
-        """
-        if value is None:
-            enabled = os.environ.get(OBSERVABILITY_ENV_VAR, "0")
-            if enabled in ("", "0", "false", "False"):
-                return None
-            return ObservabilityConfig()
-        if value is False:
-            return None
-        if value is True:
-            return ObservabilityConfig()
-        if isinstance(value, ObservabilityConfig):
-            return value
-        raise TypeError(
-            "observability must be None, a bool, or an "
-            "ObservabilityConfig; got %r" % (value,))
-
-    def __repr__(self) -> str:
-        return ("ObservabilityConfig(tracing=%r, trace_buffer=%d, "
-                "sample_interval_rounds=%d)"
-                % (self.tracing, self.trace_buffer,
-                   self.sample_interval_rounds))
+#: Span ring-buffer capacity; the newest spans win.
+TRACE_BUFFER = 4096
+#: Channel-occupancy / watermark sampling period, in scheduler rounds.
+SAMPLE_INTERVAL_ROUNDS = 16
 
 
 class RuntimeObservability:
     """The live instrumentation attached to one :class:`Engine`."""
 
-    def __init__(self, config: ObservabilityConfig, engine: "Engine") -> None:
-        self.config = config
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.registry = MetricsRegistry()
-        self.tracer: Optional[TraceContext] = (
-            TraceContext(engine.clock.now, capacity=config.trace_buffer)
-            if config.tracing else None)
+        self.tracer = TraceContext(engine.clock.now, capacity=TRACE_BUFFER)
         # Task metric groups are reached through a provider because a
         # restart-from-scratch rebuilds them.
         self.registry.register_provider(
@@ -136,7 +87,7 @@ class RuntimeObservability:
                                      for channel, _ in task.inputs):
                 key = "%s.%d" % (task.vertex_name, task.subtask_index)
                 self.stall_ms[key] = self.stall_ms.get(key, 0) + tick_ms
-        if rounds % self.config.sample_interval_rounds == 0:
+        if rounds % SAMPLE_INTERVAL_ROUNDS == 0:
             self.sample()
 
     def sample(self) -> None:
@@ -162,36 +113,33 @@ class RuntimeObservability:
 
     def on_checkpoint_triggered(self, checkpoint_id: int,
                                 participants: int) -> None:
-        if self.tracer is not None:
-            self._checkpoint_spans[checkpoint_id] = self.tracer.open_span(
-                "checkpoint", id=checkpoint_id, participants=participants)
+        self._checkpoint_spans[checkpoint_id] = self.tracer.open_span(
+            "checkpoint", id=checkpoint_id, participants=participants)
 
     def on_checkpoint_completed(self,
                                 completed: "CompletedCheckpoint") -> None:
         entries = checkpoint_state_entries(completed)
         self._checkpoint_entries.set(entries)
         span = self._checkpoint_spans.pop(completed.checkpoint_id, None)
-        if span is not None and self.tracer is not None:
+        if span is not None:
             self.tracer.close_span(span, outcome="completed",
                                    state_entries=entries,
                                    duration_ms=completed.duration_ms)
 
     def on_checkpoint_aborted(self, checkpoint_id: int, reason: str) -> None:
         span = self._checkpoint_spans.pop(checkpoint_id, None)
-        if span is not None and self.tracer is not None:
+        if span is not None:
             self.tracer.close_span(span, outcome="aborted", reason=reason)
 
     # -- supervision hooks -------------------------------------------------
 
     def on_restart(self, attempt: int, delay_ms: int,
                    cause: BaseException) -> None:
-        if self.tracer is not None:
-            self.tracer.event("restart", attempt=attempt, delay_ms=delay_ms,
-                              cause=repr(cause))
+        self.tracer.event("restart", attempt=attempt, delay_ms=delay_ms,
+                          cause=repr(cause))
 
     def on_recovery(self, checkpoint_id: Optional[int]) -> None:
-        if self.tracer is not None:
-            self.tracer.event("recover", checkpoint=checkpoint_id)
+        self.tracer.event("recover", checkpoint=checkpoint_id)
 
     # -- pull-based operator stats ----------------------------------------
 
@@ -215,9 +163,10 @@ def checkpoint_state_entries(completed: "CompletedCheckpoint") -> int:
 def collect_cutty_stats(engine: "Engine") -> Dict[str, Any]:
     """Walk the live tasks for Cutty shared-window operators and merge
     their sharing stats (per-query results/combines, slices alive,
-    elements) across parallel subtasks, keyed by operator name."""
-    from repro.cutty.operator import CuttyWindowOperator
+    elements) across parallel subtasks, keyed by operator name.  Found by
+    their ``sharing_stats`` method, so a job without Cutty never imports
+    it."""
     return sum_nested(
         {chained.operator.name: chained.operator.sharing_stats()}
         for task in engine.tasks for chained in task.chain
-        if isinstance(chained.operator, CuttyWindowOperator))
+        if hasattr(chained.operator, "sharing_stats"))

@@ -11,7 +11,7 @@ Execution is a deterministic cooperative loop:
    barriers at the sources, collects per-task snapshots as barriers
    align across the graph, and seals completed checkpoints;
 4. an optional failure hook can kill the job mid-flight, after which
-   :meth:`Engine.recover` restores every subtask from the latest
+   the engine restores every subtask from the latest
    completed checkpoint and rewinds the replayable sources -- the
    exactly-once recovery path of asynchronous barrier snapshotting.
 
@@ -24,7 +24,7 @@ unaffected by physical parallelism.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.metrics import (
     MetricGroup,
@@ -33,12 +33,14 @@ from repro.metrics import (
     merge_gauge_maps,
 )
 from repro.observability.runtime import (
-    ObservabilityConfig,
+    OBSERVABILITY_ENV_VAR,
     RuntimeObservability,
+    checkpoint_state_entries,
 )
 from repro.runtime.channels import Channel
 from repro.runtime.elements import MAX_TIMESTAMP, MIN_TIMESTAMP
 from repro.runtime.partition import ForwardPartitioner, owner_of_key
+from repro.runtime.restart import grant_restart
 from repro.runtime.task import OutputEdge, Task
 from repro.state.checkpoint import (
     CheckpointCoordinator,
@@ -86,11 +88,10 @@ class EngineConfig:
     deterministic (see :mod:`repro.runtime.multiprocess`).
 
     ``observability`` turns the runtime observability layer on: ``True``
-    (or an :class:`~repro.observability.ObservabilityConfig`) gives the
-    engine a metrics registry, span tracing and lag/backpressure gauges,
-    read back through :meth:`Engine.job_report`.  The default ``None``
-    defers to the ``REPRO_OBSERVABILITY`` environment variable; ``False``
-    forces it off.  Every option is keyword-only.
+    gives the engine a metrics registry, span tracing and
+    lag/backpressure gauges, read back through :meth:`Engine.job_report`.
+    The default ``None`` defers to the ``REPRO_OBSERVABILITY`` environment
+    variable; ``False`` forces it off.  Every option is keyword-only.
     """
 
     def __init__(self, *,
@@ -115,7 +116,7 @@ class EngineConfig:
                  tolerable_consecutive_checkpoint_failures: Optional[int] = None,
                  quarantine_threshold: Optional[int] = None,
                  chaos: Optional["ChaosInjector"] = None,
-                 observability: Any = None,
+                 observability: Optional[bool] = None,
                  share_arrangements: bool = True,
                  arrangement_compaction_interval: int = 8,
                  **unknown: Any) -> None:
@@ -149,6 +150,12 @@ class EngineConfig:
                 "'pipe' (pickle frames over pipes); got %r" % (exchange,))
         if batch_size is None:
             batch_size = int(os.environ.get("REPRO_BATCH_SIZE", "1"))
+        if observability is None:
+            observability = os.environ.get(OBSERVABILITY_ENV_VAR, "0") not in (
+                "", "0", "false", "False")
+        elif not isinstance(observability, bool):
+            raise TypeError("observability must be None or a bool; got %r"
+                            % (observability,))
         # (option, value, smallest legal value); ``None`` always passes.
         for name, value, floor in (
                 ("num_workers", num_workers, 1),
@@ -271,9 +278,9 @@ class EngineConfig:
         #: the base, keeping version count and index memory flat under a
         #: steady watermark.  Lower = flatter memory, more fold work.
         self.arrangement_compaction_interval = arrangement_compaction_interval
-        #: Normalized observability settings: ``None`` (disabled) or an
-        #: :class:`~repro.observability.ObservabilityConfig`.
-        self.observability = ObservabilityConfig.normalize(observability)
+        #: Whether the observability layer is on (``None`` resolved
+        #: against the environment).
+        self.observability = observability
 
 
 def _unknown_options_message(unknown: Dict[str, Any]) -> str:
@@ -357,18 +364,72 @@ class JobResult:
                    self.restarts, len(self.dead_letters)))
 
 
-def job_section(result: JobResult, observability: bool) -> Dict[str, Any]:
-    """The ``job`` block of ``job_report()``, the same on every backend."""
-    return {
-        "rounds": result.rounds,
-        "simulated_time_ms": result.simulated_time_ms,
-        "records_emitted": result.records_emitted,
-        "recoveries": result.recoveries,
-        "restarts": result.restarts,
-        "dead_letters": len(result.dead_letters),
-        "cancelled": result.cancelled,
-        "observability": observability,
+def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
+                supervisor_counters: Dict[str, int],
+                supervisor_sections: Optional[Dict[str, Any]] = None,
+                cancelled: bool = False) -> JobResult:
+    """The end of a run, the same on both backends: fold the done
+    payloads (:meth:`Engine._done_payload` -- the cooperative engine's
+    one, or one per multiprocess worker), ``engine``'s checkpoint
+    coordinator and the supervisor's own counters and report sections
+    into the :class:`JobResult`, and keep the ``job_report()`` sections
+    on ``engine``."""
+    coordinator = engine.coordinator
+    checkpoint_counters = {"checkpoints_aborted": coordinator.aborted}
+    durable = coordinator.store.durability_stats()
+    if durable is not None:
+        checkpoint_counters.update(
+            checkpoints_persisted=durable["persisted"],
+            checkpoint_corruptions_detected=durable["corruptions_detected"],
+            checkpoint_restore_fallbacks=durable["restore_fallbacks"])
+    engine.dead_letters = [letter for payload in payloads
+                           for letter in payload["dead_letters"]]
+    result = JobResult(
+        rounds=max(payload["rounds"] for payload in payloads),
+        simulated_time_ms=max(payload["simulated_time_ms"]
+                              for payload in payloads),
+        counters=merge_counter_maps(
+            [payload["counters"] for payload in payloads]
+            + [supervisor_counters, checkpoint_counters]),
+        checkpoints_completed=coordinator.completed,
+        checkpoint_durations_ms=list(coordinator.durations_ms),
+        recoveries=engine.recoveries,
+        cancelled=cancelled,
+        restarts=engine.restarts,
+        checkpoints_aborted=coordinator.aborted,
+        dead_letters=list(engine.dead_letters),
+        gauges=merge_gauge_maps(payload["gauges"] for payload in payloads))
+    parts = [payload["report_sections"] for payload in payloads]
+    if supervisor_sections:
+        parts.append(supervisor_sections)
+    if len(parts) == 1:
+        merged = parts[0]  # whole: merging would re-sort its rows
+    else:
+        from repro.observability.reporter import merge_report_sections
+        merged = merge_report_sections(parts)
+    observability = "metrics" in merged
+    checkpoints = coordinator.stats()
+    if observability:
+        latest = coordinator.store.latest
+        checkpoints["last_state_entries"] = (
+            checkpoint_state_entries(latest) if latest is not None else 0)
+    engine._report = {
+        "job": {
+            "backend": engine.config.backend,
+            "workers": len(payloads),
+            "rounds": result.rounds,
+            "simulated_time_ms": result.simulated_time_ms,
+            "records_emitted": result.records_emitted,
+            "recoveries": result.recoveries,
+            "restarts": result.restarts,
+            "dead_letters": len(result.dead_letters),
+            "cancelled": cancelled,
+            "observability": observability,
+        },
+        "checkpoints": checkpoints,
+        **merged,
     }
+    return result
 
 
 class Engine:
@@ -391,15 +452,16 @@ class Engine:
         # counters must not reuse task-level counter names (tasks already
         # count their own dead_letters).
         self.metrics = MetricGroup("coordinator")
-        self._restarts_metric = self.metrics.counter("restarts")
+        self.metrics.counter("restarts")  # counted by grant_restart
         self._failures_metric = self.metrics.counter("failures")
         #: The live observability layer, or ``None``; the scheduler pays
         #: one ``is not None`` test per round when disabled, and the
         #: per-record path is untouched either way.
         self.observability: Optional[RuntimeObservability] = (
-            RuntimeObservability(self.config.observability, self)
-            if self.config.observability is not None else None)
-        self._last_result: Optional[JobResult] = None
+            RuntimeObservability(self) if self.config.observability
+            else None)
+        #: The ``job_report()`` sections, once :func:`job_outcome` ran.
+        self._report: Optional[Dict[str, Any]] = None
         self._build()
         self._attach_coordinator()
 
@@ -516,39 +578,31 @@ class Engine:
         the job (from the latest checkpoint, or as it was deployed when
         none completed yet) or let the failure escape."""
         self._failures_metric.inc()
-        strategy = self.config.restart_strategy
-        if strategy is None:
+        if (self.config.restart_strategy is None
+                and isinstance(exc, InjectedFailure)):
             # Legacy contract: injected crashes restore from the latest
             # checkpoint; real operator exceptions propagate unchanged.
-            if isinstance(exc, InjectedFailure):
-                self.recover()
-                return
-            raise exc
-        delay_ms = strategy.on_failure(self.clock.now())
-        if delay_ms is None:
-            raise JobFailedError(
-                "restart strategy %r gave up after: %r" % (strategy, exc)
-            ) from exc
-        if delay_ms:
-            self.clock.advance(delay_ms)  # restart delay burns simulated time
-        self.restarts += 1
-        self._restarts_metric.inc()
+            self._recover()
+            self.recoveries += 1
+            return
+        delay_ms = grant_restart(self, exc, self.clock.now())
+        self.clock.advance(delay_ms)  # restart delay burns simulated time
         if self.observability is not None:
             self.observability.on_restart(self.restarts, delay_ms, exc)
         if self.checkpoint_store.latest is not None:
-            self.recover()
+            self._recover()
         else:
             # Redeploy: fresh operators, empty channels, sources at
             # offset zero or where the savepoint left them.
             self._build()
             self.coordinator.begin_attempt()
-            self.recoveries += 1
 
     # -- recovery -----------------------------------------------------------
 
-    def recover(self) -> None:
+    def _recover(self) -> None:
         """Restore every subtask from the latest completed checkpoint and
-        rewind sources; in-flight data is discarded (it will be replayed)."""
+        rewind sources; in-flight data is discarded (it will be replayed).
+        The caller counts the recovery."""
         latest = self.checkpoint_store.latest
         if latest is None:
             raise JobFailedError("failure without any completed checkpoint")
@@ -560,7 +614,6 @@ class Engine:
             snapshot = latest.snapshot_for(task.subtask_id)
             if snapshot is not None:
                 task.restore(snapshot)
-        self.recoveries += 1
         if self.observability is not None:
             self.observability.on_recovery(latest.checkpoint_id)
 
@@ -698,7 +751,8 @@ class Engine:
                 cancelled = True
                 break
             if cfg.failure_hook is not None and cfg.failure_hook(self, rounds):
-                self.recover()
+                self._recover()
+                self.recoveries += 1
             if cfg.chaos is not None:
                 try:
                     cfg.chaos.on_round(self, rounds)
@@ -716,87 +770,25 @@ class Engine:
                     % (stall_rounds,
                        [t for t in self.tasks if not t.finished]))
 
-        return self._assemble_result(rounds, cancelled)
+        return job_outcome(self, [self._done_payload(rounds)],
+                           self.metrics.counters(), cancelled=cancelled)
 
-    def _merged_metrics(self) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """Job-level (counters, gauges) over every task and the engine's
-        own group; the shard loop ships the same pair to the parent."""
-        if self.observability is not None:
-            self.observability.sample()  # final frontier/occupancy snapshot
-        counters = merge_counter_maps(
-            [task.metrics.counters() for task in self.tasks]
-            + [self.metrics.counters()])
-        gauges = merge_gauge_maps(
-            task.metrics.gauges() for task in self.tasks)
-        return counters, gauges
-
-    def _assemble_result(self, rounds: int, cancelled: bool = False
-                         ) -> JobResult:
-        """Merge task/coordinator metrics into the JobResult and cache it
-        for ``job_report()``."""
-        coordinator = self.coordinator
-        counters, gauges = self._merged_metrics()
-        counters["checkpoints_aborted"] = coordinator.aborted
-        self.dead_letters = [letter for task in self.tasks
-                             for letter in task.dead_letters]
-        result = JobResult(rounds, self.clock.now(), counters,
-                           checkpoints_completed=coordinator.completed,
-                           checkpoint_durations_ms=list(
-                               coordinator.durations_ms),
-                           recoveries=self.recoveries,
-                           cancelled=cancelled,
-                           restarts=self.restarts,
-                           checkpoints_aborted=coordinator.aborted,
-                           dead_letters=list(self.dead_letters),
-                           gauges=gauges)
-        self._last_result = result
-        return result
-
-    # -- reporting -----------------------------------------------------------
-
-    def job_report(self) -> "JobReport":
-        """Structured post-run summary (see
-        :mod:`repro.observability`): per-operator throughput, watermark
-        lag, backpressure-stall time, checkpoint statistics, Cutty
-        sharing counters and the span digest, renderable as text, JSON
-        or Prometheus exposition.
-
-        Always available after :meth:`execute`: the always-on counters
-        (records in/out, checkpoints, Cutty cost tables) report with
-        observability disabled; the runtime sections (stall time, lag
-        and skew gauges, channel occupancy, spans) need
-        ``EngineConfig(observability=True)``.
-        """
-        from repro.observability import JobReport
-        result = self._last_result
-        if result is None:
-            raise JobFailedError(
-                "job_report() requires a completed execute()")
-        obs = self.observability
-        checkpoints = self.coordinator.stats()
-        if obs is not None:
-            checkpoints["last_state_entries"] = obs.registry.gauge(
-                "checkpoint_state_entries").value
-        sections: Dict[str, Any] = {
-            "job": job_section(result, obs is not None),
-            "checkpoints": checkpoints,
-        }
-        sections.update(self._task_sections())
-        return JobReport(sections)
-
-    def _task_sections(self) -> Dict[str, Any]:
-        """The report sections read off the live tasks and the
-        observability layer.  These are the ones a multiprocess parent
-        merges across its workers
-        (:func:`repro.observability.reporter.merge_report_sections`)."""
+    def _done_payload(self, rounds: int) -> Dict[str, Any]:
+        """What this engine reports once its run is over after ``rounds``
+        rounds, for :func:`job_outcome`: the cooperative engine hands over
+        one, every multiprocess worker one over its control pipe.  The
+        report sections are read off the live tasks and the
+        observability layer."""
         from repro.observability import collect_cutty_stats
         obs = self.observability
+        if obs is not None:
+            obs.sample()  # final frontier/occupancy snapshot
         now = self.clock.now()
         sim_seconds = now / 1000.0
 
+        task_counters = [task.metrics.counters() for task in self.tasks]
         operators = []
-        for task in self.tasks:
-            counters = task.metrics.counters()
+        for task, counters in zip(self.tasks, task_counters):
             records_out = counters.get("records_out", 0)
             row: Dict[str, Any] = {
                 "operator": task.vertex_name,
@@ -843,6 +835,37 @@ class Engine:
                  "occupancy_hwm": obs.registry.gauge(
                      "channel_occupancy.%s" % channel.name).max_value}
                 for task in self.tasks for channel, _ in task.inputs]
-            if obs.tracer is not None:
-                sections["spans"] = obs.tracer.digest()
-        return sections
+            sections["spans"] = obs.tracer.digest()
+            sections["metrics"] = obs.registry.snapshot()
+        return {
+            "rounds": rounds,
+            "simulated_time_ms": now,
+            "counters": merge_counter_maps(task_counters),
+            "gauges": merge_gauge_maps(
+                task.metrics.gauges() for task in self.tasks),
+            "dead_letters": [letter for task in self.tasks
+                             for letter in task.dead_letters],
+            "report_sections": sections,
+        }
+
+    # -- reporting -----------------------------------------------------------
+
+    def job_report(self) -> "JobReport":
+        """Structured post-run summary (see
+        :mod:`repro.observability`): per-operator throughput, watermark
+        lag, backpressure-stall time, checkpoint statistics, Cutty
+        sharing counters and the span digest, renderable as text, JSON
+        or Prometheus exposition.  The same sections on both backends; a
+        multiprocess fleet adds ``workers``, ``fleet`` and ``exchange``.
+
+        Always available after :meth:`execute`: the always-on counters
+        (records in/out, checkpoints, Cutty cost tables) report with
+        observability disabled; the runtime sections (stall time, lag
+        and skew gauges, channel occupancy, spans, the ``metrics``
+        registry snapshot) need ``EngineConfig(observability=True)``.
+        """
+        from repro.observability import JobReport
+        if self._report is None:
+            raise JobFailedError(
+                "job_report() requires a completed execute()")
+        return JobReport(self._report)

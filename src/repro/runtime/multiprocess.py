@@ -63,8 +63,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.metrics import merge_counter_maps, merge_gauge_maps, sum_nested
-from repro.observability.reporter import merge_report_sections
+from repro.metrics import MetricGroup, sum_nested
 from repro.runtime.channels import Channel, element_weight
 from repro.runtime.columnar import (
     ColumnarCodecError,
@@ -79,10 +78,11 @@ from repro.runtime.engine import (
     JobFailedError,
     JobResult,
     JobStalledError,
-    job_section,
+    job_outcome,
     records_emitted,
 )
 from repro.runtime.operators import CollectSink
+from repro.runtime.restart import grant_restart
 from repro.runtime.shm import RingError, ShmRing, ShmRingReader, ShmRingWriter
 from repro.runtime.task import Task
 from repro.runtime.watchdog import FAILED, WorkerWatchdog
@@ -653,23 +653,14 @@ class ShardEngine(Engine):
         for exchange in self._data_writers.values():
             exchange.pipe.drain()
         self.drain_collect()
-        counters, gauges = self._merged_metrics()
-        sections = self._task_sections()
-        if self.observability is not None:
-            sections["metrics"] = self.observability.registry.snapshot()
-        return {
-            "worker": self.worker_id,
-            "rounds": rounds,
-            "simulated_time_ms": self.clock.now(),
-            "counters": counters,
-            "gauges": gauges,
-            "dead_letters": _sanitize_dead_letters(
-                [letter for task in self.tasks
-                 for letter in task.dead_letters]),
-            "report_sections": sections,
-            "exchange": {dst: dict(exchange.stats)
-                         for dst, exchange in self._data_writers.items()},
-        }
+        payload = self._done_payload(rounds)
+        payload.update(
+            worker=self.worker_id,
+            # Dead letters cross the control pipe from here on.
+            dead_letters=_sanitize_dead_letters(payload["dead_letters"]),
+            exchange={dst: dict(exchange.stats)
+                      for dst, exchange in self._data_writers.items()})
+        return payload
 
     def _idle_wait(self, readers: Dict[int, _FrameReader],
                    control_in: _FrameReader,
@@ -924,7 +915,7 @@ class MultiprocessEngine:
         else:
             self.watchdog = None
         self._tracer = None
-        if self.config.observability is not None:
+        if self.config.observability:
             from repro.observability.tracing import TraceContext
             self._tracer = TraceContext(self._now_ms)
         self._workers_terminated = 0
@@ -933,11 +924,13 @@ class MultiprocessEngine:
         self.dead_letters: List[Any] = []
         self.recoveries = 0
         self.restarts = 0
-        self._failures = 0
+        #: The supervisor's own counters (``restarts``, ``failures``).
+        self.metrics = MetricGroup("supervisor")
+        self.metrics.counter("restarts")  # counted by grant_restart
+        self._failures_metric = self.metrics.counter("failures")
         self._started = time.monotonic()
-        self._last_result: Optional[JobResult] = None
-        #: The done payloads of the successful attempt, by worker id.
-        self._payloads: List[Dict[str, Any]] = []
+        #: The ``job_report()`` sections, once :func:`job_outcome` ran.
+        self._report: Optional[Dict[str, Any]] = None
         #: Transport the last attempt actually used ("shm" or "pipe" --
         #: the former degrades to the latter if ring provisioning fails).
         self._exchange_transport: Optional[str] = None
@@ -978,29 +971,31 @@ class MultiprocessEngine:
     # -- execution ----------------------------------------------------------
 
     def execute(self) -> JobResult:
-        if self._last_result is not None:
+        if self._report is not None:
             raise JobFailedError("this engine already executed")
         restore = self._restore
         while True:
             error = self._run_attempt(restore)
             if error is None:
-                return self._finalize()
-            self._failures += 1
-            strategy = self.config.restart_strategy
-            if strategy is None:
-                raise error
-            delay_ms = strategy.on_failure(self._now_ms())
-            if delay_ms is None:
-                raise JobFailedError(
-                    "restart strategy %r gave up after: %r"
-                    % (strategy, error)) from error
-            if delay_ms:
-                time.sleep(delay_ms / 1000.0)
+                break
+            self._failures_metric.inc()
+            time.sleep(grant_restart(self, error, self._now_ms()) / 1000.0)
             if self.watchdog is not None:
                 self.watchdog.mark_fleet_restarting()
-            self.restarts += 1
-            self.recoveries += 1
             restore = self._restore_snapshots()
+        for bucket_key, items in self._received.items():
+            bucket = self._parent_buckets.get(bucket_key)
+            if bucket is not None:
+                bucket.extend(items)
+        supervisor = self.metrics.counters()
+        if self.watchdog is not None:
+            supervisor.update(
+                heartbeats_received=self.watchdog.heartbeats_received,
+                watchdog_suspicions=self.watchdog.suspicions,
+                watchdog_failures=self.watchdog.failures_declared)
+        payloads = [self._done[wid] for wid in sorted(self._done)]
+        return job_outcome(self, payloads, supervisor,
+                           self._fleet_sections(payloads))
 
     def _restore_snapshots(self) -> Dict[SubtaskId, TaskSnapshot]:
         """Pick what the next attempt restores from.
@@ -1272,90 +1267,12 @@ class MultiprocessEngine:
             self.watchdog.mark_failed(wid, reason)
         return True
 
-    # -- result federation ---------------------------------------------------
+    # -- the fleet's own report sections -------------------------------------
 
-    def _finalize(self) -> JobResult:
-        ordered = self._payloads = [self._done[wid]
-                                    for wid in sorted(self._done)]
-        coordinator = self.coordinator
-        parent_counters = {"restarts": self.restarts,
-                           "failures": self._failures,
-                           "checkpoints_aborted": coordinator.aborted}
-        if self.watchdog is not None:
-            parent_counters["heartbeats_received"] = (
-                self.watchdog.heartbeats_received)
-            parent_counters["watchdog_suspicions"] = self.watchdog.suspicions
-            parent_counters["watchdog_failures"] = (
-                self.watchdog.failures_declared)
-        durable = self.checkpoint_store.durability_stats()
-        if durable is not None:
-            parent_counters["checkpoints_persisted"] = durable["persisted"]
-            parent_counters["checkpoint_corruptions_detected"] = (
-                durable["corruptions_detected"])
-            parent_counters["checkpoint_restore_fallbacks"] = (
-                durable["restore_fallbacks"])
-        counters = merge_counter_maps(
-            [payload["counters"] for payload in ordered] + [parent_counters])
-        gauges = merge_gauge_maps(payload["gauges"] for payload in ordered)
-        for payload in ordered:
-            self.dead_letters.extend(payload["dead_letters"])
-        result = JobResult(
-            rounds=max(payload["rounds"] for payload in ordered),
-            simulated_time_ms=max(payload["simulated_time_ms"]
-                                  for payload in ordered),
-            counters=counters,
-            checkpoints_completed=coordinator.completed,
-            checkpoint_durations_ms=list(coordinator.durations_ms),
-            recoveries=self.recoveries,
-            restarts=self.restarts,
-            checkpoints_aborted=coordinator.aborted,
-            dead_letters=list(self.dead_letters),
-            gauges=gauges)
-        self._last_result = result
-        for bucket_key, items in self._received.items():
-            bucket = self._parent_buckets.get(bucket_key)
-            if bucket is not None:
-                bucket.extend(items)
-        return result
-
-    def _parent_gauges(self) -> Dict[str, int]:
-        """The parent's own contribution to registry federation: fleet
-        health and checkpoint durability (workers cannot see either --
-        the watchdog and the durable store live in the parent)."""
-        gauges = {"fleet_workers_terminated": self._workers_terminated,
-                  "fleet_workers_killed": self._workers_killed}
-        if self.watchdog is not None:
-            snap = self.watchdog.snapshot()
-            for name in ("heartbeats_received", "suspicions",
-                         "heartbeat_recoveries", "failures_declared"):
-                gauges["fleet_" + name] = snap[name]
-        durable = self.checkpoint_store.durability_stats()
-        if durable is not None:
-            gauges["checkpoints_persisted"] = durable["persisted"]
-            gauges["checkpoints_retained_on_disk"] = (
-                durable["retained_on_disk"])
-            for name in ("corruptions_detected", "restore_fallbacks"):
-                gauges["checkpoint_" + name] = durable[name]
-        return gauges
-
-    def job_report(self) -> Any:
-        """One federated report over the whole fleet: the sections the
-        workers report merge under the rules declared in
-        :mod:`repro.observability.reporter` (the parent's own spans and
-        registry snapshot merge in as one more part); ``job``,
-        ``checkpoints``, ``workers``, ``fleet`` and ``exchange`` are the
-        parent's."""
-        from repro.observability import JobReport
-        result = self._last_result
-        if result is None:
-            raise JobFailedError("job_report() requires a completed execute()")
-        parts = [payload["report_sections"] for payload in self._payloads]
-        parent: Dict[str, Any] = {}
-        if self._tracer is not None and self._tracer.started:
-            parent["spans"] = self._tracer.digest()
-        if any("metrics" in part for part in parts):
-            parent["metrics"] = {"gauges": self._parent_gauges()}
-        merged = merge_report_sections(parts + [parent])
+    def _fleet_sections(self, payloads: List[Dict[str, Any]]
+                        ) -> Dict[str, Any]:
+        """What only the parent knows: ``workers``, ``fleet``,
+        ``exchange`` and its own spans (merged with the workers')."""
         fleet: Dict[str, Any] = {
             "shutdown": {"terminated": self._workers_terminated,
                          "killed": self._workers_killed},
@@ -1363,31 +1280,30 @@ class MultiprocessEngine:
         if self.watchdog is not None:
             fleet["watchdog"] = self.watchdog.snapshot()
         sections: Dict[str, Any] = {
-            "job": dict(job_section(result, "metrics" in merged),
-                        backend="multiprocess", workers=self.num_workers),
-            "checkpoints": self.coordinator.stats(),
             "workers": [
                 {"worker": payload["worker"],
                  "rounds": payload["rounds"],
                  "simulated_time_ms": payload["simulated_time_ms"],
                  "records_emitted": records_emitted(payload["counters"])}
-                for payload in self._payloads],
+                for payload in payloads],
             "fleet": fleet,
         }
         edges = [{"src": payload["worker"], "dst": dst, **stats}
-                 for payload in self._payloads
+                 for payload in payloads
                  for dst, stats in sorted(payload["exchange"].items())]
         if edges:
             sections["exchange"] = {
                 "transport": self._exchange_transport,
                 "edges": edges,
                 "totals": sum_nested(
-                    stats for payload in self._payloads
+                    stats for payload in payloads
                     for stats in payload["exchange"].values()),
             }
-        sections.update(merged)
-        return JobReport(sections)
+        if self._tracer is not None and self._tracer.started:
+            sections["spans"] = self._tracer.digest()
+        return sections
 
+    job_report = Engine.job_report
     create_savepoint = Engine.create_savepoint
 
     # -- cooperative-only surfaces ------------------------------------------

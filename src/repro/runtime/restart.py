@@ -21,7 +21,7 @@ The vocabulary mirrors Flink's ``restart-strategy`` options:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Any, Deque, Optional
 
 
 class RestartStrategy:
@@ -40,6 +40,28 @@ class RestartStrategy:
 
     def __repr__(self) -> str:
         return "%s()" % type(self).__name__
+
+
+def grant_restart(engine: Any, exc: BaseException, now_ms: int) -> int:
+    """The supervisor's restart decision, the same on both backends: ask
+    ``engine.config.restart_strategy`` about ``exc`` and count the
+    restart, and the recovery it makes, on ``engine``.  Returns the delay
+    the backend spends (on its own clock) before restarting.  Without a
+    strategy ``exc`` propagates; a strategy that gives up fails the job.
+    """
+    strategy = engine.config.restart_strategy
+    if strategy is None:
+        raise exc
+    delay_ms = strategy.on_failure(now_ms)
+    if delay_ms is None:
+        from repro.runtime.engine import JobFailedError  # engine imports us
+        raise JobFailedError(
+            "restart strategy %r gave up after: %r" % (strategy, exc)
+        ) from exc
+    engine.restarts += 1
+    engine.recoveries += 1
+    engine.metrics.counter("restarts").inc()
+    return delay_ms
 
 
 class NoRestart(RestartStrategy):

@@ -269,7 +269,9 @@ def test_job_report_parity_across_backends(tmp_path):
     sections that describe the *job* (not the backend) agree -- equal
     per-subtask record counts, an equal Cutty section, and a checkpoint
     block with the same keys (the coordinator's ``stats()`` on both,
-    including ``durable`` now that ``checkpoint_dir`` is set)."""
+    including ``durable`` now that ``checkpoint_dir`` is set).  Both
+    build their outcome through one routine: the fleet adds exactly its
+    own sections, and the counters differ only by the watchdog's."""
 
     from repro.cutty import PeriodicWindows, SessionWindows
     from repro.windowing import CountAggregate, TumblingEventTimeWindows
@@ -285,7 +287,8 @@ def test_job_report_parity_across_backends(tmp_path):
 
     def run(name, **backend):
         config = EngineConfig(checkpoint_interval_ms=20,
-                              checkpoint_dir=str(tmp_path / name), **backend)
+                              checkpoint_dir=str(tmp_path / name),
+                              observability=True, **backend)
         env = Environment(parallelism=2, config=config)
         # One source subtask: per-key arrival order is then the same on
         # both backends, which Cutty's slice accounting depends on.
@@ -298,12 +301,13 @@ def test_job_report_parity_across_backends(tmp_path):
         shared = keyed.shared_windows(
             CountAggregate, {"periodic": lambda: PeriodicWindows(600, 300),
                              "session": lambda: SessionWindows(40)}).collect()
-        env.execute()
+        result = env.execute()
         assert windows.get() and shared.get()
-        return env.job_report()
+        return result, env.job_report()
 
-    cooperative = run("cooperative")
-    multiproc = run("multiprocess", backend="multiprocess", num_workers=2)
+    cooperative_result, cooperative = run("cooperative")
+    multiproc_result, multiproc = run("multiprocess", backend="multiprocess",
+                                      num_workers=2)
 
     def record_counts(report):
         return {(row["operator"], row["subtask"]):
@@ -318,6 +322,14 @@ def test_job_report_parity_across_backends(tmp_path):
         assert report["checkpoints"]["completed"] >= 1
     assert set(multiproc["checkpoints"]) == set(cooperative["checkpoints"])
     assert "durable" in cooperative["checkpoints"]
+    assert "last_state_entries" in cooperative["checkpoints"]
+    assert "metrics" in cooperative.as_dict()
+    assert set(multiproc.as_dict()) ^ set(cooperative.as_dict()) == {
+        "workers", "fleet", "exchange"}
+    watchdog = {"heartbeats_received", "watchdog_suspicions",
+                "watchdog_failures"}
+    assert (set(multiproc_result.counters) - watchdog
+            == set(cooperative_result.counters))
 
 
 def test_interactive_state_apis_rejected():

@@ -175,3 +175,22 @@ class TestStore:
         stats = store.durability_stats()
         assert stats == {"persisted": 3, "retained_on_disk": 2,
                          "corruptions_detected": 0, "restore_fallbacks": 0}
+
+
+def test_cooperative_job_reports_durable_counters(tmp_path):
+    """A cooperative run with ``checkpoint_dir`` counts what it persisted
+    in ``JobResult.counters``, under the names the multiprocess backend
+    uses."""
+    from repro.api import Environment
+    from repro.runtime.engine import EngineConfig
+    env = Environment(config=EngineConfig(
+        checkpoint_interval_ms=5, elements_per_step=4,
+        checkpoint_dir=str(tmp_path)))
+    (env.from_collection(range(400)).key_by(lambda value: value % 3)
+     .sum().collect())
+    result = env.execute()
+    assert result.checkpoints_completed > 0
+    assert result.counters["checkpoints_persisted"] == (
+        result.checkpoints_completed)
+    assert result.counters["checkpoint_corruptions_detected"] == 0
+    assert result.counters["checkpoint_restore_fallbacks"] == 0

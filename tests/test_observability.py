@@ -12,7 +12,6 @@ from repro.observability import (
     JobReport,
     MetricsRegistry,
     MetricsReporter,
-    ObservabilityConfig,
     TraceContext,
 )
 from repro.metrics import MetricGroup, merge_counter_maps
@@ -124,31 +123,23 @@ class TestMetricsRegistry:
 
 
 class TestObservabilityConfig:
+    """The ``EngineConfig(observability=...)`` option."""
+
     def test_normalize_semantics(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBSERVABILITY", raising=False)
-        assert ObservabilityConfig.normalize(None) is None
-        assert ObservabilityConfig.normalize(False) is None
-        assert isinstance(ObservabilityConfig.normalize(True),
-                          ObservabilityConfig)
-        cfg = ObservabilityConfig(tracing=False)
-        assert ObservabilityConfig.normalize(cfg) is cfg
+        assert EngineConfig().observability is False
+        assert EngineConfig(observability=False).observability is False
+        assert EngineConfig(observability=True).observability is True
         with pytest.raises(TypeError):
-            ObservabilityConfig.normalize("yes")
+            EngineConfig(observability="yes")
 
     def test_env_var_enables_by_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBSERVABILITY", "1")
-        assert isinstance(ObservabilityConfig.normalize(None),
-                          ObservabilityConfig)
+        assert EngineConfig().observability is True
         # Explicit False still wins over the environment.
-        assert ObservabilityConfig.normalize(False) is None
+        assert EngineConfig(observability=False).observability is False
         monkeypatch.setenv("REPRO_OBSERVABILITY", "0")
-        assert ObservabilityConfig.normalize(None) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservabilityConfig(trace_buffer=0)
-        with pytest.raises(ValueError):
-            ObservabilityConfig(sample_interval_rounds=0)
+        assert EngineConfig().observability is False
 
 
 class TestEngineConfigSurface:
