@@ -20,6 +20,7 @@ import pytest
 from harness import format_table, record
 from repro.api import Environment
 from repro.runtime.engine import EngineConfig
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 
 KEYS = 5
 RECORDS = 3_000
@@ -27,12 +28,11 @@ DATA = [("k%d" % (index % KEYS), 1) for index in range(RECORDS)]
 INTERVALS = [2, 10, 50]
 
 
-def run_job(checkpoint_interval=None, failure_hook=None):
+def run_job(checkpoint_interval=None, faults=None):
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=checkpoint_interval,
-                            elements_per_step=4,
-                            failure_hook=failure_hook))
+                            elements_per_step=4, faults=faults))
     result = (env.from_collection(DATA)
               .key_by(lambda v: v[0])
               .count()
@@ -58,17 +58,10 @@ def overhead_sweep():
 
 def recovery_check():
     _, ground_truth = run_job()
-    fired = {"done": False}
-
-    def crash_once(engine, rounds):
-        if (not fired["done"] and len(engine.checkpoint_store) >= 2
-                and rounds > 60):
-            fired["done"] = True
-            return True
-        return False
-
-    job, finals = run_job(checkpoint_interval=3, failure_hook=crash_once)
-    return ground_truth, finals, job.recoveries, fired["done"]
+    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=2,
+                                       when=lambda view: view.rounds > 60)])
+    job, finals = run_job(checkpoint_interval=3, faults=faults)
+    return ground_truth, finals, job.recoveries, bool(faults.applied)
 
 
 def test_e10_checkpoint_overhead(benchmark):

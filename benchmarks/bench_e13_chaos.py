@@ -13,6 +13,9 @@ Expected shape (asserted):
 * idle supervision is free (identical rounds);
 * every supervised chaos run converges to the failure-free state;
 * recovery cost grows with the number of injected crashes.
+
+As a CLI it runs the seeded fault battery on either backend (see
+:func:`main`).
 """
 
 import pytest
@@ -20,7 +23,12 @@ import pytest
 from harness import format_table, record
 from repro.api import Environment
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
+from repro.runtime.faults import (
+    CRASH,
+    RESTARTING_KINDS,
+    FaultEvent,
+    FaultInjector,
+)
 from repro.runtime.restart import (
     ExponentialBackoffRestart,
     FailureRateRestart,
@@ -42,11 +50,11 @@ STRATEGIES = {
 }
 
 
-def run_job(chaos=None, restart_strategy=None):
+def run_job(faults=None, restart_strategy=None):
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                            chaos=chaos, restart_strategy=restart_strategy))
+                            faults=faults, restart_strategy=restart_strategy))
     strategy = WatermarkStrategy.for_monotonic_timestamps(lambda v: v[1])
     result = (env.from_collection(DATA)
               .assign_timestamps_and_watermarks(strategy)
@@ -63,17 +71,18 @@ def chaos_sweep():
     table = {"baseline (no supervision)": (baseline_job.rounds, 0, 0)}
 
     # Supervisor attached but never firing: must be free.
-    idle, idle_job = run_job(chaos=ChaosInjector([]),
+    idle, idle_job = run_job(faults=FaultInjector([]),
                              restart_strategy=STRATEGIES["fixed-delay"]())
     assert idle == baseline and idle_job.rounds == baseline_job.rounds
     table["supervised, idle"] = (idle_job.rounds, 0, 0)
 
     for crashes in (1, 2, 3):
-        schedule = [FaultEvent(60 * (index + 1), SUBTASK_FAILURE,
-                               target=index)
+        schedule = [FaultEvent(CRASH, target=index,
+                               when=lambda view, at=60 * (index + 1):
+                               view.rounds >= at)
                     for index in range(crashes)]
         for name, factory in STRATEGIES.items():
-            state, job = run_job(chaos=ChaosInjector(schedule),
+            state, job = run_job(faults=FaultInjector(schedule),
                                  restart_strategy=factory())
             assert state == baseline, (
                 "%s with %d crashes diverged" % (name, crashes))
@@ -83,16 +92,16 @@ def chaos_sweep():
     return baseline_job.rounds, table
 
 
-# -- OS-level chaos battery (multiprocess backend) ---------------------------
+# -- seeded fault battery (either backend) -----------------------------------
 
-MP_RECORDS = 1_200
+BATTERY_RECORDS = 1_200
 #: Keys chosen so each key's records originate from one source subtask
 #: (from_collection deals index % parallelism): per-key running totals
 #: are then deterministic and the sink comparison can be exact.
-MP_KEYS = 14
+BATTERY_KEYS = 14
 
 
-def _mp_throttle(value):
+def _throttle(value):
     # Sleeps on both value parities so both source subtasks stay live
     # long enough for checkpoints to trigger (triggering stops once any
     # source finishes).
@@ -102,13 +111,13 @@ def _mp_throttle(value):
     return value
 
 
-def _run_mp_chaos_job(config, target):
+def _run_battery_job(config, target):
     from repro.connectors import TransactionalTextFileSink
 
     env = Environment(parallelism=2, config=config)
-    (env.from_collection(range(MP_RECORDS))
-        .map(_mp_throttle, name="throttle")
-        .key_by(lambda v: v % MP_KEYS)
+    (env.from_collection(range(BATTERY_RECORDS))
+        .map(_throttle, name="throttle")
+        .key_by(lambda v: v % BATTERY_KEYS)
         .fold(0, lambda acc, value: acc + value)
         .add_sink(TransactionalTextFileSink(
             target, formatter=lambda pair: "%d:%d" % pair)))
@@ -117,40 +126,46 @@ def _run_mp_chaos_job(config, target):
         return sorted(line.rstrip("\n") for line in handle), job
 
 
-def run_process_chaos_battery(seeds, workdir, exchange="shm", batch_size=1):
-    """The acceptance battery: for every seed, a randomized
-    SIGKILL/SIGSTOP schedule against the multiprocess fleet with durable
-    checkpoints and a 2PC sink -- output must equal the unfaulted
-    cooperative run exactly.  ``exchange``/``batch_size`` select the
-    worker transport under fire (columnar shm rings vs pickle pipes)."""
+def run_chaos_battery(seeds, workdir, backend="multiprocess", exchange="shm",
+                      batch_size=1):
+    """The acceptance battery: for every seed, the schedule
+    ``random_fault_schedule`` draws -- crashes, stalls, dropped and
+    duplicated records, each due after so many records into its victim
+    -- against the job with durable checkpoints and a 2PC sink on
+    ``backend``.  The output must equal the unfaulted cooperative run
+    exactly, with one restart per fault that crashes on ``backend`` (on
+    worker processes a stall is a SIGSTOP the watchdog must catch).
+    ``exchange``/``batch_size`` select the worker transport under fire
+    (columnar shm rings vs pickle pipes)."""
     import os
 
-    from repro.runtime.faults import ProcessChaosInjector
-
-    oracle, _ = _run_mp_chaos_job(EngineConfig(),
-                                  os.path.join(workdir, "oracle.txt"))
+    oracle, _ = _run_battery_job(EngineConfig(),
+                                 os.path.join(workdir, "oracle.txt"))
+    workers = {}
+    if backend == "multiprocess":
+        workers = dict(backend=backend, num_workers=2, exchange=exchange,
+                       heartbeat_interval_ms=20,
+                       watchdog_suspect_ms=250, watchdog_fail_ms=1200)
     rows = []
     failures = 0
     for seed in seeds:
-        chaos = ProcessChaosInjector.from_seed(seed, num_faults=2,
-                                               first_ms=150, last_ms=550)
+        faults = FaultInjector.from_seed(seed, num_faults=2,
+                                         first_records=50, last_records=400)
         config = EngineConfig(
-            backend="multiprocess", num_workers=2,
-            exchange=exchange, batch_size=batch_size,
-            checkpoint_interval_ms=40,
+            batch_size=batch_size, checkpoint_interval_ms=40,
             checkpoint_dir=os.path.join(workdir, "chk-%d" % seed),
-            heartbeat_interval_ms=20,
-            watchdog_suspect_ms=250, watchdog_fail_ms=1200,
             restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0),
-            process_chaos=chaos)
-        lines, job = _run_mp_chaos_job(
+            faults=faults, **workers)
+        lines, job = _run_battery_job(
             config, os.path.join(workdir, "out-%d.txt" % seed))
-        exact = lines == oracle
-        failures += 0 if exact else 1
+        crashes = sum(1 for event in faults.applied
+                      if event.kind in RESTARTING_KINDS[backend])
+        converged = lines == oracle and job.restarts == crashes
+        failures += 0 if converged else 1
         rows.append([seed,
-                     " ".join("%s@%dms" % (event.kind, at)
-                              for at, event, _ in chaos.applied) or "none",
-                     job.restarts, "ok" if exact else "DIVERGED"])
+                     " ".join("%s@%d" % (event.kind, event.after_records)
+                              for event in faults.applied) or "none",
+                     job.restarts, "ok" if converged else "DIVERGED"])
     return rows, failures
 
 
@@ -177,10 +192,10 @@ def test_e13_chaos_overhead(benchmark):
 
 def main(argv=None):
     """CLI gate: ``python benchmarks/bench_e13_chaos.py --backend
-    multiprocess --seeds 20`` runs the seeded OS-fault battery (SIGKILL/
-    SIGSTOP against real worker processes, durable checkpoints, 2PC
+    cooperative|multiprocess --seeds 20`` runs the seeded fault battery
+    (on worker processes: real SIGKILL/SIGSTOP; durable checkpoints, 2PC
     sink) and fails unless every seed converges to the unfaulted output
-    exactly."""
+    exactly, with one restart per crashing fault."""
     import argparse
     import multiprocessing
     import sys
@@ -200,26 +215,18 @@ def main(argv=None):
                              "frames on the rings mid-kill")
     args = parser.parse_args(argv)
 
-    if args.backend == "cooperative":
-        baseline_rounds, table = chaos_sweep()
-        print(format_table(
-            ["scenario", "rounds", "restarts", "recoveries"],
-            [[name, rounds, restarts, recoveries]
-             for name, (rounds, restarts, recoveries) in table.items()],
-            title="E13: modelled chaos, cooperative backend"))
-        return 0
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if (args.backend == "multiprocess"
+            and "fork" not in multiprocessing.get_all_start_methods()):
         print("SKIP: multiprocess backend requires the fork start method")
         return 0
     with tempfile.TemporaryDirectory(prefix="e13-chaos-") as workdir:
-        rows, failures = run_process_chaos_battery(
-            range(1, args.seeds + 1), workdir,
+        rows, failures = run_chaos_battery(
+            range(1, args.seeds + 1), workdir, backend=args.backend,
             exchange=args.exchange, batch_size=args.batch_size)
     print(format_table(
         ["seed", "faults fired", "restarts", "parity"], rows,
-        title="E13: OS-level chaos battery, multiprocess backend, "
-              "%d seeds, exchange=%s" % (args.seeds, args.exchange)))
+        title="E13: seeded fault battery, %s backend, %d seeds, "
+              "exchange=%s" % (args.backend, args.seeds, args.exchange)))
     if failures:
         print("FAIL: %d of %d seeds diverged from the unfaulted run"
               % (failures, args.seeds))

@@ -10,9 +10,9 @@ Execution is a deterministic cooperative loop:
 3. if checkpointing is enabled, the coordinator periodically injects
    barriers at the sources, collects per-task snapshots as barriers
    align across the graph, and seals completed checkpoints;
-4. an optional failure hook can kill the job mid-flight, after which
-   the engine restores every subtask from the latest
-   completed checkpoint and rewinds the replayable sources -- the
+4. injected faults (:mod:`repro.runtime.faults`) can kill the job
+   mid-flight, after which the engine restores every subtask from the
+   latest completed checkpoint and rewinds the replayable sources -- the
    exactly-once recovery path of asynchronous barrier snapshotting.
 
 The loop is single-threaded on purpose: reproducibility of every
@@ -39,6 +39,7 @@ from repro.observability.runtime import (
 )
 from repro.runtime.channels import Channel
 from repro.runtime.elements import MAX_TIMESTAMP, MIN_TIMESTAMP
+from repro.runtime.faults import RESTARTING_KINDS
 from repro.runtime.partition import ForwardPartitioner, owner_of_key
 from repro.runtime.restart import grant_restart
 from repro.runtime.task import OutputEdge, Task
@@ -53,7 +54,7 @@ from repro.time.clock import ManualClock
 if TYPE_CHECKING:  # imported lazily to avoid a plan <-> runtime cycle
     from repro.observability.reporter import JobReport
     from repro.plan.graph import JobGraph
-    from repro.runtime.faults import ChaosInjector, DeadLetter
+    from repro.runtime.faults import DeadLetter, FaultEvent, FaultInjector
     from repro.runtime.restart import RestartStrategy
 
 
@@ -107,15 +108,13 @@ class EngineConfig:
                  heartbeat_interval_ms: Optional[int] = 25,
                  watchdog_suspect_ms: Optional[int] = None,
                  watchdog_fail_ms: Optional[int] = None,
-                 process_chaos: Optional[Any] = None,
                  max_rounds: int = 50_000_000,
-                 failure_hook: Optional[Callable[["Engine", int], bool]] = None,
                  cancel_hook: Optional[Callable[["Engine", int], bool]] = None,
                  restart_strategy: Optional["RestartStrategy"] = None,
                  checkpoint_timeout_ms: Optional[int] = None,
                  tolerable_consecutive_checkpoint_failures: Optional[int] = None,
                  quarantine_threshold: Optional[int] = None,
-                 chaos: Optional["ChaosInjector"] = None,
+                 faults: Optional["FaultInjector"] = None,
                  observability: Optional[bool] = None,
                  share_arrangements: bool = True,
                  arrangement_compaction_interval: int = 8,
@@ -126,24 +125,9 @@ class EngineConfig:
             raise ValueError(
                 "backend must be 'cooperative' or 'multiprocess'; got %r"
                 % (backend,))
-        if backend == "multiprocess":
-            unsupported = [name for name, value in
-                           (("failure_hook", failure_hook),
-                            ("cancel_hook", cancel_hook),
-                            ("chaos", chaos)) if value is not None]
-            if unsupported:
-                raise ValueError(
-                    "%s require the cooperative backend (they reach into "
-                    "the single-process scheduler); the multiprocess "
-                    "backend injects OS-level faults through "
-                    "process_chaos=ProcessChaosInjector(...) instead"
-                    % ", ".join(unsupported))
-        if process_chaos is not None and backend != "multiprocess":
-            raise ValueError(
-                "process_chaos injects OS-level faults (SIGKILL/SIGSTOP, "
-                "pipe and checkpoint-file corruption) and requires "
-                "backend='multiprocess'; the cooperative backend takes "
-                "chaos=ChaosInjector(...) instead")
+        if backend == "multiprocess" and cancel_hook is not None:
+            raise ValueError("cancel_hook requires the cooperative backend "
+                             "(it is called between scheduler rounds)")
         if exchange not in ("shm", "pipe"):
             raise ValueError(
                 "exchange must be 'shm' (columnar shared-memory rings) or "
@@ -240,11 +224,9 @@ class EngineConfig:
         #: *hung* (SIGSTOP'd, wedged) workers that never close a pipe;
         #: default (``None``) is 24x the heartbeat interval.
         self.watchdog_fail_ms = watchdog_fail_ms
-        #: OS-level fault injection for the multiprocess backend (see
-        #: :class:`~repro.runtime.faults.ProcessChaosInjector`).
-        self.process_chaos = process_chaos
         self.max_rounds = max_rounds
-        self.failure_hook = failure_hook
+        #: ``cancel_hook(engine, rounds)`` returning true stops the job
+        #: between two rounds (cooperative backend only).
         self.cancel_hook = cancel_hook
         #: Supervisor policy for task failures.  ``None`` keeps the
         #: legacy contract: operator exceptions propagate out of
@@ -263,8 +245,9 @@ class EngineConfig:
         #: letters in one attempt escalates to the supervisor.
         #: ``None`` disables quarantine (exceptions fail the task).
         self.quarantine_threshold = quarantine_threshold
-        #: Deterministic fault injection (see :mod:`repro.runtime.faults`).
-        self.chaos = chaos
+        #: Fault injection, the same schedule on either backend (see
+        #: :mod:`repro.runtime.faults`).
+        self.faults = faults
         #: Let the Table optimizer rewire group-by/join plans onto shared
         #: arrangements: queries whose keyed input matches an existing
         #: arrangement's (source, plan-prefix fingerprint, key) attach a
@@ -300,8 +283,7 @@ def _unknown_options_message(unknown: Dict[str, Any]) -> str:
 
 
 class JobFailedError(Exception):
-    """Raised by the failure hook (or by operator exceptions) during
-    execution when no recovery is possible."""
+    """Raised during execution when no recovery is possible."""
 
 
 class JobStalledError(Exception):
@@ -310,7 +292,7 @@ class JobStalledError(Exception):
 
 
 class InjectedFailure(Exception):
-    """The failure hook asked for a crash (used by the E10 experiment)."""
+    """A scheduled fault crashed the job (see :mod:`repro.runtime.faults`)."""
 
 
 def records_emitted(counters: Dict[str, int]) -> int:
@@ -339,8 +321,8 @@ class JobResult:
         self.checkpoint_durations_ms = checkpoint_durations_ms
         self.recoveries = recoveries
         self.cancelled = cancelled
-        #: Supervised restarts granted by the restart strategy (legacy
-        #: ``failure_hook`` recoveries count in ``recoveries`` only).
+        #: Supervised restarts granted by the restart strategy (injected
+        #: crashes without one count in ``recoveries`` only).
         self.restarts = restarts
         self.checkpoints_aborted = checkpoints_aborted
         #: Quarantined poison records, task by task in arrival order.
@@ -447,6 +429,10 @@ class Engine:
         self.clock = ManualClock()
         self.recoveries = 0
         self.restarts = 0
+        #: The fault view (:mod:`repro.runtime.faults`): the current
+        #: scheduler round and the job's sealed checkpoints so far.
+        self.rounds = 0
+        self.sealed_checkpoints = 0
         self.dead_letters: List["DeadLetter"] = []
         # Note: counter maps merge by *unqualified* name, so coordinator
         # counters must not reuse task-level counter names (tasks already
@@ -560,6 +546,7 @@ class Engine:
                     task.pending_checkpoint = checkpoint_id
         elif kind == "notify":
             # The commit signal of the two-phase-commit sink protocol.
+            self.sealed_checkpoints += 1
             for task in self.tasks:
                 if not task.finished:
                     task.notify_checkpoint_complete(checkpoint_id)
@@ -580,7 +567,7 @@ class Engine:
         self._failures_metric.inc()
         if (self.config.restart_strategy is None
                 and isinstance(exc, InjectedFailure)):
-            # Legacy contract: injected crashes restore from the latest
+            # Without a strategy, injected crashes restore from the latest
             # checkpoint; real operator exceptions propagate unchanged.
             self._recover()
             self.recoveries += 1
@@ -596,6 +583,14 @@ class Engine:
             # offset zero or where the savepoint left them.
             self._build()
             self.coordinator.begin_attempt()
+
+    def _fault_fired(self, index: int, event: "FaultEvent",
+                     victim: Any) -> None:
+        """The backend half of a fired fault (the injector already
+        mutated the task or channel): the crashing kinds raise, for
+        :meth:`_run_round` to hand to the supervisor."""
+        if event.kind in RESTARTING_KINDS["cooperative"]:
+            raise InjectedFailure("injected %s at %r" % (event.kind, victim))
 
     # -- recovery -----------------------------------------------------------
 
@@ -671,14 +666,14 @@ class Engine:
     def _step_tasks(self, rounds: int) -> bool:
         """One fair scheduling pass: every runnable task gets one bounded
         ``step()``.  Shared by ``execute()`` and the multiprocess
-        backend's shard loop, so failure handling and chaos stalls mean
+        backend's shard loop, so failure handling and fault stalls mean
         the same thing on both backends."""
-        cfg = self.config
+        faults = self.config.faults
         progressed = False
         for task in self.tasks:
             if not task.is_runnable:
                 continue
-            if cfg.chaos is not None and cfg.chaos.is_stalled(task, rounds):
+            if faults is not None and faults.is_stalled(task, rounds):
                 continue
             try:
                 if task.step():
@@ -712,7 +707,13 @@ class Engine:
         coordinates) take its turn; a round without record progress
         (``moved``: the caller already brought input in) jumps the
         clock to the next processing-time timer.  Returns whether the
-        round got anywhere."""
+        round got anywhere.  Due faults fire first."""
+        self.rounds = rounds
+        if self.config.faults is not None:
+            try:
+                self.config.faults.on_round(self)
+            except InjectedFailure as exc:
+                self._handle_failure(exc)
         progressed = self._step_tasks(rounds) or moved
         self.clock.advance(self._TICK_MS)
         now = self.clock.now()
@@ -750,15 +751,6 @@ class Engine:
             if cfg.cancel_hook is not None and cfg.cancel_hook(self, rounds):
                 cancelled = True
                 break
-            if cfg.failure_hook is not None and cfg.failure_hook(self, rounds):
-                self._recover()
-                self.recoveries += 1
-            if cfg.chaos is not None:
-                try:
-                    cfg.chaos.on_round(self, rounds)
-                except Exception as exc:
-                    self._handle_failure(exc)
-
             if self._run_round(rounds, coordinator):
                 stall_rounds = 0
             else:

@@ -1,25 +1,49 @@
-"""Chaos injection and the poison-record vocabulary.
+"""Fault injection and the poison-record vocabulary.
 
-The failure domain of the engine is exercised by *deterministic* chaos:
-a :class:`ChaosInjector` carries a schedule of :class:`FaultEvent`\\ s --
-generated from a seed or written by hand -- and applies each one at its
-scheduled scheduler round.  Because the engine loop is single-threaded
-and the schedule is data, every chaos run replays bit-identically, which
-is what lets the test-suite assert that a fault-ridden run converges to
-the exact keyed state of the failure-free run.
+One vocabulary, executed by both backends: ``EngineConfig(faults=...)``
+takes a :class:`FaultInjector` over a schedule of :class:`FaultEvent`\\ s
+-- generated from a seed or written by hand.  Each event fires once per
+job (not once per attempt: a restarted job must be allowed to finish),
+as soon as the job has made the progress its trigger names:
+
+* ``after_checkpoints`` -- that many checkpoints of the job are sealed;
+* ``after_records`` -- that many records went into the victim subtask
+  (out of it, for a source);
+* ``when(view)`` -- a predicate over the view (below) holds.
+
+All three must hold; an unset one holds trivially.  The victim is picked
+from the job graph, so it is the same subtask on both backends:
+``subtask`` narrows the candidates to the subtasks of the operator of
+that name and ``target`` picks one of them, modulo their number.
 
 Fault kinds:
 
-* ``subtask-failure`` -- a running subtask crashes (the supervisor's
-  restart strategy decides what happens next);
-* ``drop-record`` / ``duplicate-record`` -- a channel loses or repeats
-  an in-flight record, then the job crashes: the corruption is only
+* ``crash`` -- the victim crashes: the cooperative engine raises
+  :class:`~repro.runtime.engine.InjectedFailure` in place; on the
+  multiprocess backend the worker owning the victim SIGKILLs itself.
+  The supervisor's restart strategy decides what happens next;
+* ``stall`` -- a source subtask emits nothing for ``param`` rounds; the
+  worker owning it SIGSTOPs itself, which the heartbeat watchdog must
+  tell from a slow one;
+* ``poison`` -- the next ``param`` records into the victim raise on
+  processing; with quarantine they land in the dead-letter output,
+  otherwise the supervisor restarts the job;
+* ``drop`` / ``duplicate`` -- an input channel of the victim loses or
+  repeats a buffered record, then the job crashes: the corruption is only
   survivable because recovery discards in-flight data and replays it;
-* ``source-stall`` -- a source subtask emits nothing for N rounds
-  (a slow upstream / network partition);
-* ``poison-record`` -- the next record entering a processing subtask
-  raises on processing; with quarantine enabled it lands in the
-  dead-letter output, otherwise the supervisor restarts the job.
+* ``corrupt-checkpoint`` -- one byte of the newest persisted checkpoint
+  flips (needs ``checkpoint_dir``), so a later crash shows recovery
+  detecting it and falling back.
+
+The injector sees the job through a small view protocol: ``job_graph``;
+``tasks``, the subtasks running in this process; ``rounds``, this
+scheduler's round; ``sealed_checkpoints``, of the job so far; and
+``checkpoint_store``, ``None`` where another process owns it.  The
+cooperative engine, every multiprocess worker's shard engine and the
+multiprocess parent each implement it, and carry out the backend half of
+a fired event in ``view._fault_fired(index, event, victim)``.  A worker
+announces what it fired to the parent, whose copy of the injector is the
+record of the job; respawned workers inherit it.
 
 The quarantine side: when :class:`~repro.runtime.engine.EngineConfig`
 sets ``quarantine_threshold``, a record whose processing raises is
@@ -31,8 +55,11 @@ treats like any other failure.
 
 from __future__ import annotations
 
+import os
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+
+from repro.state.checkpoint import SubtaskId, make_subtask_id
 
 
 class PoisonPill(Exception):
@@ -77,271 +104,213 @@ class DeadLetter:
 
 # -- fault schedule ---------------------------------------------------------
 
-SUBTASK_FAILURE = "subtask-failure"
-DROP_RECORD = "drop-record"
-DUPLICATE_RECORD = "duplicate-record"
-SOURCE_STALL = "source-stall"
-POISON_RECORD = "poison-record"
+CRASH = "crash"
+STALL = "stall"
+POISON = "poison"
+DROP = "drop"
+DUPLICATE = "duplicate"
+CORRUPT_CHECKPOINT = "corrupt-checkpoint"
 
-FAULT_KINDS = (SUBTASK_FAILURE, DROP_RECORD, DUPLICATE_RECORD, SOURCE_STALL)
+FAULT_KINDS = (CRASH, STALL, POISON, DROP, DUPLICATE, CORRUPT_CHECKPOINT)
 #: Kinds that leave final state identical to a failure-free run (poison
 #: removes records from the stream, so it is scheduled separately).
-STATE_PRESERVING_KINDS = FAULT_KINDS
+STATE_PRESERVING_KINDS = (CRASH, STALL, DROP, DUPLICATE)
+#: Kinds after which the job restarts, per backend: a stalled worker
+#: process is a hung one, a stalled cooperative subtask merely idles.
+RESTARTING_KINDS = {"cooperative": (CRASH, DROP, DUPLICATE),
+                    "multiprocess": (CRASH, STALL, DROP, DUPLICATE)}
 
 
 class FaultEvent:
-    """One scheduled fault: fires at scheduler round ``round``.
+    """One scheduled fault and the progress it waits for (see the module
+    docstring).  ``param`` is kind-specific: stall length in rounds,
+    poison count."""
 
-    ``target`` picks the victim deterministically (taken modulo the
-    number of eligible tasks/channels at fire time); ``param`` is
-    kind-specific (stall length in rounds, poison count).
-    """
+    __slots__ = ("kind", "after_checkpoints", "after_records", "subtask",
+                 "when", "target", "param")
 
-    __slots__ = ("round", "kind", "target", "param")
-
-    def __init__(self, round: int, kind: str, target: int = 0,
-                 param: int = 1) -> None:
-        if round < 0:
-            raise ValueError("fault round must be >= 0")
-        if kind not in FAULT_KINDS + (POISON_RECORD,):
-            raise ValueError("unknown fault kind %r" % kind)
-        self.round = round
+    def __init__(self, kind: str, *, after_checkpoints: int = 0,
+                 after_records: int = 0, subtask: Optional[str] = None,
+                 when: Optional[Callable[[Any], bool]] = None,
+                 target: int = 0, param: int = 1) -> None:
+        if kind not in FAULT_KINDS:
+            raise ValueError("unknown fault kind %r (have: %s)"
+                             % (kind, ", ".join(FAULT_KINDS)))
+        if after_checkpoints < 0 or after_records < 0:
+            raise ValueError("fault triggers must be >= 0")
         self.kind = kind
+        self.after_checkpoints = after_checkpoints
+        self.after_records = after_records
+        self.subtask = subtask
+        self.when = when
         self.target = target
         self.param = param
 
     def __repr__(self) -> str:
-        return ("FaultEvent(round=%d, %s, target=%d, param=%d)"
-                % (self.round, self.kind, self.target, self.param))
+        trigger = ["%s=%r" % (name, getattr(self, name))
+                   for name in ("after_checkpoints", "after_records",
+                                "subtask")
+                   if getattr(self, name)]
+        if self.when is not None:
+            trigger.append("when=%s" % getattr(self.when, "__name__", "?"))
+        return ("FaultEvent(%s, %s, target=%d, param=%d)"
+                % (self.kind, ", ".join(trigger) or "at once", self.target,
+                   self.param))
 
 
 def random_fault_schedule(seed: int, num_faults: int = 4,
-                          first_round: int = 30, last_round: int = 400,
+                          first_records: int = 20, last_records: int = 600,
                           kinds: Tuple[str, ...] = STATE_PRESERVING_KINDS,
                           max_stall_rounds: int = 200) -> List[FaultEvent]:
-    """A deterministic randomized fault schedule for chaos sweeps."""
+    """A deterministic randomized fault schedule for chaos sweeps, each
+    event due once its victim took between ``first_records`` and
+    ``last_records`` records -- the same schedule on either backend."""
     if num_faults < 1:
         raise ValueError("num_faults must be >= 1")
-    if last_round < first_round:
-        raise ValueError("last_round must be >= first_round")
+    if last_records < first_records:
+        raise ValueError("last_records must be >= first_records")
     rng = random.Random(seed)
     events = []
     for _ in range(num_faults):
         kind = rng.choice(list(kinds))
-        fire_round = rng.randint(first_round, last_round)
+        after = rng.randint(first_records, last_records)
         param = (rng.randint(20, max_stall_rounds)
-                 if kind == SOURCE_STALL else rng.randint(1, 3))
-        events.append(FaultEvent(fire_round, kind,
+                 if kind == STALL else rng.randint(1, 3))
+        events.append(FaultEvent(kind, after_records=after,
                                  target=rng.randrange(1 << 16), param=param))
-    events.sort(key=lambda event: event.round)
+    events.sort(key=lambda event: event.after_records)
     return events
 
 
-class ChaosInjector:
-    """Applies a fault schedule to a running engine.
+class FaultInjector:
+    """Fires a fault schedule at a running job, each event once.
 
-    The engine calls :meth:`on_round` at the top of every scheduler round
-    and :meth:`is_stalled` before stepping each task.  Faults that find
-    no eligible victim (e.g. a drop-record fault while all channels are
-    empty) are retried on subsequent rounds until they land or the job
-    ends; ``applied`` records what actually fired.
+    Every scheduler round calls :meth:`on_round` with the view; a due
+    event whose victim runs in another process, or that finds nothing to
+    strike yet (no record in flight, no durable checkpoint), waits for a
+    later round.  ``applied`` lists the events that fired, in order.
     """
 
-    def __init__(self, schedule: List[FaultEvent]) -> None:
-        self.schedule = sorted(schedule, key=lambda event: event.round)
-        self.applied: List[Tuple[int, FaultEvent]] = []
-        self._stalls: Dict[Any, int] = {}   # subtask_id -> stalled-until round
-
-    @classmethod
-    def from_seed(cls, seed: int, **kwargs: Any) -> "ChaosInjector":
-        return cls(random_fault_schedule(seed, **kwargs))
-
-    # -- engine hooks ----------------------------------------------------
-
-    def is_stalled(self, task: Any, current_round: int) -> bool:
-        until = self._stalls.get(task.subtask_id)
-        return until is not None and current_round < until
-
-    def on_round(self, engine: Any, current_round: int) -> None:
-        """Apply every due fault; raises ``InjectedFailure`` when a fault
-        crashes the job (the engine's supervisor catches it)."""
-        while self.schedule and self.schedule[0].round <= current_round:
-            event = self.schedule[0]
-            if (event.kind in (DROP_RECORD, DUPLICATE_RECORD)
-                    and not any(channel.has_buffered_record
-                                for task in engine.tasks
-                                for channel, _ in task.inputs)):
-                return  # no in-flight record yet: retry next round
-            # Pop *before* applying: crash faults raise out of here, and a
-            # still-scheduled fault would re-fire after every recovery.
-            self.schedule.pop(0)
-            self.applied.append((current_round, event))
-            self._apply(engine, event, current_round)
-
-    # -- fault application ------------------------------------------------
-
-    def _apply(self, engine: Any, event: FaultEvent,
-               current_round: int) -> None:
-        from repro.runtime.engine import InjectedFailure
-        if event.kind == SUBTASK_FAILURE:
-            victims = [t for t in engine.tasks if not t.finished]
-            if not victims:
-                return  # job draining; nothing to kill
-            victim = victims[event.target % len(victims)]
-            raise InjectedFailure("chaos: subtask failure at %r" % victim)
-        if event.kind in (DROP_RECORD, DUPLICATE_RECORD):
-            channels = [channel for task in engine.tasks
-                        for channel, _ in task.inputs
-                        if channel.has_buffered_record]
-            if not channels:
-                return  # raced with a drain; treat as a no-op fault
-            channel = channels[event.target % len(channels)]
-            if event.kind == DROP_RECORD:
-                channel.drop_one_record()
-            else:
-                channel.duplicate_one_record()
-            # A lone drop/duplicate would silently corrupt downstream
-            # state; chaos models it as a detected network fault, so the
-            # job crashes and recovery replays the affected span.
-            raise InjectedFailure(
-                "chaos: %s on %s" % (event.kind, channel.name))
-        if event.kind == SOURCE_STALL:
-            sources = [t for t in engine.tasks
-                       if t.is_source and not t.finished]
-            if not sources:
-                return
-            victim = sources[event.target % len(sources)]
-            self._stalls[victim.subtask_id] = current_round + event.param
-            return
-        if event.kind == POISON_RECORD:
-            victims = [t for t in engine.tasks
-                       if not t.is_source and not t.finished]
-            if not victims:
-                return
-            victim = victims[event.target % len(victims)]
-            victim.poison_next_records += event.param
-            return
-        raise AssertionError("unreachable fault kind %r" % event.kind)
-
-    def __repr__(self) -> str:
-        return ("ChaosInjector(pending=%d, applied=%d, stalls=%d)"
-                % (len(self.schedule), len(self.applied), len(self._stalls)))
-
-
-# -- OS-level chaos (multiprocess backend) ----------------------------------
-
-KILL_WORKER = "kill-worker"
-STOP_WORKER = "stop-worker"
-GARBLE_FRAME = "garble-frame"
-CORRUPT_CHECKPOINT = "corrupt-checkpoint"
-
-PROCESS_FAULT_KINDS = (KILL_WORKER, STOP_WORKER, GARBLE_FRAME,
-                       CORRUPT_CHECKPOINT)
-
-
-class ProcessFaultEvent:
-    """One scheduled OS-level fault, firing at coordinator time
-    ``at_ms`` (engine-relative milliseconds).  ``target`` picks the
-    victim worker modulo the live fleet at fire time."""
-
-    __slots__ = ("at_ms", "kind", "target")
-
-    def __init__(self, at_ms: int, kind: str, target: int = 0) -> None:
-        if at_ms < 0:
-            raise ValueError("fault time must be >= 0 ms")
-        if kind not in PROCESS_FAULT_KINDS:
-            raise ValueError("unknown process fault kind %r" % kind)
-        self.at_ms = at_ms
-        self.kind = kind
-        self.target = target
-
-    def __repr__(self) -> str:
-        return ("ProcessFaultEvent(at_ms=%d, %s, target=%d)"
-                % (self.at_ms, self.kind, self.target))
-
-
-def random_process_fault_schedule(
-        seed: int, num_faults: int = 2, first_ms: int = 50,
-        last_ms: int = 1500,
-        kinds: Tuple[str, ...] = (KILL_WORKER, STOP_WORKER),
-) -> List[ProcessFaultEvent]:
-    """A deterministic randomized OS-fault schedule for chaos sweeps."""
-    if num_faults < 1:
-        raise ValueError("num_faults must be >= 1")
-    if last_ms < first_ms:
-        raise ValueError("last_ms must be >= first_ms")
-    rng = random.Random(seed)
-    events = [ProcessFaultEvent(rng.randint(first_ms, last_ms),
-                                rng.choice(list(kinds)),
-                                target=rng.randrange(1 << 16))
-              for _ in range(num_faults)]
-    events.sort(key=lambda event: event.at_ms)
-    return events
-
-
-class ProcessChaosInjector:
-    """OS-level chaos for the multiprocess backend.
-
-    Where :class:`ChaosInjector` reaches into a cooperative engine's
-    data structures, this one only touches the operating system: SIGKILL
-    and SIGSTOP against worker processes, raw garbage bytes on a control
-    pipe, a byte flipped in a persisted checkpoint file.  The
-    coordinator calls :meth:`on_tick` from its supervision loop with a
-    :class:`~repro.runtime.multiprocess._FleetView`; each due event
-    fires exactly once per job (not per attempt -- a respawned fleet
-    must be allowed to finish, or the parity battery could never
-    converge).
-
-    ``corrupt-checkpoint`` waits until a durable checkpoint actually
-    exists, so a schedule can pair it with a later kill and assert that
-    recovery detects the corruption and falls back.
-    """
-
-    def __init__(self, schedule: List[ProcessFaultEvent],
-                 seed: int = 0) -> None:
-        self.schedule = sorted(schedule, key=lambda event: event.at_ms)
-        self.applied: List[Tuple[int, ProcessFaultEvent, Any]] = []
+    def __init__(self, schedule: List[FaultEvent], seed: int = 0) -> None:
+        self.schedule = list(schedule)
+        self.applied: List[FaultEvent] = []
+        self._fired: Set[int] = set()
+        self._stalls: Dict[SubtaskId, int] = {}   # subtask -> until round
         self._rng = random.Random(seed ^ 0x5EED)
 
     @classmethod
-    def from_seed(cls, seed: int, **kwargs: Any) -> "ProcessChaosInjector":
-        return cls(random_process_fault_schedule(seed, **kwargs), seed=seed)
+    def from_seed(cls, seed: int, **kwargs: Any) -> "FaultInjector":
+        return cls(random_fault_schedule(seed, **kwargs), seed=seed)
 
-    def on_tick(self, fleet: Any) -> None:
-        """Fire every due event against the live fleet; events that find
-        no victim yet (empty fleet, no durable checkpoint) retry on the
-        next tick."""
-        import signal
-        now = fleet.now_ms
-        while self.schedule and self.schedule[0].at_ms <= now:
-            event = self.schedule[0]
-            outcome: Any = None
-            if event.kind in (KILL_WORKER, STOP_WORKER):
-                alive = fleet.alive_workers()
-                if not alive:
-                    return  # fleet draining/respawning; retry next tick
-                victim = alive[event.target % len(alive)]
-                sig = (signal.SIGKILL if event.kind == KILL_WORKER
-                       else signal.SIGSTOP)
-                if not fleet.signal_worker(victim, sig):
-                    return
-                outcome = victim
-            elif event.kind == GARBLE_FRAME:
-                alive = fleet.alive_workers()
-                if not alive:
-                    return
-                victim = alive[event.target % len(alive)]
-                if not fleet.garble_control_frame(victim):
-                    return
-                outcome = victim
-            elif event.kind == CORRUPT_CHECKPOINT:
-                path = fleet.corrupt_retained_checkpoint(self._rng)
-                if path is None:
-                    return  # nothing durable yet: retry until one lands
-                outcome = path
-            self.schedule.pop(0)
-            self.applied.append((now, event, outcome))
+    def record(self, index: int) -> None:
+        """Note that ``schedule[index]`` fired, here or in a worker."""
+        self._fired.add(index)
+        self.applied.append(self.schedule[index])
+
+    def is_stalled(self, task: Any, rounds: int) -> bool:
+        until = self._stalls.get(task.subtask_id)
+        return until is not None and rounds < until
+
+    def on_round(self, view: Any) -> None:
+        """Fire every due event this process owns; a crash raises (or
+        ends the process) from ``view._fault_fired``."""
+        for index, event in enumerate(self.schedule):
+            if (index in self._fired
+                    or view.sealed_checkpoints < event.after_checkpoints):
+                continue
+            victim = self._strike(view, event)
+            if victim is not None:
+                self.record(index)
+                view._fault_fired(index, event, victim)
+
+    def _strike(self, view: Any, event: FaultEvent) -> Any:
+        """Apply ``event`` if it is due here; returns what it struck, or
+        ``None`` to retry next round."""
+        if event.kind == CORRUPT_CHECKPOINT:
+            store = view.checkpoint_store
+            if store is None or (event.when is not None
+                                 and not event.when(view)):
+                return None
+            return _corrupt_newest_checkpoint(store, self._rng)
+        wanted = _victim_of(view.job_graph, event)
+        task = next((task for task in view.tasks
+                     if task.subtask_id == wanted), None)
+        if task is None or (event.after_records
+                            and _records_into(task) < event.after_records):
+            return None
+        if event.when is not None and not event.when(view):
+            return None
+        if event.kind == CRASH:
+            return task
+        if task.finished:
+            return None
+        if event.kind == STALL:
+            self._stalls[wanted] = view.rounds + event.param
+            return task
+        if event.kind == POISON:
+            task.poison_next_records += event.param
+            return task
+        channels = [channel for channel, _ in task.inputs
+                    if channel.has_buffered_record]
+        if not channels:
+            return None  # no record in flight yet
+        channel = channels[event.target % len(channels)]
+        if event.kind == DROP:
+            channel.drop_one_record()
+        else:
+            channel.duplicate_one_record()
+        return channel
 
     def __repr__(self) -> str:
-        return ("ProcessChaosInjector(pending=%d, applied=%d)"
-                % (len(self.schedule), len(self.applied)))
+        return ("FaultInjector(pending=%d, applied=%d)"
+                % (len(self.schedule) - len(self._fired), len(self.applied)))
+
+
+def _victim_of(job_graph: Any, event: FaultEvent) -> SubtaskId:
+    """The subtask ``event`` strikes: ``target`` modulo the candidates
+    its kind and ``subtask`` name allow, in job-graph order."""
+    sources = event.kind == STALL   # else: processing subtasks, or any
+    candidates = []
+    for vertex_id, vertex in sorted(job_graph.vertices.items()):
+        if event.subtask is not None and event.subtask not in vertex.names:
+            continue
+        if event.kind != CRASH and vertex.is_source != sources:
+            continue
+        candidates.extend(make_subtask_id(vertex_id, vertex.name, index)
+                          for index in range(vertex.parallelism))
+    if not candidates:
+        raise ValueError("no subtask%s can take a %s fault"
+                         % ("" if event.subtask is None
+                            else " of operator %r" % event.subtask,
+                            event.kind))
+    return candidates[event.target % len(candidates)]
+
+
+def _records_into(task: Any) -> int:
+    counters = task.metrics.counters()
+    return counters.get("records_out" if task.is_source else "records_in", 0)
+
+
+def _corrupt_newest_checkpoint(store: Any, rng: random.Random
+                               ) -> Optional[str]:
+    """Flip one byte in the newest persisted snapshot file; returns the
+    path, or ``None`` when nothing durable exists yet."""
+    if store.durability_stats() is None:
+        return None  # a memory-only store
+    ids = store.persisted_ids()
+    if not ids:
+        return None
+    target_dir = store._path_for(ids[-1])
+    snaps = sorted(name for name in os.listdir(target_dir)
+                   if name.endswith(".snap"))
+    if not snaps:
+        return None
+    path = os.path.join(target_dir, rng.choice(snaps))
+    with open(path, "r+b") as handle:
+        blob = handle.read()
+        if not blob:
+            return None
+        offset = rng.randrange(len(blob))
+        handle.seek(offset)
+        handle.write(bytes([blob[offset] ^ 0xFF]))
+    return path

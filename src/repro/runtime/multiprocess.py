@@ -47,10 +47,17 @@ Design notes:
   (matching non-transactional sinks on the cooperative backend);
   restart-from-scratch discards the partial output.
 
+* **Faults** (:mod:`repro.runtime.faults`) fire in the worker owning
+  their victim, which announces each one to the parent before carrying
+  it out -- a crash as SIGKILL, a stall as SIGSTOP, against itself.  The
+  parent's injector is the record of the job: a respawned fleet, forked
+  from it, does not fire an event twice.  The parent corrupts
+  checkpoints, whose store it owns.
+
 Not supported (cooperative-backend-only): queryable state,
-``failure_hook``/``cancel_hook``/chaos injection, and cross-backend
-determinism of *processing-time* semantics (each worker advances its own
-simulated clock; event-time pipelines are bit-equal as multisets).
+``cancel_hook``, and cross-backend determinism of *processing-time*
+semantics (each worker advances its own simulated clock; event-time
+pipelines are bit-equal as multisets).
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from __future__ import annotations
 import os
 import pickle
 import selectors
+import signal
 import struct
 import time
 import traceback
@@ -81,6 +89,7 @@ from repro.runtime.engine import (
     job_outcome,
     records_emitted,
 )
+from repro.runtime.faults import RESTARTING_KINDS, STALL
 from repro.runtime.operators import CollectSink
 from repro.runtime.restart import grant_restart
 from repro.runtime.shm import RingError, ShmRing, ShmRingReader, ShmRingWriter
@@ -423,7 +432,8 @@ class ShardEngine(Engine):
     def __init__(self, job_graph: Any, config: EngineConfig, worker_id: int,
                  num_workers: int, data_writers: Dict[int, ExchangeWriter],
                  control: _FrameWriter,
-                 restore: Dict[SubtaskId, TaskSnapshot]) -> None:
+                 restore: Dict[SubtaskId, TaskSnapshot],
+                 sealed_checkpoints: int) -> None:
         self.worker_id = worker_id
         self.num_workers = num_workers
         self._data_writers = data_writers
@@ -444,6 +454,7 @@ class ShardEngine(Engine):
         self.collect_outboxes: List[Tuple[Tuple[int, int], List[Any]]] = []
         self._heartbeat_rng: Optional[Any] = None
         super().__init__(job_graph, config, restore)
+        self.sealed_checkpoints = sealed_checkpoints  # the job's, so far
 
     def _owns(self, task: Task) -> bool:
         return task.subtask_index % self.num_workers == self.worker_id
@@ -496,6 +507,7 @@ class ShardEngine(Engine):
         # the durable store would wipe the very checkpoints a respawned
         # fleet is restoring from.
         self.coordinator = None
+        self.checkpoint_store = None
 
     def _acknowledge_checkpoint(self, checkpoint_id: int,
                                 snapshot: TaskSnapshot) -> None:
@@ -508,6 +520,16 @@ class ShardEngine(Engine):
         # which owns the restart strategy and the checkpoint store.
         self._failures_metric.inc()
         raise exc
+
+    def _fault_fired(self, index: int, event: Any, victim: Any) -> None:
+        # Announce first: the parent records the event for the whole job,
+        # so a respawned fleet does not fire it again.  Then a crash is a
+        # real one, a stall a hung process.
+        self._control.send(("fault", index))
+        if event.kind in RESTARTING_KINDS["multiprocess"]:
+            self._control.drain()
+            os.kill(os.getpid(), signal.SIGSTOP if event.kind == STALL
+                    else signal.SIGKILL)
 
     # -- the shard loop -----------------------------------------------------
 
@@ -716,8 +738,8 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
                  data_fds: Dict[Tuple[int, int], Tuple[int, int]],
                  control_fds: Dict[int, Tuple[int, int, int, int]],
                  restore: Dict[SubtaskId, TaskSnapshot],
-                 rings: Optional[Dict[Tuple[int, int], ShmRing]] = None
-                 ) -> None:
+                 rings: Optional[Dict[Tuple[int, int], ShmRing]],
+                 sealed_checkpoints: int) -> None:
     # Keep only this worker's pipe ends; closing the rest is what gives
     # every pipe exactly one writer and one reader (EOF semantics).
     writers: Dict[int, _FrameWriter] = {}
@@ -767,7 +789,8 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
     assert control_in is not None and control_out is not None
     try:
         engine = ShardEngine(job_graph, config, worker_id, num_workers,
-                             exchanges, control_out, restore)
+                             exchanges, control_out, restore,
+                             sealed_checkpoints)
         payload = engine.run(readers, control_in, ring_readers or None)
         control_out.send(("done", payload))
         control_out.drain()
@@ -796,77 +819,6 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
 # -- the parent coordinator -------------------------------------------------
 
 
-class _FleetView:
-    """What a :class:`~repro.runtime.faults.ProcessChaosInjector` is
-    allowed to touch: the live worker fleet of the current attempt, by
-    worker id.  Faults go through the OS (signals, raw fd writes, file
-    corruption) -- never through engine internals -- so the coordinator
-    experiences them exactly as it would a real crash, hang or torn
-    write."""
-
-    def __init__(self, engine: "MultiprocessEngine") -> None:
-        self._engine = engine
-
-    @property
-    def now_ms(self) -> int:
-        return self._engine._now_ms()
-
-    def alive_workers(self) -> List[int]:
-        return [wid for wid, process
-                in enumerate(self._engine._last_processes)
-                if process.is_alive()]
-
-    def signal_worker(self, worker_id: int, sig: int) -> bool:
-        """Deliver an OS signal (SIGKILL, SIGSTOP, ...) to one worker;
-        returns False when the worker is already gone."""
-        process = self._engine._last_processes[worker_id]
-        if not process.is_alive() or process.pid is None:
-            return False
-        try:
-            os.kill(process.pid, sig)
-        except (OSError, ProcessLookupError):
-            return False
-        return True
-
-    def garble_control_frame(self, worker_id: int) -> bool:
-        """Write a garbage length prefix straight onto the parent ->
-        worker control pipe, bypassing the frame writer -- the worker's
-        next read sees an impossible frame length and must raise
-        :class:`FrameError` instead of waiting forever."""
-        writer = self._engine._writers.get(worker_id)
-        if writer is None or writer.broken:
-            return False
-        try:
-            os.write(writer.fd, _LEN.pack(_MAX_FRAME + 1) + b"\xde\xad\xbe\xef")
-        except (OSError, BlockingIOError):
-            return False
-        return True
-
-    def corrupt_retained_checkpoint(self, rng: Any) -> Optional[str]:
-        """Flip one byte in the newest persisted snapshot file; returns
-        the path, or ``None`` when nothing durable exists yet."""
-        store = self._engine.checkpoint_store
-        if store.durability_stats() is None:
-            return None  # a memory-only store
-        ids = store.persisted_ids()
-        if not ids:
-            return None
-        target_dir = store._path_for(ids[-1])
-        snaps = sorted(name for name in os.listdir(target_dir)
-                       if name.endswith(".snap"))
-        if not snaps:
-            return None
-        path = os.path.join(target_dir, rng.choice(snaps))
-        with open(path, "r+b") as handle:
-            blob = handle.read()
-            if not blob:
-                return None
-            offset = rng.randrange(len(blob))
-            handle.seek(offset)
-            handle.write(bytes([blob[offset] ^ 0xFF]))
-        return path
-
-
 class MultiprocessEngine:
     """Launches, supervises and federates the worker fleet.
 
@@ -876,7 +828,13 @@ class MultiprocessEngine:
     ``dead_letters``, ``recoveries``/``restarts`` -- so callers switch
     backends with one config knob.  Queryable state is cooperative-only
     and raises instead of silently degrading.
+
+    It is also the fault view (:mod:`repro.runtime.faults`) of the
+    process owning the checkpoint store: no tasks, one round per
+    supervision tick.
     """
+
+    tasks: Tuple[Task, ...] = ()
 
     def __init__(self, job_graph: Any,
                  config: Optional[EngineConfig] = None,
@@ -920,10 +878,10 @@ class MultiprocessEngine:
             self._tracer = TraceContext(self._now_ms)
         self._workers_terminated = 0
         self._workers_killed = 0
-        self._last_processes: List[Any] = []
         self.dead_letters: List[Any] = []
         self.recoveries = 0
         self.restarts = 0
+        self.rounds = 0
         #: The supervisor's own counters (``restarts``, ``failures``).
         self.metrics = MetricGroup("supervisor")
         self.metrics.counter("restarts")  # counted by grant_restart
@@ -935,11 +893,13 @@ class MultiprocessEngine:
         #: the former degrades to the latter if ring provisioning fails).
         self._exchange_transport: Optional[str] = None
         # The current attempt: the parent's control writers, subtasks
-        # reported finished, done payloads by worker, the first error.
+        # reported finished, done payloads by worker, the first error,
+        # whether a crashing fault was recorded.
         self._writers: Dict[int, _FrameWriter] = {}
         self._finished: set = set()
         self._done: Dict[int, Dict[str, Any]] = {}
         self._error: Optional[BaseException] = None
+        self._crash_recorded = False
         #: Collect-sink output received from workers, keyed by
         #: ``(vertex_id, chain_position)``; merged into the real buckets
         #: only on success so a restart-from-scratch can discard it.
@@ -967,6 +927,10 @@ class MultiprocessEngine:
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started) * 1000)
+
+    @property
+    def sealed_checkpoints(self) -> int:
+        return self.coordinator.completed
 
     # -- execution ----------------------------------------------------------
 
@@ -1059,7 +1023,8 @@ class MultiprocessEngine:
             process = self._mp.Process(
                 target=_worker_main,
                 args=(wid, num, self.job_graph, self.config, data_fds,
-                      control_fds, restore, rings),
+                      control_fds, restore, rings,
+                      self.coordinator.completed),
                 daemon=True)
             process.start()
             processes.append(process)
@@ -1077,11 +1042,11 @@ class MultiprocessEngine:
             writers[wid] = _FrameWriter(to_w)
             readers[wid] = _FrameReader(
                 from_r, peer="control pipe worker %d -> parent" % wid)
-        self._last_processes = processes
         self._writers = writers
         self._finished = set()
         self._done = {}
         self._error = None
+        self._crash_recorded = False
         if self.watchdog is not None:
             self.watchdog.begin_attempt(range(num), self._now_ms())
         self.coordinator.begin_attempt()
@@ -1129,10 +1094,8 @@ class MultiprocessEngine:
     def _supervise(self, readers: Dict[int, _FrameReader]) -> None:
         """Run the current attempt until every worker is done or
         something fails: read what the workers report, then give the
-        watchdog, the chaos injector and the checkpoint coordinator
+        watchdog, the fault injector and the checkpoint coordinator
         their turn."""
-        fleet = (_FleetView(self)
-                 if self.config.process_chaos is not None else None)
         selector = selectors.DefaultSelector()
         for wid, reader in readers.items():
             selector.register(reader.fd, selectors.EVENT_READ, wid)
@@ -1148,7 +1111,7 @@ class MultiprocessEngine:
                 for writer in self._writers.values():
                     writer.flush()
                 if self._error is None:
-                    self._tick(fleet)
+                    self._tick()
         finally:
             selector.close()
         if self._error is None:
@@ -1223,9 +1186,21 @@ class MultiprocessEngine:
         self._fail("worker %d failed: %s\n%s" % (wid, error_line, trace),
                    wid, error_line)
 
-    def _tick(self, fleet: Optional[_FleetView]) -> None:
+    def _on_fault(self, wid: int, index: int) -> None:
+        faults = self.config.faults
+        if faults.schedule[index].kind in RESTARTING_KINDS["multiprocess"]:
+            if self._crash_recorded:
+                return  # one restart per attempt: this one fires again
+            self._crash_recorded = True
+        faults.record(index)
+
+    def _fault_fired(self, index: int, event: Any, victim: Any) -> None:
+        pass  # the one kind firing here, corrupt-checkpoint, is done
+
+    def _tick(self) -> None:
         """Everything the supervisor does on the clock rather than on a
         message."""
+        self.rounds += 1
         if self.watchdog is not None:
             for event in self.watchdog.evaluate(self._now_ms()):
                 if event.state == FAILED:
@@ -1233,8 +1208,8 @@ class MultiprocessEngine:
                                % (event.worker_id, event.reason))
             if self._error is not None:
                 return
-        if fleet is not None:
-            self.config.process_chaos.on_tick(fleet)
+        if self.config.faults is not None:
+            self.config.faults.on_round(self)
         coordinator = self.coordinator
         if coordinator.pending_expired and self._fail_suspected_laggards():
             return

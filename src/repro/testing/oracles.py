@@ -54,12 +54,15 @@ recompute exactly -- no tolerance windows in the comparison.
 from __future__ import annotations
 
 import random
+import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.environment import Environment
 from repro.connectors.partitioned import partition_round_robin
 from repro.cutty.baselines import applicable_strategies, build_strategy
 from repro.runtime.engine import EngineConfig
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
+from repro.runtime.restart import FixedDelayRestart
 from repro.testing import reference
 from repro.testing.generators import (
     FILTER_FNS,
@@ -320,11 +323,13 @@ class _ValueProjectingAggregate:
 
 def _watermarked(env, elements: List[tuple], bound: int,
                  rebalance: bool = False, partitions: int = 0,
-                 source_parallelism: Optional[int] = None):
+                 source_parallelism: Optional[int] = None,
+                 pace_s: float = 0.0):
     """The keyed, watermarked stream over ``elements``.  The source and
     the watermark operator run at ``source_parallelism`` (default: the
     environment's), whatever follows the ``key_by`` at the
-    environment's."""
+    environment's.  ``pace_s`` sleeps that long per record at the
+    source, so wall-clock checkpoints seal mid-stream."""
     strategy = WatermarkStrategy.for_bounded_out_of_orderness(
         lambda element: element[2], bound)
     if partitions:
@@ -339,6 +344,9 @@ def _watermarked(env, elements: List[tuple], bound: int,
         stream = env.from_source(lambda: elements,
                                  parallelism=source_parallelism,
                                  name="collection-source")
+    if pace_s:
+        stream = stream.map(lambda element: time.sleep(pace_s) or element,
+                            name="pace")
     if rebalance:
         # Round-robin exchange ahead of the stateful watermark operator:
         # exercises the RebalancePartitioner cursor in the checkpoint
@@ -366,14 +374,15 @@ def run_streaming_windows(elements: List[tuple],
                           config: Optional[EngineConfig] = None,
                           rebalance: bool = False, partitions: int = 0,
                           source_parallelism: Optional[int] = None,
-                          from_savepoint: Any = None,
+                          from_savepoint: Any = None, pace_s: float = 0.0,
                           ) -> Tuple[Dict[Tuple[Any, int, int], Any], Any]:
     """One streaming window job; returns (results dict, JobResult)."""
     env = Environment(parallelism=parallelism,
                                      config=config or EngineConfig())
     collected = (_watermarked(env, elements, ooo_bound + 2,
                               rebalance=rebalance, partitions=partitions,
-                              source_parallelism=source_parallelism)
+                              source_parallelism=source_parallelism,
+                              pace_s=pace_s)
                  .window(make_assigner(assigner_params))
                  .aggregate(_ValueProjectingAggregate(
                      make_aggregate(aggregate_name)))
@@ -496,11 +505,18 @@ class SessionMergeOracle(Oracle):
 
 # -- determinism / replay ----------------------------------------------------
 
-def make_crash_once_hook(min_checkpoints: int, at_round: int):
-    """A failure hook that crashes the job exactly once, after at least
-    ``min_checkpoints`` completed checkpoints and ``at_round`` rounds
-    (as a cancel hook: stops it there).  ``hook.state`` keeps whether it
-    fired and the engine it fired on."""
+def crash_once(min_checkpoints: int, at_round: int) -> FaultInjector:
+    """One crash, on the cooperative scheduler's round ``at_round`` or
+    later, once ``min_checkpoints`` checkpoints are sealed."""
+    return FaultInjector([FaultEvent(
+        CRASH, after_checkpoints=min_checkpoints,
+        when=lambda view: view.rounds >= at_round)])
+
+
+def make_stop_once_hook(min_checkpoints: int, at_round: int):
+    """A cancel hook that stops the job after at least
+    ``min_checkpoints`` completed checkpoints and ``at_round`` rounds.
+    ``hook.state`` keeps whether it fired and the engine it fired on."""
     state = {"fired": False, "engine": None}
 
     def hook(engine, rounds):
@@ -523,9 +539,11 @@ class ReplayOracle(Oracle):
     is at-least-once, so sets, not bags).
 
     ``params["backend"]`` (default cooperative) is where the stopped job
-    resumes.  The hooks that crash and stop a job reach into the
-    cooperative scheduler, so those runs stay there -- on
-    ``"multiprocess"`` the second leg is a cross-backend restore.
+    resumes: on ``"multiprocess"`` the second leg is a cross-backend
+    restore (stopping between rounds is cooperative-only).
+    ``params["crash_backend"]`` is where the crash leg runs; on worker
+    processes the source is paced so checkpoints seal mid-stream, and
+    the crash waits for records instead of a scheduler round.
     """
 
     name = "replay"
@@ -568,22 +586,36 @@ class ReplayOracle(Oracle):
             **source)
 
         at_round = max(5, int(clean_job.rounds * params["crash_fraction"]))
-        hook = make_crash_once_hook(min_checkpoints=1, at_round=at_round)
-        crash_config = EngineConfig(checkpoint_interval_ms=5,
-                                    elements_per_step=4,
-                                    failure_hook=hook)
+        if params.get("crash_backend", "cooperative") == "cooperative":
+            faults = crash_once(min_checkpoints=1, at_round=at_round)
+            crash_config = EngineConfig(checkpoint_interval_ms=5,
+                                        elements_per_step=4, faults=faults)
+            pace_s = 0.0
+        else:
+            per_subtask = len(case.stream) // params["parallelism"]
+            faults = FaultInjector([FaultEvent(
+                CRASH, after_checkpoints=1, after_records=max(
+                    1, int(per_subtask * params["crash_fraction"])))])
+            crash_config = EngineConfig(
+                backend="multiprocess", num_workers=2,
+                checkpoint_interval_ms=5, elements_per_step=4,
+                restart_strategy=FixedDelayRestart(max_restarts=3,
+                                                   delay_ms=0),
+                faults=faults)
+            pace_s = 0.002
         replayed, _ = run_streaming_windows(
             list(case.stream), params["assigner"], params["aggregate"],
             params["ooo_bound"], params["parallelism"], crash_config,
-            **source)
+            pace_s=pace_s, **source)
 
         clean_set = set(clean.items())
         replay_set = set(replayed.items())
         if clean_set != replay_set:
-            return self._diverged("replay", "crash", at_round, hook,
-                                  clean_set, replay_set, params)
+            return self._diverged("replay", "crash", at_round,
+                                  bool(faults.applied), clean_set,
+                                  replay_set, params)
 
-        stop = make_crash_once_hook(min_checkpoints=1, at_round=at_round)
+        stop = make_stop_once_hook(min_checkpoints=1, at_round=at_round)
         stop_config = EngineConfig(checkpoint_interval_ms=5,
                                    elements_per_step=4, cancel_hook=stop)
         before, _ = run_streaming_windows(
@@ -604,18 +636,18 @@ class ReplayOracle(Oracle):
         resumed_set = set(before.items()) | set(after.items())
         if clean_set != resumed_set:
             return self._diverged("savepoint resume", "stop", at_round,
-                                  stop, clean_set, resumed_set, params)
+                                  True, clean_set, resumed_set, params)
         return None
 
     @staticmethod
-    def _diverged(what: str, event: str, at_round: int, hook: Any,
+    def _diverged(what: str, event: str, at_round: int, fired: bool,
                   clean_set: set, got_set: set,
                   params: Dict[str, Any]) -> str:
         lost = sorted(clean_set - got_set, key=repr)[:4]
         extra = sorted(got_set - clean_set, key=repr)[:4]
         return ("%s diverged after %s at round %d (fired=%s):\n"
                 "  lost: %r\n  extra: %r\n  assigner=%r ooo_bound=%d"
-                % (what, event, at_round, hook.state["fired"], lost, extra,
+                % (what, event, at_round, fired, lost, extra,
                    params["assigner"], params["ooo_bound"]))
 
 
@@ -642,29 +674,26 @@ ARRANGEMENT_KEY_SETS: Dict[str, Tuple[str, ...]] = {
 ARRANGEMENT_AGGS = ("sum", "count", "min", "max")
 
 
-def make_arrangement_crash_hook():
-    """Crash exactly once, after a checkpoint exists and at least one
+def make_arrangement_crash() -> FaultInjector:
+    """Crash once, after a checkpoint sealed and at least one
     arrangement shard has compacted -- the restore then lands mid-way
     through a compacting index."""
-    state = {"fired": False}
+    def compacted(view) -> bool:
+        return any(row["compactions"] >= 1 for task in view.tasks
+                   for row in task.operator_reports("arrangement_report"))
+    return FaultInjector([FaultEvent(CRASH, after_checkpoints=1,
+                                     when=compacted)])
 
-    def hook(engine, rounds):
-        if state["fired"] or len(engine.checkpoint_store) < 1:
-            return False
-        for task in engine.tasks:
-            for row in task.operator_reports("arrangement_report"):
-                if row["compactions"] >= 1:
-                    state["fired"] = True
-                    return True
-        return False
 
-    hook.state = state
-    return hook
+def _distinct(rows: List[dict]) -> List[dict]:
+    return sorted({repr(row): row for row in rows}.values(), key=repr)
 
 
 class SharedArrangementOracle(Oracle):
     """N queries on shared arrangements == N independently planned runs
-    (per-query row-set equality), with sharing actually occurring."""
+    (per-query row-set equality), with sharing actually occurring.
+    ``params["backend"]`` (default cooperative) is where the shared,
+    possibly crashed, run executes."""
 
     name = "arrangements"
 
@@ -702,12 +731,22 @@ class SharedArrangementOracle(Oracle):
     def _run(self, case: Case, share: bool,
              crash: bool = False) -> Tuple[List[List[dict]], Any]:
         params = case.params
+        extra: Dict[str, Any] = {}
+        workers = share and params.get("backend",
+                                       "cooperative") != "cooperative"
+        if workers:
+            extra.update(backend=params["backend"], num_workers=2,
+                         restart_strategy=FixedDelayRestart(
+                             max_restarts=3, delay_ms=0))
+        if crash:
+            # On workers the first cut must land before the small right
+            # table's source finishes and ends all checkpointing.
+            extra.update(checkpoint_interval_ms=1 if workers else 5,
+                         elements_per_step=4, faults=make_arrangement_crash())
         config = EngineConfig(
             share_arrangements=share,
             arrangement_compaction_interval=params["compaction_interval"],
-            **({"checkpoint_interval_ms": 5, "elements_per_step": 4,
-                "failure_hook": make_arrangement_crash_hook()}
-               if crash else {}))
+            **extra)
         env = Environment(parallelism=params["parallelism"], config=config)
         rows = [{"user": "u%d" % user, "amount": amount, "ts": ts}
                 for user, amount, ts in case.stream]
@@ -715,6 +754,12 @@ class SharedArrangementOracle(Oracle):
                           watermark_delay=params["ooo_bound"] + 2)
         right = env.table([{"user": "u%d" % user, "tier": tier}
                            for user, tier in params["right_rows"]])
+        if workers and crash:
+            # Paced, so wall-clock checkpoints seal before the crash and
+            # before the short right side ends them.
+            table, right = (side.where(
+                lambda row, s=pause: time.sleep(s) or True, (), "pace")
+                for side, pause in ((table, 0.002), (right, 0.02)))
         collected = []
         for spec in params["queries"]:
             if spec["kind"] == "join":
@@ -737,7 +782,13 @@ class SharedArrangementOracle(Oracle):
         params = case.params
         shared, env = self._run(case, share=True, crash=params["crash"])
         independent, _ = self._run(case, share=False)
+        # Worker processes stream collect output to the parent, which
+        # keeps what a crashed attempt delivered: at-least-once, as sets.
+        at_least_once = (params["crash"] and params.get(
+            "backend", "cooperative") != "cooperative")
         for index, (got, expected) in enumerate(zip(shared, independent)):
+            if at_least_once:
+                got, expected = _distinct(got), _distinct(expected)
             if got != expected:
                 return ("shared arrangements diverge from independent "
                         "planning at query %d (%r):\n  expected %r\n"

@@ -4,10 +4,9 @@ The exactly-once claim of ISSUE 7's tentpole: a hybrid job killed
 *during the history phase*, *at the cutover barrier*, or *after the
 cutover* must restore the correct side of the seam and produce 2PC sink
 output byte-identical to the unfaulted run -- on the cooperative backend
-(deterministic in-process crashes via failure hooks that watch the
-hybrid source's phase) and on the multiprocess backend (real SIGKILL via
-the OS-level chaos injector, phase targeted by throttling one side of
-the seam).
+(in-process crashes) and on the multiprocess backend (a worker's real
+SIGKILL), each fired by the same fault event watching the hybrid
+source's phase.
 
 Determinism note (same trick as ``test_process_chaos.py``): ``KEYS`` is
 even and ``N`` is even, so with parallelism 2 every key's records come
@@ -27,11 +26,7 @@ import pytest
 from repro.api.environment import Environment
 from repro.connectors.sinks import TransactionalTextFileSink
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import (
-    KILL_WORKER,
-    ProcessChaosInjector,
-    ProcessFaultEvent,
-)
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -40,29 +35,22 @@ N = 600          # records per side; even (see determinism note)
 KEYS = 14
 
 
-def _hybrid_ops(engine):
-    return [task.chain[0].operator for task in engine.tasks
+def _hybrid_ops(view):
+    """The hybrid source operators running in this process."""
+    return [task.chain[0].operator for task in view.tasks
             if callable(getattr(task.chain[0].operator,
                                 "cutover_report", None))]
 
 
-def _phase_crash_hook(phase_predicate, min_checkpoints=1):
+def _phase_crash(phase_predicate, min_checkpoints=1):
     """Crash once, on the first round where the hybrid source satisfies
     ``phase_predicate`` and at least ``min_checkpoints`` checkpoints
-    completed (so recovery restores rather than restarts)."""
-    state = {"fired": False}
-
-    def hook(engine, rounds):
-        if state["fired"] or len(engine.checkpoint_store) < min_checkpoints:
-            return False
-        ops = _hybrid_ops(engine)
-        if ops and phase_predicate(ops):
-            state["fired"] = True
-            return True
-        return False
-
-    hook.state = state
-    return hook
+    are sealed (so recovery restores rather than restarts)."""
+    def in_phase(view):
+        ops = _hybrid_ops(view)
+        return bool(ops) and phase_predicate(ops)
+    return FaultEvent(CRASH, after_checkpoints=min_checkpoints,
+                      subtask="hybrid", when=in_phase)
 
 
 def _in_history(ops):
@@ -78,10 +66,10 @@ def _at_barrier(ops):
 
 
 def _after_cutover(ops):
-    """Well past the seam: every subtask streaming, half the live side
-    already emitted."""
+    """Well past the seam: every subtask streaming, a quarter of the live
+    side already emitted."""
     return (all(op._phase == "stream" for op in ops)
-            and sum(op._stream_emitted for op in ops) >= N // 2)
+            and sum(op._stream_emitted for op in ops) >= N // 4)
 
 
 def _build_job(env, target, history_burst=1, suffix=False):
@@ -101,11 +89,11 @@ def _build_job(env, target, history_burst=1, suffix=False):
             target, formatter=lambda pair: "%d:%d" % pair)))
 
 
-def _run_cooperative(tmp_path, label, failure_hook=None, batch_size=1,
+def _run_cooperative(tmp_path, label, faults=None, batch_size=1,
                      suffix=False):
     target = str(tmp_path / ("%s.txt" % label))
     config = EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                          failure_hook=failure_hook, batch_size=batch_size)
+                          faults=faults, batch_size=batch_size)
     env = Environment(parallelism=2, config=config)
     _build_job(env, target, suffix=suffix)
     job = env.execute()
@@ -121,10 +109,10 @@ def _run_cooperative(tmp_path, label, failure_hook=None, batch_size=1,
 ])
 def test_cooperative_crash_at_seam_phase(tmp_path, label, predicate):
     expected, _, _ = _run_cooperative(tmp_path, "oracle")
-    hook = _phase_crash_hook(predicate)
-    lines, job, env = _run_cooperative(tmp_path, label, failure_hook=hook)
+    faults = FaultInjector([_phase_crash(predicate)])
+    lines, job, env = _run_cooperative(tmp_path, label, faults=faults)
 
-    assert hook.state["fired"], "the %s-phase crash never fired" % label
+    assert faults.applied, "the %s-phase crash never fired" % label
     assert job.recoveries >= 1
     assert lines == expected, "2PC output diverged after %s crash" % label
     rows = env.job_report()["cutover"]
@@ -148,10 +136,10 @@ def test_batched_crash_at_seam_phase_with_a_fused_source_suffix(
     unfaulted run's, byte for byte."""
     expected, _, _ = _run_cooperative(tmp_path, "oracle", suffix=True)
     assert len(expected) == 2 * N - 2 * N // 5
-    hook = _phase_crash_hook(predicate)
-    lines, job, env = _run_cooperative(tmp_path, label, failure_hook=hook,
+    faults = FaultInjector([_phase_crash(predicate)])
+    lines, job, env = _run_cooperative(tmp_path, label, faults=faults,
                                        batch_size=16, suffix=True)
-    assert hook.state["fired"], "the %s-phase crash never fired" % label
+    assert faults.applied, "the %s-phase crash never fired" % label
     assert job.recoveries >= 1
     assert lines == expected, "2PC output diverged after %s crash" % label
     source_tasks = [task for task in env.last_engine.tasks if task.is_source]
@@ -163,14 +151,10 @@ def test_cooperative_double_crash_both_sides_of_seam(tmp_path):
     """One crash during history AND one after the cutover, in the same
     run: each restore must replay the correct side."""
     expected, _, _ = _run_cooperative(tmp_path, "oracle")
-    first = _phase_crash_hook(_in_history)
-    second = _phase_crash_hook(_after_cutover, min_checkpoints=2)
-
-    def hook(engine, rounds):
-        return first(engine, rounds) or second(engine, rounds)
-
-    lines, job, _ = _run_cooperative(tmp_path, "double", failure_hook=hook)
-    assert first.state["fired"] and second.state["fired"]
+    faults = FaultInjector([_phase_crash(_in_history),
+                            _phase_crash(_after_cutover, min_checkpoints=2)])
+    lines, job, _ = _run_cooperative(tmp_path, "double", faults=faults)
+    assert len(faults.applied) == 2
     assert job.recoveries >= 2
     assert lines == expected
 
@@ -178,33 +162,33 @@ def test_cooperative_double_crash_both_sides_of_seam(tmp_path):
 # -- multiprocess: real SIGKILL ----------------------------------------------
 
 def _throttle_history(value):
-    """Slow the history side so a wall-clock kill lands mid-history;
-    both parities sleep so both source subtasks stay live."""
+    """Slow the history side so checkpoints seal mid-history; both
+    parities sleep so both source subtasks stay live."""
     if value < N:
         time.sleep(0.002)
     return value
 
 
 def _throttle_live(value):
-    """Slow the live side so the kill lands after the cutover."""
+    """Slow the live side so checkpoints seal after the cutover."""
     if value >= N:
         time.sleep(0.002)
     return value
 
 
 def _throttle_seam(value):
-    """Slow only the records around the seam so the kill lands at the
-    cutover barrier.  The window is sized so each worker spends ~400ms
-    inside it (80 records x 5ms): the 300ms kill then lands solidly
-    mid-seam instead of racing job completion on a fast run."""
+    """Slow only the records around the seam (80 records x 5 ms per
+    worker), so checkpoints seal while the cutover is in flight."""
     if N - 80 <= value < N + 80:
         time.sleep(0.005)
     return value
 
 
-def _run_multiprocess(tmp_path, label, throttle, schedule=None, seed=0):
+def _run_multiprocess(tmp_path, label, throttle, schedule=None):
     target = str(tmp_path / ("%s.txt" % label))
-    kwargs = dict(checkpoint_interval_ms=40,
+    # Small steps: a throttled step is short, so barriers align (and
+    # checkpoints seal) while the phase the fault waits for still lasts.
+    kwargs = dict(checkpoint_interval_ms=40, elements_per_step=4,
                   checkpoint_dir=str(tmp_path / ("chk-%s" % label)),
                   restart_strategy=FixedDelayRestart(max_restarts=10,
                                                      delay_ms=0),
@@ -215,8 +199,7 @@ def _run_multiprocess(tmp_path, label, throttle, schedule=None, seed=0):
                   watchdog_suspect_ms=250, watchdog_fail_ms=1200)
     if schedule is not None:
         kwargs.update(backend="multiprocess", num_workers=2,
-                      process_chaos=ProcessChaosInjector(schedule,
-                                                         seed=seed))
+                      faults=FaultInjector(schedule))
     config = EngineConfig(**kwargs)
     env = Environment(parallelism=2, config=config)
     # burst 1: the throttle sleeps inside the fused source step, and an
@@ -244,13 +227,16 @@ def _run_multiprocess(tmp_path, label, throttle, schedule=None, seed=0):
     ("after", _throttle_live),
 ])
 def test_multiprocess_sigkill_at_seam_phase(tmp_path, label, throttle):
+    """The worker owning hybrid subtask 0 judges the phase by its own
+    subtask, and kills itself there."""
+    predicate = {"history": _in_history, "barrier": _at_barrier,
+                 "after": _after_cutover}[label]
     expected, _, _, _ = _run_multiprocess(tmp_path, "oracle-%s" % label,
                                           throttle)
-    schedule = [ProcessFaultEvent(300, KILL_WORKER, target=0)]
     lines, job, env, config = _run_multiprocess(
-        tmp_path, label, throttle, schedule=schedule)
+        tmp_path, label, throttle, schedule=[_phase_crash(predicate)])
 
-    assert config.process_chaos.applied, "the kill never fired"
+    assert config.faults.applied, "the kill never fired"
     assert job.restarts >= 1
     assert lines == expected, "2PC output diverged (%s kill)" % label
     rows = env.job_report()["cutover"]

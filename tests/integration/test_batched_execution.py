@@ -25,7 +25,7 @@ from repro.runtime.channels import Channel
 from repro.runtime.columnar import batch_to_columnar
 from repro.runtime.elements import END_OF_STREAM, Record, RecordBatch
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.operators import (
     CoProcessOperator,
     FilterOperator,
@@ -43,7 +43,7 @@ from repro.runtime.restart import FixedDelayRestart
 from repro.runtime.task import ColumnRun, OutputEdge, Task
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
-    make_crash_once_hook,
+    crash_once,
     make_oracle,
     run_streaming_windows,
 )
@@ -175,16 +175,16 @@ class TestReplayDeterminismAcrossModes:
         clean, clean_job = run_streaming_windows(
             elements, assigner, "sum", ooo_bound=5, config=clean_config)
 
-        hook = make_crash_once_hook(min_checkpoints=1,
-                                    at_round=max(5, clean_job.rounds // 2))
+        faults = crash_once(min_checkpoints=1,
+                            at_round=max(5, clean_job.rounds // 2))
         crash_config = EngineConfig(checkpoint_interval_ms=5,
                                     elements_per_step=4,
                                     batch_size=batch_size,
-                                    failure_hook=hook)
+                                    faults=faults)
         replayed, _ = run_streaming_windows(
             elements, assigner, "sum", ooo_bound=5, config=crash_config)
 
-        assert hook.state["fired"]
+        assert faults.applied
         assert set(replayed.items()) == set(clean.items())
 
     def test_scalar_and_batched_crash_replay_agree(self):
@@ -194,11 +194,11 @@ class TestReplayDeterminismAcrossModes:
         assigner = {"kind": "tumbling", "size": 50}
         results = {}
         for batch_size in (1, 16):
-            hook = make_crash_once_hook(min_checkpoints=1, at_round=30)
             config = EngineConfig(checkpoint_interval_ms=5,
                                   elements_per_step=4,
                                   batch_size=batch_size,
-                                  failure_hook=hook)
+                                  faults=crash_once(min_checkpoints=1,
+                                                    at_round=30))
             results[batch_size], _ = run_streaming_windows(
                 elements, assigner, "sum", ooo_bound=5, config=config)
         assert results[16] == results[1]
@@ -666,8 +666,9 @@ class TestSourceChainRecovery:
             checkpoint_interval_ms=5, elements_per_step=16,
             batch_size=batch_size,
             restart_strategy=FixedDelayRestart(max_restarts=5, delay_ms=1),
-            chaos=(ChaosInjector([FaultEvent(40, SUBTASK_FAILURE)])
-                   if faulty else None)))
+            faults=(FaultInjector([FaultEvent(
+                CRASH, when=lambda view: view.rounds >= 40)])
+                    if faulty else None)))
         (env.from_collection([("k%d" % (i % 7), i) for i in range(1400)])
          .assign_timestamps_and_watermarks(
              WatermarkStrategy.for_bounded_out_of_orderness(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import Environment
 from repro.runtime.engine import EngineConfig, JobFailedError
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 
 
 def keyed_count_job(env):
@@ -25,22 +26,16 @@ def test_checkpoints_complete_during_execution():
 
 
 def test_recovery_restores_exactly_once_keyed_state():
-    fired = {"done": False}
-
-    def fail_once(engine, rounds):
-        # Crash after at least one checkpoint completed.
-        if not fired["done"] and len(engine.checkpoint_store) >= 1 and rounds > 40:
-            fired["done"] = True
-            return True
-        return False
-
+    # Crash after at least one checkpoint completed.
+    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=1,
+                                       when=lambda view: view.rounds > 40)])
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                            failure_hook=fail_once))
+                            faults=faults))
     result = keyed_count_job(env)
     job = env.execute()
-    assert fired["done"], "failure hook never fired"
+    assert faults.applied, "the crash never fired"
     assert job.recoveries == 1
     # The sink may contain duplicate *emissions* (at-least-once sink), but
     # the keyed state itself is exactly-once: the maximum running count per
@@ -52,33 +47,25 @@ def test_recovery_restores_exactly_once_keyed_state():
 
 
 def test_recovery_without_checkpoint_fails():
-    def fail_immediately(engine, rounds):
-        return rounds == 1
-
-    env = Environment(
-        config=EngineConfig(failure_hook=fail_immediately))
+    env = Environment(config=EngineConfig(faults=FaultInjector([
+        FaultEvent(CRASH, when=lambda view: view.rounds == 1)])))
     env.from_collection(range(100)).collect()
     with pytest.raises(JobFailedError):
         env.execute()
 
 
 def test_multiple_recoveries():
-    fired = {"count": 0}
-
-    def fail_twice(engine, rounds):
-        if (fired["count"] < 2 and len(engine.checkpoint_store) >= 1
-                and rounds in (60, 120)):
-            fired["count"] += 1
-            return True
-        return False
-
+    faults = FaultInjector([
+        FaultEvent(CRASH, after_checkpoints=1,
+                   when=lambda view, at=at: view.rounds == at)
+        for at in (60, 120)])
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=3, elements_per_step=2,
-                            failure_hook=fail_twice))
+                            faults=faults))
     result = keyed_count_job(env)
     job = env.execute()
-    assert job.recoveries == fired["count"] >= 1
+    assert job.recoveries == len(faults.applied) >= 1
     finals = {}
     for key, running in result.get():
         finals[key] = max(finals.get(key, 0), running)

@@ -5,18 +5,27 @@ hardening.
 The headline property (`TestChaosSweep`): under randomized-but-seeded
 fault schedules -- subtask crashes, dropped/duplicated channel records,
 source stalls -- a keyed-window pipeline supervised by any restart
-strategy converges to exactly the window results of a failure-free run.
+strategy converges to exactly the window results of a failure-free run,
+on either backend, from the same schedule.
 """
+
+import multiprocessing
+import time
 
 import pytest
 
 from repro.api import Environment
+from repro.connectors.sinks import TransactionalTextFileSink
 from repro.runtime.engine import EngineConfig, JobFailedError
 from repro.runtime.faults import (
-    SOURCE_STALL,
-    SUBTASK_FAILURE,
-    ChaosInjector,
+    CRASH,
+    DROP,
+    DUPLICATE,
+    POISON,
+    RESTARTING_KINDS,
+    STALL,
     FaultEvent,
+    FaultInjector,
 )
 from repro.runtime.restart import (
     ExponentialBackoffRestart,
@@ -27,7 +36,20 @@ from repro.runtime.restart import (
 from repro.time.watermarks import WatermarkStrategy
 from repro.windowing import CountAggregate, TumblingEventTimeWindows
 
-CRASH_KINDS = {SUBTASK_FAILURE, "drop-record", "duplicate-record"}
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="multiprocess backend requires the fork start method")
+
+#: Faulted multiprocess runs: a stalled worker is declared hung in
+#: ~1.2 s, wide enough that one merely slowed by a loaded machine is not.
+MULTIPROCESS = dict(backend="multiprocess", num_workers=2,
+                    heartbeat_interval_ms=20, watchdog_suspect_ms=250,
+                    watchdog_fail_ms=1200)
+
+
+def at_round(rounds):
+    """A ``when`` trigger: the cooperative scheduler reached ``rounds``."""
+    return lambda view: view.rounds >= rounds
 
 
 def windowed_job(env):
@@ -61,43 +83,51 @@ def sweep_strategy(seed):
     ][seed % 3]()
 
 
+def chaos_sweep(**config):
+    """The 20-seed sweep: every seed converges to the failure-free window
+    results, with one restart per fault that crashes on the backend."""
+    backend = config.get("backend", "cooperative")
+    baseline, baseline_job = run_windowed_job(
+        EngineConfig(checkpoint_interval_ms=5, elements_per_step=4))
+    assert baseline, "baseline job produced no window results"
+    assert baseline_job.restarts == 0
+
+    for seed in range(20):
+        faults = FaultInjector.from_seed(seed, num_faults=3,
+                                         first_records=20, last_records=600)
+        state, job = run_windowed_job(EngineConfig(
+            checkpoint_interval_ms=5, elements_per_step=4,
+            restart_strategy=sweep_strategy(seed), faults=faults, **config))
+        assert state == baseline, (
+            "seed %d diverged (applied: %r)" % (seed, faults.applied))
+        crashes = sum(1 for event in faults.applied
+                      if event.kind in RESTARTING_KINDS[backend])
+        assert job.restarts == crashes, (
+            "seed %d: %d crash faults but %d restarts reported"
+            % (seed, crashes, job.restarts))
+
+
 class TestChaosSweep:
     def test_chaos_runs_converge_to_failure_free_state(self):
-        baseline, baseline_job = run_windowed_job(
-            EngineConfig(checkpoint_interval_ms=5, elements_per_step=4))
-        assert baseline, "baseline job produced no window results"
-        assert baseline_job.restarts == 0
+        chaos_sweep()
 
-        for seed in range(20):
-            chaos = ChaosInjector.from_seed(seed, num_faults=3,
-                                            first_round=20, last_round=350)
-            config = EngineConfig(checkpoint_interval_ms=5,
-                                  elements_per_step=4,
-                                  restart_strategy=sweep_strategy(seed),
-                                  chaos=chaos)
-            state, job = run_windowed_job(config)
-            assert state == baseline, (
-                "seed %d diverged (applied: %r)" % (seed, chaos.applied))
-            crashes = sum(1 for _, event in chaos.applied
-                          if event.kind in CRASH_KINDS)
-            assert job.restarts == crashes, (
-                "seed %d: %d crash faults but %d restarts reported"
-                % (seed, crashes, job.restarts))
+    @needs_fork
+    def test_chaos_runs_converge_on_worker_processes(self):
+        chaos_sweep(**MULTIPROCESS)
 
     def test_chaos_sweep_exercises_every_fault_kind(self):
         kinds = set()
         for seed in range(20):
-            for event in ChaosInjector.from_seed(seed, num_faults=3).schedule:
+            for event in FaultInjector.from_seed(seed, num_faults=3).schedule:
                 kinds.add(event.kind)
-        assert kinds == {"subtask-failure", "drop-record",
-                         "duplicate-record", "source-stall"}
+        assert kinds == {"crash", "drop", "duplicate", "stall"}
 
     def test_restart_counters_surface_in_metrics(self):
-        chaos = ChaosInjector([FaultEvent(30, SUBTASK_FAILURE)])
+        faults = FaultInjector([FaultEvent(CRASH, when=at_round(30))])
         config = EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
                               restart_strategy=FixedDelayRestart(
                                   max_restarts=5, delay_ms=1),
-                              chaos=chaos)
+                              faults=faults)
         state, job = run_windowed_job(config)
         assert job.restarts == 1
         assert job.counters.get("restarts") == 1
@@ -105,23 +135,103 @@ class TestChaosSweep:
         assert any(name.endswith("current_watermark") for name in job.gauges)
 
 
+# -- one vocabulary, both backends -------------------------------------------
+
+N = 600
+#: Even, so each key's records come from one source subtask and every
+#: running total is deterministic: the 2PC file can be demanded exactly.
+KEYS = 14
+BACKENDS = [pytest.param({}, id="cooperative"),
+            pytest.param(MULTIPROCESS, id="multiprocess", marks=needs_fork)]
+
+
+def _throttle(value):
+    """Keep both source subtasks live long enough for checkpoints to
+    seal on worker processes."""
+    if value % 4 < 2:
+        time.sleep(0.001)
+    return value
+
+
+def run_fold_job(path, **config):
+    """Running per-key sums into a two-phase-commit file sink."""
+    env = Environment(parallelism=2, config=EngineConfig(
+        elements_per_step=4, quarantine_threshold=5,
+        restart_strategy=FixedDelayRestart(max_restarts=5, delay_ms=0),
+        **config))
+    (env.from_collection(range(N))
+        .map(_throttle, name="throttle")
+        .key_by(lambda v: v % KEYS)
+        .fold(0, lambda acc, value: acc + value, name="fold")
+        .add_sink(TransactionalTextFileSink(
+            str(path), formatter=lambda pair: "%d:%d" % pair)))
+    job = env.execute()
+    return sorted(path.read_text().splitlines()), job
+
+
+def expected_lines(skipped=()):
+    """What the fold job writes when the ``skipped`` records never
+    reach the fold."""
+    lines = []
+    for key in range(KEYS):
+        total = 0
+        for value in range(key, N, KEYS):
+            if value not in skipped:
+                total += value
+                lines.append("%d:%d" % (key, total))
+    return sorted(lines)
+
+
+class TestFaultVocabulary:
+    @pytest.mark.parametrize("config", BACKENDS)
+    @pytest.mark.parametrize("kind", [CRASH, STALL, POISON, DROP, DUPLICATE])
+    def test_every_kind_converges_on_both_backends(self, tmp_path, kind,
+                                                   config):
+        backend = config.get("backend", "cooperative")
+        faults = FaultInjector([FaultEvent(
+            kind, after_checkpoints=1, after_records=100, target=1,
+            subtask="throttle" if kind == STALL else "fold",
+            param=2 if kind == POISON else 50)])
+        lines, job = run_fold_job(
+            tmp_path / "out.txt", faults=faults,
+            checkpoint_interval_ms=20 if config else 5, **config)
+
+        assert faults.applied == faults.schedule, "the fault never fired"
+        assert job.restarts == (kind in RESTARTING_KINDS[backend])
+        poisoned = {letter.value for letter in job.dead_letters}
+        assert len(poisoned) == (2 if kind == POISON else 0)
+        assert lines == expected_lines(skipped=poisoned)
+
+    @pytest.mark.parametrize("config", BACKENDS)
+    def test_crash_before_the_first_checkpoint_restarts_from_the_deployment(
+            self, tmp_path, config):
+        # Regression: a crash injected before any checkpoint completed
+        # used to fail the job even with a restart strategy configured.
+        faults = FaultInjector([FaultEvent(CRASH, after_records=50,
+                                           subtask="fold")])
+        lines, job = run_fold_job(tmp_path / "out.txt", faults=faults,
+                                  checkpoint_interval_ms=60_000, **config)
+        assert faults.applied and job.checkpoints_completed == 0
+        assert job.restarts == 1
+        assert lines == expected_lines()
+
+
 class TestRestartSupervision:
     def test_no_restart_strategy_fails_job(self):
-        chaos = ChaosInjector([FaultEvent(5, SUBTASK_FAILURE)])
+        faults = FaultInjector([FaultEvent(CRASH, when=at_round(5))])
         env = Environment(
-            config=EngineConfig(restart_strategy=NoRestart(), chaos=chaos))
+            config=EngineConfig(restart_strategy=NoRestart(), faults=faults))
         env.from_collection(range(500)).collect()
         with pytest.raises(JobFailedError):
             env.execute()
 
     def test_strategy_exhaustion_fails_job(self):
         # Three crashes but only two restart grants.
-        chaos = ChaosInjector([FaultEvent(5, SUBTASK_FAILURE),
-                               FaultEvent(10, SUBTASK_FAILURE),
-                               FaultEvent(15, SUBTASK_FAILURE)])
+        faults = FaultInjector([FaultEvent(CRASH, when=at_round(rounds))
+                                for rounds in (5, 10, 15)])
         env = Environment(
             config=EngineConfig(restart_strategy=FixedDelayRestart(
-                max_restarts=2, delay_ms=1), chaos=chaos))
+                max_restarts=2, delay_ms=1), faults=faults))
         env.from_collection(range(5000)).collect()
         with pytest.raises(JobFailedError):
             env.execute()
@@ -130,12 +240,12 @@ class TestRestartSupervision:
     def test_restart_before_any_checkpoint_replays_from_scratch(self):
         # Crash long before the first checkpoint: the supervisor must
         # redeploy from the job graph, not die on a missing checkpoint.
-        chaos = ChaosInjector([FaultEvent(3, SUBTASK_FAILURE)])
+        faults = FaultInjector([FaultEvent(CRASH, when=at_round(3))])
         config = EngineConfig(checkpoint_interval_ms=1000,
                               elements_per_step=4,
                               restart_strategy=FixedDelayRestart(
                                   max_restarts=3, delay_ms=1),
-                              chaos=chaos)
+                              faults=faults)
         state, job = run_windowed_job(config)
         baseline, _ = run_windowed_job(
             EngineConfig(checkpoint_interval_ms=1000, elements_per_step=4))
@@ -192,11 +302,11 @@ class TestPoisonQuarantine:
         assert env.last_engine.restarts == 2
 
     def test_chaos_poison_lands_in_dead_letter_queue(self):
-        from repro.runtime.faults import POISON_RECORD
-        chaos = ChaosInjector([FaultEvent(5, POISON_RECORD, param=2)])
+        faults = FaultInjector([FaultEvent(POISON, when=at_round(5),
+                                           param=2)])
         env = Environment(
             config=EngineConfig(quarantine_threshold=5, elements_per_step=4,
-                                chaos=chaos))
+                                faults=faults))
         result = (env.from_collection(range(100))
                   .rebalance()
                   .map(lambda v: v, name="plain-map")
@@ -218,7 +328,7 @@ class TestPoisonQuarantine:
             return v
         env = Environment(config=EngineConfig(
             quarantine_threshold=10, checkpoint_interval_ms=8,
-            chaos=ChaosInjector([FaultEvent(28, SUBTASK_FAILURE)]),
+            faults=FaultInjector([FaultEvent(CRASH, when=at_round(28))]),
             restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=1)))
         result = (env.from_collection(range(1000))
                   .rebalance()
@@ -241,6 +351,7 @@ class TestCoordinatorHardening:
         sabotaged = {"done": False}
 
         def sabotage(engine, rounds):
+            # An observer, not a fault: it never stops the job.
             if not sabotaged["done"] and engine.coordinator.pending is not None:
                 victim = next(t for t in engine.tasks if not t.is_source)
                 victim.finished = True
@@ -251,7 +362,7 @@ class TestCoordinatorHardening:
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
                                 channel_capacity=4096,
-                                failure_hook=sabotage))
+                                cancel_hook=sabotage))
         env.from_collection(range(300)).key_by(lambda v: v % 3).count().collect()
         job = env.execute()
         assert sabotaged["done"], "sabotage hook never fired"
@@ -264,12 +375,13 @@ class TestCoordinatorHardening:
         # A source stalled across several checkpoint intervals: each
         # pending checkpoint times out and aborts; once the stall lifts,
         # checkpointing resumes and the job finishes correctly.
-        chaos = ChaosInjector([FaultEvent(10, SOURCE_STALL, param=120)])
+        faults = FaultInjector([FaultEvent(STALL, when=at_round(10),
+                                           param=120)])
         env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
                                 checkpoint_timeout_ms=20,
-                                chaos=chaos))
+                                faults=faults))
         data = [("k%d" % (i % 5), 1) for i in range(2000)]
         result = (env.from_collection(data)
                   .key_by(lambda v: v[0])
@@ -284,13 +396,14 @@ class TestCoordinatorHardening:
         assert finals == {("k%d" % i): 400 for i in range(5)}
 
     def test_tolerable_consecutive_checkpoint_failures(self):
-        chaos = ChaosInjector([FaultEvent(10, SOURCE_STALL, param=300)])
+        faults = FaultInjector([FaultEvent(STALL, when=at_round(10),
+                                           param=300)])
         env = Environment(
             config=EngineConfig(checkpoint_interval_ms=5,
                                 elements_per_step=4,
                                 checkpoint_timeout_ms=20,
                                 tolerable_consecutive_checkpoint_failures=1,
-                                chaos=chaos))
+                                faults=faults))
         data = [("k%d" % (i % 5), 1) for i in range(2000)]
         env.from_collection(data).key_by(lambda v: v[0]).count().collect()
         with pytest.raises(JobFailedError, match="checkpoint failures"):

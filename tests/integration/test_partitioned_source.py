@@ -12,7 +12,8 @@ from repro.connectors.partitioned import (
 )
 from repro.connectors.sinks import TransactionalJsonlFileSink
 from repro.runtime.engine import EngineConfig
-from repro.testing.oracles import make_crash_once_hook
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
+from repro.testing.oracles import crash_once
 
 KEYS = 5
 DATA = [("k%d" % (index % KEYS), 1) for index in range(3000)]
@@ -67,23 +68,15 @@ class TestBasics:
 
 class TestRecovery:
     def test_crash_recovery_replays_per_partition(self):
-        fired = {"done": False}
-
-        def crash_once(engine, rounds):
-            if (not fired["done"] and len(engine.checkpoint_store) >= 1
-                    and rounds > 40):
-                fired["done"] = True
-                return True
-            return False
-
+        faults = FaultInjector([FaultEvent(
+            CRASH, after_checkpoints=1, when=lambda view: view.rounds > 40)])
         env = Environment(
             parallelism=2,
             config=EngineConfig(checkpoint_interval_ms=5,
-                                elements_per_step=4,
-                                failure_hook=crash_once))
+                                elements_per_step=4, faults=faults))
         result = pipeline(env)
         job = env.execute()
-        assert fired["done"] and job.recoveries == 1
+        assert faults.applied and job.recoveries == 1
         finals = {}
         for key, running in result.get():
             finals[key] = max(finals.get(key, 0), running)
@@ -97,8 +90,7 @@ class TestReplayInterleaving:
 
     SIZES = (50, 300, 250)      # uneven: partitions drain mid-run
 
-    def _committed(self, path, batch_size, elements_per_step,
-                   failure_hook=None):
+    def _committed(self, path, batch_size, elements_per_step, faults=None):
         partitions = [
             (lambda p=p, size=size: [p * 1000 + i for i in range(size)])
             for p, size in enumerate(self.SIZES)]
@@ -107,7 +99,7 @@ class TestReplayInterleaving:
             config=EngineConfig(checkpoint_interval_ms=5,
                                 batch_size=batch_size,
                                 elements_per_step=elements_per_step,
-                                failure_hook=failure_hook))
+                                faults=faults))
         (env.from_partitioned_source(partitions)
          .map(lambda v: {"v": v})
          .add_sink(TransactionalJsonlFileSink(str(path))))
@@ -122,11 +114,11 @@ class TestReplayInterleaving:
                                        elements_per_step)
             assert len(clean.splitlines()) == sum(self.SIZES)
             for at_round in (20, 23, 31, 38, 45):
-                hook = make_crash_once_hook(1, at_round)
+                faults = crash_once(1, at_round)
                 replayed, job = self._committed(
                     tmp_path / "replayed", batch_size, elements_per_step,
-                    failure_hook=hook)
-                assert hook.state["fired"] and job.recoveries == 1
+                    faults=faults)
+                assert faults.applied and job.recoveries == 1
                 assert replayed == clean, (
                     "replay dealt the partitions differently "
                     "(elements_per_step=%d, crash at round %d)"

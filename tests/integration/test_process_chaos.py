@@ -1,10 +1,11 @@
 """OS-level chaos battery for the multiprocess backend.
 
-Where ``test_faults.py`` exercises *modelled* chaos inside the
-cooperative engine, this battery attacks the real failure domain of the
-multiprocess backend with the operating system: SIGKILL and SIGSTOP
-against worker processes, garbage bytes on control pipes, and flipped
-bits in persisted checkpoint files.  The contract under test is the
+The fault vocabulary of ``test_faults.py`` meets the real failure domain
+of worker processes here: a crash is a SIGKILL and a stall a SIGSTOP
+that a worker delivers to itself, and a corrupted checkpoint is a
+flipped bit in a persisted file.  Faults fire on progress -- sealed
+checkpoints, records into a subtask -- never on the wall clock, so none
+can land before the job has done what the test needs.  The contract under test is the
 paper's fault-tolerance claim end to end: every faulted run must
 converge to output identical to the unfaulted cooperative run, hung
 workers must be *detected* (by heartbeat watchdog, not checkpoint
@@ -13,7 +14,6 @@ luck), and no attempt may leak zombie processes.
 
 import multiprocessing
 import os
-import signal
 import time
 
 import pytest
@@ -24,10 +24,11 @@ from repro.runtime import multiprocess
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import (
     CORRUPT_CHECKPOINT,
-    KILL_WORKER,
-    STOP_WORKER,
-    ProcessChaosInjector,
-    ProcessFaultEvent,
+    CRASH,
+    STALL,
+    FaultEvent,
+    FaultInjector,
+    random_fault_schedule,
 )
 from repro.runtime.restart import FixedDelayRestart
 
@@ -91,7 +92,7 @@ def _chaos_config(tmp_path, schedule, seed=0, **kwargs):
     kwargs.setdefault("heartbeat_interval_ms", 20)
     return EngineConfig(
         backend="multiprocess", num_workers=2,
-        process_chaos=ProcessChaosInjector(schedule, seed=seed), **kwargs)
+        faults=FaultInjector(schedule, seed=seed), **kwargs)
 
 
 def _assert_no_zombies():
@@ -110,12 +111,13 @@ def test_sigkill_parity(tmp_path, seed):
     durable checkpoint and the 2PC sink's output is identical to the
     unfaulted cooperative run."""
     expected = _expected_lines(tmp_path)
-    schedule = [ProcessFaultEvent(250 + 29 * (seed % 10), KILL_WORKER,
-                                  target=seed)]
+    schedule = [FaultEvent(CRASH, after_checkpoints=1,
+                           after_records=100 + 29 * (seed % 10),
+                           subtask="throttle", target=seed)]
     config = _chaos_config(tmp_path, schedule, seed=seed)
     lines, job, env = _run_job(config, str(tmp_path / "out.txt"))
 
-    assert config.process_chaos.applied, "the kill never fired"
+    assert config.faults.applied, "the kill never fired"
     assert job.restarts >= 1
     assert lines == expected
     _assert_no_zombies()
@@ -128,12 +130,14 @@ def test_double_kill_both_workers(tmp_path):
     """Two kills in quick succession (possibly both workers): the fleet
     respawns as many times as needed and still converges exactly."""
     expected = _expected_lines(tmp_path)
-    schedule = [ProcessFaultEvent(200, KILL_WORKER, target=0),
-                ProcessFaultEvent(600, KILL_WORKER, target=1)]
+    schedule = [FaultEvent(CRASH, after_records=100, subtask="throttle",
+                           target=0),
+                FaultEvent(CRASH, after_records=300, subtask="throttle",
+                           target=1)]
     config = _chaos_config(tmp_path, schedule)
     lines, job, env = _run_job(config, str(tmp_path / "out.txt"))
 
-    assert len(config.process_chaos.applied) == 2
+    assert len(config.faults.applied) == 2
     assert job.restarts >= 1
     assert lines == expected
     _assert_no_zombies()
@@ -148,7 +152,8 @@ def test_sigstop_detected_by_watchdog_not_checkpoint_timeout(tmp_path):
     the configured deadline; the checkpoint timeout (set absurdly high
     here) must never be the detector."""
     expected = _expected_lines(tmp_path)
-    schedule = [ProcessFaultEvent(200, STOP_WORKER, target=0)]
+    schedule = [FaultEvent(STALL, after_records=100, subtask="throttle",
+                           target=0)]
     config = _chaos_config(
         tmp_path, schedule,
         checkpoint_timeout_ms=120_000,  # would "detect" after 2 minutes
@@ -159,7 +164,7 @@ def test_sigstop_detected_by_watchdog_not_checkpoint_timeout(tmp_path):
     lines, job, env = _run_job(config, str(tmp_path / "out.txt"))
     elapsed = time.monotonic() - started
 
-    assert config.process_chaos.applied, "the stop never fired"
+    assert config.faults.applied, "the stop never fired"
     assert job.restarts >= 1
     assert lines == expected
     # Detection came from the watchdog deadline, not the 2-minute
@@ -178,7 +183,8 @@ def test_sigstop_detected_by_watchdog_not_checkpoint_timeout(tmp_path):
 def test_sigstop_without_checkpointing_still_detected(tmp_path):
     """Watchdog detection must not depend on checkpointing being on."""
     expected = _expected_lines(tmp_path)
-    schedule = [ProcessFaultEvent(200, STOP_WORKER, target=1)]
+    schedule = [FaultEvent(STALL, after_records=100, subtask="throttle",
+                           target=1)]
     config = _chaos_config(
         tmp_path, schedule,
         checkpoint_interval_ms=None,
@@ -198,20 +204,21 @@ def test_sigstop_without_checkpointing_still_detected(tmp_path):
 
 
 def test_corrupted_checkpoint_detected_and_survived(tmp_path):
-    """Flip a byte in the newest persisted checkpoint, then kill a
-    worker on the same supervision tick.  Recovery must *detect* the
-    corruption (CRC mismatch) and fall back -- to an older checkpoint or
-    to a from-scratch restart -- never restore garbage state."""
+    """Flip a byte in the first persisted checkpoint, then kill a
+    worker.  Recovery must *detect* the corruption (CRC mismatch) and
+    fall back -- to an older checkpoint or to a from-scratch restart --
+    never restore garbage state."""
     expected = _expected_lines(tmp_path)
-    # corrupt-checkpoint retries until a durable checkpoint exists; the
-    # kill queues behind it and fires on the same tick, so no fresh
-    # intact checkpoint can slip in between.
-    schedule = [ProcessFaultEvent(100, CORRUPT_CHECKPOINT),
-                ProcessFaultEvent(110, KILL_WORKER, target=0)]
+    # The parent corrupts the checkpoint on the tick that seals it,
+    # before it tells the workers it is sealed; the kill waits for that
+    # word, so no fresh intact checkpoint can slip in between.
+    schedule = [FaultEvent(CORRUPT_CHECKPOINT),
+                FaultEvent(CRASH, after_checkpoints=1, subtask="throttle",
+                           target=0)]
     config = _chaos_config(tmp_path, schedule, seed=5)
     lines, job, env = _run_job(config, str(tmp_path / "out.txt"))
 
-    assert len(config.process_chaos.applied) == 2
+    assert len(config.faults.applied) == 2
     assert job.restarts >= 1
     assert lines == expected
     report = env.job_report()
@@ -238,8 +245,8 @@ def test_seeded_battery(tmp_path, seed):
     expected = _expected_lines(tmp_path)
     config = _chaos_config(
         tmp_path,
-        ProcessChaosInjector.from_seed(
-            seed, num_faults=2, first_ms=150, last_ms=550).schedule,
+        random_fault_schedule(seed, num_faults=2, first_records=50,
+                              last_records=400, kinds=(CRASH, STALL)),
         seed=seed,
         # Wide enough that a worker merely slowed by a loaded machine is
         # never falsely declared dead mid-sweep; a SIGSTOP'd one still
@@ -262,12 +269,13 @@ def test_sigkill_with_batched_shm_exchange(tmp_path, monkeypatch):
     monkeypatch.setattr(multiprocess, "EXCHANGE_RING_SLOTS", 2)
     monkeypatch.setattr(multiprocess, "EXCHANGE_SLOT_BYTES", 4096)
     expected = _expected_lines(tmp_path)
-    schedule = [ProcessFaultEvent(300, KILL_WORKER, target=0)]
+    schedule = [FaultEvent(CRASH, after_checkpoints=1, after_records=200,
+                           subtask="throttle", target=0)]
     config = _chaos_config(tmp_path, schedule, seed=13,
                            batch_size=16, exchange="shm")
     lines, job, env = _run_job(config, str(tmp_path / "out.txt"))
 
-    assert config.process_chaos.applied, "the kill never fired"
+    assert config.faults.applied, "the kill never fired"
     assert job.restarts >= 1
     assert lines == expected
     _assert_no_zombies()
@@ -287,40 +295,6 @@ def _sealed(checkpoint_dir):
                                            "manifest.json"))}
 
 
-class _KillTwiceAroundRespawn:
-    """A ``process_chaos`` that picks its moments from what it observes
-    instead of from a clock: SIGKILL once a durable checkpoint is
-    sealed, wait until *both* workers of the respawned fleet are
-    processing records (so both have built their engines), note which
-    ``chk-*`` directories survived that, and SIGKILL again at once --
-    before the new attempt can seal a checkpoint of its own."""
-
-    def __init__(self, checkpoint_dir, log):
-        self.checkpoint_dir = checkpoint_dir
-        self.log = log
-        self.kills = 0
-        self.first_attempt_pids = None
-        self.sealed_before_respawn = None
-        self.sealed_after_respawn = None
-
-    def sealed(self):
-        return _sealed(self.checkpoint_dir)
-
-    def pids(self):
-        with open(self.log) as handle:
-            return {line.split()[0] for line in handle}
-
-    def on_tick(self, fleet):
-        if self.kills == 0 and self.sealed():
-            self.first_attempt_pids = self.pids()
-            self.sealed_before_respawn = self.sealed()
-            self.kills += fleet.signal_worker(0, signal.SIGKILL)
-        elif (self.kills == 1
-              and len(self.pids() - self.first_attempt_pids) == 2):
-            self.sealed_after_respawn = self.sealed()
-            self.kills += fleet.signal_worker(1, signal.SIGKILL)
-
-
 def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
     """Regression: every worker used to build its own
     ``DurableCheckpointStore(checkpoint_dir)`` -- which wipes the
@@ -338,9 +312,35 @@ def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
 
     checkpoint_dir = str(tmp_path / "chk")
     os.makedirs(checkpoint_dir)
-    chaos = _KillTwiceAroundRespawn(checkpoint_dir, log)
+
+    def noting_the_retained_checkpoints(label, ready=lambda: True):
+        """A ``when`` trigger that, once ``ready()``, writes down which
+        ``chk-*`` directories the kill it fires sees."""
+        def when(view):
+            if not ready():
+                return False
+            (tmp_path / label).write_text(" ".join(sorted(
+                _sealed(checkpoint_dir))))
+            return True
+        return when
+
+    def respawned_fleet_processing():
+        # Two workers per attempt: a fourth pid in the log means both
+        # workers of the respawned fleet have built their engines.
+        with open(log) as handle:
+            return len({line.split()[0] for line in handle}) >= 4
+
+    # SIGKILL worker 0 once a checkpoint is sealed, then worker 1 as soon
+    # as the respawned fleet is processing records -- before it can seal
+    # a checkpoint of its own.
+    faults = FaultInjector([
+        FaultEvent(CRASH, after_checkpoints=1, subtask="throttle", target=0,
+                   when=noting_the_retained_checkpoints("before")),
+        FaultEvent(CRASH, subtask="throttle", target=1,
+                   when=noting_the_retained_checkpoints(
+                       "after", respawned_fleet_processing))])
     config = EngineConfig(
-        backend="multiprocess", num_workers=2, process_chaos=chaos,
+        backend="multiprocess", num_workers=2, faults=faults,
         checkpoint_interval_ms=150, checkpoint_dir=checkpoint_dir,
         heartbeat_interval_ms=20,
         restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0))
@@ -354,9 +354,10 @@ def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
             target, formatter=lambda pair: "%d:%d" % pair)))
     job = env.execute()
 
-    assert chaos.kills == 2, "the two kills never fired"
-    assert chaos.sealed_before_respawn
-    assert chaos.sealed_after_respawn == chaos.sealed_before_respawn, (
+    assert len(faults.applied) == 2, "the two kills never fired"
+    before = (tmp_path / "before").read_text()
+    assert before
+    assert (tmp_path / "after").read_text() == before, (
         "the respawned fleet changed the retained checkpoints (deleted "
         "them, or sealed a new one before the second kill)")
     assert job.restarts == 2
@@ -377,21 +378,6 @@ def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
 # -- what a respawn must not forget, and a fleet wider than the job ---------
 
 
-class _KillOnceSealed:
-    """A ``process_chaos`` that SIGKILLs worker 0 as soon as ``count``
-    durable checkpoints are sealed."""
-
-    def __init__(self, checkpoint_dir, count):
-        self.checkpoint_dir = checkpoint_dir
-        self.count = count
-        self.killed = False
-
-    def on_tick(self, fleet):
-        if (not self.killed
-                and len(_sealed(self.checkpoint_dir)) >= self.count):
-            self.killed = fleet.signal_worker(0, signal.SIGKILL)
-
-
 def test_dead_letter_quarantined_before_the_checkpoint_survives_respawn(
         tmp_path):
     """Dead letters ride in the task snapshots: the record quarantined
@@ -402,14 +388,14 @@ def test_dead_letter_quarantined_before_the_checkpoint_survives_respawn(
             raise ValueError("cannot handle %d" % value)
         return value
 
-    checkpoint_dir = str(tmp_path / "chk")
-    os.makedirs(checkpoint_dir)
-    # Two: the first trigger can be due before the workers have read a
-    # record, and a cut at offset zero would replay the early letter.
-    chaos = _KillOnceSealed(checkpoint_dir, count=2)
+    # Two checkpoints: the first trigger can be due before the workers
+    # have read a record, and a cut at offset zero would replay the early
+    # letter.
+    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=2,
+                                       subtask="throttle", target=0)])
     config = EngineConfig(
-        backend="multiprocess", num_workers=2, process_chaos=chaos,
-        checkpoint_interval_ms=40, checkpoint_dir=checkpoint_dir,
+        backend="multiprocess", num_workers=2, faults=faults,
+        checkpoint_interval_ms=40, checkpoint_dir=str(tmp_path / "chk"),
         elements_per_step=4, heartbeat_interval_ms=20,
         quarantine_threshold=10,
         restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0))
@@ -421,7 +407,7 @@ def test_dead_letter_quarantined_before_the_checkpoint_survives_respawn(
                  .collect())
     job = env.execute()
 
-    assert chaos.killed, "the kill never fired"
+    assert faults.applied, "the kill never fired"
     assert job.restarts >= 1
     assert sorted(letter.value for letter in env.dead_letters) == [10, N - 50]
     assert sorted(letter.value for letter in job.dead_letters) == [10, N - 50]
@@ -458,20 +444,32 @@ def test_resumed_job_stays_exactly_once_across_a_respawn(tmp_path):
     savepoint = env.last_engine.create_savepoint()
     assert savepoint.checkpoint_id > 2
 
-    checkpoint_dir = str(tmp_path / "chk")
-    os.makedirs(checkpoint_dir)
-    chaos = _KillOnceSealed(checkpoint_dir, count=2)
+    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=2)])
     env = Environment(config=EngineConfig(
-        backend="multiprocess", num_workers=1, process_chaos=chaos,
-        checkpoint_interval_ms=30, checkpoint_dir=checkpoint_dir,
+        backend="multiprocess", num_workers=1, faults=faults,
+        checkpoint_interval_ms=30, checkpoint_dir=str(tmp_path / "chk"),
         elements_per_step=8,
         restart_strategy=FixedDelayRestart(max_restarts=5, delay_ms=0)))
     program(env, target, pace=True)
     job = env.execute(from_savepoint=savepoint)
 
-    assert chaos.killed and job.restarts >= 1
+    assert faults.applied and job.restarts >= 1
     with open(clean) as expected, open(target) as got:
         assert got.read() == expected.read()
+    _assert_no_zombies()
+
+
+def test_an_event_fires_once_per_job_across_a_respawn(tmp_path):
+    """The respawned fleet starts past the sealed checkpoint the crash
+    waited for; it must not crash again, because the parent recorded the
+    event when the worker announced it."""
+    config = _chaos_config(tmp_path, [FaultEvent(
+        CRASH, after_checkpoints=1, subtask="throttle", target=1)])
+    lines, job, _ = _run_job(config, str(tmp_path / "out.txt"))
+
+    assert job.restarts == 1
+    assert len(config.faults.applied) == 1
+    assert lines == _expected_lines(tmp_path)
     _assert_no_zombies()
 
 

@@ -18,7 +18,7 @@ import pytest
 from repro.runtime.engine import EngineConfig
 from repro.testing.oracles import (
     ReplayOracle,
-    make_crash_once_hook,
+    crash_once,
     run_streaming_windows,
 )
 from repro.testing.seeds import rng_for
@@ -51,6 +51,20 @@ def test_replay_oracle_resumes_on_worker_processes(case_index):
     assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="multiprocess backend requires the fork start method")
+@pytest.mark.parametrize("case_index", range(8))
+def test_replay_oracle_crashes_on_worker_processes(case_index):
+    oracle = ReplayOracle()
+    rng = rng_for(0, oracle.name, case_index)
+    case = oracle.generate(rng, 0, case_index)
+    case.params["crash_backend"] = "multiprocess"
+    case.params["rebalance"] = False  # as in the resume test above
+    mismatch = oracle.check(case)
+    assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
+
+
 def test_watermark_restore_regression_directed():
     """Out-of-order records straddle the crash point: if restore kept
     the pre-crash max timestamp, the replayed stragglers would re-emit
@@ -73,16 +87,15 @@ def test_watermark_restore_regression_directed():
     assert clean, "directed stream produced no windows"
 
     for fraction in (0.3, 0.6, 0.85):
-        hook = make_crash_once_hook(
+        faults = crash_once(
             min_checkpoints=1,
             at_round=max(5, int(clean_job.rounds * fraction)))
         crash_config = EngineConfig(checkpoint_interval_ms=3,
-                                    elements_per_step=2,
-                                    failure_hook=hook)
+                                    elements_per_step=2, faults=faults)
         replayed, _ = run_streaming_windows(
             elements, assigner, "sum", ooo_bound=4, parallelism=2,
             config=crash_config)
-        assert hook.state["fired"], (
+        assert faults.applied, (
             "crash never injected at fraction %s" % fraction)
         assert set(replayed.items()) == set(clean.items()), (
             "replay diverged at crash fraction %s" % fraction)
@@ -116,14 +129,13 @@ def test_rebalance_cursor_in_checkpoint_and_replay_directed():
 
     # (b) crash-restore replays identically.
     for fraction in (0.35, 0.7):
-        hook = make_crash_once_hook(min_checkpoints=1, at_round=8)
+        faults = crash_once(min_checkpoints=1, at_round=8)
         env = Environment(parallelism=2, config=EngineConfig(
-            checkpoint_interval_ms=3, elements_per_step=2,
-            failure_hook=hook,
+            checkpoint_interval_ms=3, elements_per_step=2, faults=faults,
             restart_strategy=FixedDelayRestart(max_restarts=3,
                                                delay_ms=0)))
         replayed, job = _run_rebalanced(env, elements, assigner)
-        assert hook.state["fired"]
+        assert faults.applied
         assert set(replayed.get()) == clean, (
             "rebalance replay diverged at fraction %s" % fraction)
 

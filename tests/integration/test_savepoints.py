@@ -3,7 +3,6 @@ different parallelism -- on either backend, or across them -- and verify
 exactly-once state."""
 
 import multiprocessing
-import signal
 import time
 
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from repro.api import Environment
 from repro.cutty import PeriodicWindows
 from repro.runtime.engine import EngineConfig, JobFailedError
-from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
 from repro.windowing import CountAggregate
 
@@ -178,7 +177,8 @@ class TestFailureBeforeTheFirstCheckpointOfAResumedJob:
         env = Environment(parallelism=2, config=EngineConfig(
             elements_per_step=4, checkpoint_interval_ms=1000,
             restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=1),
-            chaos=ChaosInjector([FaultEvent(5, SUBTASK_FAILURE)])))
+            faults=FaultInjector([FaultEvent(
+                CRASH, when=lambda view: view.rounds >= 5)])))
         result = keyed_count_pipeline(env)
         job = env.execute(from_savepoint=savepoint)
         assert job.restarts == 1 and job.checkpoints_completed == 0
@@ -188,24 +188,18 @@ class TestFailureBeforeTheFirstCheckpointOfAResumedJob:
 
     @needs_fork
     def test_multiprocess_respawn_keeps_the_savepoint(self):
-        class KillEarly:
-            """SIGKILL worker 0 once, a little into the first attempt."""
-            killed = False
-
-            def on_tick(self, fleet):
-                if not self.killed and fleet.now_ms >= 60:
-                    self.killed = fleet.signal_worker(0, signal.SIGKILL)
-
         savepoint = run_first_half(parallelism=2)
         owed = len(DATA) - source_offsets(savepoint)
-        chaos = KillEarly()
+        # Crash worker 0 a little into the first attempt.
+        faults = FaultInjector([FaultEvent(CRASH, after_records=40,
+                                           subtask="pinned-source")])
         env = Environment(parallelism=2, config=EngineConfig(
             backend="multiprocess", num_workers=2, elements_per_step=4,
-            checkpoint_interval_ms=60_000, process_chaos=chaos,
+            checkpoint_interval_ms=60_000, faults=faults,
             restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=0)))
         result = keyed_count_pipeline(env, lambda: paced(DATA, every=10))
         job = env.execute(from_savepoint=savepoint)
-        assert chaos.killed and job.restarts >= 1
+        assert faults.applied and job.restarts >= 1
         assert job.checkpoints_completed == 0
         assert final_counts(result) == true_counts()
         assert source_records_out(env) == owed

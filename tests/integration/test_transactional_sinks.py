@@ -19,7 +19,7 @@ from repro.connectors import (
     TransactionalTextFileSink,
 )
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
 
 
@@ -143,12 +143,12 @@ class TestExactlyOnceThroughEngine:
         assert read_lines(path) == expected
 
     def test_exactly_once_across_crash_recovery(self, tmp_path):
-        def run(path, chaos=None, strategy=None):
+        def run(path, faults=None, strategy=None):
             sink = TransactionalTextFileSink(path)
             env = Environment(
                 config=EngineConfig(checkpoint_interval_ms=5,
                                     elements_per_step=4,
-                                    restart_strategy=strategy, chaos=chaos))
+                                    restart_strategy=strategy, faults=faults))
             data = [("k%d" % (i % 5), 1) for i in range(2000)]
             (env.from_collection(data)
                 .key_by(lambda v: v[0])
@@ -160,7 +160,8 @@ class TestExactlyOnceThroughEngine:
         clean, _ = run(str(tmp_path / "clean.txt"))
         recovered, job = run(
             str(tmp_path / "recovered.txt"),
-            chaos=ChaosInjector([FaultEvent(150, SUBTASK_FAILURE)]),
+            faults=FaultInjector([FaultEvent(
+                CRASH, when=lambda view: view.rounds >= 150)]),
             strategy=FixedDelayRestart(max_restarts=3, delay_ms=1))
         assert job.restarts == 1
         assert job.recoveries == 1
@@ -171,13 +172,14 @@ class TestExactlyOnceThroughEngine:
     def test_crash_before_first_checkpoint_restarts_clean(self, tmp_path):
         path = str(tmp_path / "out.txt")
         sink = TransactionalTextFileSink(path)
-        chaos = ChaosInjector([FaultEvent(3, SUBTASK_FAILURE)])
+        faults = FaultInjector([FaultEvent(
+            CRASH, when=lambda view: view.rounds >= 3)])
         env = Environment(
             config=EngineConfig(checkpoint_interval_ms=1000,
                                 elements_per_step=4,
                                 restart_strategy=FixedDelayRestart(
                                     max_restarts=3, delay_ms=1),
-                                chaos=chaos))
+                                faults=faults))
         self._pipeline(env, sink)
         job = env.execute()
         assert job.restarts == 1
@@ -220,16 +222,9 @@ class TestExactlyOnceOnABoundedPipeline:
         clean, crashed = (str(tmp_path / name)
                           for name in ("clean.jsonl", "crashed.jsonl"))
         self._run(clean)
-        fired = []
-
-        def crash_once(engine, rounds):
-            if not fired and engine.coordinator.completed >= 1:
-                fired.append(rounds)
-                return True
-            return False
-
-        job, _ = self._run(crashed, failure_hook=crash_once)
-        assert fired and job.recoveries == 1
+        faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=1)])
+        job, _ = self._run(crashed, faults=faults)
+        assert faults.applied and job.recoveries == 1
         with open(clean, "rb") as a, open(crashed, "rb") as b:
             assert a.read() == b.read()
         assert_no_leftovers(crashed)

@@ -21,11 +21,7 @@ from repro.metrics import MetricGroup
 from repro.runtime.channels import Channel
 from repro.runtime.elements import CheckpointBarrier, Record, Watermark
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import (
-    KILL_WORKER,
-    ProcessChaosInjector,
-    ProcessFaultEvent,
-)
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.operators import ForEachSink
 from repro.runtime.restart import FixedDelayRestart
 from repro.runtime.task import Task
@@ -336,15 +332,16 @@ def test_crash_after_a_checkpoint_across_live_pairs_cooperative(tmp_path):
     assert len(expected) == KEYS * (N // 300)
     seen = {}
 
-    def crash_once(engine, rounds):
-        latest = engine.checkpoint_store.latest
-        if seen or latest is None or latest.checkpoint_id < 3:
+    def third_checkpoint_sealed(view):
+        latest = view.checkpoint_store.latest
+        if latest is None or latest.checkpoint_id < 3:
             return False
         seen["live_pairs"] = _live_pairs(latest)
         return True
 
     config = EngineConfig(checkpoint_interval_ms=4, elements_per_step=4,
-                          failure_hook=crash_once)
+                          faults=FaultInjector([FaultEvent(
+                              CRASH, when=third_checkpoint_sealed)]))
     lines, job, _ = _run_sink_job(config, str(tmp_path / "out.txt"))
     assert seen["live_pairs"] > 0, "the checkpoint held no live pair"
     assert job.recoveries == 1
@@ -354,15 +351,15 @@ def test_crash_after_a_checkpoint_across_live_pairs_cooperative(tmp_path):
 @needs_fork
 def test_crash_after_a_checkpoint_across_live_pairs_multiprocess(tmp_path):
     expected, _, _ = _run_sink_job(EngineConfig(), str(tmp_path / "ok.txt"))
-    chaos = ProcessChaosInjector(
-        [ProcessFaultEvent(300, KILL_WORKER, target=1)], seed=3)
+    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=2,
+                                       subtask="throttle", target=1)])
     config = EngineConfig(
-        backend="multiprocess", num_workers=2, process_chaos=chaos,
+        backend="multiprocess", num_workers=2, faults=faults,
         checkpoint_interval_ms=40, checkpoint_dir=str(tmp_path / "chk"),
         restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0),
         heartbeat_interval_ms=20)
     lines, job, env = _run_sink_job(config, str(tmp_path / "out.txt"))
-    assert chaos.applied, "the kill never fired"
+    assert faults.applied, "the kill never fired"
     assert job.restarts >= 1
     assert env.job_report()["checkpoints"]["durable"]["persisted"] >= 1
     assert lines == expected

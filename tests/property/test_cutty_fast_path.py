@@ -43,11 +43,7 @@ from repro.cutty import (
 )
 from repro.cutty.specs import begin, end
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import (
-    KILL_WORKER,
-    ProcessChaosInjector,
-    ProcessFaultEvent,
-)
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
 from repro.testing.seeds import rng_for, root_seed
 from repro.time import WatermarkStrategy
@@ -449,22 +445,15 @@ def test_shared_windows_job_restores_on_the_cooperative_backend(tmp_path):
     assert len(expected) > EVENTS // 2
     assert {line.split()[1] for line in expected} == set(QUERIES)
 
-    crashes = []
-
-    def crash_twice(engine, rounds):
-        """Mid-stream, each time one more checkpoint than last time has
-        completed (so the second crash restores a later one)."""
-        if (len(crashes) < 2
-                and engine.coordinator.completed >= 3 * (len(crashes) + 1)):
-            crashes.append(rounds)
-            return True
-        return False
-
+    # Mid-stream, after 3 and after 6 sealed checkpoints (so the second
+    # crash restores a later one).
+    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=3),
+                            FaultEvent(CRASH, after_checkpoints=6)])
     rows, job = run_shared_windows(
         str(tmp_path / "crashed.txt"),
         EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                     failure_hook=crash_twice))
-    assert len(crashes) == 2 and job.recoveries == 2
+                     faults=faults))
+    assert len(faults.applied) == 2 and job.recoveries == 2
     assert rows == expected
 
 
@@ -474,8 +463,8 @@ def test_shared_windows_job_restores_on_the_cooperative_backend(tmp_path):
 def test_shared_windows_job_survives_sigkill_on_two_workers(tmp_path):
     expected, _ = run_shared_windows(str(tmp_path / "oracle.txt"),
                                      EngineConfig())
-    chaos = ProcessChaosInjector(
-        [ProcessFaultEvent(300, KILL_WORKER, target=1)], seed=ROOT)
+    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=2,
+                                       subtask="cutty-window", target=1)])
     rows, job = run_shared_windows(
         str(tmp_path / "killed.txt"),
         EngineConfig(backend="multiprocess", num_workers=2,
@@ -483,9 +472,9 @@ def test_shared_windows_job_survives_sigkill_on_two_workers(tmp_path):
                      checkpoint_dir=str(tmp_path / "chk"),
                      restart_strategy=FixedDelayRestart(max_restarts=10,
                                                         delay_ms=0),
-                     heartbeat_interval_ms=20, process_chaos=chaos),
+                     heartbeat_interval_ms=20, faults=faults),
         throttled=True)
-    assert chaos.applied, "the kill never fired"
+    assert faults.applied, "the kill never fired"
     assert job.restarts >= 1
     assert rows == expected
     leaked = [p for p in multiprocessing.active_children() if p.is_alive()]

@@ -314,26 +314,15 @@ class TestSharedQueryParity:
 
 class TestCrashRestore:
     def _run(self, tmp_path, crash):
-        hook = None
-        state = {"fired": False}
-        if crash:
-            def hook(engine, rounds):  # noqa: ANN001 - engine hook shape
-                if state["fired"] or len(engine.checkpoint_store) < 1:
-                    return False
-                for task in engine.tasks:
-                    for row in task.operator_reports("arrangement_report"):
-                        if row["compactions"] >= 1:
-                            state["fired"] = True
-                            return True
-                return False
-
+        from repro.testing.oracles import make_arrangement_crash
+        faults = make_arrangement_crash() if crash else None
         config = EngineConfig(
             share_arrangements=True,
             arrangement_compaction_interval=2,
             checkpoint_interval_ms=5,
             elements_per_step=4,
             checkpoint_dir=str(tmp_path / ("crash" if crash else "clean")),
-            failure_hook=hook)
+            faults=faults)
         env = Environment(parallelism=2, config=config)
         t = env.table(make_rows(160), time_column="ts")
         results = [
@@ -341,12 +330,12 @@ class TestCrashRestore:
             t.group_by("user").agg(n=("count", None)).collect(),
         ]
         env.execute()
-        return [rows_of(r) for r in results], env, state
+        return [rows_of(r) for r in results], env, faults
 
     def test_restore_mid_compaction_matches_clean_run(self, tmp_path):
         clean, _, _ = self._run(tmp_path, crash=False)
-        replayed, env, state = self._run(tmp_path, crash=True)
-        assert state["fired"], "crash hook never fired mid-compaction"
+        replayed, env, faults = self._run(tmp_path, crash=True)
+        assert faults.applied, "the crash never fired mid-compaction"
         assert replayed == clean
         report = env.job_report()["arrangements"]
         assert report
@@ -355,6 +344,38 @@ class TestCrashRestore:
 
 
 class TestMultiprocessParity:
+    @pytest.mark.parametrize("case_index", [8, 41, 75, 88])
+    def test_oracle_crash_case_on_worker_processes(self, case_index):
+        """A seed-0 arrangement-oracle case with ``crash=True``, its
+        shared run on two workers: one crashes mid-compaction and the
+        respawned fleet restores.  (Parallelism-1 cases of 70+ rows: at
+        parallelism 2 a source subtask may own no row, end at once and
+        so end checkpointing before the first cut.)"""
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("multiprocess backend needs fork")
+        from repro.testing.oracles import SharedArrangementOracle
+        from repro.testing.seeds import rng_for
+
+        oracle = SharedArrangementOracle()
+        case = oracle.generate(rng_for(0, oracle.name, case_index), 0,
+                               case_index)
+        assert case.params["crash"]
+        case.params["backend"] = "multiprocess"
+        engines = []
+        run = oracle._run
+
+        def spy(case, share, crash=False):
+            rows, env = run(case, share, crash)
+            engines.append(env.last_engine)
+            return rows, env
+
+        oracle._run = spy
+        mismatch = oracle.check(case)
+        assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
+        crashed = engines[0]
+        assert crashed.config.faults.applied and crashed.restarts == 1
+
     def test_shared_arrangements_on_multiprocess_backend(self):
         """Fork-inherited shards stay process-local (same-index subtasks
         are co-located), so sharing holds across worker processes."""

@@ -86,19 +86,18 @@ def test_counters_balance_after_crash_restore():
     from repro.api.environment import Environment
     from repro.runtime.engine import EngineConfig
     from repro.runtime.restart import FixedDelayRestart
-    from repro.testing.oracles import make_crash_once_hook
+    from repro.testing.oracles import crash_once
 
-    hook = make_crash_once_hook(min_checkpoints=1, at_round=8)
+    faults = crash_once(min_checkpoints=1, at_round=8)
     env = Environment(parallelism=2, config=EngineConfig(
-        checkpoint_interval_ms=3, elements_per_step=2,
-        failure_hook=hook,
+        checkpoint_interval_ms=3, elements_per_step=2, faults=faults,
         restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=0)))
     collected = (env.from_collection(range(200))
                  .key_by(lambda v: v % 5)
                  .sum()
                  .collect())
     env.execute()
-    assert hook.state["fired"], "crash never injected"
+    assert faults.applied, "crash never injected"
     assert collected.get(), "job produced no output"
     engine = env.last_engine
     assert engine.recoveries >= 1

@@ -16,7 +16,7 @@ from repro.observability import (
 )
 from repro.metrics import MetricGroup, merge_counter_maps
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import SUBTASK_FAILURE, ChaosInjector, FaultEvent
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
 from repro.windowing import CountAggregate, TumblingEventTimeWindows
 
@@ -253,9 +253,10 @@ class TestEngineIntegration:
         """After a restart-from-scratch the registry must read the
         *rebuilt* tasks' groups (providers), and the restart must be
         visible as an event and a coordinator counter."""
-        chaos = ChaosInjector([FaultEvent(5, SUBTASK_FAILURE)])
+        faults = FaultInjector([FaultEvent(
+            CRASH, when=lambda view: view.rounds >= 5)])
         env = Environment(config=EngineConfig(
-            observability=True, chaos=chaos,
+            observability=True, faults=faults,
             restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=5)))
         env.from_collection(range(500)).rebalance() \
            .map(lambda x: x * 2).collect()
