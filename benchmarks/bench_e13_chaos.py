@@ -134,7 +134,7 @@ def run_chaos_battery(seeds, workdir, backend="multiprocess", exchange="shm",
     -- against the job with durable checkpoints and a 2PC sink on
     ``backend``.  The output must equal the unfaulted cooperative run
     exactly, with one restart per fault that crashes on ``backend`` (on
-    worker processes a stall is a SIGSTOP the watchdog must catch).
+    worker processes a stall is a SIGSTOP the supervisor must catch).
     ``exchange``/``batch_size`` select the worker transport under fire
     (columnar shm rings vs pickle pipes)."""
     import os
@@ -143,9 +143,7 @@ def run_chaos_battery(seeds, workdir, backend="multiprocess", exchange="shm",
                                  os.path.join(workdir, "oracle.txt"))
     workers = {}
     if backend == "multiprocess":
-        workers = dict(backend=backend, num_workers=2, exchange=exchange,
-                       heartbeat_interval_ms=20,
-                       watchdog_suspect_ms=250, watchdog_fail_ms=1200)
+        workers = dict(backend=backend, num_workers=2, exchange=exchange)
     rows = []
     failures = 0
     for seed in seeds:

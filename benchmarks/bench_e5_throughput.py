@@ -225,11 +225,7 @@ def run_backend_scaling(workers, records=MP_RECORDS, rounds=2):
 #: measurement.
 EXCHANGE_RECORDS = 400_000
 EXCHANGE_ENGINE_OPTS = dict(
-    batch_size=1024, elements_per_step=2048, channel_capacity=16_384,
-    # Back-to-back fork storms on a loaded CI box can delay a worker's
-    # first heartbeat past the watchdog deadline; liveness is not what
-    # this bench measures.
-    heartbeat_interval_ms=None)
+    batch_size=1024, elements_per_step=2048, channel_capacity=16_384)
 
 
 def run_exchange_throughput(exchange, workers, records=EXCHANGE_RECORDS):

@@ -105,9 +105,6 @@ class EngineConfig:
                  operator_profiling: bool = False,
                  checkpoint_interval_ms: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
-                 heartbeat_interval_ms: Optional[int] = 25,
-                 watchdog_suspect_ms: Optional[int] = None,
-                 watchdog_fail_ms: Optional[int] = None,
                  max_rounds: int = 50_000_000,
                  cancel_hook: Optional[Callable[["Engine", int], bool]] = None,
                  restart_strategy: Optional["RestartStrategy"] = None,
@@ -148,9 +145,6 @@ class EngineConfig:
                 ("batch_size", batch_size, 1),
                 ("checkpoint_interval_ms", checkpoint_interval_ms, 1),
                 ("checkpoint_timeout_ms", checkpoint_timeout_ms, 1),
-                ("heartbeat_interval_ms", heartbeat_interval_ms, 1),
-                ("watchdog_suspect_ms", watchdog_suspect_ms, 1),
-                ("watchdog_fail_ms", watchdog_fail_ms, 1),
                 ("tolerable_consecutive_checkpoint_failures",
                  tolerable_consecutive_checkpoint_failures, 0),
                 ("quarantine_threshold", quarantine_threshold, 0),
@@ -158,22 +152,6 @@ class EngineConfig:
                  arrangement_compaction_interval, 1)):
             if value is not None and value < floor:
                 raise ValueError("%s must be >= %d" % (name, floor))
-        if heartbeat_interval_ms is None:
-            deadlines = [name for name, value in
-                         (("watchdog_suspect_ms", watchdog_suspect_ms),
-                          ("watchdog_fail_ms", watchdog_fail_ms))
-                         if value is not None]
-            if deadlines:
-                raise ValueError(
-                    "%s cannot take effect with heartbeat_interval_ms=None: "
-                    "the watchdog measures quiet time between heartbeats "
-                    "and is not built without them; set a heartbeat "
-                    "interval or drop the deadline"
-                    % " and ".join(deadlines))
-        if (watchdog_suspect_ms is not None and watchdog_fail_ms is not None
-                and watchdog_fail_ms < watchdog_suspect_ms):
-            raise ValueError(
-                "watchdog_fail_ms must be >= watchdog_suspect_ms")
         #: Which execution backend runs the job: ``"cooperative"`` (the
         #: deterministic single-process reference scheduler) or
         #: ``"multiprocess"`` (shared-nothing OS-process workers with
@@ -211,19 +189,6 @@ class EngineConfig:
         #: files serve savepoints (:mod:`repro.state.timetravel`).
         #: ``None`` keeps checkpoints in coordinator memory only.
         self.checkpoint_dir = checkpoint_dir
-        #: Wall-clock cadence of worker liveness heartbeats on the
-        #: multiprocess backend (sent over the control pipe with seeded
-        #: jitter).  ``None`` disables heartbeats and the watchdog.
-        self.heartbeat_interval_ms = heartbeat_interval_ms
-        #: Quiet time after which the coordinator's watchdog moves a
-        #: worker RUNNING -> SUSPECTED; default (``None``) is 8x the
-        #: heartbeat interval.
-        self.watchdog_suspect_ms = watchdog_suspect_ms
-        #: Quiet time after which a SUSPECTED worker is declared FAILED
-        #: and handed to the restart strategy -- this is what catches
-        #: *hung* (SIGSTOP'd, wedged) workers that never close a pipe;
-        #: default (``None``) is 24x the heartbeat interval.
-        self.watchdog_fail_ms = watchdog_fail_ms
         self.max_rounds = max_rounds
         #: ``cancel_hook(engine, rounds)`` returning true stops the job
         #: between two rounds (cooperative backend only).

@@ -23,8 +23,8 @@ Fault kinds:
   multiprocess backend the worker owning the victim SIGKILLs itself.
   The supervisor's restart strategy decides what happens next;
 * ``stall`` -- a source subtask emits nothing for ``param`` rounds; the
-  worker owning it SIGSTOPs itself, which the heartbeat watchdog must
-  tell from a slow one;
+  worker owning it SIGSTOPs itself, and the supervisor, which sees the
+  process stopped in the kernel, fails it as hung;
 * ``poison`` -- the next ``param`` records into the victim raise on
   processing; with quarantine they land in the dead-letter output,
   otherwise the supervisor restarts the job;

@@ -47,6 +47,11 @@ Design notes:
   (matching non-transactional sinks on the cooperative backend);
   restart-from-scratch discards the partial output.
 
+* **Liveness** (:mod:`repro.runtime.watchdog`) is read from the
+  kernel, not inferred from silence: a worker is dead when its control
+  pipe hits EOF (or it reports ``failed``), hung when the kernel reports
+  it stopped on a supervision tick, and busy -- never failed by the
+  supervisor -- otherwise.  Workers send no heartbeats.
 * **Faults** (:mod:`repro.runtime.faults`) fire in the worker owning
   their victim, which announces each one to the parent before carrying
   it out -- a crash as SIGKILL, a stall as SIGSTOP, against itself.  The
@@ -94,7 +99,7 @@ from repro.runtime.operators import CollectSink
 from repro.runtime.restart import grant_restart
 from repro.runtime.shm import RingError, ShmRing, ShmRingReader, ShmRingWriter
 from repro.runtime.task import Task
-from repro.runtime.watchdog import FAILED, WorkerWatchdog
+from repro.runtime.watchdog import WorkerWatchdog
 from repro.state.checkpoint import (
     CheckpointCoordinator,
     SubtaskId,
@@ -121,9 +126,10 @@ _MAX_FRAME = 1 << 28
 #: failing fleet before giving up -- it must NOT block forever on a pipe
 #: whose reader is SIGSTOP'd (the workers get killed right after).
 _ERROR_FLUSH_S = 0.25
-#: Default watchdog deadlines, as multiples of the heartbeat interval.
-_SUSPECT_INTERVALS = 8
-_FAIL_INTERVALS = 24
+#: The supervisor's longest wait for a worker frame, and how often it
+#: asks the kernel which workers are stopped (at most once per wait,
+#: even when a pending checkpoint keeps the loop from waiting at all).
+_SUPERVISE_WAIT_S = 0.05
 #: Slots per shared-memory ring (one ring per ordered worker pair); more
 #: slots absorb burstier producers before ring backpressure stalls them.
 EXCHANGE_RING_SLOTS = 32
@@ -452,7 +458,6 @@ class ShardEngine(Engine):
         #: ``((vertex_id, chain_position), outbox)`` for every owned
         #: collect sink; drained to the parent each round.
         self.collect_outboxes: List[Tuple[Tuple[int, int], List[Any]]] = []
-        self._heartbeat_rng: Optional[Any] = None
         super().__init__(job_graph, config, restore)
         self.sealed_checkpoints = sealed_checkpoints  # the job's, so far
 
@@ -607,15 +612,6 @@ class ShardEngine(Engine):
                 self._control.send(("collect", key, list(outbox)))
                 del outbox[:]
 
-    def _next_heartbeat_delay_s(self) -> float:
-        """Seeded jitter (0.75x..1.25x the base cadence): the fleet never
-        phase-locks its heartbeats onto the coordinator, yet a chaos run
-        replays the exact same heartbeat schedule under ``REPRO_SEED``."""
-        assert self._heartbeat_rng is not None
-        interval_ms = self.config.heartbeat_interval_ms
-        return (interval_ms / 1000.0) * (0.75 + 0.5
-                                         * self._heartbeat_rng.random())
-
     def run(self, readers: Dict[int, _FrameReader],
             control_in: _FrameReader,
             ring_readers: Optional[Dict[int, ShmRingReader]] = None
@@ -626,21 +622,7 @@ class ShardEngine(Engine):
         reported_finished: set = set()
         rounds = 0
         last_progress = time.monotonic()
-        next_heartbeat: Optional[float] = None
-        if config.heartbeat_interval_ms is not None:
-            # Imported lazily: repro.testing pulls in oracle modules that
-            # would cycle back into the runtime at import time.
-            from repro.testing.seeds import rng_for, root_seed
-            self._heartbeat_rng = rng_for(root_seed(), "heartbeat-jitter",
-                                          self.worker_id)
-            control.send(("heartbeat", self.worker_id))
-            next_heartbeat = time.monotonic() + self._next_heartbeat_delay_s()
         while not all(task.finished for task in self.tasks):
-            if (next_heartbeat is not None
-                    and time.monotonic() >= next_heartbeat):
-                control.send(("heartbeat", self.worker_id))
-                next_heartbeat = (time.monotonic()
-                                  + self._next_heartbeat_delay_s())
             if rounds >= config.max_rounds:
                 raise JobStalledError(
                     "worker %d exceeded max_rounds=%d; unfinished: %r"
@@ -711,6 +693,18 @@ class ShardEngine(Engine):
             selector.select(_IDLE_WAIT_S)
         finally:
             selector.close()
+
+
+def _is_stopped(pid: int) -> bool:
+    """Whether the kernel reports ``pid`` stopped (SIGSTOP'd: hung until
+    continued).  ``WNOWAIT`` leaves the state -- and any exit status,
+    which ``multiprocessing`` reaps -- in place; a child that is gone
+    is not stopped (its death is the control pipe's EOF to report)."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WSTOPPED | os.WNOHANG
+                         | os.WNOWAIT) is not None
+    except ChildProcessError:
+        return False
 
 
 def _sanitize_dead_letters(letters: List[Any]) -> List[Any]:
@@ -854,24 +848,9 @@ class MultiprocessEngine:
         self._restore = restore or {}
         self.num_workers = (self.config.num_workers
                             or max(1, min(os.cpu_count() or 1, 8)))
-        #: Health supervision: heartbeats drive a per-worker state
-        #: machine (RUNNING -> SUSPECTED -> FAILED -> RESTARTING) so
-        #: hung -- not just dead -- workers are detected and handed to
-        #: the restart strategy.  Disabled with the heartbeats.
-        heartbeat_ms = self.config.heartbeat_interval_ms
-        if heartbeat_ms is not None:
-            suspect_ms = self.config.watchdog_suspect_ms
-            fail_ms = self.config.watchdog_fail_ms
-            if suspect_ms is None:
-                suspect_ms = heartbeat_ms * _SUSPECT_INTERVALS
-                if fail_ms is not None:
-                    suspect_ms = min(suspect_ms, fail_ms)
-            if fail_ms is None:
-                fail_ms = max(heartbeat_ms * _FAIL_INTERVALS, suspect_ms)
-            self.watchdog: Optional[WorkerWatchdog] = WorkerWatchdog(
-                range(self.num_workers), suspect_ms, fail_ms, now_ms=0)
-        else:
-            self.watchdog = None
+        #: Fleet health: dead and hung (stopped) workers are declared
+        #: failed and handed to the restart strategy; busy ones never.
+        self.watchdog = WorkerWatchdog(range(self.num_workers))
         self._tracer = None
         if self.config.observability:
             from repro.observability.tracing import TraceContext
@@ -944,19 +923,13 @@ class MultiprocessEngine:
                 break
             self._failures_metric.inc()
             time.sleep(grant_restart(self, error, self._now_ms()) / 1000.0)
-            if self.watchdog is not None:
-                self.watchdog.mark_fleet_restarting()
             restore = self._restore_snapshots()
         for bucket_key, items in self._received.items():
             bucket = self._parent_buckets.get(bucket_key)
             if bucket is not None:
                 bucket.extend(items)
         supervisor = self.metrics.counters()
-        if self.watchdog is not None:
-            supervisor.update(
-                heartbeats_received=self.watchdog.heartbeats_received,
-                watchdog_suspicions=self.watchdog.suspicions,
-                watchdog_failures=self.watchdog.failures_declared)
+        supervisor["watchdog_failures"] = self.watchdog.failures_declared
         payloads = [self._done[wid] for wid in sorted(self._done)]
         return job_outcome(self, payloads, supervisor,
                            self._fleet_sections(payloads))
@@ -1047,12 +1020,11 @@ class MultiprocessEngine:
         self._done = {}
         self._error = None
         self._crash_recorded = False
-        if self.watchdog is not None:
-            self.watchdog.begin_attempt(range(num), self._now_ms())
+        self.watchdog.begin_attempt(range(num))
         self.coordinator.begin_attempt()
         graceful = False
         try:
-            self._supervise(readers)
+            self._supervise(readers, [process.pid for process in processes])
             graceful = self._error is None
             return self._error
         finally:
@@ -1091,17 +1063,29 @@ class MultiprocessEngine:
 
     # -- supervision --------------------------------------------------------
 
-    def _supervise(self, readers: Dict[int, _FrameReader]) -> None:
+    def _supervise(self, readers: Dict[int, _FrameReader],
+                   pids: List[int]) -> None:
         """Run the current attempt until every worker is done or
-        something fails: read what the workers report, then give the
-        watchdog, the fault injector and the checkpoint coordinator
-        their turn."""
+        something fails: ask the kernel which workers are stopped, read
+        what the workers report, then fail the stopped ones and give the
+        fault injector and the checkpoint coordinator their turn."""
         selector = selectors.DefaultSelector()
         for wid, reader in readers.items():
             selector.register(reader.fd, selectors.EVENT_READ, wid)
+        next_probe = 0.0
         try:
             while len(self._done) < self.num_workers and self._error is None:
-                timeout = 0.05
+                # Asked before the read: a worker stopped by now wrote
+                # its last frames (a stall announcement) before it
+                # stopped, so the read delivers them before the tick
+                # declares it hung.
+                stopped = []
+                now = time.monotonic()
+                if now >= next_probe:
+                    next_probe = now + _SUPERVISE_WAIT_S
+                    stopped = [wid for wid, pid in enumerate(pids)
+                               if wid not in self._done and _is_stopped(pid)]
+                timeout = _SUPERVISE_WAIT_S
                 due = self.coordinator.next_trigger_time
                 if due is not None:
                     timeout = min(
@@ -1111,7 +1095,7 @@ class MultiprocessEngine:
                 for writer in self._writers.values():
                     writer.flush()
                 if self._error is None:
-                    self._tick()
+                    self._tick(stopped)
         finally:
             selector.close()
         if self._error is None:
@@ -1143,7 +1127,7 @@ class MultiprocessEngine:
         when one worker is to blame, tell the watchdog why."""
         if self._error is None:
             self._error = JobFailedError(message)
-        if worker is not None and self.watchdog is not None:
+        if worker is not None:
             self.watchdog.mark_failed(worker, reason or message)
 
     def _read_worker(self, wid: int, reader: _FrameReader,
@@ -1161,10 +1145,6 @@ class MultiprocessEngine:
             self._fail("worker %d exited without reporting a result" % wid,
                        wid, "control pipe EOF without a result")
 
-    def _on_heartbeat(self, wid: int, worker_id: int) -> None:
-        if self.watchdog is not None:
-            self.watchdog.heartbeat(worker_id, self._now_ms())
-
     def _on_ack(self, wid: int, checkpoint_id: int,
                 snapshot: TaskSnapshot) -> None:
         self.coordinator.acknowledge(checkpoint_id, snapshot)
@@ -1178,8 +1158,7 @@ class MultiprocessEngine:
 
     def _on_done(self, wid: int, payload: Dict[str, Any]) -> None:
         self._done[wid] = payload
-        if self.watchdog is not None:
-            self.watchdog.mark_done(wid)
+        self.watchdog.mark_done(wid)
 
     def _on_failed(self, wid: int, error_type: str, error_line: str,
                    trace: str) -> None:
@@ -1197,50 +1176,20 @@ class MultiprocessEngine:
     def _fault_fired(self, index: int, event: Any, victim: Any) -> None:
         pass  # the one kind firing here, corrupt-checkpoint, is done
 
-    def _tick(self) -> None:
+    def _tick(self, stopped: List[int]) -> None:
         """Everything the supervisor does on the clock rather than on a
-        message."""
+        message; ``stopped`` is the workers the kernel reports stopped."""
         self.rounds += 1
-        if self.watchdog is not None:
-            for event in self.watchdog.evaluate(self._now_ms()):
-                if event.state == FAILED:
-                    self._fail("worker %d declared failed by watchdog: %s"
-                               % (event.worker_id, event.reason))
-            if self._error is not None:
-                return
+        for wid in stopped:
+            self._fail("worker %d declared failed: process stopped" % wid,
+                       wid, "process stopped (hung, not busy)")
+        if self._error is not None:
+            return
         if self.config.faults is not None:
             self.config.faults.on_round(self)
-        coordinator = self.coordinator
-        if coordinator.pending_expired and self._fail_suspected_laggards():
-            return
-        failure = coordinator.tick(self._finished)
+        failure = self.coordinator.tick(self._finished)
         if failure is not None:
             self._fail(failure)
-
-    def _fail_suspected_laggards(self) -> bool:
-        """A barrier deadline against a worker the watchdog already
-        suspects is not a checkpoint problem -- it is a hung worker.
-        Escalate to worker failure so the restart strategy runs instead
-        of aborting checkpoint after checkpoint against a process that
-        will never ack.  Must run before the coordinator's own timeout
-        abort; returns whether it ended the attempt."""
-        if self.watchdog is None:
-            return False
-        pending = self.coordinator.pending
-        suspected = sorted(
-            wid for wid in {index % self.num_workers
-                            for _, index in pending.pending_subtasks}
-            if self.watchdog.is_suspected(wid))
-        if not suspected:
-            return False
-        reason = ("checkpoint %d barrier expired and laggard worker(s) %r "
-                  "are heartbeat-suspected"
-                  % (pending.checkpoint_id, suspected))
-        self.coordinator.abort(reason)
-        self._fail(reason)
-        for wid in suspected:
-            self.watchdog.mark_failed(wid, reason)
-        return True
 
     # -- the fleet's own report sections -------------------------------------
 
@@ -1248,12 +1197,11 @@ class MultiprocessEngine:
                         ) -> Dict[str, Any]:
         """What only the parent knows: ``workers``, ``fleet``,
         ``exchange`` and its own spans (merged with the workers')."""
-        fleet: Dict[str, Any] = {
+        fleet = {
             "shutdown": {"terminated": self._workers_terminated,
                          "killed": self._workers_killed},
+            "watchdog": self.watchdog.snapshot(),
         }
-        if self.watchdog is not None:
-            fleet["watchdog"] = self.watchdog.snapshot()
         sections: Dict[str, Any] = {
             "workers": [
                 {"worker": payload["worker"],

@@ -1,229 +1,91 @@
-"""Per-worker health supervision for the multiprocess backend.
+"""Per-worker health record of the multiprocess backend.
 
-A dead worker announces itself: its pipes hit EOF and the coordinator
-reacts immediately.  A *hung* worker -- SIGSTOP'd, livelocked, wedged
-behind a kernel call -- stays silent forever, and before this module the
-only thing that noticed was the checkpoint timeout (and only when
-checkpointing was on).  The watchdog closes that gap: workers emit
-heartbeats over their control pipe on a seeded-jitter cadence, and the
-coordinator runs one :class:`WorkerWatchdog` that walks each worker
-through a small state machine:
+Liveness is a fact the coordinator reads from the kernel, never one it
+infers from a worker's silence:
 
-    RUNNING --(quiet past suspect deadline)--> SUSPECTED
-    SUSPECTED --(heartbeat arrives)----------> RUNNING
-    SUSPECTED --(quiet past fail deadline)---> FAILED
-    FAILED --(fleet respawn)-----------------> RESTARTING -> RUNNING
+* **dead** -- the worker's control pipe hits EOF, or it reports
+  ``failed``.  The coordinator learns this from its pipes at once.
+* **hung** -- the kernel reports the process *stopped* (SIGSTOP'd: it
+  will not run again until someone continues it).  The coordinator
+  polls for that state on its supervision ticks and fails a stopped
+  worker on the spot.
+* **busy** -- anything else: a worker deep in a long UDF call or a long
+  scheduler round, or blocked inside a call, is running as far as the
+  kernel is concerned, and the supervisor never fails it.  A worker
+  spinning forever is a job that never finishes, exactly as on the
+  cooperative backend and in Flink; the worker's own no-progress rule
+  covers one that loops between rounds without doing anything.
+
+One :class:`WorkerWatchdog` walks each worker through::
+
+    RUNNING --(dead or hung)-------------> FAILED
+    RUNNING --(done payload delivered)---> DONE
+    any     --(fleet respawn)------------> RUNNING
 
 ``FAILED`` is a *declaration*: the coordinator treats it exactly like a
-worker crash and hands the job to the restart strategy.  ``SUSPECTED``
-is advisory -- it is also what lets an expired checkpoint barrier
-escalate to worker failure (the laggard participant is provably
-unresponsive) instead of silently aborting checkpoint after checkpoint
-against a worker that will never ack.
+worker crash and hands the job to the restart strategy.
 
-Like :mod:`repro.runtime.restart`, this module is pure policy over
-caller-supplied clock readings, so every transition is unit-testable
-with a fake clock; the wall-clock plumbing lives in
+Like :mod:`repro.runtime.restart`, this module is pure bookkeeping over
+caller-supplied observations, so every transition is unit-testable
+without processes; the kernel query lives in
 :mod:`repro.runtime.multiprocess`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
 RUNNING = "running"
-SUSPECTED = "suspected"
 FAILED = "failed"
-RESTARTING = "restarting"
-#: Orderly exit (the worker delivered its done payload); deadline-exempt.
+#: Orderly exit (the worker delivered its done payload).
 DONE = "done"
-
-_STATES = (RUNNING, SUSPECTED, FAILED, RESTARTING, DONE)
-
-
-class WorkerHealth:
-    """The watchdog's view of one worker process."""
-
-    __slots__ = ("worker_id", "state", "last_heartbeat_ms", "heartbeats",
-                 "suspected_at_ms", "failure_reason")
-
-    def __init__(self, worker_id: int, now_ms: int) -> None:
-        self.worker_id = worker_id
-        self.state = RUNNING
-        #: Last sign of life.  Initialised to attempt start so a worker
-        #: that never manages a single heartbeat (fork wedged, SIGSTOP
-        #: before entering the loop) still trips the deadlines.
-        self.last_heartbeat_ms = now_ms
-        self.heartbeats = 0
-        self.suspected_at_ms: Optional[int] = None
-        self.failure_reason: Optional[str] = None
-
-    def quiet_ms(self, now_ms: int) -> int:
-        return now_ms - self.last_heartbeat_ms
-
-    def __repr__(self) -> str:
-        return ("WorkerHealth(%d, %s, beats=%d)"
-                % (self.worker_id, self.state, self.heartbeats))
-
-
-class WatchdogEvent:
-    """One state transition, in declaration order."""
-
-    __slots__ = ("worker_id", "state", "reason")
-
-    def __init__(self, worker_id: int, state: str, reason: str) -> None:
-        self.worker_id = worker_id
-        self.state = state
-        self.reason = reason
-
-    def __repr__(self) -> str:
-        return ("WatchdogEvent(worker=%d, %s: %s)"
-                % (self.worker_id, self.state, self.reason))
 
 
 class WorkerWatchdog:
-    """Deadline-driven health state machine over a worker fleet.
+    """Health record of a worker fleet: per-worker state, the first
+    failure reason of each worker, and lifetime counters."""
 
-    ``suspect_after_ms``/``fail_after_ms`` are measured from the last
-    heartbeat (or attempt start); ``fail_after_ms`` must be the larger.
-    Passing ``None`` for either disables that transition -- a watchdog
-    with both disabled degenerates to a heartbeat counter.
-    """
-
-    def __init__(self, worker_ids: Iterable[int],
-                 suspect_after_ms: Optional[int],
-                 fail_after_ms: Optional[int],
-                 now_ms: int = 0) -> None:
-        if (suspect_after_ms is not None and fail_after_ms is not None
-                and fail_after_ms < suspect_after_ms):
-            raise ValueError(
-                "fail_after_ms (%d) must be >= suspect_after_ms (%d)"
-                % (fail_after_ms, suspect_after_ms))
-        self.suspect_after_ms = suspect_after_ms
-        self.fail_after_ms = fail_after_ms
-        self._workers: Dict[int, WorkerHealth] = {}
-        self.heartbeats_received = 0
-        self.suspicions = 0
-        self.recoveries = 0
+    def __init__(self, worker_ids: Iterable[int]) -> None:
+        self._states: Dict[int, str] = {}
+        self._reasons: Dict[int, str] = {}
         self.failures_declared = 0
         self.fleet_restarts = 0
-        self.begin_attempt(worker_ids, now_ms)
+        self.begin_attempt(worker_ids)
 
-    # -- observations ------------------------------------------------------
-
-    def begin_attempt(self, worker_ids: Iterable[int], now_ms: int) -> None:
-        """A (re)spawned fleet: every worker starts RUNNING with its
-        deadline clock at attempt start."""
-        if self._workers:
+    def begin_attempt(self, worker_ids: Iterable[int]) -> None:
+        """A (re)spawned fleet: every worker starts RUNNING."""
+        if self._states:
             self.fleet_restarts += 1
-        self._workers = {wid: WorkerHealth(wid, now_ms)
-                         for wid in worker_ids}
-
-    def heartbeat(self, worker_id: int, now_ms: int) -> bool:
-        """Record a sign of life; returns True when this heartbeat
-        rescued a SUSPECTED worker back to RUNNING."""
-        health = self._workers[worker_id]
-        health.last_heartbeat_ms = now_ms
-        health.heartbeats += 1
-        self.heartbeats_received += 1
-        if health.state == SUSPECTED:
-            health.state = RUNNING
-            health.suspected_at_ms = None
-            self.recoveries += 1
-            return True
-        return False
+        self._states = {wid: RUNNING for wid in worker_ids}
+        self._reasons = {}
 
     def mark_done(self, worker_id: int) -> None:
-        """The worker delivered its done payload; it is allowed to go
-        quiet (it is draining pipes and exiting)."""
-        self._workers[worker_id].state = DONE
+        """The worker delivered its done payload; it may now exit."""
+        self._states[worker_id] = DONE
 
     def mark_failed(self, worker_id: int, reason: str) -> None:
-        """Direct failure declaration (pipe EOF, a ``failed`` message,
-        barrier-deadline escalation) -- skips the deadline ladder."""
-        health = self._workers[worker_id]
-        if health.state in (FAILED, DONE):
+        """Declare a worker failed (pipe EOF, a ``failed`` message, a
+        stopped process); a worker already failed or done keeps its
+        state and first reason."""
+        if self._states[worker_id] != RUNNING:
             return
-        health.state = FAILED
-        health.failure_reason = reason
+        self._states[worker_id] = FAILED
+        self._reasons[worker_id] = reason
         self.failures_declared += 1
 
-    def mark_fleet_restarting(self) -> None:
-        """The coordinator is tearing the fleet down for a respawn."""
-        for health in self._workers.values():
-            if health.state != DONE:
-                health.state = RESTARTING
-
-    # -- deadline evaluation ------------------------------------------------
-
-    def evaluate(self, now_ms: int) -> List[WatchdogEvent]:
-        """Advance deadline-driven transitions; returns them in worker
-        order.  FAILED events are terminal declarations the coordinator
-        must act on (the watchdog never un-fails a worker)."""
-        events: List[WatchdogEvent] = []
-        for wid in sorted(self._workers):
-            health = self._workers[wid]
-            if health.state not in (RUNNING, SUSPECTED):
-                continue
-            quiet = health.quiet_ms(now_ms)
-            if (health.state == RUNNING
-                    and self.suspect_after_ms is not None
-                    and quiet > self.suspect_after_ms):
-                health.state = SUSPECTED
-                health.suspected_at_ms = now_ms
-                self.suspicions += 1
-                events.append(WatchdogEvent(
-                    wid, SUSPECTED,
-                    "no heartbeat for %d ms (suspect deadline %d ms)"
-                    % (quiet, self.suspect_after_ms)))
-            if (health.state == SUSPECTED
-                    and self.fail_after_ms is not None
-                    and quiet > self.fail_after_ms):
-                reason = ("no heartbeat for %d ms (failure deadline %d ms, "
-                          "%d heartbeats total)"
-                          % (quiet, self.fail_after_ms, health.heartbeats))
-                health.state = FAILED
-                health.failure_reason = reason
-                self.failures_declared += 1
-                events.append(WatchdogEvent(wid, FAILED, reason))
-        return events
-
-    # -- queries -----------------------------------------------------------
-
-    def state_of(self, worker_id: int) -> str:
-        return self._workers[worker_id].state
-
-    def is_suspected(self, worker_id: int) -> bool:
-        return self._workers[worker_id].state == SUSPECTED
-
-    def failed_workers(self) -> List[int]:
-        return [wid for wid in sorted(self._workers)
-                if self._workers[wid].state == FAILED]
-
     def failure_reason(self, worker_id: int) -> Optional[str]:
-        return self._workers[worker_id].failure_reason
+        return self._reasons.get(worker_id)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Report-ready summary (the ``fleet`` section of the federated
-        job report)."""
-        return {
-            "workers": {
-                wid: {"state": health.state,
-                      "heartbeats": health.heartbeats}
-                for wid, health in sorted(self._workers.items())},
-            "heartbeats_received": self.heartbeats_received,
-            "suspicions": self.suspicions,
-            "heartbeat_recoveries": self.recoveries,
-            "failures_declared": self.failures_declared,
-            "fleet_restarts": self.fleet_restarts,
-        }
+        """Report-ready summary (``job_report()["fleet"]["watchdog"]``)."""
+        return {"workers": dict(sorted(self._states.items())),
+                "failures_declared": self.failures_declared,
+                "fleet_restarts": self.fleet_restarts}
 
     def __repr__(self) -> str:
         by_state: Dict[str, int] = {}
-        for health in self._workers.values():
-            by_state[health.state] = by_state.get(health.state, 0) + 1
-        return ("WorkerWatchdog(%s, beats=%d, suspicions=%d, failures=%d)"
+        for state in self._states.values():
+            by_state[state] = by_state.get(state, 0) + 1
+        return ("WorkerWatchdog(%s, failures=%d)"
                 % (", ".join("%s=%d" % item for item in sorted(
-                    by_state.items())),
-                   self.heartbeats_received, self.suspicions,
-                   self.failures_declared))
+                    by_state.items())), self.failures_declared))

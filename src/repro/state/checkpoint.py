@@ -273,11 +273,6 @@ class CheckpointCoordinator:
         and the cadence keeps its schedule."""
         self.pending = None
 
-    @property
-    def pending_expired(self) -> bool:
-        return self.pending is not None and self.pending.is_expired(
-            self._clock(), self._timeout_ms)
-
     def acknowledge(self, checkpoint_id: int,
                     snapshot: TaskSnapshot) -> None:
         pending = self.pending

@@ -740,9 +740,13 @@ class SharedArrangementOracle(Oracle):
                              max_restarts=3, delay_ms=0))
         if crash:
             # On workers the first cut must land before the small right
-            # table's source finishes and ends all checkpointing.
+            # table's source finishes and ends all checkpointing: one
+            # record per step, so that source cannot drain all of its
+            # rows in a worker's first round, before the first trigger
+            # has reached it.
             extra.update(checkpoint_interval_ms=1 if workers else 5,
-                         elements_per_step=4, faults=make_arrangement_crash())
+                         elements_per_step=1 if workers else 4,
+                         faults=make_arrangement_crash())
         config = EngineConfig(
             share_arrangements=share,
             arrangement_compaction_interval=params["compaction_interval"],

@@ -184,29 +184,22 @@ def _throttle_seam(value):
     return value
 
 
-def _run_multiprocess(tmp_path, label, throttle, schedule=None):
+def _run_multiprocess(tmp_path, label, throttle, schedule=None,
+                      history_burst=1):
     target = str(tmp_path / ("%s.txt" % label))
     # Small steps: a throttled step is short, so barriers align (and
     # checkpoints seal) while the phase the fault waits for still lasts.
     kwargs = dict(checkpoint_interval_ms=40, elements_per_step=4,
                   checkpoint_dir=str(tmp_path / ("chk-%s" % label)),
                   restart_strategy=FixedDelayRestart(max_restarts=10,
-                                                     delay_ms=0),
-                  heartbeat_interval_ms=20,
-                  # wide enough that a throttled-but-alive worker is
-                  # never falsely declared dead (see docs/backfill.md on
-                  # history_burst lengthening scheduler steps)
-                  watchdog_suspect_ms=250, watchdog_fail_ms=1200)
+                                                     delay_ms=0))
     if schedule is not None:
         kwargs.update(backend="multiprocess", num_workers=2,
                       faults=FaultInjector(schedule))
     config = EngineConfig(**kwargs)
     env = Environment(parallelism=2, config=config)
-    # burst 1: the throttle sleeps inside the fused source step, and an
-    # elevated burst would multiply per-step wall time past heartbeat
-    # deadlines (the cooperative tests cover elevated bursts)
     (env.read(range(N))
-        .then_stream(lambda: range(N, 2 * N), history_burst=1,
+        .then_stream(lambda: range(N, 2 * N), history_burst=history_burst,
                      name="hybrid")
         .map(throttle, name="throttle")
         .key_by(lambda v: v % KEYS)
@@ -236,11 +229,32 @@ def test_multiprocess_sigkill_at_seam_phase(tmp_path, label, throttle):
     lines, job, env, config = _run_multiprocess(
         tmp_path, label, throttle, schedule=[_phase_crash(predicate)])
 
+    _assert_one_kill_converged(config, job, env, lines, expected, label)
+
+
+@pytest.mark.skipif(not HAS_FORK,
+                    reason="multiprocess backend requires fork")
+def test_multiprocess_sigkill_in_history_at_the_default_burst(tmp_path):
+    """The throttle sleeps inside the fused source step, so the default
+    burst (8) makes each history step eight times longer on the wall
+    clock.  A long step is a busy worker, not a dead one: the kill is
+    the only restart."""
+    expected, _, _, _ = _run_multiprocess(
+        tmp_path, "oracle-burst", _throttle_history, history_burst=8)
+    lines, job, env, config = _run_multiprocess(
+        tmp_path, "burst", _throttle_history,
+        schedule=[_phase_crash(_in_history)], history_burst=8)
+
+    _assert_one_kill_converged(config, job, env, lines, expected, "burst")
+
+
+def _assert_one_kill_converged(config, job, env, lines, expected, label):
     assert config.faults.applied, "the kill never fired"
-    assert job.restarts >= 1
+    assert job.restarts == 1
     assert lines == expected, "2PC output diverged (%s kill)" % label
-    rows = env.job_report()["cutover"]
+    report = env.job_report()
+    assert report["fleet"]["watchdog"]["failures_declared"] == 1
     assert sum(r["history_emitted"] + r["stream_emitted"]
-               for r in rows) == 2 * N
+               for r in report["cutover"]) == 2 * N
     leaked = [p for p in multiprocessing.active_children() if p.is_alive()]
     assert not leaked, "worker processes leaked: %r" % leaked

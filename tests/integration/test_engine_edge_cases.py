@@ -113,20 +113,6 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             EngineConfig(checkpoint_interval_ms=0)
 
-    def test_watchdog_deadlines_need_heartbeats(self):
-        # No heartbeats, no watchdog: a deadline used to be accepted and
-        # silently never enforced.
-        for deadlines in ({"watchdog_fail_ms": 500},
-                          {"watchdog_suspect_ms": 100},
-                          {"watchdog_suspect_ms": 100,
-                           "watchdog_fail_ms": 500}):
-            with pytest.raises(ValueError,
-                               match="heartbeat_interval_ms=None") as exc:
-                EngineConfig(heartbeat_interval_ms=None, **deadlines)
-            assert all(name in str(exc.value) for name in deadlines)
-        EngineConfig(heartbeat_interval_ms=None)
-        EngineConfig(watchdog_suspect_ms=100, watchdog_fail_ms=500)
-
 
 class TestScale:
     def test_deep_pipeline(self):

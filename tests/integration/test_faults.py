@@ -40,11 +40,7 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="multiprocess backend requires the fork start method")
 
-#: Faulted multiprocess runs: a stalled worker is declared hung in
-#: ~1.2 s, wide enough that one merely slowed by a loaded machine is not.
-MULTIPROCESS = dict(backend="multiprocess", num_workers=2,
-                    heartbeat_interval_ms=20, watchdog_suspect_ms=250,
-                    watchdog_fail_ms=1200)
+MULTIPROCESS = dict(backend="multiprocess", num_workers=2)
 
 
 def at_round(rounds):

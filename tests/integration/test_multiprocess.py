@@ -326,9 +326,7 @@ def test_job_report_parity_across_backends(tmp_path):
     assert "metrics" in cooperative.as_dict()
     assert set(multiproc.as_dict()) ^ set(cooperative.as_dict()) == {
         "workers", "fleet", "exchange"}
-    watchdog = {"heartbeats_received", "watchdog_suspicions",
-                "watchdog_failures"}
-    assert (set(multiproc_result.counters) - watchdog
+    assert (set(multiproc_result.counters) - {"watchdog_failures"}
             == set(cooperative_result.counters))
 
 
@@ -344,7 +342,9 @@ def test_interactive_state_apis_rejected():
                 .collect())
 
     def throttle(value):
-        if value % 10 == 0:
+        # Both parities: each source subtask must outlive the first
+        # trigger, or the coordinator never starts a barrier cut.
+        if value % 10 < 2:
             time.sleep(0.002)
         return value
 

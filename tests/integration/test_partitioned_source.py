@@ -143,7 +143,6 @@ class TestFullJobRescaling:
         env = Environment(
             parallelism=parallelism,
             config=EngineConfig(backend=backend, num_workers=2,
-                                heartbeat_interval_ms=None,
                                 elements_per_step=4))
         result = pipeline(env)
         env.execute(from_savepoint=savepoint)

@@ -30,9 +30,7 @@ def cancel_after(rounds_target, min_checkpoints=1):
     return hook
 
 
-#: Two workers and no watchdog: liveness is not the subject here, and a
-#: loaded CI box must not turn a slow fork into a failed job.
-QUIET_FLEET = {"num_workers": 2, "heartbeat_interval_ms": None}
+QUIET_FLEET = {"num_workers": 2}
 
 
 def paced(values, every=40, seconds=0.001):

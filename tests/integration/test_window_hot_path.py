@@ -356,8 +356,7 @@ def test_crash_after_a_checkpoint_across_live_pairs_multiprocess(tmp_path):
     config = EngineConfig(
         backend="multiprocess", num_workers=2, faults=faults,
         checkpoint_interval_ms=40, checkpoint_dir=str(tmp_path / "chk"),
-        restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0),
-        heartbeat_interval_ms=20)
+        restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0))
     lines, job, env = _run_sink_job(config, str(tmp_path / "out.txt"))
     assert faults.applied, "the kill never fired"
     assert job.restarts >= 1

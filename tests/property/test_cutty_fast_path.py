@@ -472,7 +472,7 @@ def test_shared_windows_job_survives_sigkill_on_two_workers(tmp_path):
                      checkpoint_dir=str(tmp_path / "chk"),
                      restart_strategy=FixedDelayRestart(max_restarts=10,
                                                         delay_ms=0),
-                     heartbeat_interval_ms=20, faults=faults),
+                     faults=faults),
         throttled=True)
     assert faults.applied, "the kill never fired"
     assert job.restarts >= 1

@@ -31,9 +31,9 @@ class TestHappyPath:
         reader, write_fd = pipe_pair()
         writer = _FrameWriter(write_fd)
         writer.send(("ack", 1, {"k": "v"}))
-        writer.send(("heartbeat", 0))
+        writer.send(("task_finished", ("1-map", 0)))
         assert reader.read_available() == [("ack", 1, {"k": "v"}),
-                                           ("heartbeat", 0)]
+                                           ("task_finished", ("1-map", 0))]
         writer.close()
         assert reader.read_available() == []
         assert reader.eof
@@ -73,7 +73,7 @@ class TestCorruption:
         """Only the torn tail is corrupt; complete frames ahead of it
         already arrived and a retry must not see them again."""
         reader, write_fd = pipe_pair()
-        good = pickle.dumps(("heartbeat", 1))
+        good = pickle.dumps(("task_finished", ("1-map", 1)))
         os.write(write_fd, _LEN.pack(len(good)) + good)
         os.write(write_fd, _LEN.pack(500) + b"half")
         os.close(write_fd)

@@ -1,103 +1,92 @@
-"""Unit tests for the worker health watchdog (fake clock).
+"""Unit tests for worker liveness.
 
-The watchdog is pure policy over caller-supplied clock readings, so every
-transition -- RUNNING -> SUSPECTED -> FAILED, heartbeat rescues,
-barrier-escalation declarations, fleet respawns -- is driven here with
-explicit timestamps and no processes.
+The watchdog is pure bookkeeping over caller-supplied observations --
+pipe deaths, done payloads, stopped processes -- so its transitions are
+driven here without processes.  The one kernel query behind "hung",
+``multiprocess._is_stopped``, is asked about a real forked child.
 """
+
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
-from repro.runtime.watchdog import (
-    DONE,
-    FAILED,
-    RESTARTING,
-    RUNNING,
-    SUSPECTED,
-    WorkerWatchdog,
-)
+from repro.runtime.multiprocess import _is_stopped
+from repro.runtime.watchdog import DONE, FAILED, RUNNING, WorkerWatchdog
 
 
-def make(suspect=100, fail=300, workers=2):
-    return WorkerWatchdog(range(workers), suspect, fail, now_ms=0)
+def make(workers=2):
+    return WorkerWatchdog(range(workers))
+
+
+def states(dog):
+    return dog.snapshot()["workers"]
+
+
+@pytest.fixture
+def child():
+    """A forked child blocked inside a call (a 30 s sleep)."""
+    process = multiprocessing.get_context("fork").Process(
+        target=time.sleep, args=(30,), daemon=True)
+    process.start()
+    yield process
+    process.kill()
+    process.join()
+
+
+def wait_until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
 
 
 class TestDeadlines:
+    """There is no deadline: what the kernel reports is the signal."""
+
     def test_starts_running(self):
-        dog = make()
-        assert dog.state_of(0) == RUNNING
-        assert dog.state_of(1) == RUNNING
-        assert dog.evaluate(50) == []
+        assert states(make()) == {0: RUNNING, 1: RUNNING}
 
-    def test_quiet_worker_becomes_suspected_then_failed(self):
-        dog = make(suspect=100, fail=300)
-        dog.heartbeat(1, 90)  # worker 1 stays chatty
-        events = dog.evaluate(150)
-        assert [(e.worker_id, e.state) for e in events] == [(0, SUSPECTED)]
-        assert dog.is_suspected(0)
-        assert dog.state_of(1) == RUNNING
+    def test_stopped_worker_fails_on_the_first_observation(self, child):
+        """Once SIGSTOP lands, every poll reports the child stopped, so
+        the first supervision tick after it declares the worker hung;
+        continued, it is running again; reaped, it is not stopped (its
+        death is the control pipe's to report)."""
+        os.kill(child.pid, signal.SIGSTOP)
+        wait_until(lambda: _is_stopped(child.pid))
+        assert all(_is_stopped(child.pid) for _ in range(100))
+        os.kill(child.pid, signal.SIGCONT)
+        wait_until(lambda: not _is_stopped(child.pid))
+        child.kill()
+        child.join()
+        assert child.exitcode == -signal.SIGKILL  # the status was left
+        assert not _is_stopped(child.pid)
 
-        dog.heartbeat(1, 250)
-        events = dog.evaluate(301)
-        assert [(e.worker_id, e.state) for e in events] == [(0, FAILED)]
-        assert dog.failed_workers() == [0]
-        assert "no heartbeat" in dog.failure_reason(0)
-
-    def test_one_evaluate_can_suspect_and_fail(self):
-        """A worker quiet past *both* deadlines fails in a single
-        evaluation -- the coordinator must not need two ticks."""
-        dog = make(suspect=100, fail=300)
-        dog.heartbeat(1, 350)
-        events = dog.evaluate(400)
-        assert [(e.worker_id, e.state) for e in events] == [
-            (0, SUSPECTED), (0, FAILED)]
-
-    def test_heartbeat_rescues_suspected_worker(self):
-        dog = make(suspect=100, fail=300)
-        dog.evaluate(150)
-        assert dog.is_suspected(0)
-        assert dog.heartbeat(0, 160) is True  # the rescue
-        assert dog.state_of(0) == RUNNING
-        assert dog.recoveries == 1
-        # Deadline clock restarted from the heartbeat.
-        assert dog.evaluate(250) == []
-        assert dog.evaluate(261) != []
-
-    def test_heartbeat_while_running_is_not_a_recovery(self):
-        dog = make()
-        assert dog.heartbeat(0, 10) is False
-        assert dog.recoveries == 0
-        assert dog.heartbeats_received == 1
-
-    def test_never_heartbeating_worker_fails_from_attempt_start(self):
-        """Deadlines are measured from attempt start, so a worker
-        SIGSTOP'd before its first heartbeat still gets caught."""
-        dog = make(suspect=100, fail=300)
-        dog.evaluate(301)
-        assert dog.failed_workers() == [0, 1]
-
-    def test_fail_must_be_at_least_suspect(self):
-        with pytest.raises(ValueError, match="fail_after_ms"):
-            WorkerWatchdog(range(2), 300, 100)
-
-    def test_disabled_deadlines_never_fire(self):
-        dog = WorkerWatchdog(range(2), None, None, now_ms=0)
-        assert dog.evaluate(10 ** 9) == []
+    def test_busy_worker_is_never_failed(self, child):
+        """A worker blocked inside a call is busy: however often the
+        supervisor asks, the kernel does not report it stopped."""
+        for _ in range(200):
+            assert not _is_stopped(child.pid)
+            time.sleep(0.001)
+        assert child.is_alive()
 
 
 class TestDeclarations:
     def test_done_worker_is_deadline_exempt(self):
-        dog = make(suspect=100, fail=300)
+        dog = make()
         dog.mark_done(0)
-        events = dog.evaluate(1000)
-        assert {e.worker_id for e in events} == {1}
-        assert dog.state_of(0) == DONE
-        assert dog.failed_workers() == [1]
+        dog.mark_failed(0, "process stopped")  # exiting after its payload
+        dog.mark_failed(1, "process stopped")
+        assert states(dog) == {0: DONE, 1: FAILED}
+        assert dog.failures_declared == 1
 
     def test_mark_failed_skips_the_ladder(self):
+        """A worker fails on its first declaration, whatever its age."""
         dog = make()
         dog.mark_failed(1, "control pipe EOF")
-        assert dog.failed_workers() == [1]
+        assert states(dog) == {0: RUNNING, 1: FAILED}
         assert dog.failure_reason(1) == "control pipe EOF"
         assert dog.failures_declared == 1
 
@@ -109,39 +98,39 @@ class TestDeclarations:
         assert dog.failure_reason(0) == "first"
 
     def test_failed_worker_stays_failed(self):
-        dog = make(suspect=100, fail=300)
-        dog.evaluate(301)
-        assert dog.failed_workers() == [0, 1]
-        dog.heartbeat(0, 400)  # a zombie flush; must not un-fail
-        assert dog.state_of(0) == FAILED
+        dog = make()
+        dog.mark_failed(0, "process stopped")
+        dog.mark_failed(1, "control pipe EOF")
+        dog.mark_failed(1, "process stopped")
+        assert states(dog) == {0: FAILED, 1: FAILED}
+        assert dog.failure_reason(1) == "control pipe EOF"
 
 
 class TestFleetLifecycle:
     def test_restart_resets_states_and_counts_fleets(self):
-        dog = make(suspect=100, fail=300)
-        dog.evaluate(301)
-        dog.mark_fleet_restarting()
-        assert dog.state_of(0) == RESTARTING
-        dog.begin_attempt(range(2), 500)
+        dog = make()
+        dog.mark_failed(0, "process stopped")
+        dog.mark_done(1)
+        dog.begin_attempt(range(2))
         assert dog.fleet_restarts == 1
-        assert dog.state_of(0) == RUNNING
-        # Deadlines re-anchor at the new attempt's start.
-        assert dog.evaluate(550) == []
-        dog.evaluate(801)
-        assert dog.failed_workers() == [0, 1]
+        assert states(dog) == {0: RUNNING, 1: RUNNING}
+        assert dog.failure_reason(0) is None
+        # The new fleet's workers fail on their own declarations.
+        dog.mark_failed(1, "process stopped")
+        assert states(dog) == {0: RUNNING, 1: FAILED}
 
     def test_lifetime_counters_survive_restarts(self):
-        dog = make(suspect=100, fail=300)
-        dog.evaluate(150)  # suspicion for both
-        dog.begin_attempt(range(2), 200)
+        dog = make()
+        dog.mark_failed(0, "process stopped")
+        dog.mark_failed(1, "process stopped")
+        dog.begin_attempt(range(2))
         snap = dog.snapshot()
-        assert snap["suspicions"] == 2
+        assert snap["failures_declared"] == 2
         assert snap["fleet_restarts"] == 1
 
     def test_snapshot_shape(self):
         dog = make()
-        dog.heartbeat(0, 10)
-        snap = dog.snapshot()
-        assert snap["workers"][0] == {"state": RUNNING, "heartbeats": 1}
-        assert snap["heartbeats_received"] == 1
-        assert snap["failures_declared"] == 0
+        dog.mark_done(1)
+        assert dog.snapshot() == {"workers": {0: RUNNING, 1: DONE},
+                                  "failures_declared": 0,
+                                  "fleet_restarts": 0}
