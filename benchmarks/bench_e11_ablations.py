@@ -21,7 +21,7 @@ from harness import dense_stream, format_table, record, run_aggregator
 from repro.api import Environment
 from repro.cutty import CuttyAggregator, PeriodicWindows
 from repro.cutty.baselines import PanesAggregator
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import SumAggregate
 
 

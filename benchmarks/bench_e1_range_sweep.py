@@ -22,7 +22,7 @@ from repro.cutty.baselines import (
     PairsAggregator,
     PanesAggregator,
 )
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import SumAggregate
 
 SLIDE = 100

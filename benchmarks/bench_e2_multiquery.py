@@ -30,7 +30,7 @@ from repro.cutty.baselines import (
     EagerPerWindowAggregator,
     UnsharedMultiQueryAggregator,
 )
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import SumAggregate
 
 SLIDE = 100

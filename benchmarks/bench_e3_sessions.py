@@ -18,7 +18,7 @@ from conftest import bench_rng
 from harness import format_table, record, run_aggregator
 from repro.cutty import CuttyAggregator, SessionWindows
 from repro.cutty.baselines import BIntAggregator, LazyRecomputeAggregator
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import SumAggregate
 
 GAPS = [50, 200, 1000]

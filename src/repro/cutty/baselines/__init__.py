@@ -2,7 +2,7 @@
 
 Every baseline shares the Cutty aggregator's interface --
 ``insert(value, ts) -> [CuttyResult]``, ``flush(max_ts)``, a shared
-:class:`~repro.metrics.AggregationCostCounter` and a ``live_partials``
+:class:`~repro.observability.AggregationCostCounter` and a ``live_partials``
 property -- so the benchmark harness swaps strategies freely.
 
 The :data:`STRATEGIES` registry names every aggregation strategy

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.cutty.sharing import CuttyResult
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import AggregateFunction, InstrumentedAggregate
 
 

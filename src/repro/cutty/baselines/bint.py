@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cutty.flatfat import FlatFAT
 from repro.cutty.sharing import CuttyResult
 from repro.cutty.specs import CountWindows, WindowSpec
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import AggregateFunction, InstrumentedAggregate
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cutty.sharing import CuttyResult
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 
 
 class UnsharedMultiQueryAggregator:

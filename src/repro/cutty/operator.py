@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.cutty.sharing import SharedCuttyAggregator
 from repro.cutty.specs import WindowSpec
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.runtime.elements import Record
 from repro.runtime.operators import Operator, OperatorContext
 from repro.windowing.aggregates import AggregateFunction

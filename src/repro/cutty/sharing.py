@@ -37,7 +37,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cutty.flatfat import FlatFAT
 from repro.cutty.specs import WindowSpec
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import AggregateFunction, InstrumentedAggregate
 
 

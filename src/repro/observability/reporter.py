@@ -19,8 +19,7 @@ import json
 import re
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.metrics import sum_nested
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import MetricsRegistry, sum_nested
 
 FORMATS = ("text", "json", "prometheus")
 

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.metrics import sum_nested
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import MetricsRegistry, sum_nested
 from repro.observability.tracing import Span, TraceContext
 
 if TYPE_CHECKING:

@@ -26,12 +26,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.metrics import (
-    MetricGroup,
-    OperatorStats,
-    merge_counter_maps,
-    merge_gauge_maps,
-)
+from repro.observability import MetricGroup, merge_gauge_maps, sum_nested
 from repro.observability.runtime import (
     OBSERVABILITY_ENV_VAR,
     RuntimeObservability,
@@ -102,7 +97,6 @@ class EngineConfig:
                  channel_capacity: int = 128,
                  elements_per_step: int = 32,
                  batch_size: Optional[int] = None,
-                 operator_profiling: bool = False,
                  checkpoint_interval_ms: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  max_rounds: int = 50_000_000,
@@ -173,11 +167,6 @@ class EngineConfig:
         self.channel_capacity = channel_capacity
         self.elements_per_step = elements_per_step
         self.batch_size = batch_size
-        #: Wrap every operator with per-operator throughput counters
-        #: (records in/out, batches, inclusive time); read the profile
-        #: from :meth:`Engine.operator_stats` after execution.  Disables
-        #: chain fusion so the counters stay exact per operator.
-        self.operator_profiling = operator_profiling
         self.checkpoint_interval_ms = checkpoint_interval_ms
         #: When set, the checkpoint coordinator of either backend
         #: persists every sealed checkpoint under this directory as
@@ -335,7 +324,7 @@ def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
         rounds=max(payload["rounds"] for payload in payloads),
         simulated_time_ms=max(payload["simulated_time_ms"]
                               for payload in payloads),
-        counters=merge_counter_maps(
+        counters=sum_nested(
             [payload["counters"] for payload in payloads]
             + [supervisor_counters, checkpoint_counters]),
         checkpoints_completed=coordinator.completed,
@@ -433,7 +422,6 @@ class Engine:
                             operators, self.clock, metrics,
                             elements_per_step=cfg.elements_per_step,
                             batch_size=cfg.batch_size,
-                            operator_profiling=cfg.operator_profiling,
                             tracer=tracer)
                 task.checkpoint_ack = self._acknowledge_checkpoint
                 task.quarantine_threshold = cfg.quarantine_threshold
@@ -576,17 +564,6 @@ class Engine:
                 task.restore(snapshot)
         if self.observability is not None:
             self.observability.on_recovery(latest.checkpoint_id)
-
-    def operator_stats(self) -> List[OperatorStats]:
-        """Job-level per-operator throughput profile, merged across
-        parallel subtasks (requires ``operator_profiling=True``), in
-        first-seen (roughly topological) operator order."""
-        merged: Dict[str, OperatorStats] = {}
-        for task in self.tasks:
-            for stats in task.operator_stats:
-                merged.setdefault(stats.name,
-                                  OperatorStats(stats.name)).merge(stats)
-        return list(merged.values())
 
     # -- queryable state -----------------------------------------------------
 
@@ -797,7 +774,7 @@ class Engine:
         return {
             "rounds": rounds,
             "simulated_time_ms": now,
-            "counters": merge_counter_maps(task_counters),
+            "counters": sum_nested(task_counters),
             "gauges": merge_gauge_maps(
                 task.metrics.gauges() for task in self.tasks),
             "dead_letters": [letter for task in self.tasks

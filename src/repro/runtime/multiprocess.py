@@ -76,7 +76,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.metrics import MetricGroup, sum_nested
+from repro.observability import MetricGroup, sum_nested
 from repro.runtime.channels import Channel, element_weight
 from repro.runtime.columnar import (
     ColumnarCodecError,
@@ -128,7 +128,7 @@ _MAX_FRAME = 1 << 28
 _ERROR_FLUSH_S = 0.25
 #: The supervisor's longest wait for a worker frame, and how often it
 #: asks the kernel which workers are stopped (at most once per wait,
-#: even when a pending checkpoint keeps the loop from waiting at all).
+#: even when worker frames keep waking the loop).
 _SUPERVISE_WAIT_S = 0.05
 #: Slots per shared-memory ring (one ring per ordered worker pair); more
 #: slots absorb burstier producers before ring backpressure stalls them.
@@ -1086,7 +1086,7 @@ class MultiprocessEngine:
                     stopped = [wid for wid, pid in enumerate(pids)
                                if wid not in self._done and _is_stopped(pid)]
                 timeout = _SUPERVISE_WAIT_S
-                due = self.coordinator.next_trigger_time
+                due = self.coordinator.next_trigger(self._finished)
                 if due is not None:
                     timeout = min(
                         timeout, max(0.0, (due - self._now_ms()) / 1000.0))
@@ -1141,7 +1141,10 @@ class MultiprocessEngine:
             return
         for message in messages:
             getattr(self, "_on_" + message[0])(wid, *message[1:])
-        if reader.eof and wid not in self._done and self._error is None:
+        if not reader.eof:
+            return
+        selector.unregister(reader.fd)  # else it reads as ready forever
+        if wid not in self._done and self._error is None:
             self._fail("worker %d exited without reporting a result" % wid,
                        wid, "control pipe EOF without a result")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Callable, Hashable, Iterable, List, Optional, Tuple
 
-from repro.metrics import MetricGroup
+from repro.observability import MetricGroup
 from repro.runtime.elements import Record
 from repro.state.backend import KeyedStateBackend
 from repro.state.descriptors import StateDescriptor

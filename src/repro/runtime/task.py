@@ -34,7 +34,7 @@ from typing import (
     Tuple,
 )
 
-from repro.metrics import MetricGroup, OperatorStats
+from repro.observability import MetricGroup
 from repro.runtime.channels import Channel
 from repro.runtime.elements import (
     END_OF_STREAM,
@@ -234,7 +234,6 @@ class Task:
                  clock: Clock, metrics: MetricGroup,
                  elements_per_step: int = 32,
                  batch_size: int = 1,
-                 operator_profiling: bool = False,
                  tracer: Optional[Any] = None) -> None:
         if not operators:
             raise ValueError("a task needs at least one operator")
@@ -304,15 +303,13 @@ class Task:
         self._is_source = isinstance(operators[0], SourceOperator)
 
         # Batched fast path: fuse the longest stateless prefix of the
-        # chain into one records-in/records-out function.  Profiling
-        # keeps the unfused path so per-operator counters stay exact.
+        # chain into one records-in/records-out function.
         self._fused_fn = None
         self._fused_prefix = 0
         # Columnar fast path: the same stateless prefix compiled into a
         # column kernel, applied when the input element is a
         # ColumnarBatch so no Record is built before the kernel has
-        # mapped/filtered the columns.  Profiling disables it like the
-        # row fusion (the fallback is counted per-operator instead).
+        # mapped/filtered the columns.
         self._column_kernel = None
         self._kernel_prefix = 0
         # A source task has no input batch to fuse over: its runs travel
@@ -321,7 +318,7 @@ class Task:
         # applied to each run as it leaves the task (``_flush_out_buffer``).
         self._suffix_fn = None
         suffix_start = len(operators)
-        if self._batching and not operator_profiling:
+        if self._batching:
             from repro.plan.chaining import (
                 compile_batch_chain,
                 compile_column_chain,
@@ -379,12 +376,6 @@ class Task:
 
         self._columnar_batches = metrics.counter("columnar_batches_in")
         self._columnar_fallbacks = metrics.counter("columnar_fallbacks")
-
-        #: Per-operator throughput profile (filled when the engine runs
-        #: with ``operator_profiling``); parallel to ``self.chain``.
-        self.operator_stats: List[OperatorStats] = []
-        if operator_profiling:
-            self._instrument_chain()
 
     # -- identity ---------------------------------------------------------
 
@@ -450,60 +441,6 @@ class Task:
                 row.update(report_fn())
                 rows.append(row)
         return rows
-
-    def _instrument_chain(self) -> None:
-        """Wrap every chained operator's process entry points and its
-        collector with counting/timing shims (``operator_profiling``).
-
-        ``time_ns`` is *inclusive*: the chain dispatches synchronously,
-        so an upstream operator's time contains its downstream's.
-        """
-        from time import perf_counter_ns
-        for chained in self.chain:
-            stats = OperatorStats(chained.operator.name)
-            self.operator_stats.append(stats)
-            operator = chained.operator
-            inner_process = operator.process
-            # Default process_batch implementations loop into process();
-            # the guard keeps such batches from being counted twice.
-            in_batch = [False]
-
-            def timed_process(record, _inner=inner_process, _stats=stats,
-                              _in_batch=in_batch):
-                if _in_batch[0]:
-                    _inner(record)
-                    return
-                _stats.records_in += 1
-                started = perf_counter_ns()
-                try:
-                    _inner(record)
-                finally:
-                    _stats.time_ns += perf_counter_ns() - started
-
-            operator.process = timed_process
-            inner_batch = operator.process_batch
-
-            def timed_batch(records, _inner=inner_batch, _stats=stats,
-                            _in_batch=in_batch):
-                _stats.records_in += len(records)
-                _stats.batches += 1
-                _in_batch[0] = True
-                started = perf_counter_ns()
-                try:
-                    _inner(records)
-                finally:
-                    _stats.time_ns += perf_counter_ns() - started
-                    _in_batch[0] = False
-
-            operator.process_batch = timed_batch
-            inner_collector = chained.ctx._collector
-
-            def counting_collector(record, _inner=inner_collector,
-                                   _stats=stats):
-                _stats.records_out += 1
-                _inner(record)
-
-            chained.ctx._collector = counting_collector
 
     def open(self) -> None:
         for chained in self.chain:
@@ -827,8 +764,6 @@ class Task:
         prefix = self._kernel_prefix
         if kernel is None or self._needs_record_loop(input_index, prefix):
             self._columnar_fallbacks.inc()
-            if self.operator_stats:
-                self.operator_stats[0].columnar_fallbacks += 1
             self._ingest(batch.records, input_index)
             return
         self._columnar_batches.inc()

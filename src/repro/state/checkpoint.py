@@ -314,6 +314,15 @@ class CheckpointCoordinator:
                 "checkpoint %d aborted: %s)"
                 % (tolerable, pending.checkpoint_id, reason))
 
+    def next_trigger(self, finished: AbstractSet[SubtaskId]
+                     ) -> Optional[int]:
+        """When :meth:`tick` will trigger the next checkpoint: ``None``
+        while one is pending or once a source has finished (a job
+        running out cannot complete a barrier cut)."""
+        if self.pending is not None or self._sources & finished:
+            return None
+        return self.next_trigger_time
+
     def tick(self, finished: AbstractSet[SubtaskId]) -> Optional[str]:
         """One coordination step: deliver owed notifications, abort a
         pending checkpoint that can no longer complete, trigger the
@@ -337,13 +346,12 @@ class CheckpointCoordinator:
             failure = self.abort(reason)
             if failure is not None:
                 return failure
-        if self.next_trigger_time is None or now < self.next_trigger_time:
+        due = self.next_trigger(finished)
+        if due is None or now < due:
             return None
-        expected = self._subtasks - finished
-        if not expected or self._sources & finished:
-            return None  # a job running out cannot complete a barrier cut
         checkpoint_id = self._next_id
         self._next_id += 1
+        expected = self._subtasks - finished
         self.pending = PendingCheckpoint(checkpoint_id, expected,
                                          trigger_time=now)
         self.next_trigger_time = now + self._interval_ms

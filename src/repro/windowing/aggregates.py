@@ -13,7 +13,7 @@ baselines -- e.g. subtract-on-evict tricks only work for the former --
 and is flagged via :attr:`AggregateFunction.invertible`.
 
 Every function optionally reports through an
-:class:`~repro.metrics.AggregationCostCounter`, making the E1-E4 cost
+:class:`~repro.observability.AggregationCostCounter`, making the E1-E4 cost
 comparisons uniform across strategies.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Tuple
 
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 
 
 class AggregateFunction:

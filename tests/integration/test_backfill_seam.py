@@ -177,10 +177,16 @@ def _throttle_live(value):
 
 
 def _throttle_seam(value):
-    """Slow only the records around the seam (80 records x 5 ms per
-    worker), so checkpoints seal while the cutover is in flight."""
+    """Slow the records around the seam most (80 records x 5 ms per
+    worker), so checkpoints seal while the cutover is in flight.  The
+    rest of the history side is slowed as in ``_throttle_history``: an
+    unthrottled history floods the sink, the first barrier then queues
+    behind that backlog until the job's last records, and the kill
+    would race the workers' exit instead of striking at the seam."""
     if N - 80 <= value < N + 80:
         time.sleep(0.005)
+    elif value < N:
+        time.sleep(0.002)
     return value
 
 

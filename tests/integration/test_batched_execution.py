@@ -20,7 +20,7 @@ from repro.api.environment import Environment
 from repro.connectors import TransactionalJsonlFileSink
 from repro.connectors.partitioned import PartitionedSource
 from repro.connectors.sources import HybridSource
-from repro.metrics import MetricGroup
+from repro.observability import MetricGroup
 from repro.runtime.channels import Channel
 from repro.runtime.columnar import batch_to_columnar
 from repro.runtime.elements import END_OF_STREAM, Record, RecordBatch
@@ -239,38 +239,42 @@ class TestQuarantineUnderBatching:
 
 
 class TestOperatorProfiling:
-    def test_counters_and_inclusive_time(self):
-        env = Environment(config=EngineConfig(
-            batch_size=8, operator_profiling=True))
+    """``job_report()["operators"]`` is the per-subtask profile: records
+    in and out of every task, with the fused chain inside it."""
+
+    def test_counters_per_subtask(self):
+        env = Environment(parallelism=1, config=EngineConfig(batch_size=8))
         result = (env.from_collection(list(range(60)))
+                  .rebalance()
                   .map(lambda x: x + 1)
+                  .rebalance()
                   .filter(lambda x: x % 2 == 0)
+                  .rebalance()
                   .collect())
         env.execute()
         assert len(result.get()) == 30
-        stats = {s.name: s for s in env.last_engine.operator_stats()}
-        assert stats["map"].records_in == 60
-        assert stats["map"].records_out == 60
-        assert stats["filter"].records_in == 60
-        assert stats["filter"].records_out == 30
-        assert stats["collect"].records_in == 30
-        assert stats["map"].time_ns > 0
+        counts = {row["operator"]: (row["records_in"], row["records_out"])
+                  for row in env.job_report()["operators"]}
+        assert counts == {"collection-source": (0, 60), "map": (60, 60),
+                          "filter": (60, 30), "collect": (30, 0)}
 
     def test_batches_counted_across_a_channel(self):
         env = Environment(parallelism=1, config=EngineConfig(
-            batch_size=8, operator_profiling=True))
+            batch_size=8, observability=True))
         result = (env.from_collection(list(range(64)))
                   .rebalance()          # real channel: batches on the wire
                   .map(lambda x: x + 1)
                   .collect())
         env.execute()
         assert len(result.get()) == 64
-        stats = {s.name: s for s in env.last_engine.operator_stats()}
-        assert stats["map"].records_in == 64
-        assert stats["map"].batches >= 1
-        # One batch is never double-counted by the per-record default
-        # looping into the wrapped process().
-        assert stats["map"].records_in == stats["map"].records_out
+        report = env.job_report()
+        counts = {row["operator"]: (row["records_in"], row["records_out"])
+                  for row in report["operators"]}
+        assert counts == {"collection-source": (0, 64),
+                          "map -> collect": (64, 0)}
+        # Batches, not records, crossed the channel: the map ran its
+        # fused prefix once per batch, and counted each record once.
+        assert 1 <= report["spans"]["by_name"]["fused_batch"] < 64
 
 
 class TestOraclesUnderBatching:
@@ -341,7 +345,7 @@ def channel_elements(channel):
 
 def drive_source_task(operators, batch_size, elements_per_step=8,
                       barrier_steps=(), channels=2, restore=None,
-                      operator_profiling=False, recover_at=()):
+                      recover_at=()):
     """Step one hand-built source task to its end with a hash edge of
     ``channels`` channels behind it; a checkpoint is pending at the
     start of every step in ``barrier_steps``, and at the start of every
@@ -351,8 +355,7 @@ def drive_source_task(operators, batch_size, elements_per_step=8,
     snapshots by checkpoint id, and the task."""
     task = Task("source", 0, 0, 1, operators, ManualClock(),
                 MetricGroup("test"), elements_per_step=elements_per_step,
-                batch_size=batch_size,
-                operator_profiling=operator_profiling)
+                batch_size=batch_size)
     outputs = [Channel("out-%d" % index, capacity=1 << 30)
                for index in range(channels)]
     task.add_output_edge(OutputEdge(
@@ -514,8 +517,7 @@ class TestSourceChainElementSequence:
         columns up to the hash edge (or up to the first operator that
         needs rows), and each channel still carries the scalar run's
         ``(value, timestamp, key)`` records, watermarks and barriers --
-        with barriers between two runs, and with profiling on (which
-        keeps the row chain)."""
+        with barriers between two runs."""
         elements = keyed_elements(rng_for(ROOT, "column-path", source,
                                           suffix), 300)
         barriers = (0, 3, 4, 11, 30)
@@ -542,10 +544,6 @@ class TestSourceChainElementSequence:
             assert ["emit_columns" in vars(chained.ctx)
                     for chained in task.chain] == (
                 [True] * (len(task.chain) - fused) + [False] * fused)
-        profiled, _, task = drive(64, operator_profiling=True)
-        assert profiled == scalar
-        assert task._suffix_fn is None
-        assert isinstance(task._out_buffer, list)
 
     def test_timestamped_collection_enters_the_run_path(self):
         pairs = [((("k%d" % (index % 3)), index, index), index)
@@ -612,14 +610,15 @@ class TestSourceChainElementSequence:
 
         def counts(batch_size):
             _, _, task = drive_source_task(
-                source_chain(elements, suffix="flat-map"), batch_size,
-                operator_profiling=True)
-            assert task._suffix_fn is None
-            return [(stats.name, stats.records_in, stats.records_out)
-                    for stats in task.operator_stats]
+                source_chain(elements, suffix="flat-map"), batch_size)
+            return {name: task.metrics.counters()[name]
+                    for name in ("records_in", "records_out")}
 
+        # The suffix maps v -> 2v, keeps 2v % 3 != 1, repeats |2v| % 3.
+        survivors = sum(abs(2 * value) % 3 for _, value, _ in elements
+                        if 2 * value % 3 != 1)
         assert counts(64) == counts(1)
-        assert counts(1)[1][1:] == (200, 200)
+        assert counts(1)["records_out"] == survivors
 
 
 # -- recovery and the quarantine rule on a source chain that runs on columns ------

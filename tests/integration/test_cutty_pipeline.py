@@ -17,7 +17,7 @@ from repro.cutty import (
     SessionWindows,
 )
 from repro.cutty.sharing import SharedCuttyAggregator
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.runtime.engine import EngineConfig
 from repro.time import WatermarkStrategy
 from repro.windowing import (

@@ -362,3 +362,35 @@ def test_interactive_state_apis_rejected():
     collected = build(resumed, lambda value: value)
     resumed.execute(from_savepoint=savepoint)
     assert _final_by_key(collected.get()) == {key: 120 for key in range(5)}
+
+
+# -- supervision -------------------------------------------------------------
+
+
+def test_parent_waits_instead_of_spinning_between_checkpoints():
+    """The parent's supervision loop wakes on worker frames and on its
+    own wait, whether or not checkpoints run: a pending checkpoint, or
+    a finished source that can no longer trigger one, must not turn the
+    wait into a busy loop.  Its ticks per wall second with checkpoints
+    every 100 ms stay within 3x of a run without checkpoints.  The
+    batch size is pinned: the supervisor is under test, not the data
+    path (batched shm runs of this job are slow, see ROADMAP)."""
+    def ticks_per_second(checkpoint_interval_ms):
+        env = Environment(parallelism=2, config=_mp_config(
+            checkpoint_interval_ms=checkpoint_interval_ms, batch_size=1))
+        collected = (env.from_collection(
+                         [(index % 97, index) for index in range(100_000)])
+                     .key_by(lambda value: value[0])
+                     .sum(lambda value: value[1])
+                     .collect())
+        started = time.perf_counter()
+        env.execute()
+        wall_s = time.perf_counter() - started
+        assert len(collected.get()) == 100_000
+        return env.last_engine.rounds / wall_s
+
+    quiet = ticks_per_second(None)
+    checkpointed = ticks_per_second(100)
+    assert checkpointed <= 3 * quiet and quiet <= 3 * checkpointed, (
+        "parent ticks/s: %.0f without checkpoints, %.0f with them every "
+        "100 ms" % (quiet, checkpointed))

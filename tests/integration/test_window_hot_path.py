@@ -17,7 +17,7 @@ import pytest
 
 from repro.api.environment import Environment
 from repro.connectors.sinks import TransactionalTextFileSink
-from repro.metrics import MetricGroup
+from repro.observability import MetricGroup
 from repro.runtime.channels import Channel
 from repro.runtime.elements import CheckpointBarrier, Record, Watermark
 from repro.runtime.engine import EngineConfig

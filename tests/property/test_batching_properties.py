@@ -99,11 +99,10 @@ def test_watermark_boundaries_preserved_in_windows(elements, batch_size):
        generator=st.sampled_from(sorted(GENERATORS)),
        poll_every=st.sampled_from([1, 7]),
        suffix=st.sampled_from(SUFFIXES),
-       source=st.sampled_from(sorted(SOURCES)),
-       operator_profiling=st.booleans())
+       source=st.sampled_from(sorted(SOURCES)))
 def test_source_chain_element_sequence_is_the_scalar_one(
         elements, batch_size, elements_per_step, barrier_steps, generator,
-        poll_every, suffix, source, operator_profiling):
+        poll_every, suffix, source):
     """``source -> timestamps/watermarks -> map -> filter -> key_by``:
     each source burst travels as a run of columns -- the watermark
     operator stamps and cuts it, the stateless suffix is applied once
@@ -111,7 +110,7 @@ def test_source_chain_element_sequence_is_the_scalar_one(
     yet each output channel carries the records, watermarks and
     barriers of the record-at-a-time execution, in the same order.
     Whatever the source kind (one that mixes ``collect`` singles into
-    its runs included), wherever rows begin, profiled or not."""
+    its runs included), wherever rows begin."""
     elements = [("k%d" % k, value, ts) for k, value, ts in elements]
     scalar, _, _ = drive_source_task(
         source_chain(elements, generator, poll_every, suffix, source), 1,
@@ -119,7 +118,7 @@ def test_source_chain_element_sequence_is_the_scalar_one(
     batched, _, _ = drive_source_task(
         source_chain(elements, generator, poll_every, suffix, source),
         batch_size, elements_per_step=elements_per_step,
-        barrier_steps=barrier_steps, operator_profiling=operator_profiling)
+        barrier_steps=barrier_steps)
     assert batched == scalar
 
 

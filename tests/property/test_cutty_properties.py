@@ -16,7 +16,7 @@ from repro.cutty import (
     SharedCuttyAggregator,
 )
 from repro.cutty.flatfat import FlatFAT
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import MaxAggregate, SumAggregate
 
 from tests.test_cutty_strategies import (

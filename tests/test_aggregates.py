@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import (
     AvgAggregate,
     CountAggregate,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cutty.flatfat import FlatFAT
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import (
     InstrumentedAggregate,
     MaxAggregate,

@@ -25,7 +25,7 @@ from repro.cutty.baselines import (
     UnsharedMultiQueryAggregator,
 )
 from repro.cutty.specs import CountWindows, PunctuationWindows
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.windowing.aggregates import MaxAggregate, SumAggregate
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import Environment
 from repro.cutty import CuttyAggregator, PeriodicWindows, SessionWindows
-from repro.metrics import AggregationCostCounter
+from repro.observability import AggregationCostCounter
 from repro.runtime.elements import Record
 from repro.runtime.reorder import WatermarkReorderOperator
 from repro.time.watermarks import WatermarkStrategy
@@ -53,7 +53,7 @@ class TestWatermarkReorder:
         class _Metrics:
             @staticmethod
             def gauge(name):
-                from repro.metrics import Gauge
+                from repro.observability import Gauge
                 return Gauge(name)
 
         class _Ctx:
@@ -75,7 +75,7 @@ class TestWatermarkReorder:
     def test_buffered_gauge_reads_peak_and_current_size(self):
         """The gauge is set where the heap can peak or fall, not per
         record: its high-water mark is still the true peak."""
-        from repro.metrics import Gauge
+        from repro.observability import Gauge
         gauge = Gauge("reorder_buffered")
 
         class _Ctx:

@@ -95,7 +95,7 @@ class TestStreamingM4Operator:
             class metrics:
                 @staticmethod
                 def counter(name):
-                    from repro.metrics import Counter
+                    from repro.observability import Counter
                     return Counter(name)
         operator.open(_Ctx())
         from repro.runtime.elements import Record

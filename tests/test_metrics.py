@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.metrics import (
+from repro.observability import (
     AggregationCostCounter,
     Counter,
     Gauge,
-    Histogram,
     MetricGroup,
-    ThroughputTracker,
-    merge_counter_maps,
+    merge_gauge_maps,
+    sum_nested,
 )
 
 
@@ -48,41 +47,6 @@ class TestGauge:
         assert gauge.max_value == 10
 
 
-class TestHistogram:
-    def test_basic_statistics(self):
-        histogram = Histogram("h")
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.mean == pytest.approx(2.5)
-        assert histogram.min == 1.0
-        assert histogram.max == 4.0
-
-    def test_quantiles_on_small_sample(self):
-        histogram = Histogram("h")
-        for value in range(101):
-            histogram.observe(float(value))
-        assert histogram.quantile(0.0) == 0.0
-        assert histogram.quantile(1.0) == 100.0
-        assert histogram.quantile(0.5) == pytest.approx(50.0, abs=1)
-
-    def test_quantile_bounds_checked(self):
-        with pytest.raises(ValueError):
-            Histogram("h").quantile(1.5)
-
-    def test_reservoir_caps_memory(self):
-        histogram = Histogram("h", reservoir_size=10)
-        for value in range(1000):
-            histogram.observe(float(value))
-        assert histogram.count == 1000
-        assert len(histogram._values) == 10
-
-    def test_empty_histogram_is_safe(self):
-        histogram = Histogram("h")
-        assert histogram.mean == 0.0
-        assert histogram.quantile(0.5) == 0.0
-
-
 class TestMetricGroup:
     def test_metrics_are_cached_by_name(self):
         group = MetricGroup("task")
@@ -98,14 +62,6 @@ class TestMetricGroup:
         group.counter("a").inc(2)
         group.counter("b").inc(3)
         assert group.counters() == {"a": 2, "b": 3}
-
-    def test_reset_clears_everything(self):
-        group = MetricGroup()
-        group.counter("a").inc(2)
-        group.gauge("g").set(7)
-        group.reset()
-        assert group.counters() == {"a": 0}
-        assert group.gauges() == {"g": 0}
 
 
 class TestAggregationCostCounter:
@@ -137,20 +93,12 @@ class TestAggregationCostCounter:
         assert costs.max_live_partials == 5
 
 
-class TestThroughputTracker:
-    def test_records_per_second(self):
-        tracker = ThroughputTracker()
-        tracker.start(0.0)
-        tracker.record(500)
-        tracker.stop(2.0)
-        assert tracker.records_per_second() == pytest.approx(250.0)
-
-    def test_unstarted_tracker_reports_zero(self):
-        tracker = ThroughputTracker()
-        tracker.record(10)
-        assert tracker.records_per_second() == 0.0
-
-
-def test_merge_counter_maps():
-    merged = merge_counter_maps([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
+def test_sum_nested():
+    merged = sum_nested([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
     assert merged == {"a": 4, "b": 2, "c": 4}
+    assert sum_nested([{"x": {"y": 1}}, {"x": {"y": 2, "z": 3}}]) == {
+        "x": {"y": 3, "z": 3}}
+
+
+def test_merge_gauge_maps_last_wins():
+    assert merge_gauge_maps([{"g": 1, "h": 2}, {"g": 5}]) == {"g": 5, "h": 2}

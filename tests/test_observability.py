@@ -2,7 +2,11 @@
 gauges, exposition formats, and the disabled-mode zero-overhead contract.
 """
 
+import inspect
 import json
+import multiprocessing
+import os
+import re
 
 import pytest
 
@@ -10,11 +14,12 @@ from repro.api import Environment
 from repro.observability import (
     FORMATS,
     JobReport,
+    MetricGroup,
     MetricsRegistry,
     MetricsReporter,
     TraceContext,
+    sum_nested,
 )
-from repro.metrics import MetricGroup, merge_counter_maps
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
@@ -118,6 +123,14 @@ class TestMetricsRegistry:
         assert registry.probe_results() == {"p": {"calls": 1}}
         assert registry.snapshot()["probes"] == {"p": {"calls": 2}}
 
+    def test_federate_sums_probe_results_across_workers(self):
+        """Every worker reports a ``cutty`` probe: federation sums the
+        collision leaf by leaf instead of keeping the last worker's."""
+        merged = MetricsRegistry.federate([
+            {"probes": {"cutty": {"q": {"results": 3}}}},
+            {"probes": {"cutty": {"q": {"results": 5}}}}])
+        assert merged["probes"] == {"cutty": {"q": {"results": 8}}}
+
 
 # -- config ----------------------------------------------------------------
 
@@ -152,6 +165,24 @@ class TestEngineConfigSurface:
     def test_options_are_keyword_only(self):
         with pytest.raises(TypeError):
             EngineConfig(128)
+
+    def test_configuration_doc_has_one_row_per_option(self):
+        """The option table under ``## EngineConfig`` in
+        ``docs/configuration.md`` names exactly the keyword parameters
+        of ``EngineConfig.__init__``: a knob added or removed without
+        its row fails here."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                            "configuration.md")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        section = text.split("\n## EngineConfig\n", 1)[1]
+        section = re.split(r"\n#{2,3} ", section, maxsplit=1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        parameters = [
+            name for name, parameter
+            in inspect.signature(EngineConfig.__init__).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert documented == parameters
 
 
 # -- engine integration ----------------------------------------------------
@@ -266,7 +297,7 @@ class TestEngineIntegration:
         registry = engine.observability.registry
         # The registry reads the live (rebuilt) task groups: the merged
         # records_in equals what the post-restart tasks actually counted.
-        expected = merge_counter_maps(
+        expected = sum_nested(
             [task.metrics.counters() for task in engine.tasks]
             + [engine.metrics.counters()])
         assert registry.counters()["records_in"] == expected["records_in"]
@@ -298,6 +329,30 @@ class TestEngineIntegration:
         assert per_query["q2"]["combines"] >= 0
         assert (per_query["q1"]["results"] + per_query["q2"]["results"]
                 == len(out.get()))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="multiprocess backend requires the fork start method")
+    def test_federated_cutty_probe_equals_the_cutty_section(self):
+        """Two workers each run a Cutty subtask: the federated registry's
+        ``cutty`` probe carries both workers' counts, as the report's
+        ``cutty`` section does."""
+        from repro.cutty import PeriodicWindows
+        from repro.windowing import SumAggregate
+        events = [(index, index) for index in range(3000)]
+        env = Environment(parallelism=2, config=EngineConfig(
+            backend="multiprocess", num_workers=2, observability=True))
+        (env.from_collection(events, timestamped=True)
+            .key_by(lambda value: value % 4)
+            .shared_windows(
+                SumAggregate,
+                {"q1": lambda: PeriodicWindows(1000),
+                 "q2": lambda: PeriodicWindows(500)})
+            .collect())
+        env.execute()
+        report = env.job_report()
+        assert report["cutty"]["cutty-window"]["elements"] == len(events)
+        assert report["metrics"]["probes"]["cutty"] == report["cutty"]
 
 
 # -- reporter --------------------------------------------------------------
