@@ -5,9 +5,6 @@ from repro.connectors.partitioned import (
     partition_round_robin,
 )
 from repro.connectors.sinks import (
-    CsvFileSink,
-    JsonlFileSink,
-    TextFileSink,
     TransactionalCsvFileSink,
     TransactionalJsonlFileSink,
     TransactionalSink,
@@ -26,9 +23,6 @@ __all__ = [
     "HybridSource",
     "PartitionedSource",
     "partition_round_robin",
-    "CsvFileSink",
-    "JsonlFileSink",
-    "TextFileSink",
     "TransactionalCsvFileSink",
     "TransactionalJsonlFileSink",
     "TransactionalSink",

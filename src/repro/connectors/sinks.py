@@ -1,25 +1,22 @@
 """File sinks: persisting results from either kind of program.
 
-Two durability levels:
-
-* The plain sinks (:class:`TextFileSink`, :class:`JsonlFileSink`,
-  :class:`CsvFileSink`) buffer in memory and publish once on ``close()``
-  via an atomic temp-file-and-rename, so a crash mid-write can never
-  leave a torn half-file behind -- readers see the old file or the new
-  file, nothing in between.
-
-* The transactional sinks (:class:`TransactionalTextFileSink` and
-  friends) implement the two-phase-commit protocol of exactly-once
-  sinks: records buffer inside a transaction scoped to the checkpoint
-  interval; at the barrier cut the transaction is *pre-committed* (its
-  content persisted to a ``.pending-<txn>`` side file and recorded in
-  the operator snapshot); once the coordinator confirms the checkpoint
-  completed, the transaction *commits* into the target file.  On
-  recovery, transactions recorded pending in the restored snapshot are
-  committed (their checkpoint is durable) and every other in-flight
-  transaction is aborted -- its records sit before the replay point and
-  will be produced again.  The visible file therefore always holds each
-  record exactly once, no matter where the job crashed.
+The sinks (:class:`TransactionalTextFileSink`,
+:class:`TransactionalJsonlFileSink`, :class:`TransactionalCsvFileSink`)
+implement the two-phase-commit protocol of exactly-once sinks: records
+buffer inside a transaction scoped to the checkpoint interval; at the
+barrier cut the transaction is *pre-committed* (its content persisted to
+a ``.pending-<txn>`` side file and recorded in the operator snapshot);
+once the coordinator confirms the checkpoint completed, the transaction
+*commits* into the target file.  On recovery, transactions recorded
+pending in the restored snapshot are committed (their checkpoint is
+durable) and every other in-flight transaction is aborted -- its records
+sit before the replay point and will be produced again.  The visible
+file therefore always holds each record exactly once, no matter where
+the job crashed.  Every publish is an atomic temp-file-and-rename, so
+readers see the old file or the new file, never a torn half-file.
+Without checkpoints the whole output is one transaction, published at
+end of input -- on either backend, since the sink runs as an operator
+inside whichever process owns it.
 """
 
 from __future__ import annotations
@@ -29,75 +26,21 @@ import glob
 import io
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.runtime.elements import Record
 from repro.runtime.operators import OperatorContext, SinkOperator
 
 
-def _replace_atomically(path: str, write_fn: Callable[[Any], None],
-                        newline: Optional[str] = None) -> None:
+def _replace_atomically(path: str, write_fn: Callable[[Any], None]) -> None:
     """Write via a sibling temp file and ``os.replace`` so the target is
     either the complete old content or the complete new content."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline=newline) as handle:
+    with open(tmp, "w", encoding="utf-8") as handle:
         write_fn(handle)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-
-
-class TextFileSink:
-    """Buffers records and writes one per line on ``close``; use via
-    ``stream.add_sink(sink)``."""
-
-    def __init__(self, path: str,
-                 formatter: Callable[[Any], str] = str) -> None:
-        self.path = path
-        self.formatter = formatter
-        self._lines: List[str] = []
-
-    def __call__(self, value: Any) -> None:
-        self._lines.append(self.formatter(value))
-
-    def close(self) -> int:
-        """Flush to disk atomically; returns the number of lines written."""
-        def write(handle: Any) -> None:
-            for line in self._lines:
-                handle.write(line + "\n")
-        _replace_atomically(self.path, write)
-        return len(self._lines)
-
-
-class JsonlFileSink(TextFileSink):
-    """One JSON document per line."""
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path, formatter=lambda value: json.dumps(
-            value, default=repr, sort_keys=True))
-
-
-class CsvFileSink:
-    """CSV with a fixed header; records must be sequences."""
-
-    def __init__(self, path: str, header: Sequence[str]) -> None:
-        self.path = path
-        self.header = list(header)
-        self._rows: List[Sequence[Any]] = []
-
-    def __call__(self, row: Sequence[Any]) -> None:
-        if len(row) != len(self.header):
-            raise ValueError("row width %d != header width %d"
-                             % (len(row), len(self.header)))
-        self._rows.append(row)
-
-    def close(self) -> int:
-        def write(handle: Any) -> None:
-            writer = csv.writer(handle)
-            writer.writerow(self.header)
-            writer.writerows(self._rows)
-        _replace_atomically(self.path, write, newline="")
-        return len(self._rows)
 
 
 # -- exactly-once (two-phase-commit) sinks ----------------------------------

@@ -10,9 +10,10 @@ The one instrument package of the reproduction:
   those with runtime metrics (throughput, queue occupancy,
   backpressure-stall time, watermark lag, checkpoint and restart
   statistics, Cutty sharing counters);
-* span tracing over the simulated clock, and a
-  :class:`~repro.observability.reporter.MetricsReporter` rendering
-  text/JSON/Prometheus snapshots.
+* span tracing over the simulated clock, and the
+  :class:`~repro.observability.reporter.JobReport` that
+  :meth:`Engine.job_report` returns, rendered as text, JSON or
+  Prometheus exposition.
 
 The primitives are always on: tasks and window strategies count through
 them whether or not observability is enabled.  Enable the registry,
@@ -31,7 +32,7 @@ from repro.observability.registry import (
     merge_gauge_maps,
     sum_nested,
 )
-from repro.observability.reporter import FORMATS, JobReport, MetricsReporter
+from repro.observability.reporter import FORMATS, JobReport
 from repro.observability.runtime import (
     OBSERVABILITY_ENV_VAR,
     RuntimeObservability,
@@ -48,7 +49,6 @@ __all__ = [
     "JobReport",
     "MetricGroup",
     "MetricsRegistry",
-    "MetricsReporter",
     "OBSERVABILITY_ENV_VAR",
     "RuntimeObservability",
     "Span",

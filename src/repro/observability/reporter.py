@@ -4,8 +4,7 @@
 returns -- per-operator throughput, watermark lag and skew,
 backpressure-stall time, checkpoint statistics, Cutty sharing counters,
 restart/quarantine counts and the span digest.  It is a plain dict tree
-underneath (``as_dict``), rendered three ways by
-:class:`MetricsReporter`:
+underneath (``as_dict``), rendered three ways (``render(fmt)``):
 
 * ``text``       -- aligned human-readable tables,
 * ``json``       -- the dict tree, verbatim,
@@ -67,40 +66,6 @@ def merge_report_sections(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-class JobReport:
-    """Structured post-run summary of one engine execution."""
-
-    def __init__(self, sections: Dict[str, Any]) -> None:
-        self._sections = sections
-
-    def as_dict(self) -> Dict[str, Any]:
-        return self._sections
-
-    def __getitem__(self, key: str) -> Any:
-        return self._sections[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._sections.get(key, default)
-
-    def render(self, fmt: str = "text") -> str:
-        return MetricsReporter(self).render(fmt)
-
-    def to_text(self) -> str:
-        return MetricsReporter(self).to_text()
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return MetricsReporter(self).to_json(indent=indent)
-
-    def to_prometheus(self) -> str:
-        return MetricsReporter(self).to_prometheus()
-
-    def __repr__(self) -> str:
-        job = self._sections.get("job", {})
-        return ("JobReport(operators=%d, sim_ms=%s)"
-                % (len(self._sections.get("operators", [])),
-                   job.get("simulated_time_ms")))
-
-
 def _sanitize(label: str) -> str:
     """Prometheus metric-name charset: [a-zA-Z_:][a-zA-Z0-9_:]*."""
     cleaned = re.sub(r"[^a-zA-Z0-9_:]", "_", label)
@@ -122,11 +87,20 @@ def _format_table(headers: List[str], rows: List[List[Any]]) -> str:
     return "\n".join(lines)
 
 
-class MetricsReporter:
-    """Renders a :class:`JobReport` in every exposition format."""
+class JobReport:
+    """Structured post-run summary of one engine execution."""
 
-    def __init__(self, report: JobReport) -> None:
-        self.report = report
+    def __init__(self, sections: Dict[str, Any]) -> None:
+        self._sections = sections
+
+    def as_dict(self) -> Dict[str, Any]:
+        return self._sections
+
+    def __getitem__(self, key: str) -> Any:
+        return self._sections[key]
+
+    def get(self, key: str, default: Any = None) -> Any:
+        return self._sections.get(key, default)
 
     def render(self, fmt: str = "text") -> str:
         if fmt == "text":
@@ -138,10 +112,16 @@ class MetricsReporter:
         raise ValueError("unknown exposition format %r (choose from %r)"
                          % (fmt, FORMATS))
 
+    def __repr__(self) -> str:
+        job = self._sections.get("job", {})
+        return ("JobReport(operators=%d, sim_ms=%s)"
+                % (len(self._sections.get("operators", [])),
+                   job.get("simulated_time_ms")))
+
     # -- text ---------------------------------------------------------------
 
     def to_text(self) -> str:
-        sections = self.report.as_dict()
+        sections = self._sections
         blocks: List[str] = []
 
         def key_values(name: str) -> None:
@@ -216,13 +196,13 @@ class MetricsReporter:
     # -- json ----------------------------------------------------------------
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.report.as_dict(), indent=indent, sort_keys=True,
+        return json.dumps(self._sections, indent=indent, sort_keys=True,
                           default=repr)
 
     # -- prometheus ----------------------------------------------------------
 
     def to_prometheus(self) -> str:
-        sections = self.report.as_dict()
+        sections = self._sections
         lines: List[str] = []
 
         def emit(name: str, value: Any, labels: Optional[Dict[str, Any]] = None,

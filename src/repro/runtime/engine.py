@@ -169,8 +169,8 @@ class EngineConfig:
         self.batch_size = batch_size
         self.checkpoint_interval_ms = checkpoint_interval_ms
         #: When set, the checkpoint coordinator of either backend
-        #: persists every sealed checkpoint under this directory as
-        #: CRC-checksummed snapshot files plus a manifest (see
+        #: persists every sealed checkpoint under this directory as one
+        #: CRC-checksummed file, ``chk-<id>.snap`` (see
         #: :mod:`repro.state.durable`).  A respawned multiprocess fleet
         #: restores from *disk* with verification -- a corrupted or torn
         #: checkpoint falls back to the next-oldest retained one; the
@@ -182,10 +182,12 @@ class EngineConfig:
         #: ``cancel_hook(engine, rounds)`` returning true stops the job
         #: between two rounds (cooperative backend only).
         self.cancel_hook = cancel_hook
-        #: Supervisor policy for task failures.  ``None`` keeps the
-        #: legacy contract: operator exceptions propagate out of
-        #: ``execute()`` and ``InjectedFailure`` restores from the latest
-        #: checkpoint without counting as a supervised restart.
+        #: Supervisor policy for task failures.  ``None``: on the
+        #: cooperative backend operator exceptions propagate out of
+        #: ``execute()`` and ``InjectedFailure`` restores in place from
+        #: the latest checkpoint without counting as a supervised
+        #: restart; on the multiprocess backend any failure, an injected
+        #: crash included, fails the job.
         self.restart_strategy = restart_strategy
         #: Abort a pending checkpoint still unacknowledged after this
         #: much simulated time (``None`` = wait forever).

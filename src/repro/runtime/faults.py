@@ -55,7 +55,6 @@ treats like any other failure.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -293,19 +292,11 @@ def _records_into(task: Any) -> int:
 
 def _corrupt_newest_checkpoint(store: Any, rng: random.Random
                                ) -> Optional[str]:
-    """Flip one byte in the newest persisted snapshot file; returns the
+    """Flip one byte in the newest persisted checkpoint file; returns the
     path, or ``None`` when nothing durable exists yet."""
-    if store.durability_stats() is None:
-        return None  # a memory-only store
-    ids = store.persisted_ids()
-    if not ids:
+    path = store.newest_file()
+    if path is None:
         return None
-    target_dir = store._path_for(ids[-1])
-    snaps = sorted(name for name in os.listdir(target_dir)
-                   if name.endswith(".snap"))
-    if not snaps:
-        return None
-    path = os.path.join(target_dir, rng.choice(snaps))
     with open(path, "r+b") as handle:
         blob = handle.read()
         if not blob:

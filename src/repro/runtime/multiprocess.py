@@ -118,6 +118,12 @@ _EGRESS_SOFT_LIMIT = 4 * 1024 * 1024
 #: rounds; a worker must also account for time spent blocked on pipes).
 _STALL_TIMEOUT_S = 60.0
 _IDLE_WAIT_S = 0.02
+#: A worker with shared-memory rings waits this long at first when idle,
+#: doubling per idle wait in a row up to ``_IDLE_WAIT_S``: a ring has no
+#: fd, so neither a peer publishing a frame nor a peer freeing a slot
+#: wakes the selector, and waiting the full ``_IDLE_WAIT_S`` each time
+#: would stall a batched exchange on every frame.
+_RING_POLL_S = 0.001
 #: Sanity cap on a frame's length prefix.  A garbled prefix otherwise
 #: reads as "wait for gigabytes that will never arrive", which turns a
 #: corrupted pipe into an undiagnosable hang instead of a FrameError.
@@ -621,6 +627,7 @@ class ShardEngine(Engine):
         control = self._control
         reported_finished: set = set()
         rounds = 0
+        idle_waits = 0
         last_progress = time.monotonic()
         while not all(task.finished for task in self.tasks):
             if rounds >= config.max_rounds:
@@ -644,13 +651,15 @@ class ShardEngine(Engine):
             control.flush()
             if progressed:
                 last_progress = time.monotonic()
+                idle_waits = 0
                 continue
             if time.monotonic() - last_progress > _STALL_TIMEOUT_S:
                 raise JobStalledError(
                     "worker %d made no progress for %.0fs; unfinished: %r"
                     % (self.worker_id, _STALL_TIMEOUT_S,
                        [t for t in self.tasks if not t.finished]))
-            self._idle_wait(readers, control_in, ring_readers)
+            self._idle_wait(readers, control_in, ring_readers, idle_waits)
+            idle_waits += 1
 
         # Orderly completion: every EOS and trailing record must reach
         # its peer before the fds close.
@@ -668,12 +677,13 @@ class ShardEngine(Engine):
 
     def _idle_wait(self, readers: Dict[int, _FrameReader],
                    control_in: _FrameReader,
-                   ring_readers: Optional[Dict[int, ShmRingReader]] = None
-                   ) -> None:
+                   ring_readers: Optional[Dict[int, ShmRingReader]] = None,
+                   idle_waits: int = 0) -> None:
         """Block on the pipes instead of spinning: wake on inbound data,
         a control message, or a congested writer emptying.  Rings have no
         pollable fd; a ring holding data the flow-control budget would
-        accept is treated as an immediate wakeup."""
+        accept is treated as an immediate wakeup, and with rings the wait
+        is the ``idle_waits``-th step of the ``_RING_POLL_S`` backoff."""
         if ring_readers:
             for source, ring in ring_readers.items():
                 # Data this worker is over budget for can wait: blocking
@@ -690,7 +700,11 @@ class ShardEngine(Engine):
                 pipe = exchange.pipe
                 if pipe.pending_bytes and not pipe.broken:
                     selector.register(pipe.fd, selectors.EVENT_WRITE)
-            selector.select(_IDLE_WAIT_S)
+            timeout = _IDLE_WAIT_S
+            if ring_readers:
+                timeout = min(timeout,
+                              _RING_POLL_S * (1 << min(idle_waits, 5)))
+            selector.select(timeout)
         finally:
             selector.close()
 

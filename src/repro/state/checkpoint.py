@@ -192,6 +192,10 @@ class CheckpointStore:
         """``None``: nothing is persisted (see the durable store)."""
         return None
 
+    def newest_file(self) -> Optional[str]:
+        """``None``: nothing is persisted (see the durable store)."""
+        return None
+
     def __len__(self) -> int:
         return len(self._completed)
 

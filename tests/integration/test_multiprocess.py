@@ -374,7 +374,7 @@ def test_parent_waits_instead_of_spinning_between_checkpoints():
     wait into a busy loop.  Its ticks per wall second with checkpoints
     every 100 ms stay within 3x of a run without checkpoints.  The
     batch size is pinned: the supervisor is under test, not the data
-    path (batched shm runs of this job are slow, see ROADMAP)."""
+    path."""
     def ticks_per_second(checkpoint_interval_ms):
         env = Environment(parallelism=2, config=_mp_config(
             checkpoint_interval_ms=checkpoint_interval_ms, batch_size=1))
@@ -394,3 +394,29 @@ def test_parent_waits_instead_of_spinning_between_checkpoints():
     assert checkpointed <= 3 * quiet and quiet <= 3 * checkpointed, (
         "parent ticks/s: %.0f without checkpoints, %.0f with them every "
         "100 ms" % (quiet, checkpointed))
+
+
+def test_batched_shm_exchange_keeps_up_with_pipes():
+    """A ring has no fd, so an idle worker used to sleep its whole idle
+    wait (20 ms) after a peer published a ring frame or freed a slot: a
+    2-worker keyed rolling sum at ``batch_size=64`` took 10x longer on
+    ``exchange="shm"`` than over pipes.  Best of two runs each, shm
+    stays within 3x of pipes."""
+    def wall_s(exchange):
+        env = Environment(parallelism=2, config=_mp_config(
+            exchange=exchange, batch_size=64))
+        collected = (env.from_collection(
+                         [(index % 97, index) for index in range(20_000)])
+                     .key_by(lambda value: value[0])
+                     .sum(lambda value: value[1])
+                     .collect())
+        started = time.perf_counter()
+        env.execute()
+        elapsed = time.perf_counter() - started
+        assert len(collected.get()) == 20_000
+        return elapsed
+
+    pipe = min(wall_s("pipe") for _ in range(2))
+    shm = min(wall_s("shm") for _ in range(2))
+    assert shm <= 3 * pipe, (
+        "batched exchange: %.2f s on shm, %.2f s over pipes" % (shm, pipe))

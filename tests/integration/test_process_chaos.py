@@ -306,10 +306,9 @@ def test_sigkill_with_batched_shm_exchange(tmp_path, monkeypatch):
 
 
 def _sealed(checkpoint_dir):
-    """The ``chk-*`` directories holding a complete durable checkpoint."""
+    """The committed ``chk-<id>.snap`` checkpoint files."""
     return {name for name in os.listdir(checkpoint_dir)
-            if os.path.exists(os.path.join(checkpoint_dir, name,
-                                           "manifest.json"))}
+            if name.endswith(".snap")}
 
 
 def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
@@ -332,7 +331,7 @@ def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
 
     def noting_the_retained_checkpoints(label, ready=lambda: True):
         """A ``when`` trigger that, once ``ready()``, writes down which
-        ``chk-*`` directories the kill it fires sees."""
+        ``chk-*`` files the kill it fires sees."""
         def when(view):
             if not ready():
                 return False

@@ -229,7 +229,7 @@ class TestStats:
         h = Harness(checkpoint_dir=str(tmp_path))
         h.tick(10)
         h.ack(1, SRC, MAP, SINK)
-        assert os.path.exists(str(tmp_path / "chk-1" / "manifest.json"))
+        assert os.listdir(str(tmp_path)) == ["chk-1.snap"]
         assert h.coordinator.stats()["durable"] == {
             "persisted": 1, "retained_on_disk": 1,
             "corruptions_detected": 0, "restore_fallbacks": 0}

@@ -5,9 +5,9 @@ import os
 import pytest
 
 from repro.connectors import (
-    CsvFileSink,
-    JsonlFileSink,
-    TextFileSink,
+    TransactionalCsvFileSink,
+    TransactionalJsonlFileSink,
+    TransactionalTextFileSink,
     csv_records,
     jsonl_records,
     text_file_lines,
@@ -170,43 +170,45 @@ class TestDocs:
             DocumentStreamGenerator(languages=["klingon"])
 
 
+def publish(sink, values):
+    """Drive ``sink`` the way a job without checkpoints does: one
+    transaction, published at end of input."""
+    sink.open()
+    for value in values:
+        sink.write(value)
+    sink.flush_final()
+    return sink.records_committed
+
+
 class TestConnectors:
     def test_text_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "lines.txt")
-        sink = TextFileSink(path)
-        for line in ("alpha", "beta"):
-            sink(line)
-        assert sink.close() == 2
+        sink = TransactionalTextFileSink(path)
+        assert publish(sink, ["alpha", "beta"]) == 2
         assert list(text_file_lines(path)()) == ["alpha", "beta"]
 
     def test_text_source_is_replayable(self, tmp_path):
         path = str(tmp_path / "lines.txt")
-        sink = TextFileSink(path)
-        sink("one")
-        sink.close()
+        publish(TransactionalTextFileSink(path), ["one"])
         factory = text_file_lines(path)
         assert list(factory()) == list(factory()) == ["one"]
 
     def test_csv_roundtrip_with_types(self, tmp_path):
         path = str(tmp_path / "data.csv")
-        sink = CsvFileSink(path, header=["name", "score"])
-        sink(["a", 1])
-        sink(["b", 2])
-        sink.close()
+        publish(TransactionalCsvFileSink(path, header=["name", "score"]),
+                [["a", 1], ["b", 2]])
         rows = list(csv_records(path, types={"score": int})())
         assert rows == [{"name": "a", "score": 1}, {"name": "b", "score": 2}]
 
     def test_csv_sink_validates_width(self, tmp_path):
-        sink = CsvFileSink(str(tmp_path / "x.csv"), header=["a", "b"])
+        sink = TransactionalCsvFileSink(str(tmp_path / "x.csv"),
+                                        header=["a", "b"])
         with pytest.raises(ValueError):
-            sink(["only-one"])
+            sink.write(["only-one"])
 
     def test_jsonl_roundtrip(self, tmp_path):
         path = str(tmp_path / "data.jsonl")
-        sink = JsonlFileSink(path)
-        sink({"k": 1})
-        sink({"k": 2})
-        sink.close()
+        publish(TransactionalJsonlFileSink(path), [{"k": 1}, {"k": 2}])
         assert list(jsonl_records(path)()) == [{"k": 1}, {"k": 2}]
 
     def test_throttled_pairs_values_with_arrivals(self):
@@ -217,10 +219,7 @@ class TestConnectors:
     def test_file_source_through_engine(self, tmp_path):
         from repro.api import Environment
         path = str(tmp_path / "words.txt")
-        sink = TextFileSink(path)
-        for line in ("to be or", "not to be"):
-            sink(line)
-        sink.close()
+        publish(TransactionalTextFileSink(path), ["to be or", "not to be"])
         env = Environment()
         result = (env.from_source(text_file_lines(path))
                   .flat_map(str.split)
@@ -268,9 +267,7 @@ class TestConnectorErrorPaths:
 
     def test_file_sinks_close_atomically(self, tmp_path):
         path = str(tmp_path / "out.txt")
-        sink = TextFileSink(path)
-        sink("line")
-        sink.close()
+        publish(TransactionalTextFileSink(path), ["line"])
         assert not os.path.exists(path + ".tmp")
         with open(path) as handle:
             assert handle.read() == "line\n"

@@ -1,13 +1,14 @@
 """Unit tests for durable checksummed checkpoint persistence.
 
-Every corruption mode the chaos harness can inflict -- flipped bytes,
-truncation, a deleted snapshot, a torn directory with no manifest, a
-garbage manifest -- must be *detected* by the verified-restore path and
-survived by falling back to the next-oldest intact checkpoint.
+Every corruption mode the chaos harness can inflict on a checkpoint file
+-- a flipped byte, truncation, a deleted file, a garbage header, a file
+holding another checkpoint, a write torn before its rename -- must be
+*detected* by the verified-restore path and survived by falling back to
+the next-oldest intact checkpoint.
 """
 
-import json
 import os
+import pickle
 
 import pytest
 
@@ -34,27 +35,47 @@ def completed(checkpoint_id, total=0):
                                completion_time=checkpoint_id * 10 + 5)
 
 
+def two_checkpoints(tmp_path):
+    store = DurableCheckpointStore(str(tmp_path), max_retained=3)
+    store.add(completed(1, total=10))
+    store.add(completed(2, total=20))
+    return store, os.path.join(str(tmp_path), "chk-2.snap")
+
+
+def assert_fell_back_to_1(store):
+    assert store.load_latest_verified().checkpoint_id == 1
+    assert store.corruptions_detected == 1
+    assert store.restore_fallbacks == 1
+    # The corrupt checkpoint was deleted, not retried forever.
+    assert store.persisted_ids() == [1]
+    assert store.latest.checkpoint_id == 1
+
+
 class TestSnapshotFile:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "one.snap")
-        entry = write_snapshot_file(path, snap(total=42))
-        restored = read_snapshot_file(path, expected_crc=entry["crc32"])
-        assert restored.keyed_state == {"sum": {"k": 42}}
-        assert tuple(entry["subtask"]) == restored.subtask
+        entry = write_snapshot_file(path, completed(7, total=42))
+        restored = read_snapshot_file(path)
+        # The header: a 7-byte magic, the CRC-32 and an 8-byte length.
+        assert entry["length"] == os.path.getsize(path) - 19
+        assert restored.checkpoint_id == 7
+        assert (restored.trigger_time, restored.completion_time) == (70, 75)
+        assert restored.snapshots[("1-op", 0)].keyed_state == {
+            "sum": {"k": 42}}
 
     def test_flipped_byte_detected(self, tmp_path):
         path = str(tmp_path / "one.snap")
-        write_snapshot_file(path, snap())
+        write_snapshot_file(path, completed(1))
         with open(path, "r+b") as handle:
             blob = handle.read()
             handle.seek(len(blob) // 2)
             handle.write(bytes([blob[len(blob) // 2] ^ 0xFF]))
-        with pytest.raises(CheckpointCorruptionError):
+        with pytest.raises(CheckpointCorruptionError, match="CRC"):
             read_snapshot_file(path)
 
     def test_truncation_detected(self, tmp_path):
         path = str(tmp_path / "one.snap")
-        write_snapshot_file(path, snap())
+        write_snapshot_file(path, completed(1))
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size - 3)
@@ -65,19 +86,24 @@ class TestSnapshotFile:
         with pytest.raises(CheckpointCorruptionError, match="unreadable"):
             read_snapshot_file(str(tmp_path / "absent.snap"))
 
-    def test_manifest_crc_disagreement_detected(self, tmp_path):
+    def test_payload_of_another_type_detected(self, tmp_path):
+        """A well-framed file whose payload is not a checkpoint (say, one
+        subtask's snapshot) is rejected after unpickling."""
         path = str(tmp_path / "one.snap")
-        entry = write_snapshot_file(path, snap())
-        with pytest.raises(CheckpointCorruptionError, match="manifest"):
-            read_snapshot_file(path, expected_crc=entry["crc32"] ^ 1)
+        write_snapshot_file(path, snap())
+        with pytest.raises(CheckpointCorruptionError,
+                           match="not a CompletedCheckpoint"):
+            read_snapshot_file(path)
 
 
 class TestStore:
     def test_persists_and_restores(self, tmp_path):
-        store = DurableCheckpointStore(str(tmp_path), max_retained=3)
-        store.add(completed(1, total=10))
-        store.add(completed(2, total=20))
+        store, _ = two_checkpoints(tmp_path)
         assert store.persisted_ids() == [1, 2]
+        # One file per checkpoint: no manifest, no per-subtask files.
+        assert sorted(os.listdir(str(tmp_path))) == [
+            "chk-1.snap", "chk-2.snap"]
+        assert store.newest_file() == str(tmp_path / "chk-2.snap")
         restored = store.load_latest_verified()
         assert restored.checkpoint_id == 2
         one = restored.snapshots[("1-op", 0)]
@@ -89,84 +115,77 @@ class TestStore:
         for checkpoint_id in (1, 2, 3, 4):
             store.add(completed(checkpoint_id))
         assert store.persisted_ids() == [3, 4]
+        assert sorted(os.listdir(str(tmp_path))) == [
+            "chk-3.snap", "chk-4.snap"]
 
     def test_corrupt_newest_falls_back_to_older(self, tmp_path):
-        store = DurableCheckpointStore(str(tmp_path), max_retained=3)
-        store.add(completed(1, total=10))
-        store.add(completed(2, total=20))
-        victim = os.path.join(str(tmp_path), "chk-2", "subtask-0.snap")
+        store, victim = two_checkpoints(tmp_path)
         with open(victim, "r+b") as handle:
-            handle.seek(20)
+            handle.seek(40)
             handle.write(b"\xff\xff\xff\xff")
-        restored = store.load_latest_verified()
-        assert restored.checkpoint_id == 1
-        assert store.corruptions_detected == 1
-        assert store.restore_fallbacks == 1
-        # The corrupt checkpoint was deleted, not retried forever.
-        assert store.persisted_ids() == [1]
-        assert store.latest.checkpoint_id == 1
+        assert_fell_back_to_1(store)
 
-    def test_missing_snapshot_file_falls_back(self, tmp_path):
-        store = DurableCheckpointStore(str(tmp_path), max_retained=3)
-        store.add(completed(1))
-        store.add(completed(2))
-        os.remove(os.path.join(str(tmp_path), "chk-2", "subtask-1.snap"))
-        assert store.load_latest_verified().checkpoint_id == 1
-        assert store.corruptions_detected == 1
+    def test_truncated_newest_falls_back(self, tmp_path):
+        store, victim = two_checkpoints(tmp_path)
+        with open(victim, "r+b") as handle:
+            handle.truncate(os.path.getsize(victim) // 2)
+        assert_fell_back_to_1(store)
 
-    def test_garbage_manifest_falls_back(self, tmp_path):
-        store = DurableCheckpointStore(str(tmp_path), max_retained=3)
-        store.add(completed(1))
-        store.add(completed(2))
-        manifest = os.path.join(str(tmp_path), "chk-2", "manifest.json")
-        with open(manifest, "w") as handle:
-            handle.write("{not json")
-        assert store.load_latest_verified().checkpoint_id == 1
+    def test_missing_checkpoint_file_falls_back(self, tmp_path):
+        """The store sealed checkpoint 2, so its vanished file is a
+        corruption, not a checkpoint that never happened."""
+        store, victim = two_checkpoints(tmp_path)
+        os.remove(victim)
+        assert_fell_back_to_1(store)
+
+    def test_garbage_header_falls_back(self, tmp_path):
+        store, victim = two_checkpoints(tmp_path)
+        with open(victim, "r+b") as handle:
+            handle.write(b"garbage")
+        assert_fell_back_to_1(store)
 
     def test_all_corrupt_returns_none(self, tmp_path):
         store = DurableCheckpointStore(str(tmp_path), max_retained=3)
         store.add(completed(1))
-        with open(os.path.join(str(tmp_path), "chk-1", "subtask-0.snap"),
-                  "w") as handle:
+        with open(str(tmp_path / "chk-1.snap"), "w") as handle:
             handle.write("garbage")
         assert store.load_latest_verified() is None
         assert store.corruptions_detected == 1
 
-    def test_torn_directory_without_manifest_is_ignored(self, tmp_path):
-        store = DurableCheckpointStore(str(tmp_path), max_retained=3)
-        store.add(completed(1))
-        torn = os.path.join(str(tmp_path), "chk-9")
-        os.makedirs(torn)
-        write_snapshot_file(os.path.join(torn, "subtask-0.snap"), snap())
-        assert store.persisted_ids() == [1]
-        assert store.load_latest_verified().checkpoint_id == 1
+    def test_leftover_tmp_is_ignored_then_removed(self, tmp_path):
+        """A crash between writing ``chk-3.snap.tmp`` and its rename:
+        restore falls back to the newest committed file, and the next
+        seal's garbage collection removes the leftover."""
+        store, _ = two_checkpoints(tmp_path)
+        leftover = str(tmp_path / "chk-3.snap.tmp")
+        with open(leftover, "wb") as handle:
+            handle.write(pickle.dumps(completed(3)))
+        assert store.persisted_ids() == [1, 2]
+        assert store.load_latest_verified().checkpoint_id == 2
+        store.add(completed(4))
+        assert not os.path.exists(leftover)
+        assert store.persisted_ids() == [1, 2, 4]
 
-    def test_manifest_subtask_cross_check(self, tmp_path):
-        """A snapshot file swapped in from another subtask has a valid
-        CRC but the wrong identity -- the manifest catches it."""
-        store = DurableCheckpointStore(str(tmp_path), max_retained=3)
-        store.add(completed(1))
-        target = os.path.join(str(tmp_path), "chk-1")
-        manifest_path = os.path.join(target, "manifest.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        entry = manifest["snapshots"][0]
-        imposter = snap(index=5)
-        imposter_entry = write_snapshot_file(
-            os.path.join(target, entry["file"]), imposter)
-        entry["crc32"] = imposter_entry["crc32"]
-        entry["length"] = imposter_entry["length"]
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        with pytest.raises(CheckpointCorruptionError, match="manifest"):
-            store.load_verified(1)
+    def test_checkpoint_id_must_match_file_name(self, tmp_path):
+        """A valid file renamed over another checkpoint's has a good CRC
+        but the wrong identity -- the id inside the file catches it."""
+        store, victim = two_checkpoints(tmp_path)
+        write_snapshot_file(victim, completed(1, total=99))
+        with pytest.raises(CheckpointCorruptionError,
+                           match="holds checkpoint 1"):
+            store.load_verified(2)
+        assert_fell_back_to_1(store)
 
     def test_fresh_store_wipes_stale_job_artifacts(self, tmp_path):
         first = DurableCheckpointStore(str(tmp_path), max_retained=3)
         first.add(completed(1))
+        open(str(tmp_path / "chk-2.snap.tmp"), "w").close()
+        os.makedirs(str(tmp_path / "chk-0"))
+        open(str(tmp_path / "unrelated.txt"), "w").close()
         second = DurableCheckpointStore(str(tmp_path), max_retained=3)
         assert second.persisted_ids() == []
         assert second.load_latest_verified() is None
+        assert os.listdir(str(tmp_path)) == ["unrelated.txt"]
 
     def test_durability_stats(self, tmp_path):
         store = DurableCheckpointStore(str(tmp_path), max_retained=2)

@@ -16,7 +16,6 @@ from repro.observability import (
     JobReport,
     MetricGroup,
     MetricsRegistry,
-    MetricsReporter,
     TraceContext,
     sum_nested,
 )
@@ -409,7 +408,7 @@ class TestReporter:
     def test_unknown_format_rejected(self):
         report = JobReport({"job": {}})
         with pytest.raises(ValueError):
-            MetricsReporter(report).render("xml")
+            report.render("xml")
 
     def test_report_requires_execution(self):
         env = Environment()
