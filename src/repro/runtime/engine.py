@@ -52,6 +52,10 @@ if TYPE_CHECKING:  # imported lazily to avoid a plan <-> runtime cycle
     from repro.runtime.faults import DeadLetter, FaultEvent, FaultInjector
     from repro.runtime.restart import RestartStrategy
 
+#: Runaway guard of both run loops: a job still unfinished after this
+#: many scheduler rounds raises :class:`JobStalledError`.
+MAX_ROUNDS = 50_000_000
+
 
 class EngineConfig:
     """Tunables of the execution loop.
@@ -99,7 +103,6 @@ class EngineConfig:
                  batch_size: Optional[int] = None,
                  checkpoint_interval_ms: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
-                 max_rounds: int = 50_000_000,
                  cancel_hook: Optional[Callable[["Engine", int], bool]] = None,
                  restart_strategy: Optional["RestartStrategy"] = None,
                  checkpoint_timeout_ms: Optional[int] = None,
@@ -178,7 +181,6 @@ class EngineConfig:
         #: files serve savepoints (:mod:`repro.state.timetravel`).
         #: ``None`` keeps checkpoints in coordinator memory only.
         self.checkpoint_dir = checkpoint_dir
-        self.max_rounds = max_rounds
         #: ``cancel_hook(engine, rounds)`` returning true stops the job
         #: between two rounds (cooperative backend only).
         self.cancel_hook = cancel_hook
@@ -687,10 +689,10 @@ class Engine:
         stall_rounds = 0
         cancelled = False
         while not all(task.finished for task in self.tasks):
-            if rounds >= cfg.max_rounds:
+            if rounds >= MAX_ROUNDS:
                 raise JobStalledError(
-                    "exceeded max_rounds=%d; unfinished: %r"
-                    % (cfg.max_rounds,
+                    "exceeded %d rounds; unfinished: %r"
+                    % (MAX_ROUNDS,
                        [t for t in self.tasks if not t.finished]))
             if cfg.cancel_hook is not None and cfg.cancel_hook(self, rounds):
                 cancelled = True

@@ -91,6 +91,7 @@ from repro.runtime.engine import (
     JobFailedError,
     JobResult,
     JobStalledError,
+    MAX_ROUNDS,
     job_outcome,
     records_emitted,
 )
@@ -630,10 +631,10 @@ class ShardEngine(Engine):
         idle_waits = 0
         last_progress = time.monotonic()
         while not all(task.finished for task in self.tasks):
-            if rounds >= config.max_rounds:
+            if rounds >= MAX_ROUNDS:
                 raise JobStalledError(
-                    "worker %d exceeded max_rounds=%d; unfinished: %r"
-                    % (self.worker_id, config.max_rounds,
+                    "worker %d exceeded %d rounds; unfinished: %r"
+                    % (self.worker_id, MAX_ROUNDS,
                        [t for t in self.tasks if not t.finished]))
             for message in control_in.read_available():
                 self.handle_control(message)

@@ -5,41 +5,3 @@ Seeded generators (:mod:`.generators`), brute-force references
 shrinker (:mod:`.shrinker`) and a budgeted fuzz CLI (:mod:`.fuzz`,
 ``python -m repro.testing.fuzz``).  See ``docs/testing.md``.
 """
-
-from repro.testing.seeds import (
-    DEFAULT_ROOT_SEED,
-    SEED_ENV_VAR,
-    derive_seed,
-    rng_for,
-    root_seed,
-    seed_line,
-)
-from repro.testing.oracles import (
-    DEFAULT_ORACLE_NAMES,
-    ORACLE_FACTORIES,
-    Case,
-    Oracle,
-    make_oracle,
-)
-from repro.testing.shrinker import ShrinkResult, format_repro, shrink
-from repro.testing.fuzz import FuzzReport, build_oracles, run_fuzz
-
-__all__ = [
-    "DEFAULT_ROOT_SEED",
-    "SEED_ENV_VAR",
-    "derive_seed",
-    "rng_for",
-    "root_seed",
-    "seed_line",
-    "DEFAULT_ORACLE_NAMES",
-    "ORACLE_FACTORIES",
-    "Case",
-    "Oracle",
-    "make_oracle",
-    "ShrinkResult",
-    "format_repro",
-    "shrink",
-    "FuzzReport",
-    "build_oracles",
-    "run_fuzz",
-]

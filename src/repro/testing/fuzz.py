@@ -2,30 +2,34 @@
 
 Round-robins case generation across the selected oracles, re-deriving
 each case's RNG from ``(root seed, oracle name, case index)`` so any
-failure is replayable from its printed seed line alone.  Failures are
-minimized by the shrinker and emitted as ready-to-paste pytest repro
-snippets (and, with ``--emit-dir``, written to files for CI artifact
-upload).
+failure is replayable from its printed seed line alone.  Every case of
+an engine oracle runs on a deployment drawn from its own RNG path,
+``(root seed, oracle name, case index, "deployment")``, or on the one
+``--deployment SPEC`` pins.  Failures are minimized by the shrinker and
+emitted as ready-to-paste pytest repro snippets (and, with
+``--emit-dir``, written to files for CI artifact upload).
 
-Examples::
+Examples (``--mutate`` is the harness's own mutation smoke, see
+docs/testing.md)::
 
     python -m repro.testing.fuzz --budget-cases 200 --seed 0
     python -m repro.testing.fuzz --budget-seconds 300 --oracles cutty
     python -m repro.testing.fuzz --budget-cases 40 --mutate lazy
-
-``--mutate STRATEGY`` deliberately corrupts that Cutty strategy's
-emitted window values -- the mutation smoke proving the harness catches
-and shrinks real divergence (see docs/testing.md).
+    python -m repro.testing.fuzz --budget-cases 60 --deployment \\
+        multiprocess,workers=2,batch=64
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
-from typing import List, Optional
+from collections import Counter, namedtuple
+from typing import Dict, List, Optional
 
+from repro.testing.deployment import Deployment, draw
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
     CuttyStrategyOracle,
@@ -33,20 +37,19 @@ from repro.testing.oracles import (
     make_oracle,
 )
 from repro.testing.seeds import DEFAULT_ROOT_SEED, rng_for
-from repro.testing.shrinker import format_repro, shrink
+from repro.testing.shrinker import failure_of, format_repro, shrink
 
 
-class FuzzFailure:
-    def __init__(self, seed_line: str, detail: str, repro: str) -> None:
-        self.seed_line = seed_line
-        self.detail = detail
-        self.repro = repro
+FuzzFailure = namedtuple("FuzzFailure", "seed_line detail repro")
 
 
 class FuzzReport:
     def __init__(self) -> None:
         self.cases_run = 0
-        self.per_oracle: dict = {}
+        self.per_oracle: Counter = Counter()
+        #: Per engine oracle, cases per backend and per batch size, and
+        #: crashes drawn and fired.
+        self.coverage: Dict[str, Counter] = {}
         self.failures: List[FuzzFailure] = []
         self.elapsed = 0.0
 
@@ -55,15 +58,16 @@ class FuzzReport:
         return not self.failures
 
 
+#: What the summary counts per engine oracle.
+COVERAGE_AXES = ("cooperative", "multiprocess", "batch1", "batch16",
+                 "batch64", "crash_drawn", "crash_fired")
+
+
 def build_oracles(names: List[str],
                   mutate: Optional[str] = None) -> List[Oracle]:
-    oracles = []
-    for name in names:
-        if mutate is not None and name == CuttyStrategyOracle.name:
-            oracles.append(make_oracle(name, mutate=mutate))
-        else:
-            oracles.append(make_oracle(name))
-    return oracles
+    return [make_oracle(name, mutate=mutate)
+            if mutate is not None and name == CuttyStrategyOracle.name
+            else make_oracle(name) for name in names]
 
 
 def run_fuzz(root_seed: int, oracles: List[Oracle],
@@ -71,34 +75,37 @@ def run_fuzz(root_seed: int, oracles: List[Oracle],
              budget_seconds: Optional[float] = None,
              shrink_checks: int = 300,
              max_failures: int = 5,
+             deployment: Optional[Deployment] = None,
              log=lambda line: None) -> FuzzReport:
     """Round-robin the oracles until a budget runs out (or enough
-    failures accumulated to stop being informative)."""
+    failures accumulated to stop being informative).  Engine oracles run
+    each case on a drawn deployment, or on ``deployment`` if given."""
     if budget_cases is None and budget_seconds is None:
         budget_cases = 100
     report = FuzzReport()
     started = time.monotonic()
     index = 0
-    while True:
-        if budget_cases is not None and report.cases_run >= budget_cases:
-            break
-        if (budget_seconds is not None
-                and time.monotonic() - started >= budget_seconds):
-            break
+    while ((budget_cases is None or report.cases_run < budget_cases)
+           and (budget_seconds is None
+                or time.monotonic() - started < budget_seconds)):
         if len(report.failures) >= max_failures:
             log("stopping early: %d failures" % len(report.failures))
             break
         oracle = oracles[index % len(oracles)]
         rng = rng_for(root_seed, oracle.name, index)
         case = oracle.generate(rng, root_seed, index)
-        try:
-            detail = oracle.check(case)
-        except Exception as exc:  # noqa: BLE001 - report, don't abort the run
-            detail = ("oracle raised %s: %s"
-                      % (type(exc).__name__, exc))
+        if oracle.runs_engine:
+            case = oracle.deploy(case, deployment or draw(rng_for(
+                root_seed, oracle.name, index, "deployment")))
+        detail = failure_of(oracle, case)
         report.cases_run += 1
-        report.per_oracle[oracle.name] = (
-            report.per_oracle.get(oracle.name, 0) + 1)
+        report.per_oracle[oracle.name] += 1
+        if case.deployment is not None:
+            ran = case.deployment
+            report.coverage.setdefault(oracle.name, Counter()).update(
+                [ran.backend, "batch%d" % ran.batch_size]
+                + ["crash_drawn"] * (ran.crash is not None)
+                + ["crash_fired"] * ran.crash_fired)
         if detail is not None:
             log("FAIL %s -- shrinking (|stream|=%d)"
                 % (case.seed_line, len(case.stream)))
@@ -133,52 +140,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--emit-dir", default=None,
                         help="write shrunk repro snippets into this "
                              "directory (for CI artifacts)")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="run every oracle pipeline in batched "
-                             "execution mode with this record-batch size "
-                             "(sets REPRO_BATCH_SIZE; default: scalar)")
+    parser.add_argument("--deployment", type=Deployment.parse,
+                        default=None, metavar="SPEC",
+                        help="run every engine oracle's cases on this "
+                             "deployment, e.g. multiprocess,workers=2,"
+                             "batch=64 (default: drawn per case)")
     args = parser.parse_args(argv)
-
-    if args.batch_size is not None:
-        if args.batch_size < 1:
-            parser.error("--batch-size must be >= 1")
-        # Oracles build their engines with the default EngineConfig,
-        # which resolves batch_size from this variable -- the same
-        # pipelines fuzz in both execution modes with no signature churn.
-        os.environ["REPRO_BATCH_SIZE"] = str(args.batch_size)
 
     names = [name.strip() for name in args.oracles.split(",") if name.strip()]
     oracles = build_oracles(names, mutate=args.mutate)
 
-    def log(line: str) -> None:
-        print(line, flush=True)
-
-    log("fuzz: seed=%d oracles=%s budget_cases=%s budget_seconds=%s%s%s"
+    log = functools.partial(print, flush=True)
+    log("fuzz: seed=%d oracles=%s budget_cases=%s budget_seconds=%s "
+        "deployment=%s%s"
         % (args.seed, ",".join(names), args.budget_cases,
-           args.budget_seconds,
-           " batch_size=%d" % args.batch_size if args.batch_size else "",
+           args.budget_seconds, args.deployment or "drawn",
            " MUTATE=%s" % args.mutate if args.mutate else ""))
     report = run_fuzz(args.seed, oracles,
                       budget_cases=args.budget_cases,
                       budget_seconds=args.budget_seconds,
                       shrink_checks=args.shrink_checks,
-                      log=log)
+                      deployment=args.deployment, log=log)
 
     per_oracle = " ".join("%s=%d" % item
                           for item in sorted(report.per_oracle.items()))
     log("fuzz: %d cases in %.1fs (%s)"
         % (report.cases_run, report.elapsed, per_oracle))
+    for name, counts in sorted(report.coverage.items()):
+        log("  %-13s %s" % (name, " ".join(
+            "%s=%d" % (axis, counts[axis]) for axis in COVERAGE_AXES)))
     if report.ok:
         log("fuzz: OK")
         return 0
 
     for number, failure in enumerate(report.failures, start=1):
-        log("")
-        log("=== failure %d/%d: %s"
-            % (number, len(report.failures), failure.seed_line))
-        log(failure.detail)
-        log("--- shrunk repro (paste into tests/) ---")
-        log(failure.repro)
+        log("\n=== failure %d/%d: %s\n%s\n"
+            "--- shrunk repro (paste into tests/) ---\n%s"
+            % (number, len(report.failures), failure.seed_line,
+               failure.detail, failure.repro))
         if args.emit_dir:
             os.makedirs(args.emit_dir, exist_ok=True)
             path = os.path.join(args.emit_dir,

@@ -1,31 +1,22 @@
 """Seeded generators for streams, window specs and pipeline specs.
 
-Everything here is a pure function of a :class:`random.Random` (obtained
-via :mod:`repro.testing.seeds`), so a (root seed, oracle, case index)
-triple regenerates a case bit-identically.  The stream generators bake
-in the adversarial features fixed fixtures never cover together:
-out-of-order timestamps, exact duplicates, heavy key skew, session gaps
-sitting exactly on the merge boundary, and bursts of equal timestamps.
-
-Two stream shapes:
-
-* **in-order** ``(value, ts)`` streams -- the FIFO input Cutty and the
-  baseline aggregators require;
-* **keyed** ``(key, value, ts)`` element streams with bounded
-  out-of-orderness -- input for the engine-level oracles (the jitter
-  never exceeds the profile's bound, so a matching
-  ``for_bounded_out_of_orderness`` watermark strategy never classifies
-  any of them as late: equivalence checks stay exact).
-
-Spec generators return plain JSON-able *parameter dicts* plus factories
-that build fresh stateful objects from them; the shrinker and the
-repro-snippet printer rely on specs being data, not closures.
+Everything here is a pure function of a :class:`random.Random` (from
+:mod:`repro.testing.seeds`), so a (root seed, oracle, case index) triple
+regenerates a case bit-identically.  Streams bake in what fixed fixtures
+never cover together: out-of-order timestamps, duplicates, key skew,
+session gaps on the merge boundary and bursts of equal timestamps.  They
+come in two shapes: in-order ``(value, ts)`` streams for Cutty and the
+baselines, and keyed ``(key, value, ts)`` streams whose jitter never
+exceeds the profile's out-of-orderness bound, for the engine oracles.
+Specs are JSON-able parameter dicts plus factories that build fresh
+objects from them: the shrinker and the repro printer need data, not
+closures.
 """
-
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.cutty.specs import (
     CountWindows,
@@ -54,23 +45,20 @@ from repro.windowing.assigners import (
 # -- element streams ---------------------------------------------------------
 
 
+@dataclass
 class StreamProfile:
     """Knobs of one generated keyed element stream."""
 
-    def __init__(self, num_elements: int, num_keys: int, key_skew: float,
-                 ooo_bound: int, duplicate_prob: float, max_gap: int,
-                 session_gap_prob: float, session_gap: int,
-                 value_lo: int = -20, value_hi: int = 50) -> None:
-        self.num_elements = num_elements
-        self.num_keys = num_keys
-        self.key_skew = key_skew
-        self.ooo_bound = ooo_bound
-        self.duplicate_prob = duplicate_prob
-        self.max_gap = max_gap
-        self.session_gap_prob = session_gap_prob
-        self.session_gap = session_gap
-        self.value_lo = value_lo
-        self.value_hi = value_hi
+    num_elements: int
+    num_keys: int
+    key_skew: float
+    ooo_bound: int
+    duplicate_prob: float
+    max_gap: int
+    session_gap_prob: float
+    session_gap: int
+    value_lo: int = -20
+    value_hi: int = 50
 
     @classmethod
     def random(cls, rng: random.Random,
@@ -85,13 +73,6 @@ class StreamProfile:
             session_gap_prob=rng.choice([0.0, 0.03, 0.08]),
             session_gap=rng.randint(50, 400),
         )
-
-    def to_params(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_params(cls, params: Dict[str, Any]) -> "StreamProfile":
-        return cls(**params)
 
 
 def _pick_key(rng: random.Random, num_keys: int, skew: float) -> str:
@@ -186,9 +167,6 @@ def generate_gap_pattern_elements(rng: random.Random, gap: int, n: int,
 # -- window specs (Cutty WDFs) ----------------------------------------------
 
 SPEC_KINDS = ("periodic", "session", "count", "punctuation", "delta")
-
-#: Kinds expressible by the periodic-only baselines (Pairs, Panes).
-PERIODIC_ONLY_KINDS = ("periodic",)
 
 
 def random_spec_params(rng: random.Random,
@@ -320,6 +298,7 @@ FILTER_FNS: Dict[str, Callable[[int], bool]] = {
     "mod3": lambda value: value % 3 != 0,
 }
 
+#: Aggregates every engine path computes exactly.
 GROUP_AGG_NAMES = ("sum", "count", "min", "max")
 
 

@@ -1,47 +1,18 @@
 """Differential oracles: evaluate one generated spec several independent
 ways and diff the results.
 
-Each oracle owns one equivalence claim of the system:
-
-* ``cutty``        -- Cutty's sliced sharing == naive recompute == every
-                      baseline strategy able to run the spec (eager,
-                      lazy, pairs, panes, B-Int, unshared);
-* ``batch-stream`` -- the STREAMLINE uniform-model claim on grouped
-                      aggregation: naive recompute == the batch path
-                      (``runtime/batch.py`` operators) == the streaming
-                      path (keyed rolling fold), on one engine;
-* ``windows``      -- keyed event-time windowing three ways: naive
-                      recompute == batch (window assignment as a batch
-                      flat-map + group-reduce) == the streaming
-                      ``WindowOperator`` fed out-of-order data under
-                      bounded-out-of-orderness watermarks;
-* ``session-merge``-- session-window merge semantics of
-                      ``windowing/assigners.py`` against a sort-and-merge
-                      reference, over gap patterns sitting on the merge
-                      boundary;
-* ``replay``       -- determinism under failure: a job crash-restored
-                      mid-stream from its latest checkpoint produces the
-                      same output set as the uninterrupted run;
-* ``arrangements`` -- shared arrangements: N table queries planned onto
-                      a handful of shared multiversioned indexes
-                      (``share_arrangements=True``) produce exactly the
-                      rows of N independently planned runs, including
-                      under a crash restored mid-run from a durable
-                      checkpoint while compaction is active;
-* ``backfill``     -- the unified history->stream path
-                      (``DataSet.then_stream``): executing a bounded
-                      history prefix and resuming against the live
-                      remainder -- at randomized cutover offsets, with
-                      and without a watermark-precise cutover -- equals
-                      the brute-force recompute over the concatenated
-                      record set, with the engine's cutover report
-                      accounting for every record (zero seam gaps, zero
-                      double-counts).
+Each oracle owns one equivalence claim of the system (its class
+docstring states it; ``docs/testing.md`` has the taxonomy): ``cutty``,
+``batch-stream``, ``windows``, ``session-merge``, ``replay``,
+``arrangements`` and ``backfill``.
 
 An oracle turns an RNG into a :class:`Case` (JSON-able params + a plain
 list-of-tuples stream) and turns a case into either ``None`` (pass) or a
 human-readable mismatch description.  Cases are data so the shrinker can
-mutate the stream and re-check.
+mutate the stream and re-check.  Every oracle but ``cutty`` runs engine
+jobs, and runs them on the case's
+:class:`~repro.testing.deployment.Deployment`: it states its program
+and its reference, never a backend, a batch size or a crash.
 
 Exactness note: engine oracles set the watermark out-of-orderness bound
 to ``profile.ooo_bound + 2``.  With the bound at least 2 above the real
@@ -54,7 +25,6 @@ recompute exactly -- no tolerance windows in the comparison.
 from __future__ import annotations
 
 import random
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.environment import Environment
@@ -62,10 +32,11 @@ from repro.connectors.partitioned import partition_round_robin
 from repro.cutty.baselines import applicable_strategies, build_strategy
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
-from repro.runtime.restart import FixedDelayRestart
 from repro.testing import reference
+from repro.testing.deployment import Deployment, paced
 from repro.testing.generators import (
     FILTER_FNS,
+    GROUP_AGG_NAMES,
     MAP_FNS,
     StreamProfile,
     generate_elements,
@@ -86,33 +57,39 @@ class Case:
     """One generated differential-test input, fully described by data."""
 
     def __init__(self, oracle_name: str, root_seed: int, index: int,
-                 params: Dict[str, Any],
-                 stream: List[tuple]) -> None:
+                 params: Dict[str, Any], stream: List[tuple],
+                 deployment: Optional[Deployment] = None) -> None:
         self.oracle_name = oracle_name
         self.root_seed = root_seed
         self.index = index
         self.params = params
         self.stream = stream
+        #: Where the case's engine jobs run; ``None`` for an oracle that
+        #: runs no engine.
+        self.deployment = deployment
 
     @property
     def seed_line(self) -> str:
-        return ("seed=%d oracle=%s case=%d"
+        line = ("seed=%d oracle=%s case=%d"
                 % (self.root_seed, self.oracle_name, self.index))
+        if self.deployment is None:
+            return line
+        return "%s deployment=%s" % (line, self.deployment)
 
     def with_stream(self, stream: List[tuple]) -> "Case":
         return Case(self.oracle_name, self.root_seed, self.index,
-                    self.params, stream)
+                    self.params, stream, self.deployment)
 
     def __repr__(self) -> str:
-        return "Case(%s, params=%r, |stream|=%d)" % (self.seed_line,
-                                                     self.params,
-                                                     len(self.stream))
+        return "Case(%s, |stream|=%d)" % (self.seed_line, len(self.stream))
 
 
 class Oracle:
     """Generate cases; judge cases."""
 
     name = "oracle"
+    #: Whether cases run engine jobs, and so take a deployment.
+    runs_engine = True
 
     def generate(self, rng: random.Random, root_seed: int,
                  index: int) -> Case:
@@ -123,30 +100,44 @@ class Oracle:
         description."""
         raise NotImplementedError
 
+    def fit(self, params: Dict[str, Any],
+            deployment: Deployment) -> Deployment:
+        """The deployment a case with ``params`` runs on, when
+        ``deployment`` is drawn or pinned for it."""
+        return deployment
+
     def case_from(self, params: Dict[str, Any], stream: List[tuple],
-                  root_seed: int = -1, index: int = -1) -> Case:
-        """Rebuild a case from its printed repro data."""
+                  root_seed: int = -1, index: int = -1,
+                  deployment: Optional[Deployment] = None) -> Case:
+        """A case of this oracle (e.g. rebuilt from its printed repro
+        data); an engine oracle's runs on ``deployment``, by default
+        the cooperative scheduler."""
+        if self.runs_engine:
+            deployment = self.fit(params, deployment or Deployment())
         return Case(self.name, root_seed, index, params,
-                    [tuple(element) for element in stream])
+                    [tuple(element) for element in stream], deployment)
+
+    def deploy(self, case: Case, deployment: Deployment) -> Case:
+        """``case`` moved onto ``deployment``."""
+        return self.case_from(case.params, case.stream, case.root_seed,
+                              case.index, deployment)
 
 
 def _diff(expected: Dict, got: Dict, label: str) -> Optional[str]:
     """First few differences between two result dicts, or ``None``."""
     if expected == got:
         return None
-    lines = ["%s disagrees with reference:" % label]
-    missing = sorted((k for k in expected if k not in got), key=repr)[:3]
-    spurious = sorted((k for k in got if k not in expected), key=repr)[:3]
-    changed = sorted((k for k in expected
-                      if k in got and got[k] != expected[k]), key=repr)[:3]
-    for key in missing:
-        lines.append("  missing %r (expected %r)" % (key, expected[key]))
-    for key in spurious:
-        lines.append("  spurious %r = %r" % (key, got[key]))
-    for key in changed:
-        lines.append("  at %r expected %r, got %r"
-                     % (key, expected[key], got[key]))
-    return "\n".join(lines)
+    def first(keys):
+        return sorted(keys, key=repr)[:3]
+    return "\n".join(
+        ["%s disagrees with reference:" % label]
+        + ["  missing %r (expected %r)" % (key, expected[key])
+           for key in first(set(expected) - set(got))]
+        + ["  spurious %r = %r" % (key, got[key])
+           for key in first(set(got) - set(expected))]
+        + ["  at %r expected %r, got %r" % (key, expected[key], got[key])
+           for key in first(key for key in expected
+                            if key in got and got[key] != expected[key])])
 
 
 # -- Cutty cross-strategy fuzzing --------------------------------------------
@@ -167,6 +158,7 @@ class CuttyStrategyOracle(Oracle):
     """Cutty vs naive reference vs every applicable baseline strategy."""
 
     name = "cutty"
+    runs_engine = False
 
     def __init__(self, mutate: Optional[str] = None) -> None:
         #: Name of a strategy whose results are deliberately corrupted
@@ -188,7 +180,7 @@ class CuttyStrategyOracle(Oracle):
         min_gap = 1 if kinds & {"delta", "punctuation"} else 0
         stream = generate_in_order_stream(rng, n=rng.randint(3, 140),
                                           min_gap=min_gap)
-        return Case(self.name, root_seed, index, params, stream)
+        return self.case_from(params, stream, root_seed, index)
 
     def _run_strategy(self, strategy_name: str, case: Case) -> Dict:
         aggregate_name = case.params["aggregate"]
@@ -229,19 +221,14 @@ class CuttyStrategyOracle(Oracle):
 
 # -- batch/stream equivalence ------------------------------------------------
 
-def _stream_fold(keyed, aggregate_name: str):
-    """The streaming-side rolling aggregation for one GROUP_AGG name."""
-    if aggregate_name == "sum":
-        return keyed.fold(0, lambda acc, kv: acc + kv[1])
-    if aggregate_name == "count":
-        return keyed.fold(0, lambda acc, _kv: acc + 1)
-    if aggregate_name == "min":
-        return keyed.fold(None, lambda acc, kv:
-                          kv[1] if acc is None else min(acc, kv[1]))
-    if aggregate_name == "max":
-        return keyed.fold(None, lambda acc, kv:
-                          kv[1] if acc is None else max(acc, kv[1]))
-    raise ValueError("unsupported stream aggregate %r" % aggregate_name)
+#: The streaming-side rolling aggregation per GROUP_AGG name:
+#: (initial accumulator, fold function).
+_STREAM_FOLDS: Dict[str, Tuple[Any, Callable[[Any, Any], Any]]] = {
+    "sum": (0, lambda acc, kv: acc + kv[1]),
+    "count": (0, lambda acc, _kv: acc + 1),
+    "min": (None, lambda acc, kv: kv[1] if acc is None else min(acc, kv[1])),
+    "max": (None, lambda acc, kv: kv[1] if acc is None else max(acc, kv[1])),
+}
 
 
 class BatchStreamOracle(Oracle):
@@ -255,7 +242,7 @@ class BatchStreamOracle(Oracle):
         profile = StreamProfile.random(rng, max_elements=120)
         stream = [(key, value)
                   for key, value, _ in generate_elements(rng, profile)]
-        return Case(self.name, root_seed, index, params, stream)
+        return self.case_from(params, stream, root_seed, index)
 
     def check(self, case: Case) -> Optional[str]:
         pipeline = case.params["pipeline"]
@@ -268,7 +255,9 @@ class BatchStreamOracle(Oracle):
         expected = reference.grouped_pipeline(data, map_fn, filter_fn,
                                               aggregate_name)
 
-        batch_env = Environment(parallelism=parallelism)
+        deployment = case.deployment
+        batch_env = Environment(parallelism=parallelism,
+                                config=deployment.config(crash=False))
         batch_result = (
             batch_env.from_bounded(data)
             .map(lambda kv: (kv[0], map_fn(kv[1])))
@@ -278,24 +267,22 @@ class BatchStreamOracle(Oracle):
                 aggregate_name, [value for _, value in kvs])))
             .collect())
         batch_env.execute()
-        batch = dict(batch_result.get())
-        mismatch = _diff(expected, batch, "batch path")
-        if mismatch is not None:
-            return "%s\n  pipeline=%r" % (mismatch, pipeline)
 
-        stream_env = Environment(parallelism=parallelism)
-        keyed = (stream_env.from_collection(data)
+        stream_env = Environment(parallelism=parallelism,
+                                 config=deployment.config(
+                                     len(data) // parallelism))
+        keyed = (paced(stream_env.from_collection(data))
                  .map(lambda kv: (kv[0], map_fn(kv[1])))
                  .filter(lambda kv: filter_fn(kv[1]))
                  .key_by(lambda kv: kv[0]))
-        stream_result = _stream_fold(keyed, aggregate_name).collect()
+        stream_result = keyed.fold(*_STREAM_FOLDS[aggregate_name]).collect()
         stream_env.execute()
-        streaming: Dict[Any, Any] = {}
-        for key, accumulator in stream_result.get():
-            streaming[key] = accumulator  # per-key order: last emit wins
-        mismatch = _diff(expected, streaming, "streaming path")
-        if mismatch is not None:
-            return "%s\n  pipeline=%r" % (mismatch, pipeline)
+        # dict(): per key, the last emit wins
+        for label, got in (("batch path", dict(batch_result.get())),
+                           ("streaming path", dict(stream_result.get()))):
+            mismatch = _diff(expected, got, label)
+            if mismatch is not None:
+                return "%s\n  pipeline=%r" % (mismatch, pipeline)
         return None
 
 
@@ -321,17 +308,26 @@ class _ValueProjectingAggregate:
         return self.inner.get_result(accumulator)
 
 
-def _watermarked(env, elements: List[tuple], bound: int,
-                 rebalance: bool = False, partitions: int = 0,
-                 source_parallelism: Optional[int] = None,
-                 pace_s: float = 0.0):
-    """The keyed, watermarked stream over ``elements``.  The source and
-    the watermark operator run at ``source_parallelism`` (default: the
-    environment's), whatever follows the ``key_by`` at the
-    environment's.  ``pace_s`` sleeps that long per record at the
-    source, so wall-clock checkpoints seal mid-stream."""
+def _windowed(stream, ooo_bound: int, assigner_params: Dict[str, Any],
+              aggregate_name: str):
+    """``stream`` of ``(key, value, ts)`` watermarked ``ooo_bound + 2``
+    behind its timestamps, keyed, windowed and aggregated into a collect
+    sink."""
     strategy = WatermarkStrategy.for_bounded_out_of_orderness(
-        lambda element: element[2], bound)
+        lambda element: element[2], ooo_bound + 2)
+    return (stream.assign_timestamps_and_watermarks(strategy)
+            .key_by(lambda element: element[0])
+            .window(make_assigner(assigner_params))
+            .aggregate(_ValueProjectingAggregate(
+                make_aggregate(aggregate_name)))
+            .collect())
+
+
+def _source(env, elements: List[tuple], rebalance: bool, partitions: int,
+            source_parallelism: Optional[int]):
+    """The stream over ``elements``, read at ``source_parallelism``
+    (default: the environment's) and carried up to the watermark
+    operator at the same parallelism."""
     if partitions:
         # Dealt and read round-robin, every subtask sees a subsequence
         # of the stream in order -- if a replay resumes the interleaving
@@ -344,27 +340,25 @@ def _watermarked(env, elements: List[tuple], bound: int,
         stream = env.from_source(lambda: elements,
                                  parallelism=source_parallelism,
                                  name="collection-source")
-    if pace_s:
-        stream = stream.map(lambda element: time.sleep(pace_s) or element,
-                            name="pace")
+    stream = paced(stream)
     if rebalance:
-        # Round-robin exchange ahead of the stateful watermark operator:
-        # exercises the RebalancePartitioner cursor in the checkpoint
-        # cut.  If the cursor were not restored, replayed records would
-        # route to different subtasks than the original run and the
-        # per-subtask watermark state would disagree with the replay.
+        # Were the RebalancePartitioner cursor not restored, replayed
+        # records would reach other watermark subtasks than the first
+        # time, and their per-subtask watermark state would disagree.
         stream = stream.rebalance()
-    return (stream
-            .assign_timestamps_and_watermarks(strategy)
-            .key_by(lambda element: element[0]))
+    return stream
+
+
+def _crashing_config(case: Case) -> EngineConfig:
+    """The config of the case's job under test: a drawn crash strikes
+    the first source subtask, which reads its share of the stream."""
+    return case.deployment.config(
+        len(case.stream) // case.params["parallelism"])
 
 
 def _window_results_to_dict(results) -> Dict[Tuple[Any, int, int], Any]:
-    out = {}
-    for result in results:
-        out[(result.key, result.window.start, result.window.end)] = (
-            result.value)
-    return out
+    return {(result.key, result.window.start, result.window.end):
+            result.value for result in results}
 
 
 def run_streaming_windows(elements: List[tuple],
@@ -374,19 +368,14 @@ def run_streaming_windows(elements: List[tuple],
                           config: Optional[EngineConfig] = None,
                           rebalance: bool = False, partitions: int = 0,
                           source_parallelism: Optional[int] = None,
-                          from_savepoint: Any = None, pace_s: float = 0.0,
+                          from_savepoint: Any = None,
                           ) -> Tuple[Dict[Tuple[Any, int, int], Any], Any]:
     """One streaming window job; returns (results dict, JobResult)."""
     env = Environment(parallelism=parallelism,
-                                     config=config or EngineConfig())
-    collected = (_watermarked(env, elements, ooo_bound + 2,
-                              rebalance=rebalance, partitions=partitions,
-                              source_parallelism=source_parallelism,
-                              pace_s=pace_s)
-                 .window(make_assigner(assigner_params))
-                 .aggregate(_ValueProjectingAggregate(
-                     make_aggregate(aggregate_name)))
-                 .collect())
+                      config=config or EngineConfig())
+    collected = _windowed(_source(env, elements, rebalance, partitions,
+                                  source_parallelism),
+                          ooo_bound, assigner_params, aggregate_name)
     job = env.execute(from_savepoint=from_savepoint)
     return _window_results_to_dict(collected.get()), job
 
@@ -401,19 +390,18 @@ class WindowedEquivalenceOracle(Oracle):
         profile = StreamProfile.random(rng, max_elements=110)
         params = {
             "assigner": random_assigner_params(rng),
-            "aggregate": random_aggregate_name(rng, ("sum", "count", "min",
-                                                     "max")),
+            "aggregate": rng.choice(GROUP_AGG_NAMES),
             "ooo_bound": profile.ooo_bound,
             "parallelism": rng.choice([1, 2]),
         }
-        return Case(self.name, root_seed, index, params,
-                    generate_elements(rng, profile))
+        return self.case_from(params, generate_elements(rng, profile),
+                              root_seed, index)
 
     def _batch_windows(self, case: Case) -> Dict[Tuple[Any, int, int], Any]:
         assigner_params = case.params["assigner"]
         aggregate_name = case.params["aggregate"]
-        env = Environment(
-            parallelism=case.params["parallelism"])
+        env = Environment(parallelism=case.params["parallelism"],
+                          config=case.deployment.config(crash=False))
         dataset = env.from_bounded(list(case.stream))
         if assigner_params["kind"] == "session":
             gap = assigner_params["gap"]
@@ -429,43 +417,48 @@ class WindowedEquivalenceOracle(Oracle):
                                key=lambda pair: pair[1]),
                         aggregate_name).items()])
                 .collect())
-            env.execute()
-            return {coords: value for coords, value in collected.get()}
-        assigner = make_assigner(assigner_params)
-        collected = (
-            dataset.flat_map(lambda element: [
-                ((element[0], window.start, window.end), element[1])
-                for window in assigner.assign(element[1], element[2])])
-            .group_by(lambda pair: pair[0])
-            .reduce_group(lambda coords, pairs: (coords,
-                                                 reference.apply_aggregate(
-                                                     aggregate_name,
-                                                     [v for _, v in pairs])))
-            .collect())
+        else:
+            assigner = make_assigner(assigner_params)
+            collected = (
+                dataset.flat_map(lambda element: [
+                    ((element[0], window.start, window.end), element[1])
+                    for window in assigner.assign(element[1], element[2])])
+                .group_by(lambda pair: pair[0])
+                .reduce_group(lambda coords, pairs: (
+                    coords, reference.apply_aggregate(
+                        aggregate_name, [v for _, v in pairs])))
+                .collect())
         env.execute()
-        return {coords: value for coords, value in collected.get()}
+        return dict(collected.get())
+
+    def _paths(self, case: Case):
+        """(label, evaluation) of every path diffed against the
+        reference."""
+        return [("batch path", lambda: self._batch_windows(case)),
+                ("streaming path", lambda: _streaming_windows(case))]
 
     def check(self, case: Case) -> Optional[str]:
-        assigner_params = case.params["assigner"]
-        aggregate_name = case.params["aggregate"]
-        expected = reference.keyed_windows(assigner_params, case.stream,
-                                           aggregate_name)
-        batch = self._batch_windows(case)
-        mismatch = _diff(expected, batch, "batch path")
-        if mismatch is not None:
-            return "%s\n  assigner=%r" % (mismatch, assigner_params)
-        streaming, _ = run_streaming_windows(
-            list(case.stream), assigner_params, aggregate_name,
-            case.params["ooo_bound"], case.params["parallelism"])
-        mismatch = _diff(expected, streaming, "streaming path")
-        if mismatch is not None:
-            return "%s\n  assigner=%r" % (mismatch, assigner_params)
+        params = case.params
+        expected = reference.keyed_windows(params["assigner"], case.stream,
+                                           params["aggregate"])
+        for label, evaluate in self._paths(case):
+            mismatch = _diff(expected, evaluate(), label)
+            if mismatch is not None:
+                return ("%s\n  assigner=%r ooo_bound=%d"
+                        % (mismatch, params["assigner"], params["ooo_bound"]))
         return None
+
+
+def _streaming_windows(case: Case) -> Dict[Tuple[Any, int, int], Any]:
+    params = case.params
+    return run_streaming_windows(
+        list(case.stream), params["assigner"], params["aggregate"],
+        params["ooo_bound"], params["parallelism"], _crashing_config(case))[0]
 
 
 # -- session-window merge semantics ------------------------------------------
 
-class SessionMergeOracle(Oracle):
+class SessionMergeOracle(WindowedEquivalenceOracle):
     """Streaming session windows vs the sort-and-merge reference, over
     gap patterns concentrated on the merge boundary."""
 
@@ -477,30 +470,17 @@ class SessionMergeOracle(Oracle):
         ooo_bound = rng.choice([0, 0, 2, gap // 2, gap])
         params = {
             "assigner": {"kind": "session", "gap": gap},
-            "aggregate": random_aggregate_name(rng, ("sum", "count", "min",
-                                                     "max")),
+            "aggregate": rng.choice(GROUP_AGG_NAMES),
             "ooo_bound": ooo_bound,
             "parallelism": rng.choice([1, 2]),
         }
         stream = generate_gap_pattern_elements(
             rng, gap, n=rng.randint(3, 120),
             num_keys=rng.randint(1, 4), ooo_bound=ooo_bound)
-        return Case(self.name, root_seed, index, params, stream)
+        return self.case_from(params, stream, root_seed, index)
 
-    def check(self, case: Case) -> Optional[str]:
-        expected = reference.keyed_windows(case.params["assigner"],
-                                           case.stream,
-                                           case.params["aggregate"])
-        streaming, _ = run_streaming_windows(
-            list(case.stream), case.params["assigner"],
-            case.params["aggregate"], case.params["ooo_bound"],
-            case.params["parallelism"])
-        mismatch = _diff(expected, streaming, "session merge")
-        if mismatch is not None:
-            return ("%s\n  gap=%d ooo_bound=%d"
-                    % (mismatch, case.params["assigner"]["gap"],
-                       case.params["ooo_bound"]))
-        return None
+    def _paths(self, case: Case):
+        return [("session merge", lambda: _streaming_windows(case))]
 
 
 # -- determinism / replay ----------------------------------------------------
@@ -513,40 +493,31 @@ def crash_once(min_checkpoints: int, at_round: int) -> FaultInjector:
         when=lambda view: view.rounds >= at_round)])
 
 
-def make_stop_once_hook(min_checkpoints: int, at_round: int):
-    """A cancel hook that stops the job after at least
-    ``min_checkpoints`` completed checkpoints and ``at_round`` rounds.
-    ``hook.state`` keeps whether it fired and the engine it fired on."""
-    state = {"fired": False, "engine": None}
-
-    def hook(engine, rounds):
-        if (not state["fired"]
-                and len(engine.checkpoint_store) >= min_checkpoints
-                and rounds >= at_round):
-            state["fired"] = True
-            state["engine"] = engine
-            return True
-        return False
-
-    hook.state = state
-    return hook
-
-
 class ReplayOracle(Oracle):
     """Crash-restore mid-stream == uninterrupted run, and so is stop ->
     savepoint -> resume in a fresh environment with the window vertex at
     the case's other parallelism (output-set equality; the collect sink
     is at-least-once, so sets, not bags).
 
-    ``params["backend"]`` (default cooperative) is where the stopped job
-    resumes: on ``"multiprocess"`` the second leg is a cross-backend
-    restore (stopping between rounds is cooperative-only).
-    ``params["crash_backend"]`` is where the crash leg runs; on worker
-    processes the source is paced so checkpoints seal mid-stream, and
-    the crash waits for records instead of a scheduler round.
+    Both the crash and the resume run on the case's deployment, which
+    always carries a crash (``params["crash_fraction"]`` when none was
+    drawn).  The stop runs on the cooperative scheduler, the only one
+    that stops between rounds.
     """
 
     name = "replay"
+
+    def fit(self, params: Dict[str, Any],
+            deployment: Deployment) -> Deployment:
+        if deployment.crash is None:
+            deployment = deployment.replace(crash=params["crash_fraction"])
+        if params.get("rebalance"):
+            # A round-robin exchange ahead of the watermark operator
+            # makes lateness depend on how the source subtasks
+            # interleave, which only the cooperative scheduler repeats
+            # (ROADMAP item 11).
+            deployment = deployment.replace(backend="cooperative")
+        return deployment
 
     def generate(self, rng: random.Random, root_seed: int,
                  index: int) -> Case:
@@ -555,8 +526,7 @@ class ReplayOracle(Oracle):
             "assigner": random_assigner_params(rng,
                                                ("tumbling", "sliding",
                                                 "session")),
-            "aggregate": random_aggregate_name(rng, ("sum", "count", "min",
-                                                     "max")),
+            "aggregate": rng.choice(GROUP_AGG_NAMES),
             "ooo_bound": profile.ooo_bound,
             "parallelism": rng.choice([1, 2]),
             "crash_fraction": rng.choice([0.25, 0.5, 0.75]),
@@ -571,83 +541,65 @@ class ReplayOracle(Oracle):
             # Not both: subtasks that own two partitions and one drift
             # apart, and the exchange would mix them past any bound.
             params["partitions"] = 0
-        return Case(self.name, root_seed, index, params,
-                    generate_elements(rng, profile))
+        return self.case_from(params, generate_elements(rng, profile),
+                              root_seed, index)
 
     def check(self, case: Case) -> Optional[str]:
         params = case.params
-        source = dict(rebalance=params.get("rebalance", False),
-                      partitions=params.get("partitions", 0))
-        clean_config = EngineConfig(checkpoint_interval_ms=5,
-                                    elements_per_step=4)
-        clean, clean_job = run_streaming_windows(
-            list(case.stream), params["assigner"], params["aggregate"],
-            params["ooo_bound"], params["parallelism"], clean_config,
-            **source)
+        deployment = case.deployment
+        parallelism = params["parallelism"]
 
-        at_round = max(5, int(clean_job.rounds * params["crash_fraction"]))
-        if params.get("crash_backend", "cooperative") == "cooperative":
-            faults = crash_once(min_checkpoints=1, at_round=at_round)
-            crash_config = EngineConfig(checkpoint_interval_ms=5,
-                                        elements_per_step=4, faults=faults)
-            pace_s = 0.0
-        else:
-            per_subtask = len(case.stream) // params["parallelism"]
-            faults = FaultInjector([FaultEvent(
-                CRASH, after_checkpoints=1, after_records=max(
-                    1, int(per_subtask * params["crash_fraction"])))])
-            crash_config = EngineConfig(
-                backend="multiprocess", num_workers=2,
-                checkpoint_interval_ms=5, elements_per_step=4,
-                restart_strategy=FixedDelayRestart(max_restarts=3,
-                                                   delay_ms=0),
-                faults=faults)
-            pace_s = 0.002
-        replayed, _ = run_streaming_windows(
-            list(case.stream), params["assigner"], params["aggregate"],
-            params["ooo_bound"], params["parallelism"], crash_config,
-            pace_s=pace_s, **source)
+        def run(config, **options):
+            options.setdefault("parallelism", parallelism)
+            return run_streaming_windows(
+                list(case.stream), params["assigner"], params["aggregate"],
+                params["ooo_bound"], config=config,
+                rebalance=params.get("rebalance", False),
+                partitions=params.get("partitions", 0), **options)[0]
 
-        clean_set = set(clean.items())
-        replay_set = set(replayed.items())
+        clean_set = set(run(deployment.config(crash=False)).items())
+        replay_set = set(run(_crashing_config(case)).items())
         if clean_set != replay_set:
-            return self._diverged("replay", "crash", at_round,
-                                  bool(faults.applied), clean_set,
-                                  replay_set, params)
+            return self._diverged("replay", "crash", deployment.crash_fired,
+                                  clean_set, replay_set, params)
 
-        stop = make_stop_once_hook(min_checkpoints=1, at_round=at_round)
-        stop_config = EngineConfig(checkpoint_interval_ms=5,
-                                   elements_per_step=4, cancel_hook=stop)
-        before, _ = run_streaming_windows(
-            list(case.stream), params["assigner"], params["aggregate"],
-            params["ooo_bound"], params["parallelism"], stop_config,
-            **source)
-        if not stop.state["fired"]:
+        # Stopped where the crash struck: a sealed checkpoint, and the
+        # first source subtask through the drawn share of its records.
+        after_records = int(len(case.stream) // parallelism
+                            * deployment.crash)
+        stopped: List[Any] = []
+
+        def stop(engine, _rounds) -> bool:
+            source = next(task for task in engine.tasks if task.is_source)
+            if (not stopped and len(engine.checkpoint_store) >= 1
+                    and source.metrics.counters().get("records_out", 0)
+                    >= max(1, after_records)):
+                stopped.append(engine)
+                return True
+            return False
+
+        before = run(deployment.replace(backend="cooperative").config(
+            crash=False, cancel_hook=stop))
+        if not stopped:
             return None  # the job ended first: nothing to resume
-        resume_config = EngineConfig(
-            backend=params.get("backend", "cooperative"),
-            elements_per_step=4)
-        after, _ = run_streaming_windows(
-            list(case.stream), params["assigner"], params["aggregate"],
-            params["ooo_bound"], 3 - params["parallelism"], resume_config,
-            source_parallelism=params["parallelism"],
-            from_savepoint=stop.state["engine"].create_savepoint(),
-            **source)
+        after = run(deployment.config(crash=False),
+                    parallelism=3 - parallelism,
+                    source_parallelism=parallelism,
+                    from_savepoint=stopped[0].create_savepoint())
         resumed_set = set(before.items()) | set(after.items())
         if clean_set != resumed_set:
-            return self._diverged("savepoint resume", "stop", at_round,
-                                  True, clean_set, resumed_set, params)
+            return self._diverged("savepoint resume", "stop", True,
+                                  clean_set, resumed_set, params)
         return None
 
     @staticmethod
-    def _diverged(what: str, event: str, at_round: int, fired: bool,
-                  clean_set: set, got_set: set,
-                  params: Dict[str, Any]) -> str:
+    def _diverged(what: str, event: str, fired: bool, clean_set: set,
+                  got_set: set, params: Dict[str, Any]) -> str:
         lost = sorted(clean_set - got_set, key=repr)[:4]
         extra = sorted(got_set - clean_set, key=repr)[:4]
-        return ("%s diverged after %s at round %d (fired=%s):\n"
+        return ("%s diverged after %s (fired=%s):\n"
                 "  lost: %r\n  extra: %r\n  assigner=%r ooo_bound=%d"
-                % (what, event, at_round, fired, lost, extra,
+                % (what, event, fired, lost, extra,
                    params["assigner"], params["ooo_bound"]))
 
 
@@ -667,22 +619,7 @@ ARRANGEMENT_FILTERS: Dict[str, Tuple[Callable[[Dict[str, Any]], bool],
 
 #: Named grouping key sets over the generated (user, amount, ts) rows.
 ARRANGEMENT_KEY_SETS: Dict[str, Tuple[str, ...]] = {
-    "user": ("user",),
-    "user-amount": ("user", "amount"),
-}
-
-ARRANGEMENT_AGGS = ("sum", "count", "min", "max")
-
-
-def make_arrangement_crash() -> FaultInjector:
-    """Crash once, after a checkpoint sealed and at least one
-    arrangement shard has compacted -- the restore then lands mid-way
-    through a compacting index."""
-    def compacted(view) -> bool:
-        return any(row["compactions"] >= 1 for task in view.tasks
-                   for row in task.operator_reports("arrangement_report"))
-    return FaultInjector([FaultEvent(CRASH, after_checkpoints=1,
-                                     when=compacted)])
+    "user": ("user",), "user-amount": ("user", "amount")}
 
 
 def _distinct(rows: List[dict]) -> List[dict]:
@@ -691,9 +628,8 @@ def _distinct(rows: List[dict]) -> List[dict]:
 
 class SharedArrangementOracle(Oracle):
     """N queries on shared arrangements == N independently planned runs
-    (per-query row-set equality), with sharing actually occurring.
-    ``params["backend"]`` (default cooperative) is where the shared,
-    possibly crashed, run executes."""
+    (per-query row-set equality), with sharing actually occurring.  The
+    shared run is the one the deployment's crash strikes."""
 
     name = "arrangements"
 
@@ -711,7 +647,7 @@ class SharedArrangementOracle(Oracle):
                 queries.append({"kind": "group",
                                 "key": rng.choice(
                                     sorted(ARRANGEMENT_KEY_SETS)),
-                                "agg": rng.choice(ARRANGEMENT_AGGS)})
+                                "agg": rng.choice(GROUP_AGG_NAMES)})
         params = {
             "queries": queries,
             "right_rows": [[u, "tier%d" % rng.randint(0, 2)]
@@ -719,38 +655,21 @@ class SharedArrangementOracle(Oracle):
             "ooo_bound": ooo,
             "parallelism": rng.choice([1, 2]),
             "compaction_interval": rng.choice([1, 2, 8]),
-            "crash": rng.random() < 0.3,
         }
+        rng.random()  # a spare draw, so that every stream stays as seeded
         stream = []
         for i in range(rng.randint(10, 120)):
             stream.append((rng.randrange(num_keys),
                            rng.randint(-20, 20),
                            i * 5 + rng.randint(0, ooo)))
-        return Case(self.name, root_seed, index, params, stream)
+        return self.case_from(params, stream, root_seed, index)
 
-    def _run(self, case: Case, share: bool,
-             crash: bool = False) -> Tuple[List[List[dict]], Any]:
+    def _run(self, case: Case, share: bool) -> Tuple[List[List[dict]], Any]:
         params = case.params
-        extra: Dict[str, Any] = {}
-        workers = share and params.get("backend",
-                                       "cooperative") != "cooperative"
-        if workers:
-            extra.update(backend=params["backend"], num_workers=2,
-                         restart_strategy=FixedDelayRestart(
-                             max_restarts=3, delay_ms=0))
-        if crash:
-            # On workers the first cut must land before the small right
-            # table's source finishes and ends all checkpointing: one
-            # record per step, so that source cannot drain all of its
-            # rows in a worker's first round, before the first trigger
-            # has reached it.
-            extra.update(checkpoint_interval_ms=1 if workers else 5,
-                         elements_per_step=1 if workers else 4,
-                         faults=make_arrangement_crash())
-        config = EngineConfig(
+        config = case.deployment.config(
+            len(case.stream) // params["parallelism"], crash=share,
             share_arrangements=share,
-            arrangement_compaction_interval=params["compaction_interval"],
-            **extra)
+            arrangement_compaction_interval=params["compaction_interval"])
         env = Environment(parallelism=params["parallelism"], config=config)
         rows = [{"user": "u%d" % user, "amount": amount, "ts": ts}
                 for user, amount, ts in case.stream]
@@ -758,12 +677,9 @@ class SharedArrangementOracle(Oracle):
                           watermark_delay=params["ooo_bound"] + 2)
         right = env.table([{"user": "u%d" % user, "tier": tier}
                            for user, tier in params["right_rows"]])
-        if workers and crash:
-            # Paced, so wall-clock checkpoints seal before the crash and
-            # before the short right side ends them.
-            table, right = (side.where(
-                lambda row, s=pause: time.sleep(s) or True, (), "pace")
-                for side, pause in ((table, 0.002), (right, 0.02)))
+        # The right side is short: paced harder, so that it does not end
+        # checkpointing before the first cut.
+        table, right = paced(table), paced(right, 0.02)
         collected = []
         for spec in params["queries"]:
             if spec["kind"] == "join":
@@ -784,21 +700,17 @@ class SharedArrangementOracle(Oracle):
         if not case.stream or not case.params["queries"]:
             return None
         params = case.params
-        shared, env = self._run(case, share=True, crash=params["crash"])
+        shared, env = self._run(case, share=True)
         independent, _ = self._run(case, share=False)
-        # Worker processes stream collect output to the parent, which
-        # keeps what a crashed attempt delivered: at-least-once, as sets.
-        at_least_once = (params["crash"] and params.get(
-            "backend", "cooperative") != "cooperative")
         for index, (got, expected) in enumerate(zip(shared, independent)):
-            if at_least_once:
+            if case.deployment.at_least_once:
                 got, expected = _distinct(got), _distinct(expected)
             if got != expected:
                 return ("shared arrangements diverge from independent "
                         "planning at query %d (%r):\n  expected %r\n"
-                        "  got      %r\n  crash=%s"
+                        "  got      %r"
                         % (index, params["queries"][index], expected[:4],
-                           got[:4], params["crash"]))
+                           got[:4]))
         group_keys = {spec["key"] for spec in params["queries"]
                       if spec["kind"] == "group"}
         joins = any(spec["kind"] == "join" for spec in params["queries"])
@@ -832,18 +744,12 @@ def run_hybrid_windows(history: List[tuple], live: List[tuple],
     can read the cutover section of the job report."""
     env = Environment(parallelism=parallelism,
                       config=config or EngineConfig())
-    strategy = WatermarkStrategy.for_bounded_out_of_orderness(
-        lambda element: element[2], ooo_bound + 2)
-    collected = (env.read(history)
-                 .then_stream(lambda: live, cutover=cutover,
-                              timestamp_fn=lambda element: element[2],
-                              history_burst=history_burst)
-                 .assign_timestamps_and_watermarks(strategy)
-                 .key_by(lambda element: element[0])
-                 .window(make_assigner(assigner_params))
-                 .aggregate(_ValueProjectingAggregate(
-                     make_aggregate(aggregate_name)))
-                 .collect())
+    collected = _windowed(
+        paced(env.read(history).then_stream(
+            lambda: live, cutover=cutover,
+            timestamp_fn=lambda element: element[2],
+            history_burst=history_burst)),
+        ooo_bound, assigner_params, aggregate_name)
     env.execute()
     return _window_results_to_dict(collected.get()), env
 
@@ -896,8 +802,7 @@ class BackfillOracle(Oracle):
         profile = StreamProfile.random(rng, max_elements=100)
         params = {
             "assigner": random_assigner_params(rng),
-            "aggregate": random_aggregate_name(rng, ("sum", "count", "min",
-                                                     "max")),
+            "aggregate": rng.choice(GROUP_AGG_NAMES),
             "ooo_bound": profile.ooo_bound,
             "parallelism": rng.choice([1, 2]),
             "cutover_fraction": rng.choice([0.0, 0.1, 0.25, 0.5,
@@ -912,7 +817,7 @@ class BackfillOracle(Oracle):
                 num_keys=profile.num_keys, ooo_bound=profile.ooo_bound)
         else:
             stream = generate_elements(rng, profile)
-        return Case(self.name, root_seed, index, params, stream)
+        return self.case_from(params, stream, root_seed, index)
 
     def check(self, case: Case) -> Optional[str]:
         params = case.params
@@ -922,25 +827,19 @@ class BackfillOracle(Oracle):
             params["overlap"])
         expected = reference.keyed_windows(params["assigner"], elements,
                                            params["aggregate"])
-        backend = params.get("backend", "cooperative")
-        config = EngineConfig(backend=backend) \
-            if backend != "cooperative" else EngineConfig()
         got, env = run_hybrid_windows(
             history, live, cutover, params["assigner"],
             params["aggregate"], params["ooo_bound"],
-            params["parallelism"], config,
+            params["parallelism"], _crashing_config(case),
             history_burst=params.get("history_burst", 4))
-        mismatch = _diff(expected, got, "unified backfill")
-        if mismatch is not None:
-            return ("%s\n  mode=%s cutover=%r |history|=%d |live|=%d"
-                    % (mismatch, params["mode"], cutover, len(history),
-                       len(live)))
-        audit = self._audit_seam(env, elements, history, live, cutover)
-        if audit is not None:
-            return ("%s\n  mode=%s cutover=%r |history|=%d |live|=%d"
-                    % (audit, params["mode"], cutover, len(history),
-                       len(live)))
-        return None
+        mismatch = (_diff(expected, got, "unified backfill")
+                    or self._audit_seam(env, elements, history, live,
+                                        cutover))
+        if mismatch is None:
+            return None
+        return ("%s\n  mode=%s cutover=%r |history|=%d |live|=%d"
+                % (mismatch, params["mode"], cutover, len(history),
+                   len(live)))
 
     @staticmethod
     def _audit_seam(env, elements: List[tuple], history: List[tuple],
@@ -951,12 +850,12 @@ class BackfillOracle(Oracle):
         rows = env.job_report().get("cutover") or []
         if not rows:
             return "job report has no cutover section"
-        emitted = sum(row["history_emitted"] + row["stream_emitted"]
-                      for row in rows)
-        history_seen = sum(row["history_emitted"] + row["history_skipped"]
-                           for row in rows)
-        stream_seen = sum(row["stream_emitted"] + row["stream_skipped"]
-                          for row in rows)
+        total = {column: sum(row[column] for row in rows)
+                 for column in ("history_emitted", "history_skipped",
+                                "stream_emitted", "stream_skipped")}
+        emitted = total["history_emitted"] + total["stream_emitted"]
+        history_seen = total["history_emitted"] + total["history_skipped"]
+        stream_seen = total["stream_emitted"] + total["stream_skipped"]
         if emitted != len(elements):
             return ("seam gap/double-count: %d records emitted across the "
                     "cutover, input had %d" % (emitted, len(elements)))

@@ -71,18 +71,16 @@ def _periodic(stream: Stream, size: int, slide: int,
 
 def _sessions(stream: Stream, gap: int,
               aggregate_name: str) -> Dict[Tuple[int, int], Any]:
-    expected = {}
-    session: List[Tuple[Any, int]] = []
+    """Runs whose successive timestamps are at most ``gap`` apart, each
+    window closing ``gap`` after its run's last timestamp."""
+    runs: List[Stream] = []
     for value, ts in stream:
-        if session and ts > session[-1][1] + gap:
-            expected[(session[0][1], session[-1][1] + gap)] = apply_aggregate(
-                aggregate_name, [v for v, _ in session])
-            session = []
-        session.append((value, ts))
-    if session:
-        expected[(session[0][1], session[-1][1] + gap)] = apply_aggregate(
-            aggregate_name, [v for v, _ in session])
-    return expected
+        if not runs or ts > runs[-1][-1][1] + gap:
+            runs.append([])
+        runs[-1].append((value, ts))
+    return {(run[0][1], run[-1][1] + gap):
+            apply_aggregate(aggregate_name, [value for value, _ in run])
+            for run in runs}
 
 
 def _count(stream: Stream, size: int, slide: int,
@@ -149,27 +147,16 @@ def keyed_windows(params: Dict[str, Any], elements: Elements,
 
 def _keyed_sessions(elements: Elements, gap: int,
                     aggregate_name: str) -> Dict[Tuple[Any, int, int], Any]:
-    """Per key: sort by timestamp, merge runs whose successive timestamps
-    are at most ``gap`` apart (touching proto-windows merge), emit
-    ``[first_ts, last_ts + gap)``."""
-    per_key: Dict[Any, List[Tuple[int, Any]]] = {}
+    """Per key: sort by timestamp, then merge as :func:`_sessions` does
+    (runs whose successive timestamps are at most ``gap`` apart)."""
+    per_key: Dict[Any, Stream] = {}
     for key, value, ts in elements:
-        per_key.setdefault(key, []).append((ts, value))
-    expected = {}
-    for key, pairs in per_key.items():
-        pairs.sort(key=lambda pair: pair[0])
-        session: List[Tuple[int, Any]] = []
-        for ts, value in pairs:
-            if session and ts > session[-1][0] + gap:
-                expected[(key, session[0][0], session[-1][0] + gap)] = (
-                    apply_aggregate(aggregate_name,
-                                    [v for _, v in session]))
-                session = []
-            session.append((ts, value))
-        if session:
-            expected[(key, session[0][0], session[-1][0] + gap)] = (
-                apply_aggregate(aggregate_name, [v for _, v in session]))
-    return expected
+        per_key.setdefault(key, []).append((value, ts))
+    return {(key,) + window: value
+            for key, stream in per_key.items()
+            for window, value in _sessions(
+                sorted(stream, key=lambda pair: pair[1]), gap,
+                aggregate_name).items()}
 
 
 # -- grouped (unwindowed) pipeline reference ---------------------------------

@@ -61,8 +61,3 @@ def derive_seed(root: int, *path: Union[str, int]) -> int:
 def rng_for(root: int, *path: Union[str, int]) -> random.Random:
     """A fresh :class:`random.Random` for the stream named by ``path``."""
     return random.Random(derive_seed(root, *path))
-
-
-def seed_line(root: int, *path: Union[str, int]) -> str:
-    """Human-readable identification of one derived stream."""
-    return "seed=%d path=%s" % (root, "/".join(str(part) for part in path))

@@ -3,18 +3,22 @@
 Greedy delta debugging over the case's *stream* (the only unbounded part
 of a case; params are already a handful of scalars):
 
-1. chunk removal -- try dropping halves, then quarters, ... of the
-   stream (classic ddmin), keeping any reduction that still fails;
-2. single-element removal -- one sweep dropping each surviving element;
-3. value simplification -- try replacing each element's payload value
+1. chunk removal -- try dropping halves, then quarters, ... down to
+   single elements (classic ddmin), keeping any reduction that still
+   fails;
+2. value simplification -- try replacing each element's payload value
    with 0 (timestamps and keys are left alone: they carry the window
-   structure that usually *is* the bug).
+   structure that usually *is* the bug);
+3. deployment simplification -- move the case's deployment toward the
+   default one axis at a time (no crash, batch 1, the cooperative
+   backend, one worker, the shm exchange), keeping each move under
+   which the case still fails, so a repro names the smallest
+   deployment that fails.
 
 Every candidate is judged by re-running the oracle, so a shrunk case
-fails for the same observable reason class (the oracle), though not
-necessarily with the identical mismatch message.  The check budget keeps
-worst-case shrinking (engine-level oracles re-execute whole jobs) from
-eating the fuzz time budget.
+fails for the same oracle, if not with the same message.  The check
+budget keeps shrinking (engine oracles re-run whole jobs) from eating
+the fuzz time budget.
 
 :func:`format_repro` renders a shrunk case as a ready-to-paste pytest
 function: all inputs inlined as literals, rebuilt through the same
@@ -24,19 +28,21 @@ oracle, no RNG involved.
 from __future__ import annotations
 
 import pprint
-from typing import List, Optional, Tuple
+from collections import namedtuple
+from typing import Optional
 
+from repro.testing.deployment import Deployment
 from repro.testing.oracles import Case, Oracle
 
-
-class ShrinkResult:
-    def __init__(self, case: Case, detail: str, checks_used: int) -> None:
-        self.case = case
-        self.detail = detail          #: mismatch message of the shrunk case
-        self.checks_used = checks_used
+#: The deployment axes in the order the shrinker resets them.
+_SHRINK_ORDER = ("crash", "batch_size", "backend", "workers", "exchange")
 
 
-def _fails(oracle: Oracle, case: Case) -> Optional[str]:
+#: The shrunk case, its mismatch message and the checks it took.
+ShrinkResult = namedtuple("ShrinkResult", "case detail checks_used")
+
+
+def failure_of(oracle: Oracle, case: Case) -> Optional[str]:
     """Mismatch detail, with oracle crashes counted as failures too (a
     shrink candidate that makes the harness blow up is still a repro)."""
     try:
@@ -47,14 +53,16 @@ def _fails(oracle: Oracle, case: Case) -> Optional[str]:
 
 def shrink(oracle: Oracle, case: Case, detail: str,
            max_checks: int = 300) -> ShrinkResult:
-    """Reduce ``case.stream`` while ``oracle.check`` keeps failing."""
-    budget = {"left": max_checks}
+    """Reduce ``case.stream``, then ``case.deployment``, while
+    ``oracle.check`` keeps failing."""
+    budget = {"left": max_checks, "used": 0}
 
     def still_fails(candidate: Case) -> Optional[str]:
         if budget["left"] <= 0:
             return None
         budget["left"] -= 1
-        return _fails(oracle, candidate)
+        budget["used"] += 1
+        return failure_of(oracle, candidate)
 
     best, best_detail = case, detail
 
@@ -78,13 +86,10 @@ def shrink(oracle: Oracle, case: Case, detail: str,
         if not reduced:
             chunk //= 2
 
-    if not best.stream:
-        return ShrinkResult(best, best_detail, max_checks - budget["left"])
-
     # Pass 2: zero out payload values (element position 1 for both
     # (value, ts) and (key, value, ts) shapes -- by construction of the
     # generators the payload always sits before the timestamp).
-    value_index = 0 if len(best.stream[0]) == 2 else 1
+    value_index = 0 if best.stream and len(best.stream[0]) == 2 else 1
     for position in range(len(best.stream)):
         if budget["left"] <= 0:
             break
@@ -99,31 +104,51 @@ def shrink(oracle: Oracle, case: Case, detail: str,
         if candidate_detail is not None:
             best, best_detail = candidate, candidate_detail
 
-    return ShrinkResult(best, best_detail, max_checks - budget["left"])
+    # Pass 3: the deployment, a check per axis even from a spent budget
+    # -- a repro naming more deployment than it needs misleads.
+    budget["left"] = max(budget["left"], len(_SHRINK_ORDER))
+    for axis in _SHRINK_ORDER:
+        if best.deployment is None:
+            break
+        candidate = oracle.deploy(best, best.deployment.replace(
+            **{axis: getattr(Deployment(), axis)}))
+        if candidate.deployment == best.deployment:
+            continue
+        candidate_detail = still_fails(candidate)
+        if candidate_detail is not None:
+            best, best_detail = candidate, candidate_detail
+    return ShrinkResult(best, best_detail, budget["used"])
 
 
 def format_repro(case: Case, detail: str) -> str:
-    """A self-contained pytest function reproducing ``case``."""
+    """A self-contained pytest function reproducing ``case``, on its
+    deployment."""
     test_name = ("test_shrunk_%s_seed%d_case%d"
                  % (case.oracle_name.replace("-", "_"),
                     max(case.root_seed, 0), max(case.index, 0)))
     params_literal = pprint.pformat(case.params, width=68)
     stream_literal = pprint.pformat(case.stream, width=68)
     first_line = detail.splitlines()[0] if detail else "mismatch"
+    imports = "    from repro.testing.oracles import make_oracle\n"
+    deployment = ""
+    if case.deployment is not None:
+        imports = ("    from repro.testing.deployment import Deployment\n"
+                   + imports)
+        deployment = ", deployment=%r" % case.deployment
     return """\
 # Shrunk from: {seed_line}
 # Failure: {first_line}
 def {test_name}():
-    from repro.testing.oracles import make_oracle
-
+{imports}
     oracle = make_oracle({oracle_name!r})
     params = {params_literal}
     stream = {stream_literal}
-    case = oracle.case_from(params, stream)
+    case = oracle.case_from(params, stream{deployment})
     mismatch = oracle.check(case)
     assert mismatch is None, mismatch
 """.format(seed_line=case.seed_line, first_line=first_line,
-           test_name=test_name, oracle_name=case.oracle_name,
+           test_name=test_name, imports=imports,
+           oracle_name=case.oracle_name, deployment=deployment,
            params_literal=_indent_literal(params_literal),
            stream_literal=_indent_literal(stream_literal))
 

@@ -5,9 +5,9 @@ vectorised partitioning) is purely a mechanical-sympathy optimisation:
 every pipeline must produce *identical* output with ``batch_size=1`` and
 ``batch_size=n``, including under checkpointing, crash-replay, chaos
 poison and quarantine.  These tests run representative pipelines in both
-modes and diff the outputs exactly; the PR-2 differential oracles are
-re-run under ``REPRO_BATCH_SIZE`` so the whole oracle battery covers the
-batched engine too.
+modes and diff the outputs exactly; the differential oracles are re-run
+on a batched deployment so the whole oracle battery covers the batched
+engine too.
 """
 
 import importlib
@@ -41,6 +41,7 @@ from repro.runtime import partition
 from repro.runtime.partition import ForwardPartitioner, HashPartitioner
 from repro.runtime.restart import FixedDelayRestart
 from repro.runtime.task import ColumnRun, OutputEdge, Task
+from repro.testing.deployment import Deployment
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
     crash_once,
@@ -278,28 +279,28 @@ class TestOperatorProfiling:
 
 
 class TestOraclesUnderBatching:
-    """The PR-2 differential oracle battery, re-run with batching forced
-    on through the REPRO_BATCH_SIZE environment knob."""
+    """The differential oracle battery, re-run on a batched deployment."""
 
     @pytest.mark.parametrize("oracle_name", DEFAULT_ORACLE_NAMES)
-    def test_oracle_passes_batched(self, oracle_name, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "16")
+    def test_oracle_passes_batched(self, oracle_name):
         oracle = make_oracle(oracle_name)
         for index in range(4):
             rng = rng_for(ROOT, oracle.name, index)
             case = oracle.generate(rng, ROOT, index)
+            if oracle.runs_engine:
+                case = oracle.deploy(case, Deployment(batch_size=16))
             mismatch = oracle.check(case)
             assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
 
-    def test_replay_oracle_with_every_source_step_one_run(self, monkeypatch):
+    def test_replay_oracle_with_every_source_step_one_run(self):
         """A batch size above the oracle's step budget: each source step
         goes through the watermark operator as one run, and every
         barrier -- the crash restores from one -- lands between two."""
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "64")
         oracle = make_oracle("replay")
         for index in range(4, 12):
             rng = rng_for(ROOT, oracle.name, index)
-            case = oracle.generate(rng, ROOT, index)
+            case = oracle.deploy(oracle.generate(rng, ROOT, index),
+                                 Deployment(batch_size=64))
             mismatch = oracle.check(case)
             assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
 

@@ -96,9 +96,13 @@ def test_source_is_not_starved_by_a_checkpoint_every_round():
     _, expected = keyed_tumbling_job(elements, 100)
     env, rows = keyed_tumbling_job(
         elements, 100,
-        config=EngineConfig(checkpoint_interval_ms=1, max_rounds=2000))
+        config=EngineConfig(checkpoint_interval_ms=1,
+                            cancel_hook=lambda _engine, rounds:
+                            rounds >= 2000))
+    report = env.last_engine.job_report()
+    assert not report["job"]["cancelled"], "still running at round 2000"
     assert rows == expected
-    assert env.last_engine.job_report()["checkpoints"]["completed"] >= 5
+    assert report["checkpoints"]["completed"] >= 5
 
 
 # -- what a record costs -------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 from repro.api import Environment
 from repro.runtime.engine import EngineConfig
 from repro.testing import reference
+from repro.testing.deployment import Deployment
 from repro.testing.oracles import (
     BackfillOracle,
     run_hybrid_windows,
@@ -87,7 +88,7 @@ def test_backfill_oracle_battery_multiprocess():
         index += 1
         if len(case.stream) > 60:
             continue
-        case.params["backend"] = "multiprocess"
+        case = oracle.deploy(case, Deployment.parse("multiprocess,workers=2"))
         mismatch = oracle.check(case)
         assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
         checked += 1

@@ -12,9 +12,11 @@ import random
 
 import pytest
 
+from repro.testing.deployment import Deployment
 from repro.testing.fuzz import build_oracles, run_fuzz
 from repro.testing.oracles import (
     DEFAULT_ORACLE_NAMES,
+    ORACLE_FACTORIES,
     Case,
     Oracle,
     make_oracle,
@@ -116,6 +118,95 @@ def test_shrinker_zeroes_irrelevant_values():
     case = Case(oracle.name, ROOT, 0, {}, [(3, 0), (15, 1)])
     result = shrink(oracle, case, oracle.check(case))
     assert result.case.stream == [(15, 1)]
+
+
+class _DeploymentOracle(Oracle):
+    """Synthetic engine oracle that fails on the deployments ``fails``
+    accepts, whatever the stream."""
+
+    name = "deployment-probe"
+
+    def __init__(self, fails=lambda config: True):
+        self.fails = fails
+
+    def generate(self, rng, root, index):
+        return self.case_from({}, [(value, value) for value in range(9)],
+                              root, index)
+
+    def check(self, case):
+        config = case.deployment.config(len(case.stream))
+        if self.fails(config):
+            return "fails on %s" % case.deployment
+        return None
+
+
+FULL_DEPLOYMENT = "multiprocess,workers=2,exchange=pipe,batch=64,crash=0.5"
+
+
+def test_shrinker_shrinks_to_the_one_failing_deployment():
+    oracle = _DeploymentOracle(lambda config: (
+        config.backend == "multiprocess" and config.batch_size == 64))
+    case = oracle.deploy(oracle.generate(None, ROOT, 0),
+                         Deployment.parse(FULL_DEPLOYMENT))
+    result = shrink(oracle, case, oracle.check(case))
+    assert result.case.deployment == Deployment("multiprocess",
+                                                batch_size=64)
+    assert result.case.deployment.crash is None
+    assert len(result.case.stream) == 1
+
+
+def test_shrinker_shrinks_a_failure_everywhere_to_the_default():
+    oracle = _DeploymentOracle()
+    case = oracle.deploy(oracle.generate(None, ROOT, 0),
+                         Deployment.parse(FULL_DEPLOYMENT))
+    result = shrink(oracle, case, oracle.check(case))
+    assert result.case.deployment == Deployment()
+    assert str(result.case.deployment) == "cooperative"
+
+
+def test_emitted_repro_reproduces_the_failure_on_its_deployment(
+        monkeypatch):
+    monkeypatch.setitem(ORACLE_FACTORIES, _DeploymentOracle.name,
+                        lambda: _DeploymentOracle(lambda config: (
+                            config.backend == "multiprocess"
+                            and config.batch_size == 64)))
+    oracle = make_oracle(_DeploymentOracle.name)
+    case = oracle.deploy(oracle.generate(None, ROOT, 5),
+                         Deployment.parse(FULL_DEPLOYMENT))
+    result = shrink(oracle, case, oracle.check(case))
+    repro = format_repro(result.case, result.detail)
+    assert "multiprocess,batch=64" in repro
+    namespace = {}
+    exec(compile(repro, "<repro>", "exec"), namespace)
+    test_fn = namespace["test_shrunk_deployment_probe_seed%d_case5" % ROOT]
+    with pytest.raises(AssertionError, match="fails on multiprocess,batch=64"):
+        test_fn()
+
+
+def test_deployment_specs_round_trip():
+    for spec in ("cooperative", "multiprocess", FULL_DEPLOYMENT,
+                 "cooperative,batch=16,crash=0.25"):
+        assert str(Deployment.parse(spec)) == spec
+    # one process exchanges nothing: the cooperative backend drops both
+    assert str(Deployment.parse("cooperative,workers=2,exchange=pipe")) \
+        == "cooperative"
+    with pytest.raises(ValueError):
+        Deployment.parse("multiprocess,cores=2")
+
+
+def test_fuzz_summary_counts_every_deployment():
+    """Each engine case is counted once per axis; a pinned deployment
+    replaces the draw for every case."""
+    oracle = make_oracle("windows")
+    report = run_fuzz(ROOT, [oracle], budget_cases=4)
+    counts = report.coverage["windows"]
+    assert report.ok
+    assert counts["cooperative"] + counts["multiprocess"] == 4
+    assert counts["batch1"] + counts["batch16"] + counts["batch64"] == 4
+    assert counts["crash_fired"] <= counts["crash_drawn"]
+    pinned = run_fuzz(ROOT, [oracle], budget_cases=2,
+                      deployment=Deployment(batch_size=16))
+    assert pinned.coverage["windows"]["batch16"] == 2
 
 
 def test_format_repro_is_valid_python():

@@ -312,9 +312,21 @@ class TestSharedQueryParity:
                 >= 3 * records_processed(shared_env))
 
 
+def make_arrangement_crash():
+    """Crash once, after a checkpoint sealed and at least one
+    arrangement shard has compacted -- the restore then lands mid-way
+    through a compacting index."""
+    from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
+
+    def compacted(view):
+        return any(row["compactions"] >= 1 for task in view.tasks
+                   for row in task.operator_reports("arrangement_report"))
+    return FaultInjector([FaultEvent(CRASH, after_checkpoints=1,
+                                     when=compacted)])
+
+
 class TestCrashRestore:
     def _run(self, tmp_path, crash):
-        from repro.testing.oracles import make_arrangement_crash
         faults = make_arrangement_crash() if crash else None
         config = EngineConfig(
             share_arrangements=True,
@@ -346,35 +358,52 @@ class TestCrashRestore:
 class TestMultiprocessParity:
     @pytest.mark.parametrize("case_index", [8, 41, 75, 88])
     def test_oracle_crash_case_on_worker_processes(self, case_index):
-        """A seed-0 arrangement-oracle case with ``crash=True``, its
-        shared run on two workers: one crashes mid-compaction and the
-        respawned fleet restores.  (Parallelism-1 cases of 70+ rows: at
-        parallelism 2 a source subtask may own no row, end at once and
-        so end checkpointing before the first cut.)"""
+        """A seed-0 arrangement-oracle case whose shared run crashes on
+        two workers, half-way through the first source subtask's rows,
+        and the respawned fleet restores.  (Parallelism-1 cases of 70+
+        rows: at parallelism 2 a source subtask may own no row, end at
+        once and so end checkpointing before the first cut.)"""
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("multiprocess backend needs fork")
+        from repro.testing.deployment import Deployment
         from repro.testing.oracles import SharedArrangementOracle
         from repro.testing.seeds import rng_for
 
         oracle = SharedArrangementOracle()
-        case = oracle.generate(rng_for(0, oracle.name, case_index), 0,
-                               case_index)
-        assert case.params["crash"]
-        case.params["backend"] = "multiprocess"
+        case = oracle.deploy(
+            oracle.generate(rng_for(0, oracle.name, case_index), 0,
+                            case_index),
+            Deployment.parse("multiprocess,workers=2,crash=0.5"))
         engines = []
         run = oracle._run
 
-        def spy(case, share, crash=False):
-            rows, env = run(case, share, crash)
+        def spy(case, share):
+            rows, env = run(case, share)
             engines.append(env.last_engine)
             return rows, env
 
         oracle._run = spy
         mismatch = oracle.check(case)
         assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
-        crashed = engines[0]
-        assert crashed.config.faults.applied and crashed.restarts == 1
+        assert case.deployment.crash_fired and engines[0].restarts == 1
+
+    def test_oracle_crash_case_on_the_cooperative_scheduler(self):
+        """Seed-0 case 257 on a cooperative crash at batch 16: the collect
+        sink keeps what the crashed attempt delivered on this backend
+        too, so one group row arrives twice; after a crash the oracle
+        compares collect output as sets, on either backend."""
+        from repro.testing.deployment import Deployment
+        from repro.testing.oracles import SharedArrangementOracle
+        from repro.testing.seeds import rng_for
+
+        oracle = SharedArrangementOracle()
+        case = oracle.deploy(
+            oracle.generate(rng_for(0, oracle.name, 257), 0, 257),
+            Deployment.parse("cooperative,batch=16,crash=0.75"))
+        mismatch = oracle.check(case)
+        assert mismatch is None, "%s\n%s" % (case.seed_line, mismatch)
+        assert case.deployment.crash_fired
 
     def test_shared_arrangements_on_multiprocess_backend(self):
         """Fork-inherited shards stay process-local (same-index subtasks
