@@ -666,10 +666,16 @@ class Engine:
         for task in self.tasks:
             task.on_processing_time(now)
         if coordinator is not None:
-            failure = coordinator.tick(
-                {task.subtask_id for task in self.tasks if task.finished})
-            if failure is not None:
-                self._handle_failure(JobFailedError(failure))
+            try:
+                failure = coordinator.tick(
+                    {task.subtask_id for task in self.tasks if task.finished})
+            except Exception as exc:
+                # A commit (``notify``) runs operator code: a sink whose
+                # append fails is supervised like a failing record.
+                self._handle_failure(exc)
+            else:
+                if failure is not None:
+                    self._handle_failure(JobFailedError(failure))
         if self.observability is not None:
             self.observability.on_round(rounds + 1, self._TICK_MS)
         if progressed:

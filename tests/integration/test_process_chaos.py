@@ -12,8 +12,10 @@ workers must be *detected* (stopped, as the kernel reports, not by
 checkpoint luck), and no attempt may leak zombie processes.
 """
 
+import glob
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -32,6 +34,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.restart import FixedDelayRestart
 from repro.runtime.watchdog import WorkerWatchdog
+from tests.integration.test_transactional_sinks import TornAppendSink
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -60,18 +63,22 @@ def _throttle(value):
     return value
 
 
-def _build_job(env, target):
+def _format_pair(pair):
+    return "%d:%d" % pair
+
+
+def _build_job(env, target, sink=None):
     (env.from_collection(range(N))
         .map(_throttle, name="throttle")
         .key_by(lambda v: v % KEYS)
         .fold(0, lambda acc, value: acc + value)
-        .add_sink(TransactionalTextFileSink(
-            target, formatter=lambda pair: "%d:%d" % pair)))
+        .add_sink(sink or TransactionalTextFileSink(
+            target, formatter=_format_pair)))
 
 
-def _run_job(config, target):
+def _run_job(config, target, sink=None):
     env = Environment(parallelism=2, config=config)
-    _build_job(env, target)
+    _build_job(env, target, sink)
     job = env.execute()
     with open(target) as handle:
         lines = sorted(line.rstrip("\n") for line in handle)
@@ -302,6 +309,31 @@ def test_sigkill_with_batched_shm_exchange(tmp_path, monkeypatch):
         "batched shm chaos run never used the rings")
 
 
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_sigkill_inside_a_commit_leaves_the_unfaulted_bytes(tmp_path):
+    """The worker owning the 2PC sink SIGKILLs itself halfway through
+    appending a committed transaction.  The respawned fleet truncates
+    the torn tail on restore and re-appends the transaction from the
+    checkpoint: the file is the unfaulted run's, and the only file in
+    its directory."""
+    expected = _expected_lines(tmp_path)
+    os.makedirs(str(tmp_path / "out"))
+    target = str(tmp_path / "out" / "out.txt")
+    marker = str(tmp_path / "killed")
+    sink = TornAppendSink(target, marker, _kill_self,
+                          formatter=_format_pair)
+    lines, job, _ = _run_job(_chaos_config(tmp_path, []), target, sink)
+
+    assert os.path.exists(marker), "the kill never fired"
+    assert job.restarts >= 1
+    assert lines == expected
+    assert os.listdir(str(tmp_path / "out")) == ["out.txt"]
+    _assert_no_zombies()
+
+
 # -- workers hold no checkpoint store ----------------------------------------
 
 
@@ -470,6 +502,7 @@ def test_resumed_job_stays_exactly_once_across_a_respawn(tmp_path):
     assert faults.applied and job.restarts >= 1
     with open(clean) as expected, open(target) as got:
         assert got.read() == expected.read()
+    assert glob.glob(glob.escape(target) + ".*") == []
     _assert_no_zombies()
 
 

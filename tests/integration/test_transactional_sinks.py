@@ -21,6 +21,8 @@ from repro.connectors import (
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
+from repro.time.watermarks import WatermarkStrategy
+from repro.windowing import CountAggregate, TumblingEventTimeWindows
 
 
 def read_lines(path):
@@ -28,15 +30,86 @@ def read_lines(path):
         return handle.read().splitlines()
 
 
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def assert_no_leftovers(path):
-    assert not os.path.exists(path + ".tmp")
-    assert glob.glob(glob.escape(path) + ".pending-*") == []
+    """The target is the sink's only file: no temp, side or meta file
+    sits next to it."""
+    assert glob.glob(glob.escape(path) + ".*") == []
+
+
+def assert_only_target(path):
+    assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
+
+class TornAppendSink(TransactionalTextFileSink):
+    """Crashes once, inside its second append with content (a commit),
+    after writing half of the bytes.  The marker file outlives the
+    process, so the restarted or respawned attempt appends normally."""
+
+    def __init__(self, path, marker, crash, **kwargs):
+        super().__init__(path, **kwargs)
+        self.marker = marker
+        self.crash = crash
+        self.appends = 0
+
+    def _append(self, data):
+        if data:
+            self.appends += 1
+        if self.appends == 2 and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            with open(self.path, "ab") as handle:
+                handle.write(data[:len(data) // 2])
+            self.crash()
+        super()._append(data)
+
+
+@pytest.fixture
+def disk(monkeypatch):
+    """Records every ``open`` and ``fsync`` of the sink module, and the
+    bytes written through the handles it opened."""
+    from repro.connectors import sinks
+    log = {"calls": [], "written": 0}
+    real_open, real_fsync = open, os.fsync
+
+    class Handle:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._inner.close()
+
+        def write(self, data):
+            log["written"] += len(data)
+            return self._inner.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        log["calls"].append(("open", os.path.basename(path), mode))
+        return Handle(real_open(path, mode, *args, **kwargs))
+
+    def counting_fsync(fd):
+        log["calls"].append(("fsync",))
+        real_fsync(fd)
+
+    monkeypatch.setattr(sinks, "open", counting_open, raising=False)
+    monkeypatch.setattr(sinks.os, "fsync", counting_fsync)
+    return log
 
 
 class TestTwoPhaseCommitProtocol:
     """Driving the sink by hand, without an engine."""
 
-    def test_pre_commit_persists_sideways_then_commit_publishes(self, tmp_path):
+    def test_pre_commit_stays_in_memory_then_commit_appends(self, tmp_path,
+                                                            disk):
         path = str(tmp_path / "out.txt")
         sink = TransactionalTextFileSink(path)
         sink.open()
@@ -44,13 +117,15 @@ class TestTwoPhaseCommitProtocol:
         sink.write("b")
         assert read_lines(path) == []  # buffered, nothing visible
 
+        del disk["calls"][:]
         sink.pre_commit(1)
-        assert read_lines(path) == []  # pre-committed, still not visible
-        assert read_lines(path + ".pending-1") == ["a", "b"]
+        assert disk["calls"] == []  # sealed in memory, nothing on disk
+        assert read_lines(path) == []
 
-        sink.commit_through(1)
+        sink.commit_through(1)  # one append, one fsync
+        assert disk["calls"] == [("open", "out.txt", "ab"), ("fsync",)]
         assert read_lines(path) == ["a", "b"]
-        assert_no_leftovers(path)
+        assert_only_target(path)
         assert sink.transactions_committed == 1
 
     def test_commit_through_is_idempotent_and_ordered(self, tmp_path):
@@ -85,15 +160,62 @@ class TestTwoPhaseCommitProtocol:
         sink.open()
         sink.write("durable")
         sink.pre_commit(1)
+        checkpoint = sink.snapshot()
         sink.write("after-cut")
         sink.pre_commit(2)
         sink.write("in-buffer")
         # The restored checkpoint only knew about txn 1: txn 2 and the
         # open buffer lie beyond the replay point and must vanish.
-        sink.recover([1])
+        sink.recover(checkpoint)
         assert read_lines(path) == ["durable"]
-        assert sink.pending_transactions() == []
+        assert sink.snapshot()["pending"] == {}
+        assert sink.transactions_aborted == 1
         assert_no_leftovers(path)
+
+    def test_snapshot_does_not_alias_pending_lines(self, tmp_path):
+        # The cooperative store keeps operator state as it is handed
+        # over, and restores the same object again on a second failure.
+        path = str(tmp_path / "out.txt")
+        sink = TransactionalTextFileSink(path)
+        sink.open()
+        sink.write("a")
+        sink.pre_commit(1)
+        checkpoint = sink.snapshot()
+        sink._pending[1].append("late")
+        assert checkpoint["pending"] == {1: ["a"]}
+        sink.recover(checkpoint)
+        sink.recover(checkpoint)
+        assert checkpoint["pending"] == {1: ["a"]}
+        assert read_lines(path) == ["a"]
+
+    def test_resident_memory_is_bounded_by_open_transactions(self, tmp_path):
+        """Committed lines leave memory: commits 201..400 of 50 lines
+        each grow the heap by a small fraction of what keeping them
+        resident would cost."""
+        import tracemalloc
+        sink = TransactionalTextFileSink(str(tmp_path / "out.txt"))
+        sink.open()
+
+        def commit(txn):
+            for line in range(50):
+                sink.write("transaction %06d line %02d" % (txn, line))
+            sink.pre_commit(txn)
+            sink.commit_through(txn)
+
+        tracemalloc.start()
+        try:
+            for txn in range(1, 201):
+                commit(txn)
+            at_200 = tracemalloc.get_traced_memory()[0]
+            for txn in range(201, 401):
+                commit(txn)
+            at_400 = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # Keeping the 10,000 lines of commits 201..400 costs ~800 KB.
+        assert at_400 - at_200 < 40 * 1024
+        assert sink.records_committed == 400 * 50
+        assert os.path.getsize(sink.path) == 400 * 50 * 27
 
 
 class TestExactlyOnceThroughEngine:
@@ -133,6 +255,7 @@ class TestExactlyOnceThroughEngine:
         # never a torn or uncommitted suffix.
         assert 0 < len(lines) < len(expected)
         assert lines == expected[:len(lines)]
+        assert_no_leftovers(path)
 
         # Rerunning the job against the same path republishes in full.
         retry = TransactionalTextFileSink(path)
@@ -188,6 +311,55 @@ class TestExactlyOnceThroughEngine:
         assert read_lines(path) == [str(v * 2) for v in range(200)]
         assert_no_leftovers(path)
 
+    def test_crash_inside_a_commit_leaves_the_unfaulted_bytes(self,
+                                                              tmp_path):
+        """The process dies halfway through appending a committed
+        transaction: the restore truncates the torn tail and re-appends
+        the transaction from the checkpoint."""
+        def run(path, sink):
+            os.makedirs(os.path.dirname(path))
+            env = Environment(config=EngineConfig(
+                checkpoint_interval_ms=5, elements_per_step=4,
+                restart_strategy=FixedDelayRestart(max_restarts=3,
+                                                   delay_ms=1)))
+            self._pipeline(env, sink, values=2000)
+            return env.execute()
+
+        def crash():
+            raise RuntimeError("killed inside the append")
+
+        clean = str(tmp_path / "clean" / "out.txt")
+        run(clean, TransactionalTextFileSink(clean))
+        path = str(tmp_path / "torn" / "out.txt")
+        marker = str(tmp_path / "crashed")
+        job = run(path, TornAppendSink(path, marker, crash))
+        assert os.path.exists(marker) and job.restarts == 1
+        assert read_bytes(path) == read_bytes(clean)
+        assert_only_target(path)
+
+    def test_keyed_window_job_writes_each_byte_once(self, tmp_path, disk):
+        """The append-only count guard: on a checkpointed keyed-window
+        job the bytes the sink writes equal the final file size, a
+        rewrite ratio of 1.0 however many commits the job makes."""
+        path = str(tmp_path / "windows.jsonl")
+        sink = TransactionalJsonlFileSink(path)
+        env = Environment(config=EngineConfig(checkpoint_interval_ms=5,
+                                              elements_per_step=4))
+        events = [("k%d" % (index % 13), index) for index in range(3000)]
+        (env.from_collection(events)
+            .assign_timestamps_and_watermarks(
+                WatermarkStrategy.for_monotonic_timestamps(
+                    lambda value: value[1]))
+            .key_by(lambda value: value[0])
+            .window(TumblingEventTimeWindows.of(100))
+            .aggregate(CountAggregate())
+            .add_sink(sink, name="txn-sink"))
+        env.execute()
+        assert sink.transactions_committed >= 10
+        assert len(read_lines(path)) == 13 * 30
+        assert disk["written"] == os.path.getsize(path)
+        assert_only_target(path)
+
     def test_parallel_transactional_sink_is_rejected(self, tmp_path):
         sink = TransactionalTextFileSink(str(tmp_path / "out.txt"))
         env = Environment(parallelism=2)
@@ -239,16 +411,18 @@ class TestExactlyOnceOnABoundedPipeline:
 
 
 class TestResumeReconciliation:
-    """The multiprocess failure domain: the sink *object* dies with its
-    worker and a fresh fork reattaches to the on-disk artifacts via
-    ``resume()``.  Respawns can themselves crash and respawn, so resume
-    + recover must be idempotent over the same artifacts -- and must
-    close the crash windows inside ``commit_through`` (meta written but
-    target unpublished; target published but side files undeleted)."""
+    """A job deployed with state -- a respawned worker, a savepoint, time
+    travel -- runs a sink object that never saw the transactions of the
+    attempt that wrote the file.  The checkpoint carries them: restore
+    truncates the target to the checkpoint's committed length and
+    re-appends its pending transactions.  Respawns can themselves crash
+    and respawn, so restoring the same checkpoint twice must leave the
+    same file."""
 
-    def _seeded_sink(self, tmp_path):
-        """A sink that committed txn 1 (["a", "b"]) and holds txn 2
-        (["c"]) pre-committed, then 'crashed' -- only disk survives."""
+    def _seeded(self, tmp_path):
+        """A sink that committed txn 1 (["a", "b"]), pre-committed txn 2
+        (["c"]) at checkpoint 2's cut and then 'crashed': the file and
+        the checkpoint survive."""
         path = str(tmp_path / "out.txt")
         sink = TransactionalTextFileSink(path)
         sink.open()
@@ -258,121 +432,106 @@ class TestResumeReconciliation:
         sink.commit_through(1)
         sink.write("c")
         sink.pre_commit(2)
-        return path
+        return path, sink.snapshot()
 
     def test_two_consecutive_respawns_do_not_double_commit(self, tmp_path):
-        path = self._seeded_sink(tmp_path)
+        path, checkpoint = self._seeded(tmp_path)
 
         first = TransactionalTextFileSink(path)
-        first.resume()
-        first.recover([2])  # checkpoint knew txn 2 was pending: commit it
+        first.recover(checkpoint)  # checkpoint 2 is durable: txn 2 commits
         assert read_lines(path) == ["a", "b", "c"]
         assert first.records_committed == 3
 
-        # The respawn itself dies; a second respawn walks the same
-        # artifacts.  Txn 2's side file is gone and meta says it is
-        # committed, so nothing may commit twice.
+        # The respawn itself dies; a second respawn restores the same
+        # checkpoint over a file that already holds txn 2.
         second = TransactionalTextFileSink(path)
-        second.resume()
-        second.recover([2])
+        second.recover(checkpoint)
         assert read_lines(path) == ["a", "b", "c"]
         assert second.records_committed == 3
-        assert second.pending_transactions() == []
-        assert_no_leftovers(path)
+        assert second.transactions_committed == 2
+        assert second.snapshot()["pending"] == {}
+        assert_only_target(path)
 
     def test_transaction_ids_may_start_over_after_a_savepoint(self, tmp_path):
         """A job resumed from a savepoint numbers its checkpoints from 1
-        again.  Its first pre-committed transaction must not read as
-        "already published" to a respawn because the previous job's
-        committed-through mark was higher."""
-        path = self._seeded_sink(tmp_path)
+        again, below the ids the previous job committed."""
+        path, checkpoint = self._seeded(tmp_path)
         resumed = TransactionalTextFileSink(path)
-        resumed.resume()
-        resumed.recover([2])  # the savepoint's cut: txn 2 commits
+        resumed.recover(checkpoint)  # the savepoint's cut: txn 2 commits
         resumed.write("d")
         resumed.pre_commit(1)  # the new job's checkpoint 1 -- then a kill
+        resumed_checkpoint = resumed.snapshot()
 
         respawned = TransactionalTextFileSink(path)
-        respawned.resume()
-        assert respawned.pending_transactions() == [1]
-        respawned.recover([1])
+        respawned.recover(resumed_checkpoint)
         assert read_lines(path) == ["a", "b", "c", "d"]
-        assert_no_leftovers(path)
+        respawned.write("e")
+        respawned.pre_commit(2)
+        respawned.commit_through(2)
+        assert read_lines(path) == ["a", "b", "c", "d", "e"]
+        assert_only_target(path)
 
-    def test_resume_after_crash_between_meta_and_publish(self, tmp_path):
-        """Window A: meta recorded the commit but the process died
-        before the target was rewritten.  The side files at or below
-        committed_through hold the missing records."""
-        path = self._seeded_sink(tmp_path)
-        sink = TransactionalTextFileSink(path)
-        sink.resume()
-        # Simulate the torn commit by hand: meta + side file say txn 2
-        # committed, target still shows only txn 1.
-        sink._committed_through = 2
-        sink._committed.append("c")
-        sink._write_meta()
-        sink._committed.pop()
-
+    def test_restore_truncates_a_torn_commit(self, tmp_path):
+        # A process killed inside the append of txn 2 leaves part of it
+        # at the end of the target; the restore cuts it off first.
+        path, checkpoint = self._seeded(tmp_path)
+        with open(path, "a") as handle:
+            handle.write("c\nhalf a li")
         respawned = TransactionalTextFileSink(path)
-        respawned.resume()
-        assert read_lines(path) == ["a", "b", "c"]  # re-applied + published
-        assert respawned.records_committed == 3
-        assert respawned.pending_transactions() == []
-        assert_no_leftovers(path)
+        respawned.recover(checkpoint)
+        assert read_lines(path) == ["a", "b", "c"]
+        assert_only_target(path)
 
-    def test_resume_after_crash_between_publish_and_side_cleanup(
+    def test_restore_to_an_older_checkpoint_drops_later_commits(
             self, tmp_path):
-        """Window B: the target was published but the process died
-        before deleting the side files.  They describe already-committed
-        transactions and must be swept, never re-committed."""
-        path = self._seeded_sink(tmp_path)
-        sink = TransactionalTextFileSink(path)
-        sink.resume()
-        sink.recover([2])
+        """Time travel into the same file: what was committed after the
+        checkpoint goes, and replay writes it again."""
+        path, checkpoint = self._seeded(tmp_path)
+        later = TransactionalTextFileSink(path)
+        later.recover(checkpoint)
+        for txn, line in ((3, "d"), (4, "e")):
+            later.write(line)
+            later.pre_commit(txn)
+            later.commit_through(txn)
+        assert read_lines(path) == ["a", "b", "c", "d", "e"]
+
+        back = TransactionalTextFileSink(path)
+        back.recover(checkpoint)
         assert read_lines(path) == ["a", "b", "c"]
-        # Resurrect txn 2's side file as the crash would have left it.
-        with open(path + ".pending-2", "w") as handle:
-            handle.write("c\n")
+        assert back.records_committed == 3
 
-        respawned = TransactionalTextFileSink(path)
-        respawned.resume()
-        assert read_lines(path) == ["a", "b", "c"]  # not ["a","b","c","c"]
-        assert respawned.pending_transactions() == []
-        assert_no_leftovers(path)
-        # Even a replayed commit notification cannot double it.
-        respawned.recover([2])
-        assert read_lines(path) == ["a", "b", "c"]
+    @pytest.mark.parametrize("damage", ["deleted", "shortened"])
+    def test_restore_into_a_shorter_target_raises(self, tmp_path, damage):
+        """Appending the checkpoint's pending lines to what is left would
+        publish a file without its committed prefix."""
+        path, checkpoint = self._seeded(tmp_path)
+        if damage == "deleted":
+            os.remove(path)
+            size = 0
+        else:
+            os.truncate(path, 2)
+            size = 2
+        with pytest.raises(RuntimeError) as excinfo:
+            TransactionalTextFileSink(path).recover(checkpoint)
+        message = str(excinfo.value)
+        assert path in message
+        assert "committed %d bytes" % checkpoint["length"] in message
+        assert "holds %d" % size in message
+        assert (os.path.getsize(path) if os.path.exists(path) else 0) == size
 
-    def test_resume_keeps_uncommitted_side_files_pending(self, tmp_path):
-        path = self._seeded_sink(tmp_path)
-        sink = TransactionalTextFileSink(path)
-        sink.resume()
-        assert sink.pending_transactions() == [2]
-        # A restore whose checkpoint predates txn 2 aborts it instead.
-        sink.recover([])
-        assert read_lines(path) == ["a", "b"]
-        assert_no_leftovers(path)
-
-    def test_resume_discards_a_torn_pre_commit(self, tmp_path):
-        # A worker killed inside pre_commit leaves the side file's
-        # ".tmp" behind; it matches the side-file glob and used to make
-        # every respawn die parsing "3.tmp" as a transaction id.
-        path = self._seeded_sink(tmp_path)
-        torn = path + ".pending-3.tmp"
-        with open(torn, "w") as handle:
-            handle.write("half a li")
-        sink = TransactionalTextFileSink(path)
-        sink.resume()
-        assert sink.pending_transactions() == [2]
-        assert not os.path.exists(torn)
-
-    def test_open_wipes_meta_with_the_other_artifacts(self, tmp_path):
-        path = self._seeded_sink(tmp_path)
-        assert os.path.exists(path + ".txn-meta.json")
+    def test_open_truncates_the_target_to_its_header(self, tmp_path):
+        path, _ = self._seeded(tmp_path)
         fresh = TransactionalTextFileSink(path)
         fresh.open()
-        assert not os.path.exists(path + ".txn-meta.json")
         assert read_lines(path) == []
+
+        csv_path = str(tmp_path / "out.csv")
+        with open(csv_path, "w") as handle:
+            handle.write("stale,header\nx,1\n")
+        sink = TransactionalCsvFileSink(csv_path, header=["key", "value"])
+        sink.open()
+        assert read_lines(csv_path) == ["key,value"]
+        assert sink.snapshot()["length"] == len("key,value\n")
 
 
 class TestFormats:

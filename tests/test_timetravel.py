@@ -1,9 +1,12 @@
 """Time travel (``repro.state.timetravel``) and the savepoint round
 trip it rests on: a durable checkpoint repackaged as a savepoint and
 resolved against the program's job graph is the restore map a fresh
-deployment takes -- exactly-once sinks included, which reattach to the
-committed output of the run that wrote the checkpoint.
+deployment takes -- exactly-once sinks included, which put the
+committed output of the run that wrote the checkpoint back to that
+checkpoint.
 """
+
+import glob
 
 import pytest
 
@@ -51,19 +54,26 @@ def stopped_run(tmp_path):
 
 
 class TestResumeIntoAnExactlyOnceSink:
-    @pytest.mark.parametrize("explicit_id", [False, True])
+    #: ``False`` resumes from the latest checkpoint, ``True`` names it
+    #: and ``"oldest"`` travels back to the oldest one retained, into a
+    #: file already committed past it.
+    @pytest.mark.parametrize("explicit_id", [False, True, "oldest"])
     def test_resumed_file_is_the_uninterrupted_one(self, stopped_run,
                                                    explicit_id):
         clean_path, path, directory = stopped_run
         checkpoint_id = None
         if explicit_id:
-            checkpoint_id = DurableCheckpointStore(
-                directory, fresh=False).persisted_ids()[-1]
+            retained = DurableCheckpointStore(
+                directory, fresh=False).persisted_ids()
+            assert len(retained) > 1
+            checkpoint_id = (retained[0] if explicit_id == "oldest"
+                             else retained[-1])
         env = Environment()
         sink_program(env, path)
         env.execute(from_savepoint=savepoint_from_checkpoint(
             directory, env, checkpoint_id=checkpoint_id))
         assert read_bytes(path) == read_bytes(clean_path)
+        assert glob.glob(glob.escape(path) + ".*") == []
 
 
 class TestTimeTravelErrors:
