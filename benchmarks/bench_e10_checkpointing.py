@@ -21,6 +21,7 @@ from harness import format_table, record
 from repro.api import Environment
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
+from repro.runtime.restart import FixedDelayRestart
 
 KEYS = 5
 RECORDS = 3_000
@@ -28,11 +29,12 @@ DATA = [("k%d" % (index % KEYS), 1) for index in range(RECORDS)]
 INTERVALS = [2, 10, 50]
 
 
-def run_job(checkpoint_interval=None, faults=None):
+def run_job(checkpoint_interval=None, faults=None, restart_strategy=None):
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=checkpoint_interval,
-                            elements_per_step=4, faults=faults))
+                            elements_per_step=4, faults=faults,
+                            restart_strategy=restart_strategy))
     result = (env.from_collection(DATA)
               .key_by(lambda v: v[0])
               .count()
@@ -60,7 +62,9 @@ def recovery_check():
     _, ground_truth = run_job()
     faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=2,
                                        when=lambda view: view.rounds > 60)])
-    job, finals = run_job(checkpoint_interval=3, faults=faults)
+    job, finals = run_job(checkpoint_interval=3, faults=faults,
+                          restart_strategy=FixedDelayRestart(
+                              max_restarts=1, delay_ms=0))
     return ground_truth, finals, job.recoveries, bool(faults.applied)
 
 

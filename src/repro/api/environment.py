@@ -292,14 +292,6 @@ class Environment:
     def last_engine(self) -> Optional[Engine]:
         return self._last_engine
 
-    @property
-    def dead_letters(self) -> List[Any]:
-        """Records quarantined during the last execution (requires
-        ``quarantine_threshold`` in the engine config)."""
-        if self._last_engine is None:
-            return []
-        return list(self._last_engine.dead_letters)
-
     def job_report(self):
         """The last execution's :class:`~repro.observability.JobReport`
         (see :meth:`~repro.runtime.engine.Engine.job_report`)."""

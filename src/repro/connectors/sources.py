@@ -4,7 +4,7 @@ motion into the unified API.
 Error contract: connector failures must carry enough context to act on
 -- a missing file names its path, a malformed record names its path
 *and* line number -- because in a streaming job the raised exception is
-all the operator (or the dead-letter queue) gets to see.
+all that reaches the restart strategy and, once it gives up, the caller.
 """
 
 from __future__ import annotations

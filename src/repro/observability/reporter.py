@@ -3,7 +3,7 @@
 :class:`JobReport` is the structured summary :meth:`Engine.job_report`
 returns -- per-operator throughput, watermark lag and skew,
 backpressure-stall time, checkpoint statistics, Cutty sharing counters,
-restart/quarantine counts and the span digest.  It is a plain dict tree
+restart counts and the span digest.  It is a plain dict tree
 underneath (``as_dict``), rendered three ways (``render(fmt)``):
 
 * ``text``       -- aligned human-readable tables,
@@ -138,12 +138,11 @@ class JobReport:
                      op["records_out"],
                      op.get("throughput_rps", ""),
                      op.get("watermark_lag_ms", ""),
-                     op.get("backpressure_stall_ms", ""),
-                     op.get("dead_letters", 0)]
+                     op.get("backpressure_stall_ms", "")]
                     for op in operators]
             blocks.append("== operators ==\n" + _format_table(
                 ["operator", "subtask", "in", "out", "rec/s(sim)",
-                 "wm lag ms", "bp stall ms", "dead"], rows))
+                 "wm lag ms", "bp stall ms"], rows))
 
         key_values("checkpoints")
         key_values("watermarks")
@@ -231,7 +230,7 @@ class JobReport:
         for key, value in sorted(sections.get("job", {}).items()):
             emit("job_%s" % key, value,
                  metric_type="counter" if key.endswith(
-                     ("restarts", "recoveries", "dead_letters")) else "gauge")
+                     ("restarts", "recoveries")) else "gauge")
 
         for op in sections.get("operators", []):
             labels = {"operator": op["operator"],
@@ -245,8 +244,6 @@ class JobReport:
                  labels)
             emit("operator_backpressure_stall_ms",
                  op.get("backpressure_stall_ms"), labels, "counter")
-            emit("operator_dead_letters_total", op.get("dead_letters", 0),
-                 labels, "counter")
 
         for key, value in sorted((sections.get("checkpoints") or {}).items()):
             emit("checkpoint_%s" % key, value,

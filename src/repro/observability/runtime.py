@@ -20,8 +20,8 @@ at round granularity:
 * **checkpoint spans** -- one background span per checkpoint attempt,
   from barrier injection to seal (with duration and state-entry size) or
   abort (with the reason);
-* **restart / quarantine counters** -- supervised restarts and dead
-  letters, attributed in the job report.
+* **restart counters** -- supervised restarts, attributed in the job
+  report.
 
 Everything is denominated in the engine's *simulated* clock, so numbers
 are deterministic for a given program and seed.

@@ -10,10 +10,12 @@ Execution is a deterministic cooperative loop:
 3. if checkpointing is enabled, the coordinator periodically injects
    barriers at the sources, collects per-task snapshots as barriers
    align across the graph, and seals completed checkpoints;
-4. injected faults (:mod:`repro.runtime.faults`) can kill the job
-   mid-flight, after which the engine restores every subtask from the
-   latest completed checkpoint and rewinds the replayable sources -- the
-   exactly-once recovery path of asynchronous barrier snapshotting.
+4. anything a round runs that raises -- a user callback or an injected
+   fault (:mod:`repro.runtime.faults`) -- goes to the restart strategy,
+   which either fails the job or has the engine restore every subtask
+   from the latest completed checkpoint and rewind the replayable
+   sources -- the exactly-once recovery path of asynchronous barrier
+   snapshotting.
 
 The loop is single-threaded on purpose: reproducibility of every
 experiment in ``benchmarks/`` depends on it, and the logical costs the
@@ -40,6 +42,7 @@ from repro.runtime.restart import grant_restart
 from repro.runtime.task import OutputEdge, Task
 from repro.state.checkpoint import (
     CheckpointCoordinator,
+    CompletedCheckpoint,
     SubtaskId,
     TaskSnapshot,
     subtask_grid,
@@ -49,7 +52,7 @@ from repro.time.clock import ManualClock
 if TYPE_CHECKING:  # imported lazily to avoid a plan <-> runtime cycle
     from repro.observability.reporter import JobReport
     from repro.plan.graph import JobGraph
-    from repro.runtime.faults import DeadLetter, FaultEvent, FaultInjector
+    from repro.runtime.faults import FaultEvent, FaultInjector
     from repro.runtime.restart import RestartStrategy
 
 #: Runaway guard of both run loops: a job still unfinished after this
@@ -107,7 +110,6 @@ class EngineConfig:
                  restart_strategy: Optional["RestartStrategy"] = None,
                  checkpoint_timeout_ms: Optional[int] = None,
                  tolerable_consecutive_checkpoint_failures: Optional[int] = None,
-                 quarantine_threshold: Optional[int] = None,
                  faults: Optional["FaultInjector"] = None,
                  observability: Optional[bool] = None,
                  share_arrangements: bool = True,
@@ -144,7 +146,6 @@ class EngineConfig:
                 ("checkpoint_timeout_ms", checkpoint_timeout_ms, 1),
                 ("tolerable_consecutive_checkpoint_failures",
                  tolerable_consecutive_checkpoint_failures, 0),
-                ("quarantine_threshold", quarantine_threshold, 0),
                 ("arrangement_compaction_interval",
                  arrangement_compaction_interval, 1)):
             if value is not None and value < floor:
@@ -184,12 +185,11 @@ class EngineConfig:
         #: ``cancel_hook(engine, rounds)`` returning true stops the job
         #: between two rounds (cooperative backend only).
         self.cancel_hook = cancel_hook
-        #: Supervisor policy for task failures.  ``None``: on the
-        #: cooperative backend operator exceptions propagate out of
-        #: ``execute()`` and ``InjectedFailure`` restores in place from
-        #: the latest checkpoint without counting as a supervised
-        #: restart; on the multiprocess backend any failure, an injected
-        #: crash included, fails the job.
+        #: Supervisor policy for task failures, the same on both
+        #: backends: every exception a user callback or an injected crash
+        #: raises goes to it.  ``None`` means no restart: the failure
+        #: (an ``InjectedFailure`` included) propagates out of
+        #: ``execute()``.
         self.restart_strategy = restart_strategy
         #: Abort a pending checkpoint still unacknowledged after this
         #: much simulated time (``None`` = wait forever).
@@ -198,11 +198,6 @@ class EngineConfig:
         #: row (``None`` = tolerate any number).
         self.tolerable_consecutive_checkpoint_failures = (
             tolerable_consecutive_checkpoint_failures)
-        #: When set, a record whose processing raises is quarantined to
-        #: the dead-letter output; a task exceeding this many dead
-        #: letters in one attempt escalates to the supervisor.
-        #: ``None`` disables quarantine (exceptions fail the task).
-        self.quarantine_threshold = quarantine_threshold
         #: Fault injection, the same schedule on either backend (see
         #: :mod:`repro.runtime.faults`).
         self.faults = faults
@@ -270,7 +265,6 @@ class JobResult:
                  cancelled: bool = False,
                  restarts: int = 0,
                  checkpoints_aborted: int = 0,
-                 dead_letters: Optional[List["DeadLetter"]] = None,
                  gauges: Optional[Dict[str, int]] = None) -> None:
         self.rounds = rounds
         self.simulated_time_ms = simulated_time_ms
@@ -279,29 +273,22 @@ class JobResult:
         self.checkpoint_durations_ms = checkpoint_durations_ms
         self.recoveries = recoveries
         self.cancelled = cancelled
-        #: Supervised restarts granted by the restart strategy (injected
-        #: crashes without one count in ``recoveries`` only).
+        #: Supervised restarts granted by the restart strategy; every
+        #: recovery is one, so ``recoveries`` always equals it.
         self.restarts = restarts
         self.checkpoints_aborted = checkpoints_aborted
-        #: Quarantined poison records, task by task in arrival order.
-        self.dead_letters = dead_letters if dead_letters is not None else []
         self.gauges = gauges if gauges is not None else {}
 
     @property
     def records_emitted(self) -> int:
         return records_emitted(self.counters)
 
-    def dead_letters_for(self, operator_name: str) -> List["DeadLetter"]:
-        """The quarantined records attributed to one operator."""
-        return [letter for letter in self.dead_letters
-                if letter.operator == operator_name]
-
     def __repr__(self) -> str:
         return ("JobResult(rounds=%d, sim_ms=%d, checkpoints=%d, "
-                "recoveries=%d, restarts=%d, dead_letters=%d)"
+                "recoveries=%d, restarts=%d)"
                 % (self.rounds, self.simulated_time_ms,
                    self.checkpoints_completed, self.recoveries,
-                   self.restarts, len(self.dead_letters)))
+                   self.restarts))
 
 
 def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
@@ -322,8 +309,6 @@ def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
             checkpoints_persisted=durable["persisted"],
             checkpoint_corruptions_detected=durable["corruptions_detected"],
             checkpoint_restore_fallbacks=durable["restore_fallbacks"])
-    engine.dead_letters = [letter for payload in payloads
-                           for letter in payload["dead_letters"]]
     result = JobResult(
         rounds=max(payload["rounds"] for payload in payloads),
         simulated_time_ms=max(payload["simulated_time_ms"]
@@ -337,7 +322,6 @@ def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
         cancelled=cancelled,
         restarts=engine.restarts,
         checkpoints_aborted=coordinator.aborted,
-        dead_letters=list(engine.dead_letters),
         gauges=merge_gauge_maps(payload["gauges"] for payload in payloads))
     parts = [payload["report_sections"] for payload in payloads]
     if supervisor_sections:
@@ -362,7 +346,6 @@ def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
             "records_emitted": result.records_emitted,
             "recoveries": result.recoveries,
             "restarts": result.restarts,
-            "dead_letters": len(result.dead_letters),
             "cancelled": cancelled,
             "observability": observability,
         },
@@ -391,10 +374,8 @@ class Engine:
         #: scheduler round and the job's sealed checkpoints so far.
         self.rounds = 0
         self.sealed_checkpoints = 0
-        self.dead_letters: List["DeadLetter"] = []
         # Note: counter maps merge by *unqualified* name, so coordinator
-        # counters must not reuse task-level counter names (tasks already
-        # count their own dead_letters).
+        # counters must not reuse task-level counter names.
         self.metrics = MetricGroup("coordinator")
         self.metrics.counter("restarts")  # counted by grant_restart
         self._failures_metric = self.metrics.counter("failures")
@@ -428,7 +409,6 @@ class Engine:
                             batch_size=cfg.batch_size,
                             tracer=tracer)
                 task.checkpoint_ack = self._acknowledge_checkpoint
-                task.quarantine_threshold = cfg.quarantine_threshold
                 subtasks.append(task)
             by_vertex[vertex_id] = subtasks
             self.tasks.extend(subtasks)
@@ -522,19 +502,13 @@ class Engine:
         the job (from the latest checkpoint, or as it was deployed when
         none completed yet) or let the failure escape."""
         self._failures_metric.inc()
-        if (self.config.restart_strategy is None
-                and isinstance(exc, InjectedFailure)):
-            # Without a strategy, injected crashes restore from the latest
-            # checkpoint; real operator exceptions propagate unchanged.
-            self._recover()
-            self.recoveries += 1
-            return
         delay_ms = grant_restart(self, exc, self.clock.now())
         self.clock.advance(delay_ms)  # restart delay burns simulated time
         if self.observability is not None:
             self.observability.on_restart(self.restarts, delay_ms, exc)
-        if self.checkpoint_store.latest is not None:
-            self._recover()
+        latest = self.checkpoint_store.latest
+        if latest is not None:
+            self._recover(latest)
         else:
             # Redeploy: fresh operators, empty channels, sources at
             # offset zero or where the savepoint left them.
@@ -551,13 +525,10 @@ class Engine:
 
     # -- recovery -----------------------------------------------------------
 
-    def _recover(self) -> None:
-        """Restore every subtask from the latest completed checkpoint and
-        rewind sources; in-flight data is discarded (it will be replayed).
-        The caller counts the recovery."""
-        latest = self.checkpoint_store.latest
-        if latest is None:
-            raise JobFailedError("failure without any completed checkpoint")
+    def _recover(self, latest: CompletedCheckpoint) -> None:
+        """Restore every subtask from the completed checkpoint ``latest``
+        and rewind sources; in-flight data is discarded (it will be
+        replayed).  The caller counts the recovery."""
         self.coordinator.drop_pending()
         for task in self.tasks:
             for channel, _ in task.inputs:
@@ -609,27 +580,6 @@ class Engine:
 
     # -- the loop -----------------------------------------------------------
 
-    def _step_tasks(self, rounds: int) -> bool:
-        """One fair scheduling pass: every runnable task gets one bounded
-        ``step()``.  Shared by ``execute()`` and the multiprocess
-        backend's shard loop, so failure handling and fault stalls mean
-        the same thing on both backends."""
-        faults = self.config.faults
-        progressed = False
-        for task in self.tasks:
-            if not task.is_runnable:
-                continue
-            if faults is not None and faults.is_stalled(task, rounds):
-                continue
-            try:
-                if task.step():
-                    progressed = True
-            except Exception as exc:
-                self._handle_failure(exc)
-                progressed = True
-                break
-        return progressed
-
     def _next_processing_timer(self) -> int:
         """The earliest pending processing-time timer across live tasks,
         or ``MAX_TIMESTAMP`` when none exists (used to jump the clock
@@ -647,46 +597,57 @@ class Engine:
     def _run_round(self, rounds: int,
                    coordinator: Optional[CheckpointCoordinator] = None,
                    moved: bool = False) -> bool:
-        """Scheduler round number ``rounds``: step the tasks, advance the
-        clock, fire due processing-time timers, let ``coordinator``
-        (``None``: checkpoints off, or a worker whose parent
-        coordinates) take its turn; a round without record progress
-        (``moved``: the caller already brought input in) jumps the
-        clock to the next processing-time timer.  Returns whether the
-        round got anywhere.  Due faults fire first."""
+        """Scheduler round number ``rounds``: fire due faults, give every
+        runnable task one bounded ``step()``, advance the clock, fire due
+        processing-time timers, let ``coordinator`` (``None``:
+        checkpoints off, or a worker whose parent coordinates) take its
+        turn; a round without record progress (``moved``: the caller
+        already brought input in) jumps the clock to the next
+        processing-time timer.  Returns whether the round got anywhere.
+
+        This is the one failure boundary of both backends: whatever the
+        round runs -- an element, a timer, a snapshot, a commit, an
+        injected crash -- that raises ends the round in the supervisor.
+        """
         self.rounds = rounds
-        if self.config.faults is not None:
-            try:
-                self.config.faults.on_round(self)
-            except InjectedFailure as exc:
-                self._handle_failure(exc)
-        progressed = self._step_tasks(rounds) or moved
-        self.clock.advance(self._TICK_MS)
-        now = self.clock.now()
-        for task in self.tasks:
-            task.on_processing_time(now)
-        if coordinator is not None:
-            try:
+        faults = self.config.faults
+        progressed = moved
+        ticked = False
+        try:
+            if faults is not None:
+                faults.on_round(self)
+            for task in self.tasks:
+                if (task.is_runnable
+                        and (faults is None
+                             or not faults.is_stalled(task, rounds))
+                        and task.step()):
+                    progressed = True
+            self.clock.advance(self._TICK_MS)
+            ticked = True
+            now = self.clock.now()
+            for task in self.tasks:
+                task.on_processing_time(now)
+            if coordinator is not None:
                 failure = coordinator.tick(
                     {task.subtask_id for task in self.tasks if task.finished})
-            except Exception as exc:
-                # A commit (``notify``) runs operator code: a sink whose
-                # append fails is supervised like a failing record.
-                self._handle_failure(exc)
-            else:
                 if failure is not None:
-                    self._handle_failure(JobFailedError(failure))
+                    raise JobFailedError(failure)
+            if not progressed:
+                next_timer = self._next_processing_timer()
+                if now < next_timer < MAX_TIMESTAMP:
+                    self.clock.set(next_timer)
+                    for task in self.tasks:
+                        task.on_processing_time(next_timer)
+                    progressed = True
+        except Exception as exc:
+            self._handle_failure(exc)
+            progressed = True
+            if not ticked:
+                # Simulated time does not depend on where a failure struck.
+                self.clock.advance(self._TICK_MS)
         if self.observability is not None:
             self.observability.on_round(rounds + 1, self._TICK_MS)
-        if progressed:
-            return True
-        next_timer = self._next_processing_timer()
-        if now < next_timer < MAX_TIMESTAMP:
-            self.clock.set(next_timer)
-            for task in self.tasks:
-                task.on_processing_time(next_timer)
-            return True
-        return False
+        return progressed
 
     def execute(self) -> JobResult:
         cfg = self.config
@@ -739,7 +700,6 @@ class Engine:
                 "subtask": task.subtask_index,
                 "records_in": counters.get("records_in", 0),
                 "records_out": records_out,
-                "dead_letters": counters.get("dead_letters", 0),
             }
             if sim_seconds > 0:
                 row["throughput_rps"] = records_out / sim_seconds
@@ -787,8 +747,6 @@ class Engine:
             "counters": sum_nested(task_counters),
             "gauges": merge_gauge_maps(
                 task.metrics.gauges() for task in self.tasks),
-            "dead_letters": [letter for task in self.tasks
-                             for letter in task.dead_letters],
             "report_sections": sections,
         }
 

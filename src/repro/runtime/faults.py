@@ -1,4 +1,4 @@
-"""Fault injection and the poison-record vocabulary.
+"""Fault injection, the same schedule on either backend.
 
 One vocabulary, executed by both backends: ``EngineConfig(faults=...)``
 takes a :class:`FaultInjector` over a schedule of :class:`FaultEvent`\\ s
@@ -25,9 +25,9 @@ Fault kinds:
 * ``stall`` -- a source subtask emits nothing for ``param`` rounds; the
   worker owning it SIGSTOPs itself, and the supervisor, which sees the
   process stopped in the kernel, fails it as hung;
-* ``poison`` -- the next ``param`` records into the victim raise on
-  processing; with quarantine they land in the dead-letter output,
-  otherwise the supervisor restarts the job;
+* ``poison`` -- the next ``param`` records into the victim raise
+  :class:`PoisonPill` where an element enters the chain: a raising user
+  callback, which fails the task and goes to the restart strategy;
 * ``drop`` / ``duplicate`` -- an input channel of the victim loses or
   repeats a buffered record, then the job crashes: the corruption is only
   survivable because recovery discards in-flight data and replays it;
@@ -45,12 +45,9 @@ a fired event in ``view._fault_fired(index, event, victim)``.  A worker
 announces what it fired to the parent, whose copy of the injector is the
 record of the job; respawned workers inherit it.
 
-The quarantine side: when :class:`~repro.runtime.engine.EngineConfig`
-sets ``quarantine_threshold``, a record whose processing raises is
-captured as a :class:`DeadLetter` (record + error context) instead of
-killing the subtask; a subtask exceeding the threshold in one attempt
-escalates by raising :class:`PoisonEscalation`, which the supervisor
-treats like any other failure.
+Every failure takes one path on both backends: the engine's scheduler
+round (``Engine._run_round``) hands whatever it raised to the restart
+strategy, and without a strategy the job fails.
 """
 
 from __future__ import annotations
@@ -65,42 +62,6 @@ class PoisonPill(Exception):
     """Raised while processing a chaos-poisoned record."""
 
 
-class PoisonEscalation(Exception):
-    """A subtask quarantined more records than the configured threshold
-    allows; the supervisor must restart (or fail) the job."""
-
-    def __init__(self, task_repr: str, count: int, threshold: int) -> None:
-        super().__init__(
-            "%s quarantined %d records, exceeding threshold %d"
-            % (task_repr, count, threshold))
-        self.task_repr = task_repr
-        self.count = count
-        self.threshold = threshold
-
-
-class DeadLetter:
-    """One quarantined record plus the context needed to debug it."""
-
-    __slots__ = ("value", "timestamp", "key", "operator", "subtask_index",
-                 "error", "error_type")
-
-    def __init__(self, value: Any, timestamp: Optional[int], key: Any,
-                 operator: str, subtask_index: int,
-                 error: BaseException) -> None:
-        self.value = value
-        self.timestamp = timestamp
-        self.key = key
-        self.operator = operator
-        self.subtask_index = subtask_index
-        self.error = repr(error)
-        self.error_type = type(error).__name__
-
-    def __repr__(self) -> str:
-        return ("DeadLetter(%r @ %s#%d, key=%r, ts=%r, error=%s)"
-                % (self.value, self.operator, self.subtask_index,
-                   self.key, self.timestamp, self.error))
-
-
 # -- fault schedule ---------------------------------------------------------
 
 CRASH = "crash"
@@ -111,11 +72,13 @@ DUPLICATE = "duplicate"
 CORRUPT_CHECKPOINT = "corrupt-checkpoint"
 
 FAULT_KINDS = (CRASH, STALL, POISON, DROP, DUPLICATE, CORRUPT_CHECKPOINT)
-#: Kinds that leave final state identical to a failure-free run (poison
-#: removes records from the stream, so it is scheduled separately).
+#: Kinds a randomized chaos schedule draws by default (poison is
+#: scheduled by hand).
 STATE_PRESERVING_KINDS = (CRASH, STALL, DROP, DUPLICATE)
 #: Kinds after which the job restarts, per backend: a stalled worker
 #: process is a hung one, a stalled cooperative subtask merely idles.
+#: The difference stays on purpose: the cooperative stall's idling is
+#: how a checkpoint times out and aborts in a deterministic run.
 RESTARTING_KINDS = {"cooperative": (CRASH, DROP, DUPLICATE),
                     "multiprocess": (CRASH, STALL, DROP, DUPLICATE)}
 

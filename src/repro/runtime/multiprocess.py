@@ -523,13 +523,12 @@ class ShardEngine(Engine):
 
     def _acknowledge_checkpoint(self, checkpoint_id: int,
                                 snapshot: TaskSnapshot) -> None:
-        snapshot.dead_letters = _sanitize_dead_letters(snapshot.dead_letters)
         self._control.send(("ack", checkpoint_id, snapshot))
 
     def _handle_failure(self, exc: BaseException) -> None:
-        # No in-worker supervision: every failure (quarantine escalation
-        # included) tears down the shard and escalates to the parent,
-        # which owns the restart strategy and the checkpoint store.
+        # No in-worker supervision: every failure tears down the shard
+        # and escalates to the parent, which owns the restart strategy
+        # and the checkpoint store.
         self._failures_metric.inc()
         raise exc
 
@@ -670,8 +669,6 @@ class ShardEngine(Engine):
         payload = self._done_payload(rounds)
         payload.update(
             worker=self.worker_id,
-            # Dead letters cross the control pipe from here on.
-            dead_letters=_sanitize_dead_letters(payload["dead_letters"]),
             exchange={dst: dict(exchange.stats)
                       for dst, exchange in self._data_writers.items()})
         return payload
@@ -720,23 +717,6 @@ def _is_stopped(pid: int) -> bool:
                          | os.WNOWAIT) is not None
     except ChildProcessError:
         return False
-
-
-def _sanitize_dead_letters(letters: List[Any]) -> List[Any]:
-    """Dead letters cross the control pipe; a letter whose value defeats
-    pickle is downgraded to its repr rather than killing the report."""
-    sane: List[Any] = []
-    for letter in letters:
-        try:
-            pickle.dumps(letter, _PICKLE_PROTOCOL)
-            sane.append(letter)
-        except Exception:
-            from repro.runtime.faults import DeadLetter
-            sane.append(DeadLetter(repr(letter.value), letter.timestamp,
-                                   repr(letter.key), letter.operator,
-                                   letter.subtask_index,
-                                   RuntimeError(letter.error)))
-    return sane
 
 
 # -- worker process entry ---------------------------------------------------
@@ -834,7 +814,7 @@ class MultiprocessEngine:
     API-compatible with :class:`~repro.runtime.engine.Engine` for the
     surface the :class:`~repro.api.Environment` facade uses --
     ``execute()``, ``job_report()``, ``checkpoint_store``,
-    ``dead_letters``, ``recoveries``/``restarts`` -- so callers switch
+    ``recoveries``/``restarts`` -- so callers switch
     backends with one config knob.  Queryable state is cooperative-only
     and raises instead of silently degrading.
 
@@ -872,7 +852,6 @@ class MultiprocessEngine:
             self._tracer = TraceContext(self._now_ms)
         self._workers_terminated = 0
         self._workers_killed = 0
-        self.dead_letters: List[Any] = []
         self.recoveries = 0
         self.restarts = 0
         self.rounds = 0

@@ -1,7 +1,7 @@
 """Restart strategies: the policy half of the job supervisor.
 
-When a subtask raises (an operator bug, an injected chaos fault, a
-poison-record escalation), the engine's supervisor asks its configured
+When a subtask raises (an operator bug in any user callback, an
+injected chaos fault), the engine's supervisor asks its configured
 :class:`RestartStrategy` whether the job may be restarted and after what
 simulated delay.  The mechanics of the restart -- rewinding to the
 latest completed checkpoint, or re-deploying from scratch when no
@@ -47,7 +47,8 @@ def grant_restart(engine: Any, exc: BaseException, now_ms: int) -> int:
     ``engine.config.restart_strategy`` about ``exc`` and count the
     restart, and the recovery it makes, on ``engine``.  Returns the delay
     the backend spends (on its own clock) before restarting.  Without a
-    strategy ``exc`` propagates; a strategy that gives up fails the job.
+    strategy ``exc`` propagates (no strategy means no restart, on both
+    backends); a strategy that gives up fails the job.
     """
     strategy = engine.config.restart_strategy
     if strategy is None:

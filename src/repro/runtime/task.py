@@ -271,17 +271,10 @@ class Task:
         self.finished = False
         self.failed: Optional[BaseException] = None
 
-        # Poison-record quarantine (configured by the engine): when
-        # ``quarantine_threshold`` is set, a record whose processing
-        # raises joins ``dead_letters`` (part of the task's snapshot)
-        # instead of failing the task; exceeding the threshold within
-        # one attempt escalates.  ``poison_next_records`` is the chaos
-        # hook: that many upcoming input records raise ``PoisonPill``.
-        self.quarantine_threshold: Optional[int] = None
-        self.dead_letters: List[Any] = []
+        # The chaos ``poison`` hook: that many upcoming input records
+        # raise ``PoisonPill``, which fails the task like any raising
+        # callback.
         self.poison_next_records = 0
-        self._dead_letters_metric = metrics.counter("dead_letters")
-        self._attempt_dead_letters = 0
 
         # Watermark tracking.
         self._channel_watermarks: Dict[int, int] = {}
@@ -654,16 +647,10 @@ class Task:
         elif element.is_end:
             self._on_channel_end(channel_index)
 
-    def _needs_record_loop(self, input_index: int, prefix: int) -> bool:
+    def _needs_record_loop(self, input_index: int) -> bool:
         """Whether input must enter the chain one record at a time: a
-        second input, pending chaos poison, or quarantine when the fused
-        ``prefix`` stops short of the chain's end.  Quarantine *with* a
-        fully fused chain may take a run whole because the fused
-        transforms are pure: an exception means nothing was emitted, so
-        replaying the run record by record duplicates no output."""
-        return (input_index != 0 or self.poison_next_records > 0
-                or (self.quarantine_threshold is not None
-                    and prefix < len(self.chain)))
+        second input, or pending chaos poison."""
+        return input_index != 0 or self.poison_next_records > 0
 
     def _ingest(self, records: Sequence[Record], input_index: int,
                 each: bool = False) -> None:
@@ -678,49 +665,36 @@ class Task:
         the run.  Anything that needs per-record bookkeeping
         (:meth:`_needs_record_loop`) cannot be taken whole and enters
         through the record-by-record loop below, which is semantically
-        identical by construction and has the scalar-mode poison and
-        quarantine semantics.  ``each`` sends a run straight there: a
-        scalar ``Record``, which has nothing to amortise, or a batch
-        whose column kernel raised under quarantine.
+        identical by construction and has the scalar-mode poison
+        semantics.  ``each`` sends a run straight there: a scalar
+        ``Record``, which has nothing to amortise.  Whatever raises
+        fails the task, for the engine's one failure boundary.
         """
-        if not each and not self._needs_record_loop(input_index,
-                                                    self._fused_prefix):
+        if not each and not self._needs_record_loop(input_index):
             fused = self._fused_fn
             if fused is None:
                 self.chain[0].operator.process_batch(records)
-                return
-            try:
-                out = self._run_fused("fused_batch", fused, records)
-            except Exception:
-                if self.quarantine_threshold is None:
-                    raise
-                # Pure transforms emitted nothing before raising: replay
-                # the run record by record so only the poison record is
-                # quarantined.
             else:
-                self._exit_prefix(out, self._fused_prefix)
-                return
+                self._exit_prefix(self._run_fused("fused_batch", fused,
+                                                  records),
+                                  self._fused_prefix)
+            return
         head = self.chain[0]
         for record in records:
-            try:
-                if self.poison_next_records > 0:
-                    # Chaos-injected poison: consume the flag *before*
-                    # raising so a supervised restart replays the record
-                    # cleanly.
-                    self.poison_next_records -= 1
-                    from repro.runtime.faults import PoisonPill
-                    raise PoisonPill("chaos-injected poison in %s#%d"
-                                     % (self.vertex_name, self.subtask_index))
-                head.backend.set_current_key(record.key)
-                head.ctx.current_timestamp = record.timestamp
-                if input_index == 0:
-                    head.operator.process(record)
-                else:
-                    head.operator.process2(record)
-            except Exception as exc:
-                if self.quarantine_threshold is None:
-                    raise
-                self._quarantine(record, exc)
+            if self.poison_next_records > 0:
+                # Chaos-injected poison: consume the flag *before*
+                # raising so a supervised restart replays the record
+                # cleanly.
+                self.poison_next_records -= 1
+                from repro.runtime.faults import PoisonPill
+                raise PoisonPill("chaos-injected poison in %s#%d"
+                                 % (self.vertex_name, self.subtask_index))
+            head.backend.set_current_key(record.key)
+            head.ctx.current_timestamp = record.timestamp
+            if input_index == 0:
+                head.operator.process(record)
+            else:
+                head.operator.process2(record)
 
     def _exit_prefix(self, survivors: List[Record], prefix: int) -> None:
         """The one way out of a fused prefix, row function or column
@@ -756,26 +730,18 @@ class Task:
         :meth:`_exit_prefix` or at an output edge, and none at all when
         every edge routes whole batches.  No kernel at the head, or input
         that must enter record by record, is counted as a columnar
-        fallback.  Kernels are pure: one that raises under quarantine
-        emitted nothing, so a record-by-record replay quarantines only
-        the poison record.
+        fallback.
         """
         kernel = self._column_kernel
         prefix = self._kernel_prefix
-        if kernel is None or self._needs_record_loop(input_index, prefix):
+        if kernel is None or self._needs_record_loop(input_index):
             self._columnar_fallbacks.inc()
             self._ingest(batch.records, input_index)
             return
         self._columnar_batches.inc()
-        try:
-            values, timestamps, keys = self._run_fused(
-                "column_kernel", kernel, batch.value_list(),
-                batch.timestamp_list(), batch.key_list())
-        except Exception:
-            if self.quarantine_threshold is None:
-                raise
-            self._ingest(batch.records, input_index, each=True)
-            return
+        values, timestamps, keys = self._run_fused(
+            "column_kernel", kernel, batch.value_list(),
+            batch.timestamp_list(), batch.key_list())
         if not values:
             return
         if prefix < len(self.chain):
@@ -793,25 +759,6 @@ class Task:
             from repro.runtime.columnar import columnar_from_lists
             run = columnar_from_lists(values, timestamps, keys) or run
         self._emit_run(run)
-
-    def _quarantine(self, element: Record, exc: Exception) -> None:
-        """Route a poison record to the dead-letter output; escalate once
-        this attempt exceeded the configured threshold.
-
-        Quarantine is best-effort at the *task* boundary: emissions the
-        chain produced before the exception have already been routed
-        downstream (synchronous dispatch), matching the contract of
-        side-output-based dead-letter queues in production engines.
-        """
-        from repro.runtime.faults import DeadLetter, PoisonEscalation
-        self._attempt_dead_letters += 1
-        self._dead_letters_metric.inc()
-        self.dead_letters.append(DeadLetter(
-            element.value, element.timestamp, element.key,
-            self.vertex_name, self.subtask_index, exc))
-        if self._attempt_dead_letters > self.quarantine_threshold:
-            raise PoisonEscalation(repr(self), self._attempt_dead_letters,
-                                   self.quarantine_threshold) from exc
 
     # -- watermarks ----------------------------------------------------------
 
@@ -952,7 +899,6 @@ class Task:
             timers={str(i): chained.timers.snapshot()
                     for i, chained in enumerate(self.chain)},
             partitioners=partitioners,
-            dead_letters=list(self.dead_letters),
         )
         if self.checkpoint_ack is not None:
             self.checkpoint_ack(checkpoint_id, snapshot)
@@ -969,7 +915,6 @@ class Task:
             state = snapshot.partitioners.get(str(i))
             if state is not None:
                 edge.partitioner.restore_state(state)
-        self.dead_letters = list(snapshot.dead_letters)
 
     def reset_progress(self) -> None:
         """Clear watermark/barrier progress on recovery (channels are
@@ -983,10 +928,8 @@ class Task:
         self.pending_checkpoint = None
         self.finished = False
         self.failed = None
-        # A restart is a fresh attempt: the quarantine budget resets and
-        # any not-yet-consumed chaos poison is discarded (the poisoned
-        # records are replayed clean).
-        self._attempt_dead_letters = 0
+        # A restart is a fresh attempt: any not-yet-consumed chaos
+        # poison is discarded (the poisoned records are replayed clean).
         self.poison_next_records = 0
         # Un-flushed emissions belong to the failed attempt; the replayed
         # inputs will regenerate them.

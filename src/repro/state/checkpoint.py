@@ -65,12 +65,11 @@ class TaskSnapshot:
     """Everything one subtask contributes to a checkpoint."""
 
     __slots__ = ("subtask", "keyed_state", "operator_state", "timers",
-                 "partitioners", "dead_letters")
+                 "partitioners")
 
     def __init__(self, subtask: SubtaskId, keyed_state: Dict[str, Dict[Any, Any]],
                  operator_state: Any = None, timers: Optional[dict] = None,
-                 partitioners: Optional[Dict[str, Any]] = None,
-                 dead_letters: Optional[List[Any]] = None) -> None:
+                 partitioners: Optional[Dict[str, Any]] = None) -> None:
         self.subtask = subtask
         self.keyed_state = keyed_state
         self.operator_state = operator_state
@@ -80,8 +79,6 @@ class TaskSnapshot:
         #: consistent cut so post-restore round-robin placement replays
         #: the original run.
         self.partitioners = partitioners or {}
-        #: Records this subtask quarantined up to the cut.
-        self.dead_letters = dead_letters or []
 
     def __repr__(self) -> str:
         return "TaskSnapshot(%s#%d)" % self.subtask

@@ -68,10 +68,10 @@ class Deployment:
                **options: Any) -> EngineConfig:
         """The ``EngineConfig`` of one job on this deployment.
 
-        With a crash drawn, every job checkpoints (and restarts, on
-        worker processes); ``crash`` arms it on this job: the first
-        subtask of the job graph crashes once a checkpoint has sealed
-        and the drawn share of its ``records`` went through it.
+        With a crash drawn, every job checkpoints and has a restart
+        strategy; ``crash`` arms it on this job: the first subtask of
+        the job graph crashes once a checkpoint has sealed and the drawn
+        share of its ``records`` went through it.
         ``options`` are the program's own settings."""
         settings = dict(backend=self.backend, exchange=self.exchange,
                         batch_size=self.batch_size)
@@ -83,10 +83,9 @@ class Deployment:
             # per step and a 1 ms interval let the first cut seal before
             # a short (paced) source ends checkpointing by finishing.
             settings.update(checkpoint_interval_ms=1 if workers else 5,
-                            elements_per_step=1 if workers else 4)
-            if workers:
-                settings["restart_strategy"] = FixedDelayRestart(
-                    max_restarts=3, delay_ms=0)
+                            elements_per_step=1 if workers else 4,
+                            restart_strategy=FixedDelayRestart(
+                                max_restarts=3, delay_ms=0))
             if crash:
                 faults = FaultInjector([FaultEvent(
                     CRASH, after_checkpoints=1,

@@ -93,7 +93,9 @@ def _run_cooperative(tmp_path, label, faults=None, batch_size=1,
                      suffix=False):
     target = str(tmp_path / ("%s.txt" % label))
     config = EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                          faults=faults, batch_size=batch_size)
+                          faults=faults, batch_size=batch_size,
+                          restart_strategy=FixedDelayRestart(
+                              max_restarts=3, delay_ms=0))
     env = Environment(parallelism=2, config=config)
     _build_job(env, target, suffix=suffix)
     job = env.execute()

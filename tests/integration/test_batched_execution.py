@@ -3,8 +3,8 @@
 The batched fast path (RecordBatch channels, fused stateless chains,
 vectorised partitioning) is purely a mechanical-sympathy optimisation:
 every pipeline must produce *identical* output with ``batch_size=1`` and
-``batch_size=n``, including under checkpointing, crash-replay, chaos
-poison and quarantine.  These tests run representative pipelines in both
+``batch_size=n``, including under checkpointing, crash-replay and chaos
+poison.  These tests run representative pipelines in both
 modes and diff the outputs exactly; the differential oracles are re-run
 on a batched deployment so the whole oracle battery covers the batched
 engine too.
@@ -25,7 +25,7 @@ from repro.runtime.channels import Channel
 from repro.runtime.columnar import batch_to_columnar
 from repro.runtime.elements import END_OF_STREAM, Record, RecordBatch
 from repro.runtime.engine import EngineConfig
-from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
+from repro.runtime.faults import CRASH, FaultEvent, FaultInjector, PoisonPill
 from repro.runtime.operators import (
     CoProcessOperator,
     FilterOperator,
@@ -181,6 +181,8 @@ class TestReplayDeterminismAcrossModes:
         crash_config = EngineConfig(checkpoint_interval_ms=5,
                                     elements_per_step=4,
                                     batch_size=batch_size,
+                                    restart_strategy=FixedDelayRestart(
+                                        max_restarts=3, delay_ms=0),
                                     faults=faults)
         replayed, _ = run_streaming_windows(
             elements, assigner, "sum", ooo_bound=5, config=crash_config)
@@ -198,45 +200,13 @@ class TestReplayDeterminismAcrossModes:
             config = EngineConfig(checkpoint_interval_ms=5,
                                   elements_per_step=4,
                                   batch_size=batch_size,
+                                  restart_strategy=FixedDelayRestart(
+                                      max_restarts=3, delay_ms=0),
                                   faults=crash_once(min_checkpoints=1,
                                                     at_round=30))
             results[batch_size], _ = run_streaming_windows(
                 elements, assigner, "sum", ooo_bound=5, config=config)
         assert results[16] == results[1]
-
-
-class TestQuarantineUnderBatching:
-    @staticmethod
-    def _run(config, data, poison):
-        env = Environment(config=config)
-
-        def toxic(x):
-            if x in poison:
-                raise ValueError("poison %d" % x)
-            return x * 2
-
-        result = (env.from_collection(data)
-                  .rebalance()          # break the source chain: real batches
-                  .map(toxic)
-                  .filter(lambda x: x % 3 != 0)
-                  .global_()
-                  .collect())
-        job = env.execute()
-        return result.get(), sorted(letter.value
-                                    for letter in job.dead_letters)
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_fused_chain_quarantines_identically(self, batch_size):
-        data = list(range(100))
-        poison = {13, 14, 77}
-        scalar_out, scalar_dead = self._run(
-            EngineConfig(quarantine_threshold=10, batch_size=1),
-            data, poison)
-        batched_out, batched_dead = self._run(
-            EngineConfig(quarantine_threshold=10, batch_size=batch_size),
-            data, poison)
-        assert batched_out == scalar_out
-        assert batched_dead == scalar_dead == [13, 14, 77]
 
 
 class TestOperatorProfiling:
@@ -622,7 +592,7 @@ class TestSourceChainElementSequence:
         assert counts(1)["records_out"] == survivors
 
 
-# -- recovery and the quarantine rule on a source chain that runs on columns ------
+# -- recovery on a source chain that runs on columns ------------------------------
 
 
 class TestSourceChainRecovery:
@@ -691,34 +661,6 @@ class TestSourceChainRecovery:
         recovered, job = self.windowed_counts(tmp_path, batch_size, True)
         assert job.restarts == 2 and job.checkpoints_completed >= 1
         assert recovered == clean
-
-    @pytest.mark.parametrize("batch_size", [1, 64])
-    def test_quarantine_guards_the_task_input_boundary(self, batch_size):
-        """docs/fault_tolerance.md: a UDF chained into the source fails
-        the task with its own exception -- the column path neither
-        swallows the poison nor blames another record -- while the same
-        UDF behind an exchange is quarantined."""
-        def run(rebalance):
-            env = Environment(config=EngineConfig(
-                quarantine_threshold=5, batch_size=batch_size))
-
-            def toxic(value):
-                if value == 7:
-                    raise ValueError("poison %d" % value)
-                return value
-
-            stream = env.from_collection(range(20))
-            if rebalance:
-                stream = stream.rebalance()
-            result = stream.map(toxic).collect()
-            return result, env.execute
-
-        _, execute = run(rebalance=False)
-        with pytest.raises(ValueError, match="^poison 7$"):
-            execute()
-        result, execute = run(rebalance=True)
-        assert [letter.value for letter in execute().dead_letters] == [7]
-        assert sorted(result.get()) == sorted(set(range(20)) - {7})
 
 
 # -- every replayable source emits runs --------------------------------------------
@@ -880,24 +822,6 @@ class TestHybridSourceRuns:
 # -- one ingress, whatever the representation ------------------------------------
 
 
-class _RunningCount(Operator):
-    """Stateful, so the fused prefix stops in front of it: emits what it
-    has let through so far and raises on a marked value."""
-
-    name = "running-count"
-
-    def __init__(self, toxic):
-        super().__init__()
-        self._toxic = toxic
-        self._seen = 0
-
-    def process(self, record):
-        if record.value[1] == self._toxic:
-            raise ValueError("toxic %r" % (record.value,))
-        self._seen += 1
-        self.ctx.emit((record.value, self._seen))
-
-
 def _double(toxic=None):
     def fn(value):
         if value[1] == toxic:
@@ -916,20 +840,18 @@ def _tag_sides():
         lambda value, ctx: ctx.emit(("right", value)))
 
 
-#: case -> (chain factory, input index, quarantine threshold, poison
-#: flag, and what a batched task counts when the two halves of the input
-#: arrive as ColumnarBatches: (columnar_batches_in, columnar_fallbacks)).
+#: case -> (chain factory, input index, poison flag, the exception the
+#: task fails with (``None``: it finishes), and what a batched task
+#: counts when the input arrives as ColumnarBatches:
+#: (columnar_batches_in, columnar_fallbacks)).
 INGRESS_CASES = {
-    "plain": (lambda: [_double(), _keep()], 0, None, 0, (2, 0)),
-    "second-input": (lambda: [_tag_sides()], 1, None, 0, (0, 2)),
-    # The poison is used up inside the first half; the second takes the
-    # kernel again.
-    "poison": (lambda: [_double(), _keep()], 0, 5, 2, (1, 1)),
-    "quarantine-fused": (lambda: [_double(), _keep()], 0, 5, 0, (2, 0)),
-    "quarantine-partly-fused": (
-        lambda: [_double(), _RunningCount(toxic=8)], 0, 5, 0, (0, 2)),
-    # The kernel was tried on both halves and raised in the first.
-    "kernel-raises": (lambda: [_double(toxic=4), _keep()], 0, 5, 0, (2, 0)),
+    "plain": (lambda: [_double(), _keep()], 0, 0, None, (2, 0)),
+    "second-input": (lambda: [_tag_sides()], 1, 0, None, (0, 2)),
+    # The poison fails the task at the first record of the first half.
+    "poison": (lambda: [_double(), _keep()], 0, 2, PoisonPill, (0, 1)),
+    # The kernel was tried on the first half and raised.
+    "kernel-raises": (lambda: [_double(toxic=4), _keep()], 0, 0,
+                      ValueError, (1, 0)),
 }
 INGRESS_RECORDS = [Record(("k%d" % (i % 3), i), i * 10, key="k%d" % (i % 3))
                    for i in range(12)]
@@ -942,9 +864,9 @@ INGRESS_SHAPES = {
 
 def drive_ingress(case, shape, batch_size):
     """Feed ``INGRESS_RECORDS`` in two halves, as ``shape``, to one
-    hand-built two-input task; returns what it emitted, its dead
-    letters and its counters."""
-    make_chain, input_index, threshold, poison, _ = INGRESS_CASES[case]
+    hand-built two-input task; returns what it emitted, the type of the
+    exception that failed it (or ``None``) and its counters."""
+    make_chain, input_index, poison, _, _ = INGRESS_CASES[case]
     task = Task("chain", 0, 0, 1, make_chain(), ManualClock(),
                 MetricGroup("test"), elements_per_step=64,
                 batch_size=batch_size)
@@ -954,7 +876,6 @@ def drive_ingress(case, shape, batch_size):
         task.add_input(channel, index)
     output = Channel("out", capacity=1 << 30)
     task.add_output_edge(OutputEdge(ForwardPartitioner(), [output], 0))
-    task.quarantine_threshold = threshold
     task.poison_next_records = poison
     task.open()
     for half in (INGRESS_RECORDS[:6], INGRESS_RECORDS[6:]):
@@ -963,61 +884,66 @@ def drive_ingress(case, shape, batch_size):
     for channel in inputs:
         channel.push(END_OF_STREAM)
     steps = 0
-    while not task.finished:
-        task.step()
+    failure = None
+    while not task.finished and failure is None:
+        try:
+            task.step()
+        except Exception as exc:
+            failure = type(exc)
         steps += 1
         assert steps < 100
     counters = {name: task.metrics.counter(name).value
-                for name in ("records_in", "records_out", "dead_letters",
+                for name in ("records_in", "records_out",
                              "columnar_batches_in", "columnar_fallbacks")}
-    letters = [(letter.value, letter.timestamp, letter.key,
-                letter.error_type) for letter in task.dead_letters]
-    return channel_elements(output), letters, counters
+    return channel_elements(output), failure, counters
 
 
 class TestOneIngress:
     """Every data element enters a task's chain the same way: the same
     records as ``Record``s, as a ``RecordBatch`` or as a
-    ``ColumnarBatch``, scalar or batched, leave the same emissions, dead
-    letters and record counts behind -- only the columnar counters tell
-    the representations apart."""
+    ``ColumnarBatch``, scalar or batched, leave the same emissions and
+    record counts behind, or fail the task with the same exception --
+    only the columnar counters tell the representations apart."""
 
     @pytest.mark.parametrize("case", sorted(INGRESS_CASES))
     def test_representations_agree(self, case):
-        expected_columnar = INGRESS_CASES[case][4]
-        emitted, letters, counters = drive_ingress(case, "records", 1)
-        assert record_count(emitted) == counters["records_out"] > 0
-        assert counters["records_in"] == len(INGRESS_RECORDS)
-        assert len(letters) == counters["dead_letters"]
+        expected_failure, expected_columnar = INGRESS_CASES[case][3:]
+        emitted, failure, counters = drive_ingress(case, "records", 1)
+        assert failure is expected_failure
+        if failure is None:
+            assert record_count(emitted) == counters["records_out"] > 0
+            assert counters["records_in"] == len(INGRESS_RECORDS)
         for batch_size in (1, 64):
             for shape in sorted(INGRESS_SHAPES):
-                got_emitted, got_letters, got = drive_ingress(
+                got_emitted, got_failure, got = drive_ingress(
                     case, shape, batch_size)
-                assert got_emitted == emitted, (shape, batch_size)
-                assert got_letters == letters, (shape, batch_size)
+                assert got_failure is failure, (shape, batch_size)
                 columnar = (got.pop("columnar_batches_in"),
                             got.pop("columnar_fallbacks"))
-                assert got == {name: counters[name] for name in got}
+                if failure is None:
+                    # A failed attempt's partial output is discarded by
+                    # the restore, so only a finished task must agree.
+                    assert got_emitted == emitted, (shape, batch_size)
+                    assert got == {name: counters[name] for name in got}
                 if shape != "columnar":
                     assert columnar == (0, 0)
                 elif batch_size == 1:
-                    assert columnar == (0, 2)   # no kernel in scalar mode
+                    # No kernel in scalar mode: one fallback per half
+                    # the task took.
+                    assert columnar == (0, 1 if failure else 2)
                 else:
                     assert columnar == expected_columnar
 
     def test_the_cases_exercise_what_they_name(self):
-        dead = {case: drive_ingress(case, "columnar", 64)[1]
-                for case in INGRESS_CASES}
-        assert dead["plain"] == dead["second-input"] == []
-        assert dead["quarantine-fused"] == []
-        assert [letter[3] for letter in dead["poison"]] == ["PoisonPill"] * 2
-        assert [letter[0] for letter in dead["quarantine-partly-fused"]] == [
-            ("k1", 4)]
-        assert [letter[0] for letter in dead["kernel-raises"]] == [("k1", 4)]
+        failures = {case: drive_ingress(case, "columnar", 64)[1]
+                    for case in INGRESS_CASES}
+        assert failures == {"plain": None, "second-input": None,
+                            "poison": PoisonPill,
+                            "kernel-raises": ValueError}
         task_chain = Task("chain", 0, 0, 1, INGRESS_CASES[
-            "quarantine-partly-fused"][0](), ManualClock(),
-            MetricGroup("test"), batch_size=64)
-        assert 0 < task_chain._fused_prefix < len(task_chain.chain)
+            "kernel-raises"][0](), ManualClock(), MetricGroup("test"),
+            batch_size=64)
+        assert task_chain._kernel_prefix == len(task_chain.chain)
 
 
 # -- what the flagship job's source chain costs ---------------------------------

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.api import Environment
-from repro.runtime.engine import EngineConfig, JobFailedError
+from repro.runtime.engine import EngineConfig, InjectedFailure
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
+from repro.runtime.restart import FixedDelayRestart
 
 
 def keyed_count_job(env):
@@ -32,11 +33,12 @@ def test_recovery_restores_exactly_once_keyed_state():
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
-                            faults=faults))
+                            faults=faults, restart_strategy=FixedDelayRestart(
+                                max_restarts=3, delay_ms=0)))
     result = keyed_count_job(env)
     job = env.execute()
     assert faults.applied, "the crash never fired"
-    assert job.recoveries == 1
+    assert job.recoveries == job.restarts == 1
     # The sink may contain duplicate *emissions* (at-least-once sink), but
     # the keyed state itself is exactly-once: the maximum running count per
     # key equals the true count.
@@ -47,11 +49,23 @@ def test_recovery_restores_exactly_once_keyed_state():
 
 
 def test_recovery_without_checkpoint_fails():
-    env = Environment(config=EngineConfig(faults=FaultInjector([
-        FaultEvent(CRASH, when=lambda view: view.rounds == 1)])))
-    env.from_collection(range(100)).collect()
-    with pytest.raises(JobFailedError):
+    def run(strategy):
+        env = Environment(config=EngineConfig(
+            restart_strategy=strategy, faults=FaultInjector([
+                FaultEvent(CRASH, when=lambda view: view.rounds == 1)])))
+        result = env.from_collection(range(100)).collect()
+        return env, result
+
+    # No strategy means no restart: the crash fails the job.
+    env, _ = run(None)
+    with pytest.raises(InjectedFailure):
         env.execute()
+    # A strategy with no checkpoint to restore redeploys the job.
+    env, result = run(FixedDelayRestart(max_restarts=1, delay_ms=0))
+    job = env.execute()
+    assert job.restarts == 1 and job.checkpoints_completed == 0
+    # The collect sink keeps the crashed attempt's rows: compare as sets.
+    assert set(result.get()) == set(range(100))
 
 
 def test_multiple_recoveries():
@@ -62,7 +76,8 @@ def test_multiple_recoveries():
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=3, elements_per_step=2,
-                            faults=faults))
+                            faults=faults, restart_strategy=FixedDelayRestart(
+                                max_restarts=3, delay_ms=0)))
     result = keyed_count_job(env)
     job = env.execute()
     assert job.recoveries == len(faults.applied) >= 1

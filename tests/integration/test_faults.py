@@ -1,5 +1,5 @@
 """Integration tests for the failure domain: seeded chaos schedules,
-restart strategies, poison-record quarantine and checkpoint-coordinator
+restart strategies, poison records and checkpoint-coordinator
 hardening.
 
 The headline property (`TestChaosSweep`): under randomized-but-seeded
@@ -26,6 +26,7 @@ from repro.runtime.faults import (
     STALL,
     FaultEvent,
     FaultInjector,
+    PoisonPill,
 )
 from repro.runtime.restart import (
     ExponentialBackoffRestart,
@@ -152,7 +153,7 @@ def _throttle(value):
 def run_fold_job(path, **config):
     """Running per-key sums into a two-phase-commit file sink."""
     env = Environment(parallelism=2, config=EngineConfig(
-        elements_per_step=4, quarantine_threshold=5,
+        elements_per_step=4,
         restart_strategy=FixedDelayRestart(max_restarts=5, delay_ms=0),
         **config))
     (env.from_collection(range(N))
@@ -165,16 +166,14 @@ def run_fold_job(path, **config):
     return sorted(path.read_text().splitlines()), job
 
 
-def expected_lines(skipped=()):
-    """What the fold job writes when the ``skipped`` records never
-    reach the fold."""
+def expected_lines():
+    """What the fold job writes."""
     lines = []
     for key in range(KEYS):
         total = 0
         for value in range(key, N, KEYS):
-            if value not in skipped:
-                total += value
-                lines.append("%d:%d" % (key, total))
+            total += value
+            lines.append("%d:%d" % (key, total))
     return sorted(lines)
 
 
@@ -193,10 +192,10 @@ class TestFaultVocabulary:
             checkpoint_interval_ms=20 if config else 5, **config)
 
         assert faults.applied == faults.schedule, "the fault never fired"
-        assert job.restarts == (kind in RESTARTING_KINDS[backend])
-        poisoned = {letter.value for letter in job.dead_letters}
-        assert len(poisoned) == (2 if kind == POISON else 0)
-        assert lines == expected_lines(skipped=poisoned)
+        # A poisoned record fails its task like any raising callback.
+        assert job.restarts == (kind in RESTARTING_KINDS[backend]
+                                or kind == POISON)
+        assert lines == expected_lines()
 
     @pytest.mark.parametrize("config", BACKENDS)
     def test_crash_before_the_first_checkpoint_restarts_from_the_deployment(
@@ -250,91 +249,27 @@ class TestRestartSupervision:
         assert job.recoveries == 1
 
 
-class TestPoisonQuarantine:
-    def _fragile_job(self, env, values=50):
-        def fragile(v):
-            if v % 10 == 3:
-                raise ValueError("cannot handle %d" % v)
-            return v
-        # rebalance() breaks operator chaining so the fragile map runs in
-        # a processing task (quarantine guards the task input boundary).
-        return (env.from_collection(range(values))
-                .rebalance()
-                .map(fragile, name="fragile-map")
-                .collect())
+class TestPoison:
+    def test_poison_restarts_under_a_strategy(self):
+        def run(strategy):
+            faults = FaultInjector([FaultEvent(POISON, when=at_round(5),
+                                               param=2)])
+            env = Environment(config=EngineConfig(
+                elements_per_step=4, checkpoint_interval_ms=5,
+                restart_strategy=strategy, faults=faults))
+            result = (env.from_collection(range(100))
+                      .rebalance()
+                      .map(lambda v: v, name="plain-map")
+                      .collect())
+            return env, result
 
-    def test_poison_records_are_quarantined_not_fatal(self):
-        env = Environment(
-            config=EngineConfig(quarantine_threshold=10))
-        result = self._fragile_job(env)
-        job = env.execute()
-        assert sorted(result.get()) == [v for v in range(50) if v % 10 != 3]
-        assert len(job.dead_letters) == 5
-        assert job.counters.get("dead_letters") == 5
-        letter = job.dead_letters[0]
-        assert letter.value == 3
-        assert letter.error_type == "ValueError"
-        assert "cannot handle 3" in letter.error
-        assert "fragile-map" in letter.operator
-        assert job.dead_letters_for(letter.operator)
-
-    def test_without_quarantine_poison_is_fatal(self):
-        env = Environment(config=EngineConfig())
-        self._fragile_job(env)
-        with pytest.raises(ValueError):
+        env, _ = run(None)
+        with pytest.raises(PoisonPill):
             env.execute()
-
-    def test_escalation_above_threshold_restarts_then_fails(self):
-        # 5 poison records against a threshold of 2: every attempt
-        # escalates, so the strategy's restart budget drains and the job
-        # fails -- with the restarts on record.
-        env = Environment(
-            config=EngineConfig(quarantine_threshold=2,
-                                restart_strategy=FixedDelayRestart(
-                                    max_restarts=2, delay_ms=1)))
-        self._fragile_job(env)
-        with pytest.raises(JobFailedError):
-            env.execute()
-        assert env.last_engine.restarts == 2
-
-    def test_chaos_poison_lands_in_dead_letter_queue(self):
-        faults = FaultInjector([FaultEvent(POISON, when=at_round(5),
-                                           param=2)])
-        env = Environment(
-            config=EngineConfig(quarantine_threshold=5, elements_per_step=4,
-                                faults=faults))
-        result = (env.from_collection(range(100))
-                  .rebalance()
-                  .map(lambda v: v, name="plain-map")
-                  .collect())
+        env, result = run(FixedDelayRestart(max_restarts=3, delay_ms=0))
         job = env.execute()
-        assert len(job.dead_letters) == 2
-        assert all(letter.error_type == "PoisonPill"
-                   for letter in job.dead_letters)
-        assert len(result.get()) == 98
-
-    def test_each_dead_letter_of_the_surviving_timeline_is_reported_once(self):
-        # 10 is quarantined before the checkpoint the crash restores,
-        # 850 after it and again on the replay: the letters ride in the
-        # task snapshots, so the restore keeps the first and the replay
-        # reports the second -- once.
-        def fragile(v):
-            if v in (10, 850):
-                raise ValueError("cannot handle %d" % v)
-            return v
-        env = Environment(config=EngineConfig(
-            quarantine_threshold=10, checkpoint_interval_ms=8,
-            faults=FaultInjector([FaultEvent(CRASH, when=at_round(28))]),
-            restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=1)))
-        result = (env.from_collection(range(1000))
-                  .rebalance()
-                  .map(fragile, name="fragile-map")
-                  .collect())
-        job = env.execute()
-        assert job.recoveries == 1 and job.checkpoints_completed >= 1
-        assert [letter.value for letter in env.dead_letters] == [10, 850]
-        assert [letter.value for letter in job.dead_letters] == [10, 850]
-        assert set(result.get()) == set(range(1000)) - {10, 850}
+        assert job.restarts == 1
+        assert set(result.get()) == set(range(100))
 
 
 class TestCoordinatorHardening:

@@ -4,9 +4,9 @@ produce the same results as the cooperative reference scheduler.
 The cooperative engine is the correctness oracle (it is itself checked
 against naive/batch oracles elsewhere); these tests run the *same*
 program on ``backend="multiprocess"`` with two workers and assert output
-equality -- over fuzzed windowed-aggregation cases, under poison-record
-quarantine, across supervised crash-restores, and through the
-exactly-once transactional sink protocol.
+equality -- over fuzzed windowed-aggregation cases, across supervised
+crash-restores, and through the exactly-once transactional sink
+protocol.
 """
 
 import multiprocessing
@@ -88,34 +88,6 @@ def _final_by_key(pairs):
     for key, value in pairs:
         final[key] = max(final.get(key, 0), value)
     return final
-
-
-# -- quarantine parity (chaos scenario) -------------------------------------
-
-
-def test_quarantine_parity():
-    """Poison records behind an exchange quarantine identically on both
-    backends: same survivors, same dead-letter count."""
-
-    def poison(value):
-        if value % 20 == 0:
-            raise ValueError("poison %d" % value)
-        return value * 2
-
-    def run(config):
-        env = Environment(parallelism=2, config=config)
-        collected = (env.from_collection(range(100))
-                     .rebalance()
-                     .map(poison, name="poison-map")
-                     .collect())
-        env.execute()
-        return sorted(collected.get()), len(env.dead_letters)
-
-    cooperative, coop_dead = run(EngineConfig(quarantine_threshold=10))
-    multiproc, mp_dead = run(_mp_config(quarantine_threshold=10))
-    assert coop_dead == 5  # 0, 20, 40, 60, 80
-    assert mp_dead == coop_dead
-    assert multiproc == cooperative
 
 
 # -- supervised crash-restore -----------------------------------------------

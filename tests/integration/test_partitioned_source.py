@@ -13,6 +13,7 @@ from repro.connectors.partitioned import (
 from repro.connectors.sinks import TransactionalJsonlFileSink
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
+from repro.runtime.restart import FixedDelayRestart
 from repro.testing.oracles import crash_once
 
 KEYS = 5
@@ -73,7 +74,9 @@ class TestRecovery:
         env = Environment(
             parallelism=2,
             config=EngineConfig(checkpoint_interval_ms=5,
-                                elements_per_step=4, faults=faults))
+                                elements_per_step=4, faults=faults,
+                                restart_strategy=FixedDelayRestart(
+                                    max_restarts=3, delay_ms=0)))
         result = pipeline(env)
         job = env.execute()
         assert faults.applied and job.recoveries == 1
@@ -99,6 +102,8 @@ class TestReplayInterleaving:
             config=EngineConfig(checkpoint_interval_ms=5,
                                 batch_size=batch_size,
                                 elements_per_step=elements_per_step,
+                                restart_strategy=FixedDelayRestart(
+                                    max_restarts=3, delay_ms=0),
                                 faults=faults))
         (env.from_partitioned_source(partitions)
          .map(lambda v: {"v": v})

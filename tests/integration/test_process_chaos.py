@@ -425,42 +425,6 @@ def test_respawned_workers_keep_the_retained_checkpoints(tmp_path):
 # -- what a respawn must not forget, and a fleet wider than the job ---------
 
 
-def test_dead_letter_quarantined_before_the_checkpoint_survives_respawn(
-        tmp_path):
-    """Dead letters ride in the task snapshots: the record quarantined
-    before the restored checkpoint is still reported after the fleet was
-    killed and respawned, next to the one the new fleet quarantines."""
-    def fragile(value):
-        if value in (10, N - 50):
-            raise ValueError("cannot handle %d" % value)
-        return value
-
-    # Two checkpoints: the first trigger can be due before the workers
-    # have read a record, and a cut at offset zero would replay the early
-    # letter.
-    faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=2,
-                                       subtask="throttle", target=0)])
-    config = EngineConfig(
-        backend="multiprocess", num_workers=2, faults=faults,
-        checkpoint_interval_ms=40, checkpoint_dir=str(tmp_path / "chk"),
-        elements_per_step=4, quarantine_threshold=10,
-        restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0))
-    env = Environment(parallelism=2, config=config)
-    collected = (env.from_collection(range(N))
-                 .map(_throttle, name="throttle")  # keeps the sources live
-                 .rebalance()
-                 .map(fragile, name="fragile-map")
-                 .collect())
-    job = env.execute()
-
-    assert faults.applied, "the kill never fired"
-    assert job.restarts >= 1
-    assert sorted(letter.value for letter in env.dead_letters) == [10, N - 50]
-    assert sorted(letter.value for letter in job.dead_letters) == [10, N - 50]
-    assert set(collected.get()) == set(range(N)) - {10, N - 50}
-    _assert_no_zombies()
-
-
 def test_resumed_job_stays_exactly_once_across_a_respawn(tmp_path):
     """Stop -> savepoint -> resume on worker processes -> SIGKILL after
     the resumed job sealed checkpoints of its own: the 2PC file is the

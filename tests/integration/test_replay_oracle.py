@@ -16,6 +16,7 @@ import multiprocessing
 import pytest
 
 from repro.runtime.engine import EngineConfig
+from repro.runtime.restart import FixedDelayRestart
 from repro.testing.deployment import Deployment
 from repro.testing.oracles import (
     ReplayOracle,
@@ -121,8 +122,9 @@ def test_watermark_restore_regression_directed():
         faults = crash_once(
             min_checkpoints=1,
             at_round=max(5, int(clean_job.rounds * fraction)))
-        crash_config = EngineConfig(checkpoint_interval_ms=3,
-                                    elements_per_step=2, faults=faults)
+        crash_config = EngineConfig(
+            checkpoint_interval_ms=3, elements_per_step=2, faults=faults,
+            restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=0))
         replayed, _ = run_streaming_windows(
             elements, assigner, "sum", ooo_bound=4, parallelism=2,
             config=crash_config)
@@ -139,7 +141,6 @@ def test_rebalance_cursor_in_checkpoint_and_replay_directed():
     original run -- otherwise per-subtask watermark state and the
     replayed record placement disagree."""
     from repro.api.environment import Environment
-    from repro.runtime.restart import FixedDelayRestart
 
     elements = [("k%d" % (i % 3), i, i * 2) for i in range(120)]
     assigner = {"kind": "tumbling", "size": 20}

@@ -10,6 +10,7 @@ import pytest
 from repro.api import Environment
 from repro.cutty import PeriodicWindows
 from repro.runtime.engine import EngineConfig
+from repro.runtime.restart import FixedDelayRestart
 from repro.testing.oracles import crash_once
 from repro.windowing import CountAggregate, TumblingEventTimeWindows
 
@@ -27,11 +28,15 @@ def window_counts(results):
 DATA = [(("k%d" % (i % 4), 1), i * 3) for i in range(3000)]
 
 
+def restart():
+    return FixedDelayRestart(max_restarts=3, delay_ms=0)
+
+
 def run_window_job(faults=None):
     env = Environment(
         parallelism=2,
         config=EngineConfig(checkpoint_interval_ms=4, elements_per_step=4,
-                            faults=faults))
+                            faults=faults, restart_strategy=restart()))
     results = (env.from_collection(DATA, timestamped=True)
                .key_by(lambda v: v[0])
                .window(TumblingEventTimeWindows.of(300))
@@ -45,7 +50,7 @@ def run_cutty_job(faults=None):
     env = Environment(
         parallelism=1,
         config=EngineConfig(checkpoint_interval_ms=4, elements_per_step=4,
-                            faults=faults))
+                            faults=faults, restart_strategy=restart()))
     results = (env.from_collection(DATA, timestamped=True)
                .key_by(lambda v: v[0])
                .shared_windows(CountAggregate,

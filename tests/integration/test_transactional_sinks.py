@@ -395,7 +395,9 @@ class TestExactlyOnceOnABoundedPipeline:
                           for name in ("clean.jsonl", "crashed.jsonl"))
         self._run(clean)
         faults = FaultInjector([FaultEvent(CRASH, after_checkpoints=1)])
-        job, _ = self._run(crashed, faults=faults)
+        job, _ = self._run(crashed, faults=faults,
+                           restart_strategy=FixedDelayRestart(
+                               max_restarts=3, delay_ms=0))
         assert faults.applied and job.recoveries == 1
         with open(clean, "rb") as a, open(crashed, "rb") as b:
             assert a.read() == b.read()

@@ -344,6 +344,8 @@ def test_crash_after_a_checkpoint_across_live_pairs_cooperative(tmp_path):
         return True
 
     config = EngineConfig(checkpoint_interval_ms=4, elements_per_step=4,
+                          restart_strategy=FixedDelayRestart(
+                              max_restarts=3, delay_ms=0),
                           faults=FaultInjector([FaultEvent(
                               CRASH, when=third_checkpoint_sealed)]))
     lines, job, _ = _run_sink_job(config, str(tmp_path / "out.txt"))

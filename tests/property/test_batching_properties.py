@@ -120,37 +120,3 @@ def test_source_chain_element_sequence_is_the_scalar_one(
         batch_size, elements_per_step=elements_per_step,
         barrier_steps=barrier_steps)
     assert batched == scalar
-
-
-@settings(max_examples=20, deadline=None)
-@given(elements=keyed_streams(),
-       batch_size=st.integers(min_value=2, max_value=32),
-       threshold=st.integers(min_value=3, max_value=10))
-def test_quarantine_semantics_identical_under_batching(elements, batch_size,
-                                                       threshold):
-    """Poison records quarantined from a fused batch must match the
-    scalar path exactly: same dead letters, same surviving output."""
-    def run(config):
-        env = Environment(config=config)
-
-        def toxic(e):
-            if e[1] == 7:  # poison value
-                raise ValueError("poison")
-            return e
-        result = (env.from_collection(elements)
-                  .rebalance()
-                  .map(toxic)
-                  .global_()
-                  .collect())
-        job = env.execute()
-        return result.get(), [letter.value for letter in job.dead_letters]
-
-    poison_count = sum(1 for e in elements if e[1] == 7)
-    if poison_count > threshold:
-        return  # escalation path; covered by the chaos suite
-    scalar_out, scalar_dead = run(EngineConfig(
-        quarantine_threshold=threshold, batch_size=1))
-    batched_out, batched_dead = run(EngineConfig(
-        quarantine_threshold=threshold, batch_size=batch_size))
-    assert batched_out == scalar_out
-    assert batched_dead == scalar_dead

@@ -452,6 +452,8 @@ def test_shared_windows_job_restores_on_the_cooperative_backend(tmp_path):
     rows, job = run_shared_windows(
         str(tmp_path / "crashed.txt"),
         EngineConfig(checkpoint_interval_ms=5, elements_per_step=4,
+                     restart_strategy=FixedDelayRestart(max_restarts=3,
+                                                        delay_ms=0),
                      faults=faults))
     assert len(faults.applied) == 2 and job.recoveries == 2
     assert rows == expected

@@ -6,6 +6,7 @@ import pytest
 from repro.api import Environment
 from repro.runtime.engine import EngineConfig
 from repro.runtime.batch import ArrangeOperator
+from repro.runtime.restart import FixedDelayRestart
 from repro.state import (
     Arrangement,
     ShardedArrangement,
@@ -334,6 +335,7 @@ class TestCrashRestore:
             checkpoint_interval_ms=5,
             elements_per_step=4,
             checkpoint_dir=str(tmp_path / ("crash" if crash else "clean")),
+            restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=0),
             faults=faults)
         env = Environment(parallelism=2, config=config)
         t = env.table(make_rows(160), time_column="ts")
