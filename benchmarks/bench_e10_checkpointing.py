@@ -65,7 +65,7 @@ def recovery_check():
     job, finals = run_job(checkpoint_interval=3, faults=faults,
                           restart_strategy=FixedDelayRestart(
                               max_restarts=1, delay_ms=0))
-    return ground_truth, finals, job.recoveries, bool(faults.applied)
+    return ground_truth, finals, job.restarts, bool(faults.applied)
 
 
 def test_e10_checkpoint_overhead(benchmark):
@@ -88,14 +88,14 @@ def test_e10_checkpoint_overhead(benchmark):
 
 
 def test_e10_exactly_once_recovery(benchmark):
-    ground_truth, finals, recoveries, crashed = benchmark.pedantic(
+    ground_truth, finals, restarts, crashed = benchmark.pedantic(
         recovery_check, iterations=1, rounds=1)
     record("e10_recovery", format_table(
         ["metric", "value"],
         [["crash injected", crashed],
-         ["recoveries", recoveries],
+         ["restarts", restarts],
          ["state matches ground truth", finals == ground_truth]],
         title="E10b: crash mid-job, restore from latest checkpoint"))
     assert crashed
-    assert recoveries == 1
+    assert restarts == 1
     assert finals == ground_truth

@@ -68,13 +68,13 @@ def run_job(faults=None, restart_strategy=None):
 
 def chaos_sweep():
     baseline, baseline_job = run_job()
-    table = {"baseline (no supervision)": (baseline_job.rounds, 0, 0)}
+    table = {"baseline (no supervision)": (baseline_job.rounds, 0)}
 
     # Supervisor attached but never firing: must be free.
     idle, idle_job = run_job(faults=FaultInjector([]),
                              restart_strategy=STRATEGIES["fixed-delay"]())
     assert idle == baseline and idle_job.rounds == baseline_job.rounds
-    table["supervised, idle"] = (idle_job.rounds, 0, 0)
+    table["supervised, idle"] = (idle_job.rounds, 0)
 
     for crashes in (1, 2, 3):
         schedule = [FaultEvent(CRASH, target=index,
@@ -88,7 +88,7 @@ def chaos_sweep():
                 "%s with %d crashes diverged" % (name, crashes))
             assert job.restarts == crashes
             table["%s, %d crash(es)" % (name, crashes)] = (
-                job.rounds, job.restarts, job.recoveries)
+                job.rounds, job.restarts)
     return baseline_job.rounds, table
 
 
@@ -171,13 +171,12 @@ def test_e13_chaos_overhead(benchmark):
     baseline_rounds, table = benchmark.pedantic(chaos_sweep,
                                                 iterations=1, rounds=1)
 
-    rows = [[name, rounds, restarts, recoveries,
+    rows = [[name, rounds, restarts,
              "%.1f%%" % (100.0 * (rounds - baseline_rounds)
                          / baseline_rounds)]
-            for name, (rounds, restarts, recoveries) in table.items()]
+            for name, (rounds, restarts) in table.items()]
     record("e13_chaos", format_table(
-        ["scenario", "scheduler rounds", "restarts", "recoveries",
-         "round overhead"], rows,
+        ["scenario", "scheduler rounds", "restarts", "round overhead"], rows,
         title="E13: supervised recovery cost, keyed windows over %d records"
               % RECORDS))
 

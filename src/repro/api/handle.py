@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, List, Optional,
                     Tuple, TypeVar)
 
+from repro.connectors import sinks
 from repro.plan.graph import StreamNode
 from repro.runtime.operators import (
-    CollectSink,
     FilterOperator,
     FlatMapOperator,
     ForEachSink,
@@ -130,23 +130,21 @@ class _Handle:
 
     def collect(self, with_timestamps: bool = False,
                 name: str = "collect") -> "CollectResult":
-        """Gather results into a list readable after ``env.execute()``."""
+        """Gather results into a list readable after ``env.execute()``,
+        exactly-once: a row lands when its checkpoint commits."""
         result = self.env._new_collect_result()
+        sink = sinks.ListSink(result._bucket)  # outlives task attempts
         self._connect(
             name,
-            lambda: CollectSink(result._bucket,
-                                with_timestamps=with_timestamps, name=name),
+            lambda: sinks.CollectSink(sink, with_timestamps=with_timestamps,
+                                      name=name),
             parallelism=1, is_sink=True)
         return result
 
     def add_sink(self, fn: Callable[[Any], None],
                  parallelism: Optional[int] = None,
                  name: str = "sink") -> None:
-        from repro.connectors.sinks import (
-            TransactionalSink,
-            TransactionalSinkOperator,
-        )
-        if isinstance(fn, TransactionalSink):
+        if isinstance(fn, sinks.TransactionalSink):
             # An exactly-once sink owns one target file, so its writes
             # cannot be spread over parallel subtasks.
             if parallelism not in (None, 1):
@@ -154,7 +152,7 @@ class _Handle:
                     "transactional sinks require parallelism 1; got %r"
                     % parallelism)
             parallelism = 1
-            factory = lambda: TransactionalSinkOperator(fn, name)
+            factory = lambda: sinks.TransactionalSinkOperator(fn, name)
         else:
             if parallelism is None:
                 parallelism = self._sink_parallelism

@@ -1,26 +1,26 @@
-"""File sinks: persisting results from either kind of program.
+"""Exactly-once sinks: persisting results from either kind of program.
 
-The sinks (:class:`TransactionalTextFileSink`,
+The file sinks (:class:`TransactionalTextFileSink`,
 :class:`TransactionalJsonlFileSink`, :class:`TransactionalCsvFileSink`)
-implement the two-phase-commit protocol of exactly-once sinks, and their
-target is the only file they keep.  Records buffer inside a transaction
-scoped to the checkpoint interval; at the barrier cut the transaction is
-*pre-committed* -- sealed in memory, its lines carried by the operator
-snapshot; once the coordinator confirms the checkpoint completed, the
-transaction *commits*: its lines are appended to the target and fsynced.
-The snapshot also records the target's committed byte length, so a
-restore truncates the file to that length and re-appends the
-transactions the checkpoint holds pending.  Truncate-then-append is
-idempotent: in-place recovery, a respawned worker, a savepoint and time
-travel to an older checkpoint all leave each record in the file exactly
-once, however often they run over the same checkpoint.
+and the list ``collect()`` fills (:class:`CollectSink` over a
+:class:`ListSink`) run one two-phase-commit protocol.  Records buffer
+inside a transaction scoped to the checkpoint interval; at the barrier
+cut the transaction is *pre-committed* -- sealed in memory, its records
+carried by the operator snapshot; once the coordinator confirms the
+checkpoint completed, the transaction *commits*: its records are
+appended to the target.  The snapshot also names the target and records
+its committed length, so a restore truncates the target to that length
+and re-appends the transactions the checkpoint holds pending.
+Truncate-then-append is idempotent: in-place recovery, a respawned
+worker, a savepoint and time travel to an older checkpoint all leave
+each record in the target exactly once.
 
 A process killed inside an append can leave part of one *committed*
-transaction at the end of the target until the next restore truncates
-it; a cancelled job leaves a clean committed prefix.  Without
-checkpoints the whole output is one transaction, appended at end of
-input -- on either backend, since the sink runs as an operator inside
-whichever process owns it.
+transaction at the end of a file until the next restore truncates it; a
+cancelled job leaves a clean committed prefix.  Without checkpoints the
+whole output is one transaction, appended at end of input -- on either
+backend, since the sink runs as an operator inside whichever process
+owns it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import csv
 import io
 import json
 import os
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runtime.elements import Record
 from repro.runtime.operators import OperatorContext, SinkOperator
@@ -39,28 +39,21 @@ from repro.runtime.operators import OperatorContext, SinkOperator
 
 
 class TransactionalSink:
-    """Base of exactly-once file sinks, driven by the engine through
-    :class:`TransactionalSinkOperator`.
+    """The two-phase-commit protocol (see the module docstring) over the
+    file at ``path`` or a subclass's target, driven by the engine through
+    :class:`TransactionalSinkOperator`; transaction ids are checkpoint
+    ids."""
 
-    Transaction ids are checkpoint ids.  Lifecycle per transaction:
-    records accumulate in the open buffer; ``pre_commit(txn)`` seals the
-    buffer into a pending transaction, in memory, at the barrier cut;
-    ``commit_through(txn)`` appends every pending transaction up to
-    ``txn`` to the target once the coordinator confirms durability.
-    :meth:`snapshot` is what the checkpoint keeps and :meth:`recover`
-    puts the target back to it.
-    """
-
-    #: Shared across rebuilds of the job (the sink object outlives task
-    #: attempts), so parallelism must stay 1 -- enforced by ``add_sink``.
-    exactly_once = True
+    #: What the target's length counts.
+    _unit = "bytes"
 
     def __init__(self, path: str) -> None:
+        #: Names the target; a snapshot counts only the target it names.
         self.path = path
-        self._buffer: List[str] = []
-        self._pending: Dict[int, List[str]] = {}
-        #: The target's committed byte length, header included; it
-        #: advances only once an append is fsynced.
+        self._buffer: List[Any] = []
+        self._pending: Dict[int, List[Any]] = {}
+        #: The target's committed length (a file's bytes, header
+        #: included; a list's rows), advanced once a write is done.
         self._length = 0
         self.records_committed = 0
         self.transactions_committed = 0
@@ -83,30 +76,29 @@ class TransactionalSink:
         self._pending = {}
         self.records_committed = 0
         self.transactions_committed = 0
-        self._truncate(0)
-        self._append(_encode(self._header_lines()))
+        self._write(0, self._header_lines())
 
     def write(self, value: Any) -> None:
         self._buffer.append(self._format(value))
 
     def pre_commit(self, txn_id: int) -> None:
         """Phase one, at the barrier cut: seal the open buffer into
-        pending transaction ``txn_id``.  Nothing touches the disk; the
-        checkpoint snapshot carries the lines."""
+        pending transaction ``txn_id``.  Nothing touches the target; the
+        checkpoint snapshot carries the records."""
         self._pending[txn_id] = self._buffer
         self._buffer = []
 
     def commit_through(self, txn_id: int) -> None:
         """Phase two: the checkpoint is durable, append every pending
-        transaction up to and including ``txn_id``, in id order, with one
-        fsync.  Idempotent -- already-committed ids are gone from the
+        transaction up to and including ``txn_id``, in id order, in one
+        append.  Idempotent -- already-committed ids are gone from the
         pending set, so a replayed notification appends nothing."""
         due = sorted(t for t in self._pending if t <= txn_id)
         if not due:
             return
-        lines = [line for txn in due for line in self._pending.pop(txn)]
-        self._append(_encode(lines))
-        self.records_committed += len(lines)
+        records = [record for txn in due for record in self._pending.pop(txn)]
+        self._write(self._length, records)
+        self.records_committed += len(records)
         self.transactions_committed += len(due)
 
     def abort(self, txn_id: int) -> None:
@@ -114,37 +106,41 @@ class TransactionalSink:
             self.transactions_aborted += 1
 
     def snapshot(self) -> Dict[str, Any]:
-        """The checkpoint's record of this sink: the committed length
-        and counts, and the pending transactions' lines by id (copied:
-        the cooperative store keeps operator state as it is given)."""
-        return {"length": self._length,
+        """The checkpoint's record of this sink: the target, its committed
+        length and counts, and the pending transactions' records by id
+        (copied: the cooperative store keeps state as it is given)."""
+        return {"target": self.path,
+                "length": self._length,
                 "records": self.records_committed,
                 "transactions": self.transactions_committed,
-                "pending": {txn: list(lines)
-                            for txn, lines in self._pending.items()}}
+                "pending": {txn: list(records)
+                            for txn, records in self._pending.items()}}
 
     def recover(self, state: Dict[str, Any]) -> None:
         """Put the target back to checkpoint ``state``: truncate it to
         the committed length, drop every transaction and buffer the
         checkpoint does not name (those records lie beyond the replay
-        point), and commit the ones it does -- it is durable.
-
-        Raises when the target is shorter than the checkpoint's length:
-        the committed output the checkpoint continues is gone, and
-        appending to what is left would publish a file with a hole."""
+        point), and commit the ones it does -- it is durable.  Raises
+        when the target is shorter than that length: the committed
+        output the checkpoint continues is gone.  A checkpoint of another
+        target (a savepoint resumed into a new ``collect()`` result or
+        file) holds that one's output: this target starts over."""
+        if state["target"] != self.path:
+            self.open()
+            return
         length = state["length"]
-        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+        size = self._size()
         if size < length:
             raise RuntimeError(
                 "cannot restore exactly-once sink %s: the checkpoint "
-                "committed %d bytes but the file holds %d"
-                % (self.path, length, size))
+                "committed %d %s but the target holds %d"
+                % (self.path, length, self._unit, size))
         for txn in sorted(self._pending):
             if txn not in state["pending"]:
                 self.abort(txn)
         self._buffer = []
         self._pending = dict(state["pending"])
-        self._truncate(length)
+        self._write(length, [])
         self.records_committed = state["records"]
         self.transactions_committed = state["transactions"]
         if self._pending:
@@ -152,38 +148,32 @@ class TransactionalSink:
 
     def flush_final(self) -> None:
         """End of stream: everything produced is final, commit pending
-        transactions and the tail buffer."""
+        transactions and the tail buffer, as one more."""
+        if self._buffer:
+            self.pre_commit(max(self._pending, default=0) + 1)
         if self._pending:
             self.commit_through(max(self._pending))
-        if self._buffer:
-            self._append(_encode(self._buffer))
-            self.records_committed += len(self._buffer)
-            self._buffer = []
 
-    # -- internals -------------------------------------------------------
+    # -- the target (a file unless overridden) ---------------------------
 
-    def _append(self, data: bytes) -> None:
-        """Append committed bytes to the target, then fsync."""
+    def _write(self, offset: int, records: List[Any]) -> None:
+        """Truncate the target to ``offset``, append ``records``, fsync."""
+        data = "".join(record + "\n" for record in records).encode("utf-8")
         with open(self.path, "ab") as handle:
+            handle.truncate(offset)
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        self._length += len(data)
+        self._length = offset + len(data)
 
-    def _truncate(self, length: int) -> None:
-        with open(self.path, "ab") as handle:
-            handle.truncate(length)
-        self._length = length
+    def _size(self) -> int:
+        return os.path.getsize(self.path) if os.path.exists(self.path) else 0
 
     def __repr__(self) -> str:
         return ("%s(%r, committed=%d txns/%d records, pending=%d)"
                 % (type(self).__name__, self.path,
                    self.transactions_committed, self.records_committed,
                    len(self._pending)))
-
-
-def _encode(lines: List[str]) -> bytes:
-    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 class TransactionalTextFileSink(TransactionalSink):
@@ -243,11 +233,9 @@ class TransactionalSinkOperator(SinkOperator):
         super().__init__()
         self.name = name
         self._sink = sink
-        #: Set by the engine when the job is deployed with state (a
-        #: savepoint, or the checkpoint a respawned worker restores),
-        #: where ``open()``'s truncation would destroy the committed
-        #: output that state continues: ``open`` then touches nothing
-        #: and ``restore_state`` puts the file back via ``recover()``.
+        #: Set by the engine when the job is deployed with state, which
+        #: ``open()``'s truncation would destroy: ``open`` then touches
+        #: nothing and ``restore_state`` puts the target back.
         self.resume_on_open = False
 
     def open(self, ctx: OperatorContext) -> None:
@@ -272,3 +260,52 @@ class TransactionalSinkOperator(SinkOperator):
 
     def finish(self) -> None:
         self._sink.flush_final()
+
+
+# -- collect(): the same protocol over a list --------------------------------
+
+
+class ListSink(TransactionalSink):
+    """The target of ``collect()``: a list written only by commits and
+    restores.  On a worker process the list lives in the parent, and
+    ``forward(offset, rows)`` ships each write there; :meth:`_size` then
+    reads the worker's fork-time copy, which the parent held at restore."""
+
+    _unit = "rows"
+
+    def __init__(self, rows: List[Any]) -> None:
+        # Unique: a savepoint resumed into a new result counts nothing.
+        super().__init__("memory:%s" % os.urandom(16).hex())
+        self.rows = rows
+        self.forward: Optional[Callable[[int, List[Any]], None]] = None
+
+    def _write(self, offset: int, rows: List[Any]) -> None:
+        if self.forward is not None:
+            self.forward(offset, rows)
+        else:
+            del self.rows[offset:]
+            self.rows.extend(rows)
+        self._length = offset + len(rows)
+
+    def _size(self) -> int:
+        return len(self.rows)
+
+
+class CollectSink(TransactionalSinkOperator):
+    """The operator of ``collect()``: every value (or ``(value,
+    timestamp)`` pair) joins the open transaction of ``sink``."""
+
+    def __init__(self, sink: ListSink, with_timestamps: bool = False,
+                 name: str = "collect-sink") -> None:
+        super().__init__(sink, name)
+        self._with_timestamps = with_timestamps
+
+    def process(self, record: Record) -> None:
+        self._sink._buffer.append((record.value, record.timestamp)
+                                  if self._with_timestamps else record.value)
+
+    def process_batch(self, records: List[Record]) -> None:
+        # Terminal and stateless: one bulk extend instead of n appends.
+        self._sink._buffer.extend(
+            [(r.value, r.timestamp) for r in records]
+            if self._with_timestamps else [r.value for r in records])

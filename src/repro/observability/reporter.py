@@ -229,8 +229,8 @@ class JobReport:
 
         for key, value in sorted(sections.get("job", {}).items()):
             emit("job_%s" % key, value,
-                 metric_type="counter" if key.endswith(
-                     ("restarts", "recoveries")) else "gauge")
+                 metric_type="counter" if key.endswith("restarts")
+                 else "gauge")
 
         for op in sections.get("operators", []):
             labels = {"operator": op["operator"],

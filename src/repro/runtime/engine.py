@@ -261,7 +261,6 @@ class JobResult:
                  counters: Dict[str, int],
                  checkpoints_completed: int,
                  checkpoint_durations_ms: List[int],
-                 recoveries: int,
                  cancelled: bool = False,
                  restarts: int = 0,
                  checkpoints_aborted: int = 0,
@@ -271,10 +270,8 @@ class JobResult:
         self.counters = counters
         self.checkpoints_completed = checkpoints_completed
         self.checkpoint_durations_ms = checkpoint_durations_ms
-        self.recoveries = recoveries
         self.cancelled = cancelled
-        #: Supervised restarts granted by the restart strategy; every
-        #: recovery is one, so ``recoveries`` always equals it.
+        #: Restarts granted by the restart strategy (recover or redeploy).
         self.restarts = restarts
         self.checkpoints_aborted = checkpoints_aborted
         self.gauges = gauges if gauges is not None else {}
@@ -285,10 +282,9 @@ class JobResult:
 
     def __repr__(self) -> str:
         return ("JobResult(rounds=%d, sim_ms=%d, checkpoints=%d, "
-                "recoveries=%d, restarts=%d)"
+                "restarts=%d)"
                 % (self.rounds, self.simulated_time_ms,
-                   self.checkpoints_completed, self.recoveries,
-                   self.restarts))
+                   self.checkpoints_completed, self.restarts))
 
 
 def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
@@ -318,7 +314,6 @@ def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
             + [supervisor_counters, checkpoint_counters]),
         checkpoints_completed=coordinator.completed,
         checkpoint_durations_ms=list(coordinator.durations_ms),
-        recoveries=engine.recoveries,
         cancelled=cancelled,
         restarts=engine.restarts,
         checkpoints_aborted=coordinator.aborted,
@@ -344,7 +339,6 @@ def job_outcome(engine: Any, payloads: List[Dict[str, Any]],
             "rounds": result.rounds,
             "simulated_time_ms": result.simulated_time_ms,
             "records_emitted": result.records_emitted,
-            "recoveries": result.recoveries,
             "restarts": result.restarts,
             "cancelled": cancelled,
             "observability": observability,
@@ -368,7 +362,6 @@ class Engine:
         #: What the first and every "from scratch" deployment starts from.
         self._restore = restore or {}
         self.clock = ManualClock()
-        self.recoveries = 0
         self.restarts = 0
         #: The fault view (:mod:`repro.runtime.faults`): the current
         #: scheduler round and the job's sealed checkpoints so far.
@@ -387,6 +380,9 @@ class Engine:
             else None)
         #: The ``job_report()`` sections, once :func:`job_outcome` ran.
         self._report: Optional[Dict[str, Any]] = None
+        #: Set by a restart with no checkpoint: the next round redeploys,
+        #: so an ``open`` that raises there costs one restart.
+        self._redeploy = False
         self._build()
         self._attach_coordinator()
 
@@ -499,8 +495,8 @@ class Engine:
 
     def _handle_failure(self, exc: BaseException) -> None:
         """The supervisor: consult the restart strategy and either restart
-        the job (from the latest checkpoint, or as it was deployed when
-        none completed yet) or let the failure escape."""
+        the job (from the latest checkpoint, or in the next round as it
+        was deployed when none completed yet) or let the failure escape."""
         self._failures_metric.inc()
         delay_ms = grant_restart(self, exc, self.clock.now())
         self.clock.advance(delay_ms)  # restart delay burns simulated time
@@ -510,10 +506,7 @@ class Engine:
         if latest is not None:
             self._recover(latest)
         else:
-            # Redeploy: fresh operators, empty channels, sources at
-            # offset zero or where the savepoint left them.
-            self._build()
-            self.coordinator.begin_attempt()
+            self._redeploy = True
 
     def _fault_fired(self, index: int, event: "FaultEvent",
                      victim: Any) -> None:
@@ -597,7 +590,8 @@ class Engine:
     def _run_round(self, rounds: int,
                    coordinator: Optional[CheckpointCoordinator] = None,
                    moved: bool = False) -> bool:
-        """Scheduler round number ``rounds``: fire due faults, give every
+        """Scheduler round number ``rounds``: redeploy the job if a
+        restart asked for it, fire due faults, give every
         runnable task one bounded ``step()``, advance the clock, fire due
         processing-time timers, let ``coordinator`` (``None``:
         checkpoints off, or a worker whose parent coordinates) take its
@@ -606,14 +600,21 @@ class Engine:
         processing-time timer.  Returns whether the round got anywhere.
 
         This is the one failure boundary of both backends: whatever the
-        round runs -- an element, a timer, a snapshot, a commit, an
-        injected crash -- that raises ends the round in the supervisor.
+        round runs -- a redeploy's ``open``, an element, a timer, a
+        snapshot, a commit, an injected crash -- that raises ends the
+        round in the supervisor.
         """
         self.rounds = rounds
         faults = self.config.faults
         progressed = moved
         ticked = False
         try:
+            if self._redeploy:
+                # Fresh operators, empty channels, sources at offset
+                # zero or where the savepoint left them.
+                self._redeploy = False
+                self._build()
+                self.coordinator.begin_attempt()
             if faults is not None:
                 faults.on_round(self)
             for task in self.tasks:
@@ -655,7 +656,8 @@ class Engine:
         rounds = 0
         stall_rounds = 0
         cancelled = False
-        while not all(task.finished for task in self.tasks):
+        while self._redeploy or not all(task.finished
+                                        for task in self.tasks):
             if rounds >= MAX_ROUNDS:
                 raise JobStalledError(
                     "exceeded %d rounds; unfinished: %r"

@@ -41,11 +41,12 @@ Design notes:
   the whole fleet and respawns it from the latest completed checkpoint
   -- shared-nothing recovery with fresh pipes, so no epoch filtering is
   needed.
-* **Collect sinks stream** their buckets to the parent incrementally;
-  the parent replays them into the caller-visible result buckets on
-  success.  Delivery is at-least-once across a checkpoint restore
-  (matching non-transactional sinks on the cooperative backend);
-  restart-from-scratch discards the partial output.
+* **Collect sinks commit into the parent's list**: each write (a
+  commit or a restore's truncate) is one control message ``(bucket key,
+  offset, rows)`` that the parent applies as ``del bucket[offset:];
+  bucket.extend(rows)``, the file sink's idempotent truncate-then-append.
+* **A worker's exception is the job's**: the parent raises the type the
+  worker shipped, its traceback in a note (unpicklable: ``JobFailedError``).
 
 * **Liveness** (:mod:`repro.runtime.watchdog`) is read from the
   kernel, not inferred from silence: a worker is dead when its control
@@ -74,8 +75,10 @@ import signal
 import struct
 import time
 import traceback
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.connectors.sinks import CollectSink
 from repro.observability import MetricGroup, sum_nested
 from repro.runtime.channels import Channel, element_weight
 from repro.runtime.columnar import (
@@ -96,7 +99,6 @@ from repro.runtime.engine import (
     records_emitted,
 )
 from repro.runtime.faults import RESTARTING_KINDS, STALL
-from repro.runtime.operators import CollectSink
 from repro.runtime.restart import grant_restart
 from repro.runtime.shm import RingError, ShmRing, ShmRingReader, ShmRingWriter
 from repro.runtime.task import Task
@@ -462,9 +464,6 @@ class ShardEngine(Engine):
         #: source worker -> its ingress channels here (flow-control scan).
         self.ingress_by_source: Dict[int, List[Channel]] = {}
         self._channel_ordinal = 0
-        #: ``((vertex_id, chain_position), outbox)`` for every owned
-        #: collect sink; drained to the parent each round.
-        self.collect_outboxes: List[Tuple[Tuple[int, int], List[Any]]] = []
         super().__init__(job_graph, config, restore)
         self.sealed_checkpoints = sealed_checkpoints  # the job's, so far
 
@@ -501,15 +500,10 @@ class ShardEngine(Engine):
         self.tasks = [task for task in self.tasks if self._owns(task)]
         for task in self.tasks:
             for position, chained in enumerate(task.chain):
-                operator = chained.operator
-                if isinstance(operator, CollectSink):
-                    # Redirect the sink into a worker-local outbox; the
-                    # closure-shared bucket lives in the parent process
-                    # and is repopulated from the streamed outboxes.
-                    outbox: List[Any] = []
-                    operator._bucket = outbox
-                    self.collect_outboxes.append(
-                        ((task.vertex_id, position), outbox))
+                if isinstance(chained.operator, CollectSink):
+                    # The caller's list lives in the parent process.
+                    chained.operator._sink.forward = partial(
+                        self.drain_collect, (task.vertex_id, position))
         super()._finalize_build()
 
     # -- checkpoint inversion ----------------------------------------------
@@ -612,11 +606,11 @@ class ShardEngine(Engine):
         for channel in self.egress:
             channel.update_pressure()
 
-    def drain_collect(self) -> None:
-        for key, outbox in self.collect_outboxes:
-            if outbox:
-                self._control.send(("collect", key, list(outbox)))
-                del outbox[:]
+    def drain_collect(self, key: Tuple[int, int], offset: int,
+                      rows: List[Any]) -> None:
+        """Ship one write of the collect sink at ``key`` to the parent at
+        once, ahead of any checkpoint ack that counts it (one pipe)."""
+        self._control.send(("collect", key, offset, rows))
 
     def run(self, readers: Dict[int, _FrameReader],
             control_in: _FrameReader,
@@ -643,7 +637,6 @@ class ShardEngine(Engine):
             progressed = self._run_round(rounds, moved=moved)
             rounds += 1
             self.flush_egress()
-            self.drain_collect()
             for task in self.tasks:
                 if task.finished and task.subtask_id not in reported_finished:
                     reported_finished.add(task.subtask_id)
@@ -665,7 +658,6 @@ class ShardEngine(Engine):
         # its peer before the fds close.
         for exchange in self._data_writers.values():
             exchange.pipe.drain()
-        self.drain_collect()
         payload = self._done_payload(rounds)
         payload.update(
             worker=self.worker_id,
@@ -787,7 +779,7 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
         pass
     except BaseException as exc:
         try:
-            control_out.send(("failed", type(exc).__name__,
+            control_out.send(("failed", _shippable(exc),
                               "".join(traceback.format_exception_only(
                                   type(exc), exc)).strip(),
                               traceback.format_exc()))
@@ -805,6 +797,15 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
         control_out.close()
 
 
+def _shippable(exc: BaseException) -> Optional[BaseException]:
+    """``exc`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc, _PICKLE_PROTOCOL))
+    except Exception:
+        return None
+    return exc
+
+
 # -- the parent coordinator -------------------------------------------------
 
 
@@ -814,7 +815,7 @@ class MultiprocessEngine:
     API-compatible with :class:`~repro.runtime.engine.Engine` for the
     surface the :class:`~repro.api.Environment` facade uses --
     ``execute()``, ``job_report()``, ``checkpoint_store``,
-    ``recoveries``/``restarts`` -- so callers switch
+    ``restarts`` -- so callers switch
     backends with one config knob.  Queryable state is cooperative-only
     and raises instead of silently degrading.
 
@@ -852,7 +853,6 @@ class MultiprocessEngine:
             self._tracer = TraceContext(self._now_ms)
         self._workers_terminated = 0
         self._workers_killed = 0
-        self.recoveries = 0
         self.restarts = 0
         self.rounds = 0
         #: The supervisor's own counters (``restarts``, ``failures``).
@@ -873,11 +873,7 @@ class MultiprocessEngine:
         self._done: Dict[int, Dict[str, Any]] = {}
         self._error: Optional[BaseException] = None
         self._crash_recorded = False
-        #: Collect-sink output received from workers, keyed by
-        #: ``(vertex_id, chain_position)``; merged into the real buckets
-        #: only on success so a restart-from-scratch can discard it.
-        self._received: Dict[Tuple[int, int], List[Any]] = {}
-        self._parent_buckets = self._discover_collect_buckets()
+        self._collect_buckets = self._discover_collect_buckets()
         self.coordinator = CheckpointCoordinator(
             self.config, self._now_ms, self._broadcast,
             *subtask_grid(self.job_graph))
@@ -886,16 +882,14 @@ class MultiprocessEngine:
     # -- static views of the graph ------------------------------------------
 
     def _discover_collect_buckets(self) -> Dict[Tuple[int, int], List[Any]]:
-        """Map ``(vertex_id, chain_position)`` to the caller-visible
-        bucket list.  Operator factories are closures over the bucket,
-        so instantiating one in the parent recovers the same list object
-        the :class:`~repro.api.environment.CollectResult` wraps."""
+        """Map ``(vertex_id, chain_position)`` to the caller's list, which
+        a collect sink's factory closes over (instantiated here)."""
         buckets: Dict[Tuple[int, int], List[Any]] = {}
         for vertex_id, vertex in sorted(self.job_graph.vertices.items()):
             for position, factory in enumerate(vertex.operator_factories):
                 operator = factory()
                 if isinstance(operator, CollectSink):
-                    buckets[(vertex_id, position)] = operator._bucket
+                    buckets[(vertex_id, position)] = operator._sink.rows
         return buckets
 
     def _now_ms(self) -> int:
@@ -918,10 +912,6 @@ class MultiprocessEngine:
             self._failures_metric.inc()
             time.sleep(grant_restart(self, error, self._now_ms()) / 1000.0)
             restore = self._restore_snapshots()
-        for bucket_key, items in self._received.items():
-            bucket = self._parent_buckets.get(bucket_key)
-            if bucket is not None:
-                bucket.extend(items)
         supervisor = self.metrics.counters()
         supervisor["watchdog_failures"] = self.watchdog.failures_declared
         payloads = [self._done[wid] for wid in sorted(self._done)]
@@ -935,8 +925,8 @@ class MultiprocessEngine:
         verifies every checksum -- the in-memory copy is deliberately
         not trusted, so a corrupted or torn persisted checkpoint is
         detected here and recovery falls back to the next-oldest intact
-        one (or, when none survives, to what the job was deployed with
-        and without the dead attempts' partial collect output)."""
+        one (or, when none survives, to what the job was deployed
+        with)."""
         store = self.checkpoint_store
         before = store.durability_stats()
         if self._tracer is None or before is None:
@@ -951,7 +941,6 @@ class MultiprocessEngine:
                     checkpoint.checkpoint_id
                     if checkpoint is not None else None)
         if checkpoint is None:
-            self._received.clear()
             return self._restore
         return dict(checkpoint.snapshots)
 
@@ -1116,11 +1105,14 @@ class MultiprocessEngine:
                 writer.send(message)
 
     def _fail(self, message: str, worker: Optional[int] = None,
-              reason: Optional[str] = None) -> None:
-        """End the attempt (the first error is the one reported) and,
-        when one worker is to blame, tell the watchdog why."""
+              reason: Optional[str] = None,
+              error: Optional[BaseException] = None) -> None:
+        """End the attempt with ``error`` (default: ``JobFailedError(
+        message)``; the first one counts), telling the watchdog why when
+        one worker is to blame."""
         if self._error is None:
-            self._error = JobFailedError(message)
+            self._error = (error if error is not None
+                           else JobFailedError(message))
         if worker is not None:
             self.watchdog.mark_failed(worker, reason or message)
 
@@ -1146,9 +1138,11 @@ class MultiprocessEngine:
                 snapshot: TaskSnapshot) -> None:
         self.coordinator.acknowledge(checkpoint_id, snapshot)
 
-    def _on_collect(self, wid: int, bucket_key: Any, items: List[Any]
-                    ) -> None:
-        self._received.setdefault(tuple(bucket_key), []).extend(items)
+    def _on_collect(self, wid: int, bucket_key: Tuple[int, int],
+                    offset: int, rows: List[Any]) -> None:
+        bucket = self._collect_buckets[bucket_key]
+        del bucket[offset:]
+        bucket.extend(rows)
 
     def _on_task_finished(self, wid: int, subtask: Any) -> None:
         self._finished.add(tuple(subtask))
@@ -1157,10 +1151,12 @@ class MultiprocessEngine:
         self._done[wid] = payload
         self.watchdog.mark_done(wid)
 
-    def _on_failed(self, wid: int, error_type: str, error_line: str,
-                   trace: str) -> None:
-        self._fail("worker %d failed: %s\n%s" % (wid, error_line, trace),
-                   wid, error_line)
+    def _on_failed(self, wid: int, error: Optional[BaseException],
+                   error_line: str, trace: str) -> None:
+        message = "worker %d failed: %s\n%s" % (wid, error_line, trace)
+        if error is not None and hasattr(error, "add_note"):
+            error.add_note(message)
+        self._fail(message, wid, error_line, error)
 
     def _on_fault(self, wid: int, index: int) -> None:
         faults = self.config.faults

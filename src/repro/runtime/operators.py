@@ -751,31 +751,6 @@ class SinkOperator(Operator):
     name = "sink"
 
 
-class CollectSink(SinkOperator):
-    """Appends every value (or ``(value, timestamp)`` pair) to a shared
-    list the caller inspects after ``env.execute()``."""
-
-    def __init__(self, bucket: List[Any], with_timestamps: bool = False,
-                 name: str = "collect-sink") -> None:
-        super().__init__()
-        self.name = name
-        self._bucket = bucket
-        self._with_timestamps = with_timestamps
-
-    def process(self, record: Record) -> None:
-        if self._with_timestamps:
-            self._bucket.append((record.value, record.timestamp))
-        else:
-            self._bucket.append(record.value)
-
-    def process_batch(self, records: List[Record]) -> None:
-        # Terminal and stateless: one bulk extend instead of n appends.
-        if self._with_timestamps:
-            self._bucket.extend((r.value, r.timestamp) for r in records)
-        else:
-            self._bucket.extend(r.value for r in records)
-
-
 class ForEachSink(SinkOperator):
     """Invokes a callback per record; for side-effecting sinks."""
 
@@ -796,3 +771,6 @@ class ForEachSink(SinkOperator):
 
 # Imported late to avoid a cycle: watermarks -> elements only.
 from repro.time.watermarks import WatermarkStrategy  # noqa: E402  (doc reference)
+# Defined with the exactly-once sinks whose protocol it runs, which
+# import this module.
+from repro.connectors.sinks import CollectSink  # noqa: E402,F401

@@ -45,7 +45,7 @@ class RestartStrategy:
 def grant_restart(engine: Any, exc: BaseException, now_ms: int) -> int:
     """The supervisor's restart decision, the same on both backends: ask
     ``engine.config.restart_strategy`` about ``exc`` and count the
-    restart, and the recovery it makes, on ``engine``.  Returns the delay
+    restart on ``engine``.  Returns the delay
     the backend spends (on its own clock) before restarting.  Without a
     strategy ``exc`` propagates (no strategy means no restart, on both
     backends); a strategy that gives up fails the job.
@@ -60,7 +60,6 @@ def grant_restart(engine: Any, exc: BaseException, now_ms: int) -> int:
             "restart strategy %r gave up after: %r" % (strategy, exc)
         ) from exc
     engine.restarts += 1
-    engine.recoveries += 1
     engine.metrics.counter("restarts").inc()
     return delay_ms
 

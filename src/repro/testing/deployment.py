@@ -55,12 +55,6 @@ class Deployment:
                                   for axis in _AXES}, **axes))
 
     @property
-    def at_least_once(self) -> bool:
-        """A collect sink keeps what a crashed attempt delivered, on
-        either backend: after a crash, compare its output as sets."""
-        return self.crash is not None
-
-    @property
     def crash_fired(self) -> bool:
         return any(faults.applied for faults in self._armed)
 

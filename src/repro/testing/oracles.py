@@ -496,8 +496,8 @@ def crash_once(min_checkpoints: int, at_round: int) -> FaultInjector:
 class ReplayOracle(Oracle):
     """Crash-restore mid-stream == uninterrupted run, and so is stop ->
     savepoint -> resume in a fresh environment with the window vertex at
-    the case's other parallelism (output-set equality; the collect sink
-    is at-least-once, so sets, not bags).
+    the case's other parallelism: the union of the stopped run's and the
+    resumed run's window results (each its own ``collect()``).
 
     Both the crash and the resume run on the case's deployment, which
     always carries a crash (``params["crash_fraction"]`` when none was
@@ -557,11 +557,12 @@ class ReplayOracle(Oracle):
                 rebalance=params.get("rebalance", False),
                 partitions=params.get("partitions", 0), **options)[0]
 
-        clean_set = set(run(deployment.config(crash=False)).items())
-        replay_set = set(run(_crashing_config(case)).items())
-        if clean_set != replay_set:
-            return self._diverged("replay", "crash", deployment.crash_fired,
-                                  clean_set, replay_set, params)
+        clean = run(deployment.config(crash=False))
+        mismatch = _diff(clean, run(_crashing_config(case)),
+                         "replay after a crash (fired=%s)"
+                         % deployment.crash_fired)
+        if mismatch is not None:
+            return mismatch
 
         # Stopped where the crash struck: a sealed checkpoint, and the
         # first source subtask through the drawn share of its records.
@@ -586,21 +587,10 @@ class ReplayOracle(Oracle):
                     parallelism=3 - parallelism,
                     source_parallelism=parallelism,
                     from_savepoint=stopped[0].create_savepoint())
-        resumed_set = set(before.items()) | set(after.items())
-        if clean_set != resumed_set:
-            return self._diverged("savepoint resume", "stop", True,
-                                  clean_set, resumed_set, params)
-        return None
-
-    @staticmethod
-    def _diverged(what: str, event: str, fired: bool, clean_set: set,
-                  got_set: set, params: Dict[str, Any]) -> str:
-        lost = sorted(clean_set - got_set, key=repr)[:4]
-        extra = sorted(got_set - clean_set, key=repr)[:4]
-        return ("%s diverged after %s (fired=%s):\n"
-                "  lost: %r\n  extra: %r\n  assigner=%r ooo_bound=%d"
-                % (what, event, fired, lost, extra,
-                   params["assigner"], params["ooo_bound"]))
+        # The union of both results: merged either way round, so that a
+        # window the two report differently diverges whichever wins.
+        return (_diff(clean, {**before, **after}, "savepoint resume")
+                or _diff(clean, {**after, **before}, "savepoint resume"))
 
 
 # -- shared arrangements vs independent planning -----------------------------
@@ -622,13 +612,10 @@ ARRANGEMENT_KEY_SETS: Dict[str, Tuple[str, ...]] = {
     "user": ("user",), "user-amount": ("user", "amount")}
 
 
-def _distinct(rows: List[dict]) -> List[dict]:
-    return sorted({repr(row): row for row in rows}.values(), key=repr)
-
-
 class SharedArrangementOracle(Oracle):
     """N queries on shared arrangements == N independently planned runs
-    (per-query row-set equality), with sharing actually occurring.  The
+    (per-query equality of the sorted rows, a crash or not), with
+    sharing actually occurring.  The
     shared run is the one the deployment's crash strikes."""
 
     name = "arrangements"
@@ -703,8 +690,6 @@ class SharedArrangementOracle(Oracle):
         shared, env = self._run(case, share=True)
         independent, _ = self._run(case, share=False)
         for index, (got, expected) in enumerate(zip(shared, independent)):
-            if case.deployment.at_least_once:
-                got, expected = _distinct(got), _distinct(expected)
             if got != expected:
                 return ("shared arrangements diverge from independent "
                         "planning at query %d (%r):\n  expected %r\n"

@@ -115,7 +115,7 @@ def test_cooperative_crash_at_seam_phase(tmp_path, label, predicate):
     lines, job, env = _run_cooperative(tmp_path, label, faults=faults)
 
     assert faults.applied, "the %s-phase crash never fired" % label
-    assert job.recoveries >= 1
+    assert job.restarts >= 1
     assert lines == expected, "2PC output diverged after %s crash" % label
     rows = env.job_report()["cutover"]
     assert sum(r["history_emitted"] + r["stream_emitted"]
@@ -142,7 +142,7 @@ def test_batched_crash_at_seam_phase_with_a_fused_source_suffix(
     lines, job, env = _run_cooperative(tmp_path, label, faults=faults,
                                        batch_size=16, suffix=True)
     assert faults.applied, "the %s-phase crash never fired" % label
-    assert job.recoveries >= 1
+    assert job.restarts >= 1
     assert lines == expected, "2PC output diverged after %s crash" % label
     source_tasks = [task for task in env.last_engine.tasks if task.is_source]
     assert source_tasks and all(task._suffix_fn is not None
@@ -157,7 +157,7 @@ def test_cooperative_double_crash_both_sides_of_seam(tmp_path):
                             _phase_crash(_after_cutover, min_checkpoints=2)])
     lines, job, _ = _run_cooperative(tmp_path, "double", faults=faults)
     assert len(faults.applied) == 2
-    assert job.recoveries >= 2
+    assert job.restarts >= 2
     assert lines == expected
 
 

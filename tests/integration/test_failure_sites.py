@@ -5,12 +5,14 @@ Each case raises once -- a marker file outlives a respawned worker, so
 the restarted attempt runs clean -- at one site: a ``map`` element, a
 ``ProcessFunction.on_timer`` on a processing-time and on an event-time
 timer, a sink's ``snapshot`` (the checkpoint cut), a two-phase-commit
-append (the commit) and ``ProcessFunction.finish``.  Under
-``FixedDelayRestart`` with checkpoints on, the job restarts exactly once
-and the exactly-once file holds the clean run's bytes.  The job runs at
-parallelism 1, so the file's line order is fixed by the program alone;
-on two workers the failure is the worker's and the restart the
-respawned fleet's.
+append (the commit), ``ProcessFunction.finish`` and
+``ProcessFunction.open`` on the redeploy that follows a failure before
+the first checkpoint.  Under ``FixedDelayRestart`` with checkpoints on,
+the job restarts once per failure and the exactly-once file holds the
+clean run's bytes.  Without a strategy the job fails with the
+callback's own exception.  The job runs at parallelism 1, so the file's
+line order is fixed by the program alone; on two workers the failure is
+the worker's and the restart the respawned fleet's.
 """
 
 import multiprocessing
@@ -36,7 +38,10 @@ KEYS = 7
 #: The element that raises, or registers the timers that do.
 STRIKE = N // 2
 SITES = ["element", "processing-timer", "event-timer", "snapshot", "commit",
-         "finish"]
+         "finish", "open"]
+#: Failures per site: ``open`` raises on a redeploy, which only a first
+#: failure (before any checkpoint) brings about.
+FAILURES = {"open": 2}
 BACKENDS = [
     pytest.param(dict(checkpoint_interval_ms=5), id="cooperative"),
     pytest.param(dict(backend="multiprocess", num_workers=2,
@@ -60,6 +65,8 @@ class RunningSums(ProcessFunction):
         self.marker = marker
 
     def open(self, ctx):
+        if self.site == "open" and os.path.exists(self.marker + ".first"):
+            raise_once(self.marker, "open")
         self.total = ctx.get_state(ValueStateDescriptor("total", default=0))
 
     def process_element(self, value, ctx):
@@ -96,29 +103,31 @@ class FlakySink(TransactionalTextFileSink):
             raise_once(self.marker, "snapshot")
         return super().snapshot()
 
-    def _append(self, data):
-        if data:
+    def _write(self, offset, lines):
+        if lines:
             self.appends += 1
         if (self.site == "commit" and self.appends == 2
                 and not os.path.exists(self.marker)):
+            data = "".join(line + "\n" for line in lines).encode()
             with open(self.path, "ab") as handle:
                 handle.write(data[:len(data) // 2])
             raise_once(self.marker, "commit")
-        super()._append(data)
+        super()._write(offset, lines)
 
 
-def run_job(path, site, marker, backend):
+def run_job(path, site, marker, backend,
+            strategy=lambda: FixedDelayRestart(max_restarts=3, delay_ms=0)):
     def element(value):
         if value % 2:
             time.sleep(0.001)  # keeps the source live for checkpoints
         if site == "element" and value == STRIKE:
             raise_once(marker, "element")
+        elif site == "open" and value == 0:
+            raise_once(marker + ".first", "element")
         return value
 
     env = Environment(config=EngineConfig(
-        elements_per_step=4,
-        restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=0),
-        **backend))
+        elements_per_step=4, restart_strategy=strategy(), **backend))
     (env.from_collection(range(N))
         .assign_timestamps_and_watermarks(
             WatermarkStrategy.for_monotonic_timestamps(lambda value: value))
@@ -142,5 +151,19 @@ def test_a_raising_callback_restarts_once(tmp_path, site, backend):
     marker = str(tmp_path / "raised")
     output, job = run_job(str(tmp_path / "out.txt"), site, marker, backend)
     assert os.path.exists(marker), "the %s site was never reached" % site
-    assert job.restarts == 1
+    assert job.restarts == FAILURES.get(site, 1)
     assert output == clean
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("site", SITES)
+def test_without_a_strategy_the_callbacks_exception_fails_the_job(
+        tmp_path, site, backend):
+    """On worker processes too: the parent raises the type the worker
+    raised, with the worker's traceback in a note."""
+    with pytest.raises(RuntimeError, match="failed") as excinfo:
+        run_job(str(tmp_path / "out.txt"), site, str(tmp_path / "raised"),
+                backend, strategy=lambda: None)
+    assert excinfo.type is RuntimeError
+    if "backend" in backend:
+        assert "Traceback" in "".join(excinfo.value.__notes__)

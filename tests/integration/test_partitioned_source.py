@@ -79,7 +79,7 @@ class TestRecovery:
                                     max_restarts=3, delay_ms=0)))
         result = pipeline(env)
         job = env.execute()
-        assert faults.applied and job.recoveries == 1
+        assert faults.applied and job.restarts == 1
         finals = {}
         for key, running in result.get():
             finals[key] = max(finals.get(key, 0), running)
@@ -123,7 +123,7 @@ class TestReplayInterleaving:
                 replayed, job = self._committed(
                     tmp_path / "replayed", batch_size, elements_per_step,
                     faults=faults)
-                assert faults.applied and job.recoveries == 1
+                assert faults.applied and job.restarts == 1
                 assert replayed == clean, (
                     "replay dealt the partitions differently "
                     "(elements_per_step=%d, crash at round %d)"

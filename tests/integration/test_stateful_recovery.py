@@ -66,7 +66,7 @@ class TestWindowOperatorRecovery:
         faults = crash_once(min_checkpoints=1, at_round=80)
         job, recovered = run_window_job(faults=faults)
         assert faults.applied, "crash never injected"
-        assert job.recoveries == 1
+        assert job.restarts == 1
         assert recovered == ground_truth
 
     def test_crash_late_in_the_job(self):
@@ -83,5 +83,5 @@ class TestCuttyOperatorRecovery:
         faults = crash_once(min_checkpoints=1, at_round=80)
         job, recovered = run_cutty_job(faults=faults)
         assert faults.applied, "crash never injected"
-        assert job.recoveries == 1
+        assert job.restarts == 1
         assert recovered == ground_truth

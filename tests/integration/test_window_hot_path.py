@@ -350,7 +350,7 @@ def test_crash_after_a_checkpoint_across_live_pairs_cooperative(tmp_path):
                               CRASH, when=third_checkpoint_sealed)]))
     lines, job, _ = _run_sink_job(config, str(tmp_path / "out.txt"))
     assert seen["live_pairs"] > 0, "the checkpoint held no live pair"
-    assert job.recoveries == 1
+    assert job.restarts == 1
     assert lines == expected
 
 

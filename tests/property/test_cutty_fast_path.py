@@ -455,7 +455,7 @@ def test_shared_windows_job_restores_on_the_cooperative_backend(tmp_path):
                      restart_strategy=FixedDelayRestart(max_restarts=3,
                                                         delay_ms=0),
                      faults=faults))
-    assert len(faults.applied) == 2 and job.recoveries == 2
+    assert len(faults.applied) == 2 and job.restarts == 2
     assert rows == expected
 
 

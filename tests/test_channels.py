@@ -100,7 +100,7 @@ def test_counters_balance_after_crash_restore():
     assert faults.applied, "crash never injected"
     assert collected.get(), "job produced no output"
     engine = env.last_engine
-    assert engine.recoveries >= 1
+    assert engine.restarts >= 1
     for task in engine.tasks:
         for channel, _ in task.inputs:
             assert _balanced(channel), (
