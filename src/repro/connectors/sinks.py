@@ -8,9 +8,9 @@ inside a transaction scoped to the checkpoint interval; at the barrier
 cut the transaction is *pre-committed* -- sealed in memory, its records
 carried by the operator snapshot; once the coordinator confirms the
 checkpoint completed, the transaction *commits*: its records are
-appended to the target.  The snapshot also names the target and records
-its committed length, so a restore truncates the target to that length
-and re-appends the transactions the checkpoint holds pending.
+appended to the target.  The snapshot records the target's committed
+length, so a restore truncates the target to that length and re-appends
+the transactions the checkpoint holds pending.
 Truncate-then-append is idempotent: in-place recovery, a respawned
 worker, a savepoint and time travel to an older checkpoint all leave
 each record in the target exactly once.
@@ -48,7 +48,6 @@ class TransactionalSink:
     _unit = "bytes"
 
     def __init__(self, path: str) -> None:
-        #: Names the target; a snapshot counts only the target it names.
         self.path = path
         self._buffer: List[Any] = []
         self._pending: Dict[int, List[Any]] = {}
@@ -106,11 +105,10 @@ class TransactionalSink:
             self.transactions_aborted += 1
 
     def snapshot(self) -> Dict[str, Any]:
-        """The checkpoint's record of this sink: the target, its committed
+        """The checkpoint's record of this sink: the target's committed
         length and counts, and the pending transactions' records by id
         (copied: the cooperative store keeps state as it is given)."""
-        return {"target": self.path,
-                "length": self._length,
+        return {"length": self._length,
                 "records": self.records_committed,
                 "transactions": self.transactions_committed,
                 "pending": {txn: list(records)
@@ -122,12 +120,7 @@ class TransactionalSink:
         checkpoint does not name (those records lie beyond the replay
         point), and commit the ones it does -- it is durable.  Raises
         when the target is shorter than that length: the committed
-        output the checkpoint continues is gone.  A checkpoint of another
-        target (a savepoint resumed into a new ``collect()`` result or
-        file) holds that one's output: this target starts over."""
-        if state["target"] != self.path:
-            self.open()
-            return
+        output the checkpoint continues is gone."""
         length = state["length"]
         size = self._size()
         if size < length:
@@ -274,10 +267,19 @@ class ListSink(TransactionalSink):
     _unit = "rows"
 
     def __init__(self, rows: List[Any]) -> None:
-        # Unique: a savepoint resumed into a new result counts nothing.
+        # Unique per result: a snapshot counts only the result it names.
         super().__init__("memory:%s" % os.urandom(16).hex())
         self.rows = rows
         self.forward: Optional[Callable[[int, List[Any]], None]] = None
+
+    def snapshot(self) -> Dict[str, Any]:
+        return dict(super().snapshot(), target=self.path)
+
+    def recover(self, state: Dict[str, Any]) -> None:
+        if state.get("target") == self.path:
+            super().recover(state)
+        else:  # another result's savepoint: its rows stay with its job
+            self.open()
 
     def _write(self, offset: int, rows: List[Any]) -> None:
         if self.forward is not None:

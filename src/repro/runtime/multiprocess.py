@@ -42,11 +42,12 @@ Design notes:
   -- shared-nothing recovery with fresh pipes, so no epoch filtering is
   needed.
 * **Collect sinks commit into the parent's list**: each write (a
-  commit or a restore's truncate) is one control message ``(bucket key,
-  offset, rows)`` that the parent applies as ``del bucket[offset:];
-  bucket.extend(rows)``, the file sink's idempotent truncate-then-append.
+  commit or a restore's truncate) travels as control messages ``(bucket
+  key, offset, rows)`` of at most ``_COLLECT_CHUNK_ROWS`` rows that the
+  parent applies as ``del bucket[offset:]; bucket.extend(rows)``, the
+  file sink's idempotent truncate-then-append.
 * **A worker's exception is the job's**: the parent raises the type the
-  worker shipped, its traceback in a note (unpicklable: ``JobFailedError``).
+  worker shipped, caused by a ``JobFailedError`` with its traceback.
 
 * **Liveness** (:mod:`repro.runtime.watchdog`) is read from the
   kernel, not inferred from silence: a worker is dead when its control
@@ -131,6 +132,9 @@ _RING_POLL_S = 0.001
 #: reads as "wait for gigabytes that will never arrive", which turns a
 #: corrupted pipe into an undiagnosable hang instead of a FrameError.
 _MAX_FRAME = 1 << 28
+#: Rows per collect message, so a commit of the whole output (checkpoints
+#: off) travels as many frames under ``_MAX_FRAME``, not one over it.
+_COLLECT_CHUNK_ROWS = 4096
 #: How long the coordinator keeps trying to flush stop messages to a
 #: failing fleet before giving up -- it must NOT block forever on a pipe
 #: whose reader is SIGSTOP'd (the workers get killed right after).
@@ -609,8 +613,12 @@ class ShardEngine(Engine):
     def drain_collect(self, key: Tuple[int, int], offset: int,
                       rows: List[Any]) -> None:
         """Ship one write of the collect sink at ``key`` to the parent at
-        once, ahead of any checkpoint ack that counts it (one pipe)."""
-        self._control.send(("collect", key, offset, rows))
+        once, ahead of any checkpoint ack that counts it (one pipe), in
+        chunks of ``_COLLECT_CHUNK_ROWS``: each chunk is a write of its
+        own at its own offset, so applied in order they are the write."""
+        for start in range(0, max(len(rows), 1), _COLLECT_CHUNK_ROWS):
+            self._control.send(("collect", key, offset + start,
+                                rows[start:start + _COLLECT_CHUNK_ROWS]))
 
     def run(self, readers: Dict[int, _FrameReader],
             control_in: _FrameReader,
@@ -1154,8 +1162,8 @@ class MultiprocessEngine:
     def _on_failed(self, wid: int, error: Optional[BaseException],
                    error_line: str, trace: str) -> None:
         message = "worker %d failed: %s\n%s" % (wid, error_line, trace)
-        if error is not None and hasattr(error, "add_note"):
-            error.add_note(message)
+        if error is not None:
+            error.__cause__ = JobFailedError(message)
         self._fail(message, wid, error_line, error)
 
     def _on_fault(self, wid: int, index: int) -> None:

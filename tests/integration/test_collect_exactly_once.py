@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import Environment
 from repro.connectors.sinks import ListSink, TransactionalTextFileSink
+from repro.runtime import multiprocess
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
@@ -138,6 +139,9 @@ def test_a_savepoint_of_another_result_starts_the_list_over():
     assert rows == []
     old.recover(state)  # the same result: truncate to 1, commit 2
     assert old.rows == ["a", "b"]
+    del state["target"]  # a checkpoint that names no result
+    old.recover(state)
+    assert old.rows == []
 
 
 def test_a_list_shorter_than_its_checkpoint_refuses_to_restore():
@@ -151,6 +155,20 @@ def test_a_list_shorter_than_its_checkpoint_refuses_to_restore():
     with pytest.raises(RuntimeError, match="committed 1 rows but the "
                                            "target holds 0"):
         sink.recover(state)
+
+
+@needs_fork
+def test_a_commit_larger_than_a_control_frame_arrives_whole(monkeypatch):
+    """With checkpoints off the whole output is one commit at end of
+    input; it crosses the control pipe in chunks, each under the frame
+    cap (lowered here to 1 MiB so the output exceeds it)."""
+    monkeypatch.setattr(multiprocess, "_MAX_FRAME", 1 << 20)
+    rows = ["%06d" % value + "x" * 100 for value in range(12000)]
+    env = Environment(config=EngineConfig(backend="multiprocess",
+                                          num_workers=1))
+    result = env.from_collection(rows).collect()
+    env.execute()
+    assert result.get() == rows
 
 
 # -- the crash-point sweep ------------------------------------------------------

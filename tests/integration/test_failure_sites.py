@@ -23,7 +23,7 @@ import pytest
 
 from repro.api import Environment
 from repro.connectors.sinks import TransactionalTextFileSink
-from repro.runtime.engine import EngineConfig
+from repro.runtime.engine import EngineConfig, JobFailedError
 from repro.runtime.operators import ProcessFunction
 from repro.runtime.restart import FixedDelayRestart
 from repro.state.descriptors import ValueStateDescriptor
@@ -160,10 +160,13 @@ def test_a_raising_callback_restarts_once(tmp_path, site, backend):
 def test_without_a_strategy_the_callbacks_exception_fails_the_job(
         tmp_path, site, backend):
     """On worker processes too: the parent raises the type the worker
-    raised, with the worker's traceback in a note."""
+    raised, caused by a ``JobFailedError`` carrying the worker's
+    traceback."""
     with pytest.raises(RuntimeError, match="failed") as excinfo:
         run_job(str(tmp_path / "out.txt"), site, str(tmp_path / "raised"),
                 backend, strategy=lambda: None)
     assert excinfo.type is RuntimeError
     if "backend" in backend:
-        assert "Traceback" in "".join(excinfo.value.__notes__)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, JobFailedError)
+        assert "worker" in str(cause) and "Traceback" in str(cause)

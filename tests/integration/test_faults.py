@@ -246,7 +246,6 @@ class TestRestartSupervision:
             EngineConfig(checkpoint_interval_ms=1000, elements_per_step=4))
         assert state == baseline
         assert job.restarts == 1
-        assert job.restarts == 1
 
 
 class TestPoison:

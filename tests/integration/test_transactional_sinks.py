@@ -288,7 +288,6 @@ class TestExactlyOnceThroughEngine:
                 CRASH, when=lambda view: view.rounds >= 150)]),
             strategy=FixedDelayRestart(max_restarts=3, delay_ms=1))
         assert job.restarts == 1
-        assert job.restarts == 1
         # Replay re-emits records after the restored cut; an at-least-once
         # sink would show them twice.  Exactly-once output is identical.
         assert sorted(recovered) == sorted(clean)

@@ -7,6 +7,7 @@ checkpoint.
 """
 
 import glob
+import os
 
 import pytest
 
@@ -75,6 +76,15 @@ class TestResumeIntoAnExactlyOnceSink:
         assert read_bytes(path) == read_bytes(clean_path)
         assert glob.glob(glob.escape(path) + ".*") == []
 
+    def test_the_same_file_spelled_another_way_is_continued(self,
+                                                            stopped_run):
+        clean_path, path, directory = stopped_run
+        directory_of, name = os.path.split(path)
+        env = Environment()
+        sink_program(env, os.path.join(directory_of, ".", name))
+        env.execute(from_savepoint=savepoint_from_checkpoint(directory, env))
+        assert read_bytes(path) == read_bytes(clean_path)
+
 
 class TestTimeTravelErrors:
     def test_empty_directory(self, tmp_path):
@@ -89,6 +99,19 @@ class TestTimeTravelErrors:
         sink_program(env, path)
         with pytest.raises(TimeTravelError, match="checkpoint 999"):
             savepoint_from_checkpoint(directory, env, checkpoint_id=999)
+
+    def test_a_sink_at_another_path_refuses_to_resume(self, stopped_run,
+                                                      tmp_path):
+        """The checkpoint's committed output and its pending
+        transactions belong to the file the stopped run wrote: a sink
+        at a path without them raises rather than starting over."""
+        _, path, directory = stopped_run
+        env = Environment()
+        sink_program(env, str(tmp_path / "elsewhere.jsonl"))
+        with pytest.raises(RuntimeError,
+                           match="cannot restore exactly-once sink"):
+            env.execute(from_savepoint=savepoint_from_checkpoint(
+                directory, env))
 
     def test_program_the_checkpoint_does_not_cover(self, stopped_run):
         _, _, directory = stopped_run
