@@ -11,9 +11,9 @@ checkpoint completed, the transaction *commits*: its records are
 appended to the target.  The snapshot records the target's committed
 length, so a restore truncates the target to that length and re-appends
 the transactions the checkpoint holds pending.
-Truncate-then-append is idempotent: in-place recovery, a respawned
-worker, a savepoint and time travel to an older checkpoint all leave
-each record in the target exactly once.
+Truncate-then-append is idempotent: a restart on either backend, a
+savepoint and time travel to an older checkpoint all leave each record
+in the target exactly once.
 
 A process killed inside an append can leave part of one *committed*
 transaction at the end of a file until the next restore truncates it; a
@@ -69,8 +69,8 @@ class TransactionalSink:
     # -- lifecycle -------------------------------------------------------
 
     def open(self) -> None:
-        """Fresh attempt from offset zero (job start or from-scratch
-        restart): the target starts over with just its header."""
+        """Fresh attempt from offset zero (a deployment with no state to
+        restore): the target starts over with just its header."""
         self._buffer = []
         self._pending = {}
         self.records_committed = 0

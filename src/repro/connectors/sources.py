@@ -183,7 +183,6 @@ class HybridSource(SourceOperator):
         self._stream_emitted = 0
         self._history_skipped = 0
         self._stream_skipped = 0
-        self._replayed = 0
         #: Re-emit the seam watermark lazily after a stream-phase restore
         #: (downstream watermark progress was reset with the channels).
         self._cutover_pending = False
@@ -209,6 +208,10 @@ class HybridSource(SourceOperator):
             for name in ("history_emitted", "stream_emitted",
                          "history_skipped", "stream_skipped")}
         self._m_replayed = metrics.counter("hybrid_replayed_records")
+        #: Both cursors' offsets summed: the subtask's metrics outlive
+        #: this operator, so a restore reads how far the failed attempt
+        #: read.
+        self._m_read = metrics.gauge("hybrid_read_offset")
         self._m_cutover = metrics.gauge("hybrid_cutover_watermark")
 
     # -- emission -------------------------------------------------------
@@ -249,6 +252,7 @@ class HybridSource(SourceOperator):
             # Take only what the step still owes, so the step consumes
             # exactly the prefix that ends at its last emitted record.
             chunk = cursor.take(owed)
+            self._m_read.inc(len(chunk))
             run = self._survivors(chunk, side)
             skipped = len(chunk) - len(run)
             if side == "history":
@@ -287,13 +291,13 @@ class HybridSource(SourceOperator):
 
     def restore_state(self, state: Any) -> None:
         history, stream = self._cursors["history"], self._cursors["stream"]
-        replayed = (history.offset + stream.offset
-                    - state["history_offset"] - state["stream_offset"])
+        restored = state["history_offset"] + state["stream_offset"]
+        replayed = self._m_read.value - restored
         if replayed > 0:
-            # In-process recovery: everything past the restored offsets
-            # will be re-read and re-emitted.
-            self._replayed += replayed
+            # A restart: everything the failed attempt read past the
+            # restored offsets will be re-read and re-emitted.
             self._m_replayed.inc(replayed)
+        self._m_read.set(restored)
         self._phase = state["phase"]
         self._history_emitted = state["history_emitted"]
         self._stream_emitted = state["stream_emitted"]
@@ -315,6 +319,7 @@ class HybridSource(SourceOperator):
 
     def cutover_report(self) -> Dict[str, Any]:
         """The gauges ``Engine.job_report()`` folds into its ``cutover``
-        section."""
+        section (zeros before the deployment opened this operator)."""
+        replayed = self._m_replayed.value if self.ctx is not None else 0
         return {"phase": self._phase, "cutover": self._cutover,
-                **self._counts(), "replayed_records": self._replayed}
+                **self._counts(), "replayed_records": replayed}

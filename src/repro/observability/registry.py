@@ -21,9 +21,9 @@ job behind one snapshot:
   alive) surface without the operator ever pushing.
 
 Groups are registered through *providers* (callables returning the live
-groups), not direct references: a supervised restart-from-scratch
-rebuilds every task and its metric group, and the registry must follow
-the live set rather than keep counting into orphans.
+groups), not direct references: a supervised restart rebuilds every
+task, and the registry must follow the live set rather than read
+orphans.
 
 Importing this module does not import the engine.
 """

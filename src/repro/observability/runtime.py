@@ -57,7 +57,7 @@ class RuntimeObservability:
         self.registry = MetricsRegistry()
         self.tracer = TraceContext(engine.clock.now, capacity=TRACE_BUFFER)
         # Task metric groups are reached through a provider because a
-        # restart-from-scratch rebuilds them.
+        # restart rebuilds the tasks.
         self.registry.register_provider(
             lambda: [task.metrics for task in engine.tasks])
         self.registry.register_group(engine.metrics)

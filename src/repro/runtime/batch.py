@@ -271,10 +271,10 @@ class ArrangeOperator(Operator):
 
     def open(self, ctx: OperatorContext) -> None:
         super().open(ctx)
-        # Restart-from-scratch rebuilds the dataflow with fresh operator
-        # instances over the same closed-over ShardedArrangement: reset
-        # the shard so replayed input is not double-counted and reader
-        # handles of discarded operator instances are dropped.
+        # Every deployment builds fresh operator instances over the same
+        # closed-over ShardedArrangement: reset the shard so replayed
+        # input is not double-counted and reader handles of discarded
+        # operator instances are dropped.
         self._shard = self._sharded.shard(ctx.subtask_index)
         self._shard.reset()
         self._seals_since_compaction = 0
@@ -304,7 +304,8 @@ class ArrangeOperator(Operator):
         self._shard.restore(state)
 
     def arrangement_report(self) -> Dict[str, Any]:
-        return self._shard.stats()
+        # Nothing to report before the deployment opened this operator.
+        return self._shard.stats() if self._shard is not None else {}
 
 
 class _ArrangementReader(Operator):

@@ -55,10 +55,10 @@ class Channel:
         self.size = 0
         self.pushed = 0          # lifetime counters, reported as metrics
         self.polled = 0
-        #: Records dropped without being polled (failure-recovery clears
-        #: and chaos-injected losses).  The lifetime invariant is
-        #: ``pushed == polled + cleared + size``; throughput/occupancy
-        #: figures in ``job_report()`` rely on it holding post-restore.
+        #: Records dropped without being polled (chaos-injected
+        #: losses).  The lifetime invariant is ``pushed == polled +
+        #: cleared + size``; throughput/occupancy figures in
+        #: ``job_report()`` rely on it.
         self.cleared = 0
         self.blocked = False     # barrier alignment: reads suspended
         self.finished = False    # EndOfStream consumed
@@ -102,20 +102,6 @@ class Channel:
     @property
     def readable(self) -> bool:
         return bool(self._queue) and not self.blocked and not self.finished
-
-    def clear(self) -> None:
-        """Drop all buffered elements (used on failure/restore).
-
-        The dropped records are accounted in ``cleared`` -- they were
-        pushed but will never be polled -- so the lifetime counters stay
-        balanced and post-restore throughput/occupancy figures are not
-        skewed by phantom in-flight records.
-        """
-        self.cleared += self.size
-        self._queue.clear()
-        self.size = 0
-        self.blocked = False
-        self.finished = False
 
     # -- chaos injection hooks (repro.runtime.faults) ----------------------
 

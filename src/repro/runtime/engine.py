@@ -12,10 +12,12 @@ Execution is a deterministic cooperative loop:
    align across the graph, and seals completed checkpoints;
 4. anything a round runs that raises -- a user callback or an injected
    fault (:mod:`repro.runtime.faults`) -- goes to the restart strategy,
-   which either fails the job or has the engine restore every subtask
-   from the latest completed checkpoint and rewind the replayable
-   sources -- the exactly-once recovery path of asynchronous barrier
-   snapshotting.
+   which either fails the job or has the engine build fresh subtasks
+   that the next round opens and restores from the latest completed
+   checkpoint, rewinding the replayable sources -- the exactly-once
+   recovery path of asynchronous barrier snapshotting.  The first
+   start is the same deployment, from the map the job was deployed
+   with.
 
 The loop is single-threaded on purpose: reproducibility of every
 experiment in ``benchmarks/`` depends on it, and the logical costs the
@@ -42,9 +44,9 @@ from repro.runtime.restart import grant_restart
 from repro.runtime.task import OutputEdge, Task
 from repro.state.checkpoint import (
     CheckpointCoordinator,
-    CompletedCheckpoint,
     SubtaskId,
     TaskSnapshot,
+    restore_point,
     subtask_grid,
 )
 from repro.time.clock import ManualClock
@@ -175,11 +177,10 @@ class EngineConfig:
         #: When set, the checkpoint coordinator of either backend
         #: persists every sealed checkpoint under this directory as one
         #: CRC-checksummed file, ``chk-<id>.snap`` (see
-        #: :mod:`repro.state.durable`).  A respawned multiprocess fleet
+        #: :mod:`repro.state.durable`).  A restart on either backend
         #: restores from *disk* with verification -- a corrupted or torn
-        #: checkpoint falls back to the next-oldest retained one; the
-        #: cooperative engine recovers from coordinator memory and the
-        #: files serve savepoints (:mod:`repro.state.timetravel`).
+        #: checkpoint falls back to the next-oldest retained one -- and
+        #: the files serve savepoints (:mod:`repro.state.timetravel`).
         #: ``None`` keeps checkpoints in coordinator memory only.
         self.checkpoint_dir = checkpoint_dir
         #: ``cancel_hook(engine, rounds)`` returning true stops the job
@@ -271,7 +272,7 @@ class JobResult:
         self.checkpoints_completed = checkpoints_completed
         self.checkpoint_durations_ms = checkpoint_durations_ms
         self.cancelled = cancelled
-        #: Restarts granted by the restart strategy (recover or redeploy).
+        #: Restarts granted by the restart strategy, each a redeploy.
         self.restarts = restarts
         self.checkpoints_aborted = checkpoints_aborted
         self.gauges = gauges if gauges is not None else {}
@@ -359,7 +360,7 @@ class Engine:
                  ) -> None:
         self.job_graph = job_graph
         self.config = config or EngineConfig()
-        #: What the first and every "from scratch" deployment starts from.
+        #: What a deployment restores from while no checkpoint verifies.
         self._restore = restore or {}
         self.clock = ManualClock()
         self.restarts = 0
@@ -380,15 +381,21 @@ class Engine:
             else None)
         #: The ``job_report()`` sections, once :func:`job_outcome` ran.
         self._report: Optional[Dict[str, Any]] = None
-        #: Set by a restart with no checkpoint: the next round redeploys,
-        #: so an ``open`` that raises there costs one restart.
-        self._redeploy = False
+        #: Each subtask's metrics, by scope: every deployment's task of
+        #: that subtask counts into the same group.
+        self._task_metrics: Dict[str, MetricGroup] = {}
         self._build()
+        #: Set here and by every restart: the next round opens the built
+        #: tasks and restores them (:meth:`_deploy`), inside the failure
+        #: boundary.
+        self._deploy_due = True
         self._attach_coordinator()
 
     # -- construction -----------------------------------------------------
 
     def _build(self) -> None:
+        """Fresh tasks and channels from the job graph; nothing is
+        opened until :meth:`_deploy`."""
         cfg = self.config
         tracer = (self.observability.tracer
                   if self.observability is not None else None)
@@ -398,7 +405,10 @@ class Engine:
             subtasks = []
             for index in range(vertex.parallelism):
                 operators = [factory() for factory in vertex.operator_factories]
-                metrics = MetricGroup("%s.%d" % (vertex.name, index))
+                scope = "%s.%d" % (vertex.name, index)
+                metrics = self._task_metrics.get(scope)
+                if metrics is None:
+                    metrics = self._task_metrics[scope] = MetricGroup(scope)
                 task = Task(vertex.name, vertex_id, index, vertex.parallelism,
                             operators, self.clock, metrics,
                             elements_per_step=cfg.elements_per_step,
@@ -427,8 +437,6 @@ class Engine:
                 up.add_output_edge(OutputEdge(edge.partitioner.clone(),
                                               channels, up.subtask_index))
 
-        self._finalize_build()
-
     def _create_channel(self, edge: Any, up: Task, down: Task) -> Channel:
         """Create and wire the physical channel between two subtasks.
         Overridden by the multiprocess backend's shard engine, which
@@ -440,13 +448,15 @@ class Engine:
         down.add_input(channel, edge.target_input)
         return channel
 
-    def _finalize_build(self) -> None:
-        """Open every deployed task and hand it its snapshot from the
-        restore map.  The shard engine discards foreign subtasks before
-        opening, so operators with side effects (file sinks) only ever
-        open on their owning worker."""
-        if self._restore:
-            # Exactly-once sinks reattach to, not wipe, their files.
+    def _deploy(self) -> None:
+        """Open every built task and restore it from what
+        :func:`restore_point` picks: the newest checkpoint that
+        verifies, else the map the job was deployed with.  The one
+        deployment of both backends, first start and restart alike."""
+        checkpoint_id, restore = restore_point(self.checkpoint_store,
+                                               self._restore)
+        if restore:
+            # Exactly-once sinks reattach to, not wipe, their targets.
             from repro.connectors.sinks import TransactionalSinkOperator
             for task in self.tasks:
                 for chained in task.chain:
@@ -455,9 +465,13 @@ class Engine:
                         chained.operator.resume_on_open = True
         for task in self.tasks:
             task.open()
-            snapshot = self._restore.get(task.subtask_id)
+            snapshot = restore.get(task.subtask_id)
             if snapshot is not None:
                 task.restore(snapshot)
+        if self.coordinator is not None:
+            self.coordinator.begin_attempt()
+        if checkpoint_id is not None and self.observability is not None:
+            self.observability.on_recovery(checkpoint_id)
 
     # -- checkpoint coordination -------------------------------------------
 
@@ -494,19 +508,17 @@ class Engine:
     # -- supervision --------------------------------------------------------
 
     def _handle_failure(self, exc: BaseException) -> None:
-        """The supervisor: consult the restart strategy and either restart
-        the job (from the latest checkpoint, or in the next round as it
-        was deployed when none completed yet) or let the failure escape."""
+        """The supervisor: consult the restart strategy and either let
+        the failure escape or restart the job as a respawned fleet
+        restarts: fresh tasks and empty channels now, deployed by the
+        next round."""
         self._failures_metric.inc()
         delay_ms = grant_restart(self, exc, self.clock.now())
         self.clock.advance(delay_ms)  # restart delay burns simulated time
         if self.observability is not None:
             self.observability.on_restart(self.restarts, delay_ms, exc)
-        latest = self.checkpoint_store.latest
-        if latest is not None:
-            self._recover(latest)
-        else:
-            self._redeploy = True
+        self._build()
+        self._deploy_due = True
 
     def _fault_fired(self, index: int, event: "FaultEvent",
                      victim: Any) -> None:
@@ -515,23 +527,6 @@ class Engine:
         :meth:`_run_round` to hand to the supervisor."""
         if event.kind in RESTARTING_KINDS["cooperative"]:
             raise InjectedFailure("injected %s at %r" % (event.kind, victim))
-
-    # -- recovery -----------------------------------------------------------
-
-    def _recover(self, latest: CompletedCheckpoint) -> None:
-        """Restore every subtask from the completed checkpoint ``latest``
-        and rewind sources; in-flight data is discarded (it will be
-        replayed).  The caller counts the recovery."""
-        self.coordinator.drop_pending()
-        for task in self.tasks:
-            for channel, _ in task.inputs:
-                channel.clear()
-            task.reset_progress()
-            snapshot = latest.snapshot_for(task.subtask_id)
-            if snapshot is not None:
-                task.restore(snapshot)
-        if self.observability is not None:
-            self.observability.on_recovery(latest.checkpoint_id)
 
     # -- queryable state -----------------------------------------------------
 
@@ -590,8 +585,8 @@ class Engine:
     def _run_round(self, rounds: int,
                    coordinator: Optional[CheckpointCoordinator] = None,
                    moved: bool = False) -> bool:
-        """Scheduler round number ``rounds``: redeploy the job if a
-        restart asked for it, fire due faults, give every
+        """Scheduler round number ``rounds``: deploy the job if one is
+        due (:meth:`_deploy`), fire due faults, give every
         runnable task one bounded ``step()``, advance the clock, fire due
         processing-time timers, let ``coordinator`` (``None``:
         checkpoints off, or a worker whose parent coordinates) take its
@@ -600,7 +595,7 @@ class Engine:
         processing-time timer.  Returns whether the round got anywhere.
 
         This is the one failure boundary of both backends: whatever the
-        round runs -- a redeploy's ``open``, an element, a timer, a
+        round runs -- a deployment's ``open``, an element, a timer, a
         snapshot, a commit, an injected crash -- that raises ends the
         round in the supervisor.
         """
@@ -609,12 +604,9 @@ class Engine:
         progressed = moved
         ticked = False
         try:
-            if self._redeploy:
-                # Fresh operators, empty channels, sources at offset
-                # zero or where the savepoint left them.
-                self._redeploy = False
-                self._build()
-                self.coordinator.begin_attempt()
+            if self._deploy_due:
+                self._deploy_due = False
+                self._deploy()
             if faults is not None:
                 faults.on_round(self)
             for task in self.tasks:
@@ -656,8 +648,7 @@ class Engine:
         rounds = 0
         stall_rounds = 0
         cancelled = False
-        while self._redeploy or not all(task.finished
-                                        for task in self.tasks):
+        while not all(task.finished for task in self.tasks):
             if rounds >= MAX_ROUNDS:
                 raise JobStalledError(
                     "exceeded %d rounds; unfinished: %r"

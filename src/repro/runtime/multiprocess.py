@@ -46,6 +46,11 @@ Design notes:
   key, offset, rows)`` of at most ``_COLLECT_CHUNK_ROWS`` rows that the
   parent applies as ``del bucket[offset:]; bucket.extend(rows)``, the
   file sink's idempotent truncate-then-append.
+* **Callback sinks call back in the parent**: an ``add_sink(fn)``
+  subtask buffers its rows and ships them, in chunks of the same size,
+  at the end of every round and ahead of every checkpoint ack; the
+  parent calls ``fn`` on each.  At-least-once, as on the cooperative
+  backend: rows a failed attempt shipped stay delivered.
 * **A worker's exception is the job's**: the parent raises the type the
   worker shipped, caused by a ``JobFailedError`` with its traceback.
 
@@ -100,6 +105,7 @@ from repro.runtime.engine import (
     records_emitted,
 )
 from repro.runtime.faults import RESTARTING_KINDS, STALL
+from repro.runtime.operators import ForEachSink
 from repro.runtime.restart import grant_restart
 from repro.runtime.shm import RingError, ShmRing, ShmRingReader, ShmRingWriter
 from repro.runtime.task import Task
@@ -108,6 +114,7 @@ from repro.state.checkpoint import (
     CheckpointCoordinator,
     SubtaskId,
     TaskSnapshot,
+    restore_point,
     subtask_grid,
 )
 
@@ -132,8 +139,9 @@ _RING_POLL_S = 0.001
 #: reads as "wait for gigabytes that will never arrive", which turns a
 #: corrupted pipe into an undiagnosable hang instead of a FrameError.
 _MAX_FRAME = 1 << 28
-#: Rows per collect message, so a commit of the whole output (checkpoints
-#: off) travels as many frames under ``_MAX_FRAME``, not one over it.
+#: Rows per collect or callback-sink message, so a commit of the whole
+#: output (checkpoints off) travels as many frames under ``_MAX_FRAME``,
+#: not one over it.
 _COLLECT_CHUNK_ROWS = 4096
 #: How long the coordinator keeps trying to flush stop messages to a
 #: failing fleet before giving up -- it must NOT block forever on a pipe
@@ -441,11 +449,11 @@ class ShardEngine(Engine):
 
     Built from the *full* job graph so channel ordinals and partitioner
     fan-out are identical everywhere, then foreign subtasks are
-    discarded before opening (side-effecting operators only ever open on
-    their owning worker).  Checkpoint coordination is inverted: this
-    engine has no coordinator and no checkpoint store; it carries out
-    the parent coordinator's messages and forwards every ack to it over
-    the control pipe.
+    discarded before round 0 deploys the rest (side-effecting operators
+    only ever open on their owning worker).  Checkpoint coordination is
+    inverted: this engine has no coordinator and no checkpoint store; it
+    carries out the parent coordinator's messages and forwards every ack
+    to it over the control pipe.
     """
 
     def __init__(self, job_graph: Any, config: EngineConfig, worker_id: int,
@@ -462,12 +470,6 @@ class ShardEngine(Engine):
         #: other transport, keyed by seq.
         self._merge_next: Dict[int, int] = {}
         self._merge_pending: Dict[int, Dict[int, Tuple[int, Any]]] = {}
-        self.egress: List[EgressChannel] = []
-        #: channel ordinal -> local ingress channel (cross-worker edges in).
-        self.ingress: Dict[int, Channel] = {}
-        #: source worker -> its ingress channels here (flow-control scan).
-        self.ingress_by_source: Dict[int, List[Channel]] = {}
-        self._channel_ordinal = 0
         super().__init__(job_graph, config, restore)
         self.sealed_checkpoints = sealed_checkpoints  # the job's, so far
 
@@ -475,6 +477,28 @@ class ShardEngine(Engine):
         return task.subtask_index % self.num_workers == self.worker_id
 
     # -- construction overrides -------------------------------------------
+
+    def _build(self) -> None:
+        self.egress: List[EgressChannel] = []
+        #: channel ordinal -> local ingress channel (cross-worker edges in).
+        self.ingress: Dict[int, Channel] = {}
+        #: source worker -> its ingress channels here (flow-control scan).
+        self.ingress_by_source: Dict[int, List[Channel]] = {}
+        self._channel_ordinal = 0
+        #: ``(vertex_id, chain_position)`` -> rows of the callback sink
+        #: there, waiting for :meth:`ship_sink_rows`.
+        self._sink_rows: Dict[Tuple[int, int], List[Any]] = {}
+        super()._build()
+        self.tasks = [task for task in self.tasks if self._owns(task)]
+        for task in self.tasks:
+            for position, chained in enumerate(task.chain):
+                operator = chained.operator
+                key = (task.vertex_id, position)
+                # The caller's list and callback live in the parent.
+                if isinstance(operator, CollectSink):
+                    operator._sink.forward = partial(self.drain_collect, key)
+                elif isinstance(operator, ForEachSink):
+                    operator._fn = self._sink_rows.setdefault(key, []).append
 
     def _create_channel(self, edge: Any, up: Task, down: Task) -> Channel:
         ordinal = self._channel_ordinal
@@ -497,18 +521,8 @@ class ShardEngine(Engine):
             self.egress.append(channel)
             return channel
         # Neither endpoint is local: a placeholder so ordinals and edge
-        # shapes stay aligned; both endpoint tasks are discarded below.
+        # shapes stay aligned; ``_build`` discards both endpoint tasks.
         return Channel(name, capacity=self.config.channel_capacity)
-
-    def _finalize_build(self) -> None:
-        self.tasks = [task for task in self.tasks if self._owns(task)]
-        for task in self.tasks:
-            for position, chained in enumerate(task.chain):
-                if isinstance(chained.operator, CollectSink):
-                    # The caller's list lives in the parent process.
-                    chained.operator._sink.forward = partial(
-                        self.drain_collect, (task.vertex_id, position))
-        super()._finalize_build()
 
     # -- checkpoint inversion ----------------------------------------------
 
@@ -521,6 +535,7 @@ class ShardEngine(Engine):
 
     def _acknowledge_checkpoint(self, checkpoint_id: int,
                                 snapshot: TaskSnapshot) -> None:
+        self.ship_sink_rows()  # what the snapshot counts as written
         self._control.send(("ack", checkpoint_id, snapshot))
 
     def _handle_failure(self, exc: BaseException) -> None:
@@ -620,6 +635,15 @@ class ShardEngine(Engine):
             self._control.send(("collect", key, offset + start,
                                 rows[start:start + _COLLECT_CHUNK_ROWS]))
 
+    def ship_sink_rows(self) -> None:
+        """Send the callback sinks' buffered rows to the parent, which
+        calls the callbacks, in chunks of ``_COLLECT_CHUNK_ROWS``."""
+        for key, rows in self._sink_rows.items():
+            for start in range(0, len(rows), _COLLECT_CHUNK_ROWS):
+                self._control.send(
+                    ("sink", key, rows[start:start + _COLLECT_CHUNK_ROWS]))
+            rows.clear()
+
     def run(self, readers: Dict[int, _FrameReader],
             control_in: _FrameReader,
             ring_readers: Optional[Dict[int, ShmRingReader]] = None
@@ -644,6 +668,7 @@ class ShardEngine(Engine):
             moved = self.pump_ingress(readers, ring_readers)
             progressed = self._run_round(rounds, moved=moved)
             rounds += 1
+            self.ship_sink_rows()
             self.flush_egress()
             for task in self.tasks:
                 if task.finished and task.subtask_id not in reported_finished:
@@ -881,7 +906,7 @@ class MultiprocessEngine:
         self._done: Dict[int, Dict[str, Any]] = {}
         self._error: Optional[BaseException] = None
         self._crash_recorded = False
-        self._collect_buckets = self._discover_collect_buckets()
+        self._sink_targets = self._discover_sink_targets()
         self.coordinator = CheckpointCoordinator(
             self.config, self._now_ms, self._broadcast,
             *subtask_grid(self.job_graph))
@@ -889,16 +914,20 @@ class MultiprocessEngine:
 
     # -- static views of the graph ------------------------------------------
 
-    def _discover_collect_buckets(self) -> Dict[Tuple[int, int], List[Any]]:
-        """Map ``(vertex_id, chain_position)`` to the caller's list, which
-        a collect sink's factory closes over (instantiated here)."""
-        buckets: Dict[Tuple[int, int], List[Any]] = {}
+    def _discover_sink_targets(self) -> Dict[Tuple[int, int], Any]:
+        """Map ``(vertex_id, chain_position)`` to what the sink there
+        writes to in the caller's process: a collect sink's list, a
+        callback sink's callback.  Its factory closes over either one
+        (instantiated here)."""
+        targets: Dict[Tuple[int, int], Any] = {}
         for vertex_id, vertex in sorted(self.job_graph.vertices.items()):
             for position, factory in enumerate(vertex.operator_factories):
                 operator = factory()
                 if isinstance(operator, CollectSink):
-                    buckets[(vertex_id, position)] = operator._sink.rows
-        return buckets
+                    targets[(vertex_id, position)] = operator._sink.rows
+                elif isinstance(operator, ForEachSink):
+                    targets[(vertex_id, position)] = operator._fn
+        return targets
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started) * 1000)
@@ -912,45 +941,32 @@ class MultiprocessEngine:
     def execute(self) -> JobResult:
         if self._report is not None:
             raise JobFailedError("this engine already executed")
-        restore = self._restore
         while True:
-            error = self._run_attempt(restore)
+            error = self._run_attempt(self._restore_point())
             if error is None:
                 break
             self._failures_metric.inc()
             time.sleep(grant_restart(self, error, self._now_ms()) / 1000.0)
-            restore = self._restore_snapshots()
         supervisor = self.metrics.counters()
         supervisor["watchdog_failures"] = self.watchdog.failures_declared
         payloads = [self._done[wid] for wid in sorted(self._done)]
         return job_outcome(self, payloads, supervisor,
                            self._fleet_sections(payloads))
 
-    def _restore_snapshots(self) -> Dict[SubtaskId, TaskSnapshot]:
-        """Pick what the next attempt restores from.
-
-        With a durable store this *re-reads* the snapshots from disk and
-        verifies every checksum -- the in-memory copy is deliberately
-        not trusted, so a corrupted or torn persisted checkpoint is
-        detected here and recovery falls back to the next-oldest intact
-        one (or, when none survives, to what the job was deployed
-        with)."""
+    def _restore_point(self) -> Dict[SubtaskId, TaskSnapshot]:
+        """What the next fleet deploys with (:func:`restore_point`),
+        under a ``fleet.restore`` span when tracing a durable store."""
         store = self.checkpoint_store
         before = store.durability_stats()
         if self._tracer is None or before is None:
-            checkpoint = store.load_latest_verified()
-        else:
-            with self._tracer.span("fleet.restore") as span:
-                checkpoint = store.load_latest_verified()
-                span.attrs["fallbacks"] = (
-                    store.durability_stats()["restore_fallbacks"]
-                    - before["restore_fallbacks"])
-                span.attrs["checkpoint"] = (
-                    checkpoint.checkpoint_id
-                    if checkpoint is not None else None)
-        if checkpoint is None:
-            return self._restore
-        return dict(checkpoint.snapshots)
+            return restore_point(store, self._restore)[1]
+        with self._tracer.span("fleet.restore") as span:
+            checkpoint_id, restore = restore_point(store, self._restore)
+            span.attrs["fallbacks"] = (
+                store.durability_stats()["restore_fallbacks"]
+                - before["restore_fallbacks"])
+            span.attrs["checkpoint"] = checkpoint_id
+        return restore
 
     def _run_attempt(self, restore: Dict[SubtaskId, TaskSnapshot]
                      ) -> Optional[BaseException]:
@@ -1148,9 +1164,18 @@ class MultiprocessEngine:
 
     def _on_collect(self, wid: int, bucket_key: Tuple[int, int],
                     offset: int, rows: List[Any]) -> None:
-        bucket = self._collect_buckets[bucket_key]
+        bucket = self._sink_targets[bucket_key]
         del bucket[offset:]
         bucket.extend(rows)
+
+    def _on_sink(self, wid: int, key: Tuple[int, int],
+                 rows: List[Any]) -> None:
+        callback = self._sink_targets[key]
+        try:
+            for row in rows:
+                callback(row)
+        except Exception as exc:  # the sink's failure, as on cooperative
+            self._fail("sink callback failed: %r" % (exc,), error=exc)
 
     def _on_task_finished(self, wid: int, subtask: Any) -> None:
         self._finished.add(tuple(subtask))

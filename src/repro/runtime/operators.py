@@ -720,17 +720,11 @@ class TimestampsAndWatermarksOperator(Operator):
         return {"last_emitted": self._last_emitted}
 
     def restore_state(self, state: Any) -> None:
+        # The generator is the fresh one ``open`` built: watermarks are
+        # regenerated from the replayed records, and anything at or
+        # below the checkpointed ``last_emitted`` is deduplicated in
+        # _maybe_emit.
         self._last_emitted = state["last_emitted"]
-        # The generator's in-memory view (e.g. the max timestamp seen)
-        # reflects the pre-failure stream position, which lies *ahead* of
-        # the restored source offsets.  Rebuild it so watermarks are
-        # regenerated from the replayed records; anything at or below the
-        # checkpointed ``last_emitted`` is deduplicated in _maybe_emit.
-        # Without this, one replayed record would re-emit the pre-crash
-        # high-water mark and downstream windows would drop the rest of
-        # the replay as late data.
-        self._generator = self._strategy.generator_factory()
-        self._since_poll = 0
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:

@@ -3,9 +3,10 @@
 When a subtask raises (an operator bug in any user callback, an
 injected chaos fault), the engine's supervisor asks its configured
 :class:`RestartStrategy` whether the job may be restarted and after what
-simulated delay.  The mechanics of the restart -- rewinding to the
-latest completed checkpoint, or re-deploying from scratch when no
-checkpoint exists yet -- live in :class:`~repro.runtime.engine.Engine`;
+simulated delay.  The mechanics of the restart -- deploying fresh
+tasks restored from the latest completed checkpoint, or from what the
+job was deployed with when none exists yet -- live in
+:class:`~repro.runtime.engine.Engine`;
 this module is pure policy so each strategy can be unit-tested with a
 fake clock.
 

@@ -916,25 +916,6 @@ class Task:
             if state is not None:
                 edge.partitioner.restore_state(state)
 
-    def reset_progress(self) -> None:
-        """Clear watermark/barrier progress on recovery (channels are
-        cleared by the engine)."""
-        for index in self._channel_watermarks:
-            self._channel_watermarks[index] = MIN_TIMESTAMP
-        self._combined_watermark = MIN_TIMESTAMP
-        self._emitted_watermark = MIN_TIMESTAMP
-        self._aligning_checkpoint = None
-        self._aligned_channels = set()
-        self.pending_checkpoint = None
-        self.finished = False
-        self.failed = None
-        # A restart is a fresh attempt: any not-yet-consumed chaos
-        # poison is discarded (the poisoned records are replayed clean).
-        self.poison_next_records = 0
-        # Un-flushed emissions belong to the failed attempt; the replayed
-        # inputs will regenerate them.
-        self._out_buffer = type(self._out_buffer)()
-
     # -- end of input -------------------------------------------------------
 
     def _on_channel_end(self, channel_index: int) -> None:

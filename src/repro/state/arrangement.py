@@ -297,8 +297,8 @@ class Arrangement:
                                        self.compacted_through)
 
     def reset(self) -> None:
-        """Full scratch reset (restart-from-scratch rebuilds the dataflow
-        with fresh operators; stale handles must not linger)."""
+        """Full scratch reset (every deployment builds the dataflow with
+        fresh operators; stale handles must not linger)."""
         for handle in list(self._handles):
             handle.attached = False
         self._handles = []

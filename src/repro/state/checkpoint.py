@@ -181,8 +181,8 @@ class CheckpointStore:
         return list(self._completed)
 
     def load_latest_verified(self) -> Optional[CompletedCheckpoint]:
-        """The checkpoint a respawned fleet restores from.  Memory is
-        all this store has; the durable store re-reads and verifies."""
+        """The checkpoint a restart restores from.  Memory is all this
+        store has; the durable store re-reads and verifies."""
         return self.latest
 
     def durability_stats(self) -> Optional[Dict[str, int]]:
@@ -195,6 +195,20 @@ class CheckpointStore:
 
     def __len__(self) -> int:
         return len(self._completed)
+
+
+def restore_point(store: Optional[CheckpointStore],
+                  deployed_with: Dict[SubtaskId, TaskSnapshot]
+                  ) -> Tuple[Optional[int], Dict[SubtaskId, TaskSnapshot]]:
+    """What a deployment restores from, the same on both backends: the
+    id and snapshots of the newest checkpoint in ``store`` that
+    verifies (a durable store re-reads it from disk), else ``(None,
+    deployed_with)`` -- the map the job was deployed with.  ``store``
+    is ``None`` on a multiprocess worker, whose parent already chose."""
+    checkpoint = store.load_latest_verified() if store is not None else None
+    if checkpoint is None:
+        return None, deployed_with
+    return checkpoint.checkpoint_id, checkpoint.snapshots
 
 
 def _open_store(checkpoint_dir: Optional[str]) -> CheckpointStore:
@@ -262,17 +276,12 @@ class CheckpointCoordinator:
         return self._interval_ms is not None
 
     def begin_attempt(self) -> None:
-        """A freshly deployed job (first start, restart from scratch, a
-        respawned fleet): whatever was pending is gone, uncounted, and
-        the first trigger is one interval away."""
+        """A freshly deployed job (every start and restart, on either
+        backend): whatever was pending is gone, uncounted, and the first
+        trigger is one interval away."""
         self.pending = None
         if self._interval_ms is not None:
             self.next_trigger_time = self._clock() + self._interval_ms
-
-    def drop_pending(self) -> None:
-        """Recovery discards in-flight barriers; that is not an abort,
-        and the cadence keeps its schedule."""
-        self.pending = None
 
     def acknowledge(self, checkpoint_id: int,
                     snapshot: TaskSnapshot) -> None:

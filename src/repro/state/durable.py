@@ -1,10 +1,11 @@
 """Durable, checksummed checkpoint persistence.
 
 The in-memory :class:`~repro.state.checkpoint.CheckpointStore` is enough
-for in-process recovery, but the multiprocess backend's failure domain
-is the OS: a respawned fleet must be able to restore from artifacts that
-survived torn writes, and a corrupted artifact must be *detected* -- not
-silently unpickled into garbage state.  This module persists every
+for a job whose process survives, but the multiprocess backend's
+failure domain is the OS: a respawned fleet must be able to restore
+from artifacts that survived torn writes, and a corrupted artifact must
+be *detected* -- not silently unpickled into garbage state.  A restart
+on either backend restores through this store's verified read.  This module persists every
 sealed checkpoint as one file::
 
     <dir>/chk-<id>.snap   the pickled CompletedCheckpoint behind a header

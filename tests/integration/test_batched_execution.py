@@ -320,27 +320,34 @@ def drive_source_task(operators, batch_size, elements_per_step=8,
     """Step one hand-built source task to its end with a hash edge of
     ``channels`` channels behind it; a checkpoint is pending at the
     start of every step in ``barrier_steps``, and at the start of every
-    step in ``recover_at`` the task is restored in place from its latest
-    snapshot (what ``Engine.recover`` does to it; the channels keep what
-    already left).  Returns the per-channel element sequences, the
-    snapshots by checkpoint id, and the task."""
-    task = Task("source", 0, 0, 1, operators, ManualClock(),
-                MetricGroup("test"), elements_per_step=elements_per_step,
-                batch_size=batch_size)
+    step in ``recover_at`` the task is replaced as a restart replaces
+    it: a fresh task over ``operators()`` (then a function building the
+    chain) with the same metrics, opened, then restored from the latest
+    snapshot; the channels keep what already left.  Returns the
+    per-channel element sequences, the snapshots by checkpoint id, and
+    the last task."""
+    clock, metrics = ManualClock(), MetricGroup("test")
     outputs = [Channel("out-%d" % index, capacity=1 << 30)
                for index in range(channels)]
-    task.add_output_edge(OutputEdge(
-        HashPartitioner(lambda value: value[0]), outputs, 0))
     snapshots = {}
-    task.checkpoint_ack = snapshots.__setitem__
-    task.open()
-    if restore is not None:
-        task.restore(restore)
+
+    def deploy(chain, snapshot):
+        task = Task("source", 0, 0, 1, chain, clock, metrics,
+                    elements_per_step=elements_per_step,
+                    batch_size=batch_size)
+        task.add_output_edge(OutputEdge(
+            HashPartitioner(lambda value: value[0]), outputs, 0))
+        task.checkpoint_ack = snapshots.__setitem__
+        task.open()
+        if snapshot is not None:
+            task.restore(snapshot)
+        return task
+
+    task = deploy(operators() if recover_at else operators, restore)
     step = 0
     while not task.finished:
         if step in recover_at:
-            task.reset_progress()
-            task.restore(snapshots[max(snapshots)])
+            task = deploy(operators(), snapshots[max(snapshots)])
         if step in barrier_steps:
             task.pending_checkpoint = step + 1
         task.step()
@@ -596,22 +603,28 @@ class TestSourceChainElementSequence:
 
 
 class TestSourceChainRecovery:
-    def test_reset_progress_drops_an_unflushed_column_run(self):
+    def test_a_redeployed_task_drops_an_unflushed_column_run(self):
         elements = keyed_elements(rng_for(ROOT, "column-reset"), 120)
         clean, _, _ = drive_source_task(source_chain(elements), 64)
-        task = Task("source", 0, 0, 1, source_chain(elements), ManualClock(),
-                    MetricGroup("test"), elements_per_step=8, batch_size=64)
         outputs = [Channel("out-%d" % index, capacity=1 << 30)
                    for index in range(2)]
-        task.add_output_edge(OutputEdge(
-            HashPartitioner(lambda value: value[0]), outputs, 0))
-        task.open()
+
+        def deploy():
+            task = Task("source", 0, 0, 1, source_chain(elements),
+                        ManualClock(), MetricGroup("test"),
+                        elements_per_step=8, batch_size=64)
+            task.add_output_edge(OutputEdge(
+                HashPartitioner(lambda value: value[0]), outputs, 0))
+            task.open()
+            return task
+
+        failed = deploy()
         # A run and a single that the failed attempt never flushed.
-        task.chain[1].ctx.emit_columns(
+        failed.chain[1].ctx.emit_columns(
             [("ghost", 1, 1)] * 3, [1, 1, 1], [None] * 3)
-        task.chain[1].ctx.emit_record(Record(("ghost", 2, 2), 2))
-        assert len(task._out_buffer) == 4
-        task.reset_progress()
+        failed.chain[1].ctx.emit_record(Record(("ghost", 2, 2), 2))
+        assert len(failed._out_buffer) == 4
+        task = deploy()             # the restart, from scratch
         assert isinstance(task._out_buffer, ColumnRun)
         assert len(task._out_buffer) == 0
         while not task.finished:
@@ -697,11 +710,11 @@ class TestPartitionedSourceRuns:
     def test_sequence_parity_with_a_recovery(self):
         barriers = (0, 2, 5, 9)
         scalar, _, _ = drive_source_task(
-            self.operators(), 1, barrier_steps=barriers, recover_at=(7, 12))
+            self.operators, 1, barrier_steps=barriers, recover_at=(7, 12))
         assert sum(map(record_count, scalar)) > sum(self.SIZES)  # replayed
         for batch_size in (2, 5, 64):
             batched, _, task = drive_source_task(
-                self.operators(), batch_size, barrier_steps=barriers,
+                self.operators, batch_size, barrier_steps=barriers,
                 recover_at=(7, 12))
             assert task._suffix_fn is not None
             assert batched == scalar
@@ -760,7 +773,7 @@ class TestHybridSourceRuns:
         runs = {}
         for batch_size in (1, 5, 64):
             channels, _, task = drive_source_task(
-                self.operators(), batch_size, barrier_steps=self.BARRIERS,
+                self.operators, batch_size, barrier_steps=self.BARRIERS,
                 recover_at=(3, 7))
             runs[batch_size] = (channels,
                                 task.chain[0].operator.cutover_report())

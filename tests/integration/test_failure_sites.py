@@ -5,9 +5,9 @@ Each case raises once -- a marker file outlives a respawned worker, so
 the restarted attempt runs clean -- at one site: a ``map`` element, a
 ``ProcessFunction.on_timer`` on a processing-time and on an event-time
 timer, a sink's ``snapshot`` (the checkpoint cut), a two-phase-commit
-append (the commit), ``ProcessFunction.finish`` and
-``ProcessFunction.open`` on the redeploy that follows a failure before
-the first checkpoint.  Under ``FixedDelayRestart`` with checkpoints on,
+append (the commit), ``ProcessFunction.finish``, and
+``ProcessFunction.open`` on the first deployment and on the redeploy
+that follows a failure.  Under ``FixedDelayRestart`` with checkpoints on,
 the job restarts once per failure and the exactly-once file holds the
 clean run's bytes.  Without a strategy the job fails with the
 callback's own exception.  The job runs at parallelism 1, so the file's
@@ -38,9 +38,9 @@ KEYS = 7
 #: The element that raises, or registers the timers that do.
 STRIKE = N // 2
 SITES = ["element", "processing-timer", "event-timer", "snapshot", "commit",
-         "finish", "open"]
-#: Failures per site: ``open`` raises on a redeploy, which only a first
-#: failure (before any checkpoint) brings about.
+         "finish", "open", "first-open"]
+#: Failures per site: ``open`` raises on the redeploy that a first
+#: failure brings about.
 FAILURES = {"open": 2}
 BACKENDS = [
     pytest.param(dict(checkpoint_interval_ms=5), id="cooperative"),
@@ -67,6 +67,8 @@ class RunningSums(ProcessFunction):
     def open(self, ctx):
         if self.site == "open" and os.path.exists(self.marker + ".first"):
             raise_once(self.marker, "open")
+        elif self.site == "first-open":
+            raise_once(self.marker, "first open")
         self.total = ctx.get_state(ValueStateDescriptor("total", default=0))
 
     def process_element(self, value, ctx):

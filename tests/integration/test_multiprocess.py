@@ -17,6 +17,7 @@ import pytest
 
 from repro.api.environment import Environment
 from repro.connectors.sinks import TransactionalTextFileSink
+from repro.runtime import multiprocess
 from repro.runtime.engine import EngineConfig, JobFailedError
 from repro.runtime.restart import FixedDelayRestart
 from repro.testing.oracles import (
@@ -81,6 +82,25 @@ def test_keyed_reduce_parity_with_hash_exchange(exchange):
     # sum() emits running (key, total) pairs; the final per-key total
     # must agree.
     assert _final_by_key(multiproc) == _final_by_key(cooperative)
+
+
+def test_a_callback_sink_is_called_in_the_callers_process(monkeypatch):
+    """``add_sink(fn)`` at parallelism 2: on two workers the parent
+    calls ``fn`` on every row, as the cooperative engine does.  Rows
+    travel in chunks, here of five, so a round's rows take several."""
+    monkeypatch.setattr(multiprocess, "_COLLECT_CHUNK_ROWS", 5)
+
+    def run(config):
+        out = []
+        env = Environment(parallelism=2, config=config)
+        (env.generate_sequence(0, 1000)
+            .map(lambda value: value + 1)
+            .add_sink(out.append))
+        env.execute()
+        return sorted(out)
+
+    assert run(EngineConfig()) == list(range(1, 1001))
+    assert run(_mp_config()) == list(range(1, 1001))
 
 
 def _final_by_key(pairs):

@@ -233,26 +233,34 @@ def test_sigstop_without_checkpointing_still_detected(tmp_path, monkeypatch):
 
 def test_corrupted_checkpoint_detected_and_survived(tmp_path):
     """Flip a byte in the first persisted checkpoint, then kill a
-    worker.  Recovery must *detect* the corruption (CRC mismatch) and
-    fall back -- to an older checkpoint or to a from-scratch restart --
-    never restore garbage state."""
+    worker -- or, on the cooperative backend, crash a subtask.  Recovery
+    must *detect* the corruption (CRC mismatch) and fall back -- to an
+    older checkpoint or to a from-scratch restart -- never restore
+    garbage state.  Both backends restore through the same verified
+    read of the store."""
     expected = _expected_lines(tmp_path)
-    # The parent corrupts the checkpoint on the tick that seals it,
-    # before it tells the workers it is sealed; the kill waits for that
+    # The coordinator corrupts the checkpoint on the tick that seals it,
+    # before it tells the tasks it is sealed; the crash waits for that
     # word, so no fresh intact checkpoint can slip in between.
     schedule = [FaultEvent(CORRUPT_CHECKPOINT),
                 FaultEvent(CRASH, after_checkpoints=1, subtask="throttle",
                            target=0)]
-    config = _chaos_config(tmp_path, schedule, seed=5)
-    lines, job, env = _run_job(config, str(tmp_path / "out.txt"))
+    cooperative = EngineConfig(
+        checkpoint_interval_ms=5, elements_per_step=4,
+        checkpoint_dir=str(tmp_path / "cooperative-chk"),
+        restart_strategy=FixedDelayRestart(max_restarts=10, delay_ms=0),
+        faults=FaultInjector(schedule, seed=5))
+    for config in (_chaos_config(tmp_path, schedule, seed=5), cooperative):
+        lines, job, env = _run_job(
+            config, str(tmp_path / ("out-%s.txt" % config.backend)))
 
-    assert len(config.faults.applied) == 2
-    assert job.restarts >= 1
-    assert lines == expected
-    report = env.job_report()
-    durable = report["checkpoints"]["durable"]
-    assert durable["corruptions_detected"] >= 1
-    assert job.counters.get("checkpoint_corruptions_detected", 0) >= 1
+        assert len(config.faults.applied) == 2, config.backend
+        assert job.restarts >= 1
+        assert lines == expected
+        report = env.job_report()
+        durable = report["checkpoints"]["durable"]
+        assert durable["corruptions_detected"] >= 1, config.backend
+        assert job.counters.get("checkpoint_corruptions_detected", 0) >= 1
     _assert_no_zombies()
 
 

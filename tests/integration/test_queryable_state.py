@@ -45,6 +45,38 @@ def test_query_mid_job_view_is_fresh():
     assert 0 < observed["value"] < 10_000
 
 
+def test_a_job_cancelled_before_its_first_round_reports_nothing_done():
+    """Round 0 opens the first deployment, so a cancel before it finds
+    operators built but not opened: queries and report rows read as a
+    job that has not started."""
+    observed = {}
+
+    def cancel_at_once(engine, rounds):
+        observed["value"] = engine.query_state(
+            "live-count", "rolling-fold", "k0", default=0)
+        return True
+
+    env = Environment(config=EngineConfig(cancel_hook=cancel_at_once))
+    history = [("k0", ts) for ts in range(50)]
+    live = [("k0", ts) for ts in range(50, 100)]
+    (env.read(history)
+        .then_stream(lambda: live, cutover=49, timestamp_fn=lambda v: v[1])
+        .key_by(lambda v: v[0])
+        .count(name="live-count")
+        .collect())
+    job = env.execute()
+    assert job.cancelled and observed["value"] == 0
+    cutover, = env.job_report()["cutover"]
+    assert cutover["history_emitted"] == cutover["replayed_records"] == 0
+
+    env = Environment(config=EngineConfig(cancel_hook=lambda *_: True))
+    orders = env.table([{"user": "u%d" % (i % 4), "n": i} for i in range(50)])
+    orders.group_by("user").agg(count=("count", None)).collect()
+    orders.group_by("user").agg(total=("sum", "n")).collect()
+    assert env.execute().cancelled
+    assert env.job_report()["arrangements"]
+
+
 def test_query_unknown_operator_raises():
     env = Environment()
     env.from_collection([1]).collect()

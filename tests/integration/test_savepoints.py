@@ -172,17 +172,29 @@ class TestFailureBeforeTheFirstCheckpointOfAResumedJob:
 
     def test_cooperative_restart_keeps_the_savepoint(self):
         savepoint = run_first_half(parallelism=2)
+        read_before_crash = []
+
+        def at_round_5(view):
+            if view.rounds < 5:
+                return False
+            read_before_crash.append(sum(
+                task.metrics.counters().get("records_out", 0)
+                for task in view.tasks if task.is_source))
+            return True
+
         env = Environment(parallelism=2, config=EngineConfig(
             elements_per_step=4, checkpoint_interval_ms=1000,
             restart_strategy=FixedDelayRestart(max_restarts=3, delay_ms=1),
-            faults=FaultInjector([FaultEvent(
-                CRASH, when=lambda view: view.rounds >= 5)])))
+            faults=FaultInjector([FaultEvent(CRASH, when=at_round_5)])))
         result = keyed_count_pipeline(env)
         job = env.execute(from_savepoint=savepoint)
         assert job.restarts == 1 and job.checkpoints_completed == 0
         assert final_counts(result) == true_counts()
-        # The redeployed sources read what the savepoint still owed.
-        assert source_records_out(env) == len(DATA) - source_offsets(savepoint)
+        # Counters count every attempt: what the failed one read, then
+        # the redeployed sources read what the savepoint still owed.
+        assert read_before_crash[0] > 0
+        assert source_records_out(env) == (
+            read_before_crash[0] + len(DATA) - source_offsets(savepoint))
 
     @needs_fork
     def test_multiprocess_respawn_keeps_the_savepoint(self):

@@ -152,9 +152,10 @@ def test_per_record_state_and_timer_traffic_is_bounded(monkeypatch):
 # -- a pair restored mid-life --------------------------------------------------
 
 
-def build_window_task(emitted):
+def build_window_task(emitted, assigner=None):
+    """An opened window task over ``assigner`` (default: a new one)."""
     task = Task("window", 0, 0, 1,
-                [WindowOperator(TumblingEventTimeWindows.of(100),
+                [WindowOperator(assigner or TumblingEventTimeWindows.of(100),
                                 aggregate=SumAggregate()),
                  ForEachSink(emitted.append)],
                 ManualClock(), MetricGroup("test"))
@@ -220,9 +221,11 @@ def test_crash_restore_folds_into_equal_but_not_identical_windows(
         channel.push(Record(2, 20, "a"))
         task.step()
         if crash:
-            # What Engine.recover does to the task: the same operator,
-            # the same assigner and its interned windows, restored state.
-            task.reset_progress()
+            # What a restart deploys: a fresh task whose operator shares
+            # the factory's assigner and its interned windows, opened,
+            # then restored.
+            task, channel = build_window_task(
+                emitted, task.chain[0].operator.assigner)
             task.restore(snapshots[0])
             del registered[:]
             channel.push(Record(2, 20, "a"))    # replayed

@@ -186,20 +186,6 @@ class TestAborts:
 
 
 class TestAttempts:
-    def test_recovery_drops_the_pending_checkpoint_without_counting(self):
-        h = Harness()
-        h.tick(10)
-        h.ack(1, SRC)
-        h.coordinator.drop_pending()
-        assert h.coordinator.pending is None
-        assert h.coordinator.aborted == 0
-        assert ("abort", 1) not in h.sent
-        assert not any(e[0] == "aborted" for e in h.heard)
-        h.ack(1, MAP, SINK)  # acks replayed by nobody; ignored anyway
-        assert h.coordinator.completed == 0
-        h.tick(20)  # the cadence kept its schedule, ids keep growing
-        assert h.sent == [("trigger", 1), ("trigger", 2)]
-
     def test_new_attempt_drops_pending_and_restarts_the_cadence(self):
         h = Harness()
         h.tick(10)
