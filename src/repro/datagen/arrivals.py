@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from typing import Iterator, List
 
 
@@ -85,6 +86,9 @@ class ZipfSampler:
         self.num_keys = num_keys
         self.exponent = exponent
         self._rng = random.Random(seed)
+        #: Bound once: ``sample`` is a workload generator's per-event
+        #: hot loop.
+        self._draw = self._rng.random
         weights = [1.0 / (rank ** exponent)
                    for rank in range(1, num_keys + 1)]
         total = sum(weights)
@@ -95,8 +99,7 @@ class ZipfSampler:
             self._cumulative.append(running)
 
     def sample(self) -> int:
-        import bisect
-        return bisect.bisect_left(self._cumulative, self._rng.random())
+        return bisect_left(self._cumulative, self._draw())
 
     def sample_many(self, count: int) -> List[int]:
         return [self.sample() for _ in range(count)]

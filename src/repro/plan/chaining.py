@@ -45,10 +45,11 @@ def compile_batch_chain(operators: List[Any]
     operator joins the prefix by returning a transform from
     :meth:`~repro.runtime.operators.Operator.make_batch_transform`;
     anything stateful, timer-driven, watermark-emitting or two-input
-    returns ``None`` there and terminates the prefix.  Record batches
-    never straddle watermark/barrier boundaries, so reordering the
-    per-operator loops into per-batch loops cannot change what any
-    operator observes.
+    returns ``None`` there and terminates the prefix.  A task feeds it
+    the records between two watermarks at a time (the marks inside a
+    batch split it into segments) and a batch never straddles a barrier,
+    so reordering the per-operator loops into per-batch loops cannot
+    change what any operator observes.
     """
     transforms: List[BatchTransform] = []
     for operator in operators:

@@ -31,12 +31,15 @@ from repro.runtime.elements import StreamElement
 
 
 def element_weight(element: StreamElement) -> int:
-    """Records carried by one channel element (control elements weigh 1).
+    """Records carried by one channel element; control elements, and
+    each watermark mark inside a batch, weigh 1.
 
     Uses ``len(batch)`` rather than ``len(batch.records)`` so weighing a
     columnar batch never materialises its row view.
     """
-    return len(element) if element.is_batch else 1
+    if element.is_batch:
+        return len(element) + len(element.marks)
+    return 1
 
 
 class Channel:
@@ -116,20 +119,30 @@ class Channel:
 
     def _demote_columnar(self, index: int) -> StreamElement:
         """Replace a columnar batch at ``index`` with its row-batch twin
-        so chaos mutations edit the authoritative record list rather than
-        a cached materialisation that would desync from the columns."""
+        (marks included) so chaos mutations edit the authoritative record
+        list rather than a cached materialisation that would desync from
+        the columns."""
         element = self._queue[index]
         if element.is_columnar:
             from repro.runtime.elements import RecordBatch
-            element = RecordBatch(list(element.records))
+            element = RecordBatch(list(element.records), element.marks)
             self._queue[index] = element
         return element
+
+    @staticmethod
+    def _shift_marks(batch: StreamElement, delta: int) -> None:
+        """A record was removed from (``-1``) or repeated at (``+1``) the
+        head of ``batch``: every mark behind that record moves with it."""
+        if batch.marks:
+            batch.marks = [(offset + delta if offset else 0, timestamp)
+                           for offset, timestamp in batch.marks]
 
     def drop_one_record(self) -> bool:
         """Remove the oldest buffered data record (simulated network
         loss); control elements are never dropped, their loss would wedge
         alignment rather than exercise recovery.  For a batched channel
-        the oldest record is carved out of its batch in place."""
+        the oldest record is carved out of its batch in place, and the
+        batch's watermark marks stay where they were in the stream."""
         for index, element in enumerate(self._queue):
             if element.is_record:
                 del self._queue[index]
@@ -139,7 +152,8 @@ class Channel:
             if element.is_batch and element.records:
                 element = self._demote_columnar(index)
                 element.records.pop(0)
-                if not element.records:
+                self._shift_marks(element, -1)
+                if not element.records and not element.marks:
                     del self._queue[index]
                 self.size -= 1
                 self.cleared += 1
@@ -158,6 +172,7 @@ class Channel:
             if element.is_batch and element.records:
                 element = self._demote_columnar(index)
                 element.records.insert(0, element.records[0])
+                self._shift_marks(element, 1)
                 self.size += 1
                 self.pushed += 1
                 return True

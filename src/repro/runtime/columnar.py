@@ -381,11 +381,14 @@ def slice_batch(batch: ColumnarBatch, start: int, stop: int) -> ColumnarBatch:
 #   u8 * n_value_cols            -- value column kinds
 #   block*                       -- ts block (if ts_kind != none),
 #                                   key block (if key_kind != none),
-#                                   one block per value column
+#                                   one block per value column,
+#                                   the marks block (always)
 #
 # Every block is  u32 byte_length | payload .  i64/f64 payloads are the
 # raw array bytes (n * 8); str payloads are u32 offsets[n + 1] followed
 # by the concatenated UTF-8 bytes; obj payloads are one pickled list.
+# The marks block is i64 (offset, timestamp) pairs: the watermarks that
+# ride in the batch (empty for none).
 
 
 def _encode_block(kind: int, column: Any, n: int, parts: List[bytes]) -> None:
@@ -426,6 +429,8 @@ def encode_columnar(batch: ColumnarBatch) -> bytes:
         _encode_block(schema.key_kind, batch.keys, n, parts)
     for kind, column in zip(kinds, batch.columns):
         _encode_block(kind, column, n, parts)
+    marks = array("q", [number for mark in batch.marks for number in mark])
+    _encode_block(KIND_I64, marks, len(marks) // 2, parts)
     return b"".join(parts)
 
 
@@ -496,4 +501,21 @@ def decode_columnar(buf: bytes) -> ColumnarBatch:
         column, offset = _decode_block(kind, view, offset, n)
         columns.append(column)
     schema = ColumnSchema(ts_kind, key_kind, arity, kinds)
-    return ColumnarBatch(schema, n, timestamps, keys, tuple(columns))
+    return ColumnarBatch(schema, n, timestamps, keys, tuple(columns),
+                         _decode_marks(view, offset, n))
+
+
+def _decode_marks(view: memoryview, offset: int, n: int) -> List[Any]:
+    """The frame's trailing marks block as ``(offset, timestamp)``
+    pairs, checked to be in order and inside the batch."""
+    if offset + _U32.size > len(view):
+        raise ColumnarCodecError("truncated marks block header")
+    (length,) = _U32.unpack_from(view, offset)
+    if length % 16:
+        raise ColumnarCodecError("marks block is %d bytes" % length)
+    numbers, _ = _decode_block(KIND_I64, view, offset, length // 8)
+    marks = list(zip(numbers[::2], numbers[1::2]))
+    if any(not 0 <= at <= n for at, _ in marks) or any(
+            a[0] > b[0] for a, b in zip(marks, marks[1:])):
+        raise ColumnarCodecError("marks out of order or outside the batch")
+    return marks

@@ -12,6 +12,11 @@ carries an interleaved sequence of four element kinds:
   rest* (bounded inputs) and *data in motion* (unbounded inputs) unify:
   a batch job is a stream whose sources eventually emit ``EndOfStream``.
 
+In batched execution records travel as a :class:`RecordBatch` (or its
+columnar twin), and the watermarks emitted among them ride inside it at
+their positions, as Flink's network buffers carry them inline; only a
+barrier or end of stream cuts a batch.
+
 Timestamps are integers in milliseconds, mirroring Flink.  ``MAX_TIMESTAMP``
 acts as the +infinity watermark that flushes all event-time state at the
 end of a bounded input.
@@ -19,10 +24,14 @@ end of a bounded input.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 MIN_TIMESTAMP = -(2**62)
 MAX_TIMESTAMP = 2**62
+
+#: A watermark inside a batch: ``(offset, timestamp)``, the watermark
+#: following the batch's first ``offset`` records.
+Mark = Tuple[int, int]
 
 
 class StreamElement:
@@ -94,47 +103,94 @@ class Record(StreamElement):
 
 
 class RecordBatch(StreamElement):
-    """A run of consecutive :class:`Record`\\ s travelling as one element.
+    """A run of consecutive :class:`Record`\\ s travelling as one element,
+    with the watermarks emitted among them.
 
-    Batches exist purely on the wire: producers coalesce the records
-    emitted between two control elements (watermark, barrier,
-    end-of-stream) and consumers unpack them, so a batch never straddles
-    a control boundary.  That invariant is what keeps barrier alignment,
-    watermark propagation and replay determinism bit-identical to the
-    element-at-a-time path -- the batch frontier (the watermark state
-    records inside it were emitted under) is exactly the frontier of the
-    element preceding the batch, so no in-band frontier field is needed.
+    Batches exist purely on the wire: a producer coalesces the records it
+    emits between two flushes and the consumer unpacks them.  Only a
+    checkpoint barrier or end of stream cuts a batch.  A watermark rides
+    inside it as a *mark* ``(offset, timestamp)``: the watermark follows
+    the batch's first ``offset`` records, exactly where the producer
+    emitted it.  The consumer unpacks it (:func:`unpack`) into the records
+    between two marks and the :class:`Watermark` each mark stands for, so
+    every channel carries the element sequence of record-at-a-time
+    execution and barrier alignment, watermark propagation and replay
+    determinism stay bit-identical to it.
 
-    For flow control a batch weighs ``len(records)`` against channel
-    capacity, keeping backpressure record-denominated in both modes.
+    For flow control a batch weighs ``len(records)`` plus one per mark
+    against channel capacity -- what the records and watermarks it
+    stands for weigh as elements of their own -- keeping backpressure
+    the same in both modes.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "marks")
 
-    def __init__(self, records: List["Record"]) -> None:
+    def __init__(self, records: List["Record"],
+                 marks: Sequence[Mark] = ()) -> None:
         self.records = records
+        #: ``(offset, timestamp)`` watermarks in stream order; offsets
+        #: never decrease and never exceed ``len(records)``.
+        self.marks = marks
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __repr__(self) -> str:
+        if self.marks:
+            return "RecordBatch(n=%d, marks=%d)" % (len(self.records),
+                                                    len(self.marks))
         return "RecordBatch(n=%d)" % len(self.records)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ColumnarBatch):
-            return self.records == other.records
-        return isinstance(other, RecordBatch) and self.records == other.records
+        return (isinstance(other, (RecordBatch, ColumnarBatch))
+                and self.records == other.records
+                and list(self.marks) == list(other.marks))
 
     def __hash__(self) -> int:
         # Defining __eq__ alone silently sets __hash__ to None; batches
         # must stay hashable like every other stream element (tests and
         # diagnostics put elements in sets/dicts).  Consistent with
         # __eq__ via the records' own hashes.
-        return hash(("batch", tuple(map(hash, self.records))))
+        return _batch_hash(self)
 
     @property
     def is_batch(self) -> bool:
         return True
+
+    def slice(self, start: int, stop: int) -> "RecordBatch":
+        """The records ``[start:stop)`` as a batch without marks."""
+        return RecordBatch(self.records[start:stop])
+
+
+def segments(length: int, marks: Sequence[Mark]
+             ) -> Iterator[Tuple[int, int, Optional[int]]]:
+    """The runs of a marked batch of ``length`` records, in stream
+    order: ``(start, stop, watermark)`` per mark -- records
+    ``[start:stop)``, then the watermark -- and a last ``(start, length,
+    None)``."""
+    start = 0
+    for stop, watermark in marks:
+        yield start, stop, watermark
+        start = stop
+    yield start, length, None
+
+
+def unpack(batch: "RecordBatch | ColumnarBatch") -> List[StreamElement]:
+    """The elements a marked batch stands for, in order: each run of
+    records between two marks as a batch without marks, each mark as
+    the :class:`Watermark` it stands for."""
+    elements: List[StreamElement] = []
+    for start, stop, watermark in segments(len(batch), batch.marks):
+        if stop > start:
+            elements.append(batch.slice(start, stop))
+        if watermark is not None:
+            elements.append(Watermark(watermark))
+    return elements
+
+
+def _batch_hash(batch: "RecordBatch | ColumnarBatch") -> int:
+    return hash(("batch", tuple(map(hash, batch.records)),
+                 tuple(map(tuple, batch.marks))))
 
 
 #: Sentinel for a ``None`` event timestamp inside an int64 timestamp
@@ -163,15 +219,17 @@ class ColumnarBatch(StreamElement):
     is not ``int``, ``None`` timestamps survive) and falls back to row
     batches otherwise.
 
-    Like row batches, columnar batches never straddle a control-element
-    boundary, so barrier alignment and watermark semantics are untouched.
+    Like row batches, columnar batches carry their watermarks as
+    ``marks`` at their positions and never straddle a barrier or end of
+    stream, so barrier alignment and watermark semantics are untouched.
     """
 
     __slots__ = ("schema", "length", "timestamps", "keys", "columns",
-                 "_records")
+                 "marks", "_records")
 
     def __init__(self, schema: Any, length: int, timestamps: Any,
-                 keys: Any, columns: tuple) -> None:
+                 keys: Any, columns: tuple,
+                 marks: Sequence[Mark] = ()) -> None:
         self.schema = schema
         self.length = length
         #: int64 column (``TIMESTAMP_NONE`` = missing) or ``None`` when
@@ -182,6 +240,8 @@ class ColumnarBatch(StreamElement):
         #: one typed column per value field (a single column for scalar
         #: values; one per position for tuple values).
         self.columns = columns
+        #: ``(offset, timestamp)`` watermarks, as in :class:`RecordBatch`.
+        self.marks = marks
         self._records: Optional[List[Record]] = None
 
     def __len__(self) -> int:
@@ -219,9 +279,8 @@ class ColumnarBatch(StreamElement):
         return column_keys(self)
 
     def slice(self, start: int, stop: int) -> "ColumnarBatch":
-        """A columnar sub-batch of rows ``[start:stop)`` (used by the
-        record-exact step-budget split; columns slice without
-        materialising rows)."""
+        """A columnar sub-batch of rows ``[start:stop)``, without marks
+        (columns slice without materialising rows)."""
         from repro.runtime.columnar import slice_batch
         return slice_batch(self, start, stop)
 
@@ -230,11 +289,12 @@ class ColumnarBatch(StreamElement):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (RecordBatch, ColumnarBatch)):
-            return self.records == other.records
+            return (self.records == other.records
+                    and list(self.marks) == list(other.marks))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("batch", tuple(map(hash, self.records))))
+        return _batch_hash(self)
 
 
 class Watermark(StreamElement):

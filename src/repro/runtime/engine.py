@@ -76,8 +76,9 @@ class EngineConfig:
 
     ``batch_size`` switches between scalar execution (1, the default:
     every record travels as its own channel element) and batched
-    execution (>1: chain tails coalesce up to that many records into
-    one ``RecordBatch`` per channel push).  ``None`` reads the
+    execution (>1: chain tails coalesce up to that many records, and
+    the watermarks among them, into one ``RecordBatch`` per channel
+    push).  ``None`` reads the
     ``REPRO_BATCH_SIZE`` environment variable (default 1), which is how
     the differential test harness runs unmodified pipelines in both
     modes.  Results are element-for-element identical either way --

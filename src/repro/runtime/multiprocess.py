@@ -342,11 +342,12 @@ class ExchangeWriter:
 
     In ``"shm"`` mode a record batch is converted to columnar layout
     (the per-ordinal schema is inferred at the first batch boundary and
-    re-verified per batch), encoded as one raw-bytes frame and published
-    to the pair's ring; everything else -- control elements, scalar
-    records, unschematizable/oversize batches, batches hitting a full
-    ring -- travels as a ``(seq, ordinal, element)`` pickle frame over
-    the pipe.  The per-pair sequence number stamped on *every* frame is
+    re-verified per batch), encoded as one raw-bytes frame (the
+    watermark marks it carries included) and published to the pair's
+    ring; everything else -- control elements, scalar records, batches
+    of marks only, unschematizable/oversize batches, batches hitting a
+    full ring -- travels as a ``(seq, ordinal, element)`` pickle frame
+    over the pipe.  The per-pair sequence number stamped on *every* frame is
     what lets the receiver stitch the two transports back into the exact
     per-channel FIFO order.  In ``"pipe"`` mode (``ring is None``)
     every frame takes the pipe, in the same shape.
@@ -375,6 +376,7 @@ class ExchangeWriter:
             if batch is None:
                 stats["fallback_unschematizable"] += 1
             else:
+                batch.marks = element.marks
                 self._schemas[ordinal] = batch.schema
                 payload = encode_columnar(batch)
                 if len(payload) > ring.payload_capacity:
@@ -389,7 +391,7 @@ class ExchangeWriter:
             stats["pickle_fallbacks"] += 1
             if element.is_columnar:
                 # memoryview columns defeat pickle; ship the row twin.
-                element = RecordBatch(list(element.records))
+                element = RecordBatch(list(element.records), element.marks)
         if element.is_batch:
             stats["pipe_records"] += len(element)
         elif element.is_record:

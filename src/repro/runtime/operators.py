@@ -680,9 +680,10 @@ class TimestampsAndWatermarksOperator(Operator):
     def process_columns(self, values: List[Any], timestamps: Any,
                         keys: List[Any]) -> None:
         """:meth:`process` over a run of columns.  The timestamp column
-        is stamped in one pass and the run is cut (emitted) exactly
-        where ``process`` would have emitted a watermark, so downstream
-        sees the same elements in the same order."""
+        is stamped in one pass and the run is emitted in pieces that end
+        exactly where ``process`` would have emitted a watermark, so each
+        watermark lands at its position among the records (in batched
+        execution: as a mark inside the task's output batch)."""
         timestamps = list(map(self._strategy.timestamp_assigner, values))
         on_periodic = self._generator.on_periodic
         poll_every = self._poll_every

@@ -41,10 +41,13 @@ from repro.runtime.elements import (
     MAX_TIMESTAMP,
     MIN_TIMESTAMP,
     CheckpointBarrier,
+    Mark,
     Record,
     RecordBatch,
     StreamElement,
     Watermark,
+    segments,
+    unpack,
 )
 from repro.runtime.operators import (
     Operator,
@@ -120,80 +123,122 @@ class OutputEdge:
             self._advance = partitioner.advance
             if len(channels) == 1:
                 self._whole = channels[:1]
+        #: The channels a whole route skips: they get its marks alone.
+        self._bystanders = ([channel for channel in channels
+                             if channel not in self._whole]
+                            if self._whole is not None else [])
 
-    def _emit_by_key(self, values: Iterable[Any],
-                     timestamps: Iterable[Any]) -> None:
-        """The one place a hash edge routes: build the one keyed
-        ``Record`` per row (a row that came as a record may be shared
-        with other edges) and group them by the channel that owns the
-        key, keeping arrival order within a channel.  Every keyed
-        emission goes through here, so an unhashable or identity-hashed
-        key is rejected whatever the batch size or the channel count."""
+    def _emit_by_key(self, values: Sequence[Any], timestamps: Sequence[Any],
+                     marks: Sequence[Mark] = ()) -> None:
+        """How a hash edge routes a run: build the one keyed ``Record``
+        per row (a row that came as a record may be shared with other
+        edges) and group them by the channel that owns the key, keeping
+        arrival order within a channel.  Every keyed emission, this one
+        and :meth:`emit_record`'s, finds the owner with
+        :func:`owner_of_key`, so an unhashable or identity-hashed key is
+        rejected whatever the batch size or the channel count."""
         select_key = self.partitioner.key_selector
         total = len(self.channels)
-        buckets: Dict[int, List[Record]] = {}
-        for value, timestamp in zip(values, timestamps):
-            key = select_key(value)
-            index = owner_of_key(key, total)
-            bucket = buckets.get(index)
-            if bucket is None:
-                buckets[index] = bucket = []
-            bucket.append(Record(value, timestamp, key))
-        for index, bucket in buckets.items():
-            self.channels[index].push(
-                RecordBatch(bucket) if len(bucket) > 1 else bucket[0])
+
+        def fill(buckets: List[List[Record]], start: int, stop: int) -> None:
+            for value, timestamp in zip(values[start:stop],
+                                        timestamps[start:stop]):
+                key = select_key(value)
+                buckets[owner_of_key(key, total)].append(
+                    Record(value, timestamp, key))
+
+        self._route_each(len(values), marks, fill)
+
+    def _route_each(self, count: int, marks: Sequence[Mark],
+                    fill: Callable[[List[List[Record]], int, int], None]
+                    ) -> None:
+        """Route ``count`` rows one segment between two marks at a time
+        (``fill`` puts rows ``[start:stop)`` into one bucket per
+        channel), then push every channel its bucket.  Each mark goes to
+        every channel, at the position that channel's own rows put it;
+        a channel with no rows gets the marks alone."""
+        buckets: List[List[Record]] = [[] for _ in self.channels]
+        placed: List[List[Mark]] = [[] for _ in self.channels]
+        for start, stop, watermark in segments(count, marks):
+            if stop > start:
+                fill(buckets, start, stop)
+            if watermark is not None:
+                for bucket, own in zip(buckets, placed):
+                    own.append((len(bucket), watermark))
+        for channel, bucket, own in zip(self.channels, buckets, placed):
+            if own or len(bucket) > 1:
+                channel.push(RecordBatch(bucket, own))
+            elif bucket:
+                channel.push(bucket[0])
 
     def emit_record(self, record: Record) -> None:
         if isinstance(self.partitioner, HashPartitioner):
-            self._emit_by_key((record.value,), (record.timestamp,))
+            key = self.partitioner.key_selector(record.value)
+            self.channels[owner_of_key(key, len(self.channels))].push(
+                Record(record.value, record.timestamp, key))
             return
         for index in self.partitioner.select(record, len(self.channels),
                                              self.subtask_index):
             self.channels[index].push(record)
 
-    def emit_batch(self, records: List[Record]) -> None:
-        """Route a run of records in one call, preserving per-channel
-        FIFO order.
+    def emit_batch(self, records: List[Record],
+                   marks: Sequence[Mark] = ()) -> None:
+        """Route a run of records, and the watermarks among them, in one
+        call, preserving per-channel FIFO order.
 
         Whole-batch routes forward one batch object per channel; keyed
         and round-robin routes group records into per-channel
         sub-batches in a single pass -- the partitioning work that the
         scalar path pays per record is paid once per batch here.
-        Unknown partitioners fall back to per-record routing.
+        Unknown partitioners route record by record.
         """
         if isinstance(self.partitioner, HashPartitioner):
             self._emit_by_key([r.value for r in records],
-                              [r.timestamp for r in records])
+                              [r.timestamp for r in records], marks)
         else:
-            self._emit_rows(records)
+            self._emit_rows(records, marks)
 
-    def _emit_rows(self, records: List[Record]) -> None:
+    def _emit_rows(self, records: List[Record],
+                   marks: Sequence[Mark]) -> None:
         """Every route of :meth:`emit_batch` but the keyed one."""
         channels = self.channels
+        total = len(channels)
         cursor = (self._advance(len(records))
                   if self._advance is not None else None)
         if self._whole is not None:
             for channel in self._whole:
                 # Copy: the caller's buffer is shared across edges, and
                 # chaos may carve records out of a pushed batch in place.
-                channel.push(RecordBatch(list(records)))
-        elif cursor is not None:
-            total = len(channels)
-            for index, channel in enumerate(channels):
-                bucket = records[(index - cursor) % total::total]
-                if bucket:
-                    channel.push(RecordBatch(bucket))
+                channel.push(RecordBatch(list(records), marks))
+            if marks:
+                for channel in self._bystanders:
+                    channel.push(RecordBatch([], marks))
+            return
+        if cursor is not None:
+            def fill(buckets: List[List[Record]], start: int,
+                     stop: int) -> None:
+                # Record j goes to channel (j + cursor) % total.
+                for index, bucket in enumerate(buckets):
+                    bucket.extend(records[
+                        start + (index - cursor - start) % total:stop:total])
         else:
-            for record in records:
-                self.emit_record(record)
+            select = self.partitioner.select
 
-    def emit_columnar(self, batch: Any) -> None:
-        """Route a run that arrives as columns: a :class:`ColumnRun`, or
-        a ``ColumnarBatch``, which travels a whole-batch route as it is
-        (no copy: chaos mutation hooks demote a queued columnar batch to
-        a private row twin instead of editing it in place).  Everywhere
-        else rows begin here, each built once: with its key on a hash
-        edge, for the ``RecordBatch`` it fills on the other routes."""
+            def fill(buckets: List[List[Record]], start: int,
+                     stop: int) -> None:
+                for record in records[start:stop]:
+                    for index in select(record, total, self.subtask_index):
+                        buckets[index].append(record)
+        self._route_each(len(records), marks, fill)
+
+    def emit_columnar(self, batch: Any, marks: Sequence[Mark] = ()) -> None:
+        """Route a run that arrives as columns: a :class:`ColumnRun` with
+        its ``marks``, or a ``ColumnarBatch``, which travels a whole-batch
+        route as it is (no copy: chaos mutation hooks demote a queued
+        columnar batch to a private row twin instead of editing it in
+        place).  Everywhere else rows begin here, each built once: with
+        its key on a hash edge, for the ``RecordBatch`` it fills on the
+        other routes."""
         if not isinstance(batch, ColumnRun):
             if self._whole is not None:
                 if self._advance is not None:
@@ -204,10 +249,10 @@ class OutputEdge:
             batch = ColumnRun(batch.value_list(), batch.timestamp_list(),
                               batch.key_list())
         if isinstance(self.partitioner, HashPartitioner):
-            self._emit_by_key(batch.values, batch.timestamps)
+            self._emit_by_key(batch.values, batch.timestamps, marks)
         else:
             self._emit_rows(list(map(Record, batch.values, batch.timestamps,
-                                     batch.keys)))
+                                     batch.keys)), marks)
 
     def broadcast(self, element: StreamElement) -> None:
         for channel in self.channels:
@@ -254,11 +299,15 @@ class Task:
         #: Records emitted by the chain tail since the last flush (in a
         #: source task: by the operator in front of the fused suffix,
         #: which the flush applies); they leave as one RecordBatch at
-        #: the next control element, buffer fill, or end of step --
-        #: which is what guarantees a batch never straddles a
-        #: watermark/barrier/EOS boundary.  A list of rows, or in a
-        #: batched source task a :class:`ColumnRun`.
+        #: the next buffer fill, end of step, barrier or end of input --
+        #: the last two are what guarantees a batch never straddles a
+        #: barrier/EOS boundary.  A list of rows, or in a batched source
+        #: task a :class:`ColumnRun`.
         self._out_buffer: Any = []
+        #: Watermarks forwarded since the last flush, each as a mark
+        #: ``(offset, timestamp)`` at its position in ``_out_buffer``:
+        #: they leave inside the batch the flush ships.
+        self._out_marks: List[Mark] = []
 
         self.inputs: List[Tuple[Channel, int]] = []   # (channel, input index)
         self.output_edges: List[OutputEdge] = []
@@ -456,7 +505,8 @@ class Task:
 
     def _buffer_output(self, record: Record) -> None:
         """Chain-tail collector in batched mode: coalesce emissions until
-        the buffer fills or a control element forces a flush."""
+        the buffer fills, the step ends or a barrier or end of input
+        forces a flush."""
         self._out_buffer.append(record)
         if len(self._out_buffer) >= self.batch_size:
             self._flush_out_buffer()
@@ -469,35 +519,50 @@ class Task:
             self._flush_out_buffer()
 
     def _flush_out_buffer(self) -> None:
-        buffer = self._out_buffer
-        if not buffer:
+        """Ship the buffered records and the watermark marks among them
+        as one batch per channel."""
+        buffer, marks = self._out_buffer, self._out_marks
+        if not buffer and not marks:
             return
         self._out_buffer = type(buffer)()
+        self._out_marks = []
         if self._suffix_fn is not None:
-            # Source task: the buffer holds what the operator in front of
-            # the fused suffix collected.  Every flush point precedes
-            # the control element that caused it, so the suffix sees
-            # exactly the records between two control elements.
-            buffer = ColumnRun(*self._run_fused(
-                "column_kernel", self._suffix_fn, buffer.values,
-                buffer.timestamps, buffer.keys))
-        self._emit_run(buffer)
+            buffer, marks = self._apply_suffix(buffer, marks)
+        self._emit_run(buffer, marks)
 
-    def _emit_run(self, run: Any) -> None:
+    def _apply_suffix(self, run: ColumnRun, marks: List[Mark]
+                      ) -> Tuple[ColumnRun, List[Mark]]:
+        """Source task: the buffer holds what the operator in front of
+        the fused suffix collected.  The suffix takes the records
+        between two marks at a time, so it sees exactly the records
+        between two watermarks, and each mark moves to where the
+        suffix's output puts it."""
+        out, placed = ColumnRun(), []
+        for start, stop, watermark in segments(len(run), marks):
+            if stop > start:
+                out.extend(*self._run_fused(
+                    "column_kernel", self._suffix_fn, run.values[start:stop],
+                    run.timestamps[start:stop], run.keys[start:stop]))
+            if watermark is not None:
+                placed.append((len(out), watermark))
+        return out, placed
+
+    def _emit_run(self, run: Any, marks: Sequence[Mark] = ()) -> None:
         """The one way a run leaves the task, flushed rows and columns
-        (which become rows at the edges, each building its own) alike."""
-        if not run:
+        (which become rows at the edges, each building its own) alike,
+        with the watermarks among them."""
+        if not run and not marks:
             return
         self._records_out.inc(len(run))
         if not isinstance(run, list):
             for edge in self.output_edges:
-                edge.emit_columnar(run)
-        elif len(run) == 1:
+                edge.emit_columnar(run, marks)
+        elif len(run) == 1 and not marks:
             for edge in self.output_edges:
                 edge.emit_record(run[0])
         else:
             for edge in self.output_edges:
-                edge.emit_batch(run)
+                edge.emit_batch(run, marks)
 
     def _watermark_from_chain(self, position: int) -> Callable[[int], None]:
         """Watermarks generated *inside* the chain (timestamp assigners)
@@ -542,11 +607,11 @@ class Task:
                 progressed = self._step_source()
             else:
                 progressed = self._step_processing()
-            # Records must not languish in the output buffer across
-            # scheduler rounds: a task may not be stepped again for a
-            # while (backpressure), and latency would become unbounded.
-            if self._out_buffer:
-                self._flush_out_buffer()
+            # Records and watermarks must not languish in the output
+            # buffer across scheduler rounds: a task may not be stepped
+            # again for a while (backpressure), and latency would become
+            # unbounded.
+            self._flush_out_buffer()
             return progressed
         except BaseException as exc:  # surfaces in Engine.execute
             self.failed = exc
@@ -590,22 +655,9 @@ class Task:
                 break
             progressed = True
             if element.is_batch:
-                size = len(element)
-                if size > budget:
-                    channel, _ = self.inputs[channel_index]
-                    if element.is_columnar:
-                        # Columns slice without materialising rows, so
-                        # the record-exact split stays object-free.
-                        channel.requeue_front(element.slice(budget, size))
-                        element = element.slice(0, budget)
-                    else:
-                        records = element.records
-                        channel.requeue_front(RecordBatch(records[budget:]))
-                        element = RecordBatch(records[:budget])
-                    size = budget
-                budget -= size
-            else:
-                budget -= 1
+                element = self._take(element, budget,
+                                     self.inputs[channel_index][0])
+            budget -= len(element) if element.is_batch else 1
             self._dispatch_input(element, channel_index)
             if self.finished:
                 return True
@@ -613,6 +665,29 @@ class Task:
             self._finish_task()
             return True
         return progressed
+
+    @staticmethod
+    def _take(batch: Any, budget: int, channel: Channel) -> StreamElement:
+        """What one poll takes of a polled batch.  A batch with watermark
+        marks is unpacked into the elements it stands for -- runs of
+        records and watermarks -- and all but the first go back to the
+        front of ``channel``: so a watermark costs one poll and one unit
+        of the step budget, as it did as an element of its own, and the
+        fair poll interleaves a task's inputs as it did then.  A batch
+        larger than ``budget`` is split there and its tail goes back
+        too, keeping the budget record-exact; columns split without
+        materialising rows."""
+        if batch.marks:
+            first, *rest = unpack(batch)
+            for element in reversed(rest):
+                channel.requeue_front(element)
+            if not first.is_batch:
+                return first
+            batch = first
+        if len(batch) > budget:
+            channel.requeue_front(batch.slice(budget, len(batch)))
+            batch = batch.slice(0, budget)
+        return batch
 
     def _poll_fair(self) -> Tuple[Optional[StreamElement], int]:
         """Round-robin over readable input channels."""
@@ -748,10 +823,10 @@ class Task:
             self._exit_prefix(list(map(Record, values, timestamps, keys)),
                               prefix)
             return
-        # Channel order: anything still buffered as rows (earlier
-        # fallback batches, scalar records) must leave before this run.
-        if self._out_buffer:
-            self._flush_out_buffer()
+        # Channel order: anything still buffered (rows of earlier
+        # fallback batches or scalar records, watermark marks) must
+        # leave before this run.
+        self._flush_out_buffer()
         run = ColumnRun(values, timestamps, keys)
         # A ColumnarBatch (if the values admit a schema) only where
         # every edge forwards it whole.
@@ -803,10 +878,16 @@ class Task:
                 callback(timestamp, key, namespace)
 
     def _forward_watermark(self, timestamp: int) -> None:
+        """Send a watermark downstream: in batched execution as a mark
+        at its position in the output buffer, leaving with the next
+        flush; otherwise as a :class:`Watermark` element."""
         if timestamp <= self._emitted_watermark:
             return
         self._emitted_watermark = timestamp
-        self._broadcast(Watermark(timestamp))
+        if self._batching:
+            self._out_marks.append((len(self._out_buffer), timestamp))
+        else:
+            self._broadcast(Watermark(timestamp))
 
     def on_processing_time(self, now: int) -> None:
         """Called by the scheduler whenever the simulated clock advances."""
@@ -950,10 +1031,9 @@ class Task:
         self.finished = True
 
     def _broadcast(self, element: StreamElement) -> None:
-        # Flush buffered records *before* any control element leaves:
-        # this is the single point that enforces the batch-never-
-        # straddles-a-boundary invariant on the producer side.
-        if self._out_buffer:
-            self._flush_out_buffer()
+        # Flush buffered records and marks *before* a barrier or end of
+        # stream leaves: this is the single point that enforces the
+        # batch-never-straddles-a-barrier invariant on the producer side.
+        self._flush_out_buffer()
         for edge in self.output_edges:
             edge.broadcast(element)

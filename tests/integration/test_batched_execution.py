@@ -10,6 +10,7 @@ on a batched deployment so the whole oracle battery covers the batched
 engine too.
 """
 
+import collections
 import importlib
 import os
 import random
@@ -23,7 +24,12 @@ from repro.connectors.sources import HybridSource
 from repro.observability import MetricGroup
 from repro.runtime.channels import Channel
 from repro.runtime.columnar import batch_to_columnar
-from repro.runtime.elements import END_OF_STREAM, Record, RecordBatch
+from repro.runtime.elements import (
+    END_OF_STREAM,
+    Record,
+    RecordBatch,
+    segments,
+)
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector, PoisonPill
 from repro.runtime.operators import (
@@ -296,11 +302,23 @@ class TestOraclesUnderBatching:
 def channel_elements(channel):
     """What a channel holds, batches unpacked: the sequence a consumer
     observes, whatever the producer's batching was."""
+    return unpacked(channel._queue)
+
+
+def unpacked(elements):
+    """Elements as the sequence a consumer observes them in: batches
+    unpacked, each watermark mark at its position among the batch's
+    records."""
     out = []
-    for element in channel._queue:
+    for element in elements:
         if element.is_batch:
-            out.extend(("record", r.value, r.timestamp, r.key)
-                       for r in element.records)
+            records = element.records
+            for start, stop, watermark in segments(len(records),
+                                                   element.marks):
+                out.extend(("record", r.value, r.timestamp, r.key)
+                           for r in records[start:stop])
+                if watermark is not None:
+                    out.append(("watermark", watermark))
         elif element.is_record:
             out.append(("record", element.value, element.timestamp,
                         element.key))
@@ -1025,3 +1043,64 @@ def test_quick_keyed_window_hashes_per_key_and_fuses_the_source_chain(
     assert calls["source_records"] == delivered
     windows = {event.timestamp // workload.window_ms for event in events}
     assert 0 < calls["assigned_windows"] <= 8 * len(windows)
+
+
+def test_quick_keyed_window_ships_watermarks_inside_its_batches(
+        monkeypatch, tmp_path):
+    """Counts on the same program: the watermark generator emits one
+    watermark per 50 records, yet the hash edge into the window
+    subtasks ships at most one element per 100 records -- watermarks
+    ride inside the batches instead of cutting them -- and every window
+    and sink subtask observes, channel by channel, the watermark
+    sequence of record-at-a-time execution."""
+    benchmarks = os.path.join(os.path.dirname(__file__), os.pardir,
+                              os.pardir, "benchmarks")
+    monkeypatch.syspath_prepend(benchmarks)
+    monkeypatch.syspath_prepend(os.path.join(benchmarks, "e14"))
+    workload = importlib.import_module("workloads").KeyedWindow()
+    events = workload.generate(0, 0.05)
+
+    pushes = collections.Counter()
+    observed = {}
+    push, on_watermark = Channel.push, Task._on_channel_watermark
+
+    def counting_push(channel, element):
+        pushes[id(channel)] += 1
+        push(channel, element)
+
+    def recording(task, timestamp, channel_index):
+        if not task.is_source:
+            observed.setdefault((task.vertex_name, task.subtask_index,
+                                 channel_index), []).append(timestamp)
+        on_watermark(task, timestamp, channel_index)
+
+    monkeypatch.setattr(Channel, "push", counting_push)
+    monkeypatch.setattr(Task, "_on_channel_watermark", recording)
+
+    def run(batch_size):
+        pushes.clear()
+        observed.clear()
+        scratch = tmp_path / str(batch_size)
+        scratch.mkdir()
+        job = workload.build(events, str(scratch))
+        job.env.config.batch_size = batch_size
+        job.env.execute()
+        tasks = job.env.last_engine.tasks
+        assert {task.batch_size for task in tasks} == {batch_size}
+        score = workload.score(job, workload.expect(events), 0.0, 0.0)
+        assert score.attempted > 100 and score.failed == 0
+        return tasks, dict(observed)
+
+    _, scalar = run(1)
+    tasks, batched = run(workload.config(events, str(tmp_path)).batch_size)
+    window_inputs = [channel for task in tasks
+                     if task.vertex_name.startswith("window")
+                     for channel, _ in task.inputs]
+    assert len(window_inputs) == workload.parallelism
+    records = sum(channel.pushed for channel in window_inputs)
+    elements = sum(pushes[id(channel)] for channel in window_inputs)
+    assert records > 0 and elements * 100 <= records, (elements, records)
+    windows = range(workload.parallelism)
+    assert sorted(scalar) == [("sink", 0, index) for index in windows] + [
+        ("window-aggregate", index, 0) for index in windows]
+    assert all(scalar.values()) and batched == scalar

@@ -30,7 +30,7 @@ from repro.runtime.columnar import (
     encode_columnar,
     materialize_records,
 )
-from repro.runtime.elements import Record
+from repro.runtime.elements import Record, RecordBatch
 from repro.runtime.engine import EngineConfig
 from repro.runtime.operators import (
     FilterOperator,
@@ -87,6 +87,31 @@ def test_columnar_roundtrip_is_lossless(records):
     assert materialize_records(decoded) == records
     # The element-level row view agrees too (and caches).
     assert decoded.records == records
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=record_batches(), data=st.data())
+def test_marks_round_trip_through_the_codec(records, data):
+    """The watermarks riding in a batch cross the wire at their
+    positions -- and so do those of a batch of marks only."""
+    batch = batch_to_columnar(records)
+    if batch is None:
+        return
+    offsets = sorted(data.draw(st.lists(
+        st.integers(0, len(records)), min_size=1, max_size=5)))
+    stamps = sorted(data.draw(st.sets(
+        st.integers(-(2 ** 62), 2 ** 62), min_size=len(offsets),
+        max_size=len(offsets))))
+    batch.marks = list(zip(offsets, stamps))
+    decoded = decode_columnar(bytes(encode_columnar(batch)))
+    assert decoded.marks == batch.marks
+    assert decoded.records == records
+    marks_only = batch.slice(0, 0)
+    marks_only.marks = [(0, stamp) for stamp in stamps]
+    decoded = decode_columnar(bytes(encode_columnar(marks_only)))
+    assert len(decoded) == 0 and decoded.records == []
+    assert decoded.marks == marks_only.marks
+    assert decoded == RecordBatch([], marks_only.marks)
 
 
 @settings(max_examples=60, deadline=None)

@@ -150,6 +150,13 @@ class TestCodecErrors:
             with pytest.raises(ColumnarCodecError):
                 decode_columnar(payload[:cut])
 
+    def test_marks_outside_the_batch_or_out_of_order(self):
+        batch = batch_to_columnar([Record(1, 0), Record(2, 1)])
+        for marks in ([(3, 5)], [(2, 5), (1, 6)], [(-1, 5)]):
+            batch.marks = marks
+            with pytest.raises(ColumnarCodecError):
+                decode_columnar(encode_columnar(batch))
+
     def test_garbage_frame(self):
         with pytest.raises(ColumnarCodecError):
             decode_columnar(b"\xde\xad\xbe\xef" * 8)
