@@ -107,12 +107,12 @@ class TransactionalSink:
     def snapshot(self) -> Dict[str, Any]:
         """The checkpoint's record of this sink: the target's committed
         length and counts, and the pending transactions' records by id
-        (copied: the cooperative store keeps state as it is given)."""
+        -- a view of the live transactions, which the task serialises
+        at the barrier before the sink writes again."""
         return {"length": self._length,
                 "records": self.records_committed,
                 "transactions": self.transactions_committed,
-                "pending": {txn: list(records)
-                            for txn, records in self._pending.items()}}
+                "pending": self._pending}
 
     def recover(self, state: Dict[str, Any]) -> None:
         """Put the target back to checkpoint ``state``: truncate it to
@@ -132,7 +132,7 @@ class TransactionalSink:
             if txn not in state["pending"]:
                 self.abort(txn)
         self._buffer = []
-        self._pending = dict(state["pending"])
+        self._pending = state["pending"]
         self._write(length, [])
         self.records_committed = state["records"]
         self.transactions_committed = state["transactions"]

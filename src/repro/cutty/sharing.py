@@ -31,7 +31,6 @@ is recomputed only when a boundary moved it.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -250,21 +249,19 @@ class SharedCuttyAggregator:
     # -- state (for the runtime operator's checkpoints) ---------------------------------
 
     def snapshot(self) -> dict:
-        """What a checkpoint holds of this aggregator.  Closed slices
-        are shared with the live tree, not copied: a leaf is never
-        written again (FlatFAT's contract -- ``merge`` must not mutate
-        its arguments).  The open partial is copied because ``add`` may
-        mutate it in place; specs contribute their position only."""
+        """What a checkpoint holds of this aggregator: a view of the
+        live state -- the closed slices, the open partial, the pending
+        windows and the stats -- which the task serialises before the
+        next element arrives.  Specs contribute their position only."""
         tree = self._tree
         return {
             "seq": self._seq,
             "max_ts": self.max_timestamp_seen,
-            "open_partial": copy.deepcopy(self._open_partial),
+            "open_partial": self._open_partial,
             "open_count": self._open_count,
-            "pending": {qid: list(state.pending.items())
+            "pending": {qid: state.pending
                         for qid, state in self._queries.items()},
-            "query_stats": {qid: dict(stats)
-                            for qid, stats in self.query_stats.items()},
+            "query_stats": self.query_stats,
             "specs": {qid: state.spec._position()
                       for qid, state in self._queries.items()},
             "slices": tree.leaves(),
@@ -275,14 +272,12 @@ class SharedCuttyAggregator:
     def restore(self, snapshot: dict) -> None:
         self._seq = snapshot["seq"]
         self.max_timestamp_seen = snapshot["max_ts"]
-        # The same snapshot may be restored again after the next failure.
-        self._open_partial = copy.deepcopy(snapshot["open_partial"])
+        self._open_partial = snapshot["open_partial"]
         self._open_count = snapshot["open_count"]
         for query_id, state in self._queries.items():
-            state.pending = OrderedDict(snapshot["pending"][query_id])
+            state.pending = snapshot["pending"][query_id]
             state.spec._seek(snapshot["specs"][query_id])
-        self.query_stats = {qid: dict(stats) for qid, stats
-                            in snapshot["query_stats"].items()}
+        self.query_stats = snapshot["query_stats"]
         # Same capacity and absolute indices, hence the same leaf slots
         # and the same combines per range query as the tree snapshotted.
         self._tree = FlatFAT(self._aggregate, snapshot["capacity"],

@@ -73,8 +73,8 @@ class WindowSpec:
     _cursor: Optional[Tuple[str, ...]] = None
 
     def _position(self) -> dict:
-        """The spec's position, for a checkpoint.  Values are shared,
-        not copied: a cursor field is replaced, never mutated."""
+        """The spec's position, for a checkpoint: a view the task
+        serialises at the barrier."""
         if self._cursor is None:
             return dict(self.__dict__)
         return {name: getattr(self, name) for name in self._cursor}

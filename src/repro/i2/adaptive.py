@@ -99,20 +99,17 @@ class StreamingM4Operator(Operator):
         self._emitted[series] = max(start, up_to)
 
     def snapshot_state(self) -> Any:
-        import copy
-        return copy.deepcopy({
+        return {
             "emitted": self._emitted,
-            "columns": {series: dict(agg._columns)
+            "columns": {series: agg._columns
                         for series, agg in self._aggregators.items()},
             "inserted": {series: agg.inserted
                          for series, agg in self._aggregators.items()},
-        })
+        }
 
     def restore_state(self, state: Any) -> None:
-        import copy
-        state = copy.deepcopy(state)
         self._aggregators = {}
-        self._emitted = dict(state["emitted"])
+        self._emitted = state["emitted"]
         for series, columns in state["columns"].items():
             aggregator = M4Aggregator(self.t_min, self.t_max, self.width)
             aggregator._columns = columns

@@ -280,7 +280,8 @@ class MetricsRegistry:
 
     def scoped_counters(self) -> Dict[str, Dict[str, int]]:
         """Counters keyed by group scope, unmerged -- the per-subtask
-        view (``{"map.0": {"records_in": 10, ...}, ...}``)."""
+        view (``{"2-map.0": {"records_in": 10, ...}, ...}``, scoped by
+        subtask id)."""
         return sum_nested({group.scope: group.counters()}
                           for group in self._live_groups()
                           if group._counters)

@@ -29,7 +29,7 @@ are deterministic for a given program and seed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.observability.registry import MetricsRegistry, sum_nested
 from repro.observability.tracing import Span, TraceContext
@@ -62,8 +62,8 @@ class RuntimeObservability:
             lambda: [task.metrics for task in engine.tasks])
         self.registry.register_group(engine.metrics)
         self.registry.register_probe("cutty", self._cutty_probe)
-        #: vertex#subtask -> accumulated stall on the simulated clock.
-        self.stall_ms: Dict[str, int] = {}
+        #: subtask id -> accumulated stall on the simulated clock.
+        self.stall_ms: Dict[Tuple[str, int], int] = {}
         self._skew_gauge = self.registry.gauge("watermark_skew_ms")
         self._lag_gauge = self.registry.gauge("watermark_lag_ms")
         self._checkpoint_entries = self.registry.gauge(
@@ -84,7 +84,7 @@ class RuntimeObservability:
             # the task is stalled by backpressure, not idle.
             if task.is_source or any(not channel.is_empty
                                      for channel, _ in task.inputs):
-                key = "%s.%d" % (task.vertex_name, task.subtask_index)
+                key = task.subtask_id
                 self.stall_ms[key] = self.stall_ms.get(key, 0) + tick_ms
         if rounds % SAMPLE_INTERVAL_ROUNDS == 0:
             self.sample()
@@ -152,9 +152,10 @@ def checkpoint_state_entries(completed: "CompletedCheckpoint") -> int:
     checkpoint bytes)."""
     entries = 0
     for snapshot in completed.snapshots.values():
-        for table in snapshot.keyed_state.values():
+        state = snapshot.decode()
+        for table in state.keyed_state.values():
             entries += len(table)
-        for timers in snapshot.timers.values():
+        for timers in state.timers.values():
             entries += len(timers)
     return entries
 

@@ -66,10 +66,10 @@ class GroupReduceOperator(Operator):
         self._groups.clear()
 
     def snapshot_state(self) -> Any:
-        return {key: list(values) for key, values in self._groups.items()}
+        return self._groups
 
     def restore_state(self, state: Any) -> None:
-        self._groups = {key: list(values) for key, values in state.items()}
+        self._groups = state
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:
@@ -97,10 +97,10 @@ class SortOperator(Operator):
         self._buffer.clear()
 
     def snapshot_state(self) -> Any:
-        return list(self._buffer)
+        return self._buffer
 
     def restore_state(self, state: Any) -> None:
-        self._buffer = list(state)
+        self._buffer = state
 
 
 class DistinctOperator(Operator):
@@ -124,10 +124,10 @@ class DistinctOperator(Operator):
         self._seen.clear()
 
     def snapshot_state(self) -> Any:
-        return dict(self._seen)
+        return self._seen
 
     def restore_state(self, state: Any) -> None:
-        self._seen = dict(state)
+        self._seen = state
 
 
 class HashJoinOperator(Operator):
@@ -167,12 +167,11 @@ class HashJoinOperator(Operator):
         self._right.clear()
 
     def snapshot_state(self) -> Any:
-        return {"left": {k: list(v) for k, v in self._left.items()},
-                "right": list(self._right)}
+        return {"left": self._left, "right": self._right}
 
     def restore_state(self, state: Any) -> None:
-        self._left = {k: list(v) for k, v in state["left"].items()}
-        self._right = list(state["right"])
+        self._left = state["left"]
+        self._right = state["right"]
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:
@@ -392,12 +391,10 @@ class ArrangementJoinOperator(_ArrangementReader):
         self._left.clear()
 
     def snapshot_state(self) -> Any:
-        return {"left": {key: list(values)
-                         for key, values in self._left.items()}}
+        return {"left": self._left}
 
     def restore_state(self, state: Any) -> None:
-        self._left = {key: list(values)
-                      for key, values in state["left"].items()}
+        self._left = state["left"]
 
     def rescale_operator_state(self, states, subtask_index: int,
                                parallelism: int) -> Any:

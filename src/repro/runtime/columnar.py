@@ -21,9 +21,9 @@ batch (on the wire: the legacy pickle frame, counted as a fallback).
 ``None`` timestamps ride as the :data:`TIMESTAMP_NONE` sentinel, which
 lies outside the engine's ``MIN``/``MAX_TIMESTAMP`` range.
 
-Schema inference runs once per exchange edge (at the first batch
-boundary) and is then only *verified* per batch -- a batch that stops
-conforming re-infers, so heterogeneous phases of a stream stay correct.
+Every batch infers its own schema (checking each value's exact type,
+which is all a cached schema would save), so heterogeneous phases of a
+stream stay correct.
 """
 
 from __future__ import annotations
@@ -123,27 +123,6 @@ def _scalar_kind(values: Sequence[Any]) -> int:
     return KIND_OBJ
 
 
-def _timestamp_column(records: Sequence[Record]
-                      ) -> Tuple[int, Optional[array]]:
-    """(ts_kind, column) -- or raises ValueError on a non-int timestamp
-    (the caller then falls back to the row batch)."""
-    lo, hi = _I64_RANGE
-    column = array("q")
-    any_present = False
-    for r in records:
-        ts = r.timestamp
-        if ts is None:
-            column.append(TIMESTAMP_NONE)
-            continue
-        if type(ts) is not int or not (lo < ts <= hi):
-            raise ValueError("timestamp does not fit an int64 column")
-        any_present = True
-        column.append(ts)
-    if not any_present:
-        return KIND_NONE, None
-    return KIND_I64, column
-
-
 def _build_column(kind: int, values: List[Any]) -> Any:
     if kind == KIND_I64:
         return array("q", values)
@@ -152,116 +131,14 @@ def _build_column(kind: int, values: List[Any]) -> Any:
     return values  # str/obj columns stay plain lists in memory
 
 
-def batch_to_columnar(records: Sequence[Record],
-                      schema: Optional[ColumnSchema] = None
+def batch_to_columnar(records: Sequence[Record]
                       ) -> Optional[ColumnarBatch]:
     """Convert a row batch to columnar layout, or ``None`` when the
-    records do not admit a (worthwhile) columnar schema.
-
-    When ``schema`` is given it is *verified* against the records first
-    (the per-edge cached-schema fast path); a mismatch re-infers from
-    scratch rather than failing.
-    """
-    if not records:
-        return None
-    if schema is not None:
-        batch = _encode_with_schema(records, schema)
-        if batch is not None:
-            return batch
-    # Timestamps: all Optional[int] or bust.
-    try:
-        ts_kind, ts_column = _timestamp_column(records)
-    except ValueError:
-        return None
-    # Keys: None / exact-typed / pickled-object column -- always works.
-    keys = [r.key for r in records]
-    if all(k is None for k in keys):
-        key_kind: int = KIND_NONE
-        key_column: Any = None
-    else:
-        key_kind = _scalar_kind(keys)
-        key_column = _build_column(key_kind, keys)
-    # Values: scalar typed column, or per-position tuple columns.
-    values = [r.value for r in records]
-    first = values[0]
-    if type(first) is tuple:
-        arity = len(first)
-        if arity == 0 or arity > 255:
-            return None
-        for v in values:
-            if type(v) is not tuple or len(v) != arity:
-                return None
-        columns = []
-        kinds = []
-        for position in range(arity):
-            column_values_ = [v[position] for v in values]
-            kind = _scalar_kind(column_values_)
-            kinds.append(kind)
-            columns.append(_build_column(kind, column_values_))
-        schema = ColumnSchema(ts_kind, key_kind, arity, tuple(kinds))
-        return ColumnarBatch(schema, len(records), ts_column, key_column,
-                             tuple(columns))
-    kind = _scalar_kind(values)
-    if kind == KIND_OBJ:
-        # A whole-value object column is just a pickle with extra steps:
-        # the row batch (and the pipe fallback) is strictly better.
-        return None
-    schema = ColumnSchema(ts_kind, key_kind, 0, (kind,))
-    return ColumnarBatch(schema, len(records), ts_column, key_column,
-                         (_build_column(kind, values),))
-
-
-def _encode_with_schema(records: Sequence[Record], schema: ColumnSchema
-                        ) -> Optional[ColumnarBatch]:
-    """Re-apply a cached schema; ``None`` when the batch stopped
-    conforming (caller re-infers)."""
-    lo, hi = _I64_RANGE
-    # Timestamps.
-    ts_column: Optional[array] = None
-    if schema.ts_kind == KIND_NONE:
-        for r in records:
-            if r.timestamp is not None:
-                return None
-    else:
-        ts_column = array("q")
-        for r in records:
-            ts = r.timestamp
-            if ts is None:
-                ts_column.append(TIMESTAMP_NONE)
-            elif type(ts) is int and lo < ts <= hi:
-                ts_column.append(ts)
-            else:
-                return None
-    # Keys.
-    key_column: Any = None
-    if schema.key_kind == KIND_NONE:
-        for r in records:
-            if r.key is not None:
-                return None
-    else:
-        keys = [r.key for r in records]
-        if schema.key_kind != KIND_OBJ and _scalar_kind(keys) != schema.key_kind:
-            return None
-        key_column = _build_column(schema.key_kind, keys)
-    # Values.
-    values = [r.value for r in records]
-    if schema.arity:
-        for v in values:
-            if type(v) is not tuple or len(v) != schema.arity:
-                return None
-        columns = []
-        for position, kind in enumerate(schema.value_kinds):
-            column_values_ = [v[position] for v in values]
-            if kind != KIND_OBJ and _scalar_kind(column_values_) != kind:
-                return None
-            columns.append(_build_column(kind, column_values_))
-        return ColumnarBatch(schema, len(records), ts_column, key_column,
-                             tuple(columns))
-    kind = schema.value_kinds[0]
-    if _scalar_kind(values) != kind:
-        return None
-    return ColumnarBatch(schema, len(records), ts_column, key_column,
-                         (_build_column(kind, values),))
+    records do not admit a (worthwhile) columnar schema: the schema is
+    inferred from this batch alone, by :func:`columnar_from_lists`."""
+    return columnar_from_lists([r.value for r in records],
+                               [r.timestamp for r in records],
+                               [r.key for r in records])
 
 
 def columnar_from_lists(values: List[Any], timestamps: List[Any],
@@ -270,9 +147,8 @@ def columnar_from_lists(values: List[Any], timestamps: List[Any],
     lists -- the no-``Record``-was-ever-created emission path for tasks
     whose whole chain is fused into a kernel.
 
-    Same admission rules as :func:`batch_to_columnar` (exact types only,
-    scalar-object values refused), same ``None``-means-keep-rows
-    contract; the caller then materialises records as before.
+    Exact types only, scalar-object values refused; ``None`` means
+    keep the rows (the caller then materialises records as before).
     """
     n = len(values)
     if not n:
@@ -318,6 +194,8 @@ def columnar_from_lists(values: List[Any], timestamps: List[Any],
                              tuple(columns))
     kind = _scalar_kind(values)
     if kind == KIND_OBJ:
+        # A whole-value object column is just a pickle with extra steps:
+        # the row batch (and the pipe fallback) is strictly better.
         return None
     schema = ColumnSchema(ts_kind, key_kind, 0, (kind,))
     return ColumnarBatch(schema, n, ts_column, key_column,

@@ -46,6 +46,7 @@ from repro.state.checkpoint import (
     CheckpointCoordinator,
     SubtaskId,
     TaskSnapshot,
+    make_subtask_id,
     restore_point,
     subtask_grid,
 )
@@ -250,6 +251,12 @@ class InjectedFailure(Exception):
     """A scheduled fault crashed the job (see :mod:`repro.runtime.faults`)."""
 
 
+def channel_name(up: Task, down: Task) -> str:
+    """The name of the channel from subtask ``up`` to subtask ``down``:
+    unique per pair of subtasks, vertices that share a name included."""
+    return "%s#%d->%s#%d" % (up.subtask_id + down.subtask_id)
+
+
 def records_emitted(counters: Dict[str, int]) -> int:
     """Records out of every task, from merged job (or worker) counters."""
     return sum(value for name, value in counters.items()
@@ -382,9 +389,10 @@ class Engine:
             else None)
         #: The ``job_report()`` sections, once :func:`job_outcome` ran.
         self._report: Optional[Dict[str, Any]] = None
-        #: Each subtask's metrics, by scope: every deployment's task of
-        #: that subtask counts into the same group.
-        self._task_metrics: Dict[str, MetricGroup] = {}
+        #: Each subtask's metrics, by subtask id (vertex id included, so
+        #: vertices that share a name count apart): every deployment's
+        #: task of that subtask counts into the same group.
+        self._task_metrics: Dict[SubtaskId, MetricGroup] = {}
         self._build()
         #: Set here and by every restart: the next round opens the built
         #: tasks and restores them (:meth:`_deploy`), inside the failure
@@ -406,10 +414,11 @@ class Engine:
             subtasks = []
             for index in range(vertex.parallelism):
                 operators = [factory() for factory in vertex.operator_factories]
-                scope = "%s.%d" % (vertex.name, index)
-                metrics = self._task_metrics.get(scope)
+                subtask = make_subtask_id(vertex_id, vertex.name, index)
+                metrics = self._task_metrics.get(subtask)
                 if metrics is None:
-                    metrics = self._task_metrics[scope] = MetricGroup(scope)
+                    metrics = self._task_metrics[subtask] = MetricGroup(
+                        "%s.%d" % subtask)
                 task = Task(vertex.name, vertex_id, index, vertex.parallelism,
                             operators, self.clock, metrics,
                             elements_per_step=cfg.elements_per_step,
@@ -442,10 +451,8 @@ class Engine:
         """Create and wire the physical channel between two subtasks.
         Overridden by the multiprocess backend's shard engine, which
         substitutes cross-worker channels with pipe-backed exchanges."""
-        channel = Channel(
-            "%s#%d->%s#%d" % (up.vertex_name, up.subtask_index,
-                              down.vertex_name, down.subtask_index),
-            capacity=self.config.channel_capacity)
+        channel = Channel(channel_name(up, down),
+                          capacity=self.config.channel_capacity)
         down.add_input(channel, edge.target_input)
         return channel
 
@@ -701,8 +708,8 @@ class Engine:
             if MIN_TIMESTAMP < watermark < MAX_TIMESTAMP:
                 row["watermark_lag_ms"] = max(0, now - watermark)
             if obs is not None:
-                key = "%s.%d" % (task.vertex_name, task.subtask_index)
-                row["backpressure_stall_ms"] = obs.stall_ms.get(key, 0)
+                row["backpressure_stall_ms"] = obs.stall_ms.get(
+                    task.subtask_id, 0)
             operators.append(row)
 
         sections: Dict[str, Any] = {

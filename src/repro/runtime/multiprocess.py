@@ -101,6 +101,7 @@ from repro.runtime.engine import (
     JobResult,
     JobStalledError,
     MAX_ROUNDS,
+    channel_name,
     job_outcome,
     records_emitted,
 )
@@ -341,19 +342,18 @@ class ExchangeWriter:
     """One worker's sending side of the exchange toward one peer.
 
     In ``"shm"`` mode a record batch is converted to columnar layout
-    (the per-ordinal schema is inferred at the first batch boundary and
-    re-verified per batch), encoded as one raw-bytes frame (the
-    watermark marks it carries included) and published to the pair's
-    ring; everything else -- control elements, scalar records, batches
-    of marks only, unschematizable/oversize batches, batches hitting a
-    full ring -- travels as a ``(seq, ordinal, element)`` pickle frame
-    over the pipe.  The per-pair sequence number stamped on *every* frame is
-    what lets the receiver stitch the two transports back into the exact
-    per-channel FIFO order.  In ``"pipe"`` mode (``ring is None``)
-    every frame takes the pipe, in the same shape.
+    (its schema inferred from the batch), encoded as one raw-bytes frame
+    (the watermark marks it carries included) and published to the
+    pair's ring; everything else -- control elements, scalar records,
+    batches of marks only, unschematizable/oversize batches, batches
+    hitting a full ring -- travels as a ``(seq, ordinal, element)``
+    pickle frame over the pipe.  The per-pair sequence number stamped on
+    *every* frame is what lets the receiver stitch the two transports
+    back into the exact per-channel FIFO order.  In ``"pipe"`` mode
+    (``ring is None``) every frame takes the pipe, in the same shape.
     """
 
-    __slots__ = ("pipe", "ring", "stats", "_seq", "_schemas")
+    __slots__ = ("pipe", "ring", "stats", "_seq")
 
     def __init__(self, pipe: _FrameWriter,
                  ring: Optional[ShmRingWriter] = None) -> None:
@@ -361,8 +361,6 @@ class ExchangeWriter:
         self.ring = ring
         self.stats = _exchange_stats()
         self._seq = 0
-        #: ordinal -> cached ColumnSchema (first-batch-boundary inference).
-        self._schemas: Dict[int, Any] = {}
 
     def send(self, ordinal: int, element: StreamElement) -> None:
         stats = self.stats
@@ -371,13 +369,11 @@ class ExchangeWriter:
         self._seq += 1
         if ring is not None and element.is_batch and len(element):
             batch = (element if element.is_columnar
-                     else batch_to_columnar(element.records,
-                                            self._schemas.get(ordinal)))
+                     else batch_to_columnar(element.records))
             if batch is None:
                 stats["fallback_unschematizable"] += 1
             else:
                 batch.marks = element.marks
-                self._schemas[ordinal] = batch.schema
                 payload = encode_columnar(batch)
                 if len(payload) > ring.payload_capacity:
                     stats["fallback_oversize"] += 1
@@ -505,8 +501,7 @@ class ShardEngine(Engine):
     def _create_channel(self, edge: Any, up: Task, down: Task) -> Channel:
         ordinal = self._channel_ordinal
         self._channel_ordinal += 1
-        name = "%s#%d->%s#%d" % (up.vertex_name, up.subtask_index,
-                                 down.vertex_name, down.subtask_index)
+        name = channel_name(up, down)
         if self._owns(down):
             channel = Channel(name, capacity=self.config.channel_capacity)
             down.add_input(channel, edge.target_input)

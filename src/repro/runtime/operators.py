@@ -199,11 +199,16 @@ class Operator:
 
     def snapshot_state(self) -> Any:
         """Operator (non-keyed) state for checkpoints; keyed state is
-        snapshotted by the task via the backend."""
+        snapshotted by the task via the backend.  May return a view of
+        live state: the task serialises it into the checkpoint's
+        :class:`~repro.state.checkpoint.TaskSnapshot` before this
+        operator runs again, so no copy is needed here."""
         return None
 
     def restore_state(self, state: Any) -> None:
-        pass
+        """Put back what :meth:`snapshot_state` returned, as fresh
+        objects decoded for this call: the operator takes ownership and
+        may keep and mutate them."""
 
     def rescale_operator_state(self, states: "List[Any]",
                                subtask_index: int,
@@ -215,15 +220,16 @@ class Operator:
         The default accepts trivially-rescalable states only: all
         ``None``, or all equal (replicated configuration-style state).
         Operators holding per-record-key dictionaries override this to
-        merge and filter by the engine's key hash.
+        merge and filter by the engine's key hash.  The result may
+        share objects with ``states``: each new subtask's
+        :class:`~repro.state.checkpoint.TaskSnapshot` serialises it.
         """
         non_null = [state for state in states if state is not None]
         if not non_null:
             return None
         first = non_null[0]
         if all(state == first for state in non_null[1:]):
-            import copy
-            return copy.deepcopy(first)
+            return first
         raise NotImplementedError(
             "%s state cannot be rescaled (%d differing subtask states); "
             "override rescale_operator_state" % (type(self).__name__,
@@ -242,14 +248,13 @@ def rescale_keyed_dict_state(states: "List[Any]", subtask_index: int,
     ``{record_key: state}`` dict: union the dicts, keep this subtask's
     keys (engine hash routing)."""
     from repro.runtime.partition import owner_of_key
-    import copy
     merged = {}
     for state in states:
         if not state:
             continue
         for key, value in state.items():
             if owner_of_key(key, parallelism) == subtask_index:
-                merged[key] = copy.deepcopy(value)
+                merged[key] = value
     return merged
 
 

@@ -66,9 +66,8 @@ class WatermarkReorderOperator(Operator):
 
     def snapshot_state(self) -> Any:
         self._buffered_gauge.set(len(self._heap))
-        return {"heap": sorted(self._heap), "sequence": self._sequence}
+        return {"heap": self._heap, "sequence": self._sequence}
 
     def restore_state(self, state: Any) -> None:
-        self._heap = list(state["heap"])
-        heapq.heapify(self._heap)
+        self._heap = state["heap"]
         self._sequence = state["sequence"]

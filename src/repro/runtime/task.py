@@ -23,6 +23,7 @@ step-driven by the scheduler:
 
 from __future__ import annotations
 
+import pickle
 from typing import (
     Any,
     Callable,
@@ -68,6 +69,10 @@ from repro.state.backend import KeyedStateBackend
 from repro.state.checkpoint import SubtaskId, TaskSnapshot, make_subtask_id
 from repro.time.clock import Clock
 from repro.time.timers import TimerService
+
+#: What pickling state it cannot carry raises (a lambda, a lock, a
+#: generator, a class defined inside a function).
+_UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
 
 
 class ColumnRun:
@@ -971,31 +976,54 @@ class Task:
             state = edge.partitioner.snapshot_state()
             if state is not None:
                 partitioners[str(i)] = state
-        snapshot = TaskSnapshot(
-            self.subtask_id,
-            keyed_state={str(i): chained.backend.snapshot()
-                         for i, chained in enumerate(self.chain)},
-            operator_state={str(i): chained.operator.snapshot_state()
-                            for i, chained in enumerate(self.chain)},
-            timers={str(i): chained.timers.snapshot()
-                    for i, chained in enumerate(self.chain)},
-            partitioners=partitioners,
-        )
+        # Live views: TaskSnapshot serialises them before any operator
+        # runs again, which is what keeps the checkpoint apart from them.
+        parts = ({str(i): chained.backend.snapshot()
+                  for i, chained in enumerate(self.chain)},
+                 {str(i): chained.operator.snapshot_state()
+                  for i, chained in enumerate(self.chain)},
+                 {str(i): chained.timers.snapshot()
+                  for i, chained in enumerate(self.chain)},
+                 partitioners)
+        try:
+            snapshot = TaskSnapshot(self.subtask_id, *parts)
+        except _UNPICKLABLE as exc:
+            raise pickle.PicklingError(
+                "checkpoint %d: %s does not pickle: %s"
+                % (checkpoint_id, self._unpicklable_part(parts), exc)
+            ) from exc
         if self.checkpoint_ack is not None:
             self.checkpoint_ack(checkpoint_id, snapshot)
 
-    def restore(self, snapshot: TaskSnapshot) -> None:
-        """Reset this subtask to the checkpointed state."""
+    def _unpicklable_part(self, parts: Tuple[Dict[str, Any], ...]) -> str:
+        """Names the first part of a failed snapshot that does not
+        pickle, by subtask and chain position."""
         for i, chained in enumerate(self.chain):
-            chained.backend.restore(snapshot.keyed_state.get(str(i), {}))
-            operator_state = snapshot.operator_state.get(str(i))
+            for what, part in zip(("keyed state", "operator state",
+                                   "timers"), parts):
+                try:
+                    pickle.dumps(part[str(i)], pickle.HIGHEST_PROTOCOL)
+                except _UNPICKLABLE:
+                    return ("the %s of subtask %s#%d at chain position %d "
+                            "(operator %r)" % (what, *self.subtask_id, i,
+                                               chained.operator.name))
+        return ("the output partitioner state of subtask %s#%d"
+                % self.subtask_id)
+
+    def restore(self, snapshot: TaskSnapshot) -> None:
+        """Reset this subtask to the checkpointed state: one decode,
+        whose objects the backends, operators and partitioners own."""
+        state = snapshot.decode()
+        for i, chained in enumerate(self.chain):
+            chained.backend.restore(state.keyed_state.get(str(i), {}))
+            operator_state = state.operator_state.get(str(i))
             if operator_state is not None:
                 chained.operator.restore_state(operator_state)
-            chained.timers.restore(snapshot.timers.get(str(i), {}))
+            chained.timers.restore(state.timers.get(str(i), {}))
         for i, edge in enumerate(self.output_edges):
-            state = snapshot.partitioners.get(str(i))
-            if state is not None:
-                edge.partitioner.restore_state(state)
+            partitioner_state = state.partitioners.get(str(i))
+            if partitioner_state is not None:
+                edge.partitioner.restore_state(partitioner_state)
 
     # -- end of input -------------------------------------------------------
 

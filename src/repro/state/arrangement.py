@@ -255,15 +255,13 @@ class Arrangement:
     # Checkpoint / restore
 
     def snapshot(self) -> Dict[str, Any]:
+        """A view of the live index, serialised by the task at the
+        barrier before the shard changes again."""
         return {
-            "base": {key: list(entries)
-                     for key, entries in self._base.items()},
-            "deltas": {version: {key: list(entries)
-                                 for key, entries in delta.items()}
-                       for version, delta in self._deltas.items()},
-            "open": {key: list(entries)
-                     for key, entries in self._open.items()},
-            "marks": list(self._marks),
+            "base": self._base,
+            "deltas": self._deltas,
+            "open": self._open,
+            "marks": self._marks,
             "seq": self._seq,
             "sealed": self.sealed,
             "compacted_through": self.compacted_through,
@@ -274,14 +272,11 @@ class Arrangement:
         }
 
     def restore(self, state: Dict[str, Any]) -> None:
-        self._base = {key: list(entries)
-                      for key, entries in state["base"].items()}
-        self._deltas = {version: {key: list(entries)
-                                  for key, entries in delta.items()}
-                        for version, delta in state["deltas"].items()}
-        self._open = {key: list(entries)
-                      for key, entries in state["open"].items()}
-        self._marks = [tuple(mark) for mark in state["marks"]]
+        """Take ownership of ``state``, a decoded :meth:`snapshot`."""
+        self._base = state["base"]
+        self._deltas = state["deltas"]
+        self._open = state["open"]
+        self._marks = state["marks"]
         self._seq = state["seq"]
         self.sealed = state["sealed"]
         self.compacted_through = state["compacted_through"]

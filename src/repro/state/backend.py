@@ -1,17 +1,19 @@
-"""In-memory keyed state backend with copy-on-snapshot semantics.
+"""In-memory keyed state backend.
 
 One backend instance exists per operator subtask.  It owns every state
 table the subtask declared and the notion of the *current key* -- set by
 the task before each record/timer callback -- so handles created by
 :func:`repro.state.descriptors.create_handle` resolve to the right slot.
 
-Snapshots are deep copies taken synchronously at barrier alignment,
-modelling the state-capture half of asynchronous barrier snapshotting.
+:meth:`KeyedStateBackend.snapshot` hands the live tables to the task,
+which serialises them into its
+:class:`~repro.state.checkpoint.TaskSnapshot` synchronously at barrier
+alignment -- the state-capture half of asynchronous barrier
+snapshotting, and the one copy a checkpoint takes.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Iterable
 
 from repro.state.descriptors import (
@@ -56,16 +58,18 @@ class KeyedStateBackend:
         return sum(len(table) for table in self._tables.values())
 
     def snapshot(self) -> Dict[str, Dict[Any, Any]]:
-        """A deep, immutable-by-convention copy of all tables."""
-        return copy.deepcopy(self._tables)
+        """All tables, live: a view the task serialises before any
+        state handle runs again."""
+        return self._tables
 
     def restore(self, snapshot: Dict[str, Dict[Any, Any]]) -> None:
-        """Replace every table's rows with a deep copy of ``snapshot``.
+        """Replace every table's rows with ``snapshot``'s, taking
+        ownership of its values.
 
         In place: state handles hold on to their table, so the dict
         objects must survive a restore."""
         self.clear_all()
-        for name, rows in copy.deepcopy(snapshot).items():
+        for name, rows in snapshot.items():
             self.table(name).update(rows)
 
     def clear_all(self) -> None:

@@ -22,6 +22,7 @@ unit-tested without an engine.
 
 from __future__ import annotations
 
+import pickle
 from typing import (
     AbstractSet,
     Any,
@@ -29,6 +30,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -61,24 +63,48 @@ def subtask_grid(job_graph: Any) -> Tuple[Set[SubtaskId], Set[SubtaskId]]:
 MAX_RETAINED_CHECKPOINTS = 3
 
 
-class TaskSnapshot:
-    """Everything one subtask contributes to a checkpoint."""
+class SnapshotState(NamedTuple):
+    """One decode of a :class:`TaskSnapshot`: fresh objects, owned by
+    the caller.  Each part is keyed by chain position (``str(i)``);
+    ``partitioners`` is the routing state of stateful output
+    partitioners (rebalance cursors) by output-edge position -- part of
+    the consistent cut, so post-restore round-robin placement replays
+    the original run."""
 
-    __slots__ = ("subtask", "keyed_state", "operator_state", "timers",
-                 "partitioners")
+    keyed_state: Dict[str, Dict[str, Dict[Any, Any]]]
+    operator_state: Dict[str, Any]
+    timers: Dict[str, dict]
+    partitioners: Dict[str, Any]
+
+
+class TaskSnapshot:
+    """Everything one subtask contributes to a checkpoint, serialised
+    once: the constructor pickles the parts it is given into one
+    ``payload``, so the snapshot shares nothing with them and they may
+    change the moment it returns.  The payload travels as it is -- to
+    the in-memory store, the durable file, a worker's ack frame -- and
+    every :meth:`decode` builds fresh objects from it.  State must
+    pickle."""
+
+    __slots__ = ("subtask", "payload")
 
     def __init__(self, subtask: SubtaskId, keyed_state: Dict[str, Dict[Any, Any]],
                  operator_state: Any = None, timers: Optional[dict] = None,
                  partitioners: Optional[Dict[str, Any]] = None) -> None:
         self.subtask = subtask
-        self.keyed_state = keyed_state
-        self.operator_state = operator_state
-        self.timers = timers or {}
-        #: Routing state of stateful output partitioners (rebalance
-        #: cursors), keyed by output-edge position -- part of the
-        #: consistent cut so post-restore round-robin placement replays
-        #: the original run.
-        self.partitioners = partitioners or {}
+        self.payload = pickle.dumps(
+            (keyed_state, operator_state, timers or {}, partitioners or {}),
+            pickle.HIGHEST_PROTOCOL)
+
+    def decode(self) -> SnapshotState:
+        """The parts, as fresh objects; a consumer decodes once."""
+        return SnapshotState(*pickle.loads(self.payload))
+
+    # One part each, decoding the whole payload per read.
+    keyed_state = property(lambda self: self.decode().keyed_state)
+    operator_state = property(lambda self: self.decode().operator_state)
+    timers = property(lambda self: self.decode().timers)
+    partitioners = property(lambda self: self.decode().partitioners)
 
     def __repr__(self) -> str:
         return "TaskSnapshot(%s#%d)" % self.subtask

@@ -34,7 +34,7 @@ when the savepoint is created.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.runtime.partition import owner_of_key
 from repro.state.checkpoint import SubtaskId, TaskSnapshot, make_subtask_id
@@ -74,9 +74,10 @@ class Savepoint:
         restore: Dict[SubtaskId, TaskSnapshot] = {}
         for vertex_id, vertex in sorted(job_graph.vertices.items()):
             parallelism = vertex.parallelism
-            tasks = [TaskSnapshot(make_subtask_id(vertex_id, vertex.name,
-                                                  index), {}, {}, {})
-                     for index in range(parallelism)]
+            # Per new subtask: keyed state, operator state and timers by
+            # chain position, each snapshot built once they are whole.
+            parts: List[Tuple[dict, dict, dict]] = [
+                ({}, {}, {}) for _ in range(parallelism)]
             for position, name in enumerate(vertex.names):
                 snapshots = self.snapshots_for(name)
                 if snapshots is None:
@@ -99,11 +100,15 @@ class Savepoint:
                         merge_timers(snapshots, index, parallelism))
                         for index in range(parallelism)]
                 key = str(position)
-                for task, snapshot in zip(tasks, snapshots):
-                    task.keyed_state[key] = snapshot.keyed_state
-                    task.operator_state[key] = snapshot.operator_state
-                    task.timers[key] = snapshot.timers
-            restore.update((task.subtask, task) for task in tasks)
+                for (keyed, operator_state, timers), snapshot in zip(
+                        parts, snapshots):
+                    keyed[key] = snapshot.keyed_state
+                    operator_state[key] = snapshot.operator_state
+                    timers[key] = snapshot.timers
+            for index, (keyed, operator_state, timers) in enumerate(parts):
+                subtask = make_subtask_id(vertex_id, vertex.name, index)
+                restore[subtask] = TaskSnapshot(subtask, keyed,
+                                                operator_state, timers)
         return restore
 
     def __repr__(self) -> str:
@@ -135,13 +140,14 @@ def savepoint_from_completed(completed: Any, job_graph: Any,
                     "checkpoint %d lacks a snapshot for %r -- was it "
                     "written by a different program or parallelism?"
                     % (completed.checkpoint_id, subtask_id))
+            state = snapshot.decode()
             for position, name in enumerate(vertex.names):
                 key = str(position)
                 operators.setdefault(name, []).append(OperatorSnapshot(
                     index,
-                    snapshot.keyed_state.get(key, {}),
-                    snapshot.operator_state.get(key),
-                    snapshot.timers.get(key, {})))
+                    state.keyed_state.get(key, {}),
+                    state.operator_state.get(key),
+                    state.timers.get(key, {})))
     return Savepoint(operators, completed.checkpoint_id)
 
 

@@ -274,10 +274,7 @@ def test_quick_shared_windows_pays_per_boundary_not_per_query(
     assert calls["on_time"] <= calls["reporting"] + queries * keys
     # Eviction runs with the elements that applied a boundary.
     assert calls["evict"] <= calls["reporting"] + keys
-    # A snapshot copies one thing per key, the open partial (a number
-    # here, None for an empty slice) -- never a container of slices or
-    # a spec's attributes.
+    # A snapshot copies nothing: the task's TaskSnapshot serialises the
+    # view it returns.
     assert calls["snapshots"] == keys
-    assert 0 < len(copied) <= calls["snapshots"]
-    assert all(value is None or isinstance(value, (int, float))
-               for value in copied)
+    assert copied == []

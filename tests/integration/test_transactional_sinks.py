@@ -21,8 +21,15 @@ from repro.connectors import (
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
+from repro.state import TaskSnapshot
 from repro.time.watermarks import WatermarkStrategy
 from repro.windowing import CountAggregate, TumblingEventTimeWindows
+
+
+def checkpointed(sink):
+    """The sink's state as a checkpoint keeps it: through the
+    :class:`TaskSnapshot` the task builds at the barrier."""
+    return TaskSnapshot(("1-sink", 0), {}, sink.snapshot())
 
 
 def read_lines(path):
@@ -161,32 +168,32 @@ class TestTwoPhaseCommitProtocol:
         sink.open()
         sink.write("durable")
         sink.pre_commit(1)
-        checkpoint = sink.snapshot()
+        checkpoint = checkpointed(sink)
         sink.write("after-cut")
         sink.pre_commit(2)
         sink.write("in-buffer")
         # The restored checkpoint only knew about txn 1: txn 2 and the
         # open buffer lie beyond the replay point and must vanish.
-        sink.recover(checkpoint)
+        sink.recover(checkpoint.operator_state)
         assert read_lines(path) == ["durable"]
         assert sink.snapshot()["pending"] == {}
         assert sink.transactions_aborted == 1
         assert_no_leftovers(path)
 
     def test_snapshot_does_not_alias_pending_lines(self, tmp_path):
-        # The cooperative store keeps operator state as it is handed
-        # over, and restores the same object again on a second failure.
+        # The store keeps the checkpoint, and restores it again on a
+        # second failure.
         path = str(tmp_path / "out.txt")
         sink = TransactionalTextFileSink(path)
         sink.open()
         sink.write("a")
         sink.pre_commit(1)
-        checkpoint = sink.snapshot()
+        checkpoint = checkpointed(sink)
         sink._pending[1].append("late")
-        assert checkpoint["pending"] == {1: ["a"]}
-        sink.recover(checkpoint)
-        sink.recover(checkpoint)
-        assert checkpoint["pending"] == {1: ["a"]}
+        assert checkpoint.operator_state["pending"] == {1: ["a"]}
+        sink.recover(checkpoint.operator_state)
+        sink.recover(checkpoint.operator_state)
+        assert checkpoint.operator_state["pending"] == {1: ["a"]}
         assert read_lines(path) == ["a"]
 
     def test_resident_memory_is_bounded_by_open_transactions(self, tmp_path):
@@ -434,20 +441,20 @@ class TestResumeReconciliation:
         sink.commit_through(1)
         sink.write("c")
         sink.pre_commit(2)
-        return path, sink.snapshot()
+        return path, checkpointed(sink)
 
     def test_two_consecutive_respawns_do_not_double_commit(self, tmp_path):
         path, checkpoint = self._seeded(tmp_path)
 
         first = TransactionalTextFileSink(path)
-        first.recover(checkpoint)  # checkpoint 2 is durable: txn 2 commits
+        first.recover(checkpoint.operator_state)  # checkpoint 2 is durable: txn 2 commits
         assert read_lines(path) == ["a", "b", "c"]
         assert first.records_committed == 3
 
         # The respawn itself dies; a second respawn restores the same
         # checkpoint over a file that already holds txn 2.
         second = TransactionalTextFileSink(path)
-        second.recover(checkpoint)
+        second.recover(checkpoint.operator_state)
         assert read_lines(path) == ["a", "b", "c"]
         assert second.records_committed == 3
         assert second.transactions_committed == 2
@@ -459,7 +466,7 @@ class TestResumeReconciliation:
         again, below the ids the previous job committed."""
         path, checkpoint = self._seeded(tmp_path)
         resumed = TransactionalTextFileSink(path)
-        resumed.recover(checkpoint)  # the savepoint's cut: txn 2 commits
+        resumed.recover(checkpoint.operator_state)  # the savepoint's cut: txn 2 commits
         resumed.write("d")
         resumed.pre_commit(1)  # the new job's checkpoint 1 -- then a kill
         resumed_checkpoint = resumed.snapshot()
@@ -480,7 +487,7 @@ class TestResumeReconciliation:
         with open(path, "a") as handle:
             handle.write("c\nhalf a li")
         respawned = TransactionalTextFileSink(path)
-        respawned.recover(checkpoint)
+        respawned.recover(checkpoint.operator_state)
         assert read_lines(path) == ["a", "b", "c"]
         assert_only_target(path)
 
@@ -490,7 +497,7 @@ class TestResumeReconciliation:
         checkpoint goes, and replay writes it again."""
         path, checkpoint = self._seeded(tmp_path)
         later = TransactionalTextFileSink(path)
-        later.recover(checkpoint)
+        later.recover(checkpoint.operator_state)
         for txn, line in ((3, "d"), (4, "e")):
             later.write(line)
             later.pre_commit(txn)
@@ -498,7 +505,7 @@ class TestResumeReconciliation:
         assert read_lines(path) == ["a", "b", "c", "d", "e"]
 
         back = TransactionalTextFileSink(path)
-        back.recover(checkpoint)
+        back.recover(checkpoint.operator_state)
         assert read_lines(path) == ["a", "b", "c"]
         assert back.records_committed == 3
 
@@ -514,10 +521,10 @@ class TestResumeReconciliation:
             os.truncate(path, 2)
             size = 2
         with pytest.raises(RuntimeError) as excinfo:
-            TransactionalTextFileSink(path).recover(checkpoint)
+            TransactionalTextFileSink(path).recover(checkpoint.operator_state)
         message = str(excinfo.value)
         assert path in message
-        assert "committed %d bytes" % checkpoint["length"] in message
+        assert "committed %d bytes" % checkpoint.operator_state["length"] in message
         assert "holds %d" % size in message
         assert (os.path.getsize(path) if os.path.exists(path) else 0) == size
 

@@ -269,7 +269,7 @@ def _window_pickles(payload):
 
 def test_a_checkpoint_pickles_a_shared_window_once():
     """N pairs living in one window: the snapshot's keyed state holds
-    one window object (``deepcopy`` memoises the interned one), so the
+    one window object (pickle memoises the interned one), so the
     durable payload builds it once and refers to it N - 1 times."""
     snapshots = []
     task, channel = build_window_task([])

@@ -9,9 +9,9 @@ copy-free snapshots.
     query on every element, sort, evict every element -- and the two
     must agree, element by element, on the result sequence, the lift /
     combine / lower counts, ``query_stats`` and ``live_slices``.
-(b) A snapshot shares the closed slices with the live tree and copies
-    only the open partial: taken at every position, restored into a
-    fresh aggregator (twice over), continued, it must equal the
+(b) A snapshot is a view of the live aggregator, serialised by the
+    task's :class:`TaskSnapshot`: taken at every position, restored into
+    a fresh aggregator (twice over), continued, it must equal the
     uninterrupted run even for an aggregate that mutates its accumulator
     in place; and an operator snapshot must survive ``pickle`` although
     its specs were built around lambdas.
@@ -45,6 +45,7 @@ from repro.cutty.specs import begin, end
 from repro.runtime.engine import EngineConfig
 from repro.runtime.faults import CRASH, FaultEvent, FaultInjector
 from repro.runtime.restart import FixedDelayRestart
+from repro.state import TaskSnapshot
 from repro.testing.seeds import rng_for, root_seed
 from repro.time import WatermarkStrategy
 from repro.windowing.aggregates import AggregateFunction, SumAggregate
@@ -288,7 +289,7 @@ def test_horizon_is_a_lower_bound_on_the_next_time_event():
         assert restored.__dict__ == spec.__dict__
 
 
-# -- (b) snapshots: copy-free, alias-free -------------------------------------
+# -- (b) snapshots: serialised once, alias-free -------------------------------
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -311,15 +312,20 @@ def test_snapshot_at_every_position_restores_the_uninterrupted_run(case):
                    for value, ts in stream[position:]]
         return emitted + [aggregator.flush()], observable(aggregator)
 
+    def checkpointed(aggregator):
+        # What the task's checkpoint keeps of the operator state.
+        return TaskSnapshot(("1-cutty", 0), {}, aggregator.snapshot())
+
     original = build(SharedCuttyAggregator, factories, Collect)
-    snapshots, emitted = [original.snapshot()], []
+    snapshots, emitted = [checkpointed(original)], []
     for value, ts in stream:
         emitted.append(original.insert(value, ts))
-        snapshots.append(original.snapshot())
+        snapshots.append(checkpointed(original))
     emitted.append(original.flush())
     expected_state = observable(original)
-    assert any(snapshot["open_count"] for snapshot in snapshots)
-    assert any(len(snapshot["slices"]) > 8 for snapshot in snapshots)
+    states = [snapshot.operator_state for snapshot in snapshots]
+    assert any(state["open_count"] for state in states)
+    assert any(len(state["slices"]) > 8 for state in states)
 
     # Every snapshot was taken before the elements after it arrived and
     # is restored only now, after all of them did -- twice, the second
@@ -327,7 +333,7 @@ def test_snapshot_at_every_position_restores_the_uninterrupted_run(case):
     for position, snapshot in enumerate(snapshots):
         for attempt in range(2):
             restored = build(SharedCuttyAggregator, factories, Collect)
-            restored.restore(snapshot)
+            restored.restore(snapshot.operator_state)
             tail, state = finish(restored, position)
             assert tail == emitted[position:], (position, attempt)
             assert state["query_stats"] == expected_state["query_stats"]

@@ -26,6 +26,7 @@ from repro.cutty.baselines import (
 )
 from repro.cutty.specs import CountWindows, PunctuationWindows
 from repro.observability import AggregationCostCounter
+from repro.state import TaskSnapshot
 from repro.windowing.aggregates import MaxAggregate, SumAggregate
 
 
@@ -347,7 +348,9 @@ def test_restore_appends_live_slices_not_every_slice_ever_cut(monkeypatch):
     original = SharedCuttyAggregator(SumAggregate(), specs())
     for value, ts in head:
         original.insert(value, ts)
-    snapshot = original.snapshot()
+    # As a checkpoint keeps it: the original runs on after the cut.
+    snapshot = TaskSnapshot(("1-cutty", 0), {},
+                            original.snapshot()).operator_state
     assert snapshot["front"] > 1_000       # an old stream ...
     live = original.live_slices
     assert live < 10                       # ... with little state

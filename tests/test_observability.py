@@ -353,6 +353,34 @@ class TestEngineIntegration:
         assert report["cutty"]["cutty-window"]["elements"] == len(events)
         assert report["metrics"]["probes"]["cutty"] == report["cutty"]
 
+    @pytest.mark.parametrize("backend", [
+        "cooperative",
+        pytest.param("multiprocess", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="multiprocess backend requires the fork start method"))])
+    def test_vertices_sharing_a_name_count_apart(self, backend):
+        """Four group-by queries plan four ``group-agg`` and four
+        ``collect`` vertices: each subtask reports its own records, the
+        job counters count every record once, and every channel has a
+        name of its own."""
+        env = Environment(parallelism=2, config=EngineConfig(
+            backend=backend, share_arrangements=False, observability=True))
+        table = env.table([{"k": i % 8, "v": i} for i in range(1500)])
+        results = [table.group_by("k").agg(total=("sum", "v")).collect()
+                   for _ in range(4)]
+        job = env.execute()
+        assert [len(result.get()) for result in results] == [8] * 4
+        report = env.job_report()
+        records_in = {}
+        for row in report["operators"]:
+            records_in.setdefault(row["operator"], []).append(
+                row["records_in"])
+        assert sum(records_in["group-agg"]) == 4 * 1500
+        assert sum(records_in["collect"]) == 4 * 8
+        assert job.counters["records_in"] == 4 * 1500 + 4 * 8
+        channels = [row["channel"] for row in report["channels"]]
+        assert len(set(channels)) == len(channels)
+
 
 # -- reporter --------------------------------------------------------------
 

@@ -8,9 +8,16 @@ from repro.state import (
     ListStateDescriptor,
     MapStateDescriptor,
     ReducingStateDescriptor,
+    TaskSnapshot,
     ValueStateDescriptor,
 )
 from repro.windowing.aggregates import AvgAggregate
+
+
+def checkpointed(backend):
+    """The backend's tables as a checkpoint keeps them: through the
+    :class:`TaskSnapshot` the task builds at the barrier."""
+    return TaskSnapshot(("1-op", 0), backend.snapshot())
 
 
 @pytest.fixture
@@ -158,9 +165,9 @@ class TestBackend:
         state = backend.get_state(ListStateDescriptor("l"))
         backend.set_current_key("k")
         state.add(1)
-        snapshot = backend.snapshot()
+        snapshot = checkpointed(backend)
         state.add(2)
-        assert snapshot["l"]["k"] == [1]
+        assert snapshot.keyed_state["l"]["k"] == [1]
 
     def test_restore_roundtrip(self, backend):
         state = backend.get_state(ValueStateDescriptor("v"))
@@ -180,10 +187,10 @@ class TestBackend:
         maps = backend.get_state(MapStateDescriptor("m"))
         backend.set_current_key("k")
         values.update(1)
-        snapshot = backend.snapshot()
+        snapshot = checkpointed(backend)
         values.update(2)
         maps.put("a", 1)
-        backend.restore(snapshot)
+        backend.restore(snapshot.keyed_state)
         assert values.value() == 1
         assert maps.mapping() is None
         maps.put("b", 2)
